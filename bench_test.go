@@ -249,42 +249,6 @@ func BenchmarkFig10App(b *testing.B) {
 	b.Run("thread", run(core.ExecThread))
 }
 
-// BenchmarkShardedPoint pins the sharded-engine overhead on the tentpole
-// target: one 256-core WiSync TightLoop point, unsharded vs partitioned
-// into 1 and 4 shards. Sharding is exact, so cyc must be identical across
-// the variants (the golden shard-invariance suite proves it end to end;
-// the cross-check here makes benchmark diffs catch drift too). ns/op
-// measures what the partitioned dispatch costs on this host: on a
-// single-core runner the drain rounds run serially and the variants show
-// pure bookkeeping overhead; with 4+ host cores the rounds fan out across
-// goroutines.
-func BenchmarkShardedPoint(b *testing.B) {
-	const cores = 256
-	const iters = 10
-	var cycs [3]float64
-	run := func(idx, shards int) func(b *testing.B) {
-		return func(b *testing.B) {
-			var cyc float64
-			for i := 0; i < b.N; i++ {
-				cfg := config.New(config.WiSync, cores).WithShards(shards)
-				r := kernels.TightLoopExec(cfg, iters, kernels.ExecTask)
-				cyc = float64(r.Cycles)
-			}
-			cycs[idx] = cyc
-			b.ReportMetric(cyc, "cyc")
-		}
-	}
-	b.Run("unsharded", run(0, 0))
-	b.Run("shards-1", run(1, 1))
-	b.Run("shards-4", run(2, 4))
-	for i := 1; i < len(cycs); i++ {
-		// Entries are zero when a -bench filter skipped that variant.
-		if cycs[i] != 0 && cycs[0] != 0 && cycs[i] != cycs[0] {
-			b.Fatalf("sharded cyc diverged: unsharded=%v variant%d=%v", cycs[0], i, cycs[i])
-		}
-	}
-}
-
 // ---- Ablations (DESIGN.md section 5) ----
 
 // benchBarrier measures one barrier configuration's cycles/episode.

@@ -73,7 +73,6 @@ func channelNames() []string {
 func main() {
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast pass")
 	workers := flag.Int("workers", 0, "concurrent sweep points (0 = GOMAXPROCS, 1 = sequential); results are identical at any value")
-	shards := flag.Int("shards", 0, "engine shards per sweep point (0 = unsharded); results are identical at any value")
 	macName := flag.String("mac", "backoff", "wireless MAC protocol: "+strings.Join(macNames(), "|"))
 	chName := flag.String("channel", "ideal", "wireless channel-error profile: "+strings.Join(channelNames(), "|"))
 	ber := flag.Float64("ber", 0, "raw bit-error rate of the worst link for lossy -channel profiles (0 = profile default)")
@@ -86,7 +85,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	list := flag.Bool("list", false, "list available subcommands and MAC protocols, then exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: wisync-bench [-quick] [-workers n] [-shards n] [-mac p] [-exec m] [-v] [-list] [%s]\n",
+		fmt.Fprintf(os.Stderr, "usage: wisync-bench [-quick] [-workers n] [-mac p] [-exec m] [-v] [-list] [%s]\n",
 			strings.Join(commandNames(), "|"))
 		flag.PrintDefaults()
 	}
@@ -127,7 +126,7 @@ func main() {
 		what = flag.Arg(0)
 	}
 	o := harness.Options{Quick: *quick, Workers: *workers, MAC: mac, Channel: chParams,
-		Exec: exec, Shards: *shards, Faults: plan, Budget: *pointBudget,
+		Exec: exec, Faults: plan, Budget: *pointBudget,
 		Verbose: *verbose, Out: os.Stdout}
 	for _, c := range commands {
 		if c.name != what {
@@ -140,8 +139,8 @@ func main() {
 		if what == "macs" {
 			macDesc = "all-compared"
 		}
-		fmt.Printf("# wisync-bench cmd=%s quick=%v workers=%d shards=%d mac=%s channel=%v ber=%g retries=%d faults=%q point-budget=%d exec=%v seed=1\n",
-			what, *quick, *workers, *shards, macDesc, chProfile, *ber, *retries, *faultsFlag, *pointBudget, exec)
+		fmt.Printf("# wisync-bench cmd=%s quick=%v workers=%d mac=%s channel=%v ber=%g retries=%d faults=%q point-budget=%d exec=%v seed=1\n",
+			what, *quick, *workers, macDesc, chProfile, *ber, *retries, *faultsFlag, *pointBudget, exec)
 		stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wisync-bench: %v\n", err)

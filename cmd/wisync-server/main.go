@@ -31,8 +31,9 @@
 //	               jobs after a restart, 200 once warm
 //
 // Malformed jobs — unknown workload, kind, MAC, exec mode or variant,
-// out-of-range cores/shards/parameters, unknown JSON fields — are rejected
-// with 400 before any simulation runs. When the bounded admission queue is
+// out-of-range cores or parameters, unknown JSON fields, trailing data
+// after the job object, a job expanding past -max-job-points — are
+// rejected with 400 before any simulation runs. When the bounded admission queue is
 // full the server answers 429 with Retry-After instead of queueing
 // unboundedly; cmd/wisync-load demonstrates riding that backpressure with
 // thousands of concurrent requests.

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -34,7 +36,6 @@ type job struct {
 	Variant  config.Variant   `json:"variant,omitempty"`
 	MAC      wireless.MACKind `json:"mac,omitempty"`
 	Exec     kernels.Exec     `json:"exec,omitempty"`
-	Shards   int              `json:"shards,omitempty"`
 	Iters    int              `json:"iters,omitempty"`
 	N        int              `json:"n,omitempty"`
 	Passes   int              `json:"passes,omitempty"`
@@ -63,11 +64,44 @@ type job struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// expand crosses the job's lists into normalized, validated point specs
-// with their cache keys, in kinds x cores x seeds order (the golden
-// matrix's row order). Any invalid point fails the whole job: a client
-// should learn about a typo before any simulation runs.
-func (j job) expand() ([]harness.PointSpec, []sweepcache.Key, error) {
+// parseJob is the whole job-input surface, shared by /sweep and journal
+// replay. It decodes exactly one JSON object (unknown fields and trailing
+// data are errors), checks the deadline, bounds the expansion by
+// maxPoints before allocating a single spec, and expands. Every error it
+// returns is the client's: a 400.
+func parseJob(body io.Reader, maxPoints int) (job, []harness.PointSpec, []sweepcache.Key, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var j job
+	if err := dec.Decode(&j); err != nil {
+		return j, nil, nil, fmt.Errorf("bad job: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return j, nil, nil, errors.New("bad job: trailing data after the job object")
+	}
+	if j.DeadlineMS < 0 {
+		return j, nil, nil, errors.New("bad job: deadline_ms must be >= 0")
+	}
+	j = j.withDefaults()
+	// Overflow-safe product: a small body can list enough kinds, cores and
+	// seeds to make the expansion exhaust memory.
+	n := 1
+	for _, l := range []int{len(j.Kinds), len(j.Cores), len(j.Seeds)} {
+		if n > maxPoints/l {
+			return j, nil, nil, fmt.Errorf("job expands to %d kinds x %d cores x %d seeds, cap is %d points",
+				len(j.Kinds), len(j.Cores), len(j.Seeds), maxPoints)
+		}
+		n *= l
+	}
+	specs, keys, err := j.expand(n)
+	if err != nil {
+		return j, nil, nil, fmt.Errorf("bad job: %w", err)
+	}
+	return j, specs, keys, nil
+}
+
+// withDefaults fills each omitted list with its single default.
+func (j job) withDefaults() job {
 	if len(j.Kinds) == 0 {
 		j.Kinds = []config.Kind{config.WiSync}
 	}
@@ -77,14 +111,22 @@ func (j job) expand() ([]harness.PointSpec, []sweepcache.Key, error) {
 	if len(j.Seeds) == 0 {
 		j.Seeds = []uint64{1}
 	}
-	specs := make([]harness.PointSpec, 0, len(j.Kinds)*len(j.Cores)*len(j.Seeds))
+	return j
+}
+
+// expand crosses the job's lists into n normalized, validated point specs
+// with their cache keys, in kinds x cores x seeds order (the golden
+// matrix's row order). Any invalid point fails the whole job: a client
+// should learn about a typo before any simulation runs.
+func (j job) expand(n int) ([]harness.PointSpec, []sweepcache.Key, error) {
+	specs := make([]harness.PointSpec, 0, n)
 	keys := make([]sweepcache.Key, 0, cap(specs))
 	for _, k := range j.Kinds {
 		for _, cores := range j.Cores {
 			for _, seed := range j.Seeds {
 				spec := harness.PointSpec{
 					Workload: j.Workload, Kind: k, Cores: cores, Seed: seed,
-					Variant: j.Variant, MAC: j.MAC, Exec: j.Exec, Shards: j.Shards,
+					Variant: j.Variant, MAC: j.MAC, Exec: j.Exec,
 					Iters: j.Iters, N: j.N, Passes: j.Passes, CS: j.CS, Duration: j.Duration,
 					Channel: j.Channel, BER: j.BER, Retries: j.Retries,
 					BERGood: j.BERGood, PGB: j.PGB, PBG: j.PBG,
@@ -350,17 +392,11 @@ func (s *server) runPoint(ctx context.Context, spec harness.PointSpec) (string, 
 func (s *server) replay(entries []journal.Entry) {
 	defer s.ready.Store(true)
 	for _, e := range entries {
-		var j job
-		if err := json.Unmarshal(e.Payload, &j); err != nil {
-			// A payload this process can no longer decode (downgrade,
-			// corruption the line-level JSON survived): drop it rather than
-			// wedge readiness forever.
-			s.replayErrors.Add(1)
-			_ = s.wal.Complete(e.ID)
-			continue
-		}
-		specs, keys, err := j.expand()
+		j, specs, keys, err := parseJob(bytes.NewReader(e.Payload), s.opts.MaxJobPoints)
 		if err != nil {
+			// A payload this process can no longer accept (downgrade,
+			// a lower -max-job-points, corruption the line-level JSON
+			// survived): drop it rather than wedge readiness forever.
 			s.replayErrors.Add(1)
 			_ = s.wal.Complete(e.ID)
 			continue
@@ -470,25 +506,9 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var j job
-	if err := dec.Decode(&j); err != nil {
-		httpError(w, http.StatusBadRequest, "bad job: %v", err)
-		return
-	}
-	if j.DeadlineMS < 0 {
-		httpError(w, http.StatusBadRequest, "bad job: deadline_ms must be >= 0")
-		return
-	}
-	specs, keys, err := j.expand()
+	j, specs, keys, err := parseJob(http.MaxBytesReader(w, r.Body, 1<<20), s.opts.MaxJobPoints)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad job: %v", err)
-		return
-	}
-	if len(specs) > s.opts.MaxJobPoints {
-		httpError(w, http.StatusBadRequest, "job expands to %d points, cap is %d",
-			len(specs), s.opts.MaxJobPoints)
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if !s.reserve(len(specs)) {

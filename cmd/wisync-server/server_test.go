@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -145,42 +146,68 @@ func TestServerGoldenSweep(t *testing.T) {
 	}
 }
 
-// TestServerRejectsMalformed pins satellite #1: every malformed-job class
-// is a 400 with a JSON error body — never a panic, never a worker crash.
-func TestServerRejectsMalformed(t *testing.T) {
-	_, ts := newTestServer(t, serverOptions{Workers: 1, MaxJobPoints: 8})
-	cases := map[string]string{
-		"not json":         `{"workload": tightloop}`,
-		"unknown field":    `{"workload":"tightloop","turbo":true}`,
-		"unknown workload": `{"workload":"mystery"}`,
-		"unknown app":      `{"workload":"app:doom"}`,
-		"unknown kind":     `{"workload":"tightloop","kinds":["Quantum"]}`,
-		"numeric kind":     `{"workload":"tightloop","kinds":[2]}`,
-		"unknown mac":      `{"workload":"tightloop","mac":"aloha"}`,
-		"unknown exec":     `{"workload":"tightloop","exec":"fiber"}`,
-		"unknown variant":  `{"workload":"tightloop","variant":"Turbo"}`,
-		"zero cores":       `{"workload":"tightloop","cores":[0]}`,
-		"too many cores":   `{"workload":"tightloop","cores":[500]}`,
-		"bad shards":       `{"workload":"tightloop","shards":65}`,
-		"iters beyond cap": `{"workload":"tightloop","iters":100001}`,
-		"job too large":    `{"workload":"tightloop","seeds":[1,2,3,4,5,6,7,8,9]}`,
-		"empty body":       ``,
+// badJobs holds one job per malformed-job class, each a 400 on a server
+// whose job cap is badJobCap points.
+const badJobCap = 8
+
+var badJobs = map[string]string{
+	"not json":             `{"workload": tightloop}`,
+	"unknown field":        `{"workload":"tightloop","turbo":true}`,
+	"unknown field shards": `{"workload":"tightloop","shards":2}`,
+	"unknown workload":     `{"workload":"mystery"}`,
+	"unknown app":          `{"workload":"app:doom"}`,
+	"unknown kind":         `{"workload":"tightloop","kinds":["Quantum"]}`,
+	"numeric kind":         `{"workload":"tightloop","kinds":[2]}`,
+	"unknown mac":          `{"workload":"tightloop","mac":"aloha"}`,
+	"unknown exec":         `{"workload":"tightloop","exec":"fiber"}`,
+	"unknown variant":      `{"workload":"tightloop","variant":"Turbo"}`,
+	"zero cores":           `{"workload":"tightloop","cores":[0]}`,
+	"too many cores":       `{"workload":"tightloop","cores":[500]}`,
+	"iters beyond cap":     `{"workload":"tightloop","iters":100001}`,
+	"job too large":        `{"workload":"tightloop","seeds":[1,2,3,4,5,6,7,8,9]}`,
+	"negative deadline":    `{"workload":"tightloop","deadline_ms":-1}`,
+	"trailing data":        `{"workload":"tightloop","cores":[16]} {"workload":"oops"} trailing-garbage`,
+	"empty body":           ``,
+}
+
+// oversizeJob lists 100,000 core counts and 100,000 seeds in about 500 KB:
+// its expansion would be 10^10 specs, so the cap must be checked against
+// the list product before anything is allocated.
+func oversizeJob() string {
+	var b strings.Builder
+	b.WriteString(`{"workload":"tightloop","cores":[16`)
+	b.WriteString(strings.Repeat(",16", 99999))
+	b.WriteString(`],"seeds":[1`)
+	b.WriteString(strings.Repeat(",1", 99999))
+	b.WriteString(`]}`)
+	return b.String()
+}
+
+// postBad posts body to /sweep and fails unless the answer is a 400 with a
+// JSON error body.
+func postBad(t *testing.T, url, name, body string) {
+	t.Helper()
+	resp, err := http.Post(url+"/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	for name, body := range cases {
-		resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var e struct {
-			Error string `json:"error"`
-		}
-		dec := json.NewDecoder(resp.Body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
-		} else if err := dec.Decode(&e); err != nil || e.Error == "" {
-			t.Errorf("%s: 400 without a JSON error body (%v)", name, err)
-		}
-		resp.Body.Close()
+	defer resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+	} else if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+		t.Errorf("%s: 400 without a JSON error body (%v)", name, err)
+	}
+}
+
+// TestServerRejectsMalformed pins that every malformed-job class is a 400
+// with a JSON error body — never a panic, never a worker crash.
+func TestServerRejectsMalformed(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{Workers: 1, MaxJobPoints: badJobCap})
+	for name, body := range badJobs {
+		postBad(t, ts.URL, name, body)
 	}
 	// Wrong method.
 	resp, err := http.Get(ts.URL + "/sweep")
@@ -195,6 +222,62 @@ func TestServerRejectsMalformed(t *testing.T) {
 	if _, done, status := postJob(t, ts.URL, `{"workload":"tightloop","kinds":["WiSync"],"cores":[16]}`); status != http.StatusOK || done.Errors != 0 {
 		t.Fatalf("server unhealthy after malformed jobs: status=%d done=%+v", status, done)
 	}
+}
+
+// TestServerRejectsOversizeJob posts a 500 KB job whose list product is
+// 10^10 points to a server with the default cap: it must be a 400 decided
+// from the list lengths, not an out-of-memory crash in the expansion.
+func TestServerRejectsOversizeJob(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{Workers: 1})
+	postBad(t, ts.URL, "oversize product", oversizeJob())
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after the oversize job: status %d", resp.StatusCode)
+	}
+}
+
+// FuzzJobDecode drives the job-input surface (parseJob) with arbitrary
+// bodies. It must never panic, must reach the same decision — and the same
+// cache keys — every time it sees the same bytes, and an accepted job must
+// expand to at most the cap, into specs that each re-validate and
+// re-digest to their keys.
+func FuzzJobDecode(f *testing.F) {
+	for _, body := range badJobs {
+		f.Add([]byte(body))
+	}
+	for _, body := range goldenJobs {
+		f.Add([]byte(body))
+	}
+	f.Add([]byte(oversizeJob()))
+	f.Add([]byte(`{"workload":"cas-add","kinds":["WiSyncNoT"],"cores":[16],"channel":"burst","faults":{"outages":[{"node":1,"at":100,"for":50}]}}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		_, specs, keys, err := parseJob(bytes.NewReader(body), badJobCap)
+		_, _, keys2, err2 := parseJob(bytes.NewReader(body), badJobCap)
+		if (err == nil) != (err2 == nil) {
+			t.Fatalf("same bytes, different decisions: %v then %v", err, err2)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(keys, keys2) {
+			t.Fatalf("same bytes, different keys:\n%v\n%v", keys, keys2)
+		}
+		if len(specs) > badJobCap || len(specs) != len(keys) {
+			t.Fatalf("accepted job expands to %d specs and %d keys, cap %d", len(specs), len(keys), badJobCap)
+		}
+		for i, spec := range specs {
+			if err := spec.Validate(); err != nil {
+				t.Fatalf("accepted spec %s does not re-validate: %v", spec.ID(), err)
+			}
+			if d, err := spec.Digest(); err != nil || d != keys[i].Digest {
+				t.Fatalf("spec %s re-digests to %q (%v), key says %q", spec.ID(), d, err, keys[i].Digest)
+			}
+		}
+	})
 }
 
 // TestServerBackpressure pins the bounded-queue contract: a job that would
@@ -324,21 +407,12 @@ func TestServerChannelJobs(t *testing.T) {
 	if strings.Contains(row, "retx=0\t") || strings.Contains(row, "energy=0pJ") {
 		t.Fatalf("lossy row reports no corruption at BER 1e-5: %s", row)
 	}
-	// The repeat is a cache hit, and the sharded form shares the same
-	// content address — sharding stays digest-excluded for lossy points
-	// because corruption draws are shard-invariant (pinned end-to-end by
+	// The repeat is a cache hit, byte-identical: corruption draws are a
+	// pure function of (seed, config) (pinned end-to-end by
 	// TestLossyPointDeterministic in internal/harness).
 	rows4, done4, _ := postJob(t, ts.URL, lossy)
-	if done4.Hits != 1 || rows4[0].Row != row {
+	if done4.Hits != 1 || !rows4[0].Cached || rows4[0].Row != row {
 		t.Fatalf("lossy repeat: done=%+v row=%s", done4, rows4[0].Row)
-	}
-	sharded := `{"workload":"tightloop","kinds":["WiSyncNoT"],"cores":[64],"seeds":[3],"channel":"uniform","ber":1e-5,"retries":20,"shards":2}`
-	rows5, done5, _ := postJob(t, ts.URL, sharded)
-	if done5.Errors != 0 || done5.Hits != 1 {
-		t.Fatalf("sharded lossy job did not share the cache entry: done=%+v", done5)
-	}
-	if rows5[0].Row != row {
-		t.Fatalf("lossy row diverged at 2 shards:\ngot:  %s\nwant: %s", rows5[0].Row, row)
 	}
 
 	// Unknown profile names are a 400 like every other enum.
@@ -404,16 +478,6 @@ func TestServerJobDeadline(t *testing.T) {
 	// completes normally.
 	if _, done, status := postJob(t, ts.URL, `{"workload":"tightloop","kinds":["WiSync"],"cores":[16]}`); status != http.StatusOK || done.Errors != 0 {
 		t.Fatalf("server unhealthy after deadline abort: status=%d done=%+v", status, done)
-	}
-	// Negative deadlines are rejected up front.
-	resp, err = http.Post(ts.URL+"/sweep", "application/json",
-		strings.NewReader(`{"workload":"tightloop","deadline_ms":-5}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative deadline_ms: status %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -76,7 +76,6 @@ func main() {
 	variant := flag.String("variant", "Default", "Table 6 variant")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	workers := flag.Int("workers", 0, "concurrent sweep points for a -cores list (0 = GOMAXPROCS, 1 = sequential)")
-	shards := flag.Int("shards", 0, "engine shards per point (0 = unsharded); results are identical at any value")
 	macName := flag.String("mac", "backoff", "wireless MAC protocol: "+macNames())
 	chName := flag.String("channel", "ideal", "wireless channel-error profile: "+channelNames())
 	ber := flag.Float64("ber", 0, "raw bit-error rate of the worst link for lossy -channel profiles (0 = profile default)")
@@ -133,20 +132,22 @@ func main() {
 	default:
 		fatalf("unknown workload %q", *workload)
 	}
+	pointCfg := func(cores int) config.Config {
+		return config.New(kind, cores).WithVariant(v).WithSeed(*seed).WithMAC(mac).
+			WithChannel(chParams).WithFaults(plan).WithBudget(sim.Time(*pointBudget))
+	}
 	// Validate every sweep point's machine configuration up front through
-	// the single authority (config.Config.Validate): a bad core count or
-	// shard count is a usage error here, never a panic inside a worker.
+	// the single authority (config.Config.Validate): a bad core count is a
+	// usage error here, never a panic inside a worker.
 	for _, c := range coreList {
-		cfg := config.New(kind, c).WithVariant(v).WithSeed(*seed).WithMAC(mac).
-			WithShards(*shards).WithChannel(chParams).WithFaults(plan).WithBudget(sim.Time(*pointBudget))
-		if err := cfg.Validate(); err != nil {
+		if err := pointCfg(c).Validate(); err != nil {
 			fatalf("%v", err)
 		}
 	}
 
 	// Self-describing output: echo the effective configuration first.
-	fmt.Printf("# wisync-sim config=%v cores=%s variant=%v seed=%d workers=%d shards=%d mac=%v channel=%v ber=%g retries=%d faults=%q point-budget=%d workload=%s\n",
-		kind, *cores, v, *seed, *workers, *shards, mac, chProfile, *ber, *retries, *faultsFlag, *pointBudget, *workload)
+	fmt.Printf("# wisync-sim config=%v cores=%s variant=%v seed=%d workers=%d mac=%v channel=%v ber=%g retries=%d faults=%q point-budget=%d workload=%s\n",
+		kind, *cores, v, *seed, *workers, mac, chProfile, *ber, *retries, *faultsFlag, *pointBudget, *workload)
 	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fatalf("%v", err)
@@ -156,9 +157,7 @@ func main() {
 	outputs := make([]strings.Builder, len(coreList))
 	var pointFailed atomic.Bool
 	harness.ForEach(*workers, len(coreList), func(i int) {
-		cfg := config.New(kind, coreList[i]).WithVariant(v).WithSeed(*seed).WithMAC(mac).
-			WithShards(*shards).WithChannel(chParams).WithFaults(plan).WithBudget(sim.Time(*pointBudget))
-		if !runOne(&outputs[i], cfg, *workload, appProfile, *n, *iters, *cs, *duration) {
+		if !runOne(&outputs[i], pointCfg(coreList[i]), *workload, appProfile, *n, *iters, *cs, *duration) {
 			pointFailed.Store(true)
 		}
 	})

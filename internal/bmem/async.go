@@ -55,7 +55,7 @@ func (b *BM) LoadAsync(node int, pid uint16, addr uint32, then func(uint64)) err
 		return err
 	}
 	b.Stats.Loads++
-	b.eng.LocalSleepThen(node, b.p.RT, b.newLoadCont(addr, then).fn)
+	b.eng.SleepThen(b.p.RT, b.newLoadCont(addr, then).fn)
 	return nil
 }
 
@@ -116,7 +116,7 @@ func (b *BM) RMWAsync(node int, pid uint16, addr uint32, f func(uint64) (uint64,
 	*pr = pendingRMW{active: true, addr: addr}
 
 	// Local read: the atomicity window opens here.
-	b.eng.LocalSleepThen(node, b.p.RT, func() {
+	b.eng.SleepThen(b.p.RT, func() {
 		old := b.entries[addr].val
 		if pr.aborted {
 			// A conflicting commit landed during the local read.
@@ -213,7 +213,7 @@ func (b *BM) rmwAtGrantAsync(node int, pid uint16, addr uint32, f func(uint64) (
 	c.msg.Src, c.msg.Addr, c.msg.Kind, c.msg.PID = node, addr, wireless.KindRMW, pid
 	// The instruction still reads the local BM into the pipeline (RT),
 	// then contends for the channel.
-	b.eng.LocalSleepThen(node, b.p.RT, c.submitFn)
+	b.eng.SleepThen(b.p.RT, c.submitFn)
 	return nil
 }
 

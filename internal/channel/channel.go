@@ -27,9 +27,9 @@
 // All draws come from a sim.Rand the Network forks from the engine at
 // construction time (only when the profile is non-ideal, so the ideal
 // channel consumes no entropy and perturbs nothing), and are made in
-// commit-event order — which the engine keeps identical across host
-// worker counts and shard counts — so a corruption schedule is a pure
-// function of (seed, config).
+// commit-event order — which the engine keeps identical at any host
+// worker count — so a corruption schedule is a pure function of
+// (seed, config).
 package channel
 
 import (
@@ -312,8 +312,7 @@ func (m *matrix) Corrupts(rng *sim.Rand, src, bits int) bool {
 // gilbertElliott is the Burst profile: one medium-wide two-state Markov
 // chain stepped once per transmission. The state evolves in the
 // Network's commit-event order — the same order every other channel draw
-// uses — so the burst schedule is deterministic across worker and shard
-// counts. Every Corrupts call makes exactly two draws (transition, then
+// uses — so the burst schedule is deterministic at any worker count. Every Corrupts call makes exactly two draws (transition, then
 // outcome) regardless of state, so the rng stream consumed is a pure
 // function of the transmission count.
 type gilbertElliott struct {

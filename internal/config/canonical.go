@@ -8,12 +8,10 @@
 // naturally and unknown names fail at decode time, not inside a worker),
 // and Digest condenses the result-relevant fields to a hex SHA-256.
 //
-// Seed and Shards are deliberately excluded from the digest: Seed is the
-// other half of the cache key (the service keys entries by
-// (digest, seed)), and Shards only partitions the engine's event storage —
-// sharded runs are bit-identical at every count, pinned by
-// TestGoldenShardInvariance. The execution mode (task vs thread) never
-// reaches Config at all and is excluded for the same reason.
+// Seed is deliberately excluded from the digest: it is the other half of
+// the cache key (the service keys entries by (digest, seed)). The
+// execution mode (task vs thread) never reaches Config at all: it changes
+// only wall-clock time, never a result.
 package config
 
 import (
@@ -108,13 +106,12 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 }
 
 // Digest returns the content address of the configuration as a hex
-// SHA-256 over its canonical JSON with Seed and Shards zeroed (see the
-// file comment for why those two fields are excluded). Configurations
-// that simulate identically share a digest; flipping any result-relevant
-// field changes it (pinned by TestDigestFieldFlips).
+// SHA-256 over its canonical JSON with Seed zeroed (see the file comment
+// for why it is excluded). Configurations that simulate identically share
+// a digest; flipping any result-relevant field changes it (pinned by
+// TestDigestFieldFlips).
 func (c Config) Digest() (string, error) {
 	c.Seed = 0
-	c.Shards = 0
 	b, err := c.CanonicalJSON()
 	if err != nil {
 		return "", err

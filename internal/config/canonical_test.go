@@ -84,16 +84,12 @@ func TestDigestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDigestExcludesSeedAndShards pins the two deliberate exclusions: the
-// seed is the cache key's other half, and sharding is bit-identical by
-// construction, so neither may split the content address.
-func TestDigestExcludesSeedAndShards(t *testing.T) {
+// TestDigestExcludesSeed pins the deliberate exclusion: the seed is the
+// cache key's other half, so it may not split the content address.
+func TestDigestExcludesSeed(t *testing.T) {
 	base := New(WiSync, 64)
 	if mustDigest(t, base.WithSeed(42)) != mustDigest(t, base) {
 		t.Fatal("seed leaked into the digest")
-	}
-	if mustDigest(t, base.WithShards(4)) != mustDigest(t, base) {
-		t.Fatal("shard count leaked into the digest")
 	}
 }
 
@@ -134,7 +130,7 @@ func fieldAt(c *Config, path string) reflect.Value {
 
 // TestDigestFieldFlips walks every leaf field of Config (including the
 // nested wireless and tone parameter structs) and asserts that flipping it
-// moves the digest — except Seed and Shards, covered above. A future field
+// moves the digest — except Seed, covered above. A future field
 // that does not move the digest fails loudly: silently excluding a new
 // sweep-relevant knob from the content address would serve wrong cached
 // results.
@@ -146,7 +142,7 @@ func TestDigestFieldFlips(t *testing.T) {
 		t.Fatalf("only %d leaf fields found; the walk is broken", len(paths))
 	}
 	for _, path := range paths {
-		if path == ".Seed" || path == ".Shards" {
+		if path == ".Seed" {
 			continue // digest-excluded by design, pinned above
 		}
 		if path == ".Abort" {
@@ -223,7 +219,6 @@ func TestValidateCentralized(t *testing.T) {
 		func() Config { c := good; c.Kind = 9; return c }(),
 		func() Config { c := good; c.Cores = 0; return c }(),
 		func() Config { c := good; c.Cores = 1000; return c }(),
-		func() Config { c := good; c.Shards = 65; return c }(),
 		func() Config { c := good; c.Wireless.MAC = 9; return c }(),
 		func() Config { c := good; c.Wireless.Backoff = 9; return c }(),
 		func() Config { c := good; c.Wireless.Defer = 9; return c }(),

@@ -96,11 +96,6 @@ type Config struct {
 	Cores int
 	// Seed drives all simulation randomness; same seed, same run.
 	Seed uint64
-	// Shards partitions the simulated cores' local events across this many
-	// engine shards for intra-point host parallelism (sim.ConfigureShards).
-	// 0 (the default) is the unsharded engine; any value produces
-	// bit-identical simulated results, only wall-clock time changes.
-	Shards int
 
 	// Wired hierarchy (Table 1 / Table 6).
 	L1RT       sim.Time
@@ -184,13 +179,6 @@ func (c Config) WithSeed(seed uint64) Config {
 	return c
 }
 
-// WithShards returns the configuration with a different engine shard
-// count (0 = unsharded).
-func (c Config) WithShards(n int) Config {
-	c.Shards = n
-	return c
-}
-
 // WithMAC returns the configuration with a different Data-channel
 // arbitration protocol (the paper's carrier-sense backoff is the default;
 // token passing and the traffic-adaptive switcher are the alternatives).
@@ -252,9 +240,6 @@ func (c Config) Validate() error {
 	}
 	if c.Kind.HasBM() && c.BMEntries == 0 {
 		return fmt.Errorf("config: WiSync configuration with no BM entries")
-	}
-	if c.Shards < 0 || c.Shards > 64 {
-		return fmt.Errorf("config: %d shards outside supported range [0,64]", c.Shards)
 	}
 	if !c.Wireless.MAC.Valid() {
 		return fmt.Errorf("config: unknown MAC protocol %v", c.Wireless.MAC)

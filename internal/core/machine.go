@@ -55,17 +55,14 @@ func NewMachine(cfg config.Config) *Machine {
 	return m
 }
 
-// New builds a machine for cfg, rejecting invalid configurations — and a
-// shard reconfiguration the engine cannot honor — with an error rather
-// than a panic, so a bad job config cannot crash a serving process.
+// New builds a machine for cfg, rejecting invalid configurations with an
+// error rather than a panic, so a bad job config cannot crash a serving
+// process.
 func New(cfg config.Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	eng := sim.NewEngine(cfg.Seed)
-	if err := eng.SetShards(cfg.Shards); err != nil {
-		return nil, err
-	}
 	mesh := noc.New(cfg.Cores, cfg.HopLatency)
 	mp := mem.Params{
 		Cores:         cfg.Cores,

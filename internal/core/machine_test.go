@@ -25,13 +25,3 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}()
 	NewMachine(bad)
 }
-
-// TestNewValidatesShardRange pins that a shard request the engine cannot
-// honor surfaces as an error, not a panic (the sim.SetShards contract
-// observed from machine construction).
-func TestNewValidatesShardRange(t *testing.T) {
-	bad := config.New(config.WiSync, 64).WithShards(65)
-	if _, err := New(bad); err == nil {
-		t.Fatal("New accepted 65 shards")
-	}
-}

@@ -74,7 +74,7 @@ func (op *rmwOp) start(addr uint64) {
 	if t.pending > 0 {
 		d := t.pending
 		t.pending = 0
-		t.M.Eng.LocalSleepThen(t.Core, d, op.issueFn)
+		t.M.Eng.SleepThen(d, op.issueFn)
 		return
 	}
 	op.issue()
@@ -172,7 +172,7 @@ func (op *hwOp) start() {
 	if t.pending > 0 {
 		d := t.pending
 		t.pending = 0
-		t.M.Eng.LocalSleepThen(t.Core, d, op.issueFn)
+		t.M.Eng.SleepThen(d, op.issueFn)
 		return
 	}
 	op.issue()
@@ -281,7 +281,7 @@ func (op *bmRetryOp) attempt() {
 	if t.pending > 0 {
 		d := t.pending
 		t.pending = 0
-		t.M.Eng.LocalSleepThen(t.Core, d, op.issueFn)
+		t.M.Eng.SleepThen(d, op.issueFn)
 		return
 	}
 	op.issue()

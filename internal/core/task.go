@@ -93,7 +93,7 @@ func (t *Task) flush(then func()) {
 	}
 	d := t.pending
 	t.pending = 0
-	t.M.Eng.LocalSleepThen(t.Core, d, then)
+	t.M.Eng.SleepThen(d, then)
 }
 
 // Sync flushes pending compute; then runs once Now() is architectural.
@@ -115,7 +115,7 @@ func (t *Task) Read(addr uint64, then func(uint64)) {
 		op.kind, op.addr64, op.thenU = hwMemRead, addr, then
 		d := t.pending
 		t.pending = 0
-		t.M.Eng.LocalSleepThen(t.Core, d, op.issueFn)
+		t.M.Eng.SleepThen(d, op.issueFn)
 		return
 	}
 	t.M.Mem.ReadAsync(t.Core, addr, then)
@@ -138,7 +138,7 @@ func (t *Task) RMW(addr uint64, f func(uint64) (uint64, bool), then func(uint64)
 	if t.pending > 0 {
 		d := t.pending
 		t.pending = 0
-		t.M.Eng.LocalSleepThen(t.Core, d, func() { t.M.Mem.RMWAsync(t.Core, addr, f, then) })
+		t.M.Eng.SleepThen(d, func() { t.M.Mem.RMWAsync(t.Core, addr, f, then) })
 		return
 	}
 	t.M.Mem.RMWAsync(t.Core, addr, f, then)

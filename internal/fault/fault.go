@@ -10,7 +10,7 @@
 // plan consumes no randomness and schedules no events of its own;
 // injection is a pure predicate over simulated time evaluated where the
 // Network already serializes decisions (submit and grant commit points),
-// so a faulty run stays bit-identical across -workers and -shards.
+// so a faulty run stays bit-identical at any -workers count.
 //
 // Two outage shapes exist. A transient outage (For > 0) silences the
 // node's transceiver for a bounded window: sends issued inside the window

@@ -42,10 +42,10 @@ func chaosPlan(rng *rand.Rand, cores int) *fault.Plan {
 }
 
 // TestChaosRandomizedFaultPlans is the chaos sweep: seeded random fault
-// plans across the lock-free kernels, every MAC protocol, and shard counts
-// {1, 4}. Each point must terminate (the watchdog converts a livelock into
-// an error, and any error fails the test), and its row must be
-// byte-identical across shard counts and on a rerun.
+// plans across the lock-free kernels and every MAC protocol. Each point
+// must terminate (the watchdog converts a livelock into an error, and any
+// error fails the test), and its row must be byte-identical on a rerun
+// and across sweep worker counts.
 func TestChaosRandomizedFaultPlans(t *testing.T) {
 	t.Parallel()
 	for mi, mac := range wireless.MACKinds {
@@ -60,16 +60,18 @@ func TestChaosRandomizedFaultPlans(t *testing.T) {
 					MAC: mac, Faults: plan, Watchdog: 200000,
 				}
 				var rows []string
-				for _, shards := range []int{1, 4} {
-					s := spec
-					s.Shards = shards
-					for run := 0; run < 2; run++ {
-						row, err := s.Run()
-						if err != nil {
-							t.Fatalf("shards=%d run=%d: %v (plan %+v)", shards, run, err, plan)
-						}
-						rows = append(rows, row)
+				for run := 0; run < 2; run++ {
+					row, err := spec.Run()
+					if err != nil {
+						t.Fatalf("run=%d: %v (plan %+v)", run, err, plan)
 					}
+					rows = append(rows, row)
+				}
+				for i, out := range RunPoints(Options{Workers: 2}, []PointSpec{spec, spec}) {
+					if out.Err != nil {
+						t.Fatalf("worker run %d: %v (plan %+v)", i, out.Err, plan)
+					}
+					rows = append(rows, out.Row)
 				}
 				for i := 1; i < len(rows); i++ {
 					if rows[i] != rows[0] {
@@ -86,8 +88,8 @@ func TestChaosRandomizedFaultPlans(t *testing.T) {
 // mid-run transceiver fail-stop loses the token when the ring path crosses
 // the dead node, the bounded timeout regenerates it (counted in MACStats),
 // the dead node's thread retires into a fault record, and the surviving
-// cores finish the kernel — with every counter identical across shard
-// counts and across concurrent reruns.
+// cores finish the kernel — with every counter identical on a rerun and
+// every row identical across concurrent reruns.
 func TestTokenFailStopRecovery(t *testing.T) {
 	t.Parallel()
 	plan := &fault.Plan{Outages: []fault.Outage{{Node: 3, At: 8000}}}
@@ -109,14 +111,12 @@ func TestTokenFailStopRecovery(t *testing.T) {
 		t.Fatalf("surviving cores made no progress: %+v", ref)
 	}
 
-	// Shard counts do not change a faulty run.
-	for _, shards := range []int{2, 4} {
-		r := kernels.CASKernel(cfg.WithShards(shards), kernels.ADD, 50, 30000)
-		if r.Successes != ref.Successes || r.Failures != ref.Failures ||
-			!reflect.DeepEqual(r.Net, ref.Net) || !reflect.DeepEqual(r.MAC, ref.MAC) ||
-			!reflect.DeepEqual(r.Energy, ref.Energy) || !reflect.DeepEqual(r.Faults, ref.Faults) {
-			t.Fatalf("shards=%d diverged:\ngot:  %+v\nwant: %+v", shards, r, ref)
-		}
+	// A rerun reproduces every counter of a faulty run.
+	r := kernels.CASKernel(cfg, kernels.ADD, 50, 30000)
+	if r.Successes != ref.Successes || r.Failures != ref.Failures ||
+		!reflect.DeepEqual(r.Net, ref.Net) || !reflect.DeepEqual(r.MAC, ref.MAC) ||
+		!reflect.DeepEqual(r.Energy, ref.Energy) || !reflect.DeepEqual(r.Faults, ref.Faults) {
+		t.Fatalf("rerun diverged:\ngot:  %+v\nwant: %+v", r, ref)
 	}
 
 	// Concurrent reruns (the -workers axis) are byte-identical rows.

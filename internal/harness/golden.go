@@ -79,15 +79,6 @@ func GoldenRunExec(pt GoldenPoint, exec kernels.Exec) string {
 		Seed: pt.Seed, Exec: exec})
 }
 
-// GoldenRunShards executes one point on an engine partitioned into the
-// given shard count. Sharding is exact — every line must render
-// byte-identical to the unsharded golden file at any count
-// (TestGoldenShardInvariance pins it).
-func GoldenRunShards(pt GoldenPoint, shards int) string {
-	return mustRunPoint(PointSpec{Workload: pt.Kernel, Kind: pt.Kind, Cores: pt.Cores,
-		Seed: pt.Seed, Shards: shards})
-}
-
 // mustRunPoint runs a spec whose failure would be a programming error in
 // the conformance matrix itself, not a runtime condition. The golden
 // kernels execute through the same PointSpec.Run path the sweep service

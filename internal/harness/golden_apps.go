@@ -60,24 +60,12 @@ func AppGoldenRun(pt AppGoldenPoint) string { return AppGoldenRunExec(pt, kernel
 // file (TestGoldenAppsConformance pins the default, TestGoldenAppsBlocking-
 // Equivalence the reference mode).
 func AppGoldenRunExec(pt AppGoldenPoint, exec kernels.Exec) string {
-	return appGoldenRunCfg(pt, config.New(pt.Kind, 64).WithSeed(pt.Seed), exec)
-}
-
-// AppGoldenRunShards executes one point on an engine partitioned into the
-// given shard count; every line must render byte-identical to the
-// unsharded golden file at any count.
-func AppGoldenRunShards(pt AppGoldenPoint, shards int) string {
-	cfg := config.New(pt.Kind, 64).WithSeed(pt.Seed).WithShards(shards)
-	return appGoldenRunCfg(pt, cfg, kernels.ExecTask)
-}
-
-func appGoldenRunCfg(pt AppGoldenPoint, cfg config.Config, exec kernels.Exec) string {
 	p, ok := apps.ByName(pt.App)
 	if !ok {
 		panic("harness: unknown golden app " + pt.App)
 	}
 	p.Iterations = pt.Iters
-	r := apps.RunExec(cfg, p, exec)
+	r := apps.RunExec(config.New(pt.Kind, 64).WithSeed(pt.Seed), p, exec)
 	return pt.ID() + "\t" + strings.Join([]string{
 		fmt.Sprintf("cycles=%d", r.Cycles),
 		fmt.Sprintf("datautil=%s", gf(r.DataUtilPct)),

@@ -56,12 +56,6 @@ type Options struct {
 	// (continuation) mode — the fast path; ExecThread runs the blocking
 	// reference interpreter. Simulated results are identical either way.
 	Exec kernels.Exec
-	// Shards partitions each sweep point's engine into this many shards
-	// for intra-point parallelism (sim.ConfigureShards): core-local events
-	// sort concurrently between dispatches. 0 keeps the unsharded engine.
-	// Orthogonal to Workers — Workers parallelizes across points, Shards
-	// within one — and bit-identical at every value.
-	Shards int
 	// Faults applies a deterministic fault-injection plan to every sweep
 	// point (nil: fault-free, output byte-identical to the pre-fault
 	// harness). No effect on wired configurations.
@@ -79,9 +73,9 @@ type Options struct {
 }
 
 // Config builds one sweep point's machine configuration with the
-// option-level overrides (MAC protocol, engine shards) applied.
+// option-level overrides (MAC protocol, channel, budget, faults) applied.
 func (o Options) Config(kind config.Kind, cores int) config.Config {
-	c := config.New(kind, cores).WithMAC(o.MAC).WithShards(o.Shards).WithChannel(o.Channel).
+	c := config.New(kind, cores).WithMAC(o.MAC).WithChannel(o.Channel).
 		WithBudget(sim.Time(o.Budget))
 	if kind.HasBM() {
 		// A fault plan targets transceivers; wired points in the same
@@ -358,13 +352,8 @@ func fprintSched(o Options, what string, s sim.SchedStats) {
 	if !o.Verbose {
 		return
 	}
-	fmt.Fprintf(o.out(), "# sched %s: wheel-events=%d heap-fallbacks=%d step-pool-hits=%d step-pool-misses=%d",
+	fmt.Fprintf(o.out(), "# sched %s: wheel-events=%d heap-fallbacks=%d step-pool-hits=%d step-pool-misses=%d\n",
 		what, s.WheelEvents, s.HeapEvents, s.StepPoolHits, s.StepPoolMisses)
-	if o.Shards > 0 {
-		fmt.Fprintf(o.out(), " horizon-advances=%d cross-shard-msgs=%d barrier-stalls=%d",
-			s.HorizonAdvances, s.CrossShardMsgs, s.BarrierStalls)
-	}
-	fmt.Fprintln(o.out())
 }
 
 // fprintEnergy renders the aggregated Data-channel energy ledger of a sweep

@@ -42,11 +42,9 @@ type PointSpec struct {
 	Seed     uint64           `json:"seed"`
 	Variant  config.Variant   `json:"variant,omitempty"`
 	MAC      wireless.MACKind `json:"mac,omitempty"`
-	// Exec and Shards change only simulator wall-clock behavior, never
-	// results (pinned by the equivalence and shard-invariance suites), so
-	// they are excluded from Digest.
-	Exec   kernels.Exec `json:"exec,omitempty"`
-	Shards int          `json:"shards,omitempty"`
+	// Exec changes only simulator wall-clock behavior, never results
+	// (pinned by the equivalence suites), so it is excluded from Digest.
+	Exec kernels.Exec `json:"exec,omitempty"`
 
 	// Channel selects the channel-error profile (default ideal: the
 	// paper's error-free medium, under which rows match the golden
@@ -230,7 +228,7 @@ func (s PointSpec) Validate() error {
 // Config builds the point's machine configuration.
 func (s PointSpec) Config() config.Config {
 	return config.New(s.Kind, s.Cores).WithVariant(s.Variant).WithSeed(s.Seed).
-		WithMAC(s.MAC).WithShards(s.Shards).
+		WithMAC(s.MAC).
 		WithChannel(channel.Params{
 			Profile: s.Channel, BER: s.BER, MaxRetries: s.Retries,
 			BERGood: s.BERGood, PGB: s.PGB, PBG: s.PBG,
@@ -247,7 +245,7 @@ func (s PointSpec) ID() string {
 // Digest returns the content address of the point: a hex SHA-256 over the
 // normalized workload parameters and the machine configuration's digest.
 // The seed is excluded — the memoization cache keys entries by
-// (Digest, Seed) — and so are Exec and Shards, which are bit-identical by
+// (Digest, Seed) — and so is Exec, which is bit-identical by
 // construction. Two specs share a digest exactly when they run the same
 // simulation.
 func (s PointSpec) Digest() (string, error) {

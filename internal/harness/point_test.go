@@ -105,8 +105,8 @@ func TestPointSpecNormalize(t *testing.T) {
 }
 
 // TestPointDigest pins the content-address semantics the cache relies on:
-// aliases and defaults collapse onto one digest; seed, exec mode and shard
-// count do not split it; workload parameters and machine configuration do.
+// aliases and defaults collapse onto one digest; seed and exec mode do not
+// split it; workload parameters and machine configuration do.
 func TestPointDigest(t *testing.T) {
 	digest := func(s PointSpec) string {
 		t.Helper()
@@ -118,9 +118,9 @@ func TestPointDigest(t *testing.T) {
 	}
 	base := PointSpec{Workload: "livermore2", Kind: config.WiSync, Cores: 64, Seed: 1, N: 96, Passes: 1}
 	alias := PointSpec{Workload: "liv2", Kind: config.WiSync, Cores: 64, Seed: 9, CS: 5,
-		Exec: kernels.ExecThread, Shards: 4}
+		Exec: kernels.ExecThread}
 	if digest(base) != digest(alias) {
-		t.Fatal("alias/defaults/seed/exec/shards split the digest; cache would never hit")
+		t.Fatal("alias/defaults/seed/exec split the digest; cache would never hit")
 	}
 	for name, other := range map[string]PointSpec{
 		"workload": {Workload: "livermore3", Kind: config.WiSync, Cores: 64, Seed: 1},
@@ -152,7 +152,6 @@ func TestPointSpecValidate(t *testing.T) {
 		"bad variant":      {Workload: "tightloop", Kind: config.WiSync, Cores: 64, Seed: 1, Variant: 9},
 		"bad mac":          {Workload: "tightloop", Kind: config.WiSync, Cores: 64, Seed: 1, MAC: 9},
 		"bad exec":         {Workload: "tightloop", Kind: config.WiSync, Cores: 64, Seed: 1, Exec: 7},
-		"bad shards":       {Workload: "tightloop", Kind: config.WiSync, Cores: 64, Seed: 1, Shards: 65},
 		"iters beyond cap": {Workload: "tightloop", Kind: config.WiSync, Cores: 64, Seed: 1, Iters: maxIters + 1},
 		"n beyond cap":     {Workload: "liv2", Kind: config.WiSync, Cores: 64, Seed: 1, N: maxVecLen + 1},
 	}

@@ -58,7 +58,7 @@ func (s *System) ReadAsync(core int, addr uint64, then func(uint64)) {
 	c := &s.l1[core]
 	if sl := c.lookup(s.setsMask(), line); sl != nil {
 		s.Stats.L1Hits++
-		s.eng.LocalSleepThen(core, s.p.L1RT, s.newHitCont(addr, 0, false, then).fn)
+		s.eng.SleepThen(s.p.L1RT, s.newHitCont(addr, 0, false, then).fn)
 		return
 	}
 	s.Stats.L1Misses++
@@ -86,7 +86,7 @@ func (s *System) RMWAsync(core int, addr uint64, f func(uint64) (uint64, bool), 
 		if nv, do := f(old); do {
 			le.words[wordIdx(addr)] = nv
 		}
-		s.eng.LocalSleepThen(core, s.p.L1RT, s.newHitCont(addr, old, true, then).fn)
+		s.eng.SleepThen(s.p.L1RT, s.newHitCont(addr, old, true, then).fn)
 		return
 	}
 	s.Stats.L1Misses++

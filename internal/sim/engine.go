@@ -169,11 +169,6 @@ type Engine struct {
 	pv      any
 	pstack  []byte
 	stopped bool
-	// sh is the sharded local-event store (shard.go), nil in the default
-	// unsharded engine. Core-local timers routed through LocalSleepThen
-	// live there instead of q; runEvents merges the two populations in
-	// exact (time, priority, sequence) order.
-	sh *shardSet
 	// Recycled-step pool counters, reported by workload layers through
 	// StepPoolHit/StepPoolMiss.
 	stepPoolHits   uint64
@@ -208,15 +203,6 @@ type SchedStats struct {
 	// via StepPoolHit; StepPoolMisses counts the fresh allocations.
 	StepPoolHits   uint64
 	StepPoolMisses uint64
-	// Sharded-mode counters, zero in the unsharded engine. HorizonAdvances
-	// counts drain rounds (conservative horizon computations that moved
-	// shard heaps into sorted outboxes); CrossShardMsgs counts local events
-	// handed across the shard boundary into the globally ordered dispatch;
-	// BarrierStalls counts shard-rounds where a shard had nothing to
-	// contribute inside the horizon while a sibling did.
-	HorizonAdvances uint64
-	CrossShardMsgs  uint64
-	BarrierStalls   uint64
 }
 
 // Add accumulates other into s, for aggregating counters across sweep
@@ -226,25 +212,16 @@ func (s *SchedStats) Add(other SchedStats) {
 	s.HeapEvents += other.HeapEvents
 	s.StepPoolHits += other.StepPoolHits
 	s.StepPoolMisses += other.StepPoolMisses
-	s.HorizonAdvances += other.HorizonAdvances
-	s.CrossShardMsgs += other.CrossShardMsgs
-	s.BarrierStalls += other.BarrierStalls
 }
 
 // SchedStats returns the engine's scheduling counters.
 func (e *Engine) SchedStats() SchedStats {
-	s := SchedStats{
+	return SchedStats{
 		WheelEvents:    e.q.wheelHits,
 		HeapEvents:     e.q.heapFallbacks,
 		StepPoolHits:   e.stepPoolHits,
 		StepPoolMisses: e.stepPoolMisses,
 	}
-	if e.sh != nil {
-		s.HorizonAdvances = e.sh.drains
-		s.CrossShardMsgs = e.sh.dispatched
-		s.BarrierStalls = e.sh.stalls
-	}
-	return s
 }
 
 // StepPoolHit records one recycled-step reuse. Workload layers that keep
@@ -263,13 +240,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *Rand { return e.rng }
 
 // Pending returns the number of scheduled events, for instrumentation.
-func (e *Engine) Pending() int {
-	n := e.q.len()
-	if e.sh != nil {
-		n += e.sh.pending()
-	}
-	return n
-}
+func (e *Engine) Pending() int { return e.q.len() }
 
 // Schedule runs fn after d cycles at normal priority.
 func (e *Engine) Schedule(d Time, fn func()) { e.ScheduleAt(e.now+d, PrioNormal, fn) }
@@ -401,12 +372,6 @@ func (e *Engine) runEvents(self *Proc) tokenState {
 		if e.pv != nil {
 			return tokenDone
 		}
-		// Sharded mode: dispatch the earliest local event whenever it
-		// precedes the global queue head. Local events are plain callbacks
-		// (never process dispatches), so the proc logic below is untouched.
-		if e.sh != nil && e.sh.qCount+e.sh.outCount != 0 && e.dispatchLocal() {
-			continue
-		}
 		head := e.q.first()
 		if head == nil || head.t > e.limit {
 			return tokenDone
@@ -493,9 +458,6 @@ func (e *Engine) Shutdown() {
 	e.procs = make(map[*Proc]struct{})
 	e.tasks = make(map[*Task]struct{})
 	e.pv, e.pstack = nil, nil
-	if e.sh != nil {
-		e.sh.clearAll()
-	}
 	e.stopped = true
 }
 

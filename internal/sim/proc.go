@@ -119,12 +119,10 @@ func (p *Proc) Sleep(d Time) {
 	// re-dispatched would execute nothing in between. Advance the clock
 	// inline instead. The sequence number is still consumed so event
 	// ordering matches the slow path exactly.
-	if t <= e.limit && (e.sh == nil || e.sh.minT > t) {
+	if t <= e.limit {
 		// At equal times this event's sequence is the largest, so it only
 		// precedes the queue head on a strictly earlier time — or the same
 		// time when the head is PrioLate and this wake is PrioNormal.
-		// Sharded mode adds one guard: any queued local event at or before
-		// t was sequenced earlier and must dispatch first.
 		if head := e.q.first(); head == nil ||
 			t < head.t || (t == head.t && head.key >= prioBit) {
 			e.seq++

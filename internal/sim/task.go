@@ -120,13 +120,11 @@ func (e *Engine) SleepThen(d Time, then func()) {
 	if t < e.now {
 		panic("sim: SleepThen overflows the clock")
 	}
-	if t <= e.limit && (e.sh == nil || e.sh.minT > t) {
+	if t <= e.limit {
 		// Same condition as Proc.Sleep: at equal times this continuation's
 		// sequence is the largest, so it only precedes the queue head on a
 		// strictly earlier time — or the same time when the head is
-		// PrioLate and this continuation is PrioNormal. Sharded mode adds
-		// one guard: any queued local event at or before t was sequenced
-		// earlier and must dispatch first.
+		// PrioLate and this continuation is PrioNormal.
 		if head := e.q.first(); head == nil ||
 			t < head.t || (t == head.t && head.key >= prioBit) {
 			if e.cont != nil {

@@ -51,7 +51,7 @@ func (c *Controller) ToneStoreAsync(node int, pid uint16, addr uint32, then func
 	if b := c.findActive(addr); b != nil {
 		// Tone being issued locally: stop it (arrive).
 		c.arrive(b, node)
-		c.eng.LocalSleepThen(node, 1, then)
+		c.eng.SleepThen(1, then)
 		return nil
 	}
 	pi := &c.pending[node]
