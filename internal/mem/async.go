@@ -55,8 +55,7 @@ func (c *hitCont) run() {
 // value at the cycle Read would have returned.
 func (s *System) ReadAsync(core int, addr uint64, then func(uint64)) {
 	line := Line(addr)
-	c := &s.l1[core]
-	if sl := c.lookup(s.setsMask(), line); sl != nil {
+	if sl := s.lookup(core, line); sl != nil {
 		s.Stats.L1Hits++
 		s.eng.SleepThen(s.p.L1RT, s.newHitCont(addr, 0, false, then).fn)
 		return
@@ -65,22 +64,15 @@ func (s *System) ReadAsync(core int, addr uint64, then func(uint64)) {
 	s.transactAsync(core, line, addr, nil, then)
 }
 
-// WriteAsync is the continuation mirror of Write.
-func (s *System) WriteAsync(core int, addr uint64, val uint64, then func()) {
-	s.RMWAsync(core, addr, func(uint64) (uint64, bool) { return val, true },
-		func(uint64) { then() })
-}
-
 // RMWAsync is the continuation mirror of RMW: then receives the value f
 // observed, at the cycle RMW would have returned.
 func (s *System) RMWAsync(core int, addr uint64, f func(uint64) (uint64, bool), then func(uint64)) {
 	line := Line(addr)
-	c := &s.l1[core]
-	if sl := c.lookup(s.setsMask(), line); sl != nil && (sl.state == Modified || sl.state == Exclusive) {
+	if sl := s.lookup(core, line); sl != nil && (sl.state() == Modified || sl.state() == Exclusive) {
 		// Exclusive hit: linearize now, exactly as the blocking form does
 		// (see RMW), and deliver the old value after the L1 latency.
 		s.Stats.L1Hits++
-		sl.state = Modified
+		sl.setState(Modified)
 		le := s.lines.fetch(line)
 		old := le.words[wordIdx(addr)]
 		if nv, do := f(old); do {
@@ -121,12 +113,11 @@ func (sp *memSpin) onVal(v uint64) {
 		then(v)
 		return
 	}
-	c := &s.l1[sp.core]
-	if sl := c.lookup(s.setsMask(), sp.line); sl == nil {
+	if s.lookup(sp.core, sp.line) == nil {
 		sp.respin() // already invalidated again; re-read
 		return
 	}
-	c.spinQueue(sp.line).WaitFn(s.eng, sp.respinFn)
+	s.l1[sp.core].spinQueue(sp.line).WaitFn(s.eng, sp.respinFn)
 }
 
 // SpinUntilAsync is the continuation mirror of SpinUntil: it re-reads addr

@@ -13,7 +13,8 @@ import "fmt"
 //     and every recorded sharer either holds the line in S/O or has
 //     silently... (we do precise bookkeeping, so: holds it in S or is the
 //     owner in O).
-//  4. No L1 set exceeds its associativity.
+//  4. No fill is in flight: every core's in-flight list is empty, so no
+//     reply was lost on the way to its requester.
 type holder struct {
 	core  int
 	state State
@@ -22,20 +23,21 @@ type holder struct {
 func (s *System) CheckInvariants() error {
 	holders := make(map[uint64][]holder)
 	for core := range s.l1 {
-		for si, set := range s.l1[core].sets {
-			if len(set) > s.p.L1Ways {
-				return fmt.Errorf("mem: core %d set %d has %d ways (max %d)", core, si, len(set), s.p.L1Ways)
-			}
+		if n := len(s.l1[core].mshr); n > 0 {
+			return fmt.Errorf("mem: core %d has %d fills in flight at quiescence", core, n)
+		}
+		for si := 0; si < s.p.L1Sets; si++ {
 			seen := map[uint64]bool{}
-			for _, sl := range set {
-				if sl.state == Invalid {
+			for _, sl := range s.set(core, uint64(si)) {
+				if sl.state() == Invalid {
 					continue
 				}
-				if seen[sl.line] {
-					return fmt.Errorf("mem: core %d holds line %#x in two ways", core, sl.line)
+				line := sl.line()
+				if seen[line] {
+					return fmt.Errorf("mem: core %d holds line %#x in two ways", core, line)
 				}
-				seen[sl.line] = true
-				holders[sl.line] = append(holders[sl.line], holder{core, sl.state})
+				seen[line] = true
+				holders[line] = append(holders[line], holder{core, sl.state()})
 			}
 		}
 	}

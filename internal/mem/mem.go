@@ -20,6 +20,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wisync/internal/noc"
 	"wisync/internal/sim"
@@ -108,32 +109,11 @@ type bitset [4]uint64 // up to 256 cores
 func (b *bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b *bitset) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 func (b *bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (b *bitset) empty() bool    { return b[0]|b[1]|b[2]|b[3] == 0 }
 
 func (b *bitset) count() int {
-	n := 0
-	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
-func (b *bitset) forEach(fn func(i int)) {
-	for wi, w := range b {
-		for ; w != 0; w &= w - 1 {
-			fn(wi*64 + trailingZeros(w))
-		}
-	}
-}
-
-func trailingZeros(w uint64) int {
-	n := 0
-	for w&1 == 0 {
-		w >>= 1
-		n++
-	}
-	return n
+	return bits.OnesCount64(b[0]) + bits.OnesCount64(b[1]) +
+		bits.OnesCount64(b[2]) + bits.OnesCount64(b[3])
 }
 
 // dirLine is the directory entry for one line, held at its home bank.
@@ -153,35 +133,65 @@ type dirLine struct {
 	settleAt sim.Time
 }
 
-type l1slot struct {
-	line  uint64
-	state State
-}
+// l1slot is one L1 way's tag, (line+1)<<3 | state. The zero slot is a way
+// that was never filled; the +1 keeps line 0 distinct from it. An
+// invalidated way keeps its line, so a refill of that line reuses the way.
+type l1slot uint64
 
+func makeSlot(line uint64, st State) l1slot { return l1slot((line+1)<<3 | uint64(st)) }
+
+func (sl l1slot) line() uint64           { return uint64(sl>>3) - 1 }
+func (sl l1slot) state() State           { return State(sl & 7) }
+func (sl l1slot) holds(line uint64) bool { return uint64(sl>>3) == line+1 }
+func (sl *l1slot) setState(st State)     { *sl = *sl&^7 | l1slot(st) }
+
+// l1cache is one core's L1 controller state besides its tags (which live
+// in System.tags).
 type l1cache struct {
-	sets [][]l1slot // MRU-first
-	// st holds the per-line side state: spin waiters, and the epoch
-	// counting invalidations per line — an in-flight refill whose line
-	// was invalidated after the directory released it must not install a
-	// stale copy.
-	st pagedStore[l1line]
-}
-
-// epoch returns the invalidation epoch for line (0 if never invalidated).
-func (c *l1cache) epoch(line uint64) uint64 {
-	if le := c.st.get(line); le != nil {
-		return le.epoch
-	}
-	return 0
+	// mshr lists the transactions served to this core whose reply is
+	// still in flight. invalidateL1 marks the entries for its line stale,
+	// and a stale reply installs nothing, so a refill overtaken by an
+	// invalidation leaves no stale copy.
+	mshr []*txn
+	// spin holds the waiter queue of every line a thread on this core has
+	// spun on.
+	spin map[uint64]*sim.WaitQueue
 }
 
 // spinQueue returns line's spin-waiter queue, creating it on first use.
 func (c *l1cache) spinQueue(line uint64) *sim.WaitQueue {
-	le := c.st.fetch(line)
-	if le.waiters == nil {
-		le.waiters = &sim.WaitQueue{}
+	q := c.spin[line]
+	if q == nil {
+		if c.spin == nil {
+			c.spin = make(map[uint64]*sim.WaitQueue)
+		}
+		q = &sim.WaitQueue{}
+		c.spin[line] = q
 	}
-	return le.waiters
+	return q
+}
+
+// wakeSpinners wakes the threads spinning on line, d cycles from now.
+func (c *l1cache) wakeSpinners(line uint64, d sim.Time) {
+	if len(c.spin) == 0 {
+		return
+	}
+	if q := c.spin[line]; q != nil && q.Len() > 0 {
+		q.WakeAll(d)
+	}
+}
+
+// unlist removes t from the in-flight list.
+func (c *l1cache) unlist(t *txn) {
+	for i, e := range c.mshr {
+		if e == t {
+			last := len(c.mshr) - 1
+			c.mshr[i] = c.mshr[last]
+			c.mshr[last] = nil
+			c.mshr = c.mshr[:last]
+			return
+		}
+	}
 }
 
 // System is the wired coherent memory hierarchy.
@@ -190,6 +200,9 @@ type System struct {
 	mesh *noc.Mesh
 	p    Params
 	l1   []l1cache
+	// tags is every L1's tag array in one block, Cores x L1Sets x L1Ways,
+	// each set MRU-first (see set).
+	tags []l1slot
 	// lines is the paged dense store of per-line word values and
 	// directory entries (see store.go).
 	lines pagedStore[lineEntry]
@@ -228,19 +241,14 @@ func New(eng *sim.Engine, mesh *noc.Mesh, p Params) *System {
 		mesh: mesh,
 		p:    p,
 		l1:   make([]l1cache, p.Cores),
+		tags: make([]l1slot, p.Cores*p.L1Sets*p.L1Ways),
 	}
 	// A fresh directory entry has no owner; page-granular initialization
-	// keeps the per-entry cost off the lookup path. Page geometry trades
-	// first-touch zeroing (machines are built per sweep point) against
-	// table size: the global line store carries ~180 B entries on pages
-	// of 128; the per-core side stores carry 16 B entries on pages of 64,
-	// since they are replicated Cores times.
+	// keeps the per-entry cost off the lookup path. Machines are built per
+	// sweep point, so pages of 128 ~180 B entries keep first-touch zeroing
+	// small.
 	s.lines.init = func(le *lineEntry) { le.dir.owner = -1 }
 	s.lines.shift = 7
-	for i := range s.l1 {
-		s.l1[i] = l1cache{sets: make([][]l1slot, p.L1Sets)}
-		s.l1[i].st.shift = 6
-	}
 	return s
 }
 
@@ -280,11 +288,20 @@ func (s *System) setWord(addr, val uint64) {
 	s.lines.fetch(Line(addr)).words[wordIdx(addr)] = val
 }
 
-// lookup finds the L1 slot for line in core's cache, moving it to MRU.
-func (c *l1cache) lookup(setsMask uint64, line uint64) *l1slot {
-	set := c.sets[line&setsMask]
+// set returns core's L1 set for line, MRU-first. Ways that were never
+// filled trail the filled ones.
+func (s *System) set(core int, line uint64) []l1slot {
+	w := s.p.L1Ways
+	i := (core*s.p.L1Sets + int(line&s.setsMask())) * w
+	return s.tags[i : i+w : i+w]
+}
+
+// lookup finds the valid L1 slot for line in core's cache, moving it to
+// MRU.
+func (s *System) lookup(core int, line uint64) *l1slot {
+	set := s.set(core, line)
 	for i := range set {
-		if set[i].line == line && set[i].state != Invalid {
+		if set[i].holds(line) && set[i].state() != Invalid {
 			if i != 0 {
 				sl := set[i]
 				copy(set[1:i+1], set[0:i])

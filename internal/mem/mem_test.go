@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"wisync/internal/noc"
@@ -354,12 +355,23 @@ func TestEvictedDirtyLineReturnsHome(t *testing.T) {
 // TestRandomizedVsReferenceMemory drives random reads/writes/RMWs from many
 // cores and checks full value agreement with a sequential reference at the
 // end, plus protocol invariants. This is the core property test for the
-// coherence substrate.
+// coherence substrate. The second input runs two threads per core, so two
+// fills of one line can be in flight to one core when an invalidation
+// arrives: both must be dropped.
 func TestRandomizedVsReferenceMemory(t *testing.T) {
+	const cores = 16
+	for _, threads := range []int{cores, 2 * cores} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			randomizedVsReference(t, cores, threads)
+		})
+	}
+}
+
+func randomizedVsReference(t *testing.T, cores, threads int) {
 	for trial := 0; trial < 8; trial++ {
 		eng := sim.NewEngine(uint64(1000 + trial))
-		mesh := noc.New(16, 4)
-		s := New(eng, mesh, DefaultParams(16))
+		mesh := noc.New(cores, 4)
+		s := New(eng, mesh, DefaultParams(cores))
 		const nAddrs = 24
 		addrs := make([]uint64, nAddrs)
 		for i := range addrs {
@@ -367,16 +379,16 @@ func TestRandomizedVsReferenceMemory(t *testing.T) {
 			addrs[i] = uint64(i/2)<<LineShift | uint64(i%2)*8
 			s.Poke(addrs[i], 0)
 		}
-		var sum [16]uint64
-		for c := 0; c < 16; c++ {
-			c := c
-			eng.Go(fmt.Sprintf("c%d", c), func(p *sim.Proc) {
-				rng := sim.NewRand(uint64(c*977 + trial))
+		sum := make([]uint64, threads)
+		for th := 0; th < threads; th++ {
+			th, c := th, th%cores
+			eng.Go(fmt.Sprintf("t%d", th), func(p *sim.Proc) {
+				rng := sim.NewRand(uint64(th*977 + trial))
 				for op := 0; op < 200; op++ {
 					a := addrs[rng.Intn(nAddrs)]
 					switch rng.Intn(3) {
 					case 0:
-						sum[c] += s.Read(p, c, a)
+						sum[th] += s.Read(p, c, a)
 					case 1:
 						s.Write(p, c, a, rng.Uint64()%1000)
 					case 2:
@@ -394,7 +406,7 @@ func TestRandomizedVsReferenceMemory(t *testing.T) {
 		}
 		// Quiesced: every core must observe the same final value for
 		// every address when reading through the protocol.
-		for c := 0; c < 16; c++ {
+		for c := 0; c < cores; c++ {
 			c := c
 			eng.Go(fmt.Sprintf("check%d", c), func(p *sim.Proc) {
 				for _, a := range addrs {
@@ -406,6 +418,48 @@ func TestRandomizedVsReferenceMemory(t *testing.T) {
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestInvariantsCatchFillInFlight stops the engine between a transaction's
+// serve and its reply: CheckInvariants must report the fill in flight, and
+// pass once the reply has landed.
+func TestInvariantsCatchFillInFlight(t *testing.T) {
+	eng, s := newSys(t, 16)
+	s.Poke(0x40, 1)
+	done := false
+	s.ReadAsync(3, 0x40, func(uint64) { done = true })
+	for c := sim.Time(1); len(s.l1[3].mshr) == 0 && !done; c++ {
+		if err := eng.RunBounded(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "in flight") {
+		t.Errorf("mid-reply CheckInvariants = %v, want a fill in flight", err)
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !done {
+		t.Fatal("read never completed")
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestNewAllocsConstant pins machine construction to a few allocations
+// that do not grow with the core count: the L1 tags are one flat array and
+// the per-core state one slice.
+func TestNewAllocsConstant(t *testing.T) {
+	for _, cores := range []int{16, 64, 256} {
+		eng := sim.NewEngine(1)
+		mesh := noc.New(cores, 4)
+		p := DefaultParams(cores)
+		allocs := testing.AllocsPerRun(10, func() { New(eng, mesh, p) })
+		if allocs > 16 {
+			t.Errorf("New at %d cores: %.0f allocations, want at most 16", cores, allocs)
 		}
 	}
 }

@@ -1,16 +1,13 @@
 package mem
 
-import "wisync/internal/sim"
-
 // This file implements the paged dense line store that backs the memory
-// system's per-line state (word values + directory entries, and the
-// per-core L1 epoch/spin-waiter side tables). The previous implementation
-// kept four hash maps keyed by line or word address; profiles put their
-// hashing and probing at ~5% of a Baseline run. Workload addresses come
-// from the machine's linear allocator (a bump pointer starting at 1 MB),
-// so the line-index keyspace is small and dense — exactly what a paged
-// array handles with one shift, one bounds check and one nil check per
-// lookup.
+// system's per-line state (word values and directory entries). The
+// previous implementation kept hash maps keyed by line or word address;
+// profiles put their hashing and probing at ~5% of a Baseline run.
+// Workload addresses come from the machine's linear allocator (a bump
+// pointer starting at 1 MB), so the line-index keyspace is small and
+// dense — exactly what a paged array handles with one shift, one bounds
+// check and one nil check per lookup.
 //
 // Addresses outside the dense window (sparse pokes in tests, or any
 // workload that fabricates far-flung addresses) fall back to a map of
@@ -40,9 +37,9 @@ const lineWords = LineBytes / 8
 //
 // Page geometry is per store (shift, log2 lines per page): machines are
 // built per sweep point, so a freshly touched page is zeroed memory on
-// that point's critical path — stores with large entries or wide
-// replication (one store per core) choose small pages to keep first-touch
-// cost down, while lookups stay one shift + two indexed loads either way.
+// that point's critical path — a store with large entries chooses small
+// pages to keep first-touch cost down, while lookups stay one shift + two
+// indexed loads either way.
 type pagedStore[T any] struct {
 	pages  []*storePage[T]
 	sparse map[uint64]*T
@@ -129,15 +126,6 @@ func (st *pagedStore[T]) fetch(line uint64) *T {
 type lineEntry struct {
 	words [lineWords]uint64
 	dir   dirLine
-}
-
-// l1line is the per-core, per-line L1 side state: the invalidation epoch
-// and the spin-waiter queue. The queue is a lazily allocated pointer —
-// most lines are never spun on, and the l1 store is replicated per core,
-// so entry size directly multiplies machine-construction cost.
-type l1line struct {
-	epoch   uint64
-	waiters *sim.WaitQueue
 }
 
 // wordIdx returns addr's word slot within its line. Word addresses are

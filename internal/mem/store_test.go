@@ -95,10 +95,10 @@ func TestWordIdxAliasing(t *testing.T) {
 }
 
 // BenchmarkLineStore pins the dense paged store's advantage over the hash
-// maps it replaced (words/dir/epochs keyed by address or line). The access
-// pattern models a transaction's hot lookups: a directory fetch plus a
-// word read/write over a kernel-sized working set, with the 90%-reread
-// locality a barrier-driven kernel exhibits.
+// maps it replaced (words and directory entries keyed by address or
+// line). The access pattern models a transaction's hot lookups: a
+// directory fetch plus a word read/write over a kernel-sized working set,
+// with the 90%-reread locality a barrier-driven kernel exhibits.
 func BenchmarkLineStore(b *testing.B) {
 	// Working set: ~2000 lines starting at the allocator base, like a
 	// 256-core TightLoop.

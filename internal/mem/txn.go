@@ -1,7 +1,7 @@
 package mem
 
 import (
-	"fmt"
+	"math/bits"
 
 	"wisync/internal/sim"
 )
@@ -12,8 +12,7 @@ func (s *System) setsMask() uint64 { return uint64(s.p.L1Sets - 1) }
 // its value, charging the full coherence latency.
 func (s *System) Read(p *sim.Proc, core int, addr uint64) uint64 {
 	line := Line(addr)
-	c := &s.l1[core]
-	if sl := c.lookup(s.setsMask(), line); sl != nil {
+	if sl := s.lookup(core, line); sl != nil {
 		s.Stats.L1Hits++
 		p.Sleep(s.p.L1RT)
 		return s.wordAt(addr)
@@ -39,14 +38,13 @@ func (s *System) Write(p *sim.Proc, core int, addr uint64, val uint64) {
 // not storm the line.
 func (s *System) RMW(p *sim.Proc, core int, addr uint64, f func(uint64) (uint64, bool)) uint64 {
 	line := Line(addr)
-	c := &s.l1[core]
-	if sl := c.lookup(s.setsMask(), line); sl != nil && (sl.state == Modified || sl.state == Exclusive) {
+	if sl := s.lookup(core, line); sl != nil && (sl.state() == Modified || sl.state() == Exclusive) {
 		// Exclusive hit: the update is local and atomic. It linearizes
 		// now, while the line is verifiably exclusive — a forward
 		// serialized during the L1 latency below must observe the new
 		// value, or a spinner can sample stale data and sleep forever.
 		s.Stats.L1Hits++
-		sl.state = Modified
+		sl.setState(Modified)
 		le := s.lines.fetch(line)
 		old := le.words[wordIdx(addr)]
 		if nv, do := f(old); do {
@@ -80,13 +78,7 @@ func (s *System) transact(p *sim.Proc, core int, line uint64, addr uint64, f fun
 	t := s.startTxn(p, core, line, addr, f)
 	p.Park("mem txn")
 	old, grant := t.old, t.grant
-	if grant != Invalid && s.l1[core].epoch(line) == t.epoch {
-		s.fill(core, line, grant)
-		if s.Trace != nil {
-			s.trace(line, "t=%d core=%d filled %v", s.eng.Now(), core, grant)
-		}
-	}
-	s.freeTxn(t)
+	s.reply(t)
 	return old, grant
 }
 
@@ -159,7 +151,9 @@ type txn struct {
 	// Results read by transact once the requester is dispatched.
 	old   uint64
 	grant State
-	epoch uint64
+	// stale is set by an invalidation of the line at the requester while
+	// the reply is in flight (the transaction is on its core's mshr list).
+	stale bool
 }
 
 // startTxn launches the chain: the request travels core -> home and
@@ -193,19 +187,27 @@ func (s *System) freeTxn(t *txn) {
 
 // finish is the async requester's reply event: it runs the same
 // requester-side epilogue transact performs after its process is
-// dispatched — reject-or-install the fill, recycle the transaction — and
-// then hands the observed value to the completion callback.
+// dispatched, then hands the observed value to the completion callback.
 func (t *txn) finish() {
-	s := t.s
-	old, grant, core, line, done := t.old, t.grant, t.core, t.line, t.done
-	if grant != Invalid && s.l1[core].epoch(line) == t.epoch {
-		s.fill(core, line, grant)
-		if s.Trace != nil {
-			s.trace(line, "t=%d core=%d filled %v", s.eng.Now(), core, grant)
+	old, done := t.old, t.done
+	t.s.reply(t)
+	done(old)
+}
+
+// reply is the requester-side epilogue of a transaction: take it off its
+// core's in-flight list, install the fill unless an invalidation overtook
+// it, and recycle it.
+func (s *System) reply(t *txn) {
+	if t.grant != Invalid {
+		s.l1[t.core].unlist(t)
+		if !t.stale {
+			s.fill(t.core, t.line, t.grant)
+			if s.Trace != nil {
+				s.trace(t.line, "t=%d core=%d filled %v", s.eng.Now(), t.core, t.grant)
+			}
 		}
 	}
 	s.freeTxn(t)
-	done(old)
 }
 
 // run executes the pending step. The step bodies are the statement blocks
@@ -278,17 +280,17 @@ func (t *txn) decide() {
 	if t.f == nil { // ---- Shared grant ----
 		sl := (*l1slot)(nil)
 		if d.owner >= 0 && d.owner != t.core {
-			sl = s.l1[d.owner].lookup(s.setsMask(), t.line)
+			sl = s.lookup(d.owner, t.line)
 		}
 		switch {
 		case d.owner >= 0 && d.owner != t.core &&
-			sl != nil && (sl.state == Modified || sl.state == Exclusive):
+			sl != nil && (sl.state() == Modified || sl.state() == Exclusive):
 			// Settled owner: forward; owner supplies data and
 			// downgrades M/E -> O (stays owner, MOESI).
 			s.Stats.Forwards++
 			t.fwdSrc = d.owner
 			t.hold = sim.Time(s.mesh.Latency(t.home, d.owner)) + s.p.L1RT
-			sl.state = Owned
+			sl.setState(Owned)
 		case d.owner >= 0 && d.owner != t.core:
 			// Owner evicted or holds only a downgraded copy; recall
 			// it entirely (copy, in-flight fill, and spinners) and
@@ -311,16 +313,19 @@ func (t *txn) decide() {
 		// round trip is charged to the requester.
 		maxHops := 0
 		ninv := 0
-		d.sharers.forEach(func(i int) {
-			if i == t.core {
-				return
+		for wi, w := range d.sharers {
+			for ; w != 0; w &= w - 1 {
+				i := wi<<6 | bits.TrailingZeros64(w)
+				if i == t.core {
+					continue
+				}
+				ninv++
+				if h := s.mesh.Hops(t.home, i); h > maxHops {
+					maxHops = h
+				}
+				s.invalidateL1(i, t.line)
 			}
-			ninv++
-			if h := s.mesh.Hops(t.home, i); h > maxHops {
-				maxHops = h
-			}
-			s.invalidateL1(i, t.line)
-		})
+		}
 		d.sharers = bitset{}
 		if d.owner >= 0 && d.owner != t.core {
 			ninv++
@@ -355,7 +360,7 @@ func (t *txn) sharedRecord() {
 	switch {
 	case t.noWriteRMW:
 		// Value-only reply: no copy installed, nothing recorded.
-	case !t.hadOwner && d.sharers.count() == 0:
+	case !t.hadOwner && d.sharers.empty():
 		// Genuinely sole copy: grant Exclusive. (When an owner's
 		// grant was in flight and had to be aborted, grant only
 		// Shared, or a burst of first readers would steal E from
@@ -404,9 +409,14 @@ func (t *txn) serve() {
 	// The home releases once the reply (and any invalidations) are issued;
 	// the requester pays the reply flight and, for writes, the farthest
 	// invalidation-ack round trip, whichever is longer. Ownership grants
-	// mark the line settling until then. The epoch captured here lets
-	// transact reject a fill overtaken by a later invalidation.
-	t.epoch = s.l1[t.core].epoch(t.line)
+	// mark the line settling until then. A reply that installs a copy
+	// joins the requester's in-flight list, where invalidations from here
+	// on mark it stale.
+	if grant != Invalid {
+		t.stale = false
+		c := &s.l1[t.core]
+		c.mshr = append(c.mshr, t)
+	}
 	wait := sim.Time(s.mesh.Latency(src, t.core)) + s.p.L1RT
 	if t.ackWait > wait {
 		wait = t.ackWait
@@ -475,87 +485,75 @@ func log2ceil(n int) int {
 	return l
 }
 
-// invalidateL1 removes line from core's L1 and wakes any spinners on it.
+// invalidateL1 removes line from core's L1, marks core's fills of it in
+// flight stale, and wakes any spinners on it.
 func (s *System) invalidateL1(core int, line uint64) {
 	c := &s.l1[core]
-	le := c.st.fetch(line)
-	le.epoch++
-	if s.Trace != nil {
-		s.trace(line, "t=%d inv core=%d epoch->%d", s.eng.Now(), core, le.epoch)
+	for _, t := range c.mshr {
+		if t.line == line {
+			t.stale = true
+		}
 	}
-	set := c.sets[line&s.setsMask()]
+	if s.Trace != nil {
+		s.trace(line, "t=%d inv core=%d", s.eng.Now(), core)
+	}
+	set := s.set(core, line)
 	for i := range set {
-		if set[i].line == line && set[i].state != Invalid {
-			set[i].state = Invalid
+		if set[i].holds(line) && set[i].state() != Invalid {
+			set[i].setState(Invalid)
 			break
 		}
 	}
-	if le.waiters != nil && le.waiters.Len() > 0 {
-		// The invalidation message takes one hop-ish to arrive; the
-		// spinner notices on its next local probe.
-		le.waiters.WakeAll(sim.Time(s.mesh.HopLatency()) + s.p.L1RT)
-	}
+	// The invalidation message takes one hop-ish to arrive; the spinner
+	// notices on its next local probe.
+	c.wakeSpinners(line, sim.Time(s.mesh.HopLatency())+s.p.L1RT)
 }
 
 // fill installs line into core's L1 in the given state, evicting the LRU
 // way if the set is full.
 func (s *System) fill(core int, line uint64, st State) {
-	c := &s.l1[core]
-	idx := line & s.setsMask()
-	set := c.sets[idx]
+	set := s.set(core, line)
 	// Prefer the slot already holding this line (an upgrade must replace
 	// its own copy, or the set ends up with the line in two ways), then
-	// any invalid slot.
+	// any invalid slot: an invalidated way before a never-filled one,
+	// since never-filled ways come last.
 	slot := -1
 	for i := range set {
-		if set[i].line == line {
+		if set[i].holds(line) {
 			slot = i
 			break
 		}
 	}
 	if slot < 0 {
 		for i := range set {
-			if set[i].state == Invalid {
+			if set[i].state() == Invalid {
 				slot = i
 				break
 			}
 		}
 	}
-	if slot >= 0 {
-		set[slot] = l1slot{line: line, state: st}
-		if slot != 0 {
-			sl := set[slot]
-			copy(set[1:slot+1], set[0:slot])
-			set[0] = sl
-		}
-		return
+	if slot < 0 {
+		// Evict LRU (last).
+		slot = len(set) - 1
+		s.evict(core, set[slot].line())
 	}
-	if len(set) < s.p.L1Ways {
-		c.sets[idx] = append([]l1slot{{line: line, state: st}}, set...)
-		return
-	}
-	// Evict LRU (last).
-	victim := set[len(set)-1]
-	s.evict(core, victim)
-	copy(set[1:], set[:len(set)-1])
-	set[0] = l1slot{line: line, state: st}
+	copy(set[1:slot+1], set[0:slot])
+	set[0] = makeSlot(line, st)
 }
 
 // evict performs directory bookkeeping for a line displaced from core's L1.
 // Dirty data "returns" to the home L2. This is modeled as instantaneous
 // background traffic: eviction writebacks are off the critical path of the
 // access that triggered them.
-func (s *System) evict(core int, sl l1slot) {
+func (s *System) evict(core int, line uint64) {
 	s.Stats.Evictions++
-	d := s.dirFor(sl.line)
+	d := s.dirFor(line)
 	if d.owner == core {
 		d.owner = -1
 		d.inL2 = true
 	}
 	d.sharers.clear(core)
-	if le := s.l1[core].st.get(sl.line); le != nil && le.waiters != nil && le.waiters.Len() > 0 {
-		le.waiters.WakeAll(s.p.L1RT)
-	}
+	s.l1[core].wakeSpinners(line, s.p.L1RT)
 }
 
 // SpinUntil models a core spinning on the word at addr until cond holds,
@@ -564,16 +562,15 @@ func (s *System) evict(core int, sl l1slot) {
 // It returns the value that satisfied cond.
 func (s *System) SpinUntil(p *sim.Proc, core int, addr uint64, cond func(uint64) bool) uint64 {
 	line := Line(addr)
-	c := &s.l1[core]
 	for {
 		v := s.Read(p, core, addr)
 		if cond(v) {
 			return v
 		}
-		if sl := c.lookup(s.setsMask(), line); sl == nil {
+		if s.lookup(core, line) == nil {
 			continue // already invalidated again; re-read
 		}
-		c.spinQueue(line).Wait(p, "spin")
+		s.l1[core].spinQueue(line).Wait(p, "spin")
 	}
 }
 
@@ -598,20 +595,11 @@ func (s *System) Peek(addr uint64) uint64 { return s.wordAt(addr) }
 // L1State returns core's current L1 state for the line holding addr
 // (Invalid if absent), for tests.
 func (s *System) L1State(core int, addr uint64) State {
-	set := s.l1[core].sets[Line(addr)&s.setsMask()]
-	for i := range set {
-		if set[i].line == Line(addr) {
-			return set[i].state
+	line := Line(addr)
+	for _, sl := range s.set(core, line) {
+		if sl.holds(line) {
+			return sl.state()
 		}
 	}
 	return Invalid
-}
-
-// DebugSet returns a dump of the L1 set holding addr at core, for tests.
-func (s *System) DebugSet(core int, addr uint64) []string {
-	var out []string
-	for _, sl := range s.l1[core].sets[Line(addr)&s.setsMask()] {
-		out = append(out, fmt.Sprintf("line=%#x state=%v", sl.line, sl.state))
-	}
-	return out
 }
