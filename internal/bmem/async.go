@@ -1,9 +1,6 @@
 package bmem
 
-import (
-	"wisync/internal/sim"
-	"wisync/internal/wireless"
-)
+import "wisync/internal/wireless"
 
 // This file is the continuation-form face of the Broadcast Memory: each
 // blocking operation in ops.go has an async variant taking a completion
@@ -217,12 +214,6 @@ func (b *BM) rmwAtGrantAsync(node int, pid uint16, addr uint32, f func(uint64) (
 	return nil
 }
 
-// WaitChangeFn enqueues the continuation fn to run when a commit (or tone
-// toggle) touches addr — the task-style counterpart of WaitChange.
-func (b *BM) WaitChangeFn(addr uint32, fn func()) {
-	b.watcherQueue(addr).WaitFn(b.eng, fn)
-}
-
 // bmSpin is a recycled spin loop: the onVal/respin continuation pair of
 // SpinUntilAsync as struct fields and cached method values. Spins from
 // different nodes overlap, so the structs pool on the BM; a spin returns
@@ -256,7 +247,7 @@ func (sp *bmSpin) onVal(v uint64) {
 		then(v)
 		return
 	}
-	b.WaitChangeFn(sp.addr, sp.respinFn)
+	b.watch(sp.addr, watcher{sp: sp})
 }
 
 // SpinUntilAsync is the continuation mirror of SpinUntil: local-replica
@@ -282,12 +273,65 @@ func (b *BM) SpinUntilAsync(node int, pid uint16, addr uint32, cond func(uint64)
 	return nil
 }
 
-// watcherQueue returns the spin queue for addr, creating it on demand.
-func (b *BM) watcherQueue(addr uint32) *sim.WaitQueue {
-	q, ok := b.watchers[addr]
-	if !ok {
-		q = &sim.WaitQueue{}
-		b.watchers[addr] = q
+// spinHerd is one commit's wake of a word's task spinners, carried as two
+// engine runs (see the sim package comment) instead of two events per
+// spinner. Run 1, poll, fires RT after the commit: each member issues its
+// local replica load, as respin and LoadAsync would. Run 2, deliver, fires
+// RT later: each member reads the replica and tests its condition, as the
+// load's delivery and onVal would. Members run in FIFO order at the
+// sequence position of the first member's event, so simulated results are
+// those of one event per member. Herds from successive commits to one word
+// can be in flight together, so they pool on the BM.
+type spinHerd struct {
+	b    *BM
+	addr uint32
+	ws   []watcher
+
+	pollFn    func()
+	deliverFn func()
+}
+
+func (b *BM) newHerd(addr uint32) *spinHerd {
+	var h *spinHerd
+	if n := len(b.herdFree); n > 0 {
+		h = b.herdFree[n-1]
+		b.herdFree = b.herdFree[:n-1]
+		b.eng.StepPoolHit()
+	} else {
+		h = &spinHerd{b: b}
+		h.pollFn = h.poll
+		h.deliverFn = h.deliver
+		b.eng.StepPoolMiss()
 	}
-	return q
+	h.addr = addr
+	return h
+}
+
+// poll is run 1. A member's load schedules nothing of its own — the herd
+// carries every member's delivery in run 2 — so no member can reach a fast
+// path here and RunAhead is not needed.
+func (h *spinHerd) poll() {
+	b := h.b
+	for _, w := range h.ws {
+		if err := b.check(w.sp.node, w.sp.pid, h.addr); err != nil {
+			// The entry was freed or re-tagged mid-spin: the simulated
+			// program faults, as respin would.
+			panic(err)
+		}
+		b.Stats.Loads++
+	}
+	b.eng.SleepThen(b.p.RT, h.deliverFn)
+}
+
+// deliver is run 2. A satisfied member's continuation runs inline; an
+// unsatisfied member goes back on the spin list.
+func (h *spinHerd) deliver() {
+	b, ws := h.b, h.ws
+	for i, w := range ws {
+		ws[i] = watcher{}
+		b.eng.RunAhead(len(ws) - 1 - i)
+		w.sp.onVal(b.entries[h.addr].val)
+	}
+	h.ws = ws[:0]
+	b.herdFree = append(b.herdFree, h)
 }

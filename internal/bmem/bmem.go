@@ -115,19 +115,22 @@ type BM struct {
 	wcb     []bool
 	afb     []bool
 	pending []pendingRMW
-	// watchers holds spinners per address; all replicas update together,
-	// so one queue per address suffices.
-	watchers map[uint32]*sim.WaitQueue
+	// watchers holds each address's spinners in FIFO order: blocking-face
+	// processes parked in WaitChange and task spin loops between polls.
+	// All replicas update together, so one list per address suffices.
+	watchers map[uint32]*spinList
 	// onToneInit is installed by the tone controller to observe Tone-bit
 	// messages.
 	onToneInit func(msg wireless.Msg, at sim.Time)
 	// sendFree recycles deferred-send continuations (see scheduleSend), so
 	// the steady-state RMW path allocates no closures. loadFree, spinFree,
-	// storeFree and rmwFree do the same for the async face's delivery,
-	// spin-loop, commit and grant-time-RMW continuations (async.go).
+	// herdFree, storeFree and rmwFree do the same for the async face's
+	// delivery, spin-loop, spin-herd, commit and grant-time-RMW
+	// continuations (async.go).
 	sendFree  []*sendCont
 	loadFree  []*loadCont
 	spinFree  []*bmSpin
+	herdFree  []*spinHerd
 	storeFree []*storeCont
 	rmwFree   []*rmwGrantCont
 	// probing is set while the prepare hook evaluates an RMW Op against
@@ -189,7 +192,7 @@ func New(eng *sim.Engine, net *wireless.Network, nodes int, p Params) *BM {
 		wcb:      make([]bool, nodes),
 		afb:      make([]bool, nodes),
 		pending:  make([]pendingRMW, nodes),
-		watchers: make(map[uint32]*sim.WaitQueue),
+		watchers: make(map[uint32]*spinList),
 	}
 	net.Subscribe(b.onCommit)
 	// Grant-time RMW staleness check: an RMW whose write would not be
@@ -296,11 +299,59 @@ func (b *BM) conflict(src int, addr uint32) {
 	}
 }
 
-func (b *BM) wakeWatchers(addr uint32) {
-	if q, ok := b.watchers[addr]; ok && q.Len() > 0 {
-		// The spinner observes the new value on its next local BM poll.
-		q.WakeAll(b.p.RT)
+// watcher is one spinner on a BM word: a blocking-face process parked in
+// WaitChange, or a task spin loop waiting to poll again. Exactly one field
+// is set.
+type watcher struct {
+	p  *sim.Proc
+	sp *bmSpin
+}
+
+// spinList is one address's spinners in FIFO order.
+type spinList struct{ ws []watcher }
+
+// watch appends w to addr's spin list.
+func (b *BM) watch(addr uint32, w watcher) {
+	l := b.watchers[addr]
+	if l == nil {
+		l = &spinList{}
+		b.watchers[addr] = l
 	}
+	l.ws = append(l.ws, w)
+}
+
+// wakeWatchers wakes addr's spinners: each observes the new value on its
+// next local BM poll, RT from now. Task spinners move together into a
+// spin herd (async.go), which costs two events however many there are. A
+// list holding any process wakes every waiter with an event of its own,
+// in FIFO order.
+func (b *BM) wakeWatchers(addr uint32) {
+	l := b.watchers[addr]
+	if l == nil || len(l.ws) == 0 {
+		return
+	}
+	for _, w := range l.ws {
+		if w.p != nil {
+			b.wakeEach(l)
+			return
+		}
+	}
+	h := b.newHerd(addr)
+	h.ws, l.ws = l.ws, h.ws
+	b.eng.Schedule(b.p.RT, h.pollFn)
+}
+
+// wakeEach wakes l's waiters one event each, in FIFO order.
+func (b *BM) wakeEach(l *spinList) {
+	for i, w := range l.ws {
+		if w.p != nil {
+			w.p.Wake(b.p.RT)
+		} else {
+			b.eng.Schedule(b.p.RT, w.sp.respinFn)
+		}
+		l.ws[i] = watcher{}
+	}
+	l.ws = l.ws[:0]
 }
 
 // WCB returns node's Write Completion Bit.

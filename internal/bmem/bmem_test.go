@@ -349,6 +349,113 @@ func TestSpinUntilReleasedByRemoteStore(t *testing.T) {
 	}
 }
 
+// spinHerdRun spawns k spinners on one BM word, each waiting for v >= 2,
+// then commits 1 and 2 from another node. Spinner procAt (none if
+// negative) is a blocking-face process; the others are tasks. It returns
+// the spinners in release order with their release cycles, the second
+// commit's cycle, the BM loads, and the events scheduled between the
+// spawns and the first release.
+func spinHerdRun(t *testing.T, k, procAt int) (order []int, woke []sim.Time, commit2 sim.Time, loads, events uint64) {
+	t.Helper()
+	const nodes = 65
+	eng, b := newBM(t, nodes)
+	addr, err := b.AllocBare(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cond := func(v uint64) bool { return v >= 2 }
+	scheduled := func() uint64 {
+		s := eng.SchedStats()
+		return s.WheelEvents + s.HeapEvents
+	}
+	var spawned uint64
+	released := func(i int) {
+		if len(order) == 0 {
+			events = scheduled() - spawned
+		}
+		order = append(order, i)
+		woke = append(woke, eng.Now())
+	}
+	for i := 0; i < k; i++ {
+		i := i
+		if i == procAt {
+			eng.Go(fmt.Sprintf("spin%d", i), func(p *sim.Proc) {
+				if _, err := b.SpinUntil(p, i, 1, addr, cond); err != nil {
+					t.Error(err)
+				}
+				released(i)
+			})
+			continue
+		}
+		eng.GoTask(fmt.Sprintf("spin%d", i), func(tk *sim.Task) {
+			if err := b.SpinUntilAsync(i, 1, addr, cond, func(uint64) {
+				released(i)
+				// A continuation that sleeps must not move the clock
+				// under the spinners released after it.
+				tk.Sleep(1, tk.Finish)
+			}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	store := func(v uint64, then func()) {
+		if err := b.StoreAsync(nodes-1, 1, addr, v, then); err != nil {
+			t.Error(err)
+		}
+	}
+	eng.GoTask("writer", func(tk *sim.Task) {
+		tk.Sleep(100, func() {
+			store(1, func() {
+				tk.Sleep(100, func() {
+					store(2, func() {
+						commit2 = eng.Now()
+						tk.Finish()
+					})
+				})
+			})
+		})
+	})
+	spawned = scheduled()
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return order, woke, commit2, b.Stats.Loads, events
+}
+
+// TestSpinHerdCostsConstantEvents: a commit wakes every spinner on the
+// word, and each wake is a replica poll RT later and a delivery RT after
+// that. The herd carries those as two events per commit, not two per
+// spinner, while releasing the spinners at the same cycle, in the order
+// their spins started, after the same loads.
+func TestSpinHerdCostsConstantEvents(t *testing.T) {
+	rt := DefaultParams().RT
+	check := func(name string, k, procAt int) uint64 {
+		order, woke, commit2, loads, events := spinHerdRun(t, k, procAt)
+		if len(order) != k {
+			t.Fatalf("%s: %d of %d spinners released", name, len(order), k)
+		}
+		for i := range order {
+			if order[i] != i {
+				t.Fatalf("%s: release order %v, want the order the spins started", name, order)
+			}
+			if woke[i] != commit2+2*rt {
+				t.Fatalf("%s: spinner %d released at %d, want %d (second commit + 2*RT)", name, i, woke[i], commit2+2*rt)
+			}
+		}
+		// One load per spinner at its first poll, and one per commit.
+		if want := 3 * uint64(k); loads != want {
+			t.Errorf("%s: Stats.Loads = %d, want %d", name, loads, want)
+		}
+		return events
+	}
+	few := check("tasks-4", 4, -1)
+	many := check("tasks-64", 64, -1)
+	if grow := many - few; grow > 64-4 {
+		t.Errorf("events grew by %d from 4 to 64 spinners, want at most one per spinner (%d)", grow, 64-4)
+	}
+	check("tasks-with-proc", 8, 1)
+}
+
 func TestAllocUntilFullThenSpill(t *testing.T) {
 	eng := sim.NewEngine(1)
 	net := wireless.New(eng, 2, wireless.DefaultParams())

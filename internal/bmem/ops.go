@@ -159,7 +159,8 @@ func (b *BM) rmwAtGrant(p *sim.Proc, node int, pid uint16, addr uint32, f func(u
 // WaitChange parks until a commit (or tone toggle) touches addr. The caller
 // re-reads afterwards; wake-ups can be spurious (same value rewritten).
 func (b *BM) WaitChange(p *sim.Proc, node int, addr uint32) {
-	b.watcherQueue(addr).Wait(p, "bm spin")
+	b.watch(addr, watcher{p: p})
+	p.Park("bm spin")
 }
 
 // SpinUntil polls addr in the local replica until cond holds, sleeping

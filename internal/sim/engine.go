@@ -71,6 +71,23 @@
 // goroutine rather than its own. The golden-conformance suite in package
 // harness pins this equivalence end to end.
 //
+// A run collapses a burst of same-cycle continuations into one event. When
+// a model would schedule k callbacks back to back with one delay, they get
+// k consecutive sequence numbers at one (time, priority), so nothing else
+// can dispatch between them. The model may instead schedule one event
+// whose callback executes the k members in order. The run's key sits
+// where its first member's key would. The k-1 sequence numbers it does
+// not consume leave gaps, and gaps reorder nothing, because keys only
+// break ties. What a run must keep is the fast path's view of the queue:
+// while later members remain, their events would still be queued at the
+// current cycle, so no member may advance the clock inline. The run
+// declares the members still to come with RunAhead before each member,
+// and Sleep and SleepThen (see Tasks) take their fast path only when that
+// count is 0. The Broadcast Memory's spin herd (package bmem) is the user:
+// one commit to a spun-on word moves every spinner through two runs, the
+// replica load RT after the commit and its delivery RT later, instead of
+// two events per spinner.
+//
 // # Tasks
 //
 // Workload threads can run in the same continuation form. A Task (task.go)
@@ -165,7 +182,11 @@ type Engine struct {
 	// cont is the trampoline slot for the SleepThen fast path: a
 	// continuation that must run immediately after the current event, at
 	// constant stack depth. runEvents drains it after every callback event.
-	cont    func()
+	cont func()
+	// ahead counts the members of the current run still to come (see
+	// RunAhead). While it is nonzero the Sleep and SleepThen fast paths
+	// stay closed, because those members stand where queued events would.
+	ahead   int
 	pv      any
 	pstack  []byte
 	stopped bool
@@ -241,6 +262,15 @@ func (e *Engine) Rand() *Rand { return e.rng }
 
 // Pending returns the number of scheduled events, for instrumentation.
 func (e *Engine) Pending() int { return e.q.len() }
+
+// RunAhead declares that k members of the current run are still to come.
+// A run is one callback event that executes several members in order at
+// its cycle, each member standing where an event of its own would have
+// been queued (see Continuations in the package comment). The run calls
+// RunAhead(k) before each member, counting down to 0 before the last one,
+// so a member's Sleep or SleepThen takes the fast path exactly when it
+// would have with the later members still queued: never before the last.
+func (e *Engine) RunAhead(k int) { e.ahead = k }
 
 // Schedule runs fn after d cycles at normal priority.
 func (e *Engine) Schedule(d Time, fn func()) { e.ScheduleAt(e.now+d, PrioNormal, fn) }

@@ -119,10 +119,11 @@ func (p *Proc) Sleep(d Time) {
 	// re-dispatched would execute nothing in between. Advance the clock
 	// inline instead. The sequence number is still consumed so event
 	// ordering matches the slow path exactly.
-	if t <= e.limit {
+	if t <= e.limit && e.ahead == 0 {
 		// At equal times this event's sequence is the largest, so it only
 		// precedes the queue head on a strictly earlier time — or the same
-		// time when the head is PrioLate and this wake is PrioNormal.
+		// time when the head is PrioLate and this wake is PrioNormal. A
+		// run's unrun members count as queued at the current cycle.
 		if head := e.q.first(); head == nil ||
 			t < head.t || (t == head.t && head.key >= prioBit) {
 			e.seq++

@@ -120,11 +120,12 @@ func (e *Engine) SleepThen(d Time, then func()) {
 	if t < e.now {
 		panic("sim: SleepThen overflows the clock")
 	}
-	if t <= e.limit {
+	if t <= e.limit && e.ahead == 0 {
 		// Same condition as Proc.Sleep: at equal times this continuation's
 		// sequence is the largest, so it only precedes the queue head on a
 		// strictly earlier time — or the same time when the head is
-		// PrioLate and this continuation is PrioNormal.
+		// PrioLate and this continuation is PrioNormal. A run's unrun
+		// members count as queued at the current cycle.
 		if head := e.q.first(); head == nil ||
 			t < head.t || (t == head.t && head.key >= prioBit) {
 			if e.cont != nil {

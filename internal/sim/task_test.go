@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -196,4 +197,31 @@ func TestGoTaskAfterShutdownPanics(t *testing.T) {
 		}
 	}()
 	e.GoTask("late", func(*Task) {})
+}
+
+// TestRunHoldsFastPath runs two members inside one event. Member 0's
+// SleepThen finds the queue otherwise empty, but member 1 still stands
+// where a queued event would, so the continuation must not advance the
+// clock past it: member 1 runs at the event's cycle, and the continuation
+// one cycle later, after member 1.
+func TestRunHoldsFastPath(t *testing.T) {
+	e := NewEngine(1)
+	var log []string
+	note := func(what string) { log = append(log, fmt.Sprintf("%s@%d", what, e.Now())) }
+	members := []func(){
+		func() { e.SleepThen(1, func() { note("f") }) },
+		func() { note("member1") },
+	}
+	e.ScheduleAt(5, PrioNormal, func() {
+		for i, m := range members {
+			e.RunAhead(len(members) - 1 - i)
+			m()
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(log, " "), "member1@5 f@6"; got != want {
+		t.Errorf("log = %q, want %q", got, want)
+	}
 }

@@ -98,8 +98,6 @@ func (m *adaptiveMAC) switchMode() {
 	}
 }
 
-func (m *adaptiveMAC) Backlog() int { return m.active.Backlog() }
-
 func (m *adaptiveMAC) Counters() MACStats {
 	s := m.backoff.Counters()
 	s.add(m.token.Counters())

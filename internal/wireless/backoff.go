@@ -1,7 +1,8 @@
 package wireless
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"wisync/internal/sim"
 )
@@ -14,10 +15,11 @@ import (
 // conformance suite and the pre-refactor trace tests pin it bit-for-bit.
 type backoffMAC struct {
 	n *Network
-	// slots maps a future cycle to the requests contending in it;
-	// scheduled marks slots whose arbitration event already exists.
-	slots     map[sim.Time][]*request
-	scheduled map[sim.Time]bool
+	// pending lists the future contention slots whose arbitration event
+	// is scheduled, in no particular order; each carries the requests
+	// contending in it. A pass over a figure sweep holds a few dozen at a
+	// time, so enqueue finds a slot by a linear search.
+	pending []*arbCont
 	// waitq holds busy-deferred senders under DeferFIFO.
 	waitq   []*request
 	backoff []int // per-node persistent exponent (BackoffPersistent)
@@ -27,35 +29,28 @@ type backoffMAC struct {
 	sharedExp int
 	stats     MACStats
 	// releaseHeadFn is the cached method value scheduleRelease schedules;
-	// arbFree recycles slot-arbitration continuations and slotsFree the
-	// per-slot request slices, so steady-state contention allocates
-	// nothing in the MAC.
+	// arbFree recycles contention slots together with their request
+	// slices, so steady-state contention allocates nothing in the MAC.
 	releaseHeadFn func()
 	arbFree       []*arbCont
-	slotsFree     [][]*request
 }
 
-// arbCont is a recycled slot-arbitration event: the "resolve contention
-// slot s" firing of enqueue, which would otherwise capture the slot in a
-// fresh closure per contention cycle.
+// arbCont is one pending contention slot: the cycle it resolves at, the
+// requests contending in it, and its arbitration event, whose cached
+// method value saves a fresh closure per contention cycle.
 type arbCont struct {
 	m    *backoffMAC
 	slot sim.Time
+	reqs []*request
 	fn   func() // cached method value of run
 }
 
-func (c *arbCont) run() {
-	m, slot := c.m, c.slot
-	m.arbFree = append(m.arbFree, c)
-	m.arbitrate(slot)
-}
+func (c *arbCont) run() { c.m.arbitrate(c) }
 
 func newBackoffMAC(n *Network) *backoffMAC {
 	m := &backoffMAC{
-		n:         n,
-		slots:     make(map[sim.Time][]*request),
-		scheduled: make(map[sim.Time]bool),
-		backoff:   make([]int, n.nodes),
+		n:       n,
+		backoff: make([]int, n.nodes),
 	}
 	m.releaseHeadFn = m.releaseHead
 	return m
@@ -79,53 +74,54 @@ func (m *backoffMAC) Submit(req *request) {
 	m.enqueue(req, n.busyUntil)
 }
 
+// enqueue adds req to the contention slot at cycle slot, scheduling the
+// slot's arbitration event if the slot is not pending yet.
 func (m *backoffMAC) enqueue(req *request, slot sim.Time) {
-	q, ok := m.slots[slot]
-	if !ok {
-		if k := len(m.slotsFree); k > 0 {
-			q = m.slotsFree[k-1]
-			m.slotsFree = m.slotsFree[:k-1]
+	for _, c := range m.pending {
+		if c.slot == slot {
+			c.reqs = append(c.reqs, req)
+			return
 		}
 	}
-	m.slots[slot] = append(q, req)
-	if !m.scheduled[slot] {
-		m.scheduled[slot] = true
-		var c *arbCont
-		if k := len(m.arbFree); k > 0 {
-			c = m.arbFree[k-1]
-			m.arbFree = m.arbFree[:k-1]
-		} else {
-			c = &arbCont{m: m}
-			c.fn = c.run
-		}
-		c.slot = slot
-		m.n.eng.ScheduleAt(slot, sim.PrioLate, c.fn)
+	var c *arbCont
+	if k := len(m.arbFree); k > 0 {
+		c = m.arbFree[k-1]
+		m.arbFree = m.arbFree[:k-1]
+	} else {
+		c = &arbCont{m: m}
+		c.fn = c.run
 	}
+	c.slot = slot
+	c.reqs = append(c.reqs, req)
+	m.pending = append(m.pending, c)
+	m.n.eng.ScheduleAt(slot, sim.PrioLate, c.fn)
 }
 
-// recycleSlot returns a drained slot slice's backing array to the pool.
-// The caller must be done iterating any alias of it; elements are cleared
-// so pooled arrays do not pin completed requests.
-func (m *backoffMAC) recycleSlot(reqs []*request) {
-	if cap(reqs) == 0 {
-		return
-	}
-	reqs = reqs[:cap(reqs)]
-	for i := range reqs {
-		reqs[i] = nil
-	}
-	m.slotsFree = append(m.slotsFree, reqs[:0])
-}
-
-// arbitrate resolves the contention slot at the current cycle. It runs at
+// arbitrate resolves contention slot c at the current cycle. It runs at
 // PrioLate so every request registered during the cycle participates, and
 // after commit deliveries (PrioNormal), so withdrawals triggered by a
-// commit in the same cycle take effect first.
-func (m *backoffMAC) arbitrate(slot sim.Time) {
+// commit in the same cycle take effect first. The slot leaves the pending
+// list first, so a sender restarted in this very cycle (GrantAborted)
+// opens a new slot with an event of its own; c returns to the pool only
+// once its requests have been resolved.
+func (m *backoffMAC) arbitrate(c *arbCont) {
+	i := slices.Index(m.pending, c)
+	last := len(m.pending) - 1
+	m.pending[i] = m.pending[last]
+	m.pending[last] = nil
+	m.pending = m.pending[:last]
+	m.resolve(c.slot, c.reqs)
+	clear(c.reqs)
+	c.reqs = c.reqs[:0]
+	m.arbFree = append(m.arbFree, c)
+}
+
+// resolve decides the contention slot at cycle slot among reqs: a single
+// live request transmits, several collide and back off, and requests
+// overtaken by a busy channel defer. reqs is scratch: resolve filters it
+// in place.
+func (m *backoffMAC) resolve(slot sim.Time, reqs []*request) {
 	n := m.n
-	delete(m.scheduled, slot)
-	reqs := m.slots[slot]
-	delete(m.slots, slot)
 	live := reqs[:0]
 	for _, r := range reqs {
 		if r.state != reqPending {
@@ -141,7 +137,6 @@ func (m *backoffMAC) arbitrate(slot sim.Time) {
 		live = append(live, r)
 	}
 	if len(live) == 0 {
-		m.recycleSlot(reqs)
 		return
 	}
 	if slot < n.busyUntil {
@@ -154,12 +149,10 @@ func (m *backoffMAC) arbitrate(slot sim.Time) {
 				m.enqueue(r, n.busyUntil)
 			}
 		}
-		m.recycleSlot(reqs)
 		return
 	}
 	if len(live) == 1 {
 		n.transmit(live[0], slot)
-		m.recycleSlot(reqs)
 		return
 	}
 	// Collision: detected cycle 2, channel free cycle 3. Every collider
@@ -201,7 +194,6 @@ func (m *backoffMAC) arbitrate(slot sim.Time) {
 		wait := sim.Time(n.rng.Intn(window))
 		m.enqueue(r, slot+n.p.CollisionCycles+wait)
 	}
-	m.recycleSlot(reqs)
 }
 
 // Granted rewards a successful transmission: the winner's backoff exponent
@@ -258,21 +250,13 @@ func (m *backoffMAC) releaseHead() {
 	}
 }
 
-func (m *backoffMAC) Backlog() int {
-	q := len(m.waitq)
-	for _, reqs := range m.slots {
-		q += len(reqs)
-	}
-	return q
-}
-
 func (m *backoffMAC) Counters() MACStats { return m.stats }
 
 // drain removes every queued request — busy-deferred and future contention
 // slots alike — in deterministic order (FIFO queue first, then slots by
-// cycle) for an adaptive mode switch. Arbitration events already scheduled
-// for emptied slots fire as no-ops; the scheduled-marker map is left
-// intact so a later re-enqueue into such a slot reuses the pending event.
+// cycle) for an adaptive mode switch. The emptied slots stay pending: their
+// arbitration events fire as no-ops, and a later re-enqueue into such a
+// slot reuses the pending event.
 func (m *backoffMAC) drain() []*request {
 	var out []*request
 	for _, r := range m.waitq {
@@ -281,18 +265,16 @@ func (m *backoffMAC) drain() []*request {
 		}
 	}
 	m.waitq = nil
-	slots := make([]sim.Time, 0, len(m.slots))
-	for s := range m.slots {
-		slots = append(slots, s)
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	for _, s := range slots {
-		for _, r := range m.slots[s] {
+	bySlot := slices.Clone(m.pending)
+	slices.SortFunc(bySlot, func(a, b *arbCont) int { return cmp.Compare(a.slot, b.slot) })
+	for _, c := range bySlot {
+		for _, r := range c.reqs {
 			if r.state == reqPending {
 				out = append(out, r)
 			}
 		}
-		delete(m.slots, s)
+		clear(c.reqs)
+		c.reqs = c.reqs[:0]
 	}
 	return out
 }

@@ -151,9 +151,6 @@ type MAC interface {
 	// its busy-end follow-up (releasing a deferred sender, re-arming the
 	// token scan).
 	TxScheduled(end sim.Time)
-	// Backlog returns the number of submitted-but-not-granted requests
-	// the MAC is holding.
-	Backlog() int
 	// Counters returns the per-protocol counter snapshot.
 	Counters() MACStats
 }

@@ -11,8 +11,9 @@ import (
 // seeded random inter-send sleeps, one mid-flight cancellation — and
 // returns the full commit trace as "src.msg@cycle" entries. The scenario
 // covers every arbitration path: idle-slot wins, busy deferral, collisions
-// with backoff retries, and a withdrawal while queued.
-func commitTrace(p Params, seed uint64) []string {
+// with backoff retries, and a withdrawal while queued. It also returns the
+// MAC's counters, so a caller can confirm which arbitration paths ran.
+func commitTrace(p Params, seed uint64) ([]string, MACStats) {
 	eng := sim.NewEngine(seed)
 	n := New(eng, 16, p)
 	var trace []string
@@ -40,7 +41,7 @@ func commitTrace(p Params, seed uint64) []string {
 	if err := eng.Run(); err != nil {
 		panic(err)
 	}
-	return trace
+	return trace, n.MACCounters()
 }
 
 // preRefactorTraces were recorded from the monolithic pre-MAC-refactor
@@ -83,7 +84,7 @@ func TestDefaultMACMatchesPreRefactorTraces(t *testing.T) {
 	for _, sc := range preRefactorTraces {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			got := commitTrace(sc.p(), sc.seed)
+			got, _ := commitTrace(sc.p(), sc.seed)
 			if len(got) != len(sc.want) {
 				t.Fatalf("trace length %d, want %d\n got: %v", len(got), len(sc.want), got)
 			}
@@ -91,6 +92,46 @@ func TestDefaultMACMatchesPreRefactorTraces(t *testing.T) {
 				if got[i] != sc.want[i] {
 					t.Fatalf("trace[%d] = %s, want %s (default MAC diverged from pre-refactor arbitration)",
 						i, got[i], sc.want[i])
+				}
+			}
+		})
+	}
+}
+
+// adaptiveDrainTraces were recorded with the backoff MAC's contention slots
+// kept in two maps keyed by cycle, before the slots became a list. In each
+// scenario the adaptive MAC hands over from backoff to token once, so the
+// backoff MAC's drain migrates its busy-deferred senders and its pending
+// contention slots mid-run. The golden matrices use only the default MAC,
+// so these traces are what pins drain's order.
+var adaptiveDrainTraces = []struct {
+	seed uint64
+	want []string
+}{
+	{1, []string{
+		"6.0@13", "13.0@26", "12.0@39", "3.0@44", "5.0@49", "10.0@54", "6.1@63", "9.0@68", "13.1@75", "15.0@80", "1.0@85", "7.0@90", "14.0@95", "12.1@100", "0.0@105", "3.1@110", "0.1@116", "1.1@122", "2.0@128", "3.2@134", "4.0@140", "5.1@146", "6.2@152", "7.1@158", "8.0@164", "9.1@170", "10.1@176", "11.0@182", "12.2@188", "13.2@194", "14.1@200", "15.1@206", "0.2@212", "1.2@218", "2.1@224", "3.3@230", "4.1@236", "5.2@242", "6.3@248", "7.2@254", "8.1@260", "9.2@266", "10.2@272", "11.1@278", "12.3@284", "13.3@290", "14.2@296", "15.2@302", "0.3@308", "1.3@314", "2.2@320", "4.2@327", "5.3@333", "7.3@340", "8.2@346", "9.3@352", "10.3@358", "11.2@364", "14.3@372", "15.3@378", "2.3@386", "4.3@393", "8.3@402", "11.3@410"}},
+	{5, []string{
+		"2.0@13", "4.0@18", "5.0@23", "7.0@28", "8.0@33", "10.0@38", "11.0@49", "0.0@54", "3.0@59", "9.0@64", "14.0@71", "2.1@78", "7.1@87", "8.1@92", "0.1@107", "14.1@116", "0.2@122", "1.0@128", "2.2@134", "3.1@140", "4.1@146", "5.1@152", "6.0@158", "7.2@164", "8.2@170", "9.1@176", "10.1@182", "11.1@188", "12.0@194", "13.0@200", "14.2@206", "15.0@212", "0.3@218", "1.1@224", "2.3@230", "3.2@236", "4.2@242", "5.2@248", "6.1@254", "7.3@260", "8.3@266", "9.2@272", "10.2@278", "11.2@284", "12.1@290", "13.1@296", "14.3@302", "15.1@308", "1.2@315", "3.3@322", "4.3@328", "5.3@334", "6.2@340", "9.3@348", "10.3@354", "11.3@360", "12.2@366", "13.2@372", "15.2@379", "1.3@386", "6.3@396", "12.3@407", "13.3@413", "15.3@420"}},
+	{123, []string{
+		"9.0@17", "10.0@22", "11.0@27", "14.0@32", "15.0@37", "2.0@42", "12.0@47", "13.0@52", "6.0@57", "3.0@62", "4.0@71", "5.0@80", "9.1@85", "10.1@90", "11.1@95", "15.1@100", "0.0@106", "1.0@112", "2.1@118", "3.1@124", "4.1@130", "5.1@136", "6.1@142", "7.0@148", "8.0@154", "9.2@160", "10.2@166", "11.2@172", "12.1@178", "13.1@184", "14.1@190", "15.2@196", "0.1@202", "1.1@208", "2.2@214", "3.2@220", "4.2@226", "5.2@232", "6.2@238", "7.1@244", "8.1@250", "9.3@256", "10.3@262", "11.3@268", "12.2@274", "13.2@280", "14.2@286", "15.3@292", "0.2@298", "1.2@304", "2.3@310", "3.3@316", "4.3@322", "5.3@328", "6.3@334", "7.2@340", "8.2@346", "12.3@355", "13.3@361", "14.3@367", "0.3@374", "1.3@380", "7.3@391", "8.3@397"}},
+}
+
+// TestAdaptiveMACDrainMatchesRecordedTraces replays the contended scenario
+// under the adaptive MAC and compares every commit with the recorded trace.
+func TestAdaptiveMACDrainMatchesRecordedTraces(t *testing.T) {
+	for _, sc := range adaptiveDrainTraces {
+		sc := sc
+		t.Run(fmt.Sprintf("s%d", sc.seed), func(t *testing.T) {
+			got, mc := commitTrace(adaptiveTestParams(), sc.seed)
+			if mc.ModeSwitches < 1 {
+				t.Fatalf("ModeSwitches = %d: the scenario no longer reaches the backoff MAC's drain", mc.ModeSwitches)
+			}
+			if len(got) != len(sc.want) {
+				t.Fatalf("trace length %d, want %d\n got: %v", len(got), len(sc.want), got)
+			}
+			for i := range got {
+				if got[i] != sc.want[i] {
+					t.Fatalf("trace[%d] = %s, want %s (backoff drain order changed)", i, got[i], sc.want[i])
 				}
 			}
 		})

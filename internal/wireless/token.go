@@ -211,10 +211,10 @@ func (m *tokenMAC) GrantAborted() { m.arm() }
 
 func (m *tokenMAC) TxScheduled(sim.Time) { m.arm() }
 
-// Backlog counts live queued requests. It recounts rather than returning
+// Backlog counts live queued requests; the adaptive MAC reads it as the
+// ring occupancy behind each grant. It recounts rather than returning
 // npend: withdrawn entries are only trimmed when a scan reaches them, and
-// a stale count would both over-report QueueLen and delay the adaptive
-// MAC's occupancy-based switch back to backoff.
+// a stale count would delay the adaptive MAC's switch back to backoff.
 func (m *tokenMAC) Backlog() int {
 	live := 0
 	for _, q := range m.pending {

@@ -437,13 +437,6 @@ func (n *Network) Subscribe(fn func(Msg, sim.Time)) {
 // side-effect free.
 func (n *Network) SetPrepare(fn func(Msg) bool) { n.prepare = fn }
 
-// QueueLen returns the number of senders the MAC is currently holding
-// (busy-deferred, backoff-delayed, or waiting for the token).
-func (n *Network) QueueLen() int { return n.mac.Backlog() }
-
-// MAC returns the channel's arbitration protocol.
-func (n *Network) MAC() MAC { return n.mac }
-
 // MACCounters returns the per-protocol arbitration counters.
 func (n *Network) MACCounters() MACStats { return n.mac.Counters() }
 
