@@ -56,8 +56,8 @@ func (s *System) CheckInvariants() error {
 				exclusiveHolder = h.core
 			}
 		}
-		if exclusiveHolder >= 0 && d.owner != exclusiveHolder {
-			return fmt.Errorf("mem: line %#x owned by core %d in L1 but directory says %d", line, exclusiveHolder, d.owner)
+		if exclusiveHolder >= 0 && d.owner() != exclusiveHolder {
+			return fmt.Errorf("mem: line %#x owned by core %d in L1 but directory says %d", line, exclusiveHolder, d.owner())
 		}
 		for _, h := range hs {
 			if h.state == Shared {

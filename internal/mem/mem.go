@@ -7,7 +7,7 @@
 // single global word store (the simulator is single-threaded, so this is
 // race-free); the protocol determines *when* each access completes and how
 // transactions to the same line serialize. Serialization is modeled with a
-// FIFO resource per directory line: the home directory processes one
+// FIFO lock per directory line: the home directory processes one
 // transaction on a line at a time, holding the line while invalidations and
 // forwards are outstanding. This is what reproduces the synchronization
 // costs the paper measures on Baseline and Baseline+: ownership ping-pong
@@ -116,13 +116,15 @@ func (b *bitset) count() int {
 		bits.OnesCount64(b[2]) + bits.OnesCount64(b[3])
 }
 
-// dirLine is the directory entry for one line, held at its home bank.
+// dirLine is the directory entry for one line, held at its home bank. It
+// holds no pointers, and its zero value is a fresh line: no owner, no
+// sharers, not in L2, and a free lock.
 type dirLine struct {
-	// res serializes transactions on the line. It is an AsyncResource:
-	// transactions run as engine-scheduled continuation chains (see txn.go),
-	// so line arbitration never parks a goroutine.
-	res     sim.AsyncResource
-	owner   int // core holding E/M/O, or -1
+	// lock serializes transactions on the line.
+	lock fifoLock
+	// own is the core holding E/M/O plus one, or 0 when none does; read
+	// and write it through owner and setOwner.
+	own     uint16
 	sharers bitset
 	inL2    bool
 	// settleAt is when the most recent ownership grant completes at the
@@ -132,6 +134,12 @@ type dirLine struct {
 	// protocols where an owner with a pending grant defers or NACKs.
 	settleAt sim.Time
 }
+
+// owner returns the core holding the line in E/M/O, or -1.
+func (d *dirLine) owner() int { return int(d.own) - 1 }
+
+// setOwner records core as the line's owner; -1 clears it.
+func (d *dirLine) setOwner(core int) { d.own = uint16(core + 1) }
 
 // l1slot is one L1 way's tag, (line+1)<<3 | state. The zero slot is a way
 // that was never filled; the +1 keeps line 0 distinct from it. An
@@ -205,8 +213,12 @@ type System struct {
 	tags []l1slot
 	// lines is the paged dense store of per-line word values and
 	// directory entries (see store.go).
-	lines pagedStore[lineEntry]
-	mc    [4]sim.AsyncResource
+	lines pagedStore
+	// mc serializes each memory controller's port.
+	mc [4]fifoLock
+	// txns holds every transaction newTxn has created, at index id-1, so a
+	// fifoLock can name its waiters by id.
+	txns []*txn
 	// txnFree recycles transaction state machines; the engine is single-
 	// threaded, so a plain freelist suffices and steady-state transactions
 	// allocate nothing. hitFree and spinFree do the same for the async
@@ -243,12 +255,6 @@ func New(eng *sim.Engine, mesh *noc.Mesh, p Params) *System {
 		l1:   make([]l1cache, p.Cores),
 		tags: make([]l1slot, p.Cores*p.L1Sets*p.L1Ways),
 	}
-	// A fresh directory entry has no owner; page-granular initialization
-	// keeps the per-entry cost off the lookup path. Machines are built per
-	// sweep point, so pages of 128 ~180 B entries keep first-touch zeroing
-	// small.
-	s.lines.init = func(le *lineEntry) { le.dir.owner = -1 }
-	s.lines.shift = 7
 	return s
 }
 

@@ -1,73 +1,58 @@
 package mem
 
-// This file implements the paged dense line store that backs the memory
-// system's per-line state (word values and directory entries). The
-// previous implementation kept hash maps keyed by line or word address;
-// profiles put their hashing and probing at ~5% of a Baseline run.
-// Workload addresses come from the machine's linear allocator (a bump
-// pointer starting at 1 MB), so the line-index keyspace is small and
-// dense — exactly what a paged array handles with one shift, one bounds
-// check and one nil check per lookup.
+// This file implements the paged line store that backs the memory system's
+// per-line state: one lineEntry per line, holding the line's eight words
+// and its directory entry. Workload addresses come from the machine's
+// linear allocator (a bump pointer starting at 1 MB), so the line-index
+// keyspace is small and dense, and a paged array finds an entry with one
+// shift, one bounds check and one nil check.
+//
+// A lineEntry is 128 bytes of plain data whose zero value is a fresh line,
+// stored 16 to a 2 KB page. A page is therefore one allocation with no
+// pointer bitmap: the runtime zeroes it, the collector never scans it, and
+// writing line state needs no write barrier. Machines are built per sweep
+// point, and a Baseline+ MCS lock owns two queue-node lines per core, so a
+// lock-heavy app's point touches thousands of pages; small pointer-free
+// pages keep that first-touch cost low.
 //
 // Addresses outside the dense window (sparse pokes in tests, or any
 // workload that fabricates far-flung addresses) fall back to a map of
 // individually allocated entries, so correctness never depends on the
 // allocator's layout — only speed does. BenchmarkLineStore in
-// store_test.go pins the dense path's advantage over the map it replaced.
+// store_test.go pins the dense path's advantage over the maps it replaced.
 
-// defaultPageShift is log2 of the lines per page when a store does not
-// choose its own geometry.
-const defaultPageShift = 9
+// pageLines is the number of lines per page.
+const pageLines = 16
 
-// maxDensePages bounds the directly indexed page table of every store.
-// Lines whose page index lands above it fall back to the sparse map, so
-// the dense window only bounds speed, never correctness. At the default
-// shift, 1<<15 pages cover 1 GB of simulated address space — far beyond
-// the linear allocator's reach — with a worst-case page-pointer table of
-// 256 KB.
-const maxDensePages = 1 << 15
+// maxDensePages bounds the directly indexed page table. Lines whose page
+// index lands above it fall back to the sparse map, so the dense window
+// only bounds speed, never correctness. 1<<18 pages of 16 lines cover
+// 256 MB of simulated address space, which holds the largest working set
+// of the paper's sweeps (dedup on Baseline+ at 256 cores, about 80 MB of
+// lines), with a worst-case page table of 2 MB.
+const maxDensePages = 1 << 18
 
 // lineWords is the number of 64-bit words per coherence line.
 const lineWords = LineBytes / 8
 
-// pagedStore is a paged dense map from line index to *T with a sparse
-// overflow map. The zero value is empty and ready to use. Entry pointers
-// are stable for the life of the store (pages and sparse entries are never
-// moved), so callers may hold them across events.
-//
-// Page geometry is per store (shift, log2 lines per page): machines are
-// built per sweep point, so a freshly touched page is zeroed memory on
-// that point's critical path — a store with large entries chooses small
-// pages to keep first-touch cost down, while lookups stay one shift + two
-// indexed loads either way.
-type pagedStore[T any] struct {
-	pages  []*storePage[T]
-	sparse map[uint64]*T
-	// init, when non-nil, runs once on every entry of a freshly allocated
-	// page (and on each sparse entry) before first use.
-	init func(*T)
-	// shift is log2 of the lines per page (0 selects defaultPageShift).
-	shift uint
-}
+// linePage is one page of the store.
+type linePage [pageLines]lineEntry
 
-type storePage[T any] struct {
-	lines []T
-}
-
-func (st *pagedStore[T]) pageShift() uint {
-	if st.shift == 0 {
-		return defaultPageShift
-	}
-	return st.shift
+// pagedStore is a paged dense map from line index to *lineEntry with a
+// sparse overflow map. The zero value is empty and ready to use. Entry
+// pointers are stable for the life of the store (pages and sparse entries
+// are never moved), so callers may hold them across events.
+type pagedStore struct {
+	pages  []*linePage
+	sparse map[uint64]*lineEntry
 }
 
 // get returns the entry for line, or nil if the line was never touched.
-func (st *pagedStore[T]) get(line uint64) *T {
-	sh := st.pageShift()
-	pi := line >> sh
+func (st *pagedStore) get(line uint64) *lineEntry {
+	pi := line / pageLines
 	if pi < uint64(len(st.pages)) {
 		if pg := st.pages[pi]; pg != nil {
-			return &pg.lines[line&(1<<sh-1)]
+			return &pg[line%pageLines]
 		}
 		return nil
 	}
@@ -75,9 +60,8 @@ func (st *pagedStore[T]) get(line uint64) *T {
 }
 
 // fetch returns the entry for line, creating it (and its page) on demand.
-func (st *pagedStore[T]) fetch(line uint64) *T {
-	sh := st.pageShift()
-	pi := line >> sh
+func (st *pagedStore) fetch(line uint64) *lineEntry {
+	pi := line / pageLines
 	if pi < maxDensePages {
 		if need := pi + 1; need > uint64(len(st.pages)) {
 			// Grow with doubling capacity: the bump allocator produces
@@ -90,32 +74,24 @@ func (st *pagedStore[T]) fetch(line uint64) *T {
 				if newCap < need {
 					newCap = need
 				}
-				pages := make([]*storePage[T], need, newCap)
+				pages := make([]*linePage, need, newCap)
 				copy(pages, st.pages)
 				st.pages = pages
 			}
 		}
 		pg := st.pages[pi]
 		if pg == nil {
-			pg = &storePage[T]{lines: make([]T, 1<<sh)}
-			if st.init != nil {
-				for i := range pg.lines {
-					st.init(&pg.lines[i])
-				}
-			}
+			pg = new(linePage)
 			st.pages[pi] = pg
 		}
-		return &pg.lines[line&(1<<sh-1)]
+		return &pg[line%pageLines]
 	}
 	e := st.sparse[line]
 	if e == nil {
 		if st.sparse == nil {
-			st.sparse = make(map[uint64]*T)
+			st.sparse = make(map[uint64]*lineEntry)
 		}
-		e = new(T)
-		if st.init != nil {
-			st.init(e)
-		}
+		e = new(lineEntry)
 		st.sparse[line] = e
 	}
 	return e

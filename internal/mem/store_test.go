@@ -1,38 +1,73 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"wisync/internal/noc"
 	"wisync/internal/sim"
 )
 
+// TestLineEntryIsPlainData pins what lets the store's pages skip the
+// collector: a lineEntry holds no pointers, and its zero value is a fresh
+// line, so a page needs no initialization beyond the runtime's zeroing.
+func TestLineEntryIsPlainData(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Func, reflect.Interface, reflect.Chan, reflect.String:
+			t.Errorf("%s is a %s, which holds a pointer", path, ty.Kind())
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("lineEntry", reflect.TypeOf(lineEntry{}))
+
+	if got := unsafe.Sizeof(linePage{}); got != 2048 {
+		t.Errorf("a page is %d bytes, want 2048 (16 entries of 128 B)", got)
+	}
+
+	var d dirLine
+	if d.owner() != -1 {
+		t.Errorf("zero entry owner = %d, want -1", d.owner())
+	}
+	if !d.sharers.empty() || d.inL2 || d.lock != (fifoLock{}) {
+		t.Errorf("zero entry is not a fresh line: %+v", d)
+	}
+	for _, core := range []int{0, 5, 255, -1} {
+		d.setOwner(core)
+		if d.owner() != core {
+			t.Errorf("setOwner(%d) reads back %d", core, d.owner())
+		}
+	}
+}
+
 func TestPagedStoreDenseAndSparse(t *testing.T) {
-	var st pagedStore[lineEntry]
-	st.init = func(le *lineEntry) { le.dir.owner = -1 }
+	var st pagedStore
 
 	if st.get(100) != nil {
 		t.Error("get of untouched line is non-nil")
 	}
 	e := st.fetch(100)
-	if e.dir.owner != -1 {
-		t.Errorf("fresh dense entry owner = %d, want -1 (init not applied)", e.dir.owner)
-	}
 	e.words[3] = 42
 	if got := st.get(100); got != e {
 		t.Error("get after fetch returns a different entry (pointer instability)")
 	}
-	// Neighbors on the same page are initialized but independent.
-	if n := st.get(101); n == nil || n.dir.owner != -1 || n.words[3] != 0 {
-		t.Errorf("neighbor entry not independently initialized: %+v", n)
+	// Neighbors on the same page exist but are independent.
+	if n := st.get(101); n == nil || n.words[3] != 0 {
+		t.Errorf("neighbor entry not independent: %+v", n)
 	}
 
 	// A line far beyond the dense window lands in the sparse map.
-	huge := uint64(maxDensePages)<<st.pageShift() + 12345
+	huge := uint64(maxDensePages)*pageLines + 12345
 	s := st.fetch(huge)
-	if s.dir.owner != -1 {
-		t.Errorf("fresh sparse entry owner = %d, want -1", s.dir.owner)
-	}
 	s.words[0] = 7
 	if got := st.get(huge); got != s {
 		t.Error("sparse get after fetch returns a different entry")
@@ -52,8 +87,8 @@ func TestPagedStoreDenseAndSparse(t *testing.T) {
 func TestSystemSparseAddressFallback(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := New(eng, noc.New(4, 2), DefaultParams(4))
-	// Past the dense window at any page geometry the store might choose.
-	sparseAddr := uint64(maxDensePages<<defaultPageShift)*LineBytes + 0x40
+	// Past the dense window.
+	sparseAddr := uint64(maxDensePages*pageLines)*LineBytes + 0x40
 
 	s.Poke(sparseAddr, 99)
 	if got := s.Peek(sparseAddr); got != 99 {
@@ -106,15 +141,14 @@ func BenchmarkLineStore(b *testing.B) {
 	const base = (1 << 20) / LineBytes
 
 	b.Run("paged", func(b *testing.B) {
-		var st pagedStore[lineEntry]
-		st.init = func(le *lineEntry) { le.dir.owner = -1 }
+		var st pagedStore
 		b.ReportAllocs()
 		var sink uint64
 		for i := 0; i < b.N; i++ {
 			line := base + uint64(i*37%lines)
 			le := st.fetch(line)
 			le.words[wordIdx(line*LineBytes)] = sink
-			sink += le.words[0] + uint64(le.dir.owner)
+			sink += le.words[0] + uint64(le.dir.owner())
 		}
 		_ = sink
 	})
@@ -128,12 +162,12 @@ func BenchmarkLineStore(b *testing.B) {
 			line := base + uint64(i*37%lines)
 			d, ok := dir[line]
 			if !ok {
-				d = &dirLine{owner: -1}
+				d = &dirLine{}
 				dir[line] = d
 			}
 			addr := line * LineBytes
 			words[addr] = sink
-			sink += words[addr&^uint64(LineBytes-1)] + uint64(d.owner)
+			sink += words[addr&^uint64(LineBytes-1)] + uint64(d.owner())
 		}
 		_ = sink
 	})

@@ -139,6 +139,11 @@ type txn struct {
 	step  func()  // cached method value of run; scheduled for every event
 	fin   func()  // cached method value of finish, the async reply event
 
+	// id is the transaction's 1-based index in System.txns, kept across
+	// recycling; waitNext is the id of the next waiter in the fifoLock
+	// queue t waits in, or 0.
+	id, waitNext uint32
+
 	rmwNew     uint64
 	noWriteRMW bool
 	hold       sim.Time
@@ -174,9 +179,10 @@ func (s *System) newTxn() *txn {
 		s.txnFree = s.txnFree[:n-1]
 		return t
 	}
-	t := &txn{s: s}
+	t := &txn{s: s, id: uint32(len(s.txns) + 1)}
 	t.step = t.run
 	t.fin = t.finish
+	s.txns = append(s.txns, t)
 	return t
 }
 
@@ -219,7 +225,7 @@ func (t *txn) run() {
 	case stepArrive:
 		t.d = s.dirFor(t.line)
 		t.state = stepHeld
-		t.d.res.Acquire(s.eng, t.step)
+		t.d.lock.acquire(t)
 	case stepHeld:
 		if now := s.eng.Now(); now < t.d.settleAt {
 			// A previous ownership grant is still settling at its owner.
@@ -238,7 +244,7 @@ func (t *txn) run() {
 		t.state = stepFetchRel
 		s.eng.Schedule(s.p.MemCtrlOcc, t.step)
 	case stepFetchRel:
-		s.mc[t.fetchMC].Release(s.eng)
+		s.mc[t.fetchMC].release(s)
 		t.d.inL2 = true
 		t.hold += t.fetchLat + s.p.MemRT
 		t.state = t.next
@@ -256,8 +262,9 @@ func (t *txn) run() {
 // transfers.
 func (t *txn) decide() {
 	s, d := t.s, t.d
+	owner := d.owner()
 	if s.Trace != nil {
-		s.trace(t.line, "t=%d core=%d txn f=%v owner=%d sharers=%d", s.eng.Now(), t.core, t.f != nil, d.owner, d.sharers.count())
+		s.trace(t.line, "t=%d core=%d txn f=%v owner=%d sharers=%d", s.eng.Now(), t.core, t.f != nil, owner, d.sharers.count())
 	}
 
 	t.rmwNew, t.noWriteRMW = 0, false
@@ -276,28 +283,28 @@ func (t *txn) decide() {
 	// directory protocols).
 	t.hold, t.ackWait = 0, 0
 	t.fwdSrc = -1
-	t.hadOwner = d.owner >= 0
+	t.hadOwner = owner >= 0
 	if t.f == nil { // ---- Shared grant ----
 		sl := (*l1slot)(nil)
-		if d.owner >= 0 && d.owner != t.core {
-			sl = s.lookup(d.owner, t.line)
+		if owner >= 0 && owner != t.core {
+			sl = s.lookup(owner, t.line)
 		}
 		switch {
-		case d.owner >= 0 && d.owner != t.core &&
+		case owner >= 0 && owner != t.core &&
 			sl != nil && (sl.state() == Modified || sl.state() == Exclusive):
 			// Settled owner: forward; owner supplies data and
 			// downgrades M/E -> O (stays owner, MOESI).
 			s.Stats.Forwards++
-			t.fwdSrc = d.owner
-			t.hold = sim.Time(s.mesh.Latency(t.home, d.owner)) + s.p.L1RT
+			t.fwdSrc = owner
+			t.hold = sim.Time(s.mesh.Latency(t.home, owner)) + s.p.L1RT
 			sl.setState(Owned)
-		case d.owner >= 0 && d.owner != t.core:
+		case owner >= 0 && owner != t.core:
 			// Owner evicted or holds only a downgraded copy; recall
 			// it entirely (copy, in-flight fill, and spinners) and
 			// serve from home, so the directory and the L1s never
 			// disagree about ownership.
-			s.invalidateL1(d.owner, t.line)
-			d.owner = -1
+			s.invalidateL1(owner, t.line)
+			d.setOwner(-1)
 			d.inL2 = true
 			t.hold = s.p.L2RT
 		case d.inL2:
@@ -327,12 +334,12 @@ func (t *txn) decide() {
 			}
 		}
 		d.sharers = bitset{}
-		if d.owner >= 0 && d.owner != t.core {
+		if owner >= 0 && owner != t.core {
 			ninv++
-			if h := s.mesh.Hops(t.home, d.owner); h > maxHops {
+			if h := s.mesh.Hops(t.home, owner); h > maxHops {
 				maxHops = h
 			}
-			s.invalidateL1(d.owner, t.line)
+			s.invalidateL1(owner, t.line)
 			d.inL2 = true // owner's (possibly dirty) data returns home
 		}
 		switch {
@@ -343,7 +350,7 @@ func (t *txn) decide() {
 				t.startFetch(stepExclRecord)
 				return
 			}
-		case d.inL2 || d.owner == t.core:
+		case d.inL2 || owner == t.core:
 			t.hold = s.p.L2RT
 		default:
 			t.startFetch(stepExclRecord)
@@ -365,7 +372,7 @@ func (t *txn) sharedRecord() {
 		// grant was in flight and had to be aborted, grant only
 		// Shared, or a burst of first readers would steal E from
 		// each other's unfinished fills.)
-		d.owner = t.core
+		d.setOwner(t.core)
 	default:
 		d.sharers.set(t.core)
 	}
@@ -376,7 +383,7 @@ func (t *txn) sharedRecord() {
 // exclRecord takes ownership (after the memory fetch, when one was
 // needed), then waits out the home-side hold.
 func (t *txn) exclRecord() {
-	t.d.owner = t.core
+	t.d.setOwner(t.core)
 	t.state = stepServe
 	t.s.eng.Schedule(t.hold, t.step)
 }
@@ -396,7 +403,7 @@ func (t *txn) serve() {
 		grant = Modified
 	case t.noWriteRMW:
 		grant = Invalid // value-only reply, nothing installed
-	case d.owner == t.core:
+	case d.owner() == t.core:
 		grant = Exclusive
 	}
 	src := t.home
@@ -424,7 +431,7 @@ func (t *txn) serve() {
 	if grant == Modified || grant == Exclusive {
 		d.settleAt = s.eng.Now() + wait
 	}
-	d.res.Release(s.eng)
+	d.lock.release(s)
 	t.old, t.grant = old, grant
 	// The reply resumes the requester directly after the flight (and ack)
 	// wait — the single suspension of the whole transaction: a parked
@@ -449,7 +456,7 @@ func (t *txn) startFetch(next txnStep) {
 	t.fetchLat = sim.Time(2 * s.mesh.Latency(t.home, cnode))
 	t.next = next
 	t.state = stepFetchOcc
-	s.mc[ci].Acquire(s.eng, t.step)
+	s.mc[ci].acquire(t)
 }
 
 // invIssueOccupancy is how long the home is busy issuing ninv
@@ -548,8 +555,8 @@ func (s *System) fill(core int, line uint64, st State) {
 func (s *System) evict(core int, line uint64) {
 	s.Stats.Evictions++
 	d := s.dirFor(line)
-	if d.owner == core {
-		d.owner = -1
+	if d.owner() == core {
+		d.setOwner(-1)
 		d.inL2 = true
 	}
 	d.sharers.clear(core)

@@ -2,11 +2,10 @@
 // XY-routed, 128-bit links, a configurable per-hop latency (4 cycles by
 // default), and four memory controllers attached at the edges.
 //
-// The mesh provides distance/latency queries to the coherence layer
-// (internal/mem), which adds its own queueing; the mesh itself is a latency
-// model with flit accounting. It also implements the virtual tree-based
-// broadcast cost model of Krishna et al. [22] used by the Baseline+
-// configuration for 1-to-many and many-to-1 traffic.
+// The mesh is a pure latency model: it answers distance and latency
+// queries for the coherence layer (internal/mem), which adds its own
+// queueing and, for Baseline+, the cost of the virtual-tree multicast of
+// Krishna et al. [22].
 package noc
 
 import "fmt"
@@ -15,11 +14,15 @@ import "fmt"
 type Mesh struct {
 	cols, rows int
 	hopLat     uint64
-	// FlitsSent counts point-to-point messages for statistics.
-	FlitsSent uint64
+	// pos holds every node's position, computed once in New so that Hops,
+	// which the coherence layer calls on every message, divides nothing.
+	pos []position
 	// mcs holds the node index nearest each memory-controller attach point.
 	mcs [4]int
 }
+
+// position is a node's (x, y) on the mesh.
+type position struct{ x, y int32 }
 
 // Dims returns the mesh dimensions used for n cores: the most-square
 // factorization with cols >= rows. Core counts in the paper are powers of
@@ -40,7 +43,10 @@ func Dims(n int) (cols, rows int) {
 // New returns a mesh for n nodes with the given per-hop latency in cycles.
 func New(n int, hopLatency uint64) *Mesh {
 	cols, rows := Dims(n)
-	m := &Mesh{cols: cols, rows: rows, hopLat: hopLatency}
+	m := &Mesh{cols: cols, rows: rows, hopLat: hopLatency, pos: make([]position, n)}
+	for id := range m.pos {
+		m.pos[id] = position{int32(id % cols), int32(id / cols)}
+	}
 	// Memory controllers sit at the middle of each edge (Table 1: four
 	// controllers). Store the node they attach to.
 	m.mcs[0] = m.node(cols/2, 0)      // north
@@ -58,39 +64,27 @@ func (m *Mesh) HopLatency() uint64 { return m.hopLat }
 
 // Coord returns the (x, y) position of node id.
 func (m *Mesh) Coord(id int) (x, y int) {
-	m.check(id)
-	return id % m.cols, id / m.cols
+	p := m.pos[id]
+	return int(p.x), int(p.y)
 }
 
 func (m *Mesh) node(x, y int) int { return y*m.cols + x }
 
-func (m *Mesh) check(id int) {
-	if id < 0 || id >= m.cols*m.rows {
-		panic(fmt.Sprintf("noc: node %d out of range [0,%d)", id, m.cols*m.rows))
-	}
-}
-
 // Hops returns the XY-routing hop count between nodes a and b.
 func (m *Mesh) Hops(a, b int) int {
-	ax, ay := m.Coord(a)
-	bx, by := m.Coord(b)
-	return abs(ax-bx) + abs(ay-by)
+	pa, pb := m.pos[a], m.pos[b]
+	return abs(int(pa.x-pb.x)) + abs(int(pa.y-pb.y))
 }
 
-// Latency returns the one-way latency in cycles between nodes a and b and
-// counts one message. Same-node latency is one hop (the local router
-// crossing).
+// Latency returns the one-way latency in cycles between nodes a and b.
+// Same-node latency is one hop (the local router crossing).
 func (m *Mesh) Latency(a, b int) uint64 {
-	m.FlitsSent++
 	h := m.Hops(a, b)
 	if h == 0 {
 		h = 1
 	}
 	return uint64(h) * m.hopLat
 }
-
-// MaxHops returns the mesh diameter in hops.
-func (m *Mesh) MaxHops() int { return m.cols - 1 + m.rows - 1 }
 
 // ControllerFor returns the node a memory request from addr's home bank is
 // routed to, interleaving lines across the four controllers.
@@ -99,29 +93,9 @@ func (m *Mesh) ControllerFor(line uint64) (ctrl int, node int) {
 	return c, m.mcs[c]
 }
 
-// BroadcastLatency returns the latency for a 1-to-many virtual-tree
-// multicast from src covering dst destinations (Baseline+ flit replication
-// at router crossbars): the farthest destination distance dominates, with
-// replication adding one cycle per tree level rather than per destination.
-func (m *Mesh) BroadcastLatency(src int, maxHops int) uint64 {
-	m.FlitsSent++
-	if maxHops <= 0 {
-		maxHops = m.MaxHops()
-	}
-	return uint64(maxHops)*m.hopLat + uint64(log2ceil(m.Nodes()))
-}
-
 func abs(v int) int {
 	if v < 0 {
 		return -v
 	}
 	return v
-}
-
-func log2ceil(n int) int {
-	l := 0
-	for v := 1; v < n; v <<= 1 {
-		l++
-	}
-	return l
 }

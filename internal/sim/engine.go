@@ -55,10 +55,11 @@
 // engine-scheduled continuation chains: each suspension schedules the next
 // step as a plain callback event, and the initiating process — which must
 // suspend anyway, because its thread is architecturally stalled — parks
-// once and is dispatched directly by the chain's final reply event.
-// AsyncWaitQueue and AsyncResource (async.go) are the continuation mirrors
-// of WaitQueue and Resource for blocking inside such chains, and
-// wireless.Network.SendAsync/SendParked are the channel's equivalents.
+// once and is dispatched directly by the chain's final reply event. A
+// chain that must wait hands its next step to whatever it waits on, which
+// schedules the step when the wait ends: the directory's per-line FIFO
+// lock (package mem), WaitQueue.WaitFn, and the channel's
+// wireless.Network.SendAsync/SendParked.
 //
 // The two styles compose bit-identically by construction, so a model can
 // be converted from blocking to continuation form without moving a single

@@ -79,8 +79,7 @@ func (q *WaitQueue) WakeOne(d Time) bool {
 
 // compact reclaims a deque's dead prefix once it reaches half the backing
 // array, keeping memory proportional to live waiters rather than to total
-// traffic through the queue. Amortized O(1) per operation. Shared by the
-// process wait lists here and their continuation mirrors in async.go.
+// traffic through the queue. Amortized O(1) per operation.
 func compact[T any](ps []T, head int) ([]T, int) {
 	if head*2 < len(ps) {
 		return ps, head
