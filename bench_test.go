@@ -151,10 +151,10 @@ func BenchmarkTxnContended(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m := core.NewMachine(config.New(config.Baseline, cores))
 			line := m.AllocLine()
-			m.SpawnAll(func(t *core.Thread) {
-				for k := 0; k < opsPerCore; k++ {
-					t.FetchAdd(line, 1)
-				}
+			m.SpawnAllTasks(func(t *core.Task) {
+				repeat(opsPerCore, func(_ int, next func()) {
+					t.FetchAdd(line, 1, func(uint64) { next() })
+				}, t.Finish)
 			})
 			if err := m.Run(); err != nil {
 				b.Fatal(err)
@@ -174,10 +174,10 @@ func BenchmarkTxnContended(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			m.SpawnAll(func(t *core.Thread) {
-				for k := 0; k < opsPerCore; k++ {
-					t.BMFetchAdd(addr, 1)
-				}
+			m.SpawnAllTasks(func(t *core.Task) {
+				repeat(opsPerCore, func(_ int, next func()) {
+					t.BMFetchAdd(addr, 1, func(uint64) { next() })
+				}, t.Finish)
 			})
 			if err := m.Run(); err != nil {
 				b.Fatal(err)
@@ -191,81 +191,87 @@ func BenchmarkTxnContended(b *testing.B) {
 	})
 }
 
-// BenchmarkTaskTightLoop pins the workload-execution modes against each
-// other on the scaling regime that motivated the continuation conversion:
-// a single 256-core TightLoop point per machine substrate (Baseline's
-// directory storms, WiSyncNoT's Data-channel storms). The "task" variants
-// run goroutine-free on the engine goroutine; the "thread" variants pay
-// one goroutine park/unpark per forced suspension. Simulated results are
-// bit-identical by construction (cyc must never differ between the modes —
-// the equivalence suite enforces it; here it is reported so benchmark
-// diffs catch drift too).
+// BenchmarkTaskTightLoop times the scaling regime that motivated the
+// continuation form: a single 256-core TightLoop point per machine
+// substrate (Baseline's directory storms, WiSyncNoT's Data-channel
+// storms). cyc is the simulated result, reported so benchmark diffs catch
+// drift.
 func BenchmarkTaskTightLoop(b *testing.B) {
 	const cores = 256
 	const iters = 10
-	run := func(kind config.Kind, exec kernels.Exec) func(b *testing.B) {
+	run := func(kind config.Kind) func(b *testing.B) {
 		return func(b *testing.B) {
 			var cyc float64
 			for i := 0; i < b.N; i++ {
-				r := kernels.TightLoopExec(config.New(kind, cores), iters, exec)
+				r := kernels.TightLoop(config.New(kind, cores), iters)
 				cyc = float64(r.Cycles)
 			}
 			b.ReportMetric(cyc, "cyc")
 		}
 	}
-	b.Run("task-baseline", run(config.Baseline, kernels.ExecTask))
-	b.Run("thread-baseline", run(config.Baseline, kernels.ExecThread))
-	b.Run("task-wnot", run(config.WiSyncNoT, kernels.ExecTask))
-	b.Run("thread-wnot", run(config.WiSyncNoT, kernels.ExecThread))
+	b.Run("task-baseline", run(config.Baseline))
+	b.Run("task-wnot", run(config.WiSyncNoT))
 }
 
 // BenchmarkFig10App pins the full-application path on one representative
 // profile: streamcluster (the headline Figure 10 bar — barrier-phase bound
-// with reductions) at the Fig10 geometry, task vs thread execution. ns/op
-// is simulator wall time and allocs/op the interpreter's allocation rate —
-// task mode must stay goroutine-free and near-allocation-free; cyc is the
-// simulated result, identical between the modes by construction (the apps
-// equivalence suite enforces it; reported so benchmark diffs catch drift
-// too).
+// with reductions) at the Fig10 geometry. ns/op is simulator wall time and
+// allocs/op the interpreter's allocation rate, which must stay near zero;
+// cyc is the simulated result, reported so benchmark diffs catch drift.
 func BenchmarkFig10App(b *testing.B) {
 	p, ok := apps.ByName("streamcluster")
 	if !ok {
 		b.Fatal("streamcluster profile missing")
 	}
 	p.Iterations = 4
-	run := func(exec core.Exec) func(b *testing.B) {
-		return func(b *testing.B) {
-			cfg := config.New(config.WiSyncNoT, 64)
-			var cyc float64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := apps.RunExec(cfg, p, exec)
-				cyc = float64(r.Cycles)
-			}
-			b.ReportMetric(cyc, "cyc")
+	b.Run("task", func(b *testing.B) {
+		cfg := config.New(config.WiSyncNoT, 64)
+		var cyc float64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := apps.Run(cfg, p)
+			cyc = float64(r.Cycles)
 		}
-	}
-	b.Run("task", run(core.ExecTask))
-	b.Run("thread", run(core.ExecThread))
+		b.ReportMetric(cyc, "cyc")
+	})
 }
 
 // ---- Ablations (DESIGN.md section 5) ----
+
+// repeat runs body for i = 0..n-1 in sequence, each call continuing with
+// next, then runs done.
+func repeat(n int, body func(i int, next func()), done func()) {
+	i := 0
+	var step func()
+	step = func() {
+		if i == n {
+			done()
+			return
+		}
+		i++
+		body(i-1, step)
+	}
+	step()
+}
+
+// barrierEpisodes runs episodes back-to-back barrier episodes on every
+// core of m and returns the cycles per episode.
+func barrierEpisodes(b *testing.B, m *core.Machine, episodes int) float64 {
+	bar := syncprims.NewFactory(m).NewTaskBarrier(nil)
+	m.SpawnAllTasks(func(t *core.Task) {
+		repeat(episodes, func(_ int, next func()) { bar.WaitTask(t, next) }, t.Finish)
+	})
+	if err := m.Run(); err != nil {
+		b.Fatal(err)
+	}
+	return float64(m.Now()) / float64(episodes)
+}
 
 // benchBarrier measures one barrier configuration's cycles/episode.
 func benchBarrier(b *testing.B, cfg config.Config, episodes int) float64 {
 	var per float64
 	for i := 0; i < b.N; i++ {
-		m := core.NewMachine(cfg)
-		bar := syncprims.NewFactory(m).NewBarrier(nil)
-		m.SpawnAll(func(t *core.Thread) {
-			for e := 0; e < episodes; e++ {
-				bar.Wait(t)
-			}
-		})
-		if err := m.Run(); err != nil {
-			b.Fatal(err)
-		}
-		per = float64(m.Now()) / float64(episodes)
+		per = barrierEpisodes(b, core.NewMachine(cfg), episodes)
 	}
 	return per
 }
@@ -321,16 +327,7 @@ func BenchmarkAblationRMWProtocol(b *testing.B) {
 				cfg := config.New(config.WiSyncNoT, 64)
 				m := core.NewMachine(cfg)
 				m.BM.SetRMWEarlyRead(early)
-				bar := syncprims.NewFactory(m).NewBarrier(nil)
-				m.SpawnAll(func(t *core.Thread) {
-					for e := 0; e < 10; e++ {
-						bar.Wait(t)
-					}
-				})
-				if err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-				per = float64(m.Now()) / 10
+				per = barrierEpisodes(b, m, 10)
 			}
 			b.ReportMetric(per, "cyc/barrier")
 		})
@@ -381,29 +378,29 @@ func BenchmarkAblationBulkVsSingles(b *testing.B) {
 				} else {
 					pcs = []*syncprims.PC{f.NewPC(1), f.NewPC(1), f.NewPC(1), f.NewPC(1)}
 				}
-				m.Spawn("producer", 0, 1, func(t *core.Thread) {
-					for n := 0; n < batches; n++ {
+				m.SpawnTask("producer", 0, 1, func(t *core.Task) {
+					repeat(batches, func(n int, next func()) {
 						if words == 4 {
-							pcs[0].Produce(t, []uint64{1, 2, 3, 4})
-						} else {
-							for _, pc := range pcs {
-								pc.Produce(t, []uint64{uint64(n)})
-							}
+							pcs[0].ProduceTask(t, []uint64{1, 2, 3, 4}, next)
+							return
 						}
-					}
+						repeat(len(pcs), func(k int, nextPC func()) {
+							pcs[k].ProduceTask(t, []uint64{uint64(n)}, nextPC)
+						}, next)
+					}, t.Finish)
 				})
-				m.Spawn("consumer", 3, 1, func(t *core.Thread) {
+				m.SpawnTask("consumer", 3, 1, func(t *core.Task) {
 					buf4 := make([]uint64, 4)
 					buf1 := make([]uint64, 1)
-					for n := 0; n < batches; n++ {
+					repeat(batches, func(_ int, next func()) {
 						if words == 4 {
-							pcs[0].Consume(t, buf4)
-						} else {
-							for _, pc := range pcs {
-								pc.Consume(t, buf1)
-							}
+							pcs[0].ConsumeTask(t, buf4, next)
+							return
 						}
-					}
+						repeat(len(pcs), func(k int, nextPC func()) {
+							pcs[k].ConsumeTask(t, buf1, nextPC)
+						}, next)
+					}, t.Finish)
 				})
 				if err := m.Run(); err != nil {
 					b.Fatal(err)

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"wisync/internal/channel"
-	"wisync/internal/core"
 	"wisync/internal/fault"
 	"wisync/internal/harness"
 	"wisync/internal/profiling"
@@ -79,13 +78,12 @@ func main() {
 	retries := flag.Int("retries", 0, "retransmission budget per message for lossy -channel profiles (0 = default)")
 	faultsFlag := flag.String("faults", "", "deterministic fault-injection plan: inline JSON or @file, applied to every wireless point (see internal/fault)")
 	pointBudget := flag.Uint64("point-budget", 0, "cycle budget per sweep point (0 = unlimited)")
-	execName := flag.String("exec", "task", "application workload execution mode: task|thread (identical simulated results)")
 	verbose := flag.Bool("v", false, "append scheduler-internals diagnostics (# sched lines: wheel hits, heap fallbacks, step-pool reuse)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	list := flag.Bool("list", false, "list available subcommands and MAC protocols, then exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: wisync-bench [-quick] [-workers n] [-mac p] [-exec m] [-v] [-list] [%s]\n",
+		fmt.Fprintf(os.Stderr, "usage: wisync-bench [-quick] [-workers n] [-mac p] [-v] [-list] [%s]\n",
 			strings.Join(commandNames(), "|"))
 		flag.PrintDefaults()
 	}
@@ -116,17 +114,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wisync-bench: %v\n", err)
 		os.Exit(2)
 	}
-	exec, ok := core.ParseExec(*execName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "wisync-bench: unknown exec mode %q (task or thread)\n", *execName)
-		os.Exit(2)
-	}
 	what := "all"
 	if flag.NArg() > 0 {
 		what = flag.Arg(0)
 	}
 	o := harness.Options{Quick: *quick, Workers: *workers, MAC: mac, Channel: chParams,
-		Exec: exec, Faults: plan, Budget: *pointBudget,
+		Faults: plan, Budget: *pointBudget,
 		Verbose: *verbose, Out: os.Stdout}
 	for _, c := range commands {
 		if c.name != what {
@@ -139,8 +132,8 @@ func main() {
 		if what == "macs" {
 			macDesc = "all-compared"
 		}
-		fmt.Printf("# wisync-bench cmd=%s quick=%v workers=%d mac=%s channel=%v ber=%g retries=%d faults=%q point-budget=%d exec=%v seed=1\n",
-			what, *quick, *workers, macDesc, chProfile, *ber, *retries, *faultsFlag, *pointBudget, exec)
+		fmt.Printf("# wisync-bench cmd=%s quick=%v workers=%d mac=%s channel=%v ber=%g retries=%d faults=%q point-budget=%d seed=1\n",
+			what, *quick, *workers, macDesc, chProfile, *ber, *retries, *faultsFlag, *pointBudget)
 		stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wisync-bench: %v\n", err)

@@ -243,7 +243,8 @@ func TestServerJournalRecovery(t *testing.T) {
 
 // TestServerReplayDropsUndecodable pins the poisoned-journal path: a WAL
 // record this build cannot decode is dropped (counted, completed) rather
-// than wedging readiness forever.
+// than wedging readiness forever. The second record asks for the removed
+// thread execution mode, the shape an old server's journal can hold.
 func TestServerReplayDropsUndecodable(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "jobs.wal")
@@ -251,15 +252,20 @@ func TestServerReplayDropsUndecodable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Append(json.RawMessage(`{"workload":"mystery-not-a-workload"}`)); err != nil {
-		t.Fatal(err)
+	for _, rec := range []string{
+		`{"workload":"mystery-not-a-workload"}`,
+		`{"workload":"tightloop","cores":[16],"exec":"thread"}`,
+	} {
+		if _, err := j.Append(json.RawMessage(rec)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	j.Close()
 
 	_, ts := newTestServer(t, serverOptions{Workers: 1, WALPath: walPath})
 	waitReady(t, ts.URL)
 	st := getStats(t, ts.URL)
-	if st.ReplayErrors != 1 || st.JournalPending != 0 {
+	if st.ReplayErrors != 2 || st.JournalPending != 0 {
 		t.Fatalf("undecodable replay: %+v", st)
 	}
 }

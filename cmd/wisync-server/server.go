@@ -18,7 +18,6 @@ import (
 	"wisync/internal/fault"
 	"wisync/internal/harness"
 	"wisync/internal/journal"
-	"wisync/internal/kernels"
 	"wisync/internal/sweepcache"
 	"wisync/internal/wireless"
 	"wisync/internal/workerpool"
@@ -26,7 +25,7 @@ import (
 
 // job is the wire form of one sweep request: a workload crossed with kind,
 // core-count and seed lists. Enum fields decode from their flag names
-// ("WiSync", "backoff", "task"); unknown names and unknown JSON fields are
+// ("WiSync", "backoff"); unknown names and unknown JSON fields are
 // a 400 at decode time, so nothing malformed ever reaches a worker.
 type job struct {
 	Workload string           `json:"workload"`
@@ -35,12 +34,15 @@ type job struct {
 	Seeds    []uint64         `json:"seeds,omitempty"`
 	Variant  config.Variant   `json:"variant,omitempty"`
 	MAC      wireless.MACKind `json:"mac,omitempty"`
-	Exec     kernels.Exec     `json:"exec,omitempty"`
-	Iters    int              `json:"iters,omitempty"`
-	N        int              `json:"n,omitempty"`
-	Passes   int              `json:"passes,omitempty"`
-	CS       int              `json:"cs,omitempty"`
-	Duration uint64           `json:"duration,omitempty"`
+	// Exec names the workload execution mode. Workload threads run one
+	// way only, as tasks, so "task" (or nothing) is the one accepted
+	// value; the removed "thread" mode and anything else are a 400.
+	Exec     string `json:"exec,omitempty"`
+	Iters    int    `json:"iters,omitempty"`
+	N        int    `json:"n,omitempty"`
+	Passes   int    `json:"passes,omitempty"`
+	CS       int    `json:"cs,omitempty"`
+	Duration uint64 `json:"duration,omitempty"`
 	// Channel/BER/Retries select the channel-error model; the omitted
 	// default is the ideal channel, under which every row is byte-identical
 	// to the golden matrix. BERGood/PGB/PBG configure the burst
@@ -81,6 +83,9 @@ func parseJob(body io.Reader, maxPoints int) (job, []harness.PointSpec, []sweepc
 	}
 	if j.DeadlineMS < 0 {
 		return j, nil, nil, errors.New("bad job: deadline_ms must be >= 0")
+	}
+	if j.Exec != "" && j.Exec != "task" {
+		return j, nil, nil, fmt.Errorf("bad job: exec %q: only \"task\" is accepted; the thread execution mode was removed", j.Exec)
 	}
 	j = j.withDefaults()
 	// Overflow-safe product: a small body can list enough kinds, cores and
@@ -126,7 +131,7 @@ func (j job) expand(n int) ([]harness.PointSpec, []sweepcache.Key, error) {
 			for _, seed := range j.Seeds {
 				spec := harness.PointSpec{
 					Workload: j.Workload, Kind: k, Cores: cores, Seed: seed,
-					Variant: j.Variant, MAC: j.MAC, Exec: j.Exec,
+					Variant: j.Variant, MAC: j.MAC,
 					Iters: j.Iters, N: j.N, Passes: j.Passes, CS: j.CS, Duration: j.Duration,
 					Channel: j.Channel, BER: j.BER, Retries: j.Retries,
 					BERGood: j.BERGood, PGB: j.PGB, PBG: j.PBG,

@@ -160,6 +160,7 @@ var badJobs = map[string]string{
 	"numeric kind":         `{"workload":"tightloop","kinds":[2]}`,
 	"unknown mac":          `{"workload":"tightloop","mac":"aloha"}`,
 	"unknown exec":         `{"workload":"tightloop","exec":"fiber"}`,
+	"removed exec thread":  `{"workload":"tightloop","exec":"thread"}`,
 	"unknown variant":      `{"workload":"tightloop","variant":"Turbo"}`,
 	"zero cores":           `{"workload":"tightloop","cores":[0]}`,
 	"too many cores":       `{"workload":"tightloop","cores":[500]}`,
@@ -218,8 +219,9 @@ func TestServerRejectsMalformed(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /sweep: status %d, want 405", resp.StatusCode)
 	}
-	// The server is still healthy after all of the above.
-	if _, done, status := postJob(t, ts.URL, `{"workload":"tightloop","kinds":["WiSync"],"cores":[16]}`); status != http.StatusOK || done.Errors != 0 {
+	// The server is still healthy after all of the above, and still
+	// accepts "exec":"task", the one execution mode.
+	if _, done, status := postJob(t, ts.URL, `{"workload":"tightloop","kinds":["WiSync"],"cores":[16],"exec":"task"}`); status != http.StatusOK || done.Errors != 0 {
 		t.Fatalf("server unhealthy after malformed jobs: status=%d done=%+v", status, done)
 	}
 }

@@ -23,12 +23,20 @@ func main() {
 		fmt.Printf("%-8d", cores)
 		for _, k := range config.Kinds {
 			m := core.NewMachine(config.New(k, cores))
-			b := syncprims.NewFactory(m).NewBarrier(nil)
-			m.SpawnAll(func(t *core.Thread) {
-				for e := 0; e < episodes; e++ {
+			b := syncprims.NewFactory(m).NewTaskBarrier(nil)
+			m.SpawnAllTasks(func(t *core.Task) {
+				e := 0
+				var episode func()
+				episode = func() {
+					if e == episodes {
+						t.Finish()
+						return
+					}
+					e++
 					t.Compute(50)
-					b.Wait(t)
+					b.WaitTask(t, episode)
 				}
+				episode()
 			})
 			if err := m.Run(); err != nil {
 				panic(err)

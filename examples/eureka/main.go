@@ -22,23 +22,35 @@ func main() {
 	eureka := f.NewEureka()
 
 	var finder, probesDone int
-	m.SpawnAll(func(t *core.Thread) {
+	m.SpawnAllTasks(func(t *core.Task) {
 		shard := keySpace / 64
-		lo := t.Core * shard
+		k := t.Core * shard
+		end := k + shard
 		rng := sim.NewRand(uint64(t.Core))
-		for k := lo; k < lo+shard; k += 4096 {
+		var probe func()
+		probe = func() {
+			if k >= end {
+				t.Finish()
+				return
+			}
 			// Probe a block of keys (~costly hash checks).
 			t.Compute(200 + rng.Intn(100))
 			probesDone++
 			if k <= target && target < k+4096 {
 				finder = t.Core
-				eureka.Trigger(t)
+				eureka.TriggerTask(t, t.Finish)
 				return
 			}
-			if eureka.Triggered(t) {
-				return // someone else found it; stop early
-			}
+			k += 4096
+			eureka.TriggeredTask(t, func(fired bool) {
+				if fired {
+					t.Finish() // someone else found it; stop early
+					return
+				}
+				probe()
+			})
 		}
+		probe()
 	})
 	if err := m.Run(); err != nil {
 		panic(err)

@@ -38,9 +38,8 @@ func storm(nodes int, p wireless.Params) (sim.Time, wireless.Stats, wireless.MAC
 	eng := sim.NewEngine(42)
 	n := wireless.New(eng, nodes, p)
 	for c := 0; c < nodes; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(pp *sim.Proc) {
-			n.Send(pp, wireless.Msg{Src: c}, nil)
+		eng.GoTask(fmt.Sprintf("n%d", c), func(t *sim.Task) {
+			n.SendAsync(wireless.Msg{Src: c}, nil, func(bool) { t.Finish() })
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -54,11 +53,18 @@ func storm(nodes int, p wireless.Params) (sim.Time, wireless.Stats, wireless.MAC
 func lone(nodes, msgs int, p wireless.Params) sim.Time {
 	eng := sim.NewEngine(42)
 	n := wireless.New(eng, nodes, p)
-	eng.Go("n0", func(pp *sim.Proc) {
-		for i := 0; i < msgs; i++ {
-			n.Send(pp, wireless.Msg{Src: 0}, nil)
-			pp.Sleep(3)
+	eng.GoTask("n0", func(t *sim.Task) {
+		i := 0
+		var send func()
+		send = func() {
+			if i == msgs {
+				t.Finish()
+				return
+			}
+			i++
+			n.SendAsync(wireless.Msg{Src: 0}, nil, func(bool) { t.Sleep(3, send) })
 		}
+		send()
 	})
 	if err := eng.Run(); err != nil {
 		panic(err)

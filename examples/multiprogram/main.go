@@ -22,29 +22,32 @@ func main() {
 	barA, _ := m.Tone.AllocateBare(1, []int{0, 1, 2, 3})
 	barB, _ := m.Tone.AllocateBare(2, []int{4, 5, 6, 7})
 
+	// program is one thread's body: compute, add to the program's counter,
+	// meet at the program's tone barrier; the leader then reports.
+	program := func(name string, leader, compute int, ctr uint32, delta uint64, bar uint32) func(*core.Task) {
+		return func(t *core.Task) {
+			t.Compute(compute)
+			t.BMFetchAdd(ctr, delta, func(uint64) {
+				t.ToneStore(bar, func() {
+					t.ToneWait(bar, 1, func() {
+						if t.Core != leader {
+							t.Finish()
+							return
+						}
+						t.BMLoad(ctr, func(v uint64) {
+							fmt.Printf("program %s: counter=%d, released at cycle %d\n", name, v, m.Now())
+							t.Finish()
+						})
+					})
+				})
+			})
+		}
+	}
 	for c := 0; c < 4; c++ {
-		m.Spawn(fmt.Sprintf("A%d", c), c, 1, func(t *core.Thread) {
-			t.Compute(10 * (t.Core + 1))
-			t.BMFetchAdd(ctrA, 1)
-			t.ToneStore(barA)
-			t.ToneWait(barA, 1)
-			if t.Core == 0 {
-				fmt.Printf("program A: counter=%d, released at cycle %d\n",
-					t.BMLoad(ctrA), t.Proc().Now())
-			}
-		})
+		m.SpawnTask(fmt.Sprintf("A%d", c), c, 1, program("A", 0, 10*(c+1), ctrA, 1, barA))
 	}
 	for c := 4; c < 8; c++ {
-		m.Spawn(fmt.Sprintf("B%d", c), c, 2, func(t *core.Thread) {
-			t.Compute(25 * (t.Core - 3))
-			t.BMFetchAdd(ctrB, 2)
-			t.ToneStore(barB)
-			t.ToneWait(barB, 1)
-			if t.Core == 4 {
-				fmt.Printf("program B: counter=%d, released at cycle %d\n",
-					t.BMLoad(ctrB), t.Proc().Now())
-			}
-		})
+		m.SpawnTask(fmt.Sprintf("B%d", c), c, 2, program("B", 4, 25*(c-3), ctrB, 2, barB))
 	}
 	if err := m.Run(); err != nil {
 		panic(err)
@@ -53,9 +56,11 @@ func main() {
 		m.Tone.Stats.Completions)
 
 	// Protection: program B touching program A's counter faults.
-	m.Spawn("intruder", 4, 2, func(t *core.Thread) {
-		if _, err := t.TryBMLoad(ctrA); err != nil {
+	m.SpawnTask("intruder", 4, 2, func(t *core.Task) {
+		err := m.BM.LoadAsync(t.Core, t.PID, ctrA, func(uint64) { t.Finish() })
+		if err != nil {
 			fmt.Printf("protection works: %v\n", err)
+			t.Finish()
 		}
 	})
 	if err := m.Run(); err != nil {

@@ -21,20 +21,38 @@ func main() {
 		pc := f.NewPC(4) // 4-word channel: Bulk transfers on WiSync
 
 		var received uint64
-		m.Spawn("producer", 0, 1, func(t *core.Thread) {
-			for i := 0; i < batches; i++ {
-				base := uint64(i * 4)
-				pc.Produce(t, []uint64{base, base + 1, base + 2, base + 3})
-			}
-		})
-		m.Spawn("consumer", 15, 1, func(t *core.Thread) {
-			buf := make([]uint64, 4)
-			for i := 0; i < batches; i++ {
-				pc.Consume(t, buf)
-				for _, v := range buf {
-					received += v
+		m.SpawnTask("producer", 0, 1, func(t *core.Task) {
+			i := 0
+			var produce func()
+			produce = func() {
+				if i == batches {
+					t.Finish()
+					return
 				}
+				base := uint64(i * 4)
+				i++
+				pc.ProduceTask(t, []uint64{base, base + 1, base + 2, base + 3}, produce)
 			}
+			produce()
+		})
+		m.SpawnTask("consumer", 15, 1, func(t *core.Task) {
+			buf := make([]uint64, 4)
+			i := 0
+			var consume func()
+			consume = func() {
+				if i == batches {
+					t.Finish()
+					return
+				}
+				i++
+				pc.ConsumeTask(t, buf, func() {
+					for _, v := range buf {
+						received += v
+					}
+					consume()
+				})
+			}
+			consume()
 		})
 		if err := m.Run(); err != nil {
 			panic(err)

@@ -17,20 +17,28 @@ func main() {
 	m := core.NewMachine(cfg)
 	f := syncprims.NewFactory(m)
 
-	sum := f.NewReducer(0)       // a broadcast variable updated by fetch&add
-	barrier := f.NewBarrier(nil) // a Tone-channel barrier over all cores
+	sum := f.NewReducer(0)           // a broadcast variable updated by fetch&add
+	barrier := f.NewTaskBarrier(nil) // a Tone-channel barrier over all cores
 
-	m.SpawnAll(func(t *core.Thread) {
+	// Each operation takes a continuation that runs when it completes.
+	m.SpawnAllTasks(func(t *core.Task) {
 		// Each core computes a partial result...
 		t.Compute(100 + 13*t.Core)
 		// ...contributes it with a single wireless fetch&add...
-		sum.Add(t, uint64(t.Core+1))
-		// ...and waits for everyone at the tone barrier.
-		barrier.Wait(t)
-		if t.Core == 0 {
-			fmt.Printf("after barrier at cycle %d: sum = %d\n",
-				t.Proc().Now(), sum.Value(t))
-		}
+		sum.AddTask(t, uint64(t.Core+1), func(uint64) {
+			// ...and waits for everyone at the tone barrier.
+			barrier.WaitTask(t, func() {
+				if t.Core != 0 {
+					t.Finish()
+					return
+				}
+				released := m.Now()
+				sum.ValueTask(t, func(v uint64) {
+					fmt.Printf("after barrier at cycle %d: sum = %d\n", released, v)
+					t.Finish()
+				})
+			})
+		})
 	})
 	if err := m.Run(); err != nil {
 		panic(err)

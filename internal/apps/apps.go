@@ -63,9 +63,8 @@ type Result struct {
 	// Spills counts BM allocations that fell back to cached memory.
 	Spills int
 	// Mem, Net and MAC expose the machine's protocol counters, so the
-	// equivalence suite can pin the execution modes counter-for-counter,
-	// not just on the headline cycles. Net/MAC are zero on wired
-	// configurations.
+	// reference suite pins every counter, not just the headline cycles.
+	// Net/MAC are zero on wired configurations.
 	Mem mem.Stats
 	Net wireless.Stats
 	MAC wireless.MACStats
@@ -74,9 +73,8 @@ type Result struct {
 	Energy wireless.EnergyStats
 	// Sched reports the engine's scheduling internals (timing-wheel hits,
 	// heap fallbacks, recycled-step reuse). Unlike every field above it
-	// describes simulator mechanics, not simulated behavior: the two
-	// execution modes legitimately differ here, and the equivalence suite
-	// excludes it.
+	// describes simulator mechanics, not simulated behavior, and the
+	// reference suite excludes it.
 	Sched sim.SchedStats
 	// Faults lists the workload threads halted by a fail-stopped
 	// transceiver (nil without a fault plan); see kernels.Result.
@@ -88,26 +86,18 @@ func (r Result) String() string {
 		r.Profile.Name, r.Cfg.Kind, r.Cycles, r.DataUtilPct)
 }
 
-// Run executes the profile on the given configuration in the default
-// (task) execution mode.
+// Run executes the profile on the given configuration: one appTask
+// (task.go) per core interprets the profile.
 func Run(cfg config.Config, p Profile) Result {
-	return RunExec(cfg, p, core.ExecTask)
-}
-
-// RunExec is Run with an explicit workload execution mode. Allocation (and
-// therefore the BM spill sequence) is shared between the modes; only the
-// interpreter differs — the blocking loop nest below, or the appTask state
-// machine in task.go — and the two produce bit-identical results.
-func RunExec(cfg config.Config, p Profile, exec core.Exec) Result {
 	m := core.NewMachine(cfg)
 	f := syncprims.NewFactory(m)
-	var barrier syncprims.Barrier
+	var barrier syncprims.TaskBarrier
 	if p.BarriersPerIter > 0 {
-		barrier = f.NewBarrier(nil)
+		barrier = f.NewTaskBarrier(nil)
 	}
-	locks := make([]syncprims.Lock, p.NumLocks)
+	locks := make([]syncprims.TaskLock, p.NumLocks)
 	for i := range locks {
-		locks[i] = f.NewLock()
+		locks[i] = f.NewTaskLock()
 	}
 	var red *syncprims.Reducer
 	if p.ReductionsPerIter > 0 {
@@ -122,56 +112,10 @@ func RunExec(cfg config.Config, p Profile, exec core.Exec) Result {
 		lockData[i] = m.AllocLine()
 	}
 
-	if exec == core.ExecThread {
-		m.SpawnAll(func(t *core.Thread) {
-			rng := sim.NewRand(cfg.Seed*1000003 + uint64(t.Core))
-			// Desynchronized start, as threads of a real program are.
-			t.Compute(rng.Intn(p.ComputeMean/4 + 1))
-			for it := 0; it < p.Iterations; it++ {
-				compute := p.ComputeMean / max(p.BarriersPerIter, 1)
-				for b := 0; b < max(p.BarriersPerIter, 1); b++ {
-					t.Compute(int(rng.Jitter(float64(compute), p.Jitter, 1)))
-					for r := 0; r < p.SharedReadsPerIter/max(p.BarriersPerIter, 1); r++ {
-						line := rng.Intn(p.SharedLines)
-						t.Read(shared + uint64(line*64))
-					}
-					if barrier != nil {
-						barrier.Wait(t)
-					}
-				}
-				for l := 0; l < p.LockOpsPerIter; l++ {
-					li := rng.Intn(max(p.NumLocks, 1))
-					lk := locks[li%len(locks)]
-					lk.Acquire(t)
-					t.Compute(p.HoldCycles)
-					t.Write(lockData[li%len(lockData)], uint64(it))
-					lk.Release(t)
-					t.Compute(int(rng.Jitter(float64(p.HoldCycles*2+20), p.Jitter, 1)))
-				}
-				for r := 0; r < p.ReductionsPerIter; r++ {
-					red.Add(t, 1)
-					t.Compute(20 + rng.Intn(40))
-				}
-			}
-		})
-	} else {
-		var tb syncprims.TaskBarrier
-		if barrier != nil {
-			tb = syncprims.AsTaskBarrier(barrier)
-		}
-		tlocks := make([]syncprims.TaskLock, len(locks))
-		for i, l := range locks {
-			tlocks[i] = syncprims.AsTaskLock(l)
-		}
-		var tred syncprims.TaskReducer
-		if red != nil {
-			tred = red.AsTask()
-		}
-		m.SpawnAllTasks(func(t *core.Task) {
-			newAppTask(t, &p, tb, tlocks, tred, shared, lockData,
-				cfg.Seed*1000003+uint64(t.Core)).start()
-		})
-	}
+	m.SpawnAllTasks(func(t *core.Task) {
+		newAppTask(t, &p, barrier, locks, red, shared, lockData,
+			cfg.Seed*1000003+uint64(t.Core)).start()
+	})
 	if err := m.Run(); err != nil {
 		// Wrap rather than format: the harness recover preserves the error
 		// chain so callers can classify the failure (budget, livelock,

@@ -122,3 +122,18 @@ func TestComputeBoundAppNearParity(t *testing.T) {
 		}
 	}
 }
+
+// TestTaskModeRecyclesSteps asserts the interpreter actually reuses its
+// step structs: pool hits must dwarf misses on any non-trivial profile.
+func TestTaskModeRecyclesSteps(t *testing.T) {
+	p, _ := ByName("streamcluster")
+	p.Iterations = 3
+	r := Run(config.New(config.Baseline, 16), p)
+	if r.Sched.StepPoolMisses == 0 {
+		t.Fatal("no step allocations recorded — counters not wired?")
+	}
+	if r.Sched.StepPoolHits < 10*r.Sched.StepPoolMisses {
+		t.Errorf("step pool hits (%d) not dominating misses (%d)",
+			r.Sched.StepPoolHits, r.Sched.StepPoolMisses)
+	}
+}

@@ -1,16 +1,25 @@
 package apps
 
-// This file is the continuation form of the profile interpreter: the
-// per-iteration compute / shared-read / barrier / lock / reduction loop
-// nest of Run as a core.Task state machine. Each task owns one appTask —
-// the loop counters are fields, the continuations are method values cached
-// at construction — so interpreting a profile allocates nothing per
-// operation beyond what the primitives themselves need. Simulated behavior
-// is bit-identical to the blocking interpreter: the per-thread random
-// stream is consumed in the same order and every suspension consumes its
-// event sequence number at the same execution point (pinned by the
-// equivalence suite in this package and the apps golden table in package
-// harness).
+// This file is the profile interpreter: each thread runs the loop nest
+//
+//	compute(rand(ComputeMean/4 + 1))              // desynchronized start
+//	for it in 0..Iterations:
+//	    for b in 0..max(BarriersPerIter, 1):
+//	        compute(jitter(ComputeMean/nb, Jitter))
+//	        SharedReadsPerIter/nb reads of random shared lines
+//	        barrier wait (if the profile has barriers)
+//	    for l in 0..LockOpsPerIter:
+//	        acquire a random lock; compute(HoldCycles); write its data
+//	        line; release; compute(jitter(2*HoldCycles + 20, Jitter))
+//	    for r in 0..ReductionsPerIter:
+//	        reducer fetch&add 1; compute(20 + rand(40))
+//
+// as a core.Task state machine. Each task owns one appTask — the loop
+// counters are fields, the continuations are method values cached at
+// construction — so interpreting a profile allocates nothing per operation
+// beyond what the primitives themselves need. The per-thread random stream
+// is consumed in exactly this order (pinned by the reference suite in this
+// package and the apps golden table in package harness).
 
 import (
 	"wisync/internal/core"
@@ -18,8 +27,8 @@ import (
 	"wisync/internal/syncprims"
 )
 
-// appTask interprets one thread's share of a profile in continuation form.
-// The counters mirror the blocking loop nest: it (iterations completed), b
+// appTask interprets one thread's share of a profile. The counters follow
+// the loop nest above: it (iterations completed), b
 // (barrier phases completed this iteration), r (reads or reductions
 // completed this phase), l (lock operations completed this iteration).
 type appTask struct {
@@ -29,7 +38,7 @@ type appTask struct {
 
 	barrier  syncprims.TaskBarrier // nil when the profile has no barriers
 	locks    []syncprims.TaskLock
-	red      syncprims.TaskReducer
+	red      *syncprims.Reducer // nil when the profile has no reductions
 	shared   uint64
 	lockData []uint64
 
@@ -46,7 +55,7 @@ type appTask struct {
 }
 
 func newAppTask(t *core.Task, p *Profile, barrier syncprims.TaskBarrier,
-	locks []syncprims.TaskLock, red syncprims.TaskReducer, shared uint64,
+	locks []syncprims.TaskLock, red *syncprims.Reducer, shared uint64,
 	lockData []uint64, seed uint64) *appTask {
 	t.M.Eng.StepPoolMiss()
 	a := &appTask{
@@ -159,7 +168,7 @@ func (a *appTask) reductions() {
 		a.iter()
 		return
 	}
-	a.red.Add(a.t, 1, a.onAddFn)
+	a.red.AddTask(a.t, 1, a.onAddFn)
 }
 
 func (a *appTask) onAdd(uint64) {

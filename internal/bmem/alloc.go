@@ -1,18 +1,15 @@
 package bmem
 
-import (
-	"wisync/internal/sim"
-	"wisync/internal/wireless"
-)
+import "wisync/internal/wireless"
 
 // Alloc allocates one 64-bit entry for pid, broadcasting the allocation so
 // every replica creates the entry at the same address (Section 4.4). The
 // address is chosen by the OS at issue time and reserved immediately, so
-// concurrent allocations from different nodes never pick the same entry.
-// tone marks the entry as a tone-barrier variable. Alloc returns ErrFull
-// when no entry is free; the caller is expected to fall back to a variable
-// in regular cached memory.
-func (b *BM) Alloc(p *sim.Proc, node int, pid uint16, tone bool) (uint32, error) {
+// concurrent allocations from different nodes never pick the same entry;
+// then runs when the broadcast completes. tone marks the entry as a
+// tone-barrier variable. Alloc returns ErrFull when no entry is free; the
+// caller is expected to fall back to a variable in regular cached memory.
+func (b *BM) Alloc(node int, pid uint16, tone bool, then func(committed bool)) (uint32, error) {
 	addr := -1
 	for i := range b.entries {
 		if !b.entries[i].allocated {
@@ -30,31 +27,15 @@ func (b *BM) Alloc(p *sim.Proc, node int, pid uint16, tone bool) (uint32, error)
 	e.tone = tone
 	e.val = 0
 	b.Stats.Allocs++
-	b.net.Send(p, wireless.Msg{Src: node, Addr: uint32(addr), Kind: wireless.KindAlloc, PID: pid}, nil)
+	b.net.SendAsync(wireless.Msg{Src: node, Addr: uint32(addr), Kind: wireless.KindAlloc, PID: pid}, nil, then)
 	return uint32(addr), nil
 }
 
-// AllocN allocates n consecutive... entries (not necessarily consecutive);
-// it returns the addresses or the first error. Useful for data+flag pairs.
-func (b *BM) AllocN(p *sim.Proc, node int, pid uint16, n int) ([]uint32, error) {
-	addrs := make([]uint32, 0, n)
-	for i := 0; i < n; i++ {
-		a, err := b.Alloc(p, node, pid, false)
-		if err != nil {
-			// Free what we grabbed so callers can fall back cleanly.
-			for _, fa := range addrs {
-				_ = b.Free(p, node, pid, fa)
-			}
-			return nil, err
-		}
-		addrs = append(addrs, a)
-	}
-	return addrs, nil
-}
-
 // AllocContiguous allocates n consecutive entries (for Bulk transfers,
-// which address four adjacent words). It returns the first address.
-func (b *BM) AllocContiguous(p *sim.Proc, node int, pid uint16, n int) (uint32, error) {
+// which address four adjacent words) and returns the first address. All n
+// are reserved immediately; their allocation messages broadcast one after
+// another, and then runs when the last completes.
+func (b *BM) AllocContiguous(node int, pid uint16, n int, then func(committed bool)) (uint32, error) {
 	run := 0
 	start := -1
 	for i := range b.entries {
@@ -73,21 +54,33 @@ func (b *BM) AllocContiguous(p *sim.Proc, node int, pid uint16, n int) (uint32, 
 				e.pid = pid
 				e.val = 0
 				b.Stats.Allocs++
-				b.net.Send(p, wireless.Msg{Src: node, Addr: uint32(j), Kind: wireless.KindAlloc, PID: pid}, nil)
 			}
+			j := start
+			var next func(bool)
+			next = func(committed bool) {
+				if j == start+n {
+					then(committed)
+					return
+				}
+				m := wireless.Msg{Src: node, Addr: uint32(j), Kind: wireless.KindAlloc, PID: pid}
+				j++
+				b.net.SendAsync(m, nil, next)
+			}
+			next(true)
 			return uint32(start), nil
 		}
 	}
 	return 0, ErrFull
 }
 
-// Free deallocates addr in every replica.
-func (b *BM) Free(p *sim.Proc, node int, pid uint16, addr uint32) error {
+// Free deallocates addr in every replica; then runs when the broadcast
+// completes.
+func (b *BM) Free(node int, pid uint16, addr uint32, then func(committed bool)) error {
 	if err := b.check(node, pid, addr); err != nil {
 		return err
 	}
 	b.Stats.Frees++
-	b.net.Send(p, wireless.Msg{Src: node, Addr: addr, Kind: wireless.KindFree, PID: pid}, nil)
+	b.net.SendAsync(wireless.Msg{Src: node, Addr: addr, Kind: wireless.KindFree, PID: pid}, nil, then)
 	return nil
 }
 

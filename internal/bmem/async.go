@@ -2,15 +2,12 @@ package bmem
 
 import "wisync/internal/wireless"
 
-// This file is the continuation-form face of the Broadcast Memory: each
-// blocking operation in ops.go has an async variant taking a completion
-// callback instead of a parked process. Protection and addressing faults
-// are still reported synchronously (the blocking forms check before any
-// simulated time elapses); a fault that develops mid-operation — an entry
-// freed under a spinning task — is a death of the simulated program, like
-// the blocking form's must(), and panics. Both faces consume event
-// sequence numbers at identical points, so they are interchangeable
-// without moving a simulated result.
+// This file holds the Broadcast Memory's workload-facing operations. Each
+// takes a completion callback that runs at the cycle the operation
+// completes. Protection and addressing faults are reported synchronously,
+// before any simulated time elapses; a fault that develops mid-operation —
+// an entry freed under a spinning task — is a death of the simulated
+// program, and panics.
 
 // loadCont is a recycled load-delivery continuation: the "sleep the local
 // round trip, then hand over the replica's value" step of LoadAsync, which
@@ -46,7 +43,8 @@ func (c *loadCont) run() {
 	then(b.entries[addr].val)
 }
 
-// LoadAsync is the continuation mirror of Load.
+// LoadAsync reads the 64-bit entry at addr from node's local replica; then
+// receives the value one local round trip later.
 func (b *BM) LoadAsync(node int, pid uint16, addr uint32, then func(uint64)) error {
 	if err := b.check(node, pid, addr); err != nil {
 		return err
@@ -73,8 +71,13 @@ func (c *storeCont) run(committed bool) {
 	then()
 }
 
-// StoreAsync is the continuation mirror of Store: then runs at the commit
-// cycle, with WCB set.
+// StoreAsync broadcasts val to addr in every replica; then runs when the
+// write commits (all replicas updated), with WCB set. The MAC retries
+// through collisions; on the ideal channel without faults a store cannot
+// fail, only take longer. Under a lossy channel or a fault plan the
+// broadcast can fail permanently (retry budget exhausted, transceiver
+// outage): WCB then honestly reads false — software that needs the write
+// checks WCB and reissues.
 func (b *BM) StoreAsync(node int, pid uint16, addr uint32, val uint64, then func()) error {
 	if err := b.check(node, pid, addr); err != nil {
 		return err
@@ -96,9 +99,54 @@ func (b *BM) StoreAsync(node int, pid uint16, addr uint32, val uint64, then func
 	return nil
 }
 
-// RMWAsync is the continuation mirror of RMW: then receives the value read
-// and whether the instruction executed atomically, at the cycle RMW would
-// have returned.
+// BulkLoadAsync reads four consecutive entries starting at addr (Section
+// 3.2). A single BM access burst is charged: RT plus one cycle per extra
+// word; then receives the four values.
+func (b *BM) BulkLoadAsync(node int, pid uint16, addr uint32, then func([4]uint64)) error {
+	for i := uint32(0); i < 4; i++ {
+		if err := b.check(node, pid, addr+i); err != nil {
+			return err
+		}
+	}
+	b.Stats.Loads += 4
+	b.eng.SleepThen(b.p.RT+3, func() {
+		var out [4]uint64
+		for i := uint32(0); i < 4; i++ {
+			out[i] = b.entries[addr+i].val
+		}
+		then(out)
+	})
+	return nil
+}
+
+// BulkStoreAsync broadcasts four words to consecutive addresses starting at
+// addr in one 15-cycle wireless message (Section 4.1); then runs at the
+// commit, with WCB set.
+func (b *BM) BulkStoreAsync(node int, pid uint16, addr uint32, vals [4]uint64, then func()) error {
+	for i := uint32(0); i < 4; i++ {
+		if err := b.check(node, pid, addr+i); err != nil {
+			return err
+		}
+	}
+	b.Stats.Stores += 4
+	b.wcb[node] = false
+	m := wireless.Msg{Src: node, Addr: addr, Val: vals[0], Kind: wireless.KindBulk, PID: pid}
+	copy(m.BulkVals[:], vals[1:])
+	b.net.SendAsync(m, nil, func(committed bool) {
+		b.wcb[node] = committed
+		then()
+	})
+	return nil
+}
+
+// RMWAsync performs one hardware read-modify-write attempt at addr: read
+// the local replica, apply f in the pipeline, and broadcast the result. f
+// returns the new value and whether to perform the write; a CAS whose
+// comparison fails returns false and broadcasts nothing (the failure is
+// decided atomically on the read). then receives the value read and
+// ok=true if the instruction executed atomically (AFB clear). ok=false
+// means a remote commit to addr landed inside the atomicity window: AFB is
+// set, nothing was written, and software must retry (Figure 4(a)).
 func (b *BM) RMWAsync(node int, pid uint16, addr uint32, f func(uint64) (uint64, bool), then func(old uint64, ok bool)) error {
 	if err := b.check(node, pid, addr); err != nil {
 		return err
@@ -156,8 +204,8 @@ type rmwGrantCont struct {
 	f    func(uint64) (uint64, bool)
 	then func(old uint64, ok bool)
 	msg  wireless.Msg
-	// ran/denied mirror rmwAtGrant's completion tracking: the operation
-	// completed iff it was applied at a commit or denied at a probe.
+	// ran/denied track completion: the operation completed iff it was
+	// applied at a commit or denied at a probe.
 	ran    bool
 	denied bool
 
@@ -169,15 +217,22 @@ func (c *rmwGrantCont) op(cur uint64) (uint64, bool) {
 	c.old = cur
 	nv, do := c.f(cur)
 	if c.b.probing {
+		// Grant-time probe: a denied write (failed compare) is a
+		// completed instruction — the decision is atomic on the committed
+		// value the probe observed.
 		c.denied = !do
 	} else {
-		c.ran = true
+		c.ran = true // commit application: the write happened chip-wide
 	}
 	return nv, do
 }
 
 func (c *rmwGrantCont) submit() { c.b.net.SendAsync(c.msg, nil, c.doneFn) }
 
+// done completes the RMW. Neither ran nor denied is set when the broadcast
+// failed permanently — retry budget exhausted or a fault-injected outage —
+// and old would be stale; software must retry, exactly like an AFB
+// failure.
 func (c *rmwGrantCont) done(bool) {
 	b, node, old, then := c.b, c.node, c.old, c.then
 	ok := c.ran || c.denied
@@ -187,9 +242,10 @@ func (c *rmwGrantCont) done(bool) {
 	then(old, ok)
 }
 
-// rmwAtGrantAsync mirrors rmwAtGrant: the pipeline read delay and the
-// channel submission are already continuations there; here the completion
-// is one too.
+// rmwAtGrantAsync is the default RMW path: the operation rides in the
+// message and every replica applies it to the committed value at commit
+// time. The old value delivered is the committed value the operation
+// observed; atomicity cannot fail, only the broadcast.
 func (b *BM) rmwAtGrantAsync(node int, pid uint16, addr uint32, f func(uint64) (uint64, bool), then func(old uint64, ok bool)) error {
 	b.wcb[node] = false
 	b.afb[node] = false
@@ -233,7 +289,7 @@ type bmSpin struct {
 func (sp *bmSpin) respin() {
 	if err := sp.b.LoadAsync(sp.node, sp.pid, sp.addr, sp.onValFn); err != nil {
 		// The entry was freed or re-tagged mid-spin: the simulated
-		// program faults, as the blocking form's must() would.
+		// program faults.
 		panic(err)
 	}
 }
@@ -247,12 +303,13 @@ func (sp *bmSpin) onVal(v uint64) {
 		then(v)
 		return
 	}
-	b.watch(sp.addr, watcher{sp: sp})
+	b.watch(sp.addr, sp)
 }
 
-// SpinUntilAsync is the continuation mirror of SpinUntil: local-replica
-// polls between commits, no network traffic. then receives the satisfying
-// value.
+// SpinUntilAsync polls addr in the local replica until cond holds, waiting
+// between polls for a commit (or tone toggle) to touch addr, the way a core
+// spins on its local BM: no network traffic at all. then receives the
+// satisfying value.
 func (b *BM) SpinUntilAsync(node int, pid uint16, addr uint32, cond func(uint64) bool, then func(uint64)) error {
 	if err := b.check(node, pid, addr); err != nil {
 		return err
@@ -273,7 +330,7 @@ func (b *BM) SpinUntilAsync(node int, pid uint16, addr uint32, cond func(uint64)
 	return nil
 }
 
-// spinHerd is one commit's wake of a word's task spinners, carried as two
+// spinHerd is one commit's wake of a word's spinners, carried as two
 // engine runs (see the sim package comment) instead of two events per
 // spinner. Run 1, poll, fires RT after the commit: each member issues its
 // local replica load, as respin and LoadAsync would. Run 2, deliver, fires
@@ -285,7 +342,7 @@ func (b *BM) SpinUntilAsync(node int, pid uint16, addr uint32, cond func(uint64)
 type spinHerd struct {
 	b    *BM
 	addr uint32
-	ws   []watcher
+	ws   []*bmSpin
 
 	pollFn    func()
 	deliverFn func()
@@ -312,8 +369,8 @@ func (b *BM) newHerd(addr uint32) *spinHerd {
 // path here and RunAhead is not needed.
 func (h *spinHerd) poll() {
 	b := h.b
-	for _, w := range h.ws {
-		if err := b.check(w.sp.node, w.sp.pid, h.addr); err != nil {
+	for _, sp := range h.ws {
+		if err := b.check(sp.node, sp.pid, h.addr); err != nil {
 			// The entry was freed or re-tagged mid-spin: the simulated
 			// program faults, as respin would.
 			panic(err)
@@ -327,10 +384,10 @@ func (h *spinHerd) poll() {
 // unsatisfied member goes back on the spin list.
 func (h *spinHerd) deliver() {
 	b, ws := h.b, h.ws
-	for i, w := range ws {
-		ws[i] = watcher{}
+	for i, sp := range ws {
+		ws[i] = nil
 		b.eng.RunAhead(len(ws) - 1 - i)
-		w.sp.onVal(b.entries[h.addr].val)
+		sp.onVal(b.entries[h.addr].val)
 	}
 	h.ws = ws[:0]
 	b.herdFree = append(b.herdFree, h)

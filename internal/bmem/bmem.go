@@ -115,19 +115,17 @@ type BM struct {
 	wcb     []bool
 	afb     []bool
 	pending []pendingRMW
-	// watchers holds each address's spinners in FIFO order: blocking-face
-	// processes parked in WaitChange and task spin loops between polls.
-	// All replicas update together, so one list per address suffices.
+	// watchers holds each address's spin loops between polls, in FIFO
+	// order. All replicas update together, so one list per address
+	// suffices.
 	watchers map[uint32]*spinList
 	// onToneInit is installed by the tone controller to observe Tone-bit
 	// messages.
 	onToneInit func(msg wireless.Msg, at sim.Time)
-	// sendFree recycles deferred-send continuations (see scheduleSend), so
-	// the steady-state RMW path allocates no closures. loadFree, spinFree,
-	// herdFree, storeFree and rmwFree do the same for the async face's
+	// loadFree, spinFree, herdFree, storeFree and rmwFree recycle the
 	// delivery, spin-loop, spin-herd, commit and grant-time-RMW
-	// continuations (async.go).
-	sendFree  []*sendCont
+	// continuations (async.go), so the steady-state paths allocate no
+	// closures.
 	loadFree  []*loadCont
 	spinFree  []*bmSpin
 	herdFree  []*spinHerd
@@ -143,39 +141,6 @@ type BM struct {
 	probing bool
 	// Stats is exported for harness reporting.
 	Stats Stats
-}
-
-// sendCont is a recycled "submit this message for a parked process"
-// continuation: the pipeline-read delay of an RMW is modeled by scheduling
-// one of these instead of sleeping the thread, so the thread parks exactly
-// once per operation.
-type sendCont struct {
-	b   *BM
-	p   *sim.Proc
-	msg wireless.Msg
-	fn  func() // cached method value of run
-}
-
-func (c *sendCont) run() {
-	b, p, msg := c.b, c.p, c.msg
-	c.p, c.msg = nil, wireless.Msg{}
-	b.sendFree = append(b.sendFree, c)
-	b.net.SendParked(p, msg)
-}
-
-// scheduleSend submits msg on behalf of p after d cycles. p must park in
-// the current event; the commit dispatches it directly.
-func (b *BM) scheduleSend(d sim.Time, p *sim.Proc, msg wireless.Msg) {
-	var c *sendCont
-	if n := len(b.sendFree); n > 0 {
-		c = b.sendFree[n-1]
-		b.sendFree = b.sendFree[:n-1]
-	} else {
-		c = &sendCont{b: b}
-		c.fn = c.run
-	}
-	c.p, c.msg = p, msg
-	b.eng.Schedule(d, c.fn)
 }
 
 // New creates the Broadcast Memory over the given Data channel.
@@ -299,59 +264,30 @@ func (b *BM) conflict(src int, addr uint32) {
 	}
 }
 
-// watcher is one spinner on a BM word: a blocking-face process parked in
-// WaitChange, or a task spin loop waiting to poll again. Exactly one field
-// is set.
-type watcher struct {
-	p  *sim.Proc
-	sp *bmSpin
-}
+// spinList is one address's spin loops in FIFO order.
+type spinList struct{ ws []*bmSpin }
 
-// spinList is one address's spinners in FIFO order.
-type spinList struct{ ws []watcher }
-
-// watch appends w to addr's spin list.
-func (b *BM) watch(addr uint32, w watcher) {
+// watch appends sp to addr's spin list.
+func (b *BM) watch(addr uint32, sp *bmSpin) {
 	l := b.watchers[addr]
 	if l == nil {
 		l = &spinList{}
 		b.watchers[addr] = l
 	}
-	l.ws = append(l.ws, w)
+	l.ws = append(l.ws, sp)
 }
 
 // wakeWatchers wakes addr's spinners: each observes the new value on its
-// next local BM poll, RT from now. Task spinners move together into a
-// spin herd (async.go), which costs two events however many there are. A
-// list holding any process wakes every waiter with an event of its own,
-// in FIFO order.
+// next local BM poll, RT from now. They move together into a spin herd
+// (async.go), which costs two events however many there are.
 func (b *BM) wakeWatchers(addr uint32) {
 	l := b.watchers[addr]
 	if l == nil || len(l.ws) == 0 {
 		return
 	}
-	for _, w := range l.ws {
-		if w.p != nil {
-			b.wakeEach(l)
-			return
-		}
-	}
 	h := b.newHerd(addr)
 	h.ws, l.ws = l.ws, h.ws
 	b.eng.Schedule(b.p.RT, h.pollFn)
-}
-
-// wakeEach wakes l's waiters one event each, in FIFO order.
-func (b *BM) wakeEach(l *spinList) {
-	for i, w := range l.ws {
-		if w.p != nil {
-			w.p.Wake(b.p.RT)
-		} else {
-			b.eng.Schedule(b.p.RT, w.sp.respinFn)
-		}
-		l.ws[i] = watcher{}
-	}
-	l.ws = l.ws[:0]
 }
 
 // WCB returns node's Write Completion Bit.

@@ -27,28 +27,68 @@ func newBMEarly(t *testing.T, nodes int) (*sim.Engine, *BM) {
 	return eng, New(eng, net, nodes, p)
 }
 
+// goTask starts body as a task; body calls done to finish it.
+func goTask(eng *sim.Engine, name string, body func(done func())) {
+	eng.GoTask(name, func(tk *sim.Task) { body(tk.Finish) })
+}
+
+// repeat runs body for i = 0..n-1 in sequence, each call continuing with
+// next, then runs done.
+func repeat(n int, body func(i int, next func()), done func()) {
+	i := 0
+	var step func()
+	step = func() {
+		if i == n {
+			done()
+			return
+		}
+		i++
+		body(i-1, step)
+	}
+	step()
+}
+
+// fetchAdd runs the Figure 4(a) retry protocol: one RMW attempt at a time
+// until AFB stays clear, then runs then.
+func fetchAdd(t *testing.T, b *BM, node int, addr uint32, delta uint64, then func()) {
+	if err := b.RMWAsync(node, 1, addr, func(v uint64) (uint64, bool) { return v + delta, true },
+		func(_ uint64, ok bool) {
+			if !ok {
+				fetchAdd(t, b, node, addr, delta, then)
+				return
+			}
+			then()
+		}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestAllocLoadStore(t *testing.T) {
 	eng, b := newBM(t, 4)
-	eng.Go("p0", func(p *sim.Proc) {
-		addr, err := b.Alloc(p, 0, 1, false)
+	goTask(eng, "p0", func(done func()) {
+		var addr uint32
+		addr, err := b.Alloc(0, 1, false, func(bool) {
+			if ok, pid := b.Allocated(addr); !ok || pid != 1 {
+				t.Fatalf("Allocated = %v/%d, want true/1", ok, pid)
+			}
+			if err := b.StoreAsync(0, 1, addr, 99, func() {
+				if !b.WCB(0) {
+					t.Error("WCB clear after completed store")
+				}
+				if err := b.LoadAsync(0, 1, addr, func(v uint64) {
+					if v != 99 {
+						t.Errorf("Load = %d, want 99", v)
+					}
+					done()
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if ok, pid := b.Allocated(addr); !ok || pid != 1 {
-			t.Fatalf("Allocated = %v/%d, want true/1", ok, pid)
-		}
-		if err := b.Store(p, 0, 1, addr, 99); err != nil {
-			t.Fatal(err)
-		}
-		if !b.WCB(0) {
-			t.Error("WCB clear after completed store")
-		}
-		v, err := b.Load(p, 0, 1, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != 99 {
-			t.Errorf("Load = %d, want 99", v)
 		}
 	})
 	if err := eng.Run(); err != nil {
@@ -58,15 +98,19 @@ func TestAllocLoadStore(t *testing.T) {
 
 func TestLoadLatencyIsBMRT(t *testing.T) {
 	eng, b := newBM(t, 4)
-	eng.Go("p0", func(p *sim.Proc) {
-		addr, _ := b.Alloc(p, 0, 1, false)
-		start := p.Now()
-		if _, err := b.Load(p, 0, 1, addr); err != nil {
-			t.Fatal(err)
-		}
-		if d := p.Now() - start; d != b.Params().RT {
-			t.Errorf("load latency = %d, want %d", d, b.Params().RT)
-		}
+	goTask(eng, "p0", func(done func()) {
+		var addr uint32
+		addr, _ = b.Alloc(0, 1, false, func(bool) {
+			start := eng.Now()
+			if err := b.LoadAsync(0, 1, addr, func(uint64) {
+				if d := eng.Now() - start; d != b.Params().RT {
+					t.Errorf("load latency = %d, want %d", d, b.Params().RT)
+				}
+				done()
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -77,28 +121,29 @@ func TestStoreVisibleToAllNodesAtCommit(t *testing.T) {
 	eng, b := newBM(t, 8)
 	var addr uint32
 	ready := false
-	eng.Go("writer", func(p *sim.Proc) {
-		a, _ := b.Alloc(p, 0, 1, false)
-		addr = a
-		ready = true
-		p.Sleep(10)
-		b.Store(p, 0, 1, addr, 1234)
+	goTask(eng, "writer", func(done func()) {
+		addr, _ = b.Alloc(0, 1, false, func(bool) {
+			ready = true
+			eng.SleepThen(10, func() { b.StoreAsync(0, 1, addr, 1234, done) })
+		})
 	})
 	for n := 1; n < 8; n++ {
-		n := n
-		eng.Go(fmt.Sprintf("r%d", n), func(p *sim.Proc) {
-			p.Sleep(200) // well after commit
-			if !ready {
-				t.Error("alloc did not complete")
-				return
-			}
-			v, err := b.Load(p, n, 1, addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v != 1234 {
-				t.Errorf("node %d sees %d, want 1234", n, v)
-			}
+		goTask(eng, fmt.Sprintf("r%d", n), func(done func()) {
+			eng.SleepThen(200, func() { // well after commit
+				if !ready {
+					t.Error("alloc did not complete")
+					done()
+					return
+				}
+				if err := b.LoadAsync(n, 1, addr, func(v uint64) {
+					if v != 1234 {
+						t.Errorf("node %d sees %d, want 1234", n, v)
+					}
+					done()
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -108,19 +153,22 @@ func TestStoreVisibleToAllNodesAtCommit(t *testing.T) {
 
 func TestProtectionViolation(t *testing.T) {
 	eng, b := newBM(t, 4)
-	eng.Go("p", func(p *sim.Proc) {
-		addr, _ := b.Alloc(p, 0, 1, false)
-		_, err := b.Load(p, 1, 2, addr) // PID 2 touching PID 1's entry
-		var pe *ProtectionError
-		if !errors.As(err, &pe) {
-			t.Fatalf("err = %v, want ProtectionError", err)
-		}
-		if pe.PID != 2 || pe.Tag != 1 {
-			t.Errorf("ProtectionError = %+v", pe)
-		}
-		if err := b.Store(p, 1, 2, addr, 5); err == nil {
-			t.Error("store with wrong PID succeeded")
-		}
+	goTask(eng, "p", func(done func()) {
+		var addr uint32
+		addr, _ = b.Alloc(0, 1, false, func(bool) {
+			err := b.LoadAsync(1, 2, addr, func(uint64) {}) // PID 2 touching PID 1's entry
+			var pe *ProtectionError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want ProtectionError", err)
+			}
+			if pe.PID != 2 || pe.Tag != 1 {
+				t.Errorf("ProtectionError = %+v", pe)
+			}
+			if err := b.StoreAsync(1, 2, addr, 5, func() {}); err == nil {
+				t.Error("store with wrong PID succeeded")
+			}
+			done()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -128,37 +176,37 @@ func TestProtectionViolation(t *testing.T) {
 }
 
 func TestUnallocatedAndOutOfRange(t *testing.T) {
-	eng, b := newBM(t, 4)
-	eng.Go("p", func(p *sim.Proc) {
-		var ae *AddrError
-		_, err := b.Load(p, 0, 1, 7)
-		if !errors.As(err, &ae) {
-			t.Fatalf("unallocated load err = %v", err)
-		}
-		_, err = b.Load(p, 0, 1, 99999)
-		if !errors.As(err, &ae) {
-			t.Fatalf("out-of-range load err = %v", err)
-		}
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+	_, b := newBM(t, 4)
+	var ae *AddrError
+	if err := b.LoadAsync(0, 1, 7, func(uint64) {}); !errors.As(err, &ae) {
+		t.Fatalf("unallocated load err = %v", err)
+	}
+	if err := b.LoadAsync(0, 1, 99999, func(uint64) {}); !errors.As(err, &ae) {
+		t.Fatalf("out-of-range load err = %v", err)
 	}
 }
 
 func TestRMWFetchAddNoContention(t *testing.T) {
 	eng, b := newBM(t, 4)
-	eng.Go("p", func(p *sim.Proc) {
-		addr, _ := b.Alloc(p, 0, 1, false)
-		old, ok, err := b.RMW(p, 0, 1, addr, func(v uint64) (uint64, bool) { return v + 5, true })
-		if err != nil || !ok || old != 0 {
-			t.Fatalf("RMW = (%d, %v, %v)", old, ok, err)
-		}
-		if b.Peek(addr) != 5 {
-			t.Errorf("value = %d, want 5", b.Peek(addr))
-		}
-		if b.AFB(0) {
-			t.Error("AFB set after clean RMW")
-		}
+	goTask(eng, "p", func(done func()) {
+		var addr uint32
+		addr, _ = b.Alloc(0, 1, false, func(bool) {
+			err := b.RMWAsync(0, 1, addr, func(v uint64) (uint64, bool) { return v + 5, true }, func(old uint64, ok bool) {
+				if !ok || old != 0 {
+					t.Fatalf("RMW = (%d, %v)", old, ok)
+				}
+				if b.Peek(addr) != 5 {
+					t.Errorf("value = %d, want 5", b.Peek(addr))
+				}
+				if b.AFB(0) {
+					t.Error("AFB set after clean RMW")
+				}
+				done()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -171,37 +219,41 @@ func TestRMWConflictSetsAFBAndWithdraws(t *testing.T) {
 	// atomicity fails: AFB set, nothing broadcast by node 1.
 	eng, b := newBMEarly(t, 4)
 	var addr uint32
-	eng.Go("setup", func(p *sim.Proc) {
-		addr, _ = b.Alloc(p, 0, 1, false)
+	goTask(eng, "setup", func(done func()) {
+		addr, _ = b.Alloc(0, 1, false, func(bool) { done() })
 	})
-	eng.Go("store0", func(p *sim.Proc) {
-		p.Sleep(100)
-		b.Store(p, 0, 1, addr, 7)
+	goTask(eng, "store0", func(done func()) {
+		eng.SleepThen(100, func() { b.StoreAsync(0, 1, addr, 7, done) })
 	})
-	eng.Go("rmw1", func(p *sim.Proc) {
-		p.Sleep(101) // join while node 0's store occupies the channel
-		old, ok, err := b.RMW(p, 1, 1, addr, func(v uint64) (uint64, bool) { return v + 1, true })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			t.Error("RMW reported success despite conflicting commit")
-		}
-		if !b.AFB(1) {
-			t.Error("AFB clear after atomicity failure")
-		}
-		_ = old
-		// Figure 4(a): software retries.
-		old2, ok2, err := b.RMW(p, 1, 1, addr, func(v uint64) (uint64, bool) { return v + 1, true })
-		if err != nil || !ok2 {
-			t.Fatalf("retry RMW = (%v, %v)", ok2, err)
-		}
-		if old2 != 7 {
-			t.Errorf("retry read %d, want 7", old2)
-		}
-		if b.Peek(addr) != 8 {
-			t.Errorf("final value = %d, want 8", b.Peek(addr))
-		}
+	inc := func(v uint64) (uint64, bool) { return v + 1, true }
+	goTask(eng, "rmw1", func(done func()) {
+		eng.SleepThen(101, func() { // join while node 0's store occupies the channel
+			if err := b.RMWAsync(1, 1, addr, inc, func(_ uint64, ok bool) {
+				if ok {
+					t.Error("RMW reported success despite conflicting commit")
+				}
+				if !b.AFB(1) {
+					t.Error("AFB clear after atomicity failure")
+				}
+				// Figure 4(a): software retries.
+				if err := b.RMWAsync(1, 1, addr, inc, func(old2 uint64, ok2 bool) {
+					if !ok2 {
+						t.Fatalf("retry RMW ok = %v", ok2)
+					}
+					if old2 != 7 {
+						t.Errorf("retry read %d, want 7", old2)
+					}
+					if b.Peek(addr) != 8 {
+						t.Errorf("final value = %d, want 8", b.Peek(addr))
+					}
+					done()
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -215,29 +267,18 @@ func TestConcurrentFetchAddNoLostUpdates(t *testing.T) {
 	// The full software retry protocol: every increment must land exactly
 	// once despite collisions and AFB aborts.
 	eng, b := newBM(t, 64)
-	var addr uint32
-	a, err := b.AllocBare(1, false)
+	addr, err := b.AllocBare(1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr = a
 	const perNode = 10
 	for n := 0; n < 64; n++ {
-		n := n
-		eng.Go(fmt.Sprintf("n%d", n), func(p *sim.Proc) {
-			for i := 0; i < perNode; i++ {
-				for {
-					_, ok, err := b.RMW(p, n, 1, addr, func(v uint64) (uint64, bool) { return v + 1, true })
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if ok {
-						break
-					}
-				}
-				p.Sleep(sim.Time(p.Engine().Rand().Intn(50)))
-			}
+		goTask(eng, fmt.Sprintf("n%d", n), func(done func()) {
+			repeat(perNode, func(_ int, next func()) {
+				fetchAdd(t, b, n, addr, 1, func() {
+					eng.SleepThen(sim.Time(eng.Rand().Intn(50)), next)
+				})
+			}, done)
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -250,20 +291,28 @@ func TestConcurrentFetchAddNoLostUpdates(t *testing.T) {
 
 func TestCASNoBroadcastOnCompareFailure(t *testing.T) {
 	eng, b := newBM(t, 4)
-	eng.Go("p", func(p *sim.Proc) {
-		addr, _ := b.Alloc(p, 0, 1, false)
-		b.Store(p, 0, 1, addr, 3)
-		msgsBefore := b.net.Stats.Messages
-		old, ok, err := b.RMW(p, 0, 1, addr, func(v uint64) (uint64, bool) { return 9, v == 42 })
-		if err != nil || !ok || old != 3 {
-			t.Fatalf("CAS = (%d,%v,%v)", old, ok, err)
-		}
-		if b.net.Stats.Messages != msgsBefore {
-			t.Error("failed CAS consumed a wireless message")
-		}
-		if b.Peek(addr) != 3 {
-			t.Errorf("value changed to %d on failed CAS", b.Peek(addr))
-		}
+	goTask(eng, "p", func(done func()) {
+		var addr uint32
+		addr, _ = b.Alloc(0, 1, false, func(bool) {
+			b.StoreAsync(0, 1, addr, 3, func() {
+				msgsBefore := b.net.Stats.Messages
+				err := b.RMWAsync(0, 1, addr, func(v uint64) (uint64, bool) { return 9, v == 42 }, func(old uint64, ok bool) {
+					if !ok || old != 3 {
+						t.Fatalf("CAS = (%d,%v)", old, ok)
+					}
+					if b.net.Stats.Messages != msgsBefore {
+						t.Error("failed CAS consumed a wireless message")
+					}
+					if b.Peek(addr) != 3 {
+						t.Errorf("value changed to %d on failed CAS", b.Peek(addr))
+					}
+					done()
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -272,25 +321,29 @@ func TestCASNoBroadcastOnCompareFailure(t *testing.T) {
 
 func TestBulkStoreLoad(t *testing.T) {
 	eng, b := newBM(t, 4)
-	eng.Go("p", func(p *sim.Proc) {
-		addr, err := b.AllocContiguous(p, 0, 1, 4)
+	goTask(eng, "p", func(done func()) {
+		var addr uint32
+		addr, err := b.AllocContiguous(0, 1, 4, func(bool) {
+			start := eng.Now()
+			if err := b.BulkStoreAsync(0, 1, addr, [4]uint64{10, 20, 30, 40}, func() {
+				if d := eng.Now() - start; d != 15 {
+					t.Errorf("bulk store took %d cycles, want 15", d)
+				}
+				if err := b.BulkLoadAsync(1, 1, addr, func(vals [4]uint64) {
+					want := [4]uint64{10, 20, 30, 40}
+					if vals != want {
+						t.Errorf("BulkLoad = %v, want %v", vals, want)
+					}
+					done()
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		start := p.Now()
-		if err := b.BulkStore(p, 0, 1, addr, [4]uint64{10, 20, 30, 40}); err != nil {
-			t.Fatal(err)
-		}
-		if d := p.Now() - start; d != 15 {
-			t.Errorf("bulk store took %d cycles, want 15", d)
-		}
-		vals, err := b.BulkLoad(p, 1, 1, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := [4]uint64{10, 20, 30, 40}
-		if vals != want {
-			t.Errorf("BulkLoad = %v, want %v", vals, want)
 		}
 	})
 	if err := eng.Run(); err != nil {
@@ -306,19 +359,20 @@ func TestBulkConflictsPendingRMW(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Go("bulk", func(p *sim.Proc) {
-		p.Sleep(100)
-		b.BulkStore(p, 0, 1, base, [4]uint64{1, 2, 3, 4})
+	goTask(eng, "bulk", func(done func()) {
+		eng.SleepThen(100, func() { b.BulkStoreAsync(0, 1, base, [4]uint64{1, 2, 3, 4}, done) })
 	})
-	eng.Go("rmw", func(p *sim.Proc) {
-		p.Sleep(101)
-		_, ok, err := b.RMW(p, 1, 1, base+2, func(v uint64) (uint64, bool) { return v + 1, true })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			t.Error("RMW survived a bulk overwrite of its address")
-		}
+	goTask(eng, "rmw", func(done func()) {
+		eng.SleepThen(101, func() {
+			if err := b.RMWAsync(1, 1, base+2, func(v uint64) (uint64, bool) { return v + 1, true }, func(_ uint64, ok bool) {
+				if ok {
+					t.Error("RMW survived a bulk overwrite of its address")
+				}
+				done()
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -329,16 +383,19 @@ func TestSpinUntilReleasedByRemoteStore(t *testing.T) {
 	eng, b := newBM(t, 4)
 	addr, _ := b.AllocBare(1, false)
 	var woke sim.Time
-	eng.Go("spinner", func(p *sim.Proc) {
-		v, err := b.SpinUntil(p, 1, 1, addr, func(v uint64) bool { return v == 5 })
-		if err != nil || v != 5 {
-			t.Errorf("SpinUntil = (%d, %v)", v, err)
+	goTask(eng, "spinner", func(done func()) {
+		if err := b.SpinUntilAsync(1, 1, addr, func(v uint64) bool { return v == 5 }, func(v uint64) {
+			if v != 5 {
+				t.Errorf("SpinUntil = %d", v)
+			}
+			woke = eng.Now()
+			done()
+		}); err != nil {
+			t.Error(err)
 		}
-		woke = p.Now()
 	})
-	eng.Go("writer", func(p *sim.Proc) {
-		p.Sleep(500)
-		b.Store(p, 0, 1, addr, 5)
+	goTask(eng, "writer", func(done func()) {
+		eng.SleepThen(500, func() { b.StoreAsync(0, 1, addr, 5, done) })
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -349,13 +406,12 @@ func TestSpinUntilReleasedByRemoteStore(t *testing.T) {
 	}
 }
 
-// spinHerdRun spawns k spinners on one BM word, each waiting for v >= 2,
-// then commits 1 and 2 from another node. Spinner procAt (none if
-// negative) is a blocking-face process; the others are tasks. It returns
-// the spinners in release order with their release cycles, the second
-// commit's cycle, the BM loads, and the events scheduled between the
-// spawns and the first release.
-func spinHerdRun(t *testing.T, k, procAt int) (order []int, woke []sim.Time, commit2 sim.Time, loads, events uint64) {
+// spinHerdRun spawns k spinning tasks on one BM word, each waiting for
+// v >= 2, then commits 1 and 2 from another node. It returns the spinners
+// in release order with their release cycles, the second commit's cycle,
+// the BM loads, and the events scheduled between the spawns and the first
+// release.
+func spinHerdRun(t *testing.T, k int) (order []int, woke []sim.Time, commit2 sim.Time, loads, events uint64) {
 	t.Helper()
 	const nodes = 65
 	eng, b := newBM(t, nodes)
@@ -377,16 +433,6 @@ func spinHerdRun(t *testing.T, k, procAt int) (order []int, woke []sim.Time, com
 		woke = append(woke, eng.Now())
 	}
 	for i := 0; i < k; i++ {
-		i := i
-		if i == procAt {
-			eng.Go(fmt.Sprintf("spin%d", i), func(p *sim.Proc) {
-				if _, err := b.SpinUntil(p, i, 1, addr, cond); err != nil {
-					t.Error(err)
-				}
-				released(i)
-			})
-			continue
-		}
 		eng.GoTask(fmt.Sprintf("spin%d", i), func(tk *sim.Task) {
 			if err := b.SpinUntilAsync(i, 1, addr, cond, func(uint64) {
 				released(i)
@@ -429,8 +475,8 @@ func spinHerdRun(t *testing.T, k, procAt int) (order []int, woke []sim.Time, com
 // their spins started, after the same loads.
 func TestSpinHerdCostsConstantEvents(t *testing.T) {
 	rt := DefaultParams().RT
-	check := func(name string, k, procAt int) uint64 {
-		order, woke, commit2, loads, events := spinHerdRun(t, k, procAt)
+	check := func(name string, k int) uint64 {
+		order, woke, commit2, loads, events := spinHerdRun(t, k)
 		if len(order) != k {
 			t.Fatalf("%s: %d of %d spinners released", name, len(order), k)
 		}
@@ -448,12 +494,11 @@ func TestSpinHerdCostsConstantEvents(t *testing.T) {
 		}
 		return events
 	}
-	few := check("tasks-4", 4, -1)
-	many := check("tasks-64", 64, -1)
+	few := check("tasks-4", 4)
+	many := check("tasks-64", 64)
 	if grow := many - few; grow > 64-4 {
 		t.Errorf("events grew by %d from 4 to 64 spinners, want at most one per spinner (%d)", grow, 64-4)
 	}
-	check("tasks-with-proc", 8, 1)
 }
 
 func TestAllocUntilFullThenSpill(t *testing.T) {
@@ -477,23 +522,28 @@ func TestAllocUntilFullThenSpill(t *testing.T) {
 
 func TestFreeMakesEntryReusable(t *testing.T) {
 	eng, b := newBM(t, 4)
-	eng.Go("p", func(p *sim.Proc) {
-		addr, _ := b.Alloc(p, 0, 1, false)
-		free0 := b.FreeEntries()
-		if err := b.Free(p, 0, 1, addr); err != nil {
-			t.Fatal(err)
-		}
-		if b.FreeEntries() != free0+1 {
-			t.Error("Free did not release the entry")
-		}
-		// Another PID can now claim the same address.
-		addr2, _ := b.Alloc(p, 1, 2, false)
-		if addr2 != addr {
-			t.Errorf("expected address reuse, got %d then %d", addr, addr2)
-		}
-		if _, err := b.Load(p, 0, 1, addr); err == nil {
-			t.Error("old owner can still access reallocated entry")
-		}
+	goTask(eng, "p", func(done func()) {
+		var addr uint32
+		addr, _ = b.Alloc(0, 1, false, func(bool) {
+			free0 := b.FreeEntries()
+			if err := b.Free(0, 1, addr, func(bool) {
+				if b.FreeEntries() != free0+1 {
+					t.Error("Free did not release the entry")
+				}
+				// Another PID can now claim the same address.
+				addr2, _ := b.Alloc(1, 2, false, func(bool) {
+					if err := b.LoadAsync(0, 1, addr, func(uint64) {}); err == nil {
+						t.Error("old owner can still access reallocated entry")
+					}
+					done()
+				})
+				if addr2 != addr {
+					t.Errorf("expected address reuse, got %d then %d", addr, addr2)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -502,24 +552,25 @@ func TestFreeMakesEntryReusable(t *testing.T) {
 
 func TestConcurrentAllocsDisjoint(t *testing.T) {
 	eng, b := newBM(t, 16)
-	addrs := make(chan uint32, 16)
+	var addrs []uint32
 	for n := 0; n < 16; n++ {
-		n := n
-		eng.Go(fmt.Sprintf("n%d", n), func(p *sim.Proc) {
-			a, err := b.Alloc(p, n, uint16(n+1), false)
+		goTask(eng, fmt.Sprintf("n%d", n), func(done func()) {
+			var a uint32
+			a, err := b.Alloc(n, uint16(n+1), false, func(bool) {
+				addrs = append(addrs, a)
+				done()
+			})
 			if err != nil {
 				t.Error(err)
-				return
+				done()
 			}
-			addrs <- a
 		})
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	close(addrs)
 	seen := map[uint32]bool{}
-	for a := range addrs {
+	for _, a := range addrs {
 		if seen[a] {
 			t.Fatalf("address %d allocated twice", a)
 		}
@@ -533,32 +584,35 @@ func TestConcurrentAllocsDisjoint(t *testing.T) {
 func TestAbortPendingRMWOnContextSwitch(t *testing.T) {
 	eng, b := newBMEarly(t, 4)
 	addr, _ := b.AllocBare(1, false)
-	eng.Go("blocker", func(p *sim.Proc) {
+	goTask(eng, "blocker", func(done func()) {
 		// Hold the channel so the victim's RMW stays pending.
-		b.Store(p, 0, 1, addr, 1)
-		b.Store(p, 0, 1, addr, 2)
+		b.StoreAsync(0, 1, addr, 1, func() { b.StoreAsync(0, 1, addr, 2, done) })
 	})
-	eng.Go("victim", func(p *sim.Proc) {
-		p.Sleep(1)
-		_, ok, err := b.RMW(p, 1, 1, addr, func(v uint64) (uint64, bool) { return v + 1, true })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			t.Error("RMW succeeded despite OS abort")
-		}
-		if !b.AFB(1) {
-			t.Error("AFB clear after OS abort")
-		}
+	goTask(eng, "victim", func(done func()) {
+		eng.SleepThen(1, func() {
+			if err := b.RMWAsync(1, 1, addr, func(v uint64) (uint64, bool) { return v + 1, true }, func(_ uint64, ok bool) {
+				if ok {
+					t.Error("RMW succeeded despite OS abort")
+				}
+				if !b.AFB(1) {
+					t.Error("AFB clear after OS abort")
+				}
+				done()
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
-	eng.Go("os", func(p *sim.Proc) {
-		p.Sleep(4) // while the victim's transfer is queued
-		if !b.AbortPendingRMW(1) {
-			t.Error("AbortPendingRMW found nothing pending")
-		}
-		if b.AbortPendingRMW(1) {
-			t.Error("second abort reported success")
-		}
+	goTask(eng, "os", func(done func()) {
+		eng.SleepThen(4, func() { // while the victim's transfer is queued
+			if !b.AbortPendingRMW(1) {
+				t.Error("AbortPendingRMW found nothing pending")
+			}
+			if b.AbortPendingRMW(1) {
+				t.Error("second abort reported success")
+			}
+			done()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -578,23 +632,17 @@ func TestReplicaConsistencyRandomized(t *testing.T) {
 			addrs = append(addrs, a)
 		}
 		for n := 0; n < 16; n++ {
-			n := n
-			eng.Go(fmt.Sprintf("n%d", n), func(p *sim.Proc) {
+			goTask(eng, fmt.Sprintf("n%d", n), func(done func()) {
 				rng := sim.NewRand(uint64(n*31 + trial))
-				for i := 0; i < 30; i++ {
+				repeat(30, func(_ int, next func()) {
 					a := addrs[rng.Intn(len(addrs))]
+					pause := func() { eng.SleepThen(sim.Time(rng.Intn(20)), next) }
 					if rng.Intn(2) == 0 {
-						b.Store(p, n, 1, a, rng.Uint64()%100)
-					} else {
-						for {
-							_, ok, _ := b.RMW(p, n, 1, a, func(v uint64) (uint64, bool) { return v + 1, true })
-							if ok {
-								break
-							}
-						}
+						b.StoreAsync(n, 1, a, rng.Uint64()%100, pause)
+						return
 					}
-					p.Sleep(sim.Time(rng.Intn(20)))
-				}
+					fetchAdd(t, b, n, a, 1, pause)
+				}, done)
 			})
 		}
 		if err := eng.Run(); err != nil {
@@ -605,11 +653,14 @@ func TestReplicaConsistencyRandomized(t *testing.T) {
 		for _, a := range addrs {
 			want := b.Peek(a)
 			for n := 0; n < 16; n++ {
-				n, a, want := n, a, want
-				eng.Go("check", func(p *sim.Proc) {
-					v, err := b.Load(p, n, 1, a)
-					if err != nil || v != want {
-						t.Errorf("node %d: %d != %d (%v)", n, v, want, err)
+				goTask(eng, "check", func(done func()) {
+					if err := b.LoadAsync(n, 1, a, func(v uint64) {
+						if v != want {
+							t.Errorf("node %d: %d != %d", n, v, want)
+						}
+						done()
+					}); err != nil {
+						t.Error(err)
 					}
 				})
 			}

@@ -9,9 +9,7 @@
 // and Digest condenses the result-relevant fields to a hex SHA-256.
 //
 // Seed is deliberately excluded from the digest: it is the other half of
-// the cache key (the service keys entries by (digest, seed)). The
-// execution mode (task vs thread) never reaches Config at all: it changes
-// only wall-clock time, never a result.
+// the cache key (the service keys entries by (digest, seed)).
 package config
 
 import (

@@ -62,14 +62,16 @@ func TestAllocLineDistinctLines(t *testing.T) {
 func TestLazyComputeCharging(t *testing.T) {
 	m := newM(t, config.Baseline, 4)
 	var at1, at2 sim.Time
-	m.Spawn("t", 0, 1, func(th *Thread) {
+	m.SpawnTask("t", 0, 1, func(th *Task) {
 		th.Compute(100)
-		at1 = th.Proc().Now() // engine time: compute not yet flushed
+		at1 = m.Now() // engine time: compute not yet flushed
 		if th.Now() != at1+100 {
-			t.Errorf("Thread.Now() = %d, want engine+pending", th.Now())
+			t.Errorf("Task.Now() = %d, want engine+pending", th.Now())
 		}
-		th.Read(m.AllocLine()) // interaction flushes
-		at2 = th.Proc().Now()
+		th.Read(m.AllocLine(), func(uint64) { // interaction flushes
+			at2 = m.Now()
+			th.Finish()
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -84,17 +86,20 @@ func TestLazyComputeCharging(t *testing.T) {
 
 func TestInstrTwoIssue(t *testing.T) {
 	m := newM(t, config.Baseline, 4)
-	m.Spawn("t", 0, 1, func(th *Thread) {
+	m.SpawnTask("t", 0, 1, func(th *Task) {
 		th.Instr(100) // 50 cycles on the 2-issue core
-		th.Sync()
-		if th.Proc().Now() != 50 {
-			t.Errorf("100 instructions took %d cycles, want 50", th.Proc().Now())
-		}
-		th.Instr(3) // ceil(3/2) = 2
-		th.Sync()
-		if th.Proc().Now() != 52 {
-			t.Errorf("after 3 more instructions: %d, want 52", th.Proc().Now())
-		}
+		th.Sync(func() {
+			if m.Now() != 50 {
+				t.Errorf("100 instructions took %d cycles, want 50", m.Now())
+			}
+			th.Instr(3) // ceil(3/2) = 2
+			th.Sync(func() {
+				if m.Now() != 52 {
+					t.Errorf("after 3 more instructions: %d, want 52", m.Now())
+				}
+				th.Finish()
+			})
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -103,13 +108,13 @@ func TestInstrTwoIssue(t *testing.T) {
 
 func TestBMInstructionsOnWiredMachinePanic(t *testing.T) {
 	m := newM(t, config.Baseline, 4)
-	m.Spawn("t", 0, 1, func(th *Thread) {
+	m.SpawnTask("t", 0, 1, func(th *Task) {
 		defer func() {
 			if recover() == nil {
 				t.Error("BMLoad on Baseline did not panic")
 			}
 		}()
-		th.BMLoad(0)
+		th.BMLoad(0, func(uint64) {})
 	})
 	defer func() { recover() }()
 	_ = m.Run()
@@ -121,9 +126,10 @@ func TestBMRMWHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SpawnAll(func(th *Thread) {
-		th.BMFetchInc(addr)
-		th.BMFetchAdd(addr, 10)
+	m.SpawnAllTasks(func(th *Task) {
+		th.BMFetchInc(addr, func(uint64) {
+			th.BMFetchAdd(addr, 10, func(uint64) { th.Finish() })
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -137,10 +143,13 @@ func TestBMTestAndSet(t *testing.T) {
 	m := newM(t, config.WiSync, 8)
 	addr, _ := m.BM.AllocBare(1, false)
 	winners := 0
-	m.SpawnAll(func(th *Thread) {
-		if th.BMTestAndSet(addr) == 0 {
-			winners++
-		}
+	m.SpawnAllTasks(func(th *Task) {
+		th.BMTestAndSet(addr, func(old uint64) {
+			if old == 0 {
+				winners++
+			}
+			th.Finish()
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -154,16 +163,23 @@ func TestBMCASSemantics(t *testing.T) {
 	m := newM(t, config.WiSync, 4)
 	addr, _ := m.BM.AllocBare(1, false)
 	m.BM.Poke(addr, 5)
-	m.Spawn("t", 0, 1, func(th *Thread) {
-		if th.BMCAS(addr, 4, 9) {
-			t.Error("CAS with wrong expected value succeeded")
-		}
-		if !th.BMCAS(addr, 5, 9) {
-			t.Error("CAS with right expected value failed")
-		}
-		if v := th.BMLoad(addr); v != 9 {
-			t.Errorf("value = %d, want 9", v)
-		}
+	m.SpawnTask("t", 0, 1, func(th *Task) {
+		th.BMCAS(addr, 4, 9, func(ok bool) {
+			if ok {
+				t.Error("CAS with wrong expected value succeeded")
+			}
+			th.BMCAS(addr, 5, 9, func(ok bool) {
+				if !ok {
+					t.Error("CAS with right expected value failed")
+				}
+				th.BMLoad(addr, func(v uint64) {
+					if v != 9 {
+						t.Errorf("value = %d, want 9", v)
+					}
+					th.Finish()
+				})
+			})
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -172,13 +188,14 @@ func TestBMCASSemantics(t *testing.T) {
 
 func TestProtectionFaultSurfacesAsError(t *testing.T) {
 	m := newM(t, config.WiSync, 4)
-	addr, _ := m.BM.AllocBare(7, false)   // owned by PID 7
-	m.Spawn("t", 0, 1, func(th *Thread) { // PID 1
-		_, err := th.TryBMLoad(addr)
+	addr, _ := m.BM.AllocBare(7, false)     // owned by PID 7
+	m.SpawnTask("t", 0, 1, func(th *Task) { // PID 1
+		err := m.BM.LoadAsync(th.Core, th.PID, addr, func(uint64) {})
 		var pe *bmem.ProtectionError
 		if !errors.As(err, &pe) {
 			t.Errorf("err = %v, want ProtectionError", err)
 		}
+		th.Finish()
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -188,11 +205,13 @@ func TestProtectionFaultSurfacesAsError(t *testing.T) {
 func TestRunUntilStopsOpenEndedThreads(t *testing.T) {
 	m := newM(t, config.WiSync, 8)
 	addr, _ := m.BM.AllocBare(1, false)
-	m.SpawnAll(func(th *Thread) {
-		for {
+	m.SpawnAllTasks(func(th *Task) {
+		var loop func(uint64)
+		loop = func(uint64) {
 			th.Compute(50)
-			th.BMFetchInc(addr)
+			th.BMFetchInc(addr, loop)
 		}
+		loop(0)
 	})
 	if err := m.RunUntil(5000); err != nil {
 		t.Fatal(err)
@@ -204,24 +223,25 @@ func TestRunUntilStopsOpenEndedThreads(t *testing.T) {
 		t.Error("no increments happened")
 	}
 	if m.Eng.Live() != 0 {
-		t.Errorf("%d live procs after RunUntil", m.Eng.Live())
+		t.Errorf("%d live tasks after RunUntil", m.Eng.Live())
 	}
 }
 
 func TestSpawnAllThreadPerCore(t *testing.T) {
 	m := newM(t, config.Baseline, 16)
 	seen := map[int]bool{}
-	m.SpawnAll(func(th *Thread) {
+	m.SpawnAllTasks(func(th *Task) {
 		if seen[th.Core] {
 			t.Errorf("core %d spawned twice", th.Core)
 		}
 		seen[th.Core] = true
+		th.Finish()
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 16 {
-		t.Errorf("%d threads, want 16", len(seen))
+		t.Errorf("%d tasks, want 16", len(seen))
 	}
 }
 
@@ -232,7 +252,7 @@ func TestSpawnOutOfRangePanics(t *testing.T) {
 			t.Error("spawn on core 4 of 4 did not panic")
 		}
 	}()
-	m.Spawn("bad", 4, 1, func(*Thread) {})
+	m.SpawnTask("bad", 4, 1, func(*Task) {})
 }
 
 func TestWCBAFBVisibleToSoftware(t *testing.T) {
@@ -241,16 +261,24 @@ func TestWCBAFBVisibleToSoftware(t *testing.T) {
 	m := NewMachine(cfg)
 	m.BM.SetRMWEarlyRead(true)
 	addr, _ := m.BM.AllocBare(1, false)
-	m.Spawn("a", 0, 1, func(th *Thread) {
-		th.BMStore(addr, 1)
-		if !th.WCB() {
-			t.Error("WCB clear after completed store")
-		}
+	m.SpawnTask("a", 0, 1, func(th *Task) {
+		th.BMStore(addr, 1, func() {
+			if !th.WCB() {
+				t.Error("WCB clear after completed store")
+			}
+			th.Finish()
+		})
 	})
-	m.Spawn("b", 1, 1, func(th *Thread) {
-		th.Proc().Sleep(1)
-		// This RMW conflicts with a's store and must retry via AFB.
-		th.BMFetchAdd(addr, 1)
+	m.SpawnTask("b", 1, 1, func(th *Task) {
+		m.Eng.SleepThen(1, func() {
+			// This RMW conflicts with a's store and must retry via AFB.
+			th.BMFetchAdd(addr, 1, func(uint64) {
+				if th.AFB() {
+					t.Error("AFB still set after the retry protocol completed")
+				}
+				th.Finish()
+			})
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -267,11 +295,14 @@ func TestToneISAOnWiSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	released := 0
-	m.SpawnAll(func(th *Thread) {
+	m.SpawnAllTasks(func(th *Task) {
 		th.Compute(10 * th.Core)
-		th.ToneStore(bar)
-		th.ToneWait(bar, 1)
-		released++
+		th.ToneStore(bar, func() {
+			th.ToneWait(bar, 1, func() {
+				released++
+				th.Finish()
+			})
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -284,10 +315,11 @@ func TestToneISAOnWiSync(t *testing.T) {
 func TestDataChannelUtilizationAccounting(t *testing.T) {
 	m := newM(t, config.WiSync, 4)
 	addr, _ := m.BM.AllocBare(1, false)
-	m.Spawn("t", 0, 1, func(th *Thread) {
-		th.BMStore(addr, 1) // 5 busy cycles
-		th.Compute(95)
-		th.Sync()
+	m.SpawnTask("t", 0, 1, func(th *Task) {
+		th.BMStore(addr, 1, func() { // 5 busy cycles
+			th.Compute(95)
+			th.Sync(th.Finish)
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -305,7 +337,7 @@ func TestManyMachinesIndependent(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		m := newM(t, config.WiSync, 8)
 		addr, _ := m.BM.AllocBare(1, false)
-		m.SpawnAll(func(th *Thread) { th.BMFetchInc(addr) })
+		m.SpawnAllTasks(func(th *Task) { th.BMFetchInc(addr, func(uint64) { th.Finish() }) })
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -321,15 +353,18 @@ func TestBulkISA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Spawn("w", 0, 1, func(th *Thread) {
-		th.BMBulkStore(base, [4]uint64{7, 8, 9, 10})
+	m.SpawnTask("w", 0, 1, func(th *Task) {
+		th.BMBulkStore(base, [4]uint64{7, 8, 9, 10}, th.Finish)
 	})
-	m.Spawn("r", 3, 1, func(th *Thread) {
-		th.Proc().Sleep(100)
-		got := th.BMBulkLoad(base)
-		if got != [4]uint64{7, 8, 9, 10} {
-			t.Errorf("BulkLoad = %v", got)
-		}
+	m.SpawnTask("r", 3, 1, func(th *Task) {
+		m.Eng.SleepThen(100, func() {
+			th.BMBulkLoad(base, func(got [4]uint64) {
+				if got != [4]uint64{7, 8, 9, 10} {
+					t.Errorf("BulkLoad = %v", got)
+				}
+				th.Finish()
+			})
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -345,9 +380,8 @@ func TestThreadsOnDistinctPIDsIsolated(t *testing.T) {
 	}
 	for c := 0; c < 8; c++ {
 		pid := uint16(c%2 + 1)
-		c := c
-		m.Spawn(fmt.Sprintf("t%d", c), c, pid, func(th *Thread) {
-			th.BMFetchInc(addrs[pid-1])
+		m.SpawnTask(fmt.Sprintf("t%d", c), c, pid, func(th *Task) {
+			th.BMFetchInc(addrs[pid-1], func(uint64) { th.Finish() })
 		})
 	}
 	if err := m.Run(); err != nil {

@@ -26,11 +26,6 @@ func (f Fault) String() string {
 	return fmt.Sprintf("core%d/pid%d %s @%d", f.Core, f.PID, f.Op, f.Cycle)
 }
 
-// threadHalt is the panic sentinel a fail-stop guard raises to unwind a
-// workload thread's goroutine; the Spawn wrapper recovers it and retires
-// the thread cleanly. It never escapes package core.
-type threadHalt struct{}
-
 // recordFault appends one fault record; deterministic because guards fire
 // at fixed (time, sequence) positions in the event order.
 func (m *Machine) recordFault(core int, pid uint16, op string) {

@@ -6,15 +6,13 @@
 // substrate (mesh + MOESI hierarchy) is always present; WiSync
 // configurations add the wireless Data channel, the replicated Broadcast
 // Memory, and (for the full design) the Tone channel controller. Workloads
-// run as Threads, one per core, using plain cached memory operations and,
+// run as Tasks, one per core, using plain cached memory operations and,
 // on WiSync machines, the BM instruction set of Section 3.2: Load, Store,
 // Bulk transfers, Test&Set, Fetch&Inc, Fetch&Add, CAS (with the WCB/AFB
 // retry protocol of Figure 4), and the tone_st/tone_ld pair.
 package core
 
 import (
-	"fmt"
-
 	"wisync/internal/bmem"
 	"wisync/internal/config"
 	"wisync/internal/mem"
@@ -37,7 +35,6 @@ type Machine struct {
 	Tone *tone.Controller
 
 	addrCursor uint64
-	threads    []*Thread
 	// faults collects the per-core fault records of threads halted by a
 	// fail-stopped transceiver (fault.go).
 	faults []Fault
@@ -114,41 +111,6 @@ func (m *Machine) AllocArray(n int) uint64 {
 	return a
 }
 
-// Spawn starts body as a thread pinned to the given core with the given
-// PID. Threads started before Run begin at cycle 0.
-func (m *Machine) Spawn(name string, core int, pid uint16, body func(*Thread)) *Thread {
-	if core < 0 || core >= m.Cfg.Cores {
-		panic(fmt.Sprintf("core: spawn on core %d of %d", core, m.Cfg.Cores))
-	}
-	t := &Thread{M: m, Core: core, PID: pid}
-	t.proc = m.Eng.Go(name, func(p *sim.Proc) {
-		t.proc = p
-		// A fail-stop guard unwinds the thread with the threadHalt
-		// sentinel; recovering it here retires the process cleanly (the
-		// fault record was already appended). Any other panic — a
-		// protection fault, a workload bug — propagates to the engine.
-		defer func() {
-			if r := recover(); r != nil {
-				if _, halt := r.(threadHalt); !halt {
-					panic(r)
-				}
-			}
-		}()
-		body(t)
-	})
-	m.threads = append(m.threads, t)
-	return t
-}
-
-// SpawnAll starts one thread per core (cores 0..n-1, PID 1), the common
-// kernel pattern. body receives the thread; thread index == core index.
-func (m *Machine) SpawnAll(body func(*Thread)) {
-	for c := 0; c < m.Cfg.Cores; c++ {
-		c := c
-		m.Spawn(fmt.Sprintf("t%d", c), c, 1, body)
-	}
-}
-
 // Run executes the simulation to completion. When the configuration sets
 // a cycle budget, a progress watchdog, or an abort hook, the guarded loop
 // (fault.go) runs instead: same event order, but hangs become structured
@@ -160,8 +122,8 @@ func (m *Machine) Run() error {
 	return m.Eng.Run()
 }
 
-// RunUntil executes the simulation up to cycle t and kills remaining
-// threads (used by open-ended throughput kernels). Like Run, it switches
+// RunUntil executes the simulation up to cycle t and retires remaining
+// tasks (used by open-ended throughput kernels). Like Run, it switches
 // to the guarded loop when the configuration asks for budget, watchdog,
 // or abort enforcement.
 func (m *Machine) RunUntil(t sim.Time) error {

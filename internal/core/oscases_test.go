@@ -13,17 +13,31 @@ import (
 func TestPreemptedThreadSeesFreshBM(t *testing.T) {
 	m := NewMachine(config.New(config.WiSync, 8))
 	addr, _ := m.BM.AllocBare(1, false)
-	m.Spawn("preempted", 0, 1, func(th *Thread) {
-		th.Proc().Sleep(50000) // preempted: no BM activity at all
-		if v := th.BMLoad(addr); v != 7 {
-			t.Errorf("rescheduled thread sees %d, want 7", v)
-		}
+	m.SpawnTask("preempted", 0, 1, func(th *Task) {
+		m.Eng.SleepThen(50000, func() { // preempted: no BM activity at all
+			th.BMLoad(addr, func(v uint64) {
+				if v != 7 {
+					t.Errorf("rescheduled thread sees %d, want 7", v)
+				}
+				th.Finish()
+			})
+		})
 	})
-	m.Spawn("writer", 3, 1, func(th *Thread) {
-		for i := uint64(1); i <= 7; i++ {
-			th.BMStore(addr, i)
-			th.Compute(100)
+	m.SpawnTask("writer", 3, 1, func(th *Task) {
+		i := uint64(0)
+		var store func()
+		store = func() {
+			if i == 7 {
+				th.Finish()
+				return
+			}
+			i++
+			th.BMStore(addr, i, func() {
+				th.Compute(100)
+				store()
+			})
 		}
+		store()
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -38,17 +52,23 @@ func TestThreadMigrationOnDataChannel(t *testing.T) {
 	m := NewMachine(config.New(config.WiSyncNoT, 8))
 	addr, _ := m.BM.AllocBare(1, false)
 	var before, after uint64
-	m.Spawn("phase1-on-core2", 2, 1, func(th *Thread) {
-		th.BMFetchAdd(addr, 5)
-		before = th.BMLoad(addr)
+	m.SpawnTask("phase1-on-core2", 2, 1, func(th *Task) {
+		th.BMFetchAdd(addr, 5, func(uint64) {
+			th.BMLoad(addr, func(v uint64) {
+				before = v
+				th.Finish()
+			})
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// "Migrate": the same logical thread continues on core 6.
-	m.Spawn("phase2-on-core6", 6, 1, func(th *Thread) {
-		after = th.BMLoad(addr)
-		th.BMFetchAdd(addr, 1)
+	m.SpawnTask("phase2-on-core6", 6, 1, func(th *Task) {
+		th.BMLoad(addr, func(v uint64) {
+			after = v
+			th.BMFetchAdd(addr, 1, func(uint64) { th.Finish() })
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -69,20 +89,25 @@ func TestOSAbortsRMWAcrossContextSwitch(t *testing.T) {
 	m := NewMachine(cfg)
 	m.BM.SetRMWEarlyRead(true)
 	addr, _ := m.BM.AllocBare(1, false)
-	m.Spawn("hog", 0, 1, func(th *Thread) {
+	m.SpawnTask("hog", 0, 1, func(th *Task) {
 		// Keep the channel busy so the victim's RMW stays pending.
-		for i := 0; i < 3; i++ {
-			th.BMStore(addr, uint64(i))
-		}
+		th.BMStore(addr, 0, func() {
+			th.BMStore(addr, 1, func() {
+				th.BMStore(addr, 2, th.Finish)
+			})
+		})
 	})
-	m.Spawn("victim", 1, 1, func(th *Thread) {
-		th.Proc().Sleep(1)
-		// Full software protocol: retry until atomic.
-		th.BMFetchAdd(addr, 100)
+	m.SpawnTask("victim", 1, 1, func(th *Task) {
+		m.Eng.SleepThen(1, func() {
+			// Full software protocol: retry until atomic.
+			th.BMFetchAdd(addr, 100, func(uint64) { th.Finish() })
+		})
 	})
-	m.Spawn("os", 2, 1, func(th *Thread) {
-		th.Proc().Sleep(4)
-		m.BM.AbortPendingRMW(1) // context switch hits the victim
+	m.SpawnTask("os", 2, 1, func(th *Task) {
+		m.Eng.SleepThen(4, func() {
+			m.BM.AbortPendingRMW(1) // context switch hits the victim
+			th.Finish()
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -105,18 +130,20 @@ func TestMultiprogramProtectionAndSharing(t *testing.T) {
 	a1, _ := m.BM.AllocBare(1, false)
 	a2, _ := m.BM.AllocBare(2, false)
 	faults := 0
-	m.Spawn("p1", 0, 1, func(th *Thread) {
-		th.BMStore(a1, 11)
-		if _, err := th.TryBMLoad(a2); err != nil {
-			faults++
+	// Each program stores its own entry, then probes the other's: the
+	// load faults at issue, before any simulated time elapses.
+	program := func(own, other uint32, val uint64) func(*Task) {
+		return func(th *Task) {
+			th.BMStore(own, val, func() {
+				if err := m.BM.LoadAsync(th.Core, th.PID, other, func(uint64) { th.Finish() }); err != nil {
+					faults++
+					th.Finish()
+				}
+			})
 		}
-	})
-	m.Spawn("p2", 4, 2, func(th *Thread) {
-		th.BMStore(a2, 22)
-		if _, err := th.TryBMLoad(a1); err != nil {
-			faults++
-		}
-	})
+	}
+	m.SpawnTask("p1", 0, 1, program(a1, a2, 11))
+	m.SpawnTask("p2", 4, 2, program(a2, a1, 22))
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // This file holds the recycled continuation steps behind the hot Task
 // operations. The straightforward continuation form of an operation like
 // CAS captures its parameters in two or three short-lived closures (the
@@ -86,7 +88,7 @@ func (op *rmwOp) issue() {
 }
 
 // f is the read-modify function, dispatched on kind. It is pure and
-// invoked at most once per operation, as System.RMW requires.
+// invoked at most once per operation, as System.RMWAsync requires.
 func (op *rmwOp) f(cur uint64) (uint64, bool) {
 	switch op.kind {
 	case rmwCAS:
@@ -225,25 +227,27 @@ type bmKind uint8
 
 const (
 	bmAdd bmKind = iota
+	bmAddF64
 	bmTAS
 	bmCAS
 )
 
 // bmRetryOp is the recycled step behind the Figure 4 BM retry protocols
-// (BMFetchAdd, BMTestAndSet, BMCAS): a hardware RMW attempt repeated until
-// the atomicity-failure bit stays clear, with the 2-instruction
-// check-and-branch charge between attempts. Exactly one of thenU/thenB is
-// set, matching kind.
+// (BMFetchAdd, BMFetchAddF64, BMTestAndSet, BMCAS): a hardware RMW attempt
+// repeated until the atomicity-failure bit stays clear, with the
+// 2-instruction check-and-branch charge between attempts. Exactly one of
+// thenU/thenB/thenF is set, matching kind.
 type bmRetryOp struct {
 	t     *Task
 	kind  bmKind
 	addr  uint32
-	delta uint64 // fetch&add
+	delta uint64 // fetch&add; IEEE-754 bits for bmAddF64
 	old   uint64 // CAS expected value
 	nv    uint64 // CAS new value
 
 	thenU func(uint64)
 	thenB func(bool)
+	thenF func(float64)
 
 	issueFn func()
 	fFn     func(uint64) (uint64, bool)
@@ -273,8 +277,8 @@ func (op *bmRetryOp) attempt() {
 	t.st.SetReasonArg("bm rmw", uint64(op.addr))
 	t.bm()
 	// A fail-stopped transceiver turns this retry loop into a livelock
-	// (every attempt fails); halt with a fault record instead, mirroring
-	// Thread.txGuard's position at the top of the blocking retry loops.
+	// (every attempt fails); halt with a fault record instead, checked at
+	// the top of every attempt.
 	if t.txGuard("bm rmw") {
 		return
 	}
@@ -296,6 +300,8 @@ func (op *bmRetryOp) f(cur uint64) (uint64, bool) {
 	switch op.kind {
 	case bmAdd:
 		return cur + op.delta, true
+	case bmAddF64:
+		return math.Float64bits(math.Float64frombits(cur) + math.Float64frombits(op.delta)), true
 	case bmTAS:
 		if cur != 0 {
 			return cur, false // already set; read is enough
@@ -318,6 +324,10 @@ func (op *bmRetryOp) done(old uint64, ok bool) {
 		then := op.thenB
 		op.thenB = nil
 		then(old == op.old)
+	case bmAddF64:
+		then := op.thenF
+		op.thenF = nil
+		then(math.Float64frombits(old))
 	default:
 		then := op.thenU
 		op.thenU = nil

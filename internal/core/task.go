@@ -2,30 +2,33 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"wisync/internal/sim"
 )
 
-// Task is the continuation-form counterpart of Thread: one software thread
-// pinned to a core, written in completion-callback style. Where a Thread
-// method blocks its goroutine until the operation completes, the matching
-// Task method returns immediately and runs `then` at the completion cycle,
-// so an entire workload of Tasks executes on the goroutine driving the
-// engine with zero process switches.
+// Task is one software thread pinned to a core, written in
+// completion-callback style: each operation returns immediately and runs
+// `then` at the completion cycle, so an entire workload of Tasks executes
+// on the goroutine driving the engine.
 //
-// Tasks charge computation lazily exactly like Threads (Compute/Instr
-// accumulate into pending, flushed at the next shared-state access) and
-// consume event sequence numbers at the same execution points, so a kernel
-// ported between the two styles produces bit-identical simulated results —
-// the property the equivalence suite in package kernels and the golden-
-// conformance suite in package harness pin.
+// Computation is charged lazily: Compute and Instr accumulate cycles into
+// pending that elapse only when the task next touches shared state
+// (flush). An arbitrarily long compute phase thus collapses into a single
+// SleepThen — one event, not one per Compute call — without changing
+// observable timing, because the wait lands exactly where the next
+// shared-state access serializes. That SleepThen takes sim's zero-handoff
+// fast path whenever the continuation is the next event globally, so an
+// uncontended compute/sync loop runs as plain function calls. Shared-state
+// accesses must flush first (and do), since their outcome may depend on
+// hardware state that other cores mutate while pending cycles elapse.
 //
 // Continuation discipline: each `then` must be the last simulation action
 // of its caller (tail position), and a task must call Finish when its
 // workload completes. Fault-raising instructions (BM protection or
-// addressing violations) terminate the simulated program by panicking, as
-// the blocking Thread's must() does; there are no Try variants in
-// continuation form.
+// addressing violations) terminate the simulated program by panicking;
+// there are no Try variants (software that handles faults calls the
+// hardware model, whose error return reports the fault).
 type Task struct {
 	M    *Machine
 	Core int
@@ -40,10 +43,9 @@ type Task struct {
 	hw  *hwOp
 }
 
-// SpawnTask starts body as a continuation-form thread pinned to the given
-// core. Like Spawn, tasks started before Run begin at cycle 0, and the
-// spawn consumes one event sequence number — a Thread and a Task spawned
-// at the same point begin at the same (time, priority, sequence) position.
+// SpawnTask starts body as a thread pinned to the given core with the given
+// PID. Tasks started before Run begin at cycle 0; the spawn consumes one
+// event sequence number.
 func (m *Machine) SpawnTask(name string, core int, pid uint16, body func(*Task)) *Task {
 	if core < 0 || core >= m.Cfg.Cores {
 		panic(fmt.Sprintf("core: spawn on core %d of %d", core, m.Cfg.Cores))
@@ -53,8 +55,8 @@ func (m *Machine) SpawnTask(name string, core int, pid uint16, body func(*Task))
 	return t
 }
 
-// SpawnAllTasks starts one task per core (cores 0..n-1, PID 1), mirroring
-// SpawnAll.
+// SpawnAllTasks starts one task per core (cores 0..n-1, PID 1), the common
+// kernel pattern. body receives the task; task index == core index.
 func (m *Machine) SpawnAllTasks(body func(*Task)) {
 	for c := 0; c < m.Cfg.Cores; c++ {
 		m.SpawnTask(fmt.Sprintf("t%d", c), c, 1, body)
@@ -83,9 +85,8 @@ func (t *Task) Instr(n int) {
 	}
 }
 
-// flush elapses pending compute, then runs then — the continuation mirror
-// of Thread.flush, consuming one sequence number when pending > 0 and none
-// otherwise, exactly like the blocking form.
+// flush elapses pending compute, then runs then, consuming one sequence
+// number when pending > 0 and none otherwise.
 func (t *Task) flush(then func()) {
 	if t.pending == 0 {
 		then()
@@ -107,7 +108,8 @@ func (t *Task) Sync(then func()) { t.flush(then) }
 // calling it: wrapping the issue in a flush closure costs an allocation
 // even on the (dominant) pending==0 path, and measurably — Fig7 runs
 // ~1.8x slower with the helper. The three copies must stay in lockstep;
-// the thread/task equivalence suite pins the contract.
+// the golden matrices and the kernel and app reference files pin the
+// contract.
 func (t *Task) Read(addr uint64, then func(uint64)) {
 	t.st.SetReasonArg("mem read", addr)
 	if t.pending > 0 {
@@ -193,11 +195,12 @@ func (t *Task) must(err error) {
 	}
 }
 
-// txGuard mirrors Thread.txGuard for continuation form: when the task's
-// transceiver has fail-stopped it records a fault, retires the task, and
-// reports true — the caller must return without issuing the operation.
-// Both faces check at the same execution points, so fault records are
-// bit-identical across execution modes.
+// txGuard retires the task when its transceiver has fail-stopped: the
+// operation named op can never complete (every broadcast from this node
+// fails), so instead of spinning forever the task records a fault,
+// finishes, and reports true — the caller must return without issuing the
+// operation. The check reads only injector state at the current cycle, so
+// fault records are deterministic.
 func (t *Task) txGuard(op string) bool {
 	if t.M.Net != nil && t.M.Net.NodeFailStopped(t.Core) {
 		t.M.recordFault(t.Core, t.PID, op)
@@ -217,7 +220,8 @@ func (t *Task) BMLoad(addr uint32, then func(uint64)) {
 }
 
 // BMStore broadcasts val to addr in every BM; then runs when the write
-// commits (WCB set).
+// commits (WCB set). On a fail-stopped transceiver the task halts with a
+// fault record instead of issuing a send that cannot commit.
 func (t *Task) BMStore(addr uint32, val uint64, then func()) {
 	t.st.SetReasonArg("bm store", uint64(addr))
 	t.bm()
@@ -227,6 +231,25 @@ func (t *Task) BMStore(addr uint32, val uint64, then func()) {
 	op := t.hwStep()
 	op.kind, op.addr, op.val, op.then0 = hwBMStore, addr, val, then
 	op.start()
+}
+
+// BMBulkLoad loads four consecutive BM words (Bulk load instruction); then
+// receives them.
+func (t *Task) BMBulkLoad(addr uint32, then func([4]uint64)) {
+	t.st.SetReasonArg("bm bulk load", uint64(addr))
+	t.bm()
+	t.flush(func() { t.must(t.M.BM.BulkLoadAsync(t.Core, t.PID, addr, then)) })
+}
+
+// BMBulkStore broadcasts four words in one 15-cycle message (Bulk store);
+// then runs at the commit (WCB set).
+func (t *Task) BMBulkStore(addr uint32, vals [4]uint64, then func()) {
+	t.st.SetReasonArg("bm bulk store", uint64(addr))
+	if t.txGuard("bm bulk store") {
+		return
+	}
+	t.bm()
+	t.flush(func() { t.must(t.M.BM.BulkStoreAsync(t.Core, t.PID, addr, vals, then)) })
 }
 
 // BMRMW1 is a single hardware RMW attempt (no retry): then receives the
@@ -248,6 +271,16 @@ func (t *Task) BMFetchAdd(addr uint32, delta uint64, then func(uint64)) {
 
 // BMFetchInc is fetch&increment.
 func (t *Task) BMFetchInc(addr uint32, then func(uint64)) { t.BMFetchAdd(addr, 1, then) }
+
+// BMFetchAddF64 is the floating-point fetch&add the paper proposes for
+// scientific reductions (Section 4.3.5). The BM entry holds IEEE-754 bits;
+// the addition is applied atomically at the commit of the broadcast. then
+// receives the value before the add.
+func (t *Task) BMFetchAddF64(addr uint32, delta float64, then func(float64)) {
+	op := t.bmStep()
+	op.kind, op.addr, op.delta, op.thenF = bmAddF64, addr, math.Float64bits(delta), then
+	op.attempt()
+}
 
 // BMTestAndSet sets addr to 1; then receives the previous value, after
 // retrying on atomicity failure.
@@ -308,4 +341,16 @@ func (t *Task) ToneWait(addr uint32, want uint64, then func()) {
 	op := t.hwStep()
 	op.kind, op.addr, op.val, op.then0 = hwToneWait, addr, want, then
 	op.start()
+}
+
+// AFB returns the task's Atomicity Failure Bit.
+func (t *Task) AFB() bool {
+	t.bm()
+	return t.M.BM.AFB(t.Core)
+}
+
+// WCB returns the task's Write Completion Bit.
+func (t *Task) WCB() bool {
+	t.bm()
+	return t.M.BM.WCB(t.Core)
 }

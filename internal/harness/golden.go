@@ -67,16 +67,8 @@ func GoldenPoints() []GoldenPoint {
 // round-trip form), counters in full. Two runs of the same simulator build
 // produce byte-identical lines; any behavioral divergence moves at least
 // one column.
-func GoldenRun(pt GoldenPoint) string { return GoldenRunExec(pt, kernels.ExecTask) }
-
-// GoldenRunExec is GoldenRun with an explicit workload execution mode. The
-// committed golden file was generated with blocking threads before the
-// continuation conversion; both modes must render every line byte-identical
-// to it (TestGoldenConformance pins the default, TestGoldenBlockingEquivalence
-// the reference mode).
-func GoldenRunExec(pt GoldenPoint, exec kernels.Exec) string {
-	return mustRunPoint(PointSpec{Workload: pt.Kernel, Kind: pt.Kind, Cores: pt.Cores,
-		Seed: pt.Seed, Exec: exec})
+func GoldenRun(pt GoldenPoint) string {
+	return mustRunPoint(PointSpec{Workload: pt.Kernel, Kind: pt.Kind, Cores: pt.Cores, Seed: pt.Seed})
 }
 
 // mustRunPoint runs a spec whose failure would be a programming error in

@@ -6,7 +6,6 @@ import (
 
 	"wisync/internal/apps"
 	"wisync/internal/config"
-	"wisync/internal/kernels"
 )
 
 // AppGoldenPoint is one cell of the full-application conformance matrix: a
@@ -51,21 +50,14 @@ func AppGoldenPoints() []AppGoldenPoint {
 	return pts
 }
 
-// AppGoldenRun executes one point in the default execution mode and
-// renders its metrics line.
-func AppGoldenRun(pt AppGoldenPoint) string { return AppGoldenRunExec(pt, kernels.ExecTask) }
-
-// AppGoldenRunExec is AppGoldenRun with an explicit workload execution
-// mode; both modes must render every line byte-identical to the committed
-// file (TestGoldenAppsConformance pins the default, TestGoldenAppsBlocking-
-// Equivalence the reference mode).
-func AppGoldenRunExec(pt AppGoldenPoint, exec kernels.Exec) string {
+// AppGoldenRun executes one point and renders its metrics line.
+func AppGoldenRun(pt AppGoldenPoint) string {
 	p, ok := apps.ByName(pt.App)
 	if !ok {
 		panic("harness: unknown golden app " + pt.App)
 	}
 	p.Iterations = pt.Iters
-	r := apps.RunExec(config.New(pt.Kind, 64).WithSeed(pt.Seed), p, exec)
+	r := apps.Run(config.New(pt.Kind, 64).WithSeed(pt.Seed), p)
 	return pt.ID() + "\t" + strings.Join([]string{
 		fmt.Sprintf("cycles=%d", r.Cycles),
 		fmt.Sprintf("datautil=%s", gf(r.DataUtilPct)),

@@ -4,8 +4,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"wisync/internal/kernels"
 )
 
 // Regenerate the apps golden file after an INTENDED behavior change with:
@@ -13,8 +11,8 @@ import (
 //	go test ./internal/harness -run TestGoldenAppsConformance -update-golden
 //
 // Like golden.tsv, the committed file is the reference: it was generated
-// from the blocking interpreter BEFORE the task-form port, and both
-// execution modes must keep reproducing it byte for byte.
+// from the blocking interpreter the task form replaced, and the task form
+// must keep reproducing it byte for byte.
 const goldenAppsPath = "testdata/golden_apps.tsv"
 
 func loadGoldenApps(t *testing.T) map[string]string {
@@ -32,8 +30,8 @@ func loadGoldenApps(t *testing.T) map[string]string {
 }
 
 // TestGoldenAppsConformance re-runs the full-application conformance
-// matrix in the default (task) execution mode and asserts each metrics
-// line is byte-identical to the committed file.
+// matrix and asserts each metrics line is byte-identical to the committed
+// file.
 func TestGoldenAppsConformance(t *testing.T) {
 	got := AppGoldenTable(Options{}, nil)
 
@@ -46,20 +44,9 @@ func TestGoldenAppsConformance(t *testing.T) {
 	}
 
 	want := loadGoldenApps(t)
-	compareToGolden(t, want, strings.Split(strings.TrimRight(got, "\n"), "\n"), "task")
+	compareToGolden(t, want, strings.Split(strings.TrimRight(got, "\n"), "\n"))
 	if len(want) != len(AppGoldenPoints()) {
 		t.Errorf("apps golden file has %d points, matrix has %d (regenerate with -update-golden)",
 			len(want), len(AppGoldenPoints()))
 	}
-}
-
-// TestGoldenAppsBlockingEquivalence re-runs the matrix with blocking
-// workload threads and asserts every line matches the committed file byte
-// for byte — the end-to-end proof that the task-form interpreter moved no
-// simulated result.
-func TestGoldenAppsBlockingEquivalence(t *testing.T) {
-	pts := AppGoldenPoints()
-	lines := make([]string, len(pts))
-	ForEach(0, len(pts), func(i int) { lines[i] = AppGoldenRunExec(pts[i], kernels.ExecThread) })
-	compareToGolden(t, loadGoldenApps(t), lines, "blocking")
 }

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"wisync/internal/kernels"
 )
 
 // Regenerate the golden file after an INTENDED behavior change with:
@@ -55,8 +53,8 @@ func loadGolden(t *testing.T) map[string]string {
 }
 
 // compareToGolden asserts each produced line is byte-identical to the
-// committed one. mode labels the execution mode in failure messages.
-func compareToGolden(t *testing.T, want map[string]string, lines []string, mode string) {
+// committed one.
+func compareToGolden(t *testing.T, want map[string]string, lines []string) {
 	t.Helper()
 	for _, line := range lines {
 		id, _, _ := strings.Cut(line, "\t")
@@ -66,7 +64,7 @@ func compareToGolden(t *testing.T, want map[string]string, lines []string, mode 
 			continue
 		}
 		if line != wantLine {
-			t.Errorf("%s: %s execution diverged from golden\n got: %s\nwant: %s", id, mode, line, wantLine)
+			t.Errorf("%s: diverged from golden\n got: %s\nwant: %s", id, line, wantLine)
 		}
 	}
 }
@@ -94,25 +92,11 @@ func TestGoldenConformance(t *testing.T) {
 	}
 
 	want := loadGolden(t)
-	compareToGolden(t, want, strings.Split(strings.TrimRight(got, "\n"), "\n"), "task")
+	compareToGolden(t, want, strings.Split(strings.TrimRight(got, "\n"), "\n"))
 	if !testing.Short() && len(want) != len(GoldenPoints()) {
 		t.Errorf("golden file has %d points, matrix has %d (regenerate with -update-golden)",
 			len(want), len(GoldenPoints()))
 	}
-}
-
-// TestGoldenBlockingEquivalence re-runs the conformance matrix with
-// blocking workload threads (the reference execution mode) and asserts
-// every line matches the committed golden file byte for byte. Together
-// with TestGoldenConformance — which runs the default continuation mode —
-// this proves end to end that the two workload execution modes are
-// bit-identical on every pinned metric and protocol counter. In -short
-// mode only the 16-core half runs, like the conformance test.
-func TestGoldenBlockingEquivalence(t *testing.T) {
-	pts := shortPoints()
-	lines := make([]string, len(pts))
-	ForEach(0, len(pts), func(i int) { lines[i] = GoldenRunExec(pts[i], kernels.ExecThread) })
-	compareToGolden(t, loadGolden(t), lines, "blocking")
 }
 
 // TestGoldenTableWorkerInvariant asserts the golden matrix itself is

@@ -51,11 +51,6 @@ type Options struct {
 	// byte-identical to the pre-channel harness). No effect on wired
 	// configurations.
 	Channel channel.Params
-	// Exec selects the workload execution mode for the full-application
-	// sweeps (Fig10, Table5, Fig11). The zero value is the task
-	// (continuation) mode — the fast path; ExecThread runs the blocking
-	// reference interpreter. Simulated results are identical either way.
-	Exec kernels.Exec
 	// Faults applies a deterministic fault-injection plan to every sweep
 	// point (nil: fault-free, output byte-identical to the pre-fault
 	// harness). No effect on wired configurations.
@@ -392,7 +387,7 @@ func Fig10(o Options) []AppRow {
 	o.forEach(len(results), func(i int) {
 		cfg := base
 		cfg.Kind = appKinds[i%len(appKinds)]
-		results[i] = apps.RunExec(cfg, profiles[i/len(appKinds)], o.Exec)
+		results[i] = apps.Run(cfg, profiles[i/len(appKinds)])
 	})
 	var rows []AppRow
 	tb := stats.NewTable("Figure 10: speedup over Baseline, 64 cores",
@@ -509,7 +504,7 @@ func Fig11(o Options) []Fig11Row {
 		p := profiles[i/nk%len(profiles)]
 		cfg := o.Config(config.Baseline, 64).WithVariant(v)
 		cfg.Kind = appKinds[i%nk]
-		results[i] = apps.RunExec(cfg, p, o.Exec)
+		results[i] = apps.Run(cfg, p)
 	})
 	var rows []Fig11Row
 	tb := stats.NewTable("Figure 11: geomean speedup over Baseline by variant, 64 cores",

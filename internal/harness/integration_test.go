@@ -18,61 +18,99 @@ import (
 func TestKitchenSink(t *testing.T) {
 	const cores, rounds = 32, 4
 	for _, kind := range config.Kinds {
-		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			m := core.NewMachine(config.New(kind, cores))
 			f := syncprims.NewFactory(m)
-			barrier := f.NewBarrier(nil)
-			lock := f.NewLock()
+			barrier := f.NewTaskBarrier(nil)
+			lock := f.NewTaskLock()
 			red := f.NewReducer(0)
 			eur := f.NewEureka()
 			pc := f.NewPC(1)
-			counter := f.NewVar(0)
+			counter := f.NewTaskVar(0)
 			sharedBase := m.AllocArray(256)
 
 			var inCS, maxCS int
 			var consumed []uint64
-			m.SpawnAll(func(th *core.Thread) {
+			m.SpawnAllTasks(func(th *core.Task) {
 				rng := sim.NewRand(uint64(th.Core) + 1234)
-				for r := 0; r < rounds; r++ {
-					th.Compute(rng.Intn(300))
-					// Background coherence traffic.
-					for i := 0; i < 4; i++ {
-						th.Read(sharedBase + uint64(rng.Intn(256)*8))
+				r, reads := 0, 0
+				var round, read, critical, update, handoff, signal func()
+				round = func() {
+					if r == rounds {
+						th.Finish()
+						return
 					}
-					// Mutual exclusion.
-					lock.Acquire(th)
+					th.Compute(rng.Intn(300))
+					reads = 0
+					read()
+				}
+				// Background coherence traffic.
+				read = func() {
+					if reads == 4 {
+						lock.AcquireTask(th, critical)
+						return
+					}
+					reads++
+					th.Read(sharedBase+uint64(rng.Intn(256)*8), func(uint64) { read() })
+				}
+				// Mutual exclusion.
+				critical = func() {
 					inCS++
 					if inCS > maxCS {
 						maxCS = inCS
 					}
 					th.Compute(15)
-					th.Sync()
-					inCS--
-					lock.Release(th)
-					// Reduction and lock-free updates.
-					red.Add(th, 1)
-					for !counter.CAS(th, counter.Load(th), counter.Load(th)+1) {
-						th.Instr(8)
-					}
-					// Producer-consumer across two fixed cores.
-					if th.Core == 0 {
-						pc.Produce(th, []uint64{uint64(r + 1)})
-					}
-					if th.Core == cores-1 {
-						buf := make([]uint64, 1)
-						pc.Consume(th, buf)
-						consumed = append(consumed, buf[0])
-					}
-					// One thread triggers the eureka each round; all ack.
-					if th.Core == r%cores {
-						eur.Trigger(th)
-					} else {
-						eur.WaitTriggered(th)
-					}
-					eur.Ack(th)
-					barrier.Wait(th)
+					th.Sync(func() {
+						inCS--
+						lock.ReleaseTask(th, func() {
+							// Reduction and lock-free updates.
+							red.AddTask(th, 1, func(uint64) { update() })
+						})
+					})
 				}
+				update = func() {
+					counter.LoadTask(th, func(old uint64) {
+						counter.LoadTask(th, func(cur uint64) {
+							counter.CASTask(th, old, cur+1, func(ok bool) {
+								if !ok {
+									th.Instr(8)
+									update()
+									return
+								}
+								handoff()
+							})
+						})
+					})
+				}
+				// Producer-consumer across two fixed cores.
+				handoff = func() {
+					switch th.Core {
+					case 0:
+						pc.ProduceTask(th, []uint64{uint64(r + 1)}, signal)
+					case cores - 1:
+						buf := make([]uint64, 1)
+						pc.ConsumeTask(th, buf, func() {
+							consumed = append(consumed, buf[0])
+							signal()
+						})
+					default:
+						signal()
+					}
+				}
+				// One thread triggers the eureka each round; all ack.
+				signal = func() {
+					next := func() {
+						eur.Ack(th)
+						r++
+						barrier.WaitTask(th, round)
+					}
+					if th.Core == r%cores {
+						eur.TriggerTask(th, next)
+					} else {
+						eur.WaitTriggeredTask(th, next)
+					}
+				}
+				round()
 			})
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
@@ -81,7 +119,12 @@ func TestKitchenSink(t *testing.T) {
 				t.Errorf("mutual exclusion violated: %d threads in CS", maxCS)
 			}
 			var redVal uint64
-			m.Spawn("check", 0, 1, func(th *core.Thread) { redVal = red.Value(th) })
+			m.SpawnTask("check", 0, 1, func(th *core.Task) {
+				red.ValueTask(th, func(v uint64) {
+					redVal = v
+					th.Finish()
+				})
+			})
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -110,19 +153,28 @@ func TestKitchenSinkDeterministic(t *testing.T) {
 	run := func() sim.Time {
 		m := core.NewMachine(config.New(config.WiSync, 16))
 		f := syncprims.NewFactory(m)
-		b := f.NewBarrier(nil)
-		l := f.NewLock()
+		b := f.NewTaskBarrier(nil)
+		l := f.NewTaskLock()
 		red := f.NewReducer(0)
-		m.SpawnAll(func(th *core.Thread) {
+		m.SpawnAllTasks(func(th *core.Task) {
 			rng := sim.NewRand(uint64(th.Core) * 7)
-			for r := 0; r < 5; r++ {
+			r := 0
+			var round func()
+			round = func() {
+				if r == 5 {
+					th.Finish()
+					return
+				}
+				r++
 				th.Compute(rng.Intn(200))
-				l.Acquire(th)
-				th.Compute(10)
-				l.Release(th)
-				red.Add(th, 1)
-				b.Wait(th)
+				l.AcquireTask(th, func() {
+					th.Compute(10)
+					l.ReleaseTask(th, func() {
+						red.AddTask(th, 1, func(uint64) { b.WaitTask(th, round) })
+					})
+				})
 			}
+			round()
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -144,17 +196,24 @@ func TestAllCoreCountsAllKinds(t *testing.T) {
 	}
 	for _, cores := range []int{16, 32, 64, 128, 256} {
 		for _, kind := range config.Kinds {
-			cores, kind := cores, kind
 			t.Run(fmt.Sprintf("%s-%d", kind, cores), func(t *testing.T) {
 				m := core.NewMachine(config.New(kind, cores))
-				b := syncprims.NewFactory(m).NewBarrier(nil)
+				b := syncprims.NewFactory(m).NewTaskBarrier(nil)
 				done := 0
-				m.SpawnAll(func(th *core.Thread) {
-					for e := 0; e < 2; e++ {
+				m.SpawnAllTasks(func(th *core.Task) {
+					e := 0
+					var episode func()
+					episode = func() {
+						if e == 2 {
+							done++
+							th.Finish()
+							return
+						}
+						e++
 						th.Compute(th.Core % 17)
-						b.Wait(th)
+						b.WaitTask(th, episode)
 					}
-					done++
+					episode()
 				})
 				if err := m.Run(); err != nil {
 					t.Fatal(err)

@@ -42,9 +42,6 @@ type PointSpec struct {
 	Seed     uint64           `json:"seed"`
 	Variant  config.Variant   `json:"variant,omitempty"`
 	MAC      wireless.MACKind `json:"mac,omitempty"`
-	// Exec changes only simulator wall-clock behavior, never results
-	// (pinned by the equivalence suites), so it is excluded from Digest.
-	Exec kernels.Exec `json:"exec,omitempty"`
 
 	// Channel selects the channel-error profile (default ideal: the
 	// paper's error-free medium, under which rows match the golden
@@ -189,16 +186,13 @@ const (
 
 // Validate reports everything wrong with the spec: unknown workload or
 // application, out-of-range machine configuration (delegated to
-// config.Config.Validate, the single authority), unknown variant or exec
-// mode, and workload parameters beyond the service caps. A spec that
+// config.Config.Validate, the single authority), unknown variant, and
+// workload parameters beyond the service caps. A spec that
 // validates cleanly cannot panic machine construction.
 func (s PointSpec) Validate() error {
 	n, err := s.Normalize()
 	if err != nil {
 		return err
-	}
-	if n.Exec != kernels.ExecTask && n.Exec != kernels.ExecThread {
-		return fmt.Errorf("harness: unknown exec mode %d", int(n.Exec))
 	}
 	if n.Variant < config.Default || n.Variant > config.SlowBMEM {
 		return fmt.Errorf("harness: unknown variant %d", int(n.Variant))
@@ -245,8 +239,7 @@ func (s PointSpec) ID() string {
 // Digest returns the content address of the point: a hex SHA-256 over the
 // normalized workload parameters and the machine configuration's digest.
 // The seed is excluded — the memoization cache keys entries by
-// (Digest, Seed) — and so is Exec, which is bit-identical by
-// construction. Two specs share a digest exactly when they run the same
+// (Digest, Seed). Two specs share a digest exactly when they run the same
 // simulation.
 func (s PointSpec) Digest() (string, error) {
 	n, err := s.Normalize()
@@ -326,19 +319,19 @@ func (s PointSpec) RunCtx(ctx context.Context) (row string, err error) {
 	var faults []core.Fault
 	switch {
 	case n.Workload == "tightloop":
-		r := kernels.TightLoopExec(cfg, n.Iters, n.Exec)
+		r := kernels.TightLoop(cfg, n.Iters)
 		row, energy, faults = goldenLine(id, r, fmt.Sprintf("cyc/iter=%s", gf(r.CyclesPerIteration()))), r.Energy, r.Faults
 	case n.Workload == "livermore2":
-		r, x := kernels.Livermore2Exec(cfg, n.N, n.Passes, n.Exec)
+		r, x := kernels.Livermore2(cfg, n.N, n.Passes)
 		row, energy, faults = goldenLine(id, r, fmt.Sprintf("xsum=%s", gf(vecSum(x)))), r.Energy, r.Faults
 	case n.Workload == "livermore3":
-		r, dot := kernels.Livermore3Exec(cfg, n.N, n.Passes, n.Exec)
+		r, dot := kernels.Livermore3(cfg, n.N, n.Passes)
 		row, energy, faults = goldenLine(id, r, fmt.Sprintf("dot=%s", gf(dot))), r.Energy, r.Faults
 	case n.Workload == "livermore6":
-		r, w := kernels.Livermore6Exec(cfg, n.N, n.Exec)
+		r, w := kernels.Livermore6(cfg, n.N)
 		row, energy, faults = goldenLine(id, r, fmt.Sprintf("wsum=%s", gf(vecSum(w)))), r.Energy, r.Faults
 	case strings.HasPrefix(n.Workload, "cas-"):
-		r := kernels.CASKernelExec(cfg, casKinds[n.Workload], n.CS, sim.Time(n.Duration), n.Exec)
+		r := kernels.CASKernel(cfg, casKinds[n.Workload], n.CS, sim.Time(n.Duration))
 		row, energy, faults = id+"\t"+strings.Join([]string{
 			fmt.Sprintf("ok=%d", r.Successes),
 			fmt.Sprintf("failed=%d", r.Failures),
@@ -351,7 +344,7 @@ func (s PointSpec) RunCtx(ctx context.Context) (row string, err error) {
 		if n.Iters > 0 {
 			p.Iterations = n.Iters
 		}
-		r := apps.RunExec(cfg, p, n.Exec)
+		r := apps.Run(cfg, p)
 		row, energy, faults = id+"\t"+strings.Join([]string{
 			fmt.Sprintf("cycles=%d", r.Cycles),
 			fmt.Sprintf("datautil=%s", gf(r.DataUtilPct)),

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"wisync/internal/config"
-	"wisync/internal/kernels"
 )
 
 // quickSpecs is a small batch of fast golden-covered points spanning kinds
@@ -105,8 +104,8 @@ func TestPointSpecNormalize(t *testing.T) {
 }
 
 // TestPointDigest pins the content-address semantics the cache relies on:
-// aliases and defaults collapse onto one digest; seed and exec mode do not
-// split it; workload parameters and machine configuration do.
+// aliases and defaults collapse onto one digest; the seed does not split
+// it; workload parameters and machine configuration do.
 func TestPointDigest(t *testing.T) {
 	digest := func(s PointSpec) string {
 		t.Helper()
@@ -117,10 +116,9 @@ func TestPointDigest(t *testing.T) {
 		return d
 	}
 	base := PointSpec{Workload: "livermore2", Kind: config.WiSync, Cores: 64, Seed: 1, N: 96, Passes: 1}
-	alias := PointSpec{Workload: "liv2", Kind: config.WiSync, Cores: 64, Seed: 9, CS: 5,
-		Exec: kernels.ExecThread}
+	alias := PointSpec{Workload: "liv2", Kind: config.WiSync, Cores: 64, Seed: 9, CS: 5}
 	if digest(base) != digest(alias) {
-		t.Fatal("alias/defaults/seed/exec split the digest; cache would never hit")
+		t.Fatal("alias/defaults/seed split the digest; cache would never hit")
 	}
 	for name, other := range map[string]PointSpec{
 		"workload": {Workload: "livermore3", Kind: config.WiSync, Cores: 64, Seed: 1},
@@ -151,7 +149,6 @@ func TestPointSpecValidate(t *testing.T) {
 		"bad kind":         {Workload: "tightloop", Kind: 9, Cores: 64, Seed: 1},
 		"bad variant":      {Workload: "tightloop", Kind: config.WiSync, Cores: 64, Seed: 1, Variant: 9},
 		"bad mac":          {Workload: "tightloop", Kind: config.WiSync, Cores: 64, Seed: 1, MAC: 9},
-		"bad exec":         {Workload: "tightloop", Kind: config.WiSync, Cores: 64, Seed: 1, Exec: 7},
 		"iters beyond cap": {Workload: "tightloop", Kind: config.WiSync, Cores: 64, Seed: 1, Iters: maxIters + 1},
 		"n beyond cap":     {Workload: "liv2", Kind: config.WiSync, Cores: 64, Seed: 1, N: maxVecLen + 1},
 	}

@@ -73,18 +73,13 @@ func (r CASResult) String() string {
 // the kernels use no locks or barriers, so the other configurations are
 // redundant — but any configuration can be passed.
 func CASKernel(cfg config.Config, kind CASKind, csInstr int, duration sim.Time) CASResult {
-	return CASKernelExec(cfg, kind, csInstr, duration, ExecTask)
-}
-
-// CASKernelExec is CASKernel with an explicit execution mode.
-func CASKernelExec(cfg config.Config, kind CASKind, csInstr int, duration sim.Time, exec Exec) CASResult {
 	m := core.NewMachine(cfg)
 	f := syncprims.NewFactory(m)
 	// Shared pointers. FIFO has distinct head and tail; LIFO and ADD hit
 	// a single word.
-	vars := []syncprims.Var{f.NewVar(1)}
+	vars := []syncprims.TaskVar{f.NewTaskVar(1)}
 	if kind == FIFO {
-		vars = append(vars, f.NewVar(1))
+		vars = append(vars, f.NewTaskVar(1))
 	}
 	// Per-thread private node lines (pool updates touch own cache).
 	nodeLines := make([]uint64, cfg.Cores)
@@ -95,67 +90,13 @@ func CASKernelExec(cfg config.Config, kind CASKind, csInstr int, duration sim.Ti
 	threadRand := func(core int) *sim.Rand {
 		return sim.NewRand(uint64(core)*2654435761 + cfg.Seed + uint64(kind)*7919)
 	}
-	if exec == ExecThread {
-		m.SpawnAll(func(t *core.Thread) {
-			rng := threadRand(t.Core)
-			// Stagger thread starts across one work period and jitter each
-			// period by +-12%, or the threads arrive at the shared pointer
-			// in lockstep convoys that no real system exhibits.
-			t.Instr(rng.Intn(csInstr + 1))
-			op := 0
-			for {
-				t.Instr(csInstr - csInstr/8 + rng.Intn(csInstr/4+1))
-				// Pick the target pointer: FIFO alternates enqueue
-				// (tail) and dequeue (head); LIFO/ADD use one pointer.
-				v := vars[0]
-				if kind == FIFO && op%2 == 1 {
-					v = vars[1]
-				}
-				op++
-				// Prepare the private node. ADD builds a full node from
-				// the pool each time; LIFO's pop half and FIFO's dequeue
-				// half touch less private state.
-				t.Write(nodeLines[t.Core], rng.Uint64())
-				switch {
-				case kind == ADD:
-					t.Instr(8)
-				case op%2 == 1:
-					t.Instr(2)
-				default:
-					t.Instr(4)
-				}
-				// Lock-free update loop with standard exponential backoff
-				// on failure. Without backoff a deep retry queue is a
-				// stable congestion attractor: every queued CAS is stale
-				// by the time it is granted, and throughput collapses to
-				// one success per queue rotation.
-				backoff := 8
-				for {
-					old := v.Load(t)
-					if v.CAS(t, old, old+1) {
-						successes++
-						break
-					}
-					failures++
-					t.Instr(backoff + rng.Intn(backoff))
-					if backoff < 2048 {
-						backoff *= 2
-					}
-				}
-			}
-		})
-	} else {
-		tvars := make([]syncprims.TaskVar, len(vars))
-		for i, v := range vars {
-			tvars[i] = syncprims.AsTaskVar(v)
-		}
-		m.SpawnAllTasks(func(t *core.Task) {
-			s := newCASStep(t, kind, tvars, nodeLines[t.Core], csInstr,
-				threadRand(t.Core), &successes, &failures)
-			t.Instr(s.rng.Intn(csInstr + 1))
-			s.period()
-		})
-	}
+	m.SpawnAllTasks(func(t *core.Task) {
+		s := newCASStep(t, kind, vars, nodeLines[t.Core], csInstr,
+			threadRand(t.Core), &successes, &failures)
+		// Stagger thread starts across one work period.
+		t.Instr(s.rng.Intn(csInstr + 1))
+		s.period()
+	})
 	if err := m.RunUntil(duration); err != nil {
 		panic(err)
 	}
@@ -179,12 +120,10 @@ func CASKernelExec(cfg config.Config, kind CASKind, csInstr int, duration sim.Ti
 
 // casStep is one task's recycled state machine for the CAS-kernel work
 // period: private work, node preparation, then the lock-free update loop
-// with exponential backoff. The closure form captured the target variable,
-// the backoff state and the loaded value in fresh closures on every
-// operation; here they are struct fields and the continuations are method
-// values cached at construction, so the steady state allocates nothing.
-// The period never finishes on its own — RunUntil's horizon cuts the run,
-// exactly as it kills the blocking threads.
+// with exponential backoff. The target variable, the backoff state and the
+// loaded value are struct fields and the continuations are method values
+// cached at construction, so the steady state allocates nothing. The
+// period never finishes on its own — RunUntil's horizon cuts the run.
 type casStep struct {
 	t       *core.Task
 	kind    CASKind
@@ -215,8 +154,11 @@ func newCASStep(t *core.Task, kind CASKind, vars []syncprims.TaskVar, node uint6
 	return s
 }
 
-// period runs one work period: the jittered private work, the target
-// pointer choice (FIFO alternates enqueue/dequeue), and the private node
+// period runs one work period: the private work, jittered by +-12% (with
+// the staggered start CASKernel charges, this keeps threads from arriving
+// at the shared pointer in lockstep convoys that no real system exhibits),
+// the target pointer choice (FIFO alternates enqueue at the tail and
+// dequeue at the head; LIFO/ADD use one pointer), and the private node
 // write.
 func (s *casStep) period() {
 	if s.op > 0 {
@@ -255,6 +197,10 @@ func (s *casStep) onLoad(old uint64) {
 	s.v.CASTask(s.t, old, old+1, s.onCASFn)
 }
 
+// onCAS ends an update attempt. A failure backs off exponentially before
+// retrying: without backoff a deep retry queue is a stable congestion
+// attractor — every queued CAS is stale by the time it is granted, and
+// throughput collapses to one success per queue rotation.
 func (s *casStep) onCAS(ok bool) {
 	if ok {
 		*s.successes++

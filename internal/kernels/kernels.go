@@ -86,43 +86,14 @@ func (r Result) String() string {
 // wordsPerLine is how many 64-bit elements share a cache line.
 const wordsPerLine = mem.LineBytes / 8
 
-// Exec selects the workload-thread execution mode of a kernel run. It is
-// core.Exec, shared with package apps: ExecTask runs workload threads in
-// continuation form on the engine goroutine (the default and the fast
-// path), ExecThread as blocking goroutines (the readable reference and the
-// equivalence baseline). Both modes produce bit-identical simulated results
-// (pinned by the equivalence suite in this package and the golden-
-// conformance suite in package harness); they differ only in simulator
-// wall-clock cost.
-type Exec = core.Exec
-
-const (
-	ExecTask   = core.ExecTask
-	ExecThread = core.ExecThread
-)
-
-// readRange charges cache accesses for a sequential sweep over elements
-// [lo, hi) of the array starting at base, plus instrs per element of
-// computation.
-func readRange(t *core.Thread, base uint64, lo, hi, instrsPerElem int) {
-	if hi <= lo {
-		return
-	}
-	firstLine := base + uint64(lo)*8
-	lastLine := base + uint64(hi-1)*8
-	for a := firstLine &^ (mem.LineBytes - 1); a <= lastLine; a += mem.LineBytes {
-		t.Read(a)
-	}
-	t.Instr((hi - lo) * instrsPerElem)
-}
-
-// readRanger is readRange in continuation form — the same line reads in
-// the same order, then the same instruction charge, then `then` — as a
-// recycled step struct: each task allocates one ranger and reuses it for
-// every range sweep, so the steady state captures nothing per call (the
-// closure form allocated a step closure, an onRead closure, and their
-// shared capture record per range). A ranger runs one sweep at a time; the
-// completion continuation may start the next sweep on the same ranger.
+// readRanger charges cache accesses for a sequential sweep over an array
+// range — one read per line, in address order, then the instruction
+// charge, then `then` — as a recycled step struct: each task allocates one
+// ranger and reuses it for every range sweep, so the steady state captures
+// nothing per call (a closure form allocates a step closure, an onRead
+// closure, and their shared capture record per range). A ranger runs one
+// sweep at a time; the completion continuation may start the next sweep on
+// the same ranger.
 type readRanger struct {
 	t      *core.Task
 	a      uint64 // next line address
@@ -180,48 +151,30 @@ func (r *readRanger) step() {
 // at a global barrier, repeated iters times. It reports cycles/iteration —
 // the Figure 7 metric.
 func TightLoop(cfg config.Config, iters int) Result {
-	return TightLoopExec(cfg, iters, ExecTask)
-}
-
-// TightLoopExec is TightLoop with an explicit execution mode.
-func TightLoopExec(cfg config.Config, iters int, exec Exec) Result {
 	const elems = 50
 	m := core.NewMachine(cfg)
 	f := syncprims.NewFactory(m)
-	b := f.NewBarrier(nil)
+	tb := f.NewTaskBarrier(nil)
 	// Per-thread private arrays on distinct lines.
 	arrays := make([]uint64, cfg.Cores)
 	for i := range arrays {
 		arrays[i] = m.AllocArray(elems)
 	}
-	if exec == ExecThread {
-		m.SpawnAll(func(t *core.Thread) {
-			for it := 0; it < iters; it++ {
-				// Sum the private array: 2 instructions (load+add) per
-				// element on the 2-issue core, one line fetch per 8
-				// elements (L1 hits after the first iteration).
-				readRange(t, arrays[t.Core], 0, elems, 2)
-				b.Wait(t)
+	m.SpawnAllTasks(func(t *core.Task) {
+		rr := newReadRanger(t)
+		it := 0
+		var iter, afterRead func()
+		iter = func() {
+			if it == iters {
+				t.Finish()
+				return
 			}
-		})
-	} else {
-		tb := syncprims.AsTaskBarrier(b)
-		m.SpawnAllTasks(func(t *core.Task) {
-			rr := newReadRanger(t)
-			it := 0
-			var iter, afterRead func()
-			iter = func() {
-				if it == iters {
-					t.Finish()
-					return
-				}
-				it++
-				rr.run(arrays[t.Core], 0, elems, 2, afterRead)
-			}
-			afterRead = func() { tb.WaitTask(t, iter) }
-			iter()
-		})
-	}
+			it++
+			rr.run(arrays[t.Core], 0, elems, 2, afterRead)
+		}
+		afterRead = func() { tb.WaitTask(t, iter) }
+		iter()
+	})
 	if err := m.Run(); err != nil {
 		panic(err)
 	}

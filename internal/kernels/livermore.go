@@ -13,14 +13,9 @@ import (
 // the result vector alongside timing so tests can validate against the
 // sequential reference.
 func Livermore2(cfg config.Config, n int, passes int) (Result, []float64) {
-	return Livermore2Exec(cfg, n, passes, ExecTask)
-}
-
-// Livermore2Exec is Livermore2 with an explicit execution mode.
-func Livermore2Exec(cfg config.Config, n int, passes int, exec Exec) (Result, []float64) {
 	m := core.NewMachine(cfg)
 	f := syncprims.NewFactory(m)
-	b := f.NewBarrier(nil)
+	tb := f.NewTaskBarrier(nil)
 	x := seqVector(2*n, 3)
 	v := seqVector(2*n, 7)
 	xBase := m.AllocArray(2 * n)
@@ -33,8 +28,7 @@ func Livermore2Exec(cfg config.Config, n int, passes int, exec Exec) (Result, []
 	staged := make([][]float64, cfg.Cores)
 
 	// stage computes this thread's slice of the wavefront [lo, hi) of
-	// ipnt into the staging buffer — the functional half, shared by both
-	// execution modes.
+	// ipnt into the staging buffer — the functional half.
 	stage := func(core, ipnt, lo, hi int) {
 		staged[core] = staged[core][:0]
 		for e := lo; e < hi; e++ {
@@ -50,84 +44,53 @@ func Livermore2Exec(cfg config.Config, n int, passes int, exec Exec) (Result, []
 		}
 	}
 
-	if exec == ExecThread {
-		m.SpawnAll(func(t *core.Thread) {
-			for pass := 0; pass < passes; pass++ {
-				ii := n
-				ipntp := 0
-				for ii > 1 {
-					ipnt := ipntp
-					ipntp += ii
-					ii /= 2
-					// Elements k = ipnt+1, ipnt+3, ... (ii of them);
-					// writes land at i = ipntp, ipntp+1, ...
-					lo, hi := chunk(ii, t.Core, cfg.Cores)
-					stage(t.Core, ipnt, lo, hi)
-					// Timing: reads of x and v over the strided range,
-					// ~8 instructions per element.
-					if hi > lo {
-						readRange(t, xBase, ipnt+2*lo, ipnt+2*hi, 4)
-						readRange(t, vBase, ipnt+2*lo, ipnt+2*hi, 4)
-					}
-					b.Wait(t)
-					publish(t.Core, ipntp, lo, hi)
-					if hi > lo {
-						readRange(t, xBase, ipntp+lo, ipntp+hi, 1)
-					}
-					b.Wait(t)
-				}
+	m.SpawnAllTasks(func(t *core.Task) {
+		rr := newReadRanger(t)
+		pass, ii, ipnt, ipntp, lo, hi := 0, 0, 0, 0, 0, 0
+		var startPass, wave, afterStage func()
+		startPass = func() {
+			if pass == passes {
+				t.Finish()
+				return
 			}
-		})
-	} else {
-		tb := syncprims.AsTaskBarrier(b)
-		m.SpawnAllTasks(func(t *core.Task) {
-			rr := newReadRanger(t)
-			pass, ii, ipnt, ipntp, lo, hi := 0, 0, 0, 0, 0, 0
-			var startPass, wave, afterStage func()
-			startPass = func() {
-				if pass == passes {
-					t.Finish()
-					return
-				}
-				pass++
-				ii = n
-				ipntp = 0
-				wave()
+			pass++
+			ii = n
+			ipntp = 0
+			wave()
+		}
+		wave = func() {
+			if ii <= 1 {
+				startPass()
+				return
 			}
-			wave = func() {
-				if ii <= 1 {
-					startPass()
-					return
-				}
-				ipnt = ipntp
-				ipntp += ii
-				ii /= 2
-				lo, hi = chunk(ii, t.Core, cfg.Cores)
-				stage(t.Core, ipnt, lo, hi)
-				if hi > lo {
-					rlo, rhi := ipnt+2*lo, ipnt+2*hi
-					rr.run(xBase, rlo, rhi, 4, func() {
-						rr.run(vBase, rlo, rhi, 4, func() {
-							tb.WaitTask(t, afterStage)
-						})
+			ipnt = ipntp
+			ipntp += ii
+			ii /= 2
+			lo, hi = chunk(ii, t.Core, cfg.Cores)
+			stage(t.Core, ipnt, lo, hi)
+			if hi > lo {
+				rlo, rhi := ipnt+2*lo, ipnt+2*hi
+				rr.run(xBase, rlo, rhi, 4, func() {
+					rr.run(vBase, rlo, rhi, 4, func() {
+						tb.WaitTask(t, afterStage)
 					})
-					return
-				}
-				tb.WaitTask(t, afterStage)
+				})
+				return
 			}
-			afterStage = func() {
-				publish(t.Core, ipntp, lo, hi)
-				if hi > lo {
-					rr.run(xBase, ipntp+lo, ipntp+hi, 1, func() {
-						tb.WaitTask(t, wave)
-					})
-					return
-				}
-				tb.WaitTask(t, wave)
+			tb.WaitTask(t, afterStage)
+		}
+		afterStage = func() {
+			publish(t.Core, ipntp, lo, hi)
+			if hi > lo {
+				rr.run(xBase, ipntp+lo, ipntp+hi, 1, func() {
+					tb.WaitTask(t, wave)
+				})
+				return
 			}
-			startPass()
-		})
-	}
+			tb.WaitTask(t, wave)
+		}
+		startPass()
+	})
 	if err := m.Run(); err != nil {
 		panic(err)
 	}
@@ -139,14 +102,9 @@ func Livermore2Exec(cfg config.Config, n int, passes int, exec Exec) (Result, []
 // (fetch&add on the Broadcast Memory for WiSync; a coherent RMW for the
 // wired machines) and a barrier closes each pass.
 func Livermore3(cfg config.Config, n int, passes int) (Result, float64) {
-	return Livermore3Exec(cfg, n, passes, ExecTask)
-}
-
-// Livermore3Exec is Livermore3 with an explicit execution mode.
-func Livermore3Exec(cfg config.Config, n int, passes int, exec Exec) (Result, float64) {
 	m := core.NewMachine(cfg)
 	f := syncprims.NewFactory(m)
-	b := f.NewBarrier(nil)
+	tb := f.NewTaskBarrier(nil)
 	red := f.NewReducer(0)
 	z := seqVector(n, 5)
 	xv := seqVector(n, 11)
@@ -154,53 +112,32 @@ func Livermore3Exec(cfg config.Config, n int, passes int, exec Exec) (Result, fl
 	xBase := m.AllocArray(n)
 	partials := make([]float64, cfg.Cores)
 
-	if exec == ExecThread {
-		m.SpawnAll(func(t *core.Thread) {
-			lo, hi := chunk(n, t.Core, cfg.Cores)
-			for pass := 0; pass < passes; pass++ {
-				var q float64
-				for k := lo; k < hi; k++ {
-					q += z[k] * xv[k]
-				}
-				partials[t.Core] = q
-				readRange(t, zBase, lo, hi, 1)
-				readRange(t, xBase, lo, hi, 1)
-				// The reduction variable carries the partial count in
-				// fixed point; the functional sum is mirrored in
-				// partials.
-				red.Add(t, uint64(int64(q)))
-				b.Wait(t)
+	m.SpawnAllTasks(func(t *core.Task) {
+		rr := newReadRanger(t)
+		lo, hi := chunk(n, t.Core, cfg.Cores)
+		pass := 0
+		var iter func()
+		iter = func() {
+			if pass == passes {
+				t.Finish()
+				return
 			}
-		})
-	} else {
-		tb := syncprims.AsTaskBarrier(b)
-		m.SpawnAllTasks(func(t *core.Task) {
-			rr := newReadRanger(t)
-			lo, hi := chunk(n, t.Core, cfg.Cores)
-			pass := 0
-			var iter func()
-			iter = func() {
-				if pass == passes {
-					t.Finish()
-					return
-				}
-				pass++
-				var q float64
-				for k := lo; k < hi; k++ {
-					q += z[k] * xv[k]
-				}
-				partials[t.Core] = q
-				rr.run(zBase, lo, hi, 1, func() {
-					rr.run(xBase, lo, hi, 1, func() {
-						red.AddTask(t, uint64(int64(q)), func() {
-							tb.WaitTask(t, iter)
-						})
+			pass++
+			var q float64
+			for k := lo; k < hi; k++ {
+				q += z[k] * xv[k]
+			}
+			partials[t.Core] = q
+			rr.run(zBase, lo, hi, 1, func() {
+				rr.run(xBase, lo, hi, 1, func() {
+					red.AddTask(t, uint64(int64(q)), func(uint64) {
+						tb.WaitTask(t, iter)
 					})
 				})
-			}
-			iter()
-		})
-	}
+			})
+		}
+		iter()
+	})
 	if err := m.Run(); err != nil {
 		panic(err)
 	}
@@ -217,14 +154,9 @@ func Livermore3Exec(cfg config.Config, n int, passes int, exec Exec) (Result, fl
 // This is the kernel where Baseline+ approaches WiSync at large n (Figure
 // 8(c)/(f)): the loop body eventually dominates.
 func Livermore6(cfg config.Config, n int) (Result, []float64) {
-	return Livermore6Exec(cfg, n, ExecTask)
-}
-
-// Livermore6Exec is Livermore6 with an explicit execution mode.
-func Livermore6Exec(cfg config.Config, n int, exec Exec) (Result, []float64) {
 	m := core.NewMachine(cfg)
 	f := syncprims.NewFactory(m)
-	b := f.NewBarrier(nil)
+	tb := f.NewTaskBarrier(nil)
 	w := seqVector(n, 13)
 	bm := seqVector(n*8, 17) // b(k,i) sampled row-wise
 	wBase := m.AllocArray(n)
@@ -232,8 +164,7 @@ func Livermore6Exec(cfg config.Config, n int, exec Exec) (Result, []float64) {
 	partials := make([]float64, cfg.Cores)
 
 	// accumulate computes this thread's partial of step i; reduce is the
-	// serial core-0 section between the two barriers. Shared by both
-	// execution modes.
+	// serial core-0 section between the two barriers.
 	accumulate := func(core, i, lo, hi int) {
 		var acc float64
 		for k := lo; k < hi; k++ {
@@ -252,62 +183,41 @@ func Livermore6Exec(cfg config.Config, n int, exec Exec) (Result, []float64) {
 		w[i] += s
 	}
 
-	if exec == ExecThread {
-		m.SpawnAll(func(t *core.Thread) {
-			for i := 1; i < n; i++ {
-				lo, hi := chunk(i, t.Core, cfg.Cores)
-				accumulate(t.Core, i, lo, hi)
-				if hi > lo {
-					// b(k,i) and w(i-k-1) sweeps.
-					readRange(t, bBase, lo, hi, 2)
-					readRange(t, wBase, i-hi, i-lo, 2)
-				}
-				b.Wait(t)
-				if t.Core == 0 {
-					reduce(i)
-					t.Write(wBase+uint64(i)*8, 0)
-				}
-				b.Wait(t)
+	m.SpawnAllTasks(func(t *core.Task) {
+		rr := newReadRanger(t)
+		i := 1
+		var step, serial, next func()
+		step = func() {
+			if i >= n {
+				t.Finish()
+				return
 			}
-		})
-	} else {
-		tb := syncprims.AsTaskBarrier(b)
-		m.SpawnAllTasks(func(t *core.Task) {
-			rr := newReadRanger(t)
-			i := 1
-			var step, serial, next func()
-			step = func() {
-				if i >= n {
-					t.Finish()
-					return
-				}
-				lo, hi := chunk(i, t.Core, cfg.Cores)
-				accumulate(t.Core, i, lo, hi)
-				if hi > lo {
-					rl, rh, wl, wh := lo, hi, i-hi, i-lo
-					rr.run(bBase, rl, rh, 2, func() {
-						rr.run(wBase, wl, wh, 2, func() {
-							tb.WaitTask(t, serial)
-						})
+			lo, hi := chunk(i, t.Core, cfg.Cores)
+			accumulate(t.Core, i, lo, hi)
+			if hi > lo {
+				rl, rh, wl, wh := lo, hi, i-hi, i-lo
+				rr.run(bBase, rl, rh, 2, func() {
+					rr.run(wBase, wl, wh, 2, func() {
+						tb.WaitTask(t, serial)
 					})
-					return
-				}
-				tb.WaitTask(t, serial)
+				})
+				return
 			}
-			serial = func() {
-				if t.Core == 0 {
-					reduce(i)
-					t.Write(wBase+uint64(i)*8, 0, func() {
-						tb.WaitTask(t, next)
-					})
-					return
-				}
-				tb.WaitTask(t, next)
+			tb.WaitTask(t, serial)
+		}
+		serial = func() {
+			if t.Core == 0 {
+				reduce(i)
+				t.Write(wBase+uint64(i)*8, 0, func() {
+					tb.WaitTask(t, next)
+				})
+				return
 			}
-			next = func() { i++; step() }
-			step()
-		})
-	}
+			tb.WaitTask(t, next)
+		}
+		next = func() { i++; step() }
+		step()
+	})
 	if err := m.Run(); err != nil {
 		panic(err)
 	}

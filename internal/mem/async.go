@@ -1,13 +1,8 @@
 package mem
 
-// This file is the continuation-form face of the memory system: each
-// public blocking operation in txn.go has an async variant that takes a
-// completion callback instead of a requesting process. Both faces share
-// the same txn state machine and the same dense line store, and consume
-// event sequence numbers at identical execution points, so a workload may
-// use either without moving a simulated result (see the sim package
-// comment's execution-model section; the golden-conformance suite pins the
-// equivalence end to end).
+// This file holds the memory system's workload-facing operations. Each
+// takes a completion callback that runs at the cycle the access completes;
+// misses run the txn state machine in txn.go.
 
 // hitCont is a recycled L1-hit delivery continuation: the "sleep the L1
 // round trip, then hand over the value" step of ReadAsync and RMWAsync,
@@ -51,8 +46,8 @@ func (c *hitCont) run() {
 	then(v)
 }
 
-// ReadAsync is the continuation mirror of Read: then receives the loaded
-// value at the cycle Read would have returned.
+// ReadAsync loads the 64-bit word at addr from core's view of memory,
+// charging the full coherence latency; then receives the value.
 func (s *System) ReadAsync(core int, addr uint64, then func(uint64)) {
 	line := Line(addr)
 	if sl := s.lookup(core, line); sl != nil {
@@ -64,13 +59,22 @@ func (s *System) ReadAsync(core int, addr uint64, then func(uint64)) {
 	s.transactAsync(core, line, addr, nil, then)
 }
 
-// RMWAsync is the continuation mirror of RMW: then receives the value f
-// observed, at the cycle RMW would have returned.
+// RMWAsync performs an atomic read-modify-write on the word at addr. The
+// function f receives the current value and returns the new value and
+// whether to perform the write (a failing CAS returns false); it must be
+// pure and may be invoked once. then receives the value f observed.
+// Updates serialize at the home directory, which holds the line
+// exclusively for the write; an RMW that performs no write (failed
+// compare) is serviced like a read — no invalidations, no ownership
+// transfer — so compare failures do not storm the line.
 func (s *System) RMWAsync(core int, addr uint64, f func(uint64) (uint64, bool), then func(uint64)) {
 	line := Line(addr)
 	if sl := s.lookup(core, line); sl != nil && (sl.state() == Modified || sl.state() == Exclusive) {
-		// Exclusive hit: linearize now, exactly as the blocking form does
-		// (see RMW), and deliver the old value after the L1 latency.
+		// Exclusive hit: the update is local and atomic. It linearizes
+		// now, while the line is verifiably exclusive — a forward
+		// serialized during the L1 latency must observe the new value, or
+		// a spinner can sample stale data and sleep forever. The old value
+		// is delivered after the L1 latency.
 		s.Stats.L1Hits++
 		sl.setState(Modified)
 		le := s.lines.fetch(line)
@@ -120,9 +124,10 @@ func (sp *memSpin) onVal(v uint64) {
 	s.l1[sp.core].spinQueue(sp.line).WaitFn(s.eng, sp.respinFn)
 }
 
-// SpinUntilAsync is the continuation mirror of SpinUntil: it re-reads addr
-// on every invalidation of the locally cached line, with no traffic in
-// between, until cond holds; then receives the satisfying value.
+// SpinUntilAsync models a core spinning on the word at addr until cond
+// holds, the way hardware does it: read once, then sit on the locally
+// cached copy generating no traffic until the line is invalidated, then
+// re-fetch. then receives the value that satisfied cond.
 func (s *System) SpinUntilAsync(core int, addr uint64, cond func(uint64) bool, then func(uint64)) {
 	var sp *memSpin
 	if n := len(s.spinFree); n > 0 {

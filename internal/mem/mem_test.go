@@ -16,13 +16,16 @@ func newSys(t *testing.T, cores int) (*sim.Engine, *System) {
 	return eng, New(eng, mesh, DefaultParams(cores))
 }
 
-// run executes body as a single process and returns the finish time.
-func run1(t *testing.T, eng *sim.Engine, body func(p *sim.Proc)) sim.Time {
+// run1 executes body as a single task and returns the cycle at which it
+// calls done.
+func run1(t *testing.T, eng *sim.Engine, body func(done func())) sim.Time {
 	t.Helper()
 	var end sim.Time
-	eng.Go("t0", func(p *sim.Proc) {
-		body(p)
-		end = p.Now()
+	eng.GoTask("t0", func(tk *sim.Task) {
+		body(func() {
+			end = eng.Now()
+			tk.Finish()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -30,24 +33,61 @@ func run1(t *testing.T, eng *sim.Engine, body func(p *sim.Proc)) sim.Time {
 	return end
 }
 
+// write stores val at addr: an RMW with a constant write function, then
+// runs then.
+func write(s *System, core int, addr, val uint64, then func()) {
+	s.RMWAsync(core, addr, func(uint64) (uint64, bool) { return val, true }, func(uint64) { then() })
+}
+
+// incr atomically increments the word at addr, then runs then.
+func incr(s *System, core int, addr uint64, then func()) {
+	s.RMWAsync(core, addr, func(v uint64) (uint64, bool) { return v + 1, true }, func(uint64) { then() })
+}
+
+// repeat runs body for i = 0..n-1 in sequence, each call continuing with
+// next, then runs done.
+func repeat(n int, body func(i int, next func()), done func()) {
+	i := 0
+	var step func()
+	step = func() {
+		if i == n {
+			done()
+			return
+		}
+		i++
+		body(i-1, step)
+	}
+	step()
+}
+
+// goTask starts body as a task; body calls done to finish it.
+func goTask(eng *sim.Engine, name string, body func(done func())) {
+	eng.GoTask(name, func(tk *sim.Task) { body(tk.Finish) })
+}
+
 func TestReadMissThenHit(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x1000, 42)
-	run1(t, eng, func(p *sim.Proc) {
-		if v := s.Read(p, 0, 0x1000); v != 42 {
-			t.Errorf("Read = %d, want 42", v)
-		}
-		miss := p.Now()
-		if v := s.Read(p, 0, 0x1000); v != 42 {
-			t.Errorf("second Read = %d, want 42", v)
-		}
-		hitLat := p.Now() - miss
-		if hitLat != s.Params().L1RT {
-			t.Errorf("hit latency = %d, want %d", hitLat, s.Params().L1RT)
-		}
-		if miss <= hitLat {
-			t.Errorf("miss latency %d not greater than hit latency %d", miss, hitLat)
-		}
+	run1(t, eng, func(done func()) {
+		s.ReadAsync(0, 0x1000, func(v uint64) {
+			if v != 42 {
+				t.Errorf("Read = %d, want 42", v)
+			}
+			miss := eng.Now()
+			s.ReadAsync(0, 0x1000, func(v uint64) {
+				if v != 42 {
+					t.Errorf("second Read = %d, want 42", v)
+				}
+				hitLat := eng.Now() - miss
+				if hitLat != s.Params().L1RT {
+					t.Errorf("hit latency = %d, want %d", hitLat, s.Params().L1RT)
+				}
+				if miss <= hitLat {
+					t.Errorf("miss latency %d not greater than hit latency %d", miss, hitLat)
+				}
+				done()
+			})
+		})
 	})
 	if s.Stats.L1Hits != 1 || s.Stats.L1Misses != 1 {
 		t.Errorf("hits/misses = %d/%d, want 1/1", s.Stats.L1Hits, s.Stats.L1Misses)
@@ -60,10 +100,13 @@ func TestReadMissThenHit(t *testing.T) {
 func TestColdMissPaysMemory(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.PokeCold(0x2000, 7)
-	lat := run1(t, eng, func(p *sim.Proc) {
-		if v := s.Read(p, 3, 0x2000); v != 7 {
-			t.Errorf("Read = %d, want 7", v)
-		}
+	lat := run1(t, eng, func(done func()) {
+		s.ReadAsync(3, 0x2000, func(v uint64) {
+			if v != 7 {
+				t.Errorf("Read = %d, want 7", v)
+			}
+			done()
+		})
 	})
 	if lat < s.Params().MemRT {
 		t.Errorf("cold miss latency %d < MemRT %d", lat, s.Params().MemRT)
@@ -76,38 +119,37 @@ func TestColdMissPaysMemory(t *testing.T) {
 func TestExclusiveGrantOnSoleReader(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x40, 1)
-	run1(t, eng, func(p *sim.Proc) {
-		s.Read(p, 2, 0x40)
-		if st := s.L1State(2, 0x40); st != Exclusive {
-			t.Errorf("sole reader state = %v, want E", st)
-		}
-		// A second reader forces a downgrade... from a different core.
+	run1(t, eng, func(done func()) {
+		s.ReadAsync(2, 0x40, func(uint64) {
+			if st := s.L1State(2, 0x40); st != Exclusive {
+				t.Errorf("sole reader state = %v, want E", st)
+			}
+			done()
+		})
 	})
 }
 
 func TestReadSharersAndWriteInvalidates(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x80, 5)
-	done := make(chan struct{}, 3)
-	eng.Go("r1", func(p *sim.Proc) {
-		s.Read(p, 1, 0x80)
-		done <- struct{}{}
+	goTask(eng, "r1", func(done func()) {
+		s.ReadAsync(1, 0x80, func(uint64) { done() })
 	})
-	eng.Go("r2", func(p *sim.Proc) {
-		p.Sleep(100)
-		s.Read(p, 2, 0x80)
-		done <- struct{}{}
+	goTask(eng, "r2", func(done func()) {
+		eng.SleepThen(100, func() { s.ReadAsync(2, 0x80, func(uint64) { done() }) })
 	})
-	eng.Go("w3", func(p *sim.Proc) {
-		p.Sleep(300)
-		s.Write(p, 3, 0x80, 9)
-		if st := s.L1State(3, 0x80); st != Modified {
-			t.Errorf("writer state = %v, want M", st)
-		}
-		if s.L1State(1, 0x80) != Invalid || s.L1State(2, 0x80) != Invalid {
-			t.Error("readers not invalidated by write")
-		}
-		done <- struct{}{}
+	goTask(eng, "w3", func(done func()) {
+		eng.SleepThen(300, func() {
+			write(s, 3, 0x80, 9, func() {
+				if st := s.L1State(3, 0x80); st != Modified {
+					t.Errorf("writer state = %v, want M", st)
+				}
+				if s.L1State(1, 0x80) != Invalid || s.L1State(2, 0x80) != Invalid {
+					t.Error("readers not invalidated by write")
+				}
+				done()
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -123,21 +165,23 @@ func TestReadSharersAndWriteInvalidates(t *testing.T) {
 func TestOwnerForwardsToReader(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x100, 1)
-	eng.Go("w", func(p *sim.Proc) {
-		s.Write(p, 0, 0x100, 77)
-	})
-	eng.Go("r", func(p *sim.Proc) {
-		p.Sleep(500)
-		if v := s.Read(p, 9, 0x100); v != 77 {
-			t.Errorf("read from owner = %d, want 77", v)
-		}
-		// MOESI: previous owner keeps the line in Owned.
-		if st := s.L1State(0, 0x100); st != Owned {
-			t.Errorf("previous owner state = %v, want O", st)
-		}
-		if st := s.L1State(9, 0x100); st != Shared {
-			t.Errorf("reader state = %v, want S", st)
-		}
+	goTask(eng, "w", func(done func()) { write(s, 0, 0x100, 77, done) })
+	goTask(eng, "r", func(done func()) {
+		eng.SleepThen(500, func() {
+			s.ReadAsync(9, 0x100, func(v uint64) {
+				if v != 77 {
+					t.Errorf("read from owner = %d, want 77", v)
+				}
+				// MOESI: previous owner keeps the line in Owned.
+				if st := s.L1State(0, 0x100); st != Owned {
+					t.Errorf("previous owner state = %v, want O", st)
+				}
+				if st := s.L1State(9, 0x100); st != Shared {
+					t.Errorf("reader state = %v, want S", st)
+				}
+				done()
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -155,11 +199,8 @@ func TestRMWAtomicUnderContention(t *testing.T) {
 	s.Poke(0x200, 0)
 	const perCore, cores = 20, 64
 	for c := 0; c < cores; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("c%d", c), func(p *sim.Proc) {
-			for i := 0; i < perCore; i++ {
-				s.RMW(p, c, 0x200, func(v uint64) (uint64, bool) { return v + 1, true })
-			}
+		goTask(eng, fmt.Sprintf("c%d", c), func(done func()) {
+			repeat(perCore, func(_ int, next func()) { incr(s, c, 0x200, next) }, done)
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -176,22 +217,26 @@ func TestRMWAtomicUnderContention(t *testing.T) {
 func TestCASSemantics(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x300, 10)
-	run1(t, eng, func(p *sim.Proc) {
-		cas := func(old, nv uint64) bool {
-			v := s.RMW(p, 0, 0x300, func(cur uint64) (uint64, bool) {
+	run1(t, eng, func(done func()) {
+		cas := func(old, nv uint64, then func(bool)) {
+			s.RMWAsync(0, 0x300, func(cur uint64) (uint64, bool) {
 				return nv, cur == old
+			}, func(v uint64) { then(v == old) })
+		}
+		cas(10, 11, func(ok bool) {
+			if !ok {
+				t.Error("CAS(10,11) failed on matching value")
+			}
+			cas(10, 12, func(ok bool) {
+				if ok {
+					t.Error("CAS(10,12) succeeded on stale value")
+				}
+				if s.Peek(0x300) != 11 {
+					t.Errorf("value = %d, want 11", s.Peek(0x300))
+				}
+				done()
 			})
-			return v == old
-		}
-		if !cas(10, 11) {
-			t.Error("CAS(10,11) failed on matching value")
-		}
-		if cas(10, 12) {
-			t.Error("CAS(10,12) succeeded on stale value")
-		}
-		if s.Peek(0x300) != 11 {
-			t.Errorf("value = %d, want 11", s.Peek(0x300))
-		}
+		})
 	})
 }
 
@@ -199,16 +244,17 @@ func TestSpinUntilWakesOnWrite(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x400, 0)
 	var sawAt sim.Time
-	eng.Go("spinner", func(p *sim.Proc) {
-		v := s.SpinUntil(p, 1, 0x400, func(v uint64) bool { return v == 1 })
-		if v != 1 {
-			t.Errorf("SpinUntil returned %d", v)
-		}
-		sawAt = p.Now()
+	goTask(eng, "spinner", func(done func()) {
+		s.SpinUntilAsync(1, 0x400, func(v uint64) bool { return v == 1 }, func(v uint64) {
+			if v != 1 {
+				t.Errorf("SpinUntil returned %d", v)
+			}
+			sawAt = eng.Now()
+			done()
+		})
 	})
-	eng.Go("writer", func(p *sim.Proc) {
-		p.Sleep(1000)
-		s.Write(p, 2, 0x400, 1)
+	goTask(eng, "writer", func(done func()) {
+		eng.SleepThen(1000, func() { write(s, 2, 0x400, 1, done) })
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -224,17 +270,19 @@ func TestSpinUntilWakesOnWrite(t *testing.T) {
 func TestSpinnerGeneratesNoTrafficWhileCached(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x500, 0)
-	eng.Go("spinner", func(p *sim.Proc) {
-		s.SpinUntil(p, 1, 0x500, func(v uint64) bool { return v == 1 })
+	goTask(eng, "spinner", func(done func()) {
+		s.SpinUntilAsync(1, 0x500, func(v uint64) bool { return v == 1 }, func(uint64) { done() })
 	})
-	eng.Go("observer", func(p *sim.Proc) {
-		p.Sleep(5000)
-		before := s.Stats.Transactions
-		p.Sleep(5000)
-		if d := s.Stats.Transactions - before; d != 0 {
-			t.Errorf("spinner generated %d transactions while cached", d)
-		}
-		s.Write(p, 2, 0x500, 1)
+	goTask(eng, "observer", func(done func()) {
+		eng.SleepThen(5000, func() {
+			before := s.Stats.Transactions
+			eng.SleepThen(5000, func() {
+				if d := s.Stats.Transactions - before; d != 0 {
+					t.Errorf("spinner generated %d transactions while cached", d)
+				}
+				write(s, 2, 0x500, 1, done)
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -249,15 +297,15 @@ func TestReleaseStormSerializesAtDirectory(t *testing.T) {
 	s.Poke(0x600, 0)
 	var releases []sim.Time
 	for c := 1; c < 33; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("s%d", c), func(p *sim.Proc) {
-			s.SpinUntil(p, c, 0x600, func(v uint64) bool { return v == 1 })
-			releases = append(releases, p.Now())
+		goTask(eng, fmt.Sprintf("s%d", c), func(done func()) {
+			s.SpinUntilAsync(c, 0x600, func(v uint64) bool { return v == 1 }, func(uint64) {
+				releases = append(releases, eng.Now())
+				done()
+			})
 		})
 	}
-	eng.Go("writer", func(p *sim.Proc) {
-		p.Sleep(2000)
-		s.Write(p, 0, 0x600, 1)
+	goTask(eng, "writer", func(done func()) {
+		eng.SleepThen(2000, func() { write(s, 0, 0x600, 1, done) })
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -290,15 +338,19 @@ func TestTreeBroadcastSpeedsInvalidation(t *testing.T) {
 		s := New(eng, mesh, p)
 		s.Poke(0x700, 0)
 		for c := 1; c < 64; c++ {
-			c := c
-			eng.Go(fmt.Sprintf("r%d", c), func(p *sim.Proc) { s.Read(p, c, 0x700) })
+			goTask(eng, fmt.Sprintf("r%d", c), func(done func()) {
+				s.ReadAsync(c, 0x700, func(uint64) { done() })
+			})
 		}
 		var lat sim.Time
-		eng.Go("w", func(p *sim.Proc) {
-			p.Sleep(3000)
-			start := p.Now()
-			s.Write(p, 0, 0x700, 1)
-			lat = p.Now() - start
+		goTask(eng, "w", func(done func()) {
+			eng.SleepThen(3000, func() {
+				start := eng.Now()
+				write(s, 0, 0x700, 1, func() {
+					lat = eng.Now() - start
+					done()
+				})
+			})
 		})
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -316,10 +368,10 @@ func TestL1EvictionRespectsAssociativity(t *testing.T) {
 	// Touch L1Ways+2 lines mapping to the same set.
 	p := s.Params()
 	stride := uint64(p.L1Sets) << LineShift
-	run1(t, eng, func(pr *sim.Proc) {
-		for i := uint64(0); i < uint64(p.L1Ways+2); i++ {
-			s.Read(pr, 0, i*stride)
-		}
+	run1(t, eng, func(done func()) {
+		repeat(p.L1Ways+2, func(i int, next func()) {
+			s.ReadAsync(0, uint64(i)*stride, func(uint64) { next() })
+		}, done)
 	})
 	if s.Stats.Evictions != 2 {
 		t.Errorf("Evictions = %d, want 2", s.Stats.Evictions)
@@ -333,19 +385,25 @@ func TestEvictedDirtyLineReturnsHome(t *testing.T) {
 	eng, s := newSys(t, 16)
 	p := s.Params()
 	stride := uint64(p.L1Sets) << LineShift
-	run1(t, eng, func(pr *sim.Proc) {
-		s.Write(pr, 0, 0, 123)
-		// Force eviction of line 0 by filling the set.
-		for i := uint64(1); i <= uint64(p.L1Ways); i++ {
-			s.Read(pr, 0, i*stride)
-		}
-		if st := s.L1State(0, 0); st != Invalid {
-			t.Errorf("dirty line still present: %v", st)
-		}
-		// Another core reads it; data must come from home, value intact.
-		if v := s.Read(pr, 5, 0); v != 123 {
-			t.Errorf("value after dirty eviction = %d, want 123", v)
-		}
+	run1(t, eng, func(done func()) {
+		write(s, 0, 0, 123, func() {
+			// Force eviction of line 0 by filling the set.
+			repeat(p.L1Ways, func(i int, next func()) {
+				s.ReadAsync(0, uint64(i+1)*stride, func(uint64) { next() })
+			}, func() {
+				if st := s.L1State(0, 0); st != Invalid {
+					t.Errorf("dirty line still present: %v", st)
+				}
+				// Another core reads it; data must come from home, value
+				// intact.
+				s.ReadAsync(5, 0, func(v uint64) {
+					if v != 123 {
+						t.Errorf("value after dirty eviction = %d, want 123", v)
+					}
+					done()
+				})
+			})
+		})
 	})
 	if err := s.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -381,21 +439,24 @@ func randomizedVsReference(t *testing.T, cores, threads int) {
 		}
 		sum := make([]uint64, threads)
 		for th := 0; th < threads; th++ {
-			th, c := th, th%cores
-			eng.Go(fmt.Sprintf("t%d", th), func(p *sim.Proc) {
+			c := th % cores
+			goTask(eng, fmt.Sprintf("t%d", th), func(done func()) {
 				rng := sim.NewRand(uint64(th*977 + trial))
-				for op := 0; op < 200; op++ {
+				repeat(200, func(_ int, next func()) {
 					a := addrs[rng.Intn(nAddrs)]
+					then := func() { eng.SleepThen(sim.Time(rng.Intn(20)), next) }
 					switch rng.Intn(3) {
 					case 0:
-						sum[th] += s.Read(p, c, a)
+						s.ReadAsync(c, a, func(v uint64) {
+							sum[th] += v
+							then()
+						})
 					case 1:
-						s.Write(p, c, a, rng.Uint64()%1000)
+						write(s, c, a, rng.Uint64()%1000, then)
 					case 2:
-						s.RMW(p, c, a, func(v uint64) (uint64, bool) { return v + 1, true })
+						incr(s, c, a, then)
 					}
-					p.Sleep(sim.Time(rng.Intn(20)))
-				}
+				}, done)
 			})
 		}
 		if err := eng.Run(); err != nil {
@@ -407,13 +468,16 @@ func randomizedVsReference(t *testing.T, cores, threads int) {
 		// Quiesced: every core must observe the same final value for
 		// every address when reading through the protocol.
 		for c := 0; c < cores; c++ {
-			c := c
-			eng.Go(fmt.Sprintf("check%d", c), func(p *sim.Proc) {
-				for _, a := range addrs {
-					if v, want := s.Read(p, c, a), s.Peek(a); v != want {
-						t.Errorf("trial %d: core %d reads %d at %#x, want %d", trial, c, v, a, want)
-					}
-				}
+			goTask(eng, fmt.Sprintf("check%d", c), func(done func()) {
+				repeat(len(addrs), func(i int, next func()) {
+					a := addrs[i]
+					s.ReadAsync(c, a, func(v uint64) {
+						if want := s.Peek(a); v != want {
+							t.Errorf("trial %d: core %d reads %d at %#x, want %d", trial, c, v, a, want)
+						}
+						next()
+					})
+				}, done)
 			})
 		}
 		if err := eng.Run(); err != nil {
@@ -474,14 +538,12 @@ func TestIncrementsNeverLost(t *testing.T) {
 	}
 	const opsPerCore = 50
 	for c := 0; c < 32; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("c%d", c), func(p *sim.Proc) {
+		goTask(eng, fmt.Sprintf("c%d", c), func(done func()) {
 			rng := sim.NewRand(uint64(c + 7))
-			for i := 0; i < opsPerCore; i++ {
+			repeat(opsPerCore, func(_ int, next func()) {
 				a := addrs[rng.Intn(len(addrs))]
-				s.RMW(p, c, a, func(v uint64) (uint64, bool) { return v + 1, true })
-				p.Sleep(sim.Time(rng.Intn(10)))
-			}
+				incr(s, c, a, func() { eng.SleepThen(sim.Time(rng.Intn(10)), next) })
+			}, done)
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -503,20 +565,14 @@ func TestHotLinePingPongCost(t *testing.T) {
 	s.Poke(0x800, 0)
 	var finish sim.Time
 	const n = 50
-	eng.Go("a", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			s.RMW(p, 0, 0x800, func(v uint64) (uint64, bool) { return v + 1, true })
-		}
-		finish = p.Now()
-	})
-	eng.Go("b", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			s.RMW(p, 63, 0x800, func(v uint64) (uint64, bool) { return v + 1, true })
-		}
-		if p.Now() > finish {
-			finish = p.Now()
-		}
-	})
+	for _, c := range []int{0, 63} {
+		goTask(eng, fmt.Sprintf("c%d", c), func(done func()) {
+			repeat(n, func(_ int, next func()) { incr(s, c, 0x800, next) }, func() {
+				finish = max(finish, eng.Now())
+				done()
+			})
+		})
+	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -95,10 +95,16 @@ func TestSystemSparseAddressFallback(t *testing.T) {
 		t.Fatalf("Peek(sparse) = %d, want 99", got)
 	}
 	var got, got2 uint64
-	eng.Go("r", func(p *sim.Proc) {
-		got = s.Read(p, 0, sparseAddr)
-		s.Write(p, 1, sparseAddr, 123)
-		got2 = s.Read(p, 1, sparseAddr)
+	goTask(eng, "r", func(done func()) {
+		s.ReadAsync(0, sparseAddr, func(v uint64) {
+			got = v
+			write(s, 1, sparseAddr, 123, func() {
+				s.ReadAsync(1, sparseAddr, func(v uint64) {
+					got2 = v
+					done()
+				})
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

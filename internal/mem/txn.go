@@ -8,89 +8,22 @@ import (
 
 func (s *System) setsMask() uint64 { return uint64(s.p.L1Sets - 1) }
 
-// Read loads the 64-bit word at addr from core's view of memory and returns
-// its value, charging the full coherence latency.
-func (s *System) Read(p *sim.Proc, core int, addr uint64) uint64 {
-	line := Line(addr)
-	if sl := s.lookup(core, line); sl != nil {
-		s.Stats.L1Hits++
-		p.Sleep(s.p.L1RT)
-		return s.wordAt(addr)
-	}
-	s.Stats.L1Misses++
-	v, _ := s.transact(p, core, line, addr, nil)
-	return v
-}
-
-// Write stores val to the 64-bit word at addr, obtaining exclusive
-// ownership of the line first.
-func (s *System) Write(p *sim.Proc, core int, addr uint64, val uint64) {
-	s.RMW(p, core, addr, func(uint64) (uint64, bool) { return val, true })
-}
-
-// RMW performs an atomic read-modify-write on the word at addr. The
-// function f receives the current value and returns the new value and
-// whether to perform the write (a failing CAS returns false); it must be
-// pure and may be invoked once. RMW returns the value f observed. Updates
-// serialize at the home directory, which holds the line exclusively for the
-// write; an RMW that performs no write (failed compare) is serviced like a
-// read — no invalidations, no ownership transfer — so compare failures do
-// not storm the line.
-func (s *System) RMW(p *sim.Proc, core int, addr uint64, f func(uint64) (uint64, bool)) uint64 {
-	line := Line(addr)
-	if sl := s.lookup(core, line); sl != nil && (sl.state() == Modified || sl.state() == Exclusive) {
-		// Exclusive hit: the update is local and atomic. It linearizes
-		// now, while the line is verifiably exclusive — a forward
-		// serialized during the L1 latency below must observe the new
-		// value, or a spinner can sample stale data and sleep forever.
-		s.Stats.L1Hits++
-		sl.setState(Modified)
-		le := s.lines.fetch(line)
-		old := le.words[wordIdx(addr)]
-		if nv, do := f(old); do {
-			le.words[wordIdx(addr)] = nv
-		}
-		p.Sleep(s.p.L1RT)
-		return old
-	}
-	s.Stats.L1Misses++
-	v, _ := s.transact(p, core, line, addr, f)
-	return v
-}
-
-// transact runs a directory transaction for core on line. If f is nil this
-// is a read (Shared grant); otherwise an exclusive grant applying f to the
-// word at addr at the serialization point. It returns the observed value
-// and the grant state.
+// transactAsync runs a directory transaction for core on line. If f is nil
+// this is a read (Shared grant); otherwise an exclusive grant applying f to
+// the word at addr at the serialization point. done receives the observed
+// value at the reply, after the requester-side fill bookkeeping.
 //
 // The protocol executes as a chain of engine-scheduled continuations (the
-// txn state machine below): the requesting process parks exactly once here
-// and is dispatched directly by the final reply event. A contended
-// transaction storm therefore costs one goroutine suspension per
-// transaction instead of one per protocol step — line arbitration, settle
-// waits, memory-controller queueing and hold times all run as callback
-// events on whichever goroutine is already driving the engine. Every
-// continuation is scheduled at exactly the (time, priority, sequence)
-// position where the blocking form slept or woke, so simulated results are
-// bit-identical to the blocking implementation this replaced (pinned by
-// the golden-conformance suite in package harness).
-func (s *System) transact(p *sim.Proc, core int, line uint64, addr uint64, f func(uint64) (uint64, bool)) (uint64, State) {
-	t := s.startTxn(p, core, line, addr, f)
-	p.Park("mem txn")
-	old, grant := t.old, t.grant
-	s.reply(t)
-	return old, grant
-}
-
-// transactAsync is the continuation mirror of transact: the requester is a
-// completion callback instead of a parked process. done runs as an engine
-// event at exactly the (time, priority, sequence) position where transact's
-// parked process would have been dispatched, after the requester-side fill
-// bookkeeping — so the two requester styles are interchangeable without
-// affecting simulated results.
+// txn state machine below): line arbitration, settle waits,
+// memory-controller queueing and hold times all run as callback events, and
+// the requester is resumed once, by the reply event.
 func (s *System) transactAsync(core int, line uint64, addr uint64, f func(uint64) (uint64, bool), done func(uint64)) {
-	t := s.startTxn(nil, core, line, addr, f)
-	t.done = done
+	s.Stats.Transactions++
+	t := s.newTxn()
+	t.done, t.core, t.line, t.addr, t.f = done, core, line, addr, f
+	t.home = s.home(line)
+	t.state = stepArrive
+	s.eng.Schedule(sim.Time(s.mesh.Latency(core, t.home)), t.step)
 }
 
 // txnStep selects the statement block a transaction continuation executes
@@ -117,16 +50,13 @@ const (
 )
 
 // txn is one directory transaction running as an engine-scheduled
-// continuation chain. Each suspension of the old blocking form (request
-// flight, settle wait, controller occupancy, hold, reply flight) is one
-// scheduled firing of step; the requester sleeps through all of them and
-// is resumed once, by serve. Exactly one of p and done is set: p is a
-// blocking requester parked in transact, done the completion callback of a
-// transactAsync.
+// continuation chain. Each suspension (request flight, settle wait,
+// controller occupancy, hold, reply flight) is one scheduled firing of
+// step; the requester waits through all of them and is resumed once, when
+// serve schedules the reply.
 type txn struct {
 	s    *System
-	p    *sim.Proc    // blocking requester, parked until the reply arrives
-	done func(uint64) // continuation requester, run by fin at the reply
+	done func(uint64) // requester's completion, run by fin at the reply
 	core int
 	line uint64
 	addr uint64
@@ -153,24 +83,12 @@ type txn struct {
 	fetchLat   sim.Time
 	fetchMC    int
 
-	// Results read by transact once the requester is dispatched.
+	// Results delivered by finish at the reply.
 	old   uint64
 	grant State
 	// stale is set by an invalidation of the line at the requester while
 	// the reply is in flight (the transaction is on its core's mshr list).
 	stale bool
-}
-
-// startTxn launches the chain: the request travels core -> home and
-// arrives at stepArrive.
-func (s *System) startTxn(p *sim.Proc, core int, line, addr uint64, f func(uint64) (uint64, bool)) *txn {
-	s.Stats.Transactions++
-	t := s.newTxn()
-	t.p, t.core, t.line, t.addr, t.f = p, core, line, addr, f
-	t.home = s.home(line)
-	t.state = stepArrive
-	s.eng.Schedule(sim.Time(s.mesh.Latency(core, t.home)), t.step)
-	return t
 }
 
 func (s *System) newTxn() *txn {
@@ -187,13 +105,12 @@ func (s *System) newTxn() *txn {
 }
 
 func (s *System) freeTxn(t *txn) {
-	t.p, t.done, t.f, t.d = nil, nil, nil, nil
+	t.done, t.f, t.d = nil, nil, nil
 	s.txnFree = append(s.txnFree, t)
 }
 
-// finish is the async requester's reply event: it runs the same
-// requester-side epilogue transact performs after its process is
-// dispatched, then hands the observed value to the completion callback.
+// finish is the requester's reply event: it runs the requester-side
+// epilogue, then hands the observed value to the completion callback.
 func (t *txn) finish() {
 	old, done := t.old, t.done
 	t.s.reply(t)
@@ -216,9 +133,8 @@ func (s *System) reply(t *txn) {
 	s.freeTxn(t)
 }
 
-// run executes the pending step. The step bodies are the statement blocks
-// of the original blocking transact, with each Sleep replaced by
-// scheduling the successor step at the same delay.
+// run executes the pending step; each suspension schedules the successor
+// step at its delay.
 func (t *txn) run() {
 	s := t.s
 	switch t.state {
@@ -433,21 +349,14 @@ func (t *txn) serve() {
 	}
 	d.lock.release(s)
 	t.old, t.grant = old, grant
-	// The reply resumes the requester directly after the flight (and ack)
-	// wait — the single suspension of the whole transaction: a parked
-	// blocking requester is dispatched, an async requester's reply event
-	// is scheduled at the identical (time, priority, sequence) position.
-	if t.p != nil {
-		t.p.Wake(wait)
-		return
-	}
+	// The reply resumes the requester after the flight (and ack) wait.
 	s.eng.Schedule(wait, t.fin)
 }
 
-// startFetch begins the continuation mirror of the old fetchFromMemory:
-// charge a trip from home to a memory controller and the off-chip round
-// trip; the controller port is a bandwidth-limited resource. The added
-// hold accumulates into t.hold and the chain resumes at next.
+// startFetch begins a memory fetch: charge a trip from home to a memory
+// controller and the off-chip round trip; the controller port is a
+// bandwidth-limited resource. The added hold accumulates into t.hold and
+// the chain resumes at next.
 func (t *txn) startFetch(next txnStep) {
 	s := t.s
 	s.Stats.MemFetches++
@@ -561,24 +470,6 @@ func (s *System) evict(core int, line uint64) {
 	}
 	d.sharers.clear(core)
 	s.l1[core].wakeSpinners(line, s.p.L1RT)
-}
-
-// SpinUntil models a core spinning on the word at addr until cond holds,
-// the way hardware does it: read once, then sit on the locally cached copy
-// generating no traffic until the line is invalidated, then re-fetch.
-// It returns the value that satisfied cond.
-func (s *System) SpinUntil(p *sim.Proc, core int, addr uint64, cond func(uint64) bool) uint64 {
-	line := Line(addr)
-	for {
-		v := s.Read(p, core, addr)
-		if cond(v) {
-			return v
-		}
-		if s.lookup(core, line) == nil {
-			continue // already invalidated again; re-read
-		}
-		s.l1[core].spinQueue(line).Wait(p, "spin")
-	}
 }
 
 // Poke sets a word without timing or coherence effects, for initializing

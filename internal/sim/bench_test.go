@@ -40,40 +40,25 @@ func BenchmarkScheduleDrain(b *testing.B) {
 	b.Run("mixed", run(1021, 0))
 }
 
-// BenchmarkProcSwitch measures a full process context switch: two
-// processes whose sleep intervals interleave, so every Sleep misses the
-// zero-handoff fast path and the control token crosses goroutines once per
-// operation.
-func BenchmarkProcSwitch(b *testing.B) {
-	e := NewEngine(1)
-	n := b.N
-	body := func(p *Proc) {
-		for i := 0; i < n; i++ {
-			p.Sleep(2)
-		}
-	}
-	e.Go("even", body)
-	e.Go("odd", func(p *Proc) {
-		p.Sleep(1)
-		body(p)
-	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSleepFastPath measures the zero-handoff Sleep: a single process
-// whose wake-up is always the next event, so Sleep collapses into an
-// inline clock advance — no channel operation, no scheduler trip, no
-// allocation.
+// BenchmarkSleepFastPath measures the zero-handoff SleepThen: a single
+// task whose continuation is always the next event, so each step collapses
+// into an inline clock advance through the trampoline slot — no queue
+// push, no pop, no allocation.
 func BenchmarkSleepFastPath(b *testing.B) {
 	e := NewEngine(1)
 	n := b.N
-	e.Go("solo", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			p.Sleep(2)
+	e.GoTask("solo", func(task *Task) {
+		i := 0
+		var step func()
+		step = func() {
+			if i == n {
+				task.Finish()
+				return
+			}
+			i++
+			e.SleepThen(2, step)
 		}
+		step()
 	})
 	b.ReportAllocs()
 	b.ResetTimer()

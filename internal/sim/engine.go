@@ -1,5 +1,5 @@
 // Package sim implements a deterministic, single-threaded discrete-event
-// simulation engine with cooperative processes.
+// simulation engine driven by completion callbacks.
 //
 // # Execution model
 //
@@ -7,70 +7,21 @@
 // (time, priority, sequence) order, so identical inputs always produce
 // identical simulations. Events live in a two-level queue (see "Timing
 // wheel" below); scheduling one is an append into a reused slice, never a
-// per-event heap allocation. Hardware models are written in one of two
-// styles:
-//
-//   - Callback events (Schedule/ScheduleAt): plain functions the engine
-//     invokes inline from its run loop. This is the fast path — one event
-//     costs a heap push, a pop, and a function call.
-//
-//   - Processes (Go): goroutines with blocking control flow (Sleep, Park,
-//     Resource.Acquire) for models whose logic does not flatten naturally
-//     into callbacks — OS cases, multi-step protocol transactions. Exactly
-//     one process runs at a time, enforced by a single control token.
-//
-// Process switches ride the Go scheduler, which makes them ~100x more
-// expensive than callbacks, so the engine avoids them at three levels:
-//
-//  1. Zero-handoff Sleep: when a sleeping process's own wake-up would be
-//     the very next event popped (nothing precedes it in the (time,
-//     priority, sequence) order), the process advances the clock inline
-//     and keeps running without parking. Chains of Sleeps with no
-//     interleaved foreign events therefore cost one function call each
-//     instead of two channel sends and a scheduler round trip. The fast
-//     path is bounded by the run horizon (RunUntil's limit), so a process
-//     can never advance the clock past the window the caller asked for.
-//
-//  2. Direct baton passing: a process that must block runs the scheduler
-//     loop itself (runEvents), executing callback events inline and
-//     handing the token straight to the next process over its resume
-//     channel — one rendezvous per switch instead of two, because the
-//     engine goroutine stays parked while processes pass control among
-//     themselves.
-//
-//  3. Self-dispatch: if the blocking process pops its own wake-up (an
-//     inline callback — an arbiter grant, an invalidation — re-woke it),
-//     it just keeps running; no channel operation at all.
-//
-// All three are order-preserving by construction: they only short-circuit
-// the exact dispatch the event queue would have performed next, so results
-// are bit-identical to a naive engine-centric loop.
+// per-event heap allocation. Every event is a plain callback
+// (Schedule/ScheduleAt) that the engine invokes inline from its run loop:
+// one event costs a queue push, a pop, and a function call. The engine
+// starts no goroutines; everything runs on the goroutine that calls Run.
 //
 // # Continuations
 //
-// Multi-step protocol transactions used to be the stronghold of the
-// process style: a directory transaction sleeps several times (request
-// flight, queueing, hold, reply), and under contention every one of those
-// sleeps is a forced process switch. Such models are instead written as
-// engine-scheduled continuation chains: each suspension schedules the next
-// step as a plain callback event, and the initiating process — which must
-// suspend anyway, because its thread is architecturally stalled — parks
-// once and is dispatched directly by the chain's final reply event. A
-// chain that must wait hands its next step to whatever it waits on, which
-// schedules the step when the wait ends: the directory's per-line FIFO
-// lock (package mem), WaitQueue.WaitFn, and the channel's
-// wireless.Network.SendAsync/SendParked.
-//
-// The two styles compose bit-identically by construction, so a model can
-// be converted from blocking to continuation form without moving a single
-// simulated result: every blocking suspension consumes exactly one event
-// sequence number at the point it blocks (Sleep and Wake schedule one
-// dispatch; a free Acquire and a busy enqueue schedule none), and the
-// mirrors consume sequence numbers at the same execution points, so every
-// step of the converted model runs at exactly the same (time, priority,
-// sequence) position as the blocking original — only on the engine-driving
-// goroutine rather than its own. The golden-conformance suite in package
-// harness pins this equivalence end to end.
+// A model whose logic spans several suspensions — a directory transaction
+// sleeps for the request flight, queueing, hold and reply — is written as
+// an engine-scheduled continuation chain: each suspension schedules the
+// next step as a callback event. A chain that must wait hands its next
+// step to whatever it waits on, which schedules the step when the wait
+// ends: the directory's per-line FIFO lock (package mem), WaitQueue.WaitFn,
+// and the channel's wireless.Network.SendAsync. Every suspension consumes
+// exactly one event sequence number, at the point it suspends.
 //
 // A run collapses a burst of same-cycle continuations into one event. When
 // a model would schedule k callbacks back to back with one delay, they get
@@ -83,32 +34,32 @@
 // while later members remain, their events would still be queued at the
 // current cycle, so no member may advance the clock inline. The run
 // declares the members still to come with RunAhead before each member,
-// and Sleep and SleepThen (see Tasks) take their fast path only when that
-// count is 0. The Broadcast Memory's spin herd (package bmem) is the user:
-// one commit to a spun-on word moves every spinner through two runs, the
-// replica load RT after the commit and its delivery RT later, instead of
-// two events per spinner.
+// and SleepThen (see Tasks) takes its fast path only when that count is 0.
+// The Broadcast Memory's spin herd (package bmem) is the user: one commit
+// to a spun-on word moves every spinner through two runs, the replica load
+// RT after the commit and its delivery RT later, instead of two events per
+// spinner.
 //
 // # Tasks
 //
-// Workload threads can run in the same continuation form. A Task (task.go)
-// is the goroutine-free counterpart of a Proc: it is spawned with GoTask at
-// the same sequence position as Go, advances exclusively through completion
-// callbacks (SleepThen, the async hardware-model mirrors, WaitQueue.WaitFn),
-// and retires with Finish. A workload of Tasks runs entirely on the
-// goroutine driving the engine — zero process switches — while consuming
-// sequence numbers at exactly the points its blocking twin would, so the
-// two execution modes are interchangeable without moving a simulated
-// result.
+// Workload threads are Tasks (task.go). A task is spawned with GoTask,
+// which consumes one sequence number for its start event; it advances
+// exclusively through completion callbacks (SleepThen, the async
+// hardware-model operations, WaitQueue.WaitFn), and retires with Finish. A
+// task that has not finished when the queue drains is reported as
+// deadlocked.
 //
-// Continuation chains get the same inline collapse Sleep enjoys: SleepThen
-// has a zero-handoff fast path that, when the continuation would be the
-// very next event popped, skips the event queue entirely — the clock
-// advances inline and the continuation lands in the engine's trampoline
-// slot (cont), which the scheduler loop drains after each callback event.
-// The trampoline keeps arbitrarily long uncontended chains at constant
-// stack depth: each continuation returns to the scheduler before the next
-// one runs, so continuation-form loops never recurse.
+// SleepThen has a zero-handoff fast path: when the continuation would be
+// the very next event popped (nothing precedes it in the (time, priority,
+// sequence) order and the wake time is within the run horizon), it skips
+// the event queue entirely — the clock advances inline, the sequence
+// number is still consumed, and the continuation lands in the engine's
+// trampoline slot (cont), which the scheduler loop drains after each
+// callback event. The fast path only short-circuits the dispatch the queue
+// would have performed next, so results are bit-identical to always
+// queueing. The trampoline keeps arbitrarily long uncontended chains at
+// constant stack depth: each continuation returns to the scheduler before
+// the next one runs, so continuation-form loops never recurse.
 //
 // # Timing wheel
 //
@@ -172,24 +123,21 @@ type Engine struct {
 	now Time
 	q   eventQueue
 	seq uint64
-	// limit is the inclusive ceiling for the Sleep fast path: a process
-	// may only self-advance the clock to times t <= limit, the horizon of
-	// the innermost Run/RunUntil (matching runEvents' pop condition).
-	limit   Time
-	rng     *Rand
-	handoff chan struct{}
-	procs   map[*Proc]struct{}
-	tasks   map[*Task]struct{}
+	// limit is the inclusive ceiling for the SleepThen fast path: a
+	// continuation may only self-advance the clock to times t <= limit, the
+	// horizon of the innermost Run/RunUntil (matching runEvents' pop
+	// condition).
+	limit Time
+	rng   *Rand
+	tasks map[*Task]struct{}
 	// cont is the trampoline slot for the SleepThen fast path: a
 	// continuation that must run immediately after the current event, at
 	// constant stack depth. runEvents drains it after every callback event.
 	cont func()
 	// ahead counts the members of the current run still to come (see
-	// RunAhead). While it is nonzero the Sleep and SleepThen fast paths
-	// stay closed, because those members stand where queued events would.
+	// RunAhead). While it is nonzero the SleepThen fast path stays closed,
+	// because those members stand where queued events would.
 	ahead   int
-	pv      any
-	pstack  []byte
 	stopped bool
 	// Recycled-step pool counters, reported by workload layers through
 	// StepPoolHit/StepPoolMiss.
@@ -200,21 +148,17 @@ type Engine struct {
 // NewEngine returns an engine whose random stream is derived from seed.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		rng:     NewRand(seed),
-		limit:   maxTime,
-		handoff: make(chan struct{}),
-		procs:   make(map[*Proc]struct{}),
-		tasks:   make(map[*Task]struct{}),
+		rng:   NewRand(seed),
+		limit: maxTime,
+		tasks: make(map[*Task]struct{}),
 	}
 }
 
 // SchedStats are the engine's scheduling-internals counters: how events were
 // stored (timing wheel vs heap fallback) and how the workload layers'
 // recycled continuation steps were obtained (pool reuse vs fresh
-// allocation). They describe simulator mechanics, not simulated behavior —
-// two execution modes of the same workload produce identical simulated
-// results but different SchedStats — and exist so sweeps are diagnosable
-// without a profiler (wisync-bench -v).
+// allocation). They describe simulator mechanics, not simulated behavior,
+// and exist so sweeps are diagnosable without a profiler (wisync-bench -v).
 type SchedStats struct {
 	// WheelEvents counts events stored in the timing wheel (scheduled
 	// within wheelSpan cycles of the clock).
@@ -269,7 +213,7 @@ func (e *Engine) Pending() int { return e.q.len() }
 // its cycle, each member standing where an event of its own would have
 // been queued (see Continuations in the package comment). The run calls
 // RunAhead(k) before each member, counting down to 0 before the last one,
-// so a member's Sleep or SleepThen takes the fast path exactly when it
+// so a member's SleepThen takes the fast path exactly when it
 // would have with the later members still queued: never before the last.
 func (e *Engine) RunAhead(k int) { e.ahead = k }
 
@@ -290,22 +234,10 @@ func (e *Engine) ScheduleAt(t Time, prio Priority, fn func()) {
 	e.q.push(event{t: t, key: key, fn: fn}, e.now)
 }
 
-// scheduleProc enqueues a dispatch of p after d cycles. Unlike Schedule it
-// captures no closure: the event record carries the process pointer, so the
-// Sleep/Wake hot path is allocation-free.
-func (e *Engine) scheduleProc(d Time, p *Proc) {
-	t := e.now + d
-	if t < e.now {
-		panic(fmt.Sprintf("sim: wake of %s after %d cycles overflows the clock", p.name, d))
-	}
-	e.seq++
-	e.q.push(event{t: t, key: e.seq, p: p}, e.now)
-}
-
-// DeadlockError reports that the event queue drained while processes were
-// still parked, i.e. the simulated system deadlocked.
+// DeadlockError reports that the event queue drained while tasks were
+// still unfinished, i.e. the simulated system deadlocked.
 type DeadlockError struct {
-	// Parked lists "name: reason" for every stuck process.
+	// Parked lists "name: reason" for every stuck task.
 	Parked []string
 	// Now is the simulated time at which the queue drained.
 	Now Time
@@ -316,19 +248,10 @@ func (d *DeadlockError) Error() string {
 }
 
 // Run executes events until none remain. It returns a *DeadlockError if
-// processes are still alive afterwards, and propagates any panic raised
-// inside a process.
+// tasks are still unfinished afterwards.
 func (e *Engine) Run() error {
 	e.limit = maxTime
-	for e.runEvents(nil) == tokenPassed {
-		<-e.handoff
-		if e.pv != nil {
-			e.rethrow()
-		}
-	}
-	if e.pv != nil {
-		e.rethrow()
-	}
+	e.runEvents()
 	return e.checkDeadlock()
 }
 
@@ -340,29 +263,17 @@ func (e *Engine) Run() error {
 // construction.
 func (e *Engine) RunBounded(t Time) error {
 	e.limit = t
-	for e.runEvents(nil) == tokenPassed {
-		<-e.handoff
-		if e.pv != nil {
-			e.limit = maxTime
-			e.rethrow()
-		}
-	}
+	e.runEvents()
 	e.limit = maxTime
 	return nil
 }
 
 // RunUntil executes all events with timestamp <= t, then advances the clock
-// to t. Processes still running are left parked; call Shutdown to reclaim
-// their goroutines.
+// to t. Tasks still unfinished are left suspended; call Shutdown to retire
+// them.
 func (e *Engine) RunUntil(t Time) error {
 	e.limit = t
-	for e.runEvents(nil) == tokenPassed {
-		<-e.handoff
-		if e.pv != nil {
-			e.limit = maxTime
-			e.rethrow()
-		}
-	}
+	e.runEvents()
 	e.limit = maxTime
 	if e.now < t {
 		e.now = t
@@ -370,103 +281,48 @@ func (e *Engine) RunUntil(t Time) error {
 	return nil
 }
 
-// tokenState reports where the control token went after a runEvents call.
-type tokenState uint8
-
-const (
-	// tokenDone: the caller keeps the token — the queue is drained, the
-	// next event lies past the run horizon, or a process panic is pending
-	// and must travel to the engine for rethrow.
-	tokenDone tokenState = iota
-	// tokenPassed: the token was handed to another process over its resume
-	// channel; the caller must block until woken.
-	tokenPassed
-	// tokenSelf: the next event was the calling process's own wake-up; the
-	// caller keeps the token and simply continues running.
-	tokenSelf
-)
-
-// runEvents is the scheduler loop. The caller must hold the control token:
-// exactly one goroutine — the engine's, or that of a process that is about
-// to block — executes engine code at any instant, so no locking is needed
-// anywhere in the simulator.
-//
-// Callback events are run inline on the caller's goroutine. When a process
-// must run, the token is handed directly over its resume channel: direct
-// proc-to-proc baton passing makes a context switch one channel rendezvous
-// instead of two, because the engine goroutine stays parked while processes
-// pass control among themselves. self is the calling process (nil for the
-// engine loop); popping self's own wake-up returns tokenSelf instead of
-// deadlocking on a send-to-self, and costs no channel operation at all.
-func (e *Engine) runEvents(self *Proc) tokenState {
+// runEvents is the scheduler loop: it pops events up to the run horizon
+// and runs each callback inline, then drains the trampoline slot.
+func (e *Engine) runEvents() {
 	for {
-		if e.pv != nil {
-			return tokenDone
-		}
 		head := e.q.first()
 		if head == nil || head.t > e.limit {
-			return tokenDone
+			return
 		}
 		ev := e.q.pop()
 		e.now = ev.t
-		if ev.p == nil {
-			ev.fn()
-			// Trampoline: drain continuations parked by the SleepThen
-			// fast path. Each runs with the stack already unwound to
-			// here, so continuation-form loops never recurse.
-			for e.cont != nil {
-				fn := e.cont
-				e.cont = nil
-				fn()
-			}
-			continue
+		ev.fn()
+		// Trampoline: drain continuations parked by the SleepThen fast
+		// path. Each runs with the stack already unwound to here, so
+		// continuation-form loops never recurse.
+		for e.cont != nil {
+			fn := e.cont
+			e.cont = nil
+			fn()
 		}
-		p := ev.p
-		if p.done || p.killed {
-			continue
-		}
-		if !p.parked {
-			panic("sim: dispatch of a process that is not parked (double wake?)")
-		}
-		p.parked = false
-		p.wakeQueued = false
-		if p == self {
-			return tokenSelf
-		}
-		p.resume <- struct{}{}
-		return tokenPassed
 	}
 }
 
-func (e *Engine) rethrow() {
-	pv, st := e.pv, e.pstack
-	e.pv, e.pstack = nil, nil
-	panic(fmt.Sprintf("sim: process panic: %v\n%s", pv, st))
-}
-
 func (e *Engine) checkDeadlock() error {
-	if len(e.procs) == 0 && len(e.tasks) == 0 {
+	if len(e.tasks) == 0 {
 		return nil
 	}
 	return &DeadlockError{Parked: e.Breadcrumbs(), Now: e.now}
 }
 
-// CheckDeadlock reports a *DeadlockError if any process or task is still
-// alive, and nil otherwise. Run calls it automatically when the queue
+// CheckDeadlock reports a *DeadlockError if any task is still
+// unfinished, and nil otherwise. Run calls it automatically when the queue
 // drains; watchdog/budget guards call it explicitly after RunUntil to tell
 // a genuine deadlock (queue empty, threads parked) from a livelock or
 // budget overrun (events still flowing).
 func (e *Engine) CheckDeadlock() error { return e.checkDeadlock() }
 
-// Breadcrumbs returns one "name: reason" line per live process or task, in
+// Breadcrumbs returns one "name: reason" line per unfinished task, in
 // sorted order — the last-operation trail used in deadlock, livelock, and
 // budget diagnostics. It must be called before Shutdown, which clears the
 // live sets.
 func (e *Engine) Breadcrumbs() []string {
 	var parked []string
-	for p := range e.procs {
-		parked = append(parked, p.name+": "+p.reason)
-	}
 	for t := range e.tasks {
 		parked = append(parked, t.name+": "+t.reasonLine())
 	}
@@ -474,27 +330,17 @@ func (e *Engine) Breadcrumbs() []string {
 	return parked
 }
 
-// Shutdown terminates every live process goroutine (running their defers)
-// and marks the engine stopped. It must be called after RunUntil when
-// processes may still be alive, or the goroutines leak.
+// Shutdown retires every unfinished task and marks the engine stopped. Call
+// it after RunUntil when tasks may still be suspended; a stopped engine
+// accepts no new tasks.
 func (e *Engine) Shutdown() {
-	for p := range e.procs {
-		if p.done {
-			continue
-		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-e.handoff
-	}
-	e.procs = make(map[*Proc]struct{})
 	e.tasks = make(map[*Task]struct{})
-	e.pv, e.pstack = nil, nil
 	e.stopped = true
 }
 
 // Stopped reports whether Shutdown has been called.
 func (e *Engine) Stopped() bool { return e.stopped }
 
-// Live returns the number of processes and tasks that have been started
-// and have not yet finished.
-func (e *Engine) Live() int { return len(e.procs) + len(e.tasks) }
+// Live returns the number of tasks that have been started and have not yet
+// finished.
+func (e *Engine) Live() int { return len(e.tasks) }

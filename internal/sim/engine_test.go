@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestScheduleOrder(t *testing.T) {
@@ -52,58 +53,45 @@ func TestSchedulePastPanics(t *testing.T) {
 	_ = e.Run()
 }
 
-func TestProcSleep(t *testing.T) {
-	e := NewEngine(1)
-	var times []Time
-	e.Go("sleeper", func(p *Proc) {
-		times = append(times, p.Now())
-		p.Sleep(7)
-		times = append(times, p.Now())
-		p.Sleep(0)
-		times = append(times, p.Now())
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if times[0] != 0 || times[1] != 7 || times[2] != 7 {
-		t.Fatalf("times = %v", times)
-	}
-}
-
-func TestProcInterleaving(t *testing.T) {
-	e := NewEngine(1)
-	var got []string
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-			p.Sleep(Time(i))
-			got = append(got, fmt.Sprintf("%s@%d", p.Name(), p.Now()))
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"p0@0", "p1@1", "p2@2"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
-
+// TestDeterminism runs five tasks that sleep a random number of cycles and
+// then take turns through a FIFO critical section; two runs from the same
+// seed must log the same order and cycles.
 func TestDeterminism(t *testing.T) {
 	run := func() []string {
 		e := NewEngine(42)
 		var log []string
-		var res Resource
+		// A FIFO lock in continuation form: a free acquire runs inline, a
+		// release hands the lock to the oldest waiter one event later.
+		held := false
+		var waiters []func()
+		acquire := func(then func()) {
+			if !held {
+				held = true
+				then()
+				return
+			}
+			waiters = append(waiters, then)
+		}
+		release := func() {
+			if len(waiters) == 0 {
+				held = false
+				return
+			}
+			next := waiters[0]
+			waiters = waiters[1:]
+			e.Schedule(0, next)
+		}
 		for i := 0; i < 5; i++ {
-			i := i
-			e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-				p.Sleep(Time(e.Rand().Intn(4)))
-				res.Acquire(p, "res")
-				log = append(log, fmt.Sprintf("%d@%d", i, p.Now()))
-				p.Sleep(3)
-				res.Release(p)
+			e.GoTask(fmt.Sprintf("p%d", i), func(task *Task) {
+				task.Sleep(Time(e.Rand().Intn(4)), func() {
+					acquire(func() {
+						log = append(log, fmt.Sprintf("%d@%d", i, task.Now()))
+						task.Sleep(3, func() {
+							release()
+							task.Finish()
+						})
+					})
+				})
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -112,7 +100,7 @@ func TestDeterminism(t *testing.T) {
 		return log
 	}
 	a, b := run(), run()
-	if len(a) != len(b) {
+	if len(a) != 5 || len(a) != len(b) {
 		t.Fatalf("lengths differ: %v vs %v", a, b)
 	}
 	for i := range a {
@@ -122,29 +110,9 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestParkWake(t *testing.T) {
-	e := NewEngine(1)
-	var p1 *Proc
-	var woke Time
-	p1 = e.Go("waiter", func(p *Proc) {
-		p.Park("waiting for signal")
-		woke = p.Now()
-	})
-	e.Go("waker", func(p *Proc) {
-		p.Sleep(20)
-		p1.Wake(5)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woke != 25 {
-		t.Fatalf("woke at %d, want 25", woke)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine(1)
-	e.Go("stuck", func(p *Proc) { p.Park("never woken") })
+	e.GoTask("stuck", func(task *Task) { task.SetReason("never woken") })
 	err := e.Run()
 	de, ok := err.(*DeadlockError)
 	if !ok {
@@ -156,34 +124,16 @@ func TestDeadlockDetection(t *testing.T) {
 	e.Shutdown()
 }
 
-func TestDoubleWakePanics(t *testing.T) {
-	e := NewEngine(1)
-	var p1 *Proc
-	p1 = e.Go("waiter", func(p *Proc) { p.Park("x") })
-	e.Go("waker", func(p *Proc) {
-		p.Sleep(1)
-		p1.Wake(0)
-		defer func() {
-			if recover() == nil {
-				t.Error("double Wake did not panic")
-			}
-		}()
-		p1.Wake(0)
-	})
-	defer func() { recover() }()
-	_ = e.Run()
-}
-
 func TestRunUntilAndShutdown(t *testing.T) {
 	e := NewEngine(1)
 	var steps int
-	var cleaned bool
-	e.Go("worker", func(p *Proc) {
-		defer func() { cleaned = true }()
-		for {
-			p.Sleep(10)
+	e.GoTask("worker", func(task *Task) {
+		var step func()
+		step = func() {
 			steps++
+			task.Sleep(10, step)
 		}
+		task.Sleep(10, step)
 	})
 	if err := e.RunUntil(55); err != nil {
 		t.Fatal(err)
@@ -194,27 +144,13 @@ func TestRunUntilAndShutdown(t *testing.T) {
 	if e.Now() != 55 {
 		t.Fatalf("Now = %d, want 55", e.Now())
 	}
-	e.Shutdown()
-	if !cleaned {
-		t.Fatal("defer did not run on Shutdown")
+	if e.Live() != 1 {
+		t.Fatalf("Live = %d before Shutdown, want 1", e.Live())
 	}
+	e.Shutdown()
 	if e.Live() != 0 {
 		t.Fatalf("Live = %d after Shutdown", e.Live())
 	}
-}
-
-func TestProcPanicPropagates(t *testing.T) {
-	e := NewEngine(1)
-	e.Go("bomb", func(p *Proc) {
-		p.Sleep(1)
-		panic("boom")
-	})
-	defer func() {
-		if recover() == nil {
-			t.Error("process panic did not propagate")
-		}
-	}()
-	_ = e.Run()
 }
 
 func TestWaitQueue(t *testing.T) {
@@ -222,19 +158,23 @@ func TestWaitQueue(t *testing.T) {
 	var q WaitQueue
 	var order []string
 	for i := 0; i < 3; i++ {
-		i := i
-		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Sleep(Time(i)) // deterministic enqueue order
-			q.Wait(p, "queued")
-			order = append(order, p.Name())
+		e.GoTask(fmt.Sprintf("w%d", i), func(task *Task) {
+			task.Sleep(Time(i), func() { // deterministic enqueue order
+				q.WaitFn(e, func() {
+					order = append(order, task.Name())
+					task.Finish()
+				})
+			})
 		})
 	}
-	e.Go("waker", func(p *Proc) {
-		p.Sleep(10)
+	e.Schedule(10, func() {
 		if q.Len() != 3 {
 			t.Errorf("Len = %d, want 3", q.Len())
 		}
 		q.WakeAll(0)
+		if q.Len() != 0 {
+			t.Errorf("Len = %d after WakeAll", q.Len())
+		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -245,91 +185,6 @@ func TestWaitQueue(t *testing.T) {
 			t.Fatalf("wake order %v, want %v", order, want)
 		}
 	}
-}
-
-func TestWaitQueueWakeOneAndRemove(t *testing.T) {
-	e := NewEngine(1)
-	var q WaitQueue
-	var woken []string
-	procs := make([]*Proc, 3)
-	for i := 0; i < 3; i++ {
-		i := i
-		procs[i] = e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Sleep(Time(i))
-			q.Wait(p, "queued")
-			woken = append(woken, p.Name())
-		})
-	}
-	e.Go("ctl", func(p *Proc) {
-		p.Sleep(10)
-		if !q.Remove(procs[0]) {
-			t.Error("Remove(w0) = false")
-		}
-		procs[0].Wake(0) // removed waiters must be woken manually
-		q.WakeOne(0)     // wakes w1
-		q.WakeOne(0)     // wakes w2
-		if q.WakeOne(0) {
-			t.Error("WakeOne on empty queue = true")
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"w0", "w1", "w2"}
-	for i := range want {
-		if woken[i] != want[i] {
-			t.Fatalf("woken = %v, want %v", woken, want)
-		}
-	}
-}
-
-func TestResourceFIFO(t *testing.T) {
-	e := NewEngine(1)
-	var r Resource
-	var order []string
-	for i := 0; i < 4; i++ {
-		i := i
-		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-			p.Sleep(Time(i)) // request order p0..p3
-			r.Acquire(p, "bank")
-			order = append(order, fmt.Sprintf("%s@%d", p.Name(), p.Now()))
-			p.Sleep(10)
-			r.Release(p)
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"p0@0", "p1@10", "p2@20", "p3@30"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if r.BusyCycles != 40 {
-		t.Fatalf("BusyCycles = %d, want 40", r.BusyCycles)
-	}
-}
-
-func TestResourceReleaseByNonOwnerPanics(t *testing.T) {
-	e := NewEngine(1)
-	var r Resource
-	e.Go("owner", func(p *Proc) {
-		r.Acquire(p, "res")
-		p.Sleep(5)
-		r.Release(p)
-	})
-	e.Go("thief", func(p *Proc) {
-		p.Sleep(1)
-		defer func() {
-			if recover() == nil {
-				t.Error("Release by non-owner did not panic")
-			}
-		}()
-		r.Release(p)
-	})
-	defer func() { recover() }()
-	_ = e.Run()
 }
 
 func TestRandDeterministic(t *testing.T) {
@@ -388,26 +243,10 @@ func TestForkIndependentStreams(t *testing.T) {
 	}
 }
 
-// TestManyProcsStress runs a few hundred processes through a contended
-// resource to shake out handoff bugs.
-func TestManyProcsStress(t *testing.T) {
-	e := NewEngine(99)
-	var r Resource
-	var count int
-	const n = 300
-	for i := 0; i < n; i++ {
-		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-			p.Sleep(Time(e.Rand().Intn(50)))
-			r.Acquire(p, "res")
-			p.Sleep(1)
-			count++
-			r.Release(p)
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != n {
-		t.Fatalf("count = %d, want %d", count, n)
+// TestEventIsThreeWords pins the event record at 24 bytes: a time, a packed
+// (priority, sequence) key and one callback.
+func TestEventIsThreeWords(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Errorf("event is %d bytes, want 24", got)
 	}
 }

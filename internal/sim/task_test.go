@@ -6,52 +6,37 @@ import (
 	"testing"
 )
 
-// TestTaskMirrorsProcSleepChain proves the core equivalence contract: a
-// task advancing through SleepThen continuations observes the exact
-// (time, order) schedule of a proc advancing through Sleeps, interleaved
-// with a second party.
+// TestTaskMirrorsProcSleepChain checks that a task advancing through
+// SleepThen continuations interleaves with a second party on the exact
+// schedule recorded from the blocking Sleep loop it replaced.
 func TestTaskMirrorsProcSleepChain(t *testing.T) {
-	run := func(useTask bool) []string {
-		e := NewEngine(1)
-		var log []string
-		note := func(who string) { log = append(log, who) }
-		// A foreign ticker creates interleavings at odd times.
-		for i := Time(1); i <= 9; i += 2 {
-			tick := i
-			e.ScheduleAt(tick, PrioNormal, func() { note("tick") })
-		}
-		if useTask {
-			e.GoTask("w", func(task *Task) {
-				n := 0
-				var step func()
-				step = func() {
-					note("w")
-					n++
-					if n == 5 {
-						task.Finish()
-						return
-					}
-					task.Sleep(2, step)
-				}
-				task.Sleep(2, step)
-			})
-		} else {
-			e.Go("w", func(p *Proc) {
-				for n := 0; n < 5; n++ {
-					p.Sleep(2)
-					note("w")
-				}
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return log
+	e := NewEngine(1)
+	var log []string
+	note := func(who string) { log = append(log, fmt.Sprintf("%s@%d", who, e.Now())) }
+	// A foreign ticker creates interleavings at odd times.
+	for i := Time(1); i <= 9; i += 2 {
+		e.ScheduleAt(i, PrioNormal, func() { note("tick") })
 	}
-	proc := run(false)
-	task := run(true)
-	if strings.Join(proc, ",") != strings.Join(task, ",") {
-		t.Errorf("schedules diverge:\nproc: %v\ntask: %v", proc, task)
+	e.GoTask("w", func(task *Task) {
+		n := 0
+		var step func()
+		step = func() {
+			note("w")
+			n++
+			if n == 5 {
+				task.Finish()
+				return
+			}
+			task.Sleep(2, step)
+		}
+		task.Sleep(2, step)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "tick@1,w@2,tick@3,w@4,tick@5,w@6,tick@7,w@8,tick@9,w@10"
+	if got := strings.Join(log, ","); got != want {
+		t.Errorf("schedule %s, want %s", got, want)
 	}
 }
 
@@ -116,7 +101,7 @@ func TestSleepThenRespectsHorizon(t *testing.T) {
 }
 
 // TestTaskDeadlockReported ensures an unfinished task surfaces in the
-// deadlock diagnostics like a parked process.
+// deadlock diagnostics.
 func TestTaskDeadlockReported(t *testing.T) {
 	e := NewEngine(1)
 	e.GoTask("stuck", func(*Task) {}) // never calls Finish
@@ -130,64 +115,45 @@ func TestTaskDeadlockReported(t *testing.T) {
 	}
 }
 
-// TestWaitQueueMixedWaiters drives a queue holding both a parked process
-// and a continuation, asserting FIFO wake order across the two styles.
+// TestWaitQueueMixedWaiters checks FIFO wake order across waiters enqueued
+// from different contexts — a task's first step, a plain engine callback
+// with no task behind it, and a task continuation after a sleep — and that
+// WakeAll's delay applies to each of them.
 func TestWaitQueueMixedWaiters(t *testing.T) {
 	e := NewEngine(1)
 	var q WaitQueue
 	var order []string
-	e.Go("p1", func(p *Proc) {
-		q.Wait(p, "mixed")
-		order = append(order, "p1")
-	})
+	note := func(who string) { order = append(order, fmt.Sprintf("%s@%d", who, e.Now())) }
 	e.GoTask("t1", func(task *Task) {
 		q.WaitFn(e, func() {
-			order = append(order, "t1")
+			note("t1")
 			task.Finish()
 		})
 	})
-	e.Go("p2", func(p *Proc) {
-		q.Wait(p, "mixed")
-		order = append(order, "p2")
+	e.Schedule(1, func() {
+		q.WaitFn(e, func() { note("cb") })
 	})
-	e.Schedule(5, func() { q.WakeAll(0) })
+	e.GoTask("t2", func(task *Task) {
+		task.Sleep(2, func() {
+			q.WaitFn(e, func() {
+				note("t2")
+				task.Finish()
+			})
+		})
+	})
+	e.Schedule(5, func() { q.WakeAll(3) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(order, ","); got != "p1,t1,p2" {
-		t.Errorf("wake order %s, want p1,t1,p2", got)
+	if got := strings.Join(order, ","); got != "t1@8,cb@8,t2@8" {
+		t.Errorf("wake order %s, want t1@8,cb@8,t2@8", got)
 	}
 	if q.Len() != 0 {
 		t.Errorf("queue still holds %d waiters", q.Len())
 	}
 }
 
-// TestWaitQueueWakeOneMixed checks WakeOne across waiter styles.
-func TestWaitQueueWakeOneMixed(t *testing.T) {
-	e := NewEngine(1)
-	var q WaitQueue
-	var order []string
-	e.GoTask("t1", func(task *Task) {
-		q.WaitFn(e, func() {
-			order = append(order, "t1")
-			task.Finish()
-		})
-	})
-	e.Go("p1", func(p *Proc) {
-		q.Wait(p, "mixed")
-		order = append(order, "p1")
-	})
-	e.Schedule(3, func() { q.WakeOne(0) })
-	e.Schedule(7, func() { q.WakeOne(0) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(order, ","); got != "t1,p1" {
-		t.Errorf("wake order %s, want t1,p1", got)
-	}
-}
-
-// TestGoTaskAfterShutdownPanics mirrors the Go-after-Shutdown guard.
+// TestGoTaskAfterShutdownPanics checks that a stopped engine starts no task.
 func TestGoTaskAfterShutdownPanics(t *testing.T) {
 	e := NewEngine(1)
 	e.Shutdown()

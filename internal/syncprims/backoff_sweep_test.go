@@ -22,12 +22,7 @@ func TestBackoffPolicySweep(t *testing.T) {
 		cfg.Wireless.MaxBackoffExp = cap
 		m := core.NewMachine(cfg)
 		f := NewFactory(m)
-		b := f.NewBarrier(nil)
-		m.SpawnAll(func(th *core.Thread) {
-			for e := 0; e < episodes; e++ {
-				b.Wait(th)
-			}
-		})
+		barrierLoop(m, f.NewTaskBarrier(nil), episodes)
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}

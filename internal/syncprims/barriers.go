@@ -1,10 +1,6 @@
 package syncprims
 
-import (
-	"fmt"
-
-	"wisync/internal/core"
-)
+import "wisync/internal/core"
 
 // centralBarrier is the Baseline barrier: a centralized sense-reversing
 // barrier [16] with the arrival count incremented by a CAS retry loop (CAS
@@ -18,8 +14,8 @@ type centralBarrier struct {
 	release uint64
 	n       uint64
 	ep      []uint64 // per-core episode
-	// steps holds the per-core recycled task-face state machines,
-	// allocated lazily on first task-mode use (task.go).
+	// steps holds the per-core recycled state machines, allocated lazily
+	// on first use (task.go).
 	steps []*centralStep
 }
 
@@ -30,26 +26,6 @@ func newCentralBarrier(m *core.Machine, participants int) *centralBarrier {
 		n:       uint64(participants),
 		ep:      make([]uint64, m.Cfg.Cores),
 	}
-}
-
-func (b *centralBarrier) Wait(t *core.Thread) {
-	b.ep[t.Core]++
-	ep := b.ep[t.Core]
-	var arrived uint64
-	for {
-		c := t.Read(b.count)
-		if t.CAS(b.count, c, c+1) {
-			arrived = c + 1
-			break
-		}
-		t.Instr(4)
-	}
-	if arrived == b.n {
-		t.Write(b.count, 0)
-		t.Write(b.release, ep)
-		return
-	}
-	t.SpinUntil(b.release, func(v uint64) bool { return v >= ep })
 }
 
 // tournamentBarrier is the Baseline+ barrier [31]: threads play a
@@ -89,41 +65,6 @@ func newTournamentBarrier(m *core.Machine, participants int) *tournamentBarrier 
 	return b
 }
 
-func (b *tournamentBarrier) Wait(t *core.Thread) {
-	idx := t.Core
-	if idx >= b.n {
-		panic(fmt.Sprintf("syncprims: thread %d beyond tournament size %d", idx, b.n))
-	}
-	b.ep[t.Core]++
-	ep := b.ep[t.Core]
-	lose := b.rounds
-	for r := 0; r < b.rounds; r++ {
-		t.Instr(10) // round bookkeeping: role/partner/flag computation
-		if idx&((1<<(r+1))-1) == 0 {
-			// Potential winner of round r: wait for the partner
-			// (or take a bye if it does not exist).
-			partner := idx + 1<<r
-			if partner < b.n {
-				t.SpinUntil(b.arrive[r*b.n+idx], func(v uint64) bool { return v >= ep })
-			}
-			continue
-		}
-		// Loser of round r: report to the winner, then sleep.
-		lose = r
-		winner := idx - 1<<r
-		t.Write(b.arrive[r*b.n+winner], ep)
-		t.SpinUntil(b.wake[idx], func(v uint64) bool { return v >= ep })
-		break
-	}
-	// Wake everyone this thread beat, in reverse round order.
-	for r := lose - 1; r >= 0; r-- {
-		partner := idx + 1<<r
-		if partner < b.n {
-			t.Write(b.wake[partner], ep)
-		}
-	}
-}
-
 // dataBarrier is the WiSync Data-channel barrier (Section 4.3.2): a
 // sense-reversing barrier in one 64-bit BM entry — arrival count in the
 // low half, release episode in the high half, exactly the packing the
@@ -133,21 +74,8 @@ type dataBarrier struct {
 	addr uint32
 	n    uint64
 	ep   []uint64
-	// steps holds the per-core recycled task-face state machines (task.go).
+	// steps holds the per-core recycled state machines (task.go).
 	steps []*dataStep
-}
-
-func (b *dataBarrier) Wait(t *core.Thread) {
-	b.ep[t.Core]++
-	ep := b.ep[t.Core]
-	old := t.BMFetchAdd(b.addr, 1)
-	if (old&0xffffffff)+1 == b.n {
-		// Last arriver: zero the count and publish the episode in one
-		// wireless message.
-		t.BMStore(b.addr, ep<<32)
-		return
-	}
-	t.BMSpinUntil(b.addr, func(v uint64) bool { return v>>32 >= ep })
 }
 
 // toneBarrier is the WiSync Tone-channel barrier (Section 4.3.3, Figure
@@ -156,13 +84,6 @@ func (b *dataBarrier) Wait(t *core.Thread) {
 type toneBarrier struct {
 	addr  uint32
 	sense []uint64
-	// steps holds the per-core recycled task-face state machines (task.go).
+	// steps holds the per-core recycled state machines (task.go).
 	steps []*toneStep
-}
-
-func (b *toneBarrier) Wait(t *core.Thread) {
-	s := b.sense[t.Core]
-	t.ToneStore(b.addr)
-	t.ToneWait(b.addr, s)
-	b.sense[t.Core] ^= 1
 }

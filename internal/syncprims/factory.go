@@ -31,10 +31,10 @@ func NewFactoryPID(m *core.Machine, pid uint16) *Factory {
 // Machine returns the machine this factory allocates on.
 func (f *Factory) Machine() *core.Machine { return f.m }
 
-// NewVar allocates a shared synchronization variable with the given initial
-// value. On WiSync machines it lives in Broadcast Memory, transparently
-// spilling to cached memory when the BM is full.
-func (f *Factory) NewVar(init uint64) Var {
+// NewTaskVar allocates a shared synchronization variable with the given
+// initial value. On WiSync machines it lives in Broadcast Memory,
+// transparently spilling to cached memory when the BM is full.
+func (f *Factory) NewTaskVar(init uint64) TaskVar {
 	if f.m.Cfg.Kind.HasBM() {
 		if addr, err := f.m.BM.AllocBare(f.pid, false); err == nil {
 			f.m.BM.Poke(addr, init)
@@ -49,24 +49,24 @@ func (f *Factory) NewVar(init uint64) Var {
 	return v
 }
 
-// NewLock allocates a lock: CAS spinlock (Baseline), MCS (Baseline+), or a
-// wireless test&set lock in BM (WiSync, spilling to a cache CAS lock when
-// the BM is full).
-func (f *Factory) NewLock() Lock {
+// NewTaskLock allocates a lock: CAS spinlock (Baseline), MCS (Baseline+),
+// or a wireless test&set lock in BM (WiSync, spilling to a cache CAS lock
+// when the BM is full).
+func (f *Factory) NewTaskLock() TaskLock {
 	switch f.m.Cfg.Kind {
 	case config.BaselinePlus:
 		return newMCSLock(f.m)
 	default:
-		return &spinLock{v: f.NewVar(0)}
+		return &spinLock{v: f.NewTaskVar(0)}
 	}
 }
 
-// NewBarrier allocates a barrier for the given participant cores:
+// NewTaskBarrier allocates a barrier for the given participant cores:
 // centralized (Baseline), tournament (Baseline+), Data-channel fetch&inc
 // (WiSyncNoT), or Tone-channel (WiSync, falling back to the Data channel if
 // the tone tables are full). Participants must be known up front for tone
 // barriers (Section 4.4); pass nil for "all cores".
-func (f *Factory) NewBarrier(participants []int) Barrier {
+func (f *Factory) NewTaskBarrier(participants []int) TaskBarrier {
 	if participants == nil {
 		participants = make([]int, f.m.Cfg.Cores)
 		for i := range participants {

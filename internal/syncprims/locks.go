@@ -8,23 +8,10 @@ import "wisync/internal/core"
 // the spinning is local-replica polling and the grab is a wireless T&S
 // (the WiSync lock of Table 2).
 type spinLock struct {
-	v Var
-	// steps are the per-core recycled continuation state machines of the
-	// task face (see task.go), allocated lazily on first task-mode use.
+	v TaskVar
+	// steps are the per-core recycled continuation state machines (see
+	// task.go), allocated lazily on first use.
 	steps []*spinStep
-}
-
-func (l *spinLock) Acquire(t *core.Thread) {
-	for {
-		l.v.SpinUntil(t, func(x uint64) bool { return x == 0 })
-		if l.v.CAS(t, 0, 1) {
-			return
-		}
-	}
-}
-
-func (l *spinLock) Release(t *core.Thread) {
-	l.v.Store(t, 0)
 }
 
 // mcsLock is the queue-based lock of Mellor-Crummey and Scott [31], used by
@@ -35,8 +22,8 @@ type mcsLock struct {
 	// per-core qnode fields, each on its own cache line
 	locked []uint64
 	next   []uint64
-	// steps are the per-core recycled continuation state machines of the
-	// task face (see task.go), allocated lazily on first task-mode use.
+	// steps are the per-core recycled continuation state machines (see
+	// task.go), allocated lazily on first use.
 	steps []*mcsStep
 }
 
@@ -52,31 +39,4 @@ func newMCSLock(m *core.Machine) *mcsLock {
 		l.next[i] = m.AllocLine()
 	}
 	return l
-}
-
-func (l *mcsLock) Acquire(t *core.Thread) {
-	me := t.Core
-	t.Instr(8) // qnode setup and pointer arithmetic
-	t.Write(l.next[me], 0)
-	pred := t.Swap(l.tail, uint64(me+1))
-	if pred == 0 {
-		return
-	}
-	t.Write(l.locked[me], 1)
-	t.Write(l.next[pred-1], uint64(me+1))
-	t.SpinUntil(l.locked[me], func(x uint64) bool { return x == 0 })
-}
-
-func (l *mcsLock) Release(t *core.Thread) {
-	me := t.Core
-	t.Instr(6)
-	succ := t.Read(l.next[me])
-	if succ == 0 {
-		if t.CAS(l.tail, uint64(me+1), 0) {
-			return
-		}
-		// A successor is linking itself; wait for the link.
-		succ = t.SpinUntil(l.next[me], func(x uint64) bool { return x != 0 })
-	}
-	t.Write(l.locked[succ-1], 0)
 }

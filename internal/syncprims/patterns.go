@@ -7,39 +7,44 @@ import "wisync/internal/core"
 // exception. It is reusable through per-core generation counters (the
 // sense-reversing idea with an epoch instead of a boolean).
 type Eureka struct {
-	v   Var
+	v   TaskVar
 	gen []uint64
 }
 
 // NewEureka allocates an OR-barrier.
 func (f *Factory) NewEureka() *Eureka {
-	return &Eureka{v: f.NewVar(0), gen: make([]uint64, f.m.Cfg.Cores)}
+	return &Eureka{v: f.NewTaskVar(0), gen: make([]uint64, f.m.Cfg.Cores)}
 }
 
-// Trigger fires the eureka for the current generation. Multiple triggers of
-// one generation are idempotent.
-func (e *Eureka) Trigger(t *core.Thread) {
+// TriggerTask fires the eureka for the current generation; then runs once
+// the trigger is visible. Multiple triggers of one generation are
+// idempotent.
+func (e *Eureka) TriggerTask(t *core.Task, then func()) {
 	gen := e.gen[t.Core]
-	if e.v.Load(t) > gen {
-		return // already fired
-	}
-	e.v.Store(t, gen+1)
+	e.v.LoadTask(t, func(v uint64) {
+		if v > gen {
+			then() // already fired
+			return
+		}
+		e.v.StoreTask(t, gen+1, then)
+	})
 }
 
-// Triggered polls whether the current generation has fired.
-func (e *Eureka) Triggered(t *core.Thread) bool {
-	return e.v.Load(t) > e.gen[t.Core]
-}
-
-// WaitTriggered blocks until the current generation fires.
-func (e *Eureka) WaitTriggered(t *core.Thread) {
+// TriggeredTask polls whether the current generation has fired.
+func (e *Eureka) TriggeredTask(t *core.Task, then func(bool)) {
 	gen := e.gen[t.Core]
-	e.v.SpinUntil(t, func(v uint64) bool { return v > gen })
+	e.v.LoadTask(t, func(v uint64) { then(v > gen) })
+}
+
+// WaitTriggeredTask runs then once the current generation fires.
+func (e *Eureka) WaitTriggeredTask(t *core.Task, then func()) {
+	gen := e.gen[t.Core]
+	e.v.SpinUntilTask(t, func(v uint64) bool { return v > gen }, func(uint64) { then() })
 }
 
 // Ack consumes the current generation locally, re-arming the eureka for
 // reuse by this thread.
-func (e *Eureka) Ack(t *core.Thread) { e.gen[t.Core]++ }
+func (e *Eureka) Ack(t *core.Task) { e.gen[t.Core]++ }
 
 // PC is a single-producer single-consumer channel (Section 4.3.4): a data
 // area plus a full/empty flag. On WiSync machines with word count 4 the
@@ -47,9 +52,9 @@ func (e *Eureka) Ack(t *core.Thread) { e.gen[t.Core]++ }
 type PC struct {
 	words  int
 	bulk   bool
-	bmData uint32 // contiguous BM words when bulk
-	data   []Var  // otherwise
-	flag   Var
+	bmData uint32    // contiguous BM words when bulk
+	data   []TaskVar // otherwise
+	flag   TaskVar
 }
 
 // NewPC allocates a producer-consumer channel carrying the given number of
@@ -58,7 +63,7 @@ func (f *Factory) NewPC(words int) *PC {
 	if words < 1 || words > 4 {
 		panic("syncprims: PC carries 1..4 words")
 	}
-	pc := &PC{words: words, flag: f.NewVar(0)}
+	pc := &PC{words: words, flag: f.NewTaskVar(0)}
 	if words == 4 && f.m.Cfg.Kind.HasBM() {
 		if base, err := f.m.BM.AllocBareContiguous(f.pid, 4); err == nil {
 			pc.bulk = true
@@ -67,51 +72,72 @@ func (f *Factory) NewPC(words int) *PC {
 		}
 		f.Spills++
 	}
-	pc.data = make([]Var, words)
+	pc.data = make([]TaskVar, words)
 	for i := range pc.data {
-		pc.data[i] = f.NewVar(0)
+		pc.data[i] = f.NewTaskVar(0)
 	}
 	return pc
 }
 
-// Produce publishes vals (len == words): wait for the slot to be empty,
-// write the data, set the flag.
-func (pc *PC) Produce(t *core.Thread, vals []uint64) {
-	pc.flag.SpinUntil(t, func(v uint64) bool { return v == 0 })
-	if pc.bulk {
-		var four [4]uint64
-		copy(four[:], vals)
-		t.BMBulkStore(pc.bmData, four)
-	} else {
-		for i, v := range vals {
-			pc.data[i].Store(t, v)
+// ProduceTask publishes vals (len == words): wait for the slot to be
+// empty, write the data, set the flag; then runs once the flag is set.
+func (pc *PC) ProduceTask(t *core.Task, vals []uint64, then func()) {
+	setFlag := func() { pc.flag.StoreTask(t, 1, then) }
+	pc.flag.SpinUntilTask(t, func(v uint64) bool { return v == 0 }, func(uint64) {
+		if pc.bulk {
+			var four [4]uint64
+			copy(four[:], vals)
+			t.BMBulkStore(pc.bmData, four, setFlag)
+			return
 		}
-	}
-	pc.flag.Store(t, 1)
+		storeFrom(t, pc.data, vals, setFlag)
+	})
 }
 
-// Consume blocks until data is available, reads it into out (len == words),
-// and clears the flag.
-func (pc *PC) Consume(t *core.Thread, out []uint64) {
-	pc.flag.SpinUntil(t, func(v uint64) bool { return v == 1 })
-	if pc.bulk {
-		four := t.BMBulkLoad(pc.bmData)
-		copy(out, four[:])
-	} else {
-		for i := range out {
-			out[i] = pc.data[i].Load(t)
-		}
+// storeFrom stores vals[i] into vars[i] one after another, then runs then.
+func storeFrom(t *core.Task, vars []TaskVar, vals []uint64, then func()) {
+	if len(vals) == 0 {
+		then()
+		return
 	}
-	pc.flag.Store(t, 0)
+	vars[0].StoreTask(t, vals[0], func() { storeFrom(t, vars[1:], vals[1:], then) })
+}
+
+// ConsumeTask waits until data is available, reads it into out (len ==
+// words), and clears the flag; then runs once the flag is clear.
+func (pc *PC) ConsumeTask(t *core.Task, out []uint64, then func()) {
+	clearFlag := func() { pc.flag.StoreTask(t, 0, then) }
+	pc.flag.SpinUntilTask(t, func(v uint64) bool { return v == 1 }, func(uint64) {
+		if pc.bulk {
+			t.BMBulkLoad(pc.bmData, func(four [4]uint64) {
+				copy(out, four[:])
+				clearFlag()
+			})
+			return
+		}
+		loadInto(t, pc.data, out, clearFlag)
+	})
+}
+
+// loadInto loads vars[i] into out[i] one after another, then runs then.
+func loadInto(t *core.Task, vars []TaskVar, out []uint64, then func()) {
+	if len(out) == 0 {
+		then()
+		return
+	}
+	vars[0].LoadTask(t, func(v uint64) {
+		out[0] = v
+		loadInto(t, vars[1:], out[1:], then)
+	})
 }
 
 // Multicast is the single-producer multiple-consumer pattern of Section
 // 4.3.5 / Figure 4(d): data plus a reader count and a toggling flag packed
 // as a sense-reversing release.
 type Multicast struct {
-	data    Var
-	count   Var
-	flag    Var
+	data    TaskVar
+	count   TaskVar
+	flag    TaskVar
 	readers uint64
 	sense   []uint64
 }
@@ -119,77 +145,59 @@ type Multicast struct {
 // NewMulticast allocates a multicast slot with the given reader count.
 func (f *Factory) NewMulticast(readers int) *Multicast {
 	return &Multicast{
-		data:    f.NewVar(0),
-		count:   f.NewVar(0),
-		flag:    f.NewVar(0),
+		data:    f.NewTaskVar(0),
+		count:   f.NewTaskVar(0),
+		flag:    f.NewTaskVar(0),
 		readers: uint64(readers),
 		sense:   make([]uint64, f.m.Cfg.Cores),
 	}
 }
 
-// Produce publishes val to all readers and waits until every reader took
-// it: write data, set count to N, toggle the flag, spin on count == 0.
-func (mc *Multicast) Produce(t *core.Thread, val uint64) {
+// ProduceTask publishes val to all readers and waits until every reader
+// took it: write data, set count to N, toggle the flag, spin on count == 0;
+// then runs once the last reader acknowledged.
+func (mc *Multicast) ProduceTask(t *core.Task, val uint64, then func()) {
 	s := mc.sense[t.Core] ^ 1
 	mc.sense[t.Core] = s
-	mc.data.Store(t, val)
-	mc.count.Store(t, mc.readers)
-	mc.flag.Store(t, s)
-	mc.count.SpinUntil(t, func(v uint64) bool { return v == 0 })
+	mc.data.StoreTask(t, val, func() {
+		mc.count.StoreTask(t, mc.readers, func() {
+			mc.flag.StoreTask(t, s, func() {
+				mc.count.SpinUntilTask(t, func(v uint64) bool { return v == 0 }, func(uint64) { then() })
+			})
+		})
+	})
 }
 
-// Consume blocks for the next published value and acknowledges it: spin on
-// the flag toggle, read data, fetch&add(count, -1).
-func (mc *Multicast) Consume(t *core.Thread) uint64 {
+// ConsumeTask waits for the next published value and acknowledges it: spin
+// on the flag toggle, read data, fetch&add(count, -1); then receives the
+// value.
+func (mc *Multicast) ConsumeTask(t *core.Task, then func(uint64)) {
 	s := mc.sense[t.Core] ^ 1
 	mc.sense[t.Core] = s
-	mc.flag.SpinUntil(t, func(v uint64) bool { return v == s })
-	v := mc.data.Load(t)
-	mc.count.FetchAdd(t, ^uint64(0)) // -1
-	return v
+	mc.flag.SpinUntilTask(t, func(v uint64) bool { return v == s }, func(uint64) {
+		mc.data.LoadTask(t, func(v uint64) {
+			mc.count.FetchAddTask(t, ^uint64(0), func(uint64) { then(v) }) // -1
+		})
+	})
 }
 
 // Reducer accumulates values from many threads into one variable with
 // fetch&add — the tight reduction loop of Section 4.3.5.
 type Reducer struct {
-	v Var
-}
-
-// NewReducer allocates a reduction variable initialized to init.
-func (f *Factory) NewReducer(init uint64) *Reducer { return &Reducer{v: f.NewVar(init)} }
-
-// Add contributes delta.
-func (r *Reducer) Add(t *core.Thread, delta uint64) { r.v.FetchAdd(t, delta) }
-
-// AddTask is Add in continuation form.
-func (r *Reducer) AddTask(t *core.Task, delta uint64, then func()) {
-	AsTaskVar(r.v).FetchAddTask(t, delta, func(uint64) { then() })
-}
-
-// Value reads the current total.
-func (r *Reducer) Value(t *core.Thread) uint64 { return r.v.Load(t) }
-
-// TaskReducer is the continuation form of Reducer: the same reduction
-// variable driven through the task ISA. Obtain one with Reducer.AsTask; the
-// two faces are interchangeable within the bit-identical-modes contract of
-// the package.
-type TaskReducer struct {
 	v TaskVar
 }
 
-// AsTask returns the reducer's continuation face.
-func (r *Reducer) AsTask() TaskReducer { return TaskReducer{v: AsTaskVar(r.v)} }
+// NewReducer allocates a reduction variable initialized to init.
+func (f *Factory) NewReducer(init uint64) *Reducer { return &Reducer{v: f.NewTaskVar(init)} }
 
-// Add contributes delta; then receives the total before the add. Taking the
-// fetch&add continuation directly (instead of a niladic wrapper like
-// AddTask's) lets hot callers reuse one cached continuation with no per-op
-// capture.
-func (r TaskReducer) Add(t *core.Task, delta uint64, then func(uint64)) {
+// AddTask contributes delta; then receives the total before the add. Hot
+// callers pass one cached continuation, so an add captures nothing.
+func (r *Reducer) AddTask(t *core.Task, delta uint64, then func(uint64)) {
 	r.v.FetchAddTask(t, delta, then)
 }
 
-// Value reads the current total.
-func (r TaskReducer) Value(t *core.Task, then func(uint64)) { r.v.LoadTask(t, then) }
+// ValueTask reads the current total.
+func (r *Reducer) ValueTask(t *core.Task, then func(uint64)) { r.v.LoadTask(t, then) }
 
 // Var exposes the underlying variable (for draining or resetting).
-func (r *Reducer) Var() Var { return r.v }
+func (r *Reducer) Var() TaskVar { return r.v }

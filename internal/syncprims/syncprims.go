@@ -13,39 +13,41 @@
 // (eurekas), producer-consumer channels (with Bulk transfers), reductions,
 // and multicast.
 //
-// Workload code obtains primitives from a Factory, which picks the
+// Every operation takes a completion callback, run at the cycle the
+// operation completes, so primitives serve workloads running as
+// core.Tasks. Workload code obtains primitives from a Factory, which picks
+// the
 // implementation matching the machine's configuration, including the
 // paper's overflow rule: when the BM fills up, variables transparently
 // spill to regular cached memory (Section 4.2, as exercised by dedup and
 // fluidanimate).
 package syncprims
 
-import (
-	"wisync/internal/core"
-)
+import "wisync/internal/core"
 
-// Barrier blocks each participant until all participants arrive.
-type Barrier interface {
-	Wait(t *core.Thread)
+// TaskBarrier is a barrier: then runs once all participants have arrived.
+type TaskBarrier interface {
+	WaitTask(t *core.Task, then func())
 }
 
-// Lock is a mutual exclusion lock.
-type Lock interface {
-	Acquire(t *core.Thread)
-	Release(t *core.Thread)
+// TaskLock is a mutual exclusion lock; then runs once the lock is held
+// (AcquireTask) or released (ReleaseTask).
+type TaskLock interface {
+	AcquireTask(t *core.Task, then func())
+	ReleaseTask(t *core.Task, then func())
 }
 
-// Var is a 64-bit shared synchronization variable.
-type Var interface {
-	Load(t *core.Thread) uint64
-	Store(t *core.Thread, v uint64)
-	// CAS performs compare-and-swap and reports whether it swapped.
-	CAS(t *core.Thread, old, nv uint64) bool
-	// FetchAdd atomically adds delta, returning the previous value.
-	FetchAdd(t *core.Thread, delta uint64) uint64
-	// SpinUntil spins (hardware-faithfully for the backend) until cond
-	// holds, returning the satisfying value.
-	SpinUntil(t *core.Thread, cond func(uint64) bool) uint64
+// TaskVar is a 64-bit shared synchronization variable.
+type TaskVar interface {
+	LoadTask(t *core.Task, then func(uint64))
+	StoreTask(t *core.Task, v uint64, then func())
+	// CASTask performs compare-and-swap; then reports whether it swapped.
+	CASTask(t *core.Task, old, nv uint64, then func(bool))
+	// FetchAddTask atomically adds delta; then receives the previous value.
+	FetchAddTask(t *core.Task, delta uint64, then func(uint64))
+	// SpinUntilTask spins (hardware-faithfully for the backend) until cond
+	// holds; then receives the satisfying value.
+	SpinUntilTask(t *core.Task, cond func(uint64) bool, then func(uint64))
 	// InBM reports whether the variable lives in Broadcast Memory.
 	InBM() bool
 }

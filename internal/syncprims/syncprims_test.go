@@ -16,31 +16,55 @@ func newMachine(t *testing.T, kind config.Kind, cores int) *core.Machine {
 
 func forAllKinds(t *testing.T, cores int, fn func(t *testing.T, m *core.Machine)) {
 	for _, k := range config.Kinds {
-		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			fn(t, newMachine(t, k, cores))
 		})
 	}
 }
 
+// repeat runs body for i = 0..n-1 in sequence, each call continuing with
+// next, then runs done.
+func repeat(n int, body func(i int, next func()), done func()) {
+	i := 0
+	var step func()
+	step = func() {
+		if i == n {
+			done()
+			return
+		}
+		i++
+		body(i-1, step)
+	}
+	step()
+}
+
+// barrierLoop runs episodes back-to-back barrier episodes on every core.
+func barrierLoop(m *core.Machine, b TaskBarrier, episodes int) {
+	m.SpawnAllTasks(func(th *core.Task) {
+		repeat(episodes, func(_ int, next func()) { b.WaitTask(th, next) }, th.Finish)
+	})
+}
+
 func TestBarrierSynchronizesAllKinds(t *testing.T) {
 	const cores, episodes = 16, 4
 	forAllKinds(t, cores, func(t *testing.T, m *core.Machine) {
 		f := NewFactory(m)
-		b := f.NewBarrier(nil)
+		b := f.NewTaskBarrier(nil)
 		phase := make([]int, cores)
-		m.SpawnAll(func(th *core.Thread) {
-			for e := 0; e < episodes; e++ {
-				th.Compute(th.Proc().Engine().Rand().Intn(100))
+		m.SpawnAllTasks(func(th *core.Task) {
+			repeat(episodes, func(e int, next func()) {
+				th.Compute(m.Eng.Rand().Intn(100))
 				phase[th.Core] = e
-				b.Wait(th)
-				for j := 0; j < cores; j++ {
-					if phase[j] < e {
-						t.Errorf("thread %d passed episode %d while %d is at %d",
-							th.Core, e, j, phase[j])
+				b.WaitTask(th, func() {
+					for j := 0; j < cores; j++ {
+						if phase[j] < e {
+							t.Errorf("thread %d passed episode %d while %d is at %d",
+								th.Core, e, j, phase[j])
+						}
 					}
-				}
-			}
+					next()
+				})
+			}, th.Finish)
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -53,15 +77,17 @@ func TestBarrierNoThreadReleasedEarly(t *testing.T) {
 	const cores = 8
 	forAllKinds(t, cores, func(t *testing.T, m *core.Machine) {
 		f := NewFactory(m)
-		b := f.NewBarrier(nil)
+		b := f.NewTaskBarrier(nil)
 		const lateArrival = 5000
 		var releases []sim.Time
-		m.SpawnAll(func(th *core.Thread) {
+		m.SpawnAllTasks(func(th *core.Task) {
 			if th.Core == cores-1 {
 				th.Compute(lateArrival)
 			}
-			b.Wait(th)
-			releases = append(releases, th.Proc().Now())
+			b.WaitTask(th, func() {
+				releases = append(releases, m.Now())
+				th.Finish()
+			})
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -81,22 +107,24 @@ func TestLockMutualExclusionAllKinds(t *testing.T) {
 	const cores, iters = 16, 8
 	forAllKinds(t, cores, func(t *testing.T, m *core.Machine) {
 		f := NewFactory(m)
-		l := f.NewLock()
+		l := f.NewTaskLock()
 		var inside, maxInside, total int
-		m.SpawnAll(func(th *core.Thread) {
-			for i := 0; i < iters; i++ {
-				th.Compute(th.Proc().Engine().Rand().Intn(60))
-				l.Acquire(th)
-				inside++
-				if inside > maxInside {
-					maxInside = inside
-				}
-				total++
-				th.Compute(20)
-				th.Sync() // make the hold time architectural
-				inside--
-				l.Release(th)
-			}
+		m.SpawnAllTasks(func(th *core.Task) {
+			repeat(iters, func(_ int, next func()) {
+				th.Compute(m.Eng.Rand().Intn(60))
+				l.AcquireTask(th, func() {
+					inside++
+					if inside > maxInside {
+						maxInside = inside
+					}
+					total++
+					th.Compute(20)
+					th.Sync(func() { // make the hold time architectural
+						inside--
+						l.ReleaseTask(th, next)
+					})
+				})
+			}, th.Finish)
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -115,12 +143,13 @@ func TestLockContendedHandoffProgress(t *testing.T) {
 	const cores = 32
 	forAllKinds(t, cores, func(t *testing.T, m *core.Machine) {
 		f := NewFactory(m)
-		l := f.NewLock()
+		l := f.NewTaskLock()
 		var got int
-		m.SpawnAll(func(th *core.Thread) {
-			l.Acquire(th)
-			got++
-			l.Release(th)
+		m.SpawnAllTasks(func(th *core.Task) {
+			l.AcquireTask(th, func() {
+				got++
+				l.ReleaseTask(th, th.Finish)
+			})
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -135,25 +164,42 @@ func TestVarCASAndFetchAdd(t *testing.T) {
 	const cores = 8
 	forAllKinds(t, cores, func(t *testing.T, m *core.Machine) {
 		f := NewFactory(m)
-		v := f.NewVar(0)
-		m.SpawnAll(func(th *core.Thread) {
-			for i := 0; i < 10; i++ {
-				v.FetchAdd(th, 1)
-			}
-			// CAS loop adds 5 more per thread.
-			for added := 0; added < 5; {
-				old := v.Load(th)
-				if v.CAS(th, old, old+1) {
-					added++
+		v := f.NewTaskVar(0)
+		m.SpawnAllTasks(func(th *core.Task) {
+			repeat(10, func(_ int, next func()) {
+				v.FetchAddTask(th, 1, func(uint64) { next() })
+			}, func() {
+				// CAS loop adds 5 more per thread.
+				added := 0
+				var attempt func()
+				attempt = func() {
+					if added == 5 {
+						th.Finish()
+						return
+					}
+					v.LoadTask(th, func(old uint64) {
+						v.CASTask(th, old, old+1, func(ok bool) {
+							if ok {
+								added++
+							}
+							attempt()
+						})
+					})
 				}
-			}
+				attempt()
+			})
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		// Check final value through a fresh reader thread.
+		// Check final value through a fresh reader task.
 		var final uint64
-		m.Spawn("reader", 0, 1, func(th *core.Thread) { final = v.Load(th) })
+		m.SpawnTask("reader", 0, 1, func(th *core.Task) {
+			v.LoadTask(th, func(x uint64) {
+				final = x
+				th.Finish()
+			})
+		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -165,11 +211,11 @@ func TestVarCASAndFetchAdd(t *testing.T) {
 
 func TestVarBackendSelection(t *testing.T) {
 	mW := newMachine(t, config.WiSync, 4)
-	if v := NewFactory(mW).NewVar(0); !v.InBM() {
+	if v := NewFactory(mW).NewTaskVar(0); !v.InBM() {
 		t.Error("WiSync variable not in BM")
 	}
 	mB := newMachine(t, config.Baseline, 4)
-	if v := NewFactory(mB).NewVar(0); v.InBM() {
+	if v := NewFactory(mB).NewTaskVar(0); v.InBM() {
 		t.Error("Baseline variable in BM")
 	}
 }
@@ -179,9 +225,9 @@ func TestBMSpillToCachedMemory(t *testing.T) {
 	cfg.BMEntries = 4
 	m := core.NewMachine(cfg)
 	f := NewFactory(m)
-	vars := make([]Var, 8)
+	vars := make([]TaskVar, 8)
 	for i := range vars {
-		vars[i] = f.NewVar(uint64(i))
+		vars[i] = f.NewTaskVar(uint64(i))
 	}
 	if f.Spills == 0 {
 		t.Fatal("no spills with an overfull BM")
@@ -196,19 +242,22 @@ func TestBMSpillToCachedMemory(t *testing.T) {
 		t.Errorf("vars in BM = %d, want 4", inBM)
 	}
 	// Spilled variables still work.
-	m.SpawnAll(func(th *core.Thread) {
-		for _, v := range vars {
-			v.FetchAdd(th, 1)
-		}
+	m.SpawnAllTasks(func(th *core.Task) {
+		repeat(len(vars), func(i int, next func()) {
+			vars[i].FetchAddTask(th, 1, func(uint64) { next() })
+		}, th.Finish)
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	var sum uint64
-	m.Spawn("reader", 0, 1, func(th *core.Thread) {
-		for _, v := range vars {
-			sum += v.Load(th)
-		}
+	m.SpawnTask("reader", 0, 1, func(th *core.Task) {
+		repeat(len(vars), func(i int, next func()) {
+			vars[i].LoadTask(th, func(v uint64) {
+				sum += v
+				next()
+			})
+		}, th.Finish)
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -227,13 +276,7 @@ func TestBarrierCostOrderingAcrossKinds(t *testing.T) {
 	cost := map[config.Kind]sim.Time{}
 	for _, k := range config.Kinds {
 		m := newMachine(t, k, cores)
-		f := NewFactory(m)
-		b := f.NewBarrier(nil)
-		m.SpawnAll(func(th *core.Thread) {
-			for e := 0; e < episodes; e++ {
-				b.Wait(th)
-			}
-		})
+		barrierLoop(m, NewFactory(m).NewTaskBarrier(nil), episodes)
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -258,18 +301,20 @@ func TestEurekaFiresForAll(t *testing.T) {
 		e := f.NewEureka()
 		found := -1
 		var woken int
-		m.SpawnAll(func(th *core.Thread) {
+		m.SpawnAllTasks(func(th *core.Task) {
 			if th.Core == 3 {
 				th.Compute(500)
 				found = th.Core
-				e.Trigger(th)
+				e.TriggerTask(th, th.Finish)
 				return
 			}
-			e.WaitTriggered(th)
-			if found != 3 {
-				t.Errorf("thread %d woke before the trigger", th.Core)
-			}
-			woken++
+			e.WaitTriggeredTask(th, func() {
+				if found != 3 {
+					t.Errorf("thread %d woke before the trigger", th.Core)
+				}
+				woken++
+				th.Finish()
+			})
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -285,21 +330,25 @@ func TestEurekaReuse(t *testing.T) {
 	f := NewFactory(m)
 	e := f.NewEureka()
 	var fired int
-	m.SpawnAll(func(th *core.Thread) {
-		for round := 0; round < 3; round++ {
+	m.SpawnAllTasks(func(th *core.Task) {
+		repeat(3, func(_ int, next func()) {
+			after := func() {
+				e.Ack(th)
+				// Simple rendezvous so rounds don't overlap: everyone
+				// waits out the round window.
+				th.Compute(1000)
+				th.Sync(next)
+			}
 			if th.Core == 0 {
 				th.Compute(200)
-				e.Trigger(th)
-			} else {
-				e.WaitTriggered(th)
-				fired++
+				e.TriggerTask(th, after)
+				return
 			}
-			e.Ack(th)
-			// Simple rendezvous so rounds don't overlap: everyone
-			// waits out the round window.
-			th.Compute(1000)
-			th.Sync()
-		}
+			e.WaitTriggeredTask(th, func() {
+				fired++
+				after()
+			})
+		}, th.Finish)
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -315,17 +364,19 @@ func TestProducerConsumer(t *testing.T) {
 		f := NewFactory(m)
 		pc := f.NewPC(1)
 		var got []uint64
-		m.Spawn("producer", 0, 1, func(th *core.Thread) {
-			for i := 1; i <= items; i++ {
-				pc.Produce(th, []uint64{uint64(i * 11)})
-			}
+		m.SpawnTask("producer", 0, 1, func(th *core.Task) {
+			repeat(items, func(i int, next func()) {
+				pc.ProduceTask(th, []uint64{uint64((i + 1) * 11)}, next)
+			}, th.Finish)
 		})
-		m.Spawn("consumer", 1, 1, func(th *core.Thread) {
+		m.SpawnTask("consumer", 1, 1, func(th *core.Task) {
 			buf := make([]uint64, 1)
-			for i := 0; i < items; i++ {
-				pc.Consume(th, buf)
-				got = append(got, buf[0])
-			}
+			repeat(items, func(_ int, next func()) {
+				pc.ConsumeTask(th, buf, func() {
+					got = append(got, buf[0])
+					next()
+				})
+			}, th.Finish)
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -347,20 +398,25 @@ func TestProducerConsumerBulk(t *testing.T) {
 	f := NewFactory(m)
 	pc := f.NewPC(4)
 	var got [][]uint64
-	m.Spawn("producer", 0, 1, func(th *core.Thread) {
-		for i := 0; i < 5; i++ {
-			pc.Produce(th, []uint64{uint64(i), uint64(i + 1), uint64(i + 2), uint64(i + 3)})
-		}
+	m.SpawnTask("producer", 0, 1, func(th *core.Task) {
+		repeat(5, func(i int, next func()) {
+			pc.ProduceTask(th, []uint64{uint64(i), uint64(i + 1), uint64(i + 2), uint64(i + 3)}, next)
+		}, th.Finish)
 	})
-	m.Spawn("consumer", 1, 1, func(th *core.Thread) {
-		for i := 0; i < 5; i++ {
+	m.SpawnTask("consumer", 1, 1, func(th *core.Task) {
+		repeat(5, func(_ int, next func()) {
 			buf := make([]uint64, 4)
-			pc.Consume(th, buf)
-			got = append(got, buf)
-		}
+			pc.ConsumeTask(th, buf, func() {
+				got = append(got, buf)
+				next()
+			})
+		}, th.Finish)
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != 5 {
+		t.Fatalf("consumed %d batches, want 5", len(got))
 	}
 	for i, b := range got {
 		for j := range b {
@@ -378,16 +434,19 @@ func TestMulticastDelivery(t *testing.T) {
 		mc := f.NewMulticast(readers)
 		const rounds = 4
 		recv := make([][]uint64, readers+1)
-		m.SpawnAll(func(th *core.Thread) {
+		m.SpawnAllTasks(func(th *core.Task) {
 			if th.Core == 0 {
-				for r := 1; r <= rounds; r++ {
-					mc.Produce(th, uint64(r*100))
-				}
+				repeat(rounds, func(r int, next func()) {
+					mc.ProduceTask(th, uint64((r+1)*100), next)
+				}, th.Finish)
 				return
 			}
-			for r := 0; r < rounds; r++ {
-				recv[th.Core] = append(recv[th.Core], mc.Consume(th))
-			}
+			repeat(rounds, func(_ int, next func()) {
+				mc.ConsumeTask(th, func(v uint64) {
+					recv[th.Core] = append(recv[th.Core], v)
+					next()
+				})
+			}, th.Finish)
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -407,16 +466,21 @@ func TestReducerTotals(t *testing.T) {
 	forAllKinds(t, cores, func(t *testing.T, m *core.Machine) {
 		f := NewFactory(m)
 		r := f.NewReducer(0)
-		m.SpawnAll(func(th *core.Thread) {
-			for i := 0; i < 10; i++ {
-				r.Add(th, uint64(th.Core))
-			}
+		m.SpawnAllTasks(func(th *core.Task) {
+			repeat(10, func(_ int, next func()) {
+				r.AddTask(th, uint64(th.Core), func(uint64) { next() })
+			}, th.Finish)
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
 		var got uint64
-		m.Spawn("reader", 0, 1, func(th *core.Thread) { got = r.Value(th) })
+		m.SpawnTask("reader", 0, 1, func(th *core.Task) {
+			r.ValueTask(th, func(v uint64) {
+				got = v
+				th.Finish()
+			})
+		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -429,18 +493,19 @@ func TestReducerTotals(t *testing.T) {
 
 func TestTournamentBarrierNonPowerOfTwo(t *testing.T) {
 	for _, n := range []int{3, 5, 7, 12, 24} {
-		n := n
 		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
 			m := newMachine(t, config.BaselinePlus, n)
 			f := NewFactory(m)
-			b := f.NewBarrier(nil)
+			b := f.NewTaskBarrier(nil)
 			var through int
-			m.SpawnAll(func(th *core.Thread) {
-				for e := 0; e < 3; e++ {
-					th.Compute(th.Proc().Engine().Rand().Intn(50))
-					b.Wait(th)
-				}
-				through++
+			m.SpawnAllTasks(func(th *core.Task) {
+				repeat(3, func(_ int, next func()) {
+					th.Compute(m.Eng.Rand().Intn(50))
+					b.WaitTask(th, next)
+				}, func() {
+					through++
+					th.Finish()
+				})
 			})
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
@@ -458,18 +523,18 @@ func TestToneBarrierFallsBackWhenTablesFull(t *testing.T) {
 	cfg.Tone.MaxPerPID = 1
 	m := core.NewMachine(cfg)
 	f := NewFactory(m)
-	b1 := f.NewBarrier(nil) // takes the single tone slot
-	b2 := f.NewBarrier(nil) // must fall back to the Data channel
+	b1 := f.NewTaskBarrier(nil) // takes the single tone slot
+	b2 := f.NewTaskBarrier(nil) // must fall back to the Data channel
 	if _, ok := b1.(*toneBarrier); !ok {
 		t.Fatalf("first barrier is %T, want toneBarrier", b1)
 	}
 	if _, ok := b2.(*dataBarrier); !ok {
 		t.Fatalf("second barrier is %T, want dataBarrier", b2)
 	}
-	m.SpawnAll(func(th *core.Thread) {
-		b1.Wait(th)
-		b2.Wait(th)
-		b1.Wait(th)
+	m.SpawnAllTasks(func(th *core.Task) {
+		b1.WaitTask(th, func() {
+			b2.WaitTask(th, func() { b1.WaitTask(th, th.Finish) })
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -480,17 +545,18 @@ func TestDeterministicRunsAcrossMachines(t *testing.T) {
 	run := func() sim.Time {
 		m := newMachine(t, config.WiSync, 16)
 		f := NewFactory(m)
-		b := f.NewBarrier(nil)
-		l := f.NewLock()
-		v := f.NewVar(0)
-		m.SpawnAll(func(th *core.Thread) {
-			for i := 0; i < 5; i++ {
-				th.Compute(th.Proc().Engine().Rand().Intn(100))
-				l.Acquire(th)
-				v.FetchAdd(th, 1)
-				l.Release(th)
-				b.Wait(th)
-			}
+		b := f.NewTaskBarrier(nil)
+		l := f.NewTaskLock()
+		v := f.NewTaskVar(0)
+		m.SpawnAllTasks(func(th *core.Task) {
+			repeat(5, func(_ int, next func()) {
+				th.Compute(m.Eng.Rand().Intn(100))
+				l.AcquireTask(th, func() {
+					v.FetchAddTask(th, 1, func(uint64) {
+						l.ReleaseTask(th, func() { b.WaitTask(th, next) })
+					})
+				})
+			}, th.Finish)
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)

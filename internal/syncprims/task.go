@@ -6,82 +6,9 @@ import (
 	"wisync/internal/core"
 )
 
-// This file is the continuation-form face of the synchronization
-// primitives: every primitive the blocking interfaces in syncprims.go
-// expose has a task-style method driven by completion callbacks, so
-// workloads running as core.Tasks synchronize through the same objects —
-// and therefore the same allocated variables, the same protocol traffic,
-// and the same simulated timing — as their blocking twins. A primitive
-// obtained from the Factory implements both faces; within one simulation a
-// workload uses one face consistently.
-
-// TaskBarrier is the continuation form of Barrier: then runs once all
-// participants have arrived.
-type TaskBarrier interface {
-	WaitTask(t *core.Task, then func())
-}
-
-// TaskLock is the continuation form of Lock.
-type TaskLock interface {
-	AcquireTask(t *core.Task, then func())
-	ReleaseTask(t *core.Task, then func())
-}
-
-// TaskVar is the continuation form of Var.
-type TaskVar interface {
-	LoadTask(t *core.Task, then func(uint64))
-	StoreTask(t *core.Task, v uint64, then func())
-	CASTask(t *core.Task, old, nv uint64, then func(bool))
-	FetchAddTask(t *core.Task, delta uint64, then func(uint64))
-	SpinUntilTask(t *core.Task, cond func(uint64) bool, then func(uint64))
-}
-
-// NewTaskBarrier allocates a barrier (exactly as NewBarrier would — the
-// allocation sequence is identical) and returns its continuation face.
-func (f *Factory) NewTaskBarrier(participants []int) TaskBarrier {
-	return AsTaskBarrier(f.NewBarrier(participants))
-}
-
-// NewTaskLock allocates a lock and returns its continuation face.
-func (f *Factory) NewTaskLock() TaskLock {
-	return AsTaskLock(f.NewLock())
-}
-
-// NewTaskVar allocates a variable and returns its continuation face.
-func (f *Factory) NewTaskVar(init uint64) TaskVar {
-	return AsTaskVar(f.NewVar(init))
-}
-
-// AsTaskBarrier returns b's continuation face. Every barrier the Factory
-// builds implements both faces; the conversion lets a kernel allocate once
-// and run in either execution mode.
-func AsTaskBarrier(b Barrier) TaskBarrier {
-	tb, ok := b.(TaskBarrier)
-	if !ok {
-		panic(fmt.Sprintf("syncprims: %T has no continuation form", b))
-	}
-	return tb
-}
-
-// AsTaskLock returns l's continuation face. Every lock the Factory builds
-// implements both faces; the conversion lets a workload allocate once and
-// run in either execution mode.
-func AsTaskLock(l Lock) TaskLock {
-	tl, ok := l.(TaskLock)
-	if !ok {
-		panic(fmt.Sprintf("syncprims: %T has no continuation form", l))
-	}
-	return tl
-}
-
-// AsTaskVar returns v's continuation face.
-func AsTaskVar(v Var) TaskVar {
-	tv, ok := v.(TaskVar)
-	if !ok {
-		panic(fmt.Sprintf("syncprims: %T has no continuation form", v))
-	}
-	return tv
-}
+// This file holds the primitives' operations. Each runs on completion
+// callbacks; the hot locks and barriers keep per-core recycled step
+// structs so the steady state allocates no closures.
 
 // ---- Variables ----
 
@@ -115,22 +42,21 @@ func (v *bmVar) SpinUntilTask(t *core.Task, cond func(uint64) bool, then func(ui
 
 // ---- Locks ----
 
-// The lock task faces run on per-core recycled step structs, exactly like
-// the barriers below: a core holds at most one pending operation on a given
+// The locks run on per-core recycled step structs, exactly like the
+// barriers below: a core holds at most one pending operation on a given
 // lock at a time, so each (lock, core) pair owns a single state machine
 // whose continuations are method values cached at construction. The steps
-// slices are allocated lazily on first task-mode use, so thread-mode
-// workloads pay nothing. This removes the per-operation closure tree from
-// the lock hot path — radiosity's serialized hot locks acquire millions of
-// times per run.
+// slices are allocated lazily on first use. This removes the per-operation
+// closure tree from the lock hot path — radiosity's serialized hot locks
+// acquire millions of times per run.
 
 // lockFree and lockTaken are the shared spin predicates (capture-free, so
 // they never allocate).
 func lockFree(x uint64) bool  { return x == 0 }
 func lockTaken(x uint64) bool { return x != 0 }
 
-// spinStep is spinLock's continuation form: the test-and-test&set retry
-// loop of Acquire, step by step.
+// spinStep is spinLock's acquire: the test-and-test&set retry loop — spin
+// until free, then attempt an atomic grab — step by step.
 type spinStep struct {
 	l    *spinLock
 	t    *core.Task
@@ -148,7 +74,7 @@ func (l *spinLock) AcquireTask(t *core.Task, then func()) {
 	s := l.steps[t.Core]
 	if s == nil {
 		t.M.Eng.StepPoolMiss()
-		s = &spinStep{l: l, tv: AsTaskVar(l.v)}
+		s = &spinStep{l: l, tv: l.v}
 		s.onFreeFn = s.onFree
 		s.onCASFn = s.onCAS
 		l.steps[t.Core] = s
@@ -174,13 +100,12 @@ func (s *spinStep) onCAS(ok bool) {
 }
 
 func (l *spinLock) ReleaseTask(t *core.Task, then func()) {
-	AsTaskVar(l.v).StoreTask(t, 0, then)
+	l.v.StoreTask(t, 0, then)
 }
 
-// mcsStep is mcsLock's continuation form: the queue-lock protocol of
-// Acquire/Release with each memory operation a continuation. One struct
-// serves both operations — a core never has an acquire and a release of
-// the same lock in flight together.
+// mcsStep is mcsLock's queue-lock protocol with each memory operation a
+// continuation. One struct serves both operations — a core never has an
+// acquire and a release of the same lock in flight together.
 type mcsStep struct {
 	l    *mcsLock
 	t    *core.Task
@@ -288,18 +213,18 @@ func (s *mcsStep) done() {
 
 // ---- Barriers ----
 
-// The barrier task faces run on per-core recycled step structs: a core
-// waits on one episode of one barrier at a time, so each (barrier, core)
-// pair owns a single state machine whose continuations are method values
-// cached at construction. The steps slices are sized like the barriers'
-// per-core episode arrays and allocated lazily on first task-mode use, so
-// thread-mode workloads pay nothing. This removes the per-episode closure
-// captures from the barrier hot path — the pattern the kernels and apps
-// interpreters use for their own loops (see kernels.readRanger,
-// apps.appTask).
+// The barriers run on per-core recycled step structs: a core waits on one
+// episode of one barrier at a time, so each (barrier, core) pair owns a
+// single state machine whose continuations are method values cached at
+// construction. The steps slices are sized like the barriers' per-core
+// episode arrays and allocated lazily on first use. This removes the
+// per-episode closure captures from the barrier hot path — the pattern the
+// kernels and apps interpreters use for their own loops (see
+// kernels.readRanger, apps.appTask).
 
-// centralStep is centralBarrier's continuation form: the CAS retry loop,
-// last-arriver release and release-flag spin of Wait, step by step.
+// centralStep is centralBarrier's episode: the CAS retry loop that counts
+// the arrival, the last arriver's release, and the release-flag spin,
+// step by step.
 type centralStep struct {
 	b    *centralBarrier
 	t    *core.Task
@@ -370,8 +295,7 @@ func (s *centralStep) onSpin(uint64) {
 	then()
 }
 
-// tournamentBarrier in continuation form: the per-round winner/loser state
-// machine of Wait.
+// WaitTask plays the tournament: the per-round winner/loser state machine.
 func (b *tournamentBarrier) WaitTask(t *core.Task, then func()) {
 	idx := t.Core
 	if idx >= b.n {
@@ -426,7 +350,7 @@ func (b *tournamentBarrier) WaitTask(t *core.Task, then func()) {
 	round(0)
 }
 
-// dataStep is dataBarrier's continuation form: fetch&inc arrival,
+// dataStep is dataBarrier's episode: fetch&inc arrival,
 // last-arriver release store, local-replica spin.
 type dataStep struct {
 	b    *dataBarrier
@@ -479,8 +403,7 @@ func (s *dataStep) onSpin(uint64) {
 	then()
 }
 
-// toneStep is toneBarrier's continuation form: tone_st, then the tone_ld
-// spin.
+// toneStep is toneBarrier's episode: tone_st, then the tone_ld spin.
 type toneStep struct {
 	b    *toneBarrier
 	t    *core.Task

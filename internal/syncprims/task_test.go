@@ -8,10 +8,11 @@ import (
 	"wisync/internal/core"
 )
 
-// The syncprim equivalence tests drive each primitive's blocking and
-// continuation faces through the same workload and assert identical
-// simulated outcomes: final cycle count, protocol counters, and the
-// functional state the primitive protects.
+// The syncprim equivalence tests drive each primitive through a fixed
+// workload and assert the simulated outcome — final cycle count, protocol
+// counters, and the functional state the primitive protects — equals the
+// values recorded from the blocking-thread implementation the continuation
+// form replaced.
 
 // lockResult captures everything a lock workload can observe.
 type lockResult struct {
@@ -23,28 +24,9 @@ type lockResult struct {
 	NetMsgs uint64
 }
 
-// runLockThreads hammers a critical section with blocking threads: each
-// thread increments an unprotected Go counter under the lock; any mutual-
-// exclusion failure shows up as a lost update in the simulated interleave.
-func runLockThreads(cfg config.Config, rounds int) lockResult {
-	m := core.NewMachine(cfg)
-	l := NewFactory(m).NewLock()
-	var counter uint64
-	m.SpawnAll(func(t *core.Thread) {
-		for i := 0; i < rounds; i++ {
-			l.Acquire(t)
-			counter++
-			t.Instr(20)
-			l.Release(t)
-		}
-	})
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return lockResultOf(m, counter)
-}
-
-// runLockTasks is the same workload in continuation form.
+// runLockTasks hammers a critical section: each task increments an
+// unprotected Go counter under the lock; any mutual-exclusion failure shows
+// up as a lost update in the simulated interleave.
 func runLockTasks(cfg config.Config, rounds int) lockResult {
 	m := core.NewMachine(cfg)
 	l := NewFactory(m).NewTaskLock()
@@ -69,10 +51,6 @@ func runLockTasks(cfg config.Config, rounds int) lockResult {
 	if err := m.Run(); err != nil {
 		panic(err)
 	}
-	return lockResultOf(m, counter)
-}
-
-func lockResultOf(m *core.Machine, counter uint64) lockResult {
 	r := lockResult{
 		Cycles:  uint64(m.Now()),
 		Counter: counter,
@@ -88,34 +66,39 @@ func lockResultOf(m *core.Machine, counter uint64) lockResult {
 
 // TestLockTaskEquivalence covers the spinLock (Baseline: CAS/backoff over
 // cached memory; WiSync: wireless test&set) and the Baseline+ MCS queue
-// lock in both execution modes.
+// lock, 8 cores, 4 rounds each.
 func TestLockTaskEquivalence(t *testing.T) {
-	const rounds = 4
-	for _, k := range config.Kinds {
-		for _, seed := range []uint64{1, 42} {
-			cfg := config.New(k, 8).WithSeed(seed)
-			thread := runLockThreads(cfg, rounds)
-			task := runLockTasks(cfg, rounds)
-			if thread != task {
-				t.Errorf("%v seed %d: lock execution modes diverged\nthread: %+v\n  task: %+v",
-					k, seed, thread, task)
-			}
-			if want := uint64(8 * rounds); task.Counter != want {
-				t.Errorf("%v seed %d: counter = %d, want %d (mutual exclusion broken?)",
-					k, seed, task.Counter, want)
-			}
+	for _, c := range []struct {
+		kind config.Kind
+		seed uint64
+		want lockResult
+	}{
+		{config.Baseline, 1, lockResult{Cycles: 3510, Counter: 32, MemHits: 32, MemMiss: 269, Txns: 269}},
+		{config.Baseline, 42, lockResult{Cycles: 3510, Counter: 32, MemHits: 32, MemMiss: 269, Txns: 269}},
+		{config.BaselinePlus, 1, lockResult{Cycles: 3270, Counter: 32, MemHits: 34, MemMiss: 220, Txns: 220}},
+		{config.BaselinePlus, 42, lockResult{Cycles: 3270, Counter: 32, MemHits: 34, MemMiss: 220, Txns: 220}},
+		{config.WiSyncNoT, 1, lockResult{Cycles: 840, Counter: 32, NetMsgs: 64}},
+		{config.WiSyncNoT, 42, lockResult{Cycles: 810, Counter: 32, NetMsgs: 64}},
+		{config.WiSync, 1, lockResult{Cycles: 840, Counter: 32, NetMsgs: 64}},
+		{config.WiSync, 42, lockResult{Cycles: 810, Counter: 32, NetMsgs: 64}},
+	} {
+		got := runLockTasks(config.New(c.kind, 8).WithSeed(c.seed), 4)
+		if got != c.want {
+			t.Errorf("%v seed %d: lock run diverged from the recorded reference\n got: %+v\nwant: %+v",
+				c.kind, c.seed, got, c.want)
 		}
 	}
 }
 
 // TestBarrierTaskEquivalence drives each barrier implementation directly
-// (not through a kernel): per-episode phase counters must observe full
-// synchronization, and both modes must finish at the same cycle.
+// (not through a kernel), 16 cores, 5 episodes: per-episode phase counters
+// must observe full synchronization, and the run must finish at the
+// recorded cycle with the recorded protocol counters.
 func TestBarrierTaskEquivalence(t *testing.T) {
 	const episodes = 5
-	run := func(cfg config.Config, task bool) (uint64, string) {
+	run := func(cfg config.Config) (uint64, string) {
 		m := core.NewMachine(cfg)
-		b := NewFactory(m).NewBarrier(nil)
+		tb := NewFactory(m).NewTaskBarrier(nil)
 		phase := make([]int, m.Cfg.Cores)
 		check := func(core int) {
 			phase[core]++
@@ -125,31 +108,20 @@ func TestBarrierTaskEquivalence(t *testing.T) {
 				}
 			}
 		}
-		if task {
-			tb := AsTaskBarrier(b)
-			m.SpawnAllTasks(func(t *core.Task) {
-				n := 0
-				var loop func()
-				loop = func() {
-					if n == episodes {
-						t.Finish()
-						return
-					}
-					n++
-					t.Instr(10 * (1 + t.Core%3))
-					tb.WaitTask(t, func() { check(t.Core); loop() })
+		m.SpawnAllTasks(func(t *core.Task) {
+			n := 0
+			var loop func()
+			loop = func() {
+				if n == episodes {
+					t.Finish()
+					return
 				}
-				loop()
-			})
-		} else {
-			m.SpawnAll(func(t *core.Thread) {
-				for n := 0; n < episodes; n++ {
-					t.Instr(10 * (1 + t.Core%3))
-					b.Wait(t)
-					check(t.Core)
-				}
-			})
-		}
+				n++
+				t.Instr(10 * (1 + t.Core%3))
+				tb.WaitTask(t, func() { check(t.Core); loop() })
+			}
+			loop()
+		})
 		if err := m.Run(); err != nil {
 			panic(err)
 		}
@@ -159,15 +131,29 @@ func TestBarrierTaskEquivalence(t *testing.T) {
 		}
 		return uint64(m.Now()), fmt.Sprintf("mem=%+v net=%s", m.Mem.Stats, net)
 	}
-	for _, k := range config.Kinds {
-		for _, seed := range []uint64{1, 42} {
-			cfg := config.New(k, 16).WithSeed(seed)
-			cycThread, ctrThread := run(cfg, false)
-			cycTask, ctrTask := run(cfg, true)
-			if cycThread != cycTask || ctrThread != ctrTask {
-				t.Errorf("%v seed %d barrier modes diverged:\nthread: cyc=%d %s\n  task: cyc=%d %s",
-					k, seed, cycThread, ctrThread, cycTask, ctrTask)
-			}
+	const (
+		noMem = "mem={L1Hits:0 L1Misses:0 Transactions:0 Invalidations:0 Forwards:0 MemFetches:0 Evictions:0}"
+		noMAC = "TokenPasses:0 TokenWaitCycles:0 ModeSwitches:0 TokenRegens:0}"
+	)
+	for _, c := range []struct {
+		kind     config.Kind
+		seed     uint64
+		cycles   uint64
+		counters string
+	}{
+		{config.Baseline, 1, 8141, "mem={L1Hits:93 L1Misses:673 Transactions:673 Invalidations:299 Forwards:81 MemFetches:2 Evictions:0} net="},
+		{config.Baseline, 42, 8141, "mem={L1Hits:93 L1Misses:673 Transactions:673 Invalidations:299 Forwards:81 MemFetches:2 Evictions:0} net="},
+		{config.BaselinePlus, 1, 2329, "mem={L1Hits:120 L1Misses:325 Transactions:325 Invalidations:145 Forwards:150 MemFetches:30 Evictions:0} net="},
+		{config.BaselinePlus, 42, 2329, "mem={L1Hits:120 L1Misses:325 Transactions:325 Invalidations:145 Forwards:150 MemFetches:30 Evictions:0} net="},
+		{config.WiSyncNoT, 1, 516, noMem + " net={Messages:85 Collisions:20 Withdrawn:0 SkippedGrants:0 BusyCycles:465 LatencySum:3636}/{Grants:85 Collisions:20 " + noMAC},
+		{config.WiSyncNoT, 42, 558, noMem + " net={Messages:85 Collisions:39 Withdrawn:0 SkippedGrants:0 BusyCycles:503 LatencySum:4240}/{Grants:85 Collisions:39 " + noMAC},
+		{config.WiSync, 1, 128, noMem + " net={Messages:5 Collisions:16 Withdrawn:65 SkippedGrants:0 BusyCycles:57 LatencySum:45}/{Grants:5 Collisions:16 " + noMAC},
+		{config.WiSync, 42, 150, noMem + " net={Messages:5 Collisions:27 Withdrawn:70 SkippedGrants:0 BusyCycles:79 LatencySum:68}/{Grants:5 Collisions:27 " + noMAC},
+	} {
+		cycles, counters := run(config.New(c.kind, 16).WithSeed(c.seed))
+		if cycles != c.cycles || counters != c.counters {
+			t.Errorf("%v seed %d barrier run diverged from the recorded reference:\n got: cyc=%d %s\nwant: cyc=%d %s",
+				c.kind, c.seed, cycles, counters, c.cycles, c.counters)
 		}
 	}
 }

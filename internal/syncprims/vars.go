@@ -1,25 +1,8 @@
 package syncprims
 
-import "wisync/internal/core"
-
 // cacheVar is a synchronization variable in regular coherent memory.
 type cacheVar struct {
 	addr uint64
-}
-
-func (v *cacheVar) Load(t *core.Thread) uint64     { return t.Read(v.addr) }
-func (v *cacheVar) Store(t *core.Thread, x uint64) { t.Write(v.addr, x) }
-
-func (v *cacheVar) CAS(t *core.Thread, old, nv uint64) bool {
-	return t.CAS(v.addr, old, nv)
-}
-
-func (v *cacheVar) FetchAdd(t *core.Thread, d uint64) uint64 {
-	return t.FetchAdd(v.addr, d)
-}
-
-func (v *cacheVar) SpinUntil(t *core.Thread, cond func(uint64) bool) uint64 {
-	return t.SpinUntil(v.addr, cond)
 }
 
 func (v *cacheVar) InBM() bool { return false }
@@ -27,21 +10,6 @@ func (v *cacheVar) InBM() bool { return false }
 // bmVar is a broadcast variable in the Broadcast Memory.
 type bmVar struct {
 	addr uint32
-}
-
-func (v *bmVar) Load(t *core.Thread) uint64     { return t.BMLoad(v.addr) }
-func (v *bmVar) Store(t *core.Thread, x uint64) { t.BMStore(v.addr, x) }
-
-func (v *bmVar) CAS(t *core.Thread, old, nv uint64) bool {
-	return t.BMCAS(v.addr, old, nv)
-}
-
-func (v *bmVar) FetchAdd(t *core.Thread, d uint64) uint64 {
-	return t.BMFetchAdd(v.addr, d)
-}
-
-func (v *bmVar) SpinUntil(t *core.Thread, cond func(uint64) bool) uint64 {
-	return t.BMSpinUntil(v.addr, cond)
 }
 
 func (v *bmVar) InBM() bool { return true }

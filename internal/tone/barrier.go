@@ -5,45 +5,13 @@ import (
 	"wisync/internal/wireless"
 )
 
-// ToneStore is the tone_st instruction: node announces arrival at the
+// ToneStoreAsync is the tone_st instruction: node announces arrival at the
 // barrier whose variable lives at addr (Section 4.2.2). It does not update
 // the BM location. If this node's controller is already issuing a tone for
 // addr, it simply stops (arrival registered); otherwise this node believes
 // it is the first arriver and broadcasts the Tone-bit message on the Data
-// channel. ToneStore returns when the arrival is architecturally visible.
-func (c *Controller) ToneStore(p *sim.Proc, node int, pid uint16, addr uint32) error {
-	if err := c.checkParticipant(node, pid, addr); err != nil {
-		return err
-	}
-	if b := c.findActive(addr); b != nil {
-		// Tone being issued locally: stop it (arrive).
-		c.arrive(b, node)
-		p.Sleep(1)
-		return nil
-	}
-	// Not active: this node is (or ties for) the first arriver. Send the
-	// init message; if another node's init commits first, ours is
-	// withdrawn by the activation and our arrival is registered there.
-	pi := &c.pending[node]
-	*pi = pendingInit{active: true, addr: addr}
-	committed := c.net.Send(p, wireless.Msg{
-		Src: node, Addr: addr, Kind: wireless.KindToneInit, PID: pid,
-	}, &pi.tok)
-	if committed {
-		pi.active = false
-		// Our own commit activated the barrier (onToneInit ran) and
-		// registered us as arrived.
-		return nil
-	}
-	// Withdrawn: the activation marked us arrived.
-	c.Stats.InitWithdrawn++
-	return nil
-}
-
-// ToneStoreAsync is the continuation mirror of ToneStore: then runs at the
-// cycle the arrival is architecturally visible. Faults are reported
-// synchronously, before any simulated time elapses, exactly as in the
-// blocking form.
+// channel. then runs at the cycle the arrival is architecturally visible.
+// Faults are reported synchronously, before any simulated time elapses.
 func (c *Controller) ToneStoreAsync(node int, pid uint16, addr uint32, then func()) error {
 	if err := c.checkParticipant(node, pid, addr); err != nil {
 		return err
@@ -54,12 +22,17 @@ func (c *Controller) ToneStoreAsync(node int, pid uint16, addr uint32, then func
 		c.eng.SleepThen(1, then)
 		return nil
 	}
+	// Not active: this node is (or ties for) the first arriver. Send the
+	// init message; if another node's init commits first, ours is
+	// withdrawn by the activation and our arrival is registered there.
 	pi := &c.pending[node]
 	*pi = pendingInit{active: true, addr: addr}
 	c.net.SendAsync(wireless.Msg{
 		Src: node, Addr: addr, Kind: wireless.KindToneInit, PID: pid,
 	}, &pi.tok, func(committed bool) {
 		if committed {
+			// Our own commit activated the barrier (onToneInit ran) and
+			// registered us as arrived.
 			pi.active = false
 		} else {
 			// Withdrawn: the activation marked us arrived.
@@ -72,8 +45,6 @@ func (c *Controller) ToneStoreAsync(node int, pid uint16, addr uint32, then func
 
 // checkParticipant validates a tone_st issuer: addr must be an allocated
 // barrier owned by pid with node armed as a participant (Section 4.4).
-// Shared by both faces of ToneStore so fault behavior cannot diverge
-// between execution modes.
 func (c *Controller) checkParticipant(node int, pid uint16, addr uint32) error {
 	ae := c.findAlloc(addr)
 	if ae == nil || ae.pid != pid || !ae.armed.has(node) {
@@ -170,31 +141,11 @@ func (c *Controller) accountActive(now sim.Time) {
 	}
 }
 
-// ToneLoad is the tone_ld instruction: a plain local BM read of the barrier
-// variable, bypassing PID ownership transfer (the variable belongs to the
-// allocating process; participants share its PID).
-func (c *Controller) ToneLoad(p *sim.Proc, node int, pid uint16, addr uint32) (uint64, error) {
-	return c.bm.Load(p, node, pid, addr)
-}
-
-// WaitToggle parks until the barrier variable at addr changes, then returns
-// its new value. Cores use it to spin efficiently between tone_ld polls.
-func (c *Controller) WaitToggle(p *sim.Proc, node int, pid uint16, addr uint32, want uint64) (uint64, error) {
-	for {
-		v, err := c.bm.Load(p, node, pid, addr)
-		if err != nil {
-			return 0, err
-		}
-		if v == want {
-			return v, nil
-		}
-		c.bm.WaitChange(p, node, addr)
-	}
-}
-
-// WaitToggleAsync is the continuation mirror of WaitToggle: then receives
-// the barrier variable once it equals want, with the same local-poll /
-// wait-change cadence as the blocking form.
+// WaitToggleAsync is the tone_ld spin: then receives the barrier variable
+// at addr once it equals want. Cores poll their local BM replica between
+// changes, with no traffic. The read bypasses PID ownership transfer (the
+// variable belongs to the allocating process; participants share its
+// PID).
 func (c *Controller) WaitToggleAsync(node int, pid uint16, addr uint32, want uint64, then func(uint64)) error {
 	return c.bm.SpinUntilAsync(node, pid, addr, func(v uint64) bool { return v == want }, then)
 }

@@ -61,16 +61,6 @@ type bitset [4]uint64
 func (b *bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b *bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-func (b *bitset) count() int {
-	n := 0
-	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
 type allocEntry struct {
 	addr  uint32
 	pid   uint16
@@ -139,9 +129,10 @@ func New(eng *sim.Engine, bm *bmem.BM, net *wireless.Network, p Params) *Control
 // Allocate creates a tone barrier variable owned by pid, arming the listed
 // participant nodes (the runtime must know participation up front; nodes
 // not armed here refuse to join, Section 4.4). It allocates the backing BM
-// entry, broadcasts the allocation, and installs the AllocB entry on every
-// node. It returns the BM address of the barrier variable.
-func (c *Controller) Allocate(p *sim.Proc, node int, pid uint16, participants []int) (uint32, error) {
+// entry and broadcasts the allocation; at the commit it installs the AllocB
+// entry on every node and runs then. It returns the BM address of the
+// barrier variable.
+func (c *Controller) Allocate(node int, pid uint16, participants []int, then func(committed bool)) (uint32, error) {
 	if len(participants) == 0 {
 		return 0, fmt.Errorf("tone: barrier with no participants")
 	}
@@ -151,11 +142,7 @@ func (c *Controller) Allocate(p *sim.Proc, node int, pid uint16, participants []
 	if c.byPID[pid] >= c.p.MaxPerPID {
 		return 0, ErrPIDQuota
 	}
-	addr, err := c.bm.Alloc(p, node, pid, true)
-	if err != nil {
-		return 0, err
-	}
-	e := &allocEntry{addr: addr, pid: pid}
+	e := &allocEntry{pid: pid}
 	for _, n := range participants {
 		if n < 0 || n >= c.nodes {
 			return 0, fmt.Errorf("tone: participant %d out of range", n)
@@ -165,8 +152,15 @@ func (c *Controller) Allocate(p *sim.Proc, node int, pid uint16, participants []
 			e.nArm++
 		}
 	}
-	c.alloc = append(c.alloc, e)
-	c.byPID[pid]++
+	addr, err := c.bm.Alloc(node, pid, true, func(committed bool) {
+		c.alloc = append(c.alloc, e)
+		c.byPID[pid]++
+		then(committed)
+	})
+	if err != nil {
+		return 0, err
+	}
+	e.addr = addr
 	return addr, nil
 }
 
@@ -198,21 +192,20 @@ func (c *Controller) AllocateBare(pid uint16, participants []int) (uint32, error
 }
 
 // Deallocate removes the barrier's AllocB entry everywhere and frees its BM
-// entry. Deallocating an active barrier is a program error.
-func (c *Controller) Deallocate(p *sim.Proc, node int, pid uint16, addr uint32) error {
+// entry; then runs when the free commits. Deallocating an active barrier is
+// a program error.
+func (c *Controller) Deallocate(node int, pid uint16, addr uint32, then func(committed bool)) error {
 	if c.findActive(addr) != nil {
 		return fmt.Errorf("tone: deallocate of active barrier at %d", addr)
 	}
-	ae := c.findAlloc(addr)
-	if ae == nil {
+	if c.findAlloc(addr) == nil {
 		return fmt.Errorf("tone: deallocate of unallocated barrier at %d", addr)
 	}
-	if err := c.bm.Free(p, node, pid, addr); err != nil {
-		return err
-	}
-	c.removeAlloc(addr)
-	c.byPID[pid]--
-	return nil
+	return c.bm.Free(node, pid, addr, func(committed bool) {
+		c.removeAlloc(addr)
+		c.byPID[pid]--
+		then(committed)
+	})
 }
 
 func (c *Controller) findAlloc(addr uint32) *allocEntry {

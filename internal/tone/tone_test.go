@@ -18,26 +18,43 @@ func newCtl(t *testing.T, nodes int) (*sim.Engine, *bmem.BM, *Controller) {
 	return eng, bm, New(eng, bm, net, DefaultParams())
 }
 
-// toneBarrierWait performs one full sense-reversing tone barrier episode.
-func toneBarrierWait(p *sim.Proc, c *Controller, bm *bmem.BM, node int, addr uint32, sense uint64) {
-	if err := c.ToneStore(p, node, 1, addr); err != nil {
-		panic(err)
-	}
-	for {
-		v, err := c.ToneLoad(p, node, 1, addr)
-		if err != nil {
+// toneBarrierWait performs one full sense-reversing tone barrier episode:
+// tone_st, then the tone_ld spin until the variable reads sense; then runs
+// at the release.
+func toneBarrierWait(c *Controller, node int, pid uint16, addr uint32, sense uint64, then func()) {
+	if err := c.ToneStoreAsync(node, pid, addr, func() {
+		if err := c.WaitToggleAsync(node, pid, addr, sense, func(uint64) { then() }); err != nil {
 			panic(err)
 		}
-		if v == sense {
+	}); err != nil {
+		panic(err)
+	}
+}
+
+// goTask starts body as a task; body calls done to finish it.
+func goTask(eng *sim.Engine, name string, body func(done func())) {
+	eng.GoTask(name, func(tk *sim.Task) { body(tk.Finish) })
+}
+
+// repeat runs body for i = 0..n-1 in sequence, each call continuing with
+// next, then runs done.
+func repeat(n int, body func(i int, next func()), done func()) {
+	i := 0
+	var step func()
+	step = func() {
+		if i == n {
+			done()
 			return
 		}
-		bm.WaitChange(p, node, addr)
+		i++
+		body(i-1, step)
 	}
+	step()
 }
 
 func TestSingleBarrierAllArrive(t *testing.T) {
 	const n = 8
-	eng, bm, c := newCtl(t, n)
+	eng, _, c := newCtl(t, n)
 	parts := make([]int, n)
 	for i := range parts {
 		parts[i] = i
@@ -48,11 +65,13 @@ func TestSingleBarrierAllArrive(t *testing.T) {
 	}
 	var releases []sim.Time
 	for i := 0; i < n; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-			p.Sleep(sim.Time(i * 10)) // skewed arrivals
-			toneBarrierWait(p, c, bm, i, addr, 1)
-			releases = append(releases, p.Now())
+		goTask(eng, fmt.Sprintf("t%d", i), func(done func()) {
+			eng.SleepThen(sim.Time(i*10), func() { // skewed arrivals
+				toneBarrierWait(c, i, 1, addr, 1, func() {
+					releases = append(releases, eng.Now())
+					done()
+				})
+			})
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -82,7 +101,7 @@ func TestSimultaneousArrivalsOneActivation(t *testing.T) {
 	// All nodes arrive in the same cycle: several init messages contend,
 	// one activates the barrier, the rest are withdrawn.
 	const n = 16
-	eng, bm, c := newCtl(t, n)
+	eng, _, c := newCtl(t, n)
 	parts := make([]int, n)
 	for i := range parts {
 		parts[i] = i
@@ -90,10 +109,11 @@ func TestSimultaneousArrivalsOneActivation(t *testing.T) {
 	addr, _ := c.AllocateBare(1, parts)
 	var done int
 	for i := 0; i < n; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-			toneBarrierWait(p, c, bm, i, addr, 1)
-			done++
+		goTask(eng, fmt.Sprintf("t%d", i), func(finish func()) {
+			toneBarrierWait(c, i, 1, addr, 1, func() {
+				done++
+				finish()
+			})
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -113,19 +133,23 @@ func TestSimultaneousArrivalsOneActivation(t *testing.T) {
 func TestSenseReversingReuse(t *testing.T) {
 	// Three consecutive barrier episodes through the same variable.
 	const n, episodes = 4, 3
-	eng, bm, c := newCtl(t, n)
+	eng, _, c := newCtl(t, n)
 	addr, _ := c.AllocateBare(1, []int{0, 1, 2, 3})
 	var finished int
 	for i := 0; i < n; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
+		goTask(eng, fmt.Sprintf("t%d", i), func(done func()) {
 			sense := uint64(1)
-			for e := 0; e < episodes; e++ {
-				p.Sleep(sim.Time(p.Engine().Rand().Intn(40)))
-				toneBarrierWait(p, c, bm, i, addr, sense)
-				sense ^= 1
-			}
-			finished++
+			repeat(episodes, func(_ int, next func()) {
+				eng.SleepThen(sim.Time(eng.Rand().Intn(40)), func() {
+					toneBarrierWait(c, i, 1, addr, sense, func() {
+						sense ^= 1
+						next()
+					})
+				})
+			}, func() {
+				finished++
+				done()
+			})
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -143,26 +167,28 @@ func TestBarrierSynchrony(t *testing.T) {
 	// Property: no thread passes barrier k until every thread reached
 	// barrier k. Track phase counts.
 	const n, episodes = 8, 5
-	eng, bm, c := newCtl(t, n)
+	eng, _, c := newCtl(t, n)
 	parts := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	addr, _ := c.AllocateBare(1, parts)
 	phase := make([]int, n)
 	for i := 0; i < n; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
+		goTask(eng, fmt.Sprintf("t%d", i), func(done func()) {
 			sense := uint64(1)
-			for e := 0; e < episodes; e++ {
-				p.Sleep(sim.Time(p.Engine().Rand().Intn(60)))
-				phase[i] = e
-				toneBarrierWait(p, c, bm, i, addr, sense)
-				// At release, every thread must have reached e.
-				for j := 0; j < n; j++ {
-					if phase[j] < e {
-						t.Errorf("thread %d passed barrier %d while thread %d at %d", i, e, j, phase[j])
-					}
-				}
-				sense ^= 1
-			}
+			repeat(episodes, func(e int, next func()) {
+				eng.SleepThen(sim.Time(eng.Rand().Intn(60)), func() {
+					phase[i] = e
+					toneBarrierWait(c, i, 1, addr, sense, func() {
+						// At release, every thread must have reached e.
+						for j := 0; j < n; j++ {
+							if phase[j] < e {
+								t.Errorf("thread %d passed barrier %d while thread %d at %d", i, e, j, phase[j])
+							}
+						}
+						sense ^= 1
+						next()
+					})
+				})
+			}, done)
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -171,32 +197,29 @@ func TestBarrierSynchrony(t *testing.T) {
 }
 
 func TestNonParticipantRejected(t *testing.T) {
-	eng, _, c := newCtl(t, 4)
+	_, _, c := newCtl(t, 4)
 	addr, _ := c.AllocateBare(1, []int{0, 1})
-	eng.Go("outsider", func(p *sim.Proc) {
-		err := c.ToneStore(p, 3, 1, addr)
-		var npe *NotParticipantError
-		if !errors.As(err, &npe) {
-			t.Errorf("err = %v, want NotParticipantError", err)
-		}
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+	err := c.ToneStoreAsync(3, 1, addr, func() {})
+	var npe *NotParticipantError
+	if !errors.As(err, &npe) {
+		t.Errorf("err = %v, want NotParticipantError", err)
 	}
 }
 
 func TestSubsetParticipants(t *testing.T) {
 	// Only cores 0 and 2 participate; the barrier completes without any
 	// action from cores 1 and 3.
-	eng, bm, c := newCtl(t, 4)
+	eng, _, c := newCtl(t, 4)
 	addr, _ := c.AllocateBare(1, []int{0, 2})
 	var done int
 	for _, i := range []int{0, 2} {
-		i := i
-		eng.Go(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-			p.Sleep(sim.Time(10 * i))
-			toneBarrierWait(p, c, bm, i, addr, 1)
-			done++
+		goTask(eng, fmt.Sprintf("t%d", i), func(finish func()) {
+			eng.SleepThen(sim.Time(10*i), func() {
+				toneBarrierWait(c, i, 1, addr, 1, func() {
+					done++
+					finish()
+				})
+			})
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -210,44 +233,28 @@ func TestSubsetParticipants(t *testing.T) {
 func TestTwoConcurrentBarriersShareToneChannel(t *testing.T) {
 	// Two programs run independent tone barriers at the same time; slot
 	// multiplexing must keep them independent and both must complete.
-	eng, bm, c := newCtl(t, 8)
+	eng, _, c := newCtl(t, 8)
 	addrA, _ := c.AllocateBare(1, []int{0, 1, 2, 3})
 	addrB, _ := c.AllocateBare(2, []int{4, 5, 6, 7})
 	var doneA, doneB int
 	for i := 0; i < 4; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("a%d", i), func(p *sim.Proc) {
-			p.Sleep(sim.Time(i * 7))
-			if err := c.ToneStore(p, i, 1, addrA); err != nil {
-				t.Error(err)
-				return
-			}
-			for {
-				v, _ := c.ToneLoad(p, i, 1, addrA)
-				if v == 1 {
-					break
-				}
-				bm.WaitChange(p, i, addrA)
-			}
-			doneA++
+		goTask(eng, fmt.Sprintf("a%d", i), func(done func()) {
+			eng.SleepThen(sim.Time(i*7), func() {
+				toneBarrierWait(c, i, 1, addrA, 1, func() {
+					doneA++
+					done()
+				})
+			})
 		})
 	}
 	for i := 4; i < 8; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("b%d", i), func(p *sim.Proc) {
-			p.Sleep(sim.Time(i * 11))
-			if err := c.ToneStore(p, i, 2, addrB); err != nil {
-				t.Error(err)
-				return
-			}
-			for {
-				v, _ := c.ToneLoad(p, i, 2, addrB)
-				if v == 1 {
-					break
-				}
-				bm.WaitChange(p, i, addrB)
-			}
-			doneB++
+		goTask(eng, fmt.Sprintf("b%d", i), func(done func()) {
+			eng.SleepThen(sim.Time(i*11), func() {
+				toneBarrierWait(c, i, 2, addrB, 1, func() {
+					doneB++
+					done()
+				})
+			})
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -300,16 +307,17 @@ func TestPerPIDQuota(t *testing.T) {
 }
 
 func TestDeallocate(t *testing.T) {
-	eng, bm, c := newCtl(t, 4)
-	_ = bm
+	eng, _, c := newCtl(t, 4)
 	addr, _ := c.AllocateBare(1, []int{0, 1})
-	eng.Go("p", func(p *sim.Proc) {
-		if err := c.Deallocate(p, 0, 1, addr); err != nil {
+	goTask(eng, "p", func(done func()) {
+		if err := c.Deallocate(0, 1, addr, func(bool) {
+			// The AllocB slot and quota are released.
+			if _, err := c.Allocate(0, 1, []int{0, 1}, func(bool) { done() }); err != nil {
+				t.Errorf("re-allocate after dealloc: %v", err)
+				done()
+			}
+		}); err != nil {
 			t.Fatal(err)
-		}
-		// The AllocB slot and quota are released.
-		if _, err := c.Allocate(p, 0, 1, []int{0, 1}); err != nil {
-			t.Errorf("re-allocate after dealloc: %v", err)
 		}
 	})
 	if err := eng.Run(); err != nil {
@@ -320,21 +328,24 @@ func TestDeallocate(t *testing.T) {
 func TestDeallocateActiveBarrierFails(t *testing.T) {
 	eng, _, c := newCtl(t, 4)
 	addr, _ := c.AllocateBare(1, []int{0, 1})
-	eng.Go("t0", func(p *sim.Proc) {
-		if err := c.ToneStore(p, 0, 1, addr); err != nil {
+	goTask(eng, "t0", func(done func()) {
+		if err := c.ToneStoreAsync(0, 1, addr, func() {
+			// Barrier now active (waiting for core 1).
+			if err := c.Deallocate(0, 1, addr, func(bool) {}); err == nil {
+				t.Error("deallocated an active barrier")
+			}
+			// Let core 1 arrive so the run terminates.
+			done()
+		}); err != nil {
 			t.Fatal(err)
 		}
-		// Barrier now active (waiting for core 1).
-		if err := c.Deallocate(p, 0, 1, addr); err == nil {
-			t.Error("deallocated an active barrier")
-		}
-		// Let core 1 arrive so the run terminates.
 	})
-	eng.Go("t1", func(p *sim.Proc) {
-		p.Sleep(50)
-		if err := c.ToneStore(p, 1, 1, addr); err != nil {
-			t.Fatal(err)
-		}
+	goTask(eng, "t1", func(done func()) {
+		eng.SleepThen(50, func() {
+			if err := c.ToneStoreAsync(1, 1, addr, done); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -342,13 +353,15 @@ func TestDeallocateActiveBarrierFails(t *testing.T) {
 }
 
 func TestSingleParticipantBarrier(t *testing.T) {
-	eng, bm, c := newCtl(t, 2)
+	eng, _, c := newCtl(t, 2)
 	addr, _ := c.AllocateBare(1, []int{0})
-	eng.Go("solo", func(p *sim.Proc) {
-		toneBarrierWait(p, c, bm, 0, addr, 1)
-		if p.Now() > 30 {
-			t.Errorf("solo barrier took %d cycles", p.Now())
-		}
+	goTask(eng, "solo", func(done func()) {
+		toneBarrierWait(c, 0, 1, addr, 1, func() {
+			if eng.Now() > 30 {
+				t.Errorf("solo barrier took %d cycles", eng.Now())
+			}
+			done()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -359,7 +372,7 @@ func TestDetectionDelayGrowsWithActiveBarriers(t *testing.T) {
 	// With K active barriers the channel is time-multiplexed; a barrier's
 	// silence detection can only happen in its own slots. We verify the
 	// stat exists and completion still works with 3 concurrent barriers.
-	eng, bm, c := newCtl(t, 12)
+	eng, _, c := newCtl(t, 12)
 	var addrs []uint32
 	for g := 0; g < 3; g++ {
 		parts := []int{g * 4, g*4 + 1, g*4 + 2, g*4 + 3}
@@ -372,20 +385,10 @@ func TestDetectionDelayGrowsWithActiveBarriers(t *testing.T) {
 	for g := 0; g < 3; g++ {
 		for k := 0; k < 4; k++ {
 			node := g*4 + k
-			g, node := g, node
-			eng.Go(fmt.Sprintf("g%dn%d", g, node), func(p *sim.Proc) {
-				p.Sleep(sim.Time(node * 3))
-				if err := c.ToneStore(p, node, uint16(g+1), addrs[g]); err != nil {
-					t.Error(err)
-					return
-				}
-				for {
-					v, _ := c.ToneLoad(p, node, uint16(g+1), addrs[g])
-					if v == 1 {
-						break
-					}
-					bm.WaitChange(p, node, addrs[g])
-				}
+			goTask(eng, fmt.Sprintf("g%dn%d", g, node), func(done func()) {
+				eng.SleepThen(sim.Time(node*3), func() {
+					toneBarrierWait(c, node, uint16(g+1), addrs[g], 1, done)
+				})
 			})
 		}
 	}

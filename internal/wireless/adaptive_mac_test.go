@@ -36,24 +36,20 @@ func TestAdaptiveMACSwitchesUnderBurstSchedule(t *testing.T) {
 	n.Subscribe(func(Msg, sim.Time) { modes = append(modes, am.Mode()) })
 
 	for c := 0; c < nodes; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
+		goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
 			// Phase 1: every node transmits at the same cycle each round.
-			for r := 0; r < rounds; r++ {
-				if start := sim.Time(r) * roundGap; start > p.Now() {
-					p.Sleep(start - p.Now())
+			repeat(rounds, func(r int, next func()) {
+				sleepUntil(eng, sim.Time(r)*roundGap, func() { sendThen(n, Msg{Src: c}, next) })
+			}, func() {
+				// Phase 2: only node 0 keeps sending, back to back.
+				if c != 0 {
+					done()
+					return
 				}
-				n.Send(p, Msg{Src: c}, nil)
-			}
-			// Phase 2: only node 0 keeps sending, back to back.
-			if c == 0 {
-				if start := sim.Time(rounds) * roundGap; start > p.Now() {
-					p.Sleep(start - p.Now())
-				}
-				for i := 0; i < 48; i++ {
-					n.Send(p, Msg{Src: c}, nil)
-				}
-			}
+				sleepUntil(eng, sim.Time(rounds)*roundGap, func() {
+					repeat(48, func(_ int, next func()) { sendThen(n, Msg{Src: c}, next) }, done)
+				})
+			})
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -105,14 +101,13 @@ func TestAdaptiveMACStaysInBackoffWhenUncontended(t *testing.T) {
 	p.MAC = MACAdaptive
 	n := New(eng, 16, p)
 	for c := 0; c < 4; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
+		goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
 			// Staggered starts: sparse means no simultaneous arrivals.
-			p.Sleep(sim.Time(1 + 17*c))
-			for i := 0; i < 20; i++ {
-				n.Send(p, Msg{Src: c}, nil)
-				p.Sleep(sim.Time(50 + 13*c))
-			}
+			eng.SleepThen(sim.Time(1+17*c), func() {
+				repeat(20, func(_ int, next func()) {
+					sendThen(n, Msg{Src: c}, func() { eng.SleepThen(sim.Time(50+13*c), next) })
+				}, done)
+			})
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -144,33 +139,36 @@ func TestAdaptiveMACDeliversEverythingAcrossSwitches(t *testing.T) {
 	})
 	var sent int
 	for c := 0; c < nodes; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
+		goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
 			seq := uint64(0)
-			for ph := 0; ph < phases; ph++ {
-				if start := sim.Time(ph) * 700; start > p.Now() {
-					p.Sleep(start - p.Now())
-				}
-				// Even phases: synchronized burst from everyone. Odd
-				// phases: only low nodes trickle.
-				msgs := 2
-				if ph%2 == 1 {
-					if c >= 4 {
-						continue
-					}
-					msgs = 6
-				}
-				for i := 0; i < msgs; i++ {
-					if !n.Send(p, Msg{Src: c, Val: seq}, nil) {
-						t.Errorf("node %d seq %d failed", c, seq)
-					}
-					seq++
-					sent++
+			repeat(phases, func(ph int, nextPhase func()) {
+				sleepUntil(eng, sim.Time(ph)*700, func() {
+					// Even phases: synchronized burst from everyone. Odd
+					// phases: only low nodes trickle.
+					msgs := 2
 					if ph%2 == 1 {
-						p.Sleep(40)
+						if c >= 4 {
+							nextPhase()
+							return
+						}
+						msgs = 6
 					}
-				}
-			}
+					repeat(msgs, func(_ int, next func()) {
+						n.SendAsync(Msg{Src: c, Val: seq}, nil, func(ok bool) {
+							if !ok {
+								t.Errorf("node %d seq %d failed", c, seq)
+							}
+							seq++
+							sent++
+							if ph%2 == 1 {
+								eng.SleepThen(40, next)
+								return
+							}
+							next()
+						})
+					}, nextPhase)
+				})
+			}, done)
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -199,12 +197,12 @@ func TestAdaptiveMACDeterministicReplay(t *testing.T) {
 		var order []int
 		n.Subscribe(func(m Msg, _ sim.Time) { order = append(order, m.Src) })
 		for c := 0; c < 16; c++ {
-			c := c
-			eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-				for i := 0; i < 8; i++ {
-					n.Send(p, Msg{Src: c}, nil)
-					p.Sleep(sim.Time(p.Engine().Rand().Intn(7)))
-				}
+			goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
+				repeat(8, func(_ int, next func()) {
+					sendThen(n, Msg{Src: c}, func() {
+						eng.SleepThen(sim.Time(eng.Rand().Intn(7)), next)
+					})
+				}, done)
 			})
 		}
 		if err := eng.Run(); err != nil {

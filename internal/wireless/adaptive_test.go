@@ -17,14 +17,15 @@ func TestAdaptiveBackoffSharedEstimate(t *testing.T) {
 	p.Backoff = BackoffAdaptive
 	n := New(eng, 32, p)
 	for c := 0; c < 32; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(pp *sim.Proc) {
-			for i := 0; i < 3; i++ {
-				if !n.Send(pp, Msg{Src: c}, nil) {
-					t.Errorf("node %d send failed", c)
-				}
-				pp.Sleep(sim.Time(pp.Engine().Rand().Intn(20)))
-			}
+		goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
+			repeat(3, func(_ int, next func()) {
+				n.SendAsync(Msg{Src: c}, nil, func(ok bool) {
+					if !ok {
+						t.Errorf("node %d send failed", c)
+					}
+					eng.SleepThen(sim.Time(eng.Rand().Intn(20)), next)
+				})
+			}, done)
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -49,10 +50,7 @@ func TestAdaptiveNoWorseThanPersistentUnderBurst(t *testing.T) {
 		p.Backoff = pol
 		n := New(eng, 32, p)
 		for c := 0; c < 32; c++ {
-			c := c
-			eng.Go(fmt.Sprintf("n%d", c), func(pp *sim.Proc) {
-				n.Send(pp, Msg{Src: c}, nil)
-			})
+			goTask(eng, fmt.Sprintf("n%d", c), func(done func()) { sendThen(n, Msg{Src: c}, done) })
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)

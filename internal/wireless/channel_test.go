@@ -24,12 +24,15 @@ func TestRetransmissionRedelivers(t *testing.T) {
 	const sends = 200
 	var commits int
 	n.Subscribe(func(Msg, sim.Time) { commits++ })
-	eng.Go("tx", func(p *sim.Proc) {
-		for i := 0; i < sends; i++ {
-			if !n.Send(p, Msg{Src: i % 16, Addr: uint32(i)}, nil) {
-				t.Errorf("send %d failed with a 50-retry budget", i)
-			}
-		}
+	goTask(eng, "tx", func(done func()) {
+		repeat(sends, func(i int, next func()) {
+			n.SendAsync(Msg{Src: i % 16, Addr: uint32(i)}, nil, func(ok bool) {
+				if !ok {
+					t.Errorf("send %d failed with a 50-retry budget", i)
+				}
+				next()
+			})
+		}, done)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -67,14 +70,17 @@ func TestRetransmissionExhaustion(t *testing.T) {
 	n := New(eng, 16, lossyParams(0.5, 3))
 	var delivered int
 	n.Subscribe(func(Msg, sim.Time) { delivered++ })
-	eng.Go("tx", func(p *sim.Proc) {
-		if n.Send(p, Msg{Src: 0, Addr: 1}, nil) {
-			t.Error("send committed on a channel that corrupts every frame")
-		}
-		// 1 attempt + 3 retries, 5 cycles each.
-		if p.Now() != 20 {
-			t.Errorf("sender resumed at %d, want 20", p.Now())
-		}
+	goTask(eng, "tx", func(done func()) {
+		n.SendAsync(Msg{Src: 0, Addr: 1}, nil, func(ok bool) {
+			if ok {
+				t.Error("send committed on a channel that corrupts every frame")
+			}
+			// 1 attempt + 3 retries, 5 cycles each.
+			if eng.Now() != 20 {
+				t.Errorf("sender resumed at %d, want 20", eng.Now())
+			}
+			done()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -98,15 +104,14 @@ func TestEnergyLedgerConservation(t *testing.T) {
 	eng := sim.NewEngine(11)
 	n := New(eng, 8, lossyParams(2e-3, 50))
 	for i := 0; i < 8; i++ {
-		i := i
-		eng.Go("tx", func(p *sim.Proc) {
-			for j := 0; j < 25; j++ {
+		goTask(eng, "tx", func(done func()) {
+			repeat(25, func(j int, next func()) {
 				kind := KindStore
 				if j%5 == 0 {
 					kind = KindBulk
 				}
-				n.Send(p, Msg{Src: i, Addr: uint32(j), Kind: kind}, nil)
-			}
+				sendThen(n, Msg{Src: i, Addr: uint32(j), Kind: kind}, next)
+			}, done)
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -157,12 +162,15 @@ func TestIdealChannelUnperturbed(t *testing.T) {
 
 	eng := sim.NewEngine(5)
 	n := New(eng, 8, DefaultParams())
-	eng.Go("tx", func(p *sim.Proc) {
-		for j := 0; j < 50; j++ {
-			if !n.Send(p, Msg{Src: j % 8}, nil) {
-				t.Error("ideal-channel send failed")
-			}
-		}
+	goTask(eng, "tx", func(done func()) {
+		repeat(50, func(j int, next func()) {
+			n.SendAsync(Msg{Src: j % 8}, nil, func(ok bool) {
+				if !ok {
+					t.Error("ideal-channel send failed")
+				}
+				next()
+			})
+		}, done)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

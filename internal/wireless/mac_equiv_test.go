@@ -22,21 +22,23 @@ func commitTrace(p Params, seed uint64) ([]string, MACStats) {
 	})
 	var tok Token
 	for c := 0; c < 16; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(pp *sim.Proc) {
-			for i := 0; i < 4; i++ {
+		goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
+			repeat(4, func(i int, next func()) {
 				t := &Token{}
 				if c == 3 && i == 2 {
 					t = &tok
 				}
-				n.Send(pp, Msg{Src: c, Val: uint64(i)}, t)
-				pp.Sleep(sim.Time(pp.Engine().Rand().Intn(9)))
-			}
+				n.SendAsync(Msg{Src: c, Val: uint64(i)}, t, func(bool) {
+					eng.SleepThen(sim.Time(eng.Rand().Intn(9)), next)
+				})
+			}, done)
 		})
 	}
-	eng.Go("canceler", func(pp *sim.Proc) {
-		pp.Sleep(7)
-		tok.Cancel()
+	goTask(eng, "canceler", func(done func()) {
+		eng.SleepThen(7, func() {
+			tok.Cancel()
+			done()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		panic(err)

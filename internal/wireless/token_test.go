@@ -31,14 +31,15 @@ func TestTokenNeverCollides(t *testing.T) {
 	})
 	const msgsPerNode = 5
 	for c := 0; c < 64; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-			for i := 0; i < msgsPerNode; i++ {
-				if !n.Send(p, Msg{Src: c, Val: uint64(i)}, nil) {
-					t.Errorf("node %d msg %d failed", c, i)
-				}
-				p.Sleep(sim.Time(p.Engine().Rand().Intn(30)))
-			}
+		goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
+			repeat(msgsPerNode, func(i int, next func()) {
+				n.SendAsync(Msg{Src: c, Val: uint64(i)}, nil, func(ok bool) {
+					if !ok {
+						t.Errorf("node %d msg %d failed", c, i)
+					}
+					eng.SleepThen(sim.Time(eng.Rand().Intn(30)), next)
+				})
+			}, done)
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -78,11 +79,16 @@ func TestTokenFairnessUnderSaturation(t *testing.T) {
 	n.Subscribe(func(m Msg, _ sim.Time) { grants[m.Src]++ })
 	stop := sim.Time(20000)
 	for c := 0; c < nodes; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-			for p.Now() < stop {
-				n.Send(p, Msg{Src: c}, nil)
+		goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
+			var send func()
+			send = func() {
+				if eng.Now() >= stop {
+					done()
+					return
+				}
+				sendThen(n, Msg{Src: c}, send)
 			}
+			send()
 		})
 	}
 	if err := eng.RunUntil(stop); err != nil {
@@ -123,10 +129,8 @@ func TestTokenLoneSenderPaysRotation(t *testing.T) {
 	n := New(eng, nodes, tokenParams())
 	var commits []sim.Time
 	n.Subscribe(func(_ Msg, at sim.Time) { commits = append(commits, at) })
-	eng.Go("n0", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			n.Send(p, Msg{Src: 0}, nil)
-		}
+	goTask(eng, "n0", func(done func()) {
+		repeat(3, func(_ int, next func()) { sendThen(n, Msg{Src: 0}, next) }, done)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -152,26 +156,36 @@ func TestTokenCancelWhileQueued(t *testing.T) {
 	var commits int
 	n.Subscribe(func(Msg, sim.Time) { commits++ })
 	var tok Token
-	eng.Go("blocker", func(p *sim.Proc) {
-		n.Send(p, Msg{Src: 0}, nil) // wins the first grant
+	goTask(eng, "blocker", func(done func()) {
+		sendThen(n, Msg{Src: 0}, done) // wins the first grant
 	})
-	eng.Go("victim", func(p *sim.Proc) {
-		p.Sleep(1)
-		if n.Send(p, Msg{Src: 1}, &tok) {
-			t.Error("canceled Send reported commit")
-		}
+	goTask(eng, "victim", func(done func()) {
+		eng.SleepThen(1, func() {
+			n.SendAsync(Msg{Src: 1}, &tok, func(ok bool) {
+				if ok {
+					t.Error("canceled Send reported commit")
+				}
+				done()
+			})
+		})
 	})
-	eng.Go("bystander", func(p *sim.Proc) {
-		p.Sleep(1)
-		if !n.Send(p, Msg{Src: 2}, nil) {
-			t.Error("bystander send failed")
-		}
+	goTask(eng, "bystander", func(done func()) {
+		eng.SleepThen(1, func() {
+			n.SendAsync(Msg{Src: 2}, nil, func(ok bool) {
+				if !ok {
+					t.Error("bystander send failed")
+				}
+				done()
+			})
+		})
 	})
-	eng.Go("canceler", func(p *sim.Proc) {
-		p.Sleep(3)
-		if !tok.Cancel() {
-			t.Error("Cancel returned false for a token-queued request")
-		}
+	goTask(eng, "canceler", func(done func()) {
+		eng.SleepThen(3, func() {
+			if !tok.Cancel() {
+				t.Error("Cancel returned false for a token-queued request")
+			}
+			done()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -186,8 +200,8 @@ func TestTokenCancelWhileQueued(t *testing.T) {
 
 // TestTokenDeterministicReplay: token arbitration uses no randomness at
 // all, so two runs are trivially identical — but the commit order must
-// also be identical across runs with the engine's process scheduling in
-// play, like the backoff MAC's replay guarantee.
+// also be identical across runs with the engine's task scheduling in play,
+// like the backoff MAC's replay guarantee.
 func TestTokenDeterministicReplay(t *testing.T) {
 	runOnce := func() []int {
 		eng := sim.NewEngine(123)
@@ -195,12 +209,12 @@ func TestTokenDeterministicReplay(t *testing.T) {
 		var order []int
 		n.Subscribe(func(m Msg, _ sim.Time) { order = append(order, m.Src) })
 		for c := 0; c < 16; c++ {
-			c := c
-			eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-				for i := 0; i < 4; i++ {
-					n.Send(p, Msg{Src: c}, nil)
-					p.Sleep(sim.Time(p.Engine().Rand().Intn(7)))
-				}
+			goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
+				repeat(4, func(_ int, next func()) {
+					sendThen(n, Msg{Src: c}, func() {
+						eng.SleepThen(sim.Time(eng.Rand().Intn(7)), next)
+					})
+				}, done)
 			})
 		}
 		if err := eng.Run(); err != nil {

@@ -210,11 +210,8 @@ const (
 )
 
 type request struct {
-	n *Network
-	// Exactly one of p and then is set: p is a blocking sender parked in
-	// Send (or SendParked), then the completion callback of a SendAsync.
-	p         *sim.Proc
-	then      func(committed bool)
+	n         *Network
+	then      func(committed bool) // sender's completion, run by deliverCont
 	msg       Msg
 	start     sim.Time
 	state     reqState
@@ -228,9 +225,9 @@ type request struct {
 	epoch uint64
 }
 
-// deliverCont is a recycled async-completion delivery: the event that
-// hands a SendAsync outcome to its callback, pooled on the Network so a
-// continuation sender costs no closure per message. Outcome fields
+// deliverCont is a recycled completion delivery: the event that hands a
+// SendAsync outcome to its callback, pooled on the Network so a sender
+// costs no closure per message. Outcome fields
 // (state, committed) are read at fire time, exactly as the closure this
 // replaces did — a withdrawal landing between resume and delivery is
 // still observed.
@@ -256,16 +253,8 @@ func (c *deliverCont) run() {
 	then(committed)
 }
 
-// resume returns control to the sender at the current cycle: a parked
-// blocking sender is dispatched directly (an allocation-free process
-// event), a continuation sender's completion callback is scheduled. Both
-// land at the same (time, priority, sequence) position, so the two sender
-// styles are interchangeable without affecting simulated results.
+// resume schedules the sender's completion callback at the current cycle.
 func (r *request) resume() {
-	if r.p != nil {
-		r.p.Wake(0)
-		return
-	}
 	n := r.n
 	var c *deliverCont
 	if k := len(n.deliverFree); k > 0 {
@@ -279,7 +268,7 @@ func (r *request) resume() {
 	n.eng.Schedule(0, c.fn)
 }
 
-// Token allows the owner of an in-flight Send to withdraw it (used when a
+// Token allows the owner of an in-flight SendAsync to withdraw it (used when a
 // pending RMW loses atomicity: the write must not be broadcast).
 type Token struct {
 	req   *request
@@ -342,7 +331,7 @@ type Network struct {
 	// deliverFree and commitFree recycle the per-message scheduling
 	// continuations (async completion delivery, transmission commit), and
 	// reqFree recycles the request records themselves (epoch-validated; see
-	// request.epoch), so the steady-state Send/SendAsync message path
+	// request.epoch), so the steady-state SendAsync message path
 	// allocates nothing.
 	deliverFree []*deliverCont
 	commitFree  []*commitCont
@@ -440,34 +429,9 @@ func (n *Network) SetPrepare(fn func(Msg) bool) { n.prepare = fn }
 // MACCounters returns the per-protocol arbitration counters.
 func (n *Network) MACCounters() MACStats { return n.mac.Counters() }
 
-// Send transmits msg, blocking p until the message commits at all receivers
-// or the transfer is withdrawn through tok (which may be nil). It reports
-// whether the message committed.
-func (n *Network) Send(p *sim.Proc, msg Msg, tok *Token) bool {
-	req := n.newRequest(msg)
-	req.p = p
-	if tok != nil {
-		tok.req = req
-		tok.epoch = req.epoch
-	}
-	n.submit(req)
-	p.Park("wireless tx")
-	if req.state == reqCanceled {
-		n.Stats.Withdrawn++
-		return false // canceled records stay with the MAC backlog; not pooled
-	}
-	committed := req.committed
-	n.freeRequest(req)
-	return committed
-}
-
-// SendAsync transmits msg without a sending process: then runs as an
-// engine event at the cycle the message commits at all receivers
-// (committed=true) or is withdrawn through tok / abandoned at grant
-// (committed=false). It is the continuation mirror of Send — then fires at
-// exactly the (time, priority, sequence) position where Send's parked
-// process would have been dispatched — for protocol models that run as
-// engine-scheduled continuation chains.
+// SendAsync transmits msg: then runs as an engine event at the cycle the
+// message commits at all receivers (committed=true) or is withdrawn
+// through tok (which may be nil) or abandoned at grant (committed=false).
 func (n *Network) SendAsync(msg Msg, tok *Token, then func(committed bool)) {
 	req := n.newRequest(msg)
 	if tok != nil {
@@ -475,19 +439,6 @@ func (n *Network) SendAsync(msg Msg, tok *Token, then func(committed bool)) {
 		tok.epoch = req.epoch
 	}
 	req.then = then
-	n.submit(req)
-}
-
-// SendParked transmits msg on behalf of p, which the caller must park in
-// the same event (before any other event can run). Continuation chains
-// that end in a transmission use it so the commit dispatches the sender
-// directly — the same allocation-free completion as a blocking Send, with
-// the submission itself deferred into the chain. The transfer cannot be
-// withdrawn (no Token), so p always resumes at the commit (or
-// grant-abandon) cycle.
-func (n *Network) SendParked(p *sim.Proc, msg Msg) {
-	req := n.newRequest(msg)
-	req.p = p
 	n.submit(req)
 }
 
@@ -512,13 +463,12 @@ func (n *Network) newRequest(msg Msg) *request {
 // freeRequest returns a finished record to the pool. Only completion paths
 // that left no aliases behind may call it: a request that ran to commit (or
 // grant-abandon) was removed from every MAC queue before transmit, so the
-// completing Send / async delivery holds the sole reference. Canceled
+// completing delivery holds the sole reference. Canceled
 // requests are NEVER freed — the MAC structures still hold them (backlog
 // entries are lazily skipped by state), and recycling would let a stale
 // queue entry transmit a different message.
 func (n *Network) freeRequest(r *request) {
 	r.epoch++
-	r.p = nil
 	r.then = nil
 	r.msg = Msg{} // drop the payload and the RMW Op closure
 	n.reqFree = append(n.reqFree, r)
@@ -537,8 +487,8 @@ func (n *Network) submit(req *request) {
 
 // failSend completes req as a fault-injected delivery failure without the
 // message ever entering the MAC. The completion is delivered as an engine
-// event in the same cycle so a blocking sender has parked before it is
-// woken; the state guard lets a same-cycle withdrawal win.
+// event in the same cycle; the state guard lets a same-cycle withdrawal
+// win.
 func (n *Network) failSend(req *request) {
 	n.eng.Schedule(0, func() {
 		if req.state != reqPending {
@@ -552,8 +502,8 @@ func (n *Network) failSend(req *request) {
 }
 
 // failPending completes a queued request whose sender's transceiver has
-// fail-stopped, from MAC sweep context (an engine event; the sender is
-// already parked). The caller removes the record from its queue.
+// fail-stopped, from MAC sweep context (an engine event). The caller
+// removes the record from its queue.
 func (n *Network) failPending(req *request) {
 	req.state = reqDone
 	req.committed = false

@@ -7,18 +7,56 @@ import (
 	"wisync/internal/sim"
 )
 
+// goTask starts body as a task; body calls done to finish it.
+func goTask(eng *sim.Engine, name string, body func(done func())) {
+	eng.GoTask(name, func(tk *sim.Task) { body(tk.Finish) })
+}
+
+// repeat runs body for i = 0..n-1 in sequence, each call continuing with
+// next, then runs done.
+func repeat(n int, body func(i int, next func()), done func()) {
+	i := 0
+	var step func()
+	step = func() {
+		if i == n {
+			done()
+			return
+		}
+		i++
+		body(i-1, step)
+	}
+	step()
+}
+
+// sleepUntil runs then at absolute cycle at, or now if at has passed.
+func sleepUntil(eng *sim.Engine, at sim.Time, then func()) {
+	if at > eng.Now() {
+		eng.SleepThen(at-eng.Now(), then)
+		return
+	}
+	then()
+}
+
+// sendThen sends m and runs then at its completion, ignoring the outcome.
+func sendThen(n *Network, m Msg, then func()) {
+	n.SendAsync(m, nil, func(bool) { then() })
+}
+
 func TestSingleSendTiming(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, 4, DefaultParams())
 	var commits []sim.Time
 	n.Subscribe(func(m Msg, at sim.Time) { commits = append(commits, at) })
-	eng.Go("tx", func(p *sim.Proc) {
-		if !n.Send(p, Msg{Src: 0, Addr: 1, Val: 42}, nil) {
-			t.Error("Send reported failure")
-		}
-		if p.Now() != 5 {
-			t.Errorf("sender resumed at %d, want 5", p.Now())
-		}
+	goTask(eng, "tx", func(done func()) {
+		n.SendAsync(Msg{Src: 0, Addr: 1, Val: 42}, nil, func(ok bool) {
+			if !ok {
+				t.Error("Send reported failure")
+			}
+			if eng.Now() != 5 {
+				t.Errorf("sender resumed at %d, want 5", eng.Now())
+			}
+			done()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -34,11 +72,13 @@ func TestSingleSendTiming(t *testing.T) {
 func TestBulkTiming(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, 4, DefaultParams())
-	eng.Go("tx", func(p *sim.Proc) {
-		n.Send(p, Msg{Src: 0, Kind: KindBulk}, nil)
-		if p.Now() != 15 {
-			t.Errorf("bulk commit at %d, want 15", p.Now())
-		}
+	goTask(eng, "tx", func(done func()) {
+		sendThen(n, Msg{Src: 0, Kind: KindBulk}, func() {
+			if eng.Now() != 15 {
+				t.Errorf("bulk commit at %d, want 15", eng.Now())
+			}
+			done()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -49,13 +89,14 @@ func TestBusyChannelWaits(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, 4, DefaultParams())
 	var t2 sim.Time
-	eng.Go("tx1", func(p *sim.Proc) {
-		n.Send(p, Msg{Src: 0}, nil)
-	})
-	eng.Go("tx2", func(p *sim.Proc) {
-		p.Sleep(2) // channel busy with tx1 until cycle 5
-		n.Send(p, Msg{Src: 1}, nil)
-		t2 = p.Now()
+	goTask(eng, "tx1", func(done func()) { sendThen(n, Msg{Src: 0}, done) })
+	goTask(eng, "tx2", func(done func()) {
+		eng.SleepThen(2, func() { // channel busy with tx1 until cycle 5
+			sendThen(n, Msg{Src: 1}, func() {
+				t2 = eng.Now()
+				done()
+			})
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -75,11 +116,13 @@ func TestSimultaneousSendsCollide(t *testing.T) {
 	var commits int
 	n.Subscribe(func(Msg, sim.Time) { commits++ })
 	for i := 0; i < 2; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("tx%d", i), func(p *sim.Proc) {
-			if !n.Send(p, Msg{Src: i}, nil) {
-				t.Errorf("tx%d failed", i)
-			}
+		goTask(eng, fmt.Sprintf("tx%d", i), func(done func()) {
+			n.SendAsync(Msg{Src: i}, nil, func(ok bool) {
+				if !ok {
+					t.Errorf("tx%d failed", i)
+				}
+				done()
+			})
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -111,14 +154,15 @@ func TestTotalOrderAndAllDelivered(t *testing.T) {
 	})
 	const msgsPerNode = 5
 	for c := 0; c < 64; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-			for i := 0; i < msgsPerNode; i++ {
-				if !n.Send(p, Msg{Src: c, Val: uint64(i)}, nil) {
-					t.Errorf("node %d msg %d failed", c, i)
-				}
-				p.Sleep(sim.Time(p.Engine().Rand().Intn(30)))
-			}
+		goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
+			repeat(msgsPerNode, func(i int, next func()) {
+				n.SendAsync(Msg{Src: c, Val: uint64(i)}, nil, func(ok bool) {
+					if !ok {
+						t.Errorf("node %d msg %d failed", c, i)
+					}
+					eng.SleepThen(sim.Time(eng.Rand().Intn(30)), next)
+				})
+			}, done)
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -148,17 +192,12 @@ func TestPerSenderFIFO(t *testing.T) {
 			vals = append(vals, m.Val)
 		}
 	})
-	eng.Go("n0", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			n.Send(p, Msg{Src: 0, Val: uint64(i)}, nil)
-		}
+	goTask(eng, "n0", func(done func()) {
+		repeat(10, func(i int, next func()) { sendThen(n, Msg{Src: 0, Val: uint64(i)}, next) }, done)
 	})
 	for c := 1; c < 8; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-			for i := 0; i < 5; i++ {
-				n.Send(p, Msg{Src: c}, nil)
-			}
+		goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
+			repeat(5, func(_ int, next func()) { sendThen(n, Msg{Src: c}, next) }, done)
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -177,26 +216,32 @@ func TestCancelWithdrawsPending(t *testing.T) {
 	var commits int
 	n.Subscribe(func(Msg, sim.Time) { commits++ })
 	var tok Token
-	eng.Go("blocker", func(p *sim.Proc) {
-		n.Send(p, Msg{Src: 0}, nil) // occupies channel 0..5
+	goTask(eng, "blocker", func(done func()) {
+		sendThen(n, Msg{Src: 0}, done) // occupies channel 0..5
 	})
-	eng.Go("victim", func(p *sim.Proc) {
-		p.Sleep(1)
-		if n.Send(p, Msg{Src: 1}, &tok) {
-			t.Error("canceled Send reported commit")
-		}
-		if p.Now() != 3 {
-			t.Errorf("victim resumed at %d, want 3", p.Now())
-		}
+	goTask(eng, "victim", func(done func()) {
+		eng.SleepThen(1, func() {
+			n.SendAsync(Msg{Src: 1}, &tok, func(ok bool) {
+				if ok {
+					t.Error("canceled Send reported commit")
+				}
+				if eng.Now() != 3 {
+					t.Errorf("victim resumed at %d, want 3", eng.Now())
+				}
+				done()
+			})
+		})
 	})
-	eng.Go("canceler", func(p *sim.Proc) {
-		p.Sleep(3)
-		if !tok.Cancel() {
-			t.Error("Cancel returned false for pending request")
-		}
-		if tok.Cancel() {
-			t.Error("second Cancel returned true")
-		}
+	goTask(eng, "canceler", func(done func()) {
+		eng.SleepThen(3, func() {
+			if !tok.Cancel() {
+				t.Error("Cancel returned false for pending request")
+			}
+			if tok.Cancel() {
+				t.Error("second Cancel returned true")
+			}
+			done()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -213,16 +258,21 @@ func TestCancelTooLateFails(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, 4, DefaultParams())
 	var tok Token
-	eng.Go("tx", func(p *sim.Proc) {
-		if !n.Send(p, Msg{Src: 0}, &tok) {
-			t.Error("Send failed")
-		}
+	goTask(eng, "tx", func(done func()) {
+		n.SendAsync(Msg{Src: 0}, &tok, func(ok bool) {
+			if !ok {
+				t.Error("Send failed")
+			}
+			done()
+		})
 	})
-	eng.Go("late", func(p *sim.Proc) {
-		p.Sleep(2) // transmission already in flight
-		if tok.Cancel() {
-			t.Error("Cancel succeeded mid-transmission")
-		}
+	goTask(eng, "late", func(done func()) {
+		eng.SleepThen(2, func() { // transmission already in flight
+			if tok.Cancel() {
+				t.Error("Cancel succeeded mid-transmission")
+			}
+			done()
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -245,10 +295,7 @@ func TestExponentialBackoffWindowGrows(t *testing.T) {
 		}
 	})
 	for c := 0; c < 32; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-			n.Send(p, Msg{Src: c}, nil)
-		})
+		goTask(eng, fmt.Sprintf("n%d", c), func(done func()) { sendThen(n, Msg{Src: c}, done) })
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -274,11 +321,8 @@ func TestBackoffExponentCapped(t *testing.T) {
 	p.MaxBackoffExp = 3
 	n := New(eng, 4, p)
 	for c := 0; c < 4; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(pp *sim.Proc) {
-			for i := 0; i < 3; i++ {
-				n.Send(pp, Msg{Src: c}, nil)
-			}
+		goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
+			repeat(3, func(_ int, next func()) { sendThen(n, Msg{Src: c}, next) }, done)
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -300,10 +344,7 @@ func TestConstantBackoffAblation(t *testing.T) {
 	p.ConstantBackoffWindow = 4
 	n := New(eng, 16, p)
 	for c := 0; c < 16; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(pp *sim.Proc) {
-			n.Send(pp, Msg{Src: c}, nil)
-		})
+		goTask(eng, fmt.Sprintf("n%d", c), func(done func()) { sendThen(n, Msg{Src: c}, done) })
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -316,9 +357,10 @@ func TestConstantBackoffAblation(t *testing.T) {
 func TestUtilizationAndLatencyStats(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, 4, DefaultParams())
-	eng.Go("tx", func(p *sim.Proc) {
-		n.Send(p, Msg{Src: 0}, nil)
-		p.Sleep(15) // idle 5..20
+	goTask(eng, "tx", func(done func()) {
+		sendThen(n, Msg{Src: 0}, func() {
+			eng.SleepThen(15, done) // idle 5..20
+		})
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -339,11 +381,16 @@ func TestSaturatedThroughputBound(t *testing.T) {
 	n := New(eng, 64, DefaultParams())
 	stop := sim.Time(20000)
 	for c := 0; c < 64; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-			for p.Now() < stop {
-				n.Send(p, Msg{Src: c}, nil)
+		goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
+			var send func()
+			send = func() {
+				if eng.Now() >= stop {
+					done()
+					return
+				}
+				sendThen(n, Msg{Src: c}, send)
 			}
+			send()
 		})
 	}
 	if err := eng.RunUntil(stop); err != nil {
@@ -366,12 +413,12 @@ func TestDeterministicReplay(t *testing.T) {
 		var order []int
 		n.Subscribe(func(m Msg, _ sim.Time) { order = append(order, m.Src) })
 		for c := 0; c < 16; c++ {
-			c := c
-			eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-				for i := 0; i < 4; i++ {
-					n.Send(p, Msg{Src: c}, nil)
-					p.Sleep(sim.Time(p.Engine().Rand().Intn(7)))
-				}
+			goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
+				repeat(4, func(_ int, next func()) {
+					sendThen(n, Msg{Src: c}, func() {
+						eng.SleepThen(sim.Time(eng.Rand().Intn(7)), next)
+					})
+				}, done)
 			})
 		}
 		if err := eng.Run(); err != nil {
