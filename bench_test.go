@@ -1,5 +1,6 @@
 // Benchmarks regenerating the paper's evaluation, one per table and
-// figure, plus ablations of the design choices called out in DESIGN.md.
+// figure, plus ablations of the design choices listed in
+// docs/ARCHITECTURE.md ("Substitutions and ablations").
 //
 // Run everything with:
 //
@@ -236,7 +237,7 @@ func BenchmarkFig10App(b *testing.B) {
 	})
 }
 
-// ---- Ablations (DESIGN.md section 5) ----
+// ---- Ablations (docs/ARCHITECTURE.md, "Substitutions and ablations") ----
 
 // repeat runs body for i = 0..n-1 in sequence, each call continuing with
 // next, then runs done.

@@ -10,7 +10,8 @@
 // shape. The synthetic programs exercise the real machinery end to end:
 // locks and barriers come from package syncprims and run over the real
 // MOESI hierarchy or the real wireless BM, so the speedups are emergent,
-// not scripted. See DESIGN.md, substitution 2.
+// not scripted. See docs/ARCHITECTURE.md, "Substitutions and ablations",
+// substitution 2.
 package apps
 
 import (

@@ -10,10 +10,11 @@ package apps
 // locks, water-ns uses per-molecule locks, dedup and fluidanimate declare
 // lock arrays larger than the 16 KB BM (exercising the spill path), and
 // most of the rest synchronize too rarely for the wireless hardware to
-// matter. Magnitudes are calibrated against Figure 10 (see EXPERIMENTS.md);
-// iteration counts are scaled down to keep simulations tractable, which
-// proportionally raises channel utilization relative to Table 5 without
-// changing the who-wins ordering.
+// matter. Magnitudes are calibrated against Figure 10
+// (TestCalibrationReport prints the fit; see docs/ARCHITECTURE.md,
+// substitution 2); iteration counts are scaled down to keep simulations
+// tractable, which proportionally raises channel utilization relative to
+// Table 5 without changing the who-wins ordering.
 func Profiles() []Profile {
 	return []Profile{
 		// ---- PARSEC ----

@@ -10,13 +10,7 @@ import "wisync/internal/wireless"
 // tone-barrier variable. Alloc returns ErrFull when no entry is free; the
 // caller is expected to fall back to a variable in regular cached memory.
 func (b *BM) Alloc(node int, pid uint16, tone bool, then func(committed bool)) (uint32, error) {
-	addr := -1
-	for i := range b.entries {
-		if !b.entries[i].allocated {
-			addr = i
-			break
-		}
-	}
+	addr := b.lowestFreeRun(1)
 	if addr < 0 {
 		return 0, ErrFull
 	}
@@ -36,41 +30,30 @@ func (b *BM) Alloc(node int, pid uint16, tone bool, then func(committed bool)) (
 // are reserved immediately; their allocation messages broadcast one after
 // another, and then runs when the last completes.
 func (b *BM) AllocContiguous(node int, pid uint16, n int, then func(committed bool)) (uint32, error) {
-	run := 0
-	start := -1
-	for i := range b.entries {
-		if b.entries[i].allocated {
-			run = 0
-			continue
-		}
-		if run == 0 {
-			start = i
-		}
-		run++
-		if run == n {
-			for j := start; j < start+n; j++ {
-				e := &b.entries[j]
-				e.allocated = true
-				e.pid = pid
-				e.val = 0
-				b.Stats.Allocs++
-			}
-			j := start
-			var next func(bool)
-			next = func(committed bool) {
-				if j == start+n {
-					then(committed)
-					return
-				}
-				m := wireless.Msg{Src: node, Addr: uint32(j), Kind: wireless.KindAlloc, PID: pid}
-				j++
-				b.net.SendAsync(m, nil, next)
-			}
-			next(true)
-			return uint32(start), nil
-		}
+	start := b.lowestFreeRun(n)
+	if start < 0 {
+		return 0, ErrFull
 	}
-	return 0, ErrFull
+	for j := start; j < start+n; j++ {
+		e := &b.entries[j]
+		e.allocated = true
+		e.pid = pid
+		e.val = 0
+		b.Stats.Allocs++
+	}
+	j := start
+	var next func(bool)
+	next = func(committed bool) {
+		if j == start+n {
+			then(committed)
+			return
+		}
+		m := wireless.Msg{Src: node, Addr: uint32(j), Kind: wireless.KindAlloc, PID: pid}
+		j++
+		b.net.SendAsync(m, nil, next)
+	}
+	next(true)
+	return uint32(start), nil
 }
 
 // Free deallocates addr in every replica; then runs when the broadcast
@@ -87,7 +70,7 @@ func (b *BM) Free(node int, pid uint16, addr uint32, then func(committed bool)) 
 // FreeEntries returns how many entries are unallocated.
 func (b *BM) FreeEntries() int {
 	n := 0
-	for i := range b.entries {
+	for i := b.lowFree; i < len(b.entries); i++ {
 		if !b.entries[i].allocated {
 			n++
 		}
@@ -98,41 +81,65 @@ func (b *BM) FreeEntries() int {
 // AllocBare allocates an entry with no timing and no broadcast, for test
 // and harness setup phases that should not consume simulated cycles.
 func (b *BM) AllocBare(pid uint16, tone bool) (uint32, error) {
-	for i := range b.entries {
-		if !b.entries[i].allocated {
-			e := &b.entries[i]
-			e.allocated = true
-			e.pid = pid
-			e.tone = tone
-			e.val = 0
-			b.Stats.Allocs++
-			return uint32(i), nil
-		}
+	i := b.lowestFreeRun(1)
+	if i < 0 {
+		return 0, ErrFull
 	}
-	return 0, ErrFull
+	e := &b.entries[i]
+	e.allocated = true
+	e.pid = pid
+	e.tone = tone
+	e.val = 0
+	b.Stats.Allocs++
+	return uint32(i), nil
 }
 
 // AllocBareContiguous is AllocBare for n consecutive entries.
 func (b *BM) AllocBareContiguous(pid uint16, n int) (uint32, error) {
-	run, start := 0, -1
-	for i := range b.entries {
+	start := b.lowestFreeRun(n)
+	if start < 0 {
+		return 0, ErrFull
+	}
+	for j := start; j < start+n; j++ {
+		e := &b.entries[j]
+		e.allocated = true
+		e.pid = pid
+	}
+	b.Stats.Allocs += uint64(n)
+	return uint32(start), nil
+}
+
+// lowestFreeRun returns the first entry of the lowest run of n free entries,
+// or -1 if there is none; the caller reserves the run. Every entry below
+// b.lowFree is allocated, so the scan starts there, and it moves b.lowFree
+// up to the lowest entry it found free, or past the run when the run
+// starts there. A committed free lowers b.lowFree again (onCommit). So
+// once the memory is full, an allocation that spills costs no scan.
+func (b *BM) lowestFreeRun(n int) int {
+	run, start, first := 0, -1, -1
+	for i := b.lowFree; i < len(b.entries); i++ {
 		if b.entries[i].allocated {
 			run = 0
 			continue
+		}
+		if first < 0 {
+			first = i
 		}
 		if run == 0 {
 			start = i
 		}
 		run++
 		if run == n {
-			for j := start; j < start+n; j++ {
-				e := &b.entries[j]
-				e.allocated = true
-				e.pid = pid
+			if start == first {
+				first = start + n
 			}
-			b.Stats.Allocs += uint64(n)
-			return uint32(start), nil
+			b.lowFree = first
+			return start
 		}
 	}
-	return 0, ErrFull
+	if first < 0 {
+		first = len(b.entries)
+	}
+	b.lowFree = first
+	return -1
 }

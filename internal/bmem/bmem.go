@@ -112,6 +112,9 @@ type BM struct {
 	p       Params
 	nodes   int
 	entries []entry
+	// lowFree is the allocation cursor: every entry below it is allocated
+	// (alloc.go).
+	lowFree int
 	wcb     []bool
 	afb     []bool
 	pending []pendingRMW
@@ -246,6 +249,9 @@ func (b *BM) onCommit(m wireless.Msg, at sim.Time) {
 		e.val = 0
 	case wireless.KindFree:
 		b.entries[m.Addr] = entry{}
+		if int(m.Addr) < b.lowFree {
+			b.lowFree = int(m.Addr)
+		}
 		b.wakeWatchers(m.Addr)
 	}
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // TestBackoffPolicySweep logs the WiSyncNoT data-barrier cost under the
-// available MAC disciplines, documenting the calibration choice (DESIGN.md):
-// the FIFO deferral drain is what reproduces the paper's near-capacity
-// channel under synchronized fetch&inc bursts. Run with -v for the table.
+// available MAC disciplines, documenting the calibration choice
+// (docs/ARCHITECTURE.md, substitution 3): the FIFO deferral drain is what
+// reproduces the paper's near-capacity channel under synchronized
+// fetch&inc bursts. Run with -v for the table.
 func TestBackoffPolicySweep(t *testing.T) {
 	const cores, episodes = 64, 5
 	run := func(def wireless.DeferPolicy, pol wireless.BackoffPolicy, cap int) sim.Time {

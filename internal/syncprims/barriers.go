@@ -1,6 +1,6 @@
 package syncprims
 
-import "wisync/internal/core"
+import "wisync/internal/mem"
 
 // centralBarrier is the Baseline barrier: a centralized sense-reversing
 // barrier [16] with the arrival count incremented by a CAS retry loop (CAS
@@ -14,17 +14,16 @@ type centralBarrier struct {
 	release uint64
 	n       uint64
 	ep      []uint64 // per-core episode
-	// steps holds the per-core recycled state machines, allocated lazily
-	// on first use (task.go).
-	steps []*centralStep
+	f       *Factory // owns the recycled steps (task.go)
 }
 
-func newCentralBarrier(m *core.Machine, participants int) *centralBarrier {
+func newCentralBarrier(f *Factory, participants int) *centralBarrier {
 	return &centralBarrier{
-		count:   m.AllocLine(),
-		release: m.AllocLine(),
+		count:   f.m.AllocLine(),
+		release: f.m.AllocLine(),
 		n:       uint64(participants),
-		ep:      make([]uint64, m.Cfg.Cores),
+		ep:      make([]uint64, f.m.Cfg.Cores),
+		f:       f,
 	}
 }
 
@@ -37,33 +36,35 @@ func newCentralBarrier(m *core.Machine, participants int) *centralBarrier {
 type tournamentBarrier struct {
 	n      int
 	rounds int
-	// arrive[r*n+idx] is the flag the round-r loser sets for winner idx.
-	arrive []uint64
-	// wake[idx] releases thread idx.
-	wake []uint64
-	ep   []uint64
+	// flags is the first of (rounds+1)*n consecutive flag lines: the
+	// arrival flags of each round, then the wakeup flags (see arrive and
+	// wake).
+	flags uint64
+	ep    []uint64
+	f     *Factory // owns the recycled steps (task.go)
 }
 
-func newTournamentBarrier(m *core.Machine, participants int) *tournamentBarrier {
+func newTournamentBarrier(f *Factory, participants int) *tournamentBarrier {
 	rounds := 0
 	for v := 1; v < participants; v <<= 1 {
 		rounds++
 	}
-	b := &tournamentBarrier{
+	return &tournamentBarrier{
 		n:      participants,
 		rounds: rounds,
-		arrive: make([]uint64, rounds*participants),
-		wake:   make([]uint64, participants),
-		ep:     make([]uint64, m.Cfg.Cores),
+		flags:  f.m.AllocLines((rounds + 1) * participants),
+		ep:     make([]uint64, f.m.Cfg.Cores),
+		f:      f,
 	}
-	for i := range b.arrive {
-		b.arrive[i] = m.AllocLine()
-	}
-	for i := range b.wake {
-		b.wake[i] = m.AllocLine()
-	}
-	return b
 }
+
+// arrive is the flag the round-r loser sets for winner idx.
+func (b *tournamentBarrier) arrive(r, idx int) uint64 {
+	return b.flags + uint64(r*b.n+idx)*mem.LineBytes
+}
+
+// wake is the flag that releases thread idx.
+func (b *tournamentBarrier) wake(idx int) uint64 { return b.arrive(b.rounds, idx) }
 
 // dataBarrier is the WiSync Data-channel barrier (Section 4.3.2): a
 // sense-reversing barrier in one 64-bit BM entry — arrival count in the
@@ -74,8 +75,7 @@ type dataBarrier struct {
 	addr uint32
 	n    uint64
 	ep   []uint64
-	// steps holds the per-core recycled state machines (task.go).
-	steps []*dataStep
+	f    *Factory // owns the recycled steps (task.go)
 }
 
 // toneBarrier is the WiSync Tone-channel barrier (Section 4.3.3, Figure
@@ -84,6 +84,5 @@ type dataBarrier struct {
 type toneBarrier struct {
 	addr  uint32
 	sense []uint64
-	// steps holds the per-core recycled state machines (task.go).
-	steps []*toneStep
+	f     *Factory // owns the recycled steps (task.go)
 }

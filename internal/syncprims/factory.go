@@ -18,6 +18,9 @@ type Factory struct {
 	// Spills counts variables that fell back to cached memory because
 	// the BM was full (Section 4.2; exercised by dedup/fluidanimate).
 	Spills int
+	// steps are the recycled operation steps of the factory's locks and
+	// barriers: one per core for each primitive kind (task.go).
+	steps steps
 }
 
 // NewFactory returns a factory for PID 1, the single-program case.
@@ -55,9 +58,9 @@ func (f *Factory) NewTaskVar(init uint64) TaskVar {
 func (f *Factory) NewTaskLock() TaskLock {
 	switch f.m.Cfg.Kind {
 	case config.BaselinePlus:
-		return newMCSLock(f.m)
+		return newMCSLock(f)
 	default:
-		return &spinLock{v: f.NewTaskVar(0)}
+		return &spinLock{f: f, v: f.NewTaskVar(0)}
 	}
 }
 
@@ -76,13 +79,13 @@ func (f *Factory) NewTaskBarrier(participants []int) TaskBarrier {
 	n := len(participants)
 	switch f.m.Cfg.Kind {
 	case config.Baseline:
-		return newCentralBarrier(f.m, n)
+		return newCentralBarrier(f, n)
 	case config.BaselinePlus:
-		return newTournamentBarrier(f.m, n)
+		return newTournamentBarrier(f, n)
 	case config.WiSync:
 		addr, err := f.m.Tone.AllocateBare(f.pid, participants)
 		if err == nil {
-			b := &toneBarrier{addr: addr, sense: make([]uint64, f.m.Cfg.Cores)}
+			b := &toneBarrier{addr: addr, sense: make([]uint64, f.m.Cfg.Cores), f: f}
 			for i := range b.sense {
 				b.sense[i] = 1
 			}
@@ -97,9 +100,9 @@ func (f *Factory) NewTaskBarrier(participants []int) TaskBarrier {
 		if err != nil {
 			// BM full: even barriers spill to cached memory.
 			f.Spills++
-			return newCentralBarrier(f.m, n)
+			return newCentralBarrier(f, n)
 		}
-		return &dataBarrier{addr: addr, n: uint64(n), ep: make([]uint64, f.m.Cfg.Cores)}
+		return &dataBarrier{addr: addr, n: uint64(n), ep: make([]uint64, f.m.Cfg.Cores), f: f}
 	}
 	panic("syncprims: unknown configuration kind")
 }

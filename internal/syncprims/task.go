@@ -7,8 +7,8 @@ import (
 )
 
 // This file holds the primitives' operations. Each runs on completion
-// callbacks; the hot locks and barriers keep per-core recycled step
-// structs so the steady state allocates no closures.
+// callbacks; the locks and barriers run on recycled step structs so the
+// steady state allocates no closures.
 
 // ---- Variables ----
 
@@ -40,15 +40,83 @@ func (v *bmVar) SpinUntilTask(t *core.Task, cond func(uint64) bool, then func(ui
 	t.BMSpinUntil(v.addr, cond, then)
 }
 
-// ---- Locks ----
+// ---- Recycled steps ----
 
-// The locks run on per-core recycled step structs, exactly like the
-// barriers below: a core holds at most one pending operation on a given
-// lock at a time, so each (lock, core) pair owns a single state machine
-// whose continuations are method values cached at construction. The steps
-// slices are allocated lazily on first use. This removes the per-operation
-// closure tree from the lock hot path — radiosity's serialized hot locks
-// acquire millions of times per run.
+// The locks and barriers run each operation on a step struct: the
+// operation's state lives in fields, and its continuations are method
+// values cached once, when the step is built. A task has one operation in
+// flight, so a factory keeps one step per core for each primitive kind,
+// shared by every lock or barrier of that kind; each operation sets the
+// primitive it drives on the step. A step is free again once it has
+// handed its user continuation on. So a program's synchronization state
+// grows with its cores, not with its locks × cores — dedup creates 2,400
+// locks.
+//
+// Sharing needs one task per core driving a factory's primitives at a
+// time. takeStep panics when a second task breaks that while the first
+// one's operation is still pending, instead of letting it overwrite the
+// step.
+
+// steps are a factory's recycled steps, one table per primitive kind, each
+// indexed by core and built on first use.
+type steps struct {
+	spin       []*spinStep
+	mcs        []*mcsStep
+	central    []*centralStep
+	tournament []*tournamentStep
+	data       []*dataStep
+	tone       []*toneStep
+}
+
+// op is the state every step shares: the task it serves and the user
+// continuation it still owes, nil while the step is free.
+type op struct {
+	t    *core.Task
+	then func()
+}
+
+func (o *op) state() *op { return o }
+
+// handOff frees the step and returns its user continuation, for a last
+// operation that runs the continuation itself.
+func (o *op) handOff() func() {
+	then := o.then
+	o.then = nil
+	return then
+}
+
+// finish frees the step and runs its user continuation.
+func (o *op) finish() { o.handOff()() }
+
+// takeStep claims t's core's step in tab for an operation that ends in
+// then, building the step on first use (init caches its continuations).
+func takeStep[S any, P interface {
+	*S
+	init()
+	state() *op
+}](tab *[]P, t *core.Task, then func()) P {
+	if *tab == nil {
+		*tab = make([]P, t.M.Cfg.Cores)
+	}
+	s := (*tab)[t.Core]
+	if s == nil {
+		t.M.Eng.StepPoolMiss()
+		s = P(new(S))
+		s.init()
+		(*tab)[t.Core] = s
+	} else {
+		t.M.Eng.StepPoolHit()
+	}
+	o := s.state()
+	if o.then != nil {
+		panic(fmt.Sprintf("syncprims: core %d started an operation on its %T while the previous one is still pending; "+
+			"two tasks on one core are driving one factory's locks or barriers at once", t.Core, s))
+	}
+	o.t, o.then = t, then
+	return s
+}
+
+// ---- Locks ----
 
 // lockFree and lockTaken are the shared spin predicates (capture-free, so
 // they never allocate).
@@ -58,30 +126,21 @@ func lockTaken(x uint64) bool { return x != 0 }
 // spinStep is spinLock's acquire: the test-and-test&set retry loop — spin
 // until free, then attempt an atomic grab — step by step.
 type spinStep struct {
-	l    *spinLock
-	t    *core.Task
-	tv   TaskVar
-	then func()
+	op
+	tv TaskVar
 
 	onFreeFn func(uint64)
 	onCASFn  func(bool)
 }
 
+func (s *spinStep) init() {
+	s.onFreeFn = s.onFree
+	s.onCASFn = s.onCAS
+}
+
 func (l *spinLock) AcquireTask(t *core.Task, then func()) {
-	if l.steps == nil {
-		l.steps = make([]*spinStep, t.M.Cfg.Cores)
-	}
-	s := l.steps[t.Core]
-	if s == nil {
-		t.M.Eng.StepPoolMiss()
-		s = &spinStep{l: l, tv: l.v}
-		s.onFreeFn = s.onFree
-		s.onCASFn = s.onCAS
-		l.steps[t.Core] = s
-	} else {
-		t.M.Eng.StepPoolHit()
-	}
-	s.t, s.then = t, then
+	s := takeStep(&l.f.steps.spin, t, then)
+	s.tv = l.v
 	s.attempt()
 }
 
@@ -94,9 +153,7 @@ func (s *spinStep) onCAS(ok bool) {
 		s.attempt()
 		return
 	}
-	then := s.then
-	s.then = nil
-	then()
+	s.finish()
 }
 
 func (l *spinLock) ReleaseTask(t *core.Task, then func()) {
@@ -105,13 +162,11 @@ func (l *spinLock) ReleaseTask(t *core.Task, then func()) {
 
 // mcsStep is mcsLock's queue-lock protocol with each memory operation a
 // continuation. One struct serves both operations — a core never has an
-// acquire and a release of the same lock in flight together.
+// acquire and a release in flight together.
 type mcsStep struct {
+	op
 	l    *mcsLock
-	t    *core.Task
-	me   int
 	pred uint64
-	then func()
 
 	// Acquire chain.
 	afterInitFn   func()
@@ -126,64 +181,51 @@ type mcsStep struct {
 	doneFn      func()
 }
 
-func (l *mcsLock) step(t *core.Task) *mcsStep {
-	if l.steps == nil {
-		l.steps = make([]*mcsStep, len(l.locked))
-	}
-	s := l.steps[t.Core]
-	if s == nil {
-		t.M.Eng.StepPoolMiss()
-		s = &mcsStep{l: l, me: t.Core}
-		s.afterInitFn = s.afterInit
-		s.onSwapFn = s.onSwap
-		s.afterLockedFn = s.afterLocked
-		s.afterLinkFn = s.afterLink
-		s.onAcqSpinFn = s.onAcqSpin
-		s.onNextFn = s.onNext
-		s.onTailCASFn = s.onTailCAS
-		s.handoffFn = s.handoff
-		s.doneFn = s.done
-		l.steps[t.Core] = s
-	} else {
-		t.M.Eng.StepPoolHit()
-	}
-	s.t = t
-	return s
+func (s *mcsStep) init() {
+	s.afterInitFn = s.afterInit
+	s.onSwapFn = s.onSwap
+	s.afterLockedFn = s.afterLocked
+	s.afterLinkFn = s.afterLink
+	s.onAcqSpinFn = s.onAcqSpin
+	s.onNextFn = s.onNext
+	s.onTailCASFn = s.onTailCAS
+	s.handoffFn = s.handoff
+	s.doneFn = s.finish
 }
 
 func (l *mcsLock) AcquireTask(t *core.Task, then func()) {
-	s := l.step(t)
-	s.then = then
+	s := takeStep(&l.f.steps.mcs, t, then)
+	s.l = l
 	t.Instr(8) // qnode setup and pointer arithmetic
-	t.Write(l.next[s.me], 0, s.afterInitFn)
+	t.Write(l.next(t.Core), 0, s.afterInitFn)
 }
 
-func (s *mcsStep) afterInit() { s.t.Swap(s.l.tail, uint64(s.me+1), s.onSwapFn) }
+func (s *mcsStep) afterInit() { s.t.Swap(s.l.tail, uint64(s.t.Core+1), s.onSwapFn) }
 
 func (s *mcsStep) onSwap(pred uint64) {
 	if pred == 0 {
-		s.done()
+		s.finish()
 		return
 	}
 	s.pred = pred
-	s.t.Write(s.l.locked[s.me], 1, s.afterLockedFn)
+	s.t.Write(s.l.locked(s.t.Core), 1, s.afterLockedFn)
 }
 
 func (s *mcsStep) afterLocked() {
-	s.t.Write(s.l.next[s.pred-1], uint64(s.me+1), s.afterLinkFn)
+	s.t.Write(s.l.next(int(s.pred-1)), uint64(s.t.Core+1), s.afterLinkFn)
 }
 
 func (s *mcsStep) afterLink() {
-	s.t.SpinUntil(s.l.locked[s.me], lockFree, s.onAcqSpinFn)
+	s.t.SpinUntil(s.l.locked(s.t.Core), lockFree, s.onAcqSpinFn)
 }
 
-func (s *mcsStep) onAcqSpin(uint64) { s.done() }
+func (s *mcsStep) onAcqSpin(uint64) { s.finish() }
 
 func (l *mcsLock) ReleaseTask(t *core.Task, then func()) {
-	s := l.step(t)
-	s.then = then
+	s := takeStep(&l.f.steps.mcs, t, then)
+	s.l = l
 	t.Instr(6)
-	t.Read(l.next[s.me], s.onNextFn)
+	t.Read(l.next(t.Core), s.onNextFn)
 }
 
 func (s *mcsStep) onNext(succ uint64) {
@@ -191,46 +233,30 @@ func (s *mcsStep) onNext(succ uint64) {
 		s.handoff(succ)
 		return
 	}
-	s.t.CAS(s.l.tail, uint64(s.me+1), 0, s.onTailCASFn)
+	s.t.CAS(s.l.tail, uint64(s.t.Core+1), 0, s.onTailCASFn)
 }
 
 func (s *mcsStep) onTailCAS(ok bool) {
 	if ok {
-		s.done()
+		s.finish()
 		return
 	}
 	// A successor is linking itself; wait for the link.
-	s.t.SpinUntil(s.l.next[s.me], lockTaken, s.handoffFn)
+	s.t.SpinUntil(s.l.next(s.t.Core), lockTaken, s.handoffFn)
 }
 
-func (s *mcsStep) handoff(succ uint64) { s.t.Write(s.l.locked[succ-1], 0, s.doneFn) }
-
-func (s *mcsStep) done() {
-	then := s.then
-	s.then = nil
-	then()
-}
+func (s *mcsStep) handoff(succ uint64) { s.t.Write(s.l.locked(int(succ-1)), 0, s.doneFn) }
 
 // ---- Barriers ----
-
-// The barriers run on per-core recycled step structs: a core waits on one
-// episode of one barrier at a time, so each (barrier, core) pair owns a
-// single state machine whose continuations are method values cached at
-// construction. The steps slices are sized like the barriers' per-core
-// episode arrays and allocated lazily on first use. This removes the
-// per-episode closure captures from the barrier hot path — the pattern the
-// kernels and apps interpreters use for their own loops (see
-// kernels.readRanger, apps.appTask).
 
 // centralStep is centralBarrier's episode: the CAS retry loop that counts
 // the arrival, the last arriver's release, and the release-flag spin,
 // step by step.
 type centralStep struct {
-	b    *centralBarrier
-	t    *core.Task
-	ep   uint64
-	c    uint64 // count value observed by the pending CAS
-	then func()
+	op
+	b  *centralBarrier
+	ep uint64
+	c  uint64 // count value observed by the pending CAS
 
 	onReadFn   func(uint64)
 	onCASFn    func(bool)
@@ -239,25 +265,18 @@ type centralStep struct {
 	onSpinFn   func(uint64)
 }
 
+func (s *centralStep) init() {
+	s.onReadFn = s.onRead
+	s.onCASFn = s.onCAS
+	s.zeroDoneFn = s.zeroDone
+	s.condFn = s.cond
+	s.onSpinFn = s.onSpin
+}
+
 func (b *centralBarrier) WaitTask(t *core.Task, then func()) {
 	b.ep[t.Core]++
-	if b.steps == nil {
-		b.steps = make([]*centralStep, len(b.ep))
-	}
-	s := b.steps[t.Core]
-	if s == nil {
-		t.M.Eng.StepPoolMiss()
-		s = &centralStep{b: b}
-		s.onReadFn = s.onRead
-		s.onCASFn = s.onCAS
-		s.zeroDoneFn = s.zeroDone
-		s.condFn = s.cond
-		s.onSpinFn = s.onSpin
-		b.steps[t.Core] = s
-	} else {
-		t.M.Eng.StepPoolHit()
-	}
-	s.t, s.ep, s.then = t, b.ep[t.Core], then
+	s := takeStep(&b.f.steps.central, t, then)
+	s.b, s.ep = b, b.ep[t.Core]
 	s.arrive()
 }
 
@@ -281,105 +300,129 @@ func (s *centralStep) onCAS(ok bool) {
 	s.t.SpinUntil(s.b.release, s.condFn, s.onSpinFn)
 }
 
-func (s *centralStep) zeroDone() {
-	then := s.then
-	s.then = nil
-	s.t.Write(s.b.release, s.ep, then)
-}
+func (s *centralStep) zeroDone() { s.t.Write(s.b.release, s.ep, s.handOff()) }
 
 func (s *centralStep) cond(v uint64) bool { return v >= s.ep }
 
-func (s *centralStep) onSpin(uint64) {
-	then := s.then
-	s.then = nil
-	then()
+func (s *centralStep) onSpin(uint64) { s.finish() }
+
+// tournamentStep is tournamentBarrier's episode: the per-round
+// winner/loser state machine, then the wakeups of the beaten opponents.
+// r is the round being played, and during the wakeups the round whose
+// opponent is woken next.
+type tournamentStep struct {
+	op
+	b   *tournamentBarrier
+	idx int
+	ep  uint64
+	r   int
+
+	condFn        func(uint64) bool
+	afterWinFn    func(uint64)
+	afterReportFn func()
+	afterWokenFn  func(uint64)
+	afterWakeFn   func()
 }
 
-// WaitTask plays the tournament: the per-round winner/loser state machine.
+func (s *tournamentStep) init() {
+	s.condFn = s.cond
+	s.afterWinFn = s.afterWin
+	s.afterReportFn = s.afterReport
+	s.afterWokenFn = s.afterWoken
+	s.afterWakeFn = s.afterWake
+}
+
+// WaitTask plays the tournament.
 func (b *tournamentBarrier) WaitTask(t *core.Task, then func()) {
 	idx := t.Core
 	if idx >= b.n {
 		panic(fmt.Sprintf("syncprims: thread %d beyond tournament size %d", idx, b.n))
 	}
 	b.ep[t.Core]++
-	ep := b.ep[t.Core]
-	// wakeFrom releases every beaten opponent from round r down, one write
-	// continuation at a time, then runs then.
-	var wakeFrom func(r int)
-	wakeFrom = func(r int) {
-		for ; r >= 0; r-- {
-			partner := idx + 1<<r
-			if partner < b.n {
-				rr := r
-				t.Write(b.wake[partner], ep, func() { wakeFrom(rr - 1) })
-				return
-			}
-		}
-		then()
-	}
-	var round func(r int)
-	round = func(r int) {
-		if r == b.rounds {
-			// Champion (never lost): wake everyone beaten, in reverse
-			// round order.
-			wakeFrom(b.rounds - 1)
+	s := takeStep(&b.f.steps.tournament, t, then)
+	s.b, s.idx, s.ep, s.r = b, idx, b.ep[t.Core], 0
+	s.play()
+}
+
+// play plays rounds from s.r until this thread must wait: as a potential
+// winner for its partner's arrival (a missing partner is a bye), or as
+// the round's loser for its wakeup. A thread that never loses is the
+// champion and starts the wakeups.
+func (s *tournamentStep) play() {
+	b, idx := s.b, s.idx
+	for ; s.r < b.rounds; s.r++ {
+		s.t.Instr(10) // round bookkeeping: role/partner/flag computation
+		if idx&((1<<(s.r+1))-1) != 0 {
+			// Loser of round r: report to the winner, then sleep until
+			// woken, then wake the opponents beaten in earlier rounds.
+			s.t.Write(b.arrive(s.r, idx-1<<s.r), s.ep, s.afterReportFn)
 			return
 		}
-		t.Instr(10) // round bookkeeping: role/partner/flag computation
-		if idx&((1<<(r+1))-1) == 0 {
-			// Potential winner of round r: wait for the partner (or take
-			// a bye if it does not exist).
-			partner := idx + 1<<r
-			if partner < b.n {
-				t.SpinUntil(b.arrive[r*b.n+idx], func(v uint64) bool { return v >= ep },
-					func(uint64) { round(r + 1) })
-				return
-			}
-			round(r + 1)
+		if idx+1<<s.r < b.n {
+			s.t.SpinUntil(b.arrive(s.r, idx), s.condFn, s.afterWinFn)
 			return
 		}
-		// Loser of round r: report to the winner, then sleep until woken,
-		// then wake the opponents beaten in earlier rounds.
-		winner := idx - 1<<r
-		lose := r
-		t.Write(b.arrive[r*b.n+winner], ep, func() {
-			t.SpinUntil(b.wake[idx], func(v uint64) bool { return v >= ep },
-				func(uint64) { wakeFrom(lose - 1) })
-		})
 	}
-	round(0)
+	// Champion: wake everyone beaten, in reverse round order.
+	s.r = b.rounds - 1
+	s.wakeBeaten()
+}
+
+func (s *tournamentStep) cond(v uint64) bool { return v >= s.ep }
+
+func (s *tournamentStep) afterWin(uint64) {
+	s.r++
+	s.play()
+}
+
+func (s *tournamentStep) afterReport() {
+	s.t.SpinUntil(s.b.wake(s.idx), s.condFn, s.afterWokenFn)
+}
+
+func (s *tournamentStep) afterWoken(uint64) {
+	s.r--
+	s.wakeBeaten()
+}
+
+// wakeBeaten releases the opponent beaten in round s.r, then in each
+// earlier round, one write at a time, and then runs the continuation.
+func (s *tournamentStep) wakeBeaten() {
+	for ; s.r >= 0; s.r-- {
+		if partner := s.idx + 1<<s.r; partner < s.b.n {
+			s.t.Write(s.b.wake(partner), s.ep, s.afterWakeFn)
+			return
+		}
+	}
+	s.finish()
+}
+
+func (s *tournamentStep) afterWake() {
+	s.r--
+	s.wakeBeaten()
 }
 
 // dataStep is dataBarrier's episode: fetch&inc arrival,
 // last-arriver release store, local-replica spin.
 type dataStep struct {
-	b    *dataBarrier
-	t    *core.Task
-	ep   uint64
-	then func()
+	op
+	b  *dataBarrier
+	ep uint64
 
 	onArriveFn func(uint64)
 	condFn     func(uint64) bool
 	onSpinFn   func(uint64)
 }
 
+func (s *dataStep) init() {
+	s.onArriveFn = s.onArrive
+	s.condFn = s.cond
+	s.onSpinFn = s.onSpin
+}
+
 func (b *dataBarrier) WaitTask(t *core.Task, then func()) {
 	b.ep[t.Core]++
-	if b.steps == nil {
-		b.steps = make([]*dataStep, len(b.ep))
-	}
-	s := b.steps[t.Core]
-	if s == nil {
-		t.M.Eng.StepPoolMiss()
-		s = &dataStep{b: b}
-		s.onArriveFn = s.onArrive
-		s.condFn = s.cond
-		s.onSpinFn = s.onSpin
-		b.steps[t.Core] = s
-	} else {
-		t.M.Eng.StepPoolHit()
-	}
-	s.t, s.ep, s.then = t, b.ep[t.Core], then
+	s := takeStep(&b.f.steps.data, t, then)
+	s.b, s.ep = b, b.ep[t.Core]
 	t.BMFetchAdd(b.addr, 1, s.onArriveFn)
 }
 
@@ -387,9 +430,7 @@ func (s *dataStep) onArrive(old uint64) {
 	if (old&0xffffffff)+1 == s.b.n {
 		// Last arriver: zero the count and publish the episode in one
 		// wireless message.
-		then := s.then
-		s.then = nil
-		s.t.BMStore(s.b.addr, s.ep<<32, then)
+		s.t.BMStore(s.b.addr, s.ep<<32, s.handOff())
 		return
 	}
 	s.t.BMSpinUntil(s.b.addr, s.condFn, s.onSpinFn)
@@ -397,37 +438,25 @@ func (s *dataStep) onArrive(old uint64) {
 
 func (s *dataStep) cond(v uint64) bool { return v>>32 >= s.ep }
 
-func (s *dataStep) onSpin(uint64) {
-	then := s.then
-	s.then = nil
-	then()
-}
+func (s *dataStep) onSpin(uint64) { s.finish() }
 
 // toneStep is toneBarrier's episode: tone_st, then the tone_ld spin.
 type toneStep struct {
-	b    *toneBarrier
-	t    *core.Task
-	then func()
+	op
+	b *toneBarrier
 
 	afterStoreFn func()
 	afterWaitFn  func()
 }
 
+func (s *toneStep) init() {
+	s.afterStoreFn = s.afterStore
+	s.afterWaitFn = s.afterWait
+}
+
 func (b *toneBarrier) WaitTask(t *core.Task, then func()) {
-	if b.steps == nil {
-		b.steps = make([]*toneStep, len(b.sense))
-	}
-	s := b.steps[t.Core]
-	if s == nil {
-		t.M.Eng.StepPoolMiss()
-		s = &toneStep{b: b}
-		s.afterStoreFn = s.afterStore
-		s.afterWaitFn = s.afterWait
-		b.steps[t.Core] = s
-	} else {
-		t.M.Eng.StepPoolHit()
-	}
-	s.t, s.then = t, then
+	s := takeStep(&b.f.steps.tone, t, then)
+	s.b = b
 	t.ToneStore(b.addr, s.afterStoreFn)
 }
 
@@ -436,8 +465,6 @@ func (s *toneStep) afterStore() {
 }
 
 func (s *toneStep) afterWait() {
-	then := s.then
-	s.then = nil
 	s.b.sense[s.t.Core] ^= 1
-	then()
+	s.finish()
 }

@@ -91,10 +91,15 @@ func (k *MACKind) UnmarshalJSON(b []byte) error {
 // never collides).
 type MACStats struct {
 	// Grants counts transmissions the MAC granted the channel to and
-	// that actually transmitted; it equals committed messages. Grants
-	// abandoned at the prepare hook are counted by Stats.SkippedGrants,
-	// not here (the channel was never occupied and backoff state does
-	// not decay).
+	// that actually transmitted. Each ends in a committed message
+	// (Stats.Messages), in a corrupted frame that is sent again
+	// (EnergyStats.Retransmissions) or given up
+	// (EnergyStats.DeliveryFailures), or, in a run cut at a horizon
+	// (the CAS kernels' RunUntil), still in flight at the cut: at most
+	// one, as there is one medium. On the ideal channel Grants is
+	// therefore Messages, or Messages+1 after a cut. Grants abandoned at
+	// the prepare hook are counted by Stats.SkippedGrants, not here (the
+	// channel was never occupied and backoff state does not decay).
 	Grants uint64
 	// Collisions counts collision events resolved by exponential backoff.
 	Collisions uint64
