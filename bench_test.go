@@ -337,11 +337,13 @@ func BenchmarkAblationRMWProtocol(b *testing.B) {
 	run("early-read", true)
 }
 
-// BenchmarkAblationTreeBroadcast measures the Baseline+ virtual-tree NoC
-// support by toggling it under the tournament barrier.
+// BenchmarkAblationTreeBroadcast compares Baseline+ (tournament barrier
+// plus the virtual-tree NoC broadcast) with Baseline (central barrier, no
+// tree). The machine kind picks both the barrier software
+// (syncprims.Factory.NewTaskBarrier) and the tree, so the gap measures the
+// two together; TestTreeBroadcastSpeedsInvalidation (internal/mem) measures
+// the tree alone, on one invalidation of 63 sharers.
 func BenchmarkAblationTreeBroadcast(b *testing.B) {
-	// Baseline+ has the tree; compare against Baseline hardware with the
-	// same tournament barrier software by constructing it directly.
 	b.Run("tree", func(b *testing.B) {
 		b.ReportMetric(benchBarrier(b, config.New(config.BaselinePlus, 64), 10), "cyc/barrier")
 	})

@@ -12,53 +12,26 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wisync/internal/channel"
-	"wisync/internal/config"
 	"wisync/internal/core"
-	"wisync/internal/fault"
 	"wisync/internal/harness"
 	"wisync/internal/journal"
 	"wisync/internal/sweepcache"
-	"wisync/internal/wireless"
 	"wisync/internal/workerpool"
 )
 
-// job is the wire form of one sweep request: a workload crossed with kind,
-// core-count and seed lists. Enum fields decode from their flag names
-// ("WiSync", "backoff"); unknown names and unknown JSON fields are
-// a 400 at decode time, so nothing malformed ever reaches a worker.
+// job is the wire form of one sweep request: a harness.Batch — a point
+// template (workload, variant, MAC, channel, fault plan, guards, workload
+// parameters, under harness.PointSpec's JSON names) crossed with "kinds",
+// "cores" and "seeds" lists — plus two job-level fields. Enum fields
+// decode from their flag names ("WiSync", "backoff"); unknown names and
+// unknown JSON fields are a 400 at decode time, so nothing malformed ever
+// reaches a worker.
 type job struct {
-	Workload string           `json:"workload"`
-	Kinds    []config.Kind    `json:"kinds,omitempty"`
-	Cores    []int            `json:"cores,omitempty"`
-	Seeds    []uint64         `json:"seeds,omitempty"`
-	Variant  config.Variant   `json:"variant,omitempty"`
-	MAC      wireless.MACKind `json:"mac,omitempty"`
+	harness.Batch
 	// Exec names the workload execution mode. Workload threads run one
 	// way only, as tasks, so "task" (or nothing) is the one accepted
 	// value; the removed "thread" mode and anything else are a 400.
-	Exec     string `json:"exec,omitempty"`
-	Iters    int    `json:"iters,omitempty"`
-	N        int    `json:"n,omitempty"`
-	Passes   int    `json:"passes,omitempty"`
-	CS       int    `json:"cs,omitempty"`
-	Duration uint64 `json:"duration,omitempty"`
-	// Channel/BER/Retries select the channel-error model; the omitted
-	// default is the ideal channel, under which every row is byte-identical
-	// to the golden matrix. BERGood/PGB/PBG configure the burst
-	// (Gilbert–Elliott) profile.
-	Channel channel.Profile `json:"channel,omitempty"`
-	BER     float64         `json:"ber,omitempty"`
-	Retries int             `json:"retries,omitempty"`
-	BERGood float64         `json:"ber_good,omitempty"`
-	PGB     float64         `json:"pgb,omitempty"`
-	PBG     float64         `json:"pbg,omitempty"`
-	// Faults is a deterministic fault-injection plan applied to every
-	// point; Budget/Watchdog are the per-point cycle guards (see
-	// harness.PointSpec).
-	Faults   *fault.Plan `json:"faults,omitempty"`
-	Budget   uint64      `json:"budget,omitempty"`
-	Watchdog uint64      `json:"watchdog,omitempty"`
+	Exec string `json:"exec,omitempty"`
 	// DeadlineMS is the end-to-end wall-clock deadline for the whole job
 	// in milliseconds (0: none). When it expires, in-flight points of
 	// this job abort into error rows and queued ones abort as workers
@@ -68,9 +41,10 @@ type job struct {
 
 // parseJob is the whole job-input surface, shared by /sweep and journal
 // replay. It decodes exactly one JSON object (unknown fields and trailing
-// data are errors), checks the deadline, bounds the expansion by
-// maxPoints before allocating a single spec, and expands. Every error it
-// returns is the client's: a 400.
+// data are errors), checks the deadline, fills the default lists and
+// expands the batch (harness.Batch.Expand, bounded by maxPoints before a
+// single spec is allocated). Every error it returns is the client's: a
+// 400.
 func parseJob(body io.Reader, maxPoints int) (job, []harness.PointSpec, []sweepcache.Key, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
@@ -87,73 +61,21 @@ func parseJob(body io.Reader, maxPoints int) (job, []harness.PointSpec, []sweepc
 	if j.Exec != "" && j.Exec != "task" {
 		return j, nil, nil, fmt.Errorf("bad job: exec %q: only \"task\" is accepted; the thread execution mode was removed", j.Exec)
 	}
-	j = j.withDefaults()
-	// Overflow-safe product: a small body can list enough kinds, cores and
-	// seeds to make the expansion exhaust memory.
-	n := 1
-	for _, l := range []int{len(j.Kinds), len(j.Cores), len(j.Seeds)} {
-		if n > maxPoints/l {
-			return j, nil, nil, fmt.Errorf("job expands to %d kinds x %d cores x %d seeds, cap is %d points",
-				len(j.Kinds), len(j.Cores), len(j.Seeds), maxPoints)
-		}
-		n *= l
-	}
-	specs, keys, err := j.expand(n)
+	// The journal stores the job with its lists filled in.
+	j.Batch = j.WithDefaults()
+	specs, err := j.Expand(maxPoints)
 	if err != nil {
 		return j, nil, nil, fmt.Errorf("bad job: %w", err)
 	}
-	return j, specs, keys, nil
-}
-
-// withDefaults fills each omitted list with its single default.
-func (j job) withDefaults() job {
-	if len(j.Kinds) == 0 {
-		j.Kinds = []config.Kind{config.WiSync}
-	}
-	if len(j.Cores) == 0 {
-		j.Cores = []int{64}
-	}
-	if len(j.Seeds) == 0 {
-		j.Seeds = []uint64{1}
-	}
-	return j
-}
-
-// expand crosses the job's lists into n normalized, validated point specs
-// with their cache keys, in kinds x cores x seeds order (the golden
-// matrix's row order). Any invalid point fails the whole job: a client
-// should learn about a typo before any simulation runs.
-func (j job) expand(n int) ([]harness.PointSpec, []sweepcache.Key, error) {
-	specs := make([]harness.PointSpec, 0, n)
-	keys := make([]sweepcache.Key, 0, cap(specs))
-	for _, k := range j.Kinds {
-		for _, cores := range j.Cores {
-			for _, seed := range j.Seeds {
-				spec := harness.PointSpec{
-					Workload: j.Workload, Kind: k, Cores: cores, Seed: seed,
-					Variant: j.Variant, MAC: j.MAC,
-					Iters: j.Iters, N: j.N, Passes: j.Passes, CS: j.CS, Duration: j.Duration,
-					Channel: j.Channel, BER: j.BER, Retries: j.Retries,
-					BERGood: j.BERGood, PGB: j.PGB, PBG: j.PBG,
-					Faults: j.Faults, Budget: j.Budget, Watchdog: j.Watchdog,
-				}
-				n, err := spec.Normalize()
-				if err != nil {
-					return nil, nil, err
-				}
-				if err := n.Validate(); err != nil {
-					return nil, nil, fmt.Errorf("point %s: %w", n.ID(), err)
-				}
-				digest, err := n.Digest()
-				if err != nil {
-					return nil, nil, err
-				}
-				specs = append(specs, n)
-				keys = append(keys, sweepcache.Key{Digest: digest, Seed: seed})
-			}
+	keys := make([]sweepcache.Key, len(specs))
+	for i, spec := range specs {
+		digest, err := spec.Digest()
+		if err != nil {
+			return j, nil, nil, fmt.Errorf("bad job: %w", err)
 		}
+		keys[i] = sweepcache.Key{Digest: digest, Seed: spec.Seed}
 	}
-	return specs, keys, nil
+	return j, specs, keys, nil
 }
 
 // rowMsg is one streamed NDJSON line: a result row (Row set, the

@@ -12,6 +12,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"wisync/internal/channel"
+	"wisync/internal/config"
+	"wisync/internal/fault"
+	"wisync/internal/harness"
+	"wisync/internal/wireless"
 )
 
 // goldenJobs covers every row of internal/harness/testdata/golden.tsv: the
@@ -169,6 +175,11 @@ var badJobs = map[string]string{
 	"negative deadline":    `{"workload":"tightloop","deadline_ms":-1}`,
 	"trailing data":        `{"workload":"tightloop","cores":[16]} {"workload":"oops"} trailing-garbage`,
 	"empty body":           ``,
+	// A job lists its kinds, cores and seeds; the point template's scalar
+	// spellings are not job fields.
+	"scalar kind":  `{"workload":"tightloop","kind":"WiSync"}`,
+	"scalar seed":  `{"workload":"tightloop","seed":3}`,
+	"scalar cores": `{"workload":"tightloop","cores":16}`,
 }
 
 // oversizeJob lists 100,000 core counts and 100,000 seeds in about 500 KB:
@@ -246,7 +257,9 @@ func TestServerRejectsOversizeJob(t *testing.T) {
 // bodies. It must never panic, must reach the same decision — and the same
 // cache keys — every time it sees the same bytes, and an accepted job must
 // expand to at most the cap, into specs that each re-validate and
-// re-digest to their keys.
+// re-digest to their keys. The journal stores json.Marshal of the accepted
+// job and replays it through parseJob, so that encoding must parse back to
+// the same keys.
 func FuzzJobDecode(f *testing.F) {
 	for _, body := range badJobs {
 		f.Add([]byte(body))
@@ -257,7 +270,7 @@ func FuzzJobDecode(f *testing.F) {
 	f.Add([]byte(oversizeJob()))
 	f.Add([]byte(`{"workload":"cas-add","kinds":["WiSyncNoT"],"cores":[16],"channel":"burst","faults":{"outages":[{"node":1,"at":100,"for":50}]}}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		_, specs, keys, err := parseJob(bytes.NewReader(body), badJobCap)
+		j, specs, keys, err := parseJob(bytes.NewReader(body), badJobCap)
 		_, _, keys2, err2 := parseJob(bytes.NewReader(body), badJobCap)
 		if (err == nil) != (err2 == nil) {
 			t.Fatalf("same bytes, different decisions: %v then %v", err, err2)
@@ -279,7 +292,78 @@ func FuzzJobDecode(f *testing.F) {
 				t.Fatalf("spec %s re-digests to %q (%v), key says %q", spec.ID(), d, err, keys[i].Digest)
 			}
 		}
+		stored, err := json.Marshal(j)
+		if err != nil {
+			t.Fatalf("accepted job does not encode: %v", err)
+		}
+		_, _, replayed, err := parseJob(bytes.NewReader(stored), badJobCap)
+		if err != nil || !reflect.DeepEqual(keys, replayed) {
+			t.Fatalf("journaled form %s re-parses to %v (%v), want %v", stored, replayed, err, keys)
+		}
 	})
+}
+
+// TestJobDecodesEveryPointField: every harness.PointSpec field is a job
+// field under its JSON name — kind, cores and seed as the kinds, cores and
+// seeds lists — and decodes to the value it was written with.
+func TestJobDecodesEveryPointField(t *testing.T) {
+	tmpl := harness.PointSpec{Workload: "cas-add", Variant: config.SlowNet, MAC: wireless.MACToken,
+		Channel: channel.Burst, BER: 1e-3, Retries: 3, BERGood: 1e-6, PGB: 0.02, PBG: 0.3,
+		Faults: &fault.Plan{Outages: []fault.Outage{{Node: 1, At: 500, For: 100}}},
+		Budget: 1 << 24, Watchdog: 1 << 20, Iters: 2, N: 3, Passes: 4, CS: 5, Duration: 6,
+		Kind: config.WiSyncNoT, Cores: 16, Seed: 7}
+	raw, err := json.Marshal(tmpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if typ := reflect.TypeOf(tmpl); len(fields) != typ.NumField() {
+		t.Fatalf("fixture sets %d of PointSpec's %d fields", len(fields), typ.NumField())
+	}
+	for scalar, list := range map[string]string{"kind": "kinds", "cores": "cores", "seed": "seeds"} {
+		fields[list] = json.RawMessage("[" + string(fields[scalar]) + "]")
+		if scalar != list {
+			delete(fields, scalar)
+		}
+	}
+	body, _ := json.Marshal(fields)
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var j job
+	if err := dec.Decode(&j); err != nil {
+		t.Fatalf("job %s: %v", body, err)
+	}
+	want := tmpl
+	want.Kind, want.Cores, want.Seed = 0, 0, 0
+	if !reflect.DeepEqual(j.PointSpec, want) {
+		t.Errorf("template decoded as %+v\nwant %+v", j.PointSpec, want)
+	}
+	if !reflect.DeepEqual(j.Kinds, []config.Kind{tmpl.Kind}) || !reflect.DeepEqual(j.Cores, []int{tmpl.Cores}) ||
+		!reflect.DeepEqual(j.Seeds, []uint64{tmpl.Seed}) {
+		t.Errorf("lists decoded as %v %v %v", j.Kinds, j.Cores, j.Seeds)
+	}
+}
+
+// TestJournalPayloadsReplay: a job as the journal stored it before the job
+// embedded harness.Batch — the same keys in the old member order — parses
+// to the same specs and keys as the request it came from.
+func TestJournalPayloadsReplay(t *testing.T) {
+	for body, stored := range map[string]string{
+		`{"workload":"tightloop"}`: `{"workload":"tightloop","kinds":["WiSync"],"cores":[64],"seeds":[1]}`,
+		`{"workload":"cas-add","kinds":["WiSyncNoT"],"cores":[16],"mac":"token","channel":"burst","ber":1e-3,"faults":{"outages":[{"node":1,"at":100,"for":50}]},"cs":50,"duration":30000,"watchdog":200000,"deadline_ms":5000,"exec":"task"}`: `{"workload":"cas-add","kinds":["WiSyncNoT"],"cores":[16],"seeds":[1],"mac":"token","exec":"task","cs":50,"duration":30000,"channel":"burst","ber":0.001,"faults":{"outages":[{"node":1,"at":100,"for":50}]},"watchdog":200000,"deadline_ms":5000}`,
+	} {
+		_, specs, keys, err := parseJob(strings.NewReader(body), badJobCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, specs2, keys2, err := parseJob(strings.NewReader(stored), badJobCap)
+		if err != nil || !reflect.DeepEqual(specs, specs2) || !reflect.DeepEqual(keys, keys2) {
+			t.Errorf("stored %s replays to %v (%v), want %v", stored, keys2, err, keys)
+		}
+	}
 }
 
 // TestServerBackpressure pins the bounded-queue contract: a job that would

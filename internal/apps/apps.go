@@ -82,11 +82,6 @@ type Result struct {
 	Faults []core.Fault
 }
 
-func (r Result) String() string {
-	return fmt.Sprintf("%-13s %-10s %9d cycles  util %.2f%%",
-		r.Profile.Name, r.Cfg.Kind, r.Cycles, r.DataUtilPct)
-}
-
 // Run executes the profile on the given configuration: one appTask
 // (task.go) per core interprets the profile.
 func Run(cfg config.Config, p Profile) Result {

@@ -1,10 +1,10 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"wisync/internal/apps"
 	"wisync/internal/config"
 )
 
@@ -50,18 +50,18 @@ func AppGoldenPoints() []AppGoldenPoint {
 	return pts
 }
 
-// AppGoldenRun executes one point and renders its metrics line.
+// AppGoldenRun executes one point through PointSpec and renders its
+// metrics line.
 func AppGoldenRun(pt AppGoldenPoint) string {
-	p, ok := apps.ByName(pt.App)
-	if !ok {
-		panic("harness: unknown golden app " + pt.App)
+	r, err := PointSpec{Workload: "app:" + pt.App, Kind: pt.Kind, Cores: 64, Seed: pt.Seed,
+		Iters: pt.Iters}.Simulate(context.Background())
+	if err != nil {
+		panic(err)
 	}
-	p.Iterations = pt.Iters
-	r := apps.Run(config.New(pt.Kind, 64).WithSeed(pt.Seed), p)
 	return pt.ID() + "\t" + strings.Join([]string{
-		fmt.Sprintf("cycles=%d", r.Cycles),
-		fmt.Sprintf("datautil=%s", gf(r.DataUtilPct)),
-		fmt.Sprintf("spills=%d", r.Spills),
+		fmt.Sprintf("cycles=%d", r.App.Cycles),
+		fmt.Sprintf("datautil=%s", gf(r.App.DataUtilPct)),
+		fmt.Sprintf("spills=%d", r.App.Spills),
 	}, "\t")
 }
 

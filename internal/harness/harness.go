@@ -13,17 +13,19 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"wisync/internal/apps"
 	"wisync/internal/channel"
 	"wisync/internal/config"
-	"wisync/internal/fault"
 	"wisync/internal/kernels"
 	"wisync/internal/rfmodel"
 	"wisync/internal/sim"
@@ -31,7 +33,7 @@ import (
 	"wisync/internal/wireless"
 )
 
-// Options controls sweep sizes, parallelism and output.
+// Options controls sweep sizes, parallelism, output and the point template.
 type Options struct {
 	// Quick shrinks the sweeps for fast iteration (CI, go test -short).
 	Quick bool
@@ -41,24 +43,15 @@ type Options struct {
 	// returned rows are bit-identical at every worker count. 0 (the
 	// default) uses runtime.GOMAXPROCS(0); 1 forces sequential execution.
 	Workers int
-	// MAC selects the wireless Data channel's arbitration protocol for
-	// every sweep point (zero value: the paper's carrier-sense backoff).
-	// It has no effect on wired configurations. MACSweep ignores it — it
-	// compares all protocols.
-	MAC wireless.MACKind
-	// Channel selects the channel-error model for every sweep point (zero
-	// value: the paper's ideal channel, under which all output is
-	// byte-identical to the pre-channel harness). No effect on wired
-	// configurations.
-	Channel channel.Params
-	// Faults applies a deterministic fault-injection plan to every sweep
-	// point (nil: fault-free, output byte-identical to the pre-fault
-	// harness). No effect on wired configurations.
-	Faults *fault.Plan
-	// Budget bounds each sweep point to this many cycles (0: unbounded);
-	// a point still live at the budget panics out of its sweep with a
-	// structured core.BudgetError instead of hanging the harness.
-	Budget uint64
+	// Point is the template every figure point starts from. A figure sets
+	// the fields its Figures entry lists in Sets — its workloads with their
+	// parameters, machine kinds and core counts, and Fig11's variant or
+	// MACSweep's MAC — and takes every other field from here: MAC, variant,
+	// channel, fault plan, budget, watchdog and seed. A zero seed is seed 1,
+	// and the fault plan applies to wireless points only: wired points in
+	// the same figure (Baseline rows, speedup denominators) run fault-free.
+	// The zero template is the paper's setup.
+	Point PointSpec
 	// Verbose appends scheduler-internals diagnostics to each application
 	// sweep: a "# sched" line aggregating timing-wheel hits, heap
 	// fallbacks and recycled-step pool reuse across the sweep's engines.
@@ -67,18 +60,86 @@ type Options struct {
 	Out io.Writer
 }
 
-// Config builds one sweep point's machine configuration with the
-// option-level overrides (MAC protocol, channel, budget, faults) applied.
-func (o Options) Config(kind config.Kind, cores int) config.Config {
-	c := config.New(kind, cores).WithMAC(o.MAC).WithChannel(o.Channel).
-		WithBudget(sim.Time(o.Budget))
-	if kind.HasBM() {
-		// A fault plan targets transceivers; wired points in the same
-		// sweep (Baseline rows, speedup denominators) run fault-free,
-		// like the other wireless-only option overrides.
-		c = c.WithFaults(o.Faults)
+// point starts one figure point from the template: the figure's workload
+// on one machine kind and core count, with the workload parameters cleared
+// for the figure to set.
+func (o Options) point(workload string, kind config.Kind, cores int) PointSpec {
+	p := o.Point
+	p.Workload, p.Kind, p.Cores = workload, kind, cores
+	p.Iters, p.N, p.Passes, p.CS, p.Duration = 0, 0, 0, 0, 0
+	if p.Seed == 0 {
+		p.Seed = 1
 	}
-	return c
+	if !kind.HasBM() {
+		p.Faults = nil
+	}
+	return p
+}
+
+// simulate runs a figure's points across the worker pool and returns their
+// typed results in point order. A failed point — a budget trip, a
+// livelock, an invalid template — panics out of the figure with its error:
+// a figure cannot render around a hole.
+func (o Options) simulate(pts []PointSpec) []Result {
+	// The points share the template's plan: put it in canonical order
+	// once, before the pool, so no point reorders it under another.
+	o.Point.Faults.Normalize()
+	res := make([]Result, len(pts))
+	o.forEach(len(pts), func(i int) {
+		r, err := pts[i].Simulate(context.Background())
+		if err != nil {
+			panic(err)
+		}
+		res[i] = r
+	})
+	return res
+}
+
+// Figure is one table or figure of the evaluation as data: the point
+// fields it sets itself, the points it runs and the function that renders
+// it. wisync-bench's figure subcommands are this list.
+type Figure struct {
+	Name string
+	// Sets names, by their JSON keys, the point fields the figure sets on
+	// its points; every other field comes from Options.Point.
+	Sets []string
+	// Points lists the points the figure runs, in run order; nil for
+	// Table 4, which runs no simulation.
+	Points func(Options) []PointSpec
+	Run    func(Options)
+}
+
+// figureSets lists the point fields a simulating figure sets: its
+// workloads, machine kinds and core counts, and with a workload every
+// workload parameter, so a template value cannot leak into one the figure
+// leaves at its default. extra adds figure-specific fields.
+func figureSets(extra ...string) []string {
+	return append([]string{"workload", "kind", "cores", "iters", "n", "passes", "cs", "duration"}, extra...)
+}
+
+// Figures lists the evaluation's tables and figures in paper order, then
+// the MAC comparison and "all" (every table and figure; the MAC comparison
+// is not part of it).
+var Figures = []Figure{
+	{Name: "table4", Run: func(o Options) { Table4(o) }},
+	{"fig7", figureSets(), fig7Points, func(o Options) { Fig7(o) }},
+	{"fig8", figureSets(), fig8Points, func(o Options) { Fig8(o) }},
+	{"fig9", figureSets(), fig9Points, func(o Options) { Fig9(o) }},
+	{"fig10", figureSets(), fig10Points, func(o Options) { Fig10(o) }},
+	{"table5", figureSets(), fig10Points, func(o Options) { Table5(o, nil) }},
+	{"fig11", figureSets("variant"), fig11Points, func(o Options) { Fig11(o) }},
+	{"macs", figureSets("mac"), macPoints, func(o Options) { MACSweep(o) }},
+	{"all", figureSets("variant"), allPoints, All},
+}
+
+// allPoints lists the points All runs, figure by figure (Table 5 reuses
+// Figure 10's).
+func allPoints(o Options) []PointSpec {
+	var pts []PointSpec
+	for _, f := range [](func(Options) []PointSpec){fig7Points, fig8Points, fig9Points, fig10Points, fig11Points} {
+		pts = append(pts, f(o)...)
+	}
+	return pts
 }
 
 func (o Options) out() io.Writer {
@@ -162,25 +223,34 @@ type Fig7Row struct {
 	CyclesPerIter float64
 }
 
-// Fig7 reproduces Figure 7: TightLoop cycles/iteration on all four
-// configurations across core counts.
-func Fig7(o Options) []Fig7Row {
+// fig7Points lists Figure 7's points: TightLoop on every configuration at
+// each core count.
+func fig7Points(o Options) []PointSpec {
 	coreCounts := []int{16, 32, 64, 128, 256}
 	iters := 25
 	if o.Quick {
 		coreCounts = []int{16, 64, 128}
 		iters = 10
 	}
-	rows := make([]Fig7Row, 0, len(coreCounts)*len(config.Kinds))
+	var pts []PointSpec
 	for _, n := range coreCounts {
 		for _, k := range config.Kinds {
-			rows = append(rows, Fig7Row{Cores: n, Kind: k})
+			p := o.point("tightloop", k, n)
+			p.Iters = iters
+			pts = append(pts, p)
 		}
 	}
-	o.forEach(len(rows), func(i int) {
-		r := &rows[i]
-		r.CyclesPerIter = kernels.TightLoop(o.Config(r.Kind, r.Cores), iters).CyclesPerIteration()
-	})
+	return pts
+}
+
+// Fig7 reproduces Figure 7: TightLoop cycles/iteration on all four
+// configurations across core counts.
+func Fig7(o Options) []Fig7Row {
+	res := o.simulate(fig7Points(o))
+	rows := make([]Fig7Row, len(res))
+	for i, r := range res {
+		rows[i] = Fig7Row{Cores: r.Spec.Cores, Kind: r.Spec.Kind, CyclesPerIter: r.Kernel.CyclesPerIteration()}
+	}
 	tb := stats.NewTable("Figure 7: TightLoop execution time (cycles/iteration)",
 		"cores", "Baseline", "Baseline+", "WiSyncNoT", "WiSync")
 	for i := 0; i < len(rows); i += len(config.Kinds) {
@@ -205,9 +275,9 @@ type Fig8Row struct {
 	Cycles sim.Time
 }
 
-// Fig8 reproduces Figure 8: Livermore loops 2, 3 and 6 execution time
-// versus vector length at 64 and 128 cores.
-func Fig8(o Options) []Fig8Row {
+// fig8Points lists Figure 8's points: Livermore loops 2, 3 and 6 on every
+// configuration across vector lengths, per core count.
+func fig8Points(o Options) []PointSpec {
 	lens23 := []int{16, 64, 256, 1024, 4096, 16384}
 	lens6 := []int{16, 32, 64, 128, 256, 512, 1024, 2048}
 	coreCounts := []int{64, 128}
@@ -218,53 +288,52 @@ func Fig8(o Options) []Fig8Row {
 		coreCounts = []int{64}
 		passes = 1
 	}
-	lensFor := func(loop int) []int {
-		if loop == 6 {
-			return lens6
-		}
-		return lens23
-	}
-	var rows []Fig8Row
+	var pts []PointSpec
 	for _, cores := range coreCounts {
 		for _, loop := range []int{2, 3, 6} {
-			for _, n := range lensFor(loop) {
+			lens, workload := lens23, fmt.Sprintf("livermore%d", loop)
+			if loop == 6 {
+				lens = lens6
+			}
+			for _, n := range lens {
 				for _, k := range config.Kinds {
-					rows = append(rows, Fig8Row{Loop: loop, Cores: cores, Length: n, Kind: k})
+					p := o.point(workload, k, cores)
+					p.N = n
+					if loop != 6 {
+						p.Passes = passes
+					}
+					pts = append(pts, p)
 				}
 			}
 		}
 	}
-	o.forEach(len(rows), func(i int) {
-		r := &rows[i]
-		cfg := o.Config(r.Kind, r.Cores)
-		var res kernels.Result
-		switch r.Loop {
-		case 2:
-			res, _ = kernels.Livermore2(cfg, r.Length, passes)
-		case 3:
-			res, _ = kernels.Livermore3(cfg, r.Length, passes)
-		case 6:
-			res, _ = kernels.Livermore6(cfg, r.Length)
-		}
-		r.Cycles = res.Cycles
-	})
-	i := 0
-	for _, cores := range coreCounts {
-		for _, loop := range []int{2, 3, 6} {
-			tb := stats.NewTable(
-				fmt.Sprintf("Figure 8: Livermore loop %d, %d cores (cycles)", loop, cores),
-				"length", "Baseline", "Baseline+", "WiSyncNoT", "WiSync")
-			for range lensFor(loop) {
-				vals := make(map[config.Kind]sim.Time, 4)
-				for _, r := range rows[i : i+len(config.Kinds)] {
-					vals[r.Kind] = r.Cycles
-				}
-				tb.AddRow(rows[i].Length, vals[config.Baseline], vals[config.BaselinePlus],
-					vals[config.WiSyncNoT], vals[config.WiSync])
-				i += len(config.Kinds)
+	return pts
+}
+
+// Fig8 reproduces Figure 8: Livermore loops 2, 3 and 6 execution time
+// versus vector length at 64 and 128 cores.
+func Fig8(o Options) []Fig8Row {
+	res := o.simulate(fig8Points(o))
+	rows := make([]Fig8Row, len(res))
+	for i, r := range res {
+		loop, _ := strconv.Atoi(strings.TrimPrefix(r.Spec.Workload, "livermore"))
+		rows[i] = Fig8Row{Loop: loop, Cores: r.Spec.Cores, Length: r.Spec.N, Kind: r.Spec.Kind, Cycles: r.Kernel.Cycles}
+	}
+	// One table per (cores, loop), one line per vector length.
+	for i := 0; i < len(rows); {
+		first := rows[i]
+		tb := stats.NewTable(
+			fmt.Sprintf("Figure 8: Livermore loop %d, %d cores (cycles)", first.Loop, first.Cores),
+			"length", "Baseline", "Baseline+", "WiSyncNoT", "WiSync")
+		for ; i < len(rows) && rows[i].Loop == first.Loop && rows[i].Cores == first.Cores; i += len(config.Kinds) {
+			vals := make(map[config.Kind]sim.Time, 4)
+			for _, r := range rows[i : i+len(config.Kinds)] {
+				vals[r.Kind] = r.Cycles
 			}
-			fmt.Fprintln(o.out(), tb)
+			tb.AddRow(rows[i].Length, vals[config.Baseline], vals[config.BaselinePlus],
+				vals[config.WiSyncNoT], vals[config.WiSync])
 		}
+		fmt.Fprintln(o.out(), tb)
 	}
 	return rows
 }
@@ -279,50 +348,58 @@ type Fig9Row struct {
 	Per1000 float64
 }
 
-// Fig9 reproduces Figure 9: successful-CAS throughput of the FIFO, LIFO
-// and ADD kernels versus critical-section size, Baseline versus WiSync, at
-// 64 and 128 cores.
-func Fig9(o Options) []Fig9Row {
+// fig9Kinds are the configurations Figure 9 compares.
+var fig9Kinds = []config.Kind{config.Baseline, config.WiSync}
+
+// fig9Points lists Figure 9's points: the FIFO, LIFO and ADD kernels on
+// Baseline and WiSync across critical-section sizes, per core count.
+func fig9Points(o Options) []PointSpec {
 	sizes := []int{65536, 16384, 4096, 1024, 256, 64, 16, 4}
 	coreCounts := []int{64, 128}
-	duration := sim.Time(300000)
+	duration := uint64(300000)
 	if o.Quick {
 		sizes = []int{16384, 1024, 16}
 		coreCounts = []int{64}
 		duration = 60000
 	}
-	kinds := []config.Kind{config.Baseline, config.WiSync}
-	kernelKinds := []kernels.CASKind{kernels.FIFO, kernels.LIFO, kernels.ADD}
-	var rows []Fig9Row
+	var pts []PointSpec
 	for _, cores := range coreCounts {
-		for _, kn := range kernelKinds {
+		for _, kernel := range []string{"cas-fifo", "cas-lifo", "cas-add"} {
 			for _, cs := range sizes {
-				for _, k := range kinds {
-					rows = append(rows, Fig9Row{Kernel: kn, Cores: cores, CSInstr: cs, Kind: k})
+				for _, k := range fig9Kinds {
+					p := o.point(kernel, k, cores)
+					p.CS, p.Duration = cs, duration
+					pts = append(pts, p)
 				}
 			}
 		}
 	}
-	o.forEach(len(rows), func(i int) {
-		r := &rows[i]
-		r.Per1000 = kernels.CASKernel(o.Config(r.Kind, r.Cores), r.Kernel, r.CSInstr, duration).Per1000
-	})
-	i := 0
-	for _, cores := range coreCounts {
-		for _, kn := range kernelKinds {
-			tb := stats.NewTable(
-				fmt.Sprintf("Figure 9: %v CAS throughput per 1000 cycles, %d cores", kn, cores),
-				"cs instr", "Baseline", "WiSync")
-			for range sizes {
-				vals := make(map[config.Kind]float64, 2)
-				for _, r := range rows[i : i+len(kinds)] {
-					vals[r.Kind] = r.Per1000
-				}
-				tb.AddRow(rows[i].CSInstr, f2(vals[config.Baseline]), f2(vals[config.WiSync]))
-				i += len(kinds)
+	return pts
+}
+
+// Fig9 reproduces Figure 9: successful-CAS throughput of the FIFO, LIFO
+// and ADD kernels versus critical-section size, Baseline versus WiSync, at
+// 64 and 128 cores.
+func Fig9(o Options) []Fig9Row {
+	res := o.simulate(fig9Points(o))
+	rows := make([]Fig9Row, len(res))
+	for i, r := range res {
+		rows[i] = Fig9Row{Kernel: r.CAS.Kind, Cores: r.Spec.Cores, CSInstr: r.Spec.CS, Kind: r.Spec.Kind, Per1000: r.CAS.Per1000}
+	}
+	// One table per (kernel, cores), one line per critical-section size.
+	for i := 0; i < len(rows); {
+		first := rows[i]
+		tb := stats.NewTable(
+			fmt.Sprintf("Figure 9: %v CAS throughput per 1000 cycles, %d cores", first.Kernel, first.Cores),
+			"cs instr", "Baseline", "WiSync")
+		for ; i < len(rows) && rows[i].Kernel == first.Kernel && rows[i].Cores == first.Cores; i += len(fig9Kinds) {
+			vals := make(map[config.Kind]float64, 2)
+			for _, r := range rows[i : i+len(fig9Kinds)] {
+				vals[r.Kind] = r.Per1000
 			}
-			fmt.Fprintln(o.out(), tb)
+			tb.AddRow(rows[i].CSInstr, f2(vals[config.Baseline]), f2(vals[config.WiSync]))
 		}
+		fmt.Fprintln(o.out(), tb)
 	}
 	return rows
 }
@@ -357,7 +434,7 @@ func fprintSched(o Options, what string, s sim.SchedStats) {
 // runs it prints nothing, keeping the harness output byte-identical to the
 // pre-channel tool.
 func fprintEnergy(o Options, what string, e wireless.EnergyStats) {
-	if !o.Verbose && o.Channel.Profile == channel.Ideal {
+	if !o.Verbose && o.Point.Channel == channel.Ideal {
 		return
 	}
 	fmt.Fprintf(o.out(), "# energy %s: %s\n", what, e)
@@ -368,38 +445,50 @@ func fprintEnergy(o Options, what string, e wireless.EnergyStats) {
 // configurations.
 var appKinds = [4]config.Kind{config.Baseline, config.BaselinePlus, config.WiSyncNoT, config.WiSync}
 
+// appPoints lists an application sweep's points at 64 cores: each profile
+// on the four configurations in appKinds order. Quick runs trim the suite
+// to names, at iters iterations each.
+func appPoints(o Options, v config.Variant, names []string, iters int) []PointSpec {
+	if !o.Quick {
+		names, iters = names[:0:0], 0
+		for _, p := range apps.Profiles() {
+			names = append(names, p.Name)
+		}
+	}
+	var pts []PointSpec
+	for _, name := range names {
+		for _, k := range appKinds {
+			p := o.point("app:"+name, k, 64)
+			p.Iters = iters
+			p.Variant = v
+			pts = append(pts, p)
+		}
+	}
+	return pts
+}
+
+// fig10Points lists Figure 10's (and Table 5's) points.
+func fig10Points(o Options) []PointSpec {
+	return appPoints(o, o.Point.Variant, []string{"blackscholes", "streamcluster", "dedup",
+		"ocean-c", "radiosity", "raytrace", "water-ns", "fft"}, 4)
+}
+
 // Fig10 reproduces Figure 10 (speedups over Baseline on the PARSEC and
 // SPLASH-2 suites at 64 cores) and collects the Table 5 utilizations from
 // the same runs.
 func Fig10(o Options) []AppRow {
-	base := o.Config(config.Baseline, 64)
-	profiles := apps.Profiles()
-	if o.Quick {
-		profiles = profiles[:0:0]
-		for _, name := range []string{"blackscholes", "streamcluster", "dedup",
-			"ocean-c", "radiosity", "raytrace", "water-ns", "fft"} {
-			p, _ := apps.ByName(name)
-			p.Iterations = 4
-			profiles = append(profiles, p)
-		}
-	}
-	results := make([]apps.Result, len(profiles)*len(appKinds))
-	o.forEach(len(results), func(i int) {
-		cfg := base
-		cfg.Kind = appKinds[i%len(appKinds)]
-		results[i] = apps.Run(cfg, profiles[i/len(appKinds)])
-	})
+	results := o.simulate(fig10Points(o))
 	var rows []AppRow
 	tb := stats.NewTable("Figure 10: speedup over Baseline, 64 cores",
 		"app", "Baseline+", "WiSyncNoT", "WiSync")
 	var bp, wnt, w []float64
-	for pi, p := range profiles {
-		row := AppRow{Name: p.Name, Speedup: map[config.Kind]float64{config.Baseline: 1}}
-		baseline := results[pi*len(appKinds)]
+	for pi := 0; pi < len(results); pi += len(appKinds) {
+		baseline := results[pi].App
+		row := AppRow{Name: baseline.Profile.Name, Speedup: map[config.Kind]float64{config.Baseline: 1}}
 		row.Sched.Add(baseline.Sched)
 		row.Energy.Add(baseline.Energy)
 		for ki, k := range appKinds[1:] {
-			r := results[pi*len(appKinds)+1+ki]
+			r := results[pi+1+ki].App
 			row.Speedup[k] = float64(baseline.Cycles) / float64(r.Cycles)
 			row.Sched.Add(r.Sched)
 			row.Energy.Add(r.Energy)
@@ -414,7 +503,7 @@ func Fig10(o Options) []AppRow {
 		bp = append(bp, row.Speedup[config.BaselinePlus])
 		wnt = append(wnt, row.Speedup[config.WiSyncNoT])
 		w = append(w, row.Speedup[config.WiSync])
-		tb.AddRow(p.Name, f2(row.Speedup[config.BaselinePlus]),
+		tb.AddRow(row.Name, f2(row.Speedup[config.BaselinePlus]),
 			f2(row.Speedup[config.WiSyncNoT]), f2(row.Speedup[config.WiSync]))
 	}
 	tb.AddRow("mean", f2(stats.Mean(bp)), f2(stats.Mean(wnt)), f2(stats.Mean(w)))
@@ -484,37 +573,30 @@ type Fig11Row struct {
 	GeoMean float64
 }
 
+// fig11Points lists Figure 11's points: a trimmed application sweep under
+// each Table 6 variant.
+func fig11Points(o Options) []PointSpec {
+	var pts []PointSpec
+	for _, v := range config.Variants {
+		pts = append(pts, appPoints(o, v, []string{"streamcluster", "ocean-c", "radiosity", "fft", "blackscholes"}, 3)...)
+	}
+	return pts
+}
+
 // Fig11 reproduces Figure 11: geometric-mean application speedups over
 // Baseline under the Table 6 memory and network variants, 64 cores.
 func Fig11(o Options) []Fig11Row {
-	profiles := apps.Profiles()
-	if o.Quick {
-		profiles = profiles[:0:0]
-		for _, name := range []string{"streamcluster", "ocean-c", "radiosity", "fft", "blackscholes"} {
-			p, _ := apps.ByName(name)
-			p.Iterations = 3
-			profiles = append(profiles, p)
-		}
-	}
-	// One task per (variant, profile, kind) run; all independent.
-	nk := len(appKinds)
-	results := make([]apps.Result, len(config.Variants)*len(profiles)*nk)
-	o.forEach(len(results), func(i int) {
-		v := config.Variants[i/(len(profiles)*nk)]
-		p := profiles[i/nk%len(profiles)]
-		cfg := o.Config(config.Baseline, 64).WithVariant(v)
-		cfg.Kind = appKinds[i%nk]
-		results[i] = apps.Run(cfg, p)
-	})
+	results := o.simulate(fig11Points(o))
+	perVariant := len(results) / len(config.Variants)
 	var rows []Fig11Row
 	tb := stats.NewTable("Figure 11: geomean speedup over Baseline by variant, 64 cores",
 		"variant", "Baseline+", "WiSyncNoT", "WiSync")
 	for vi, v := range config.Variants {
 		acc := map[config.Kind][]float64{}
-		for pi := range profiles {
-			base := results[(vi*len(profiles)+pi)*nk]
+		for pi := vi * perVariant; pi < (vi+1)*perVariant; pi += len(appKinds) {
+			base := results[pi].App
 			for ki, k := range appKinds[1:] {
-				r := results[(vi*len(profiles)+pi)*nk+1+ki]
+				r := results[pi+1+ki].App
 				acc[k] = append(acc[k], float64(base.Cycles)/float64(r.Cycles))
 			}
 		}
@@ -528,8 +610,8 @@ func Fig11(o Options) []Fig11Row {
 	var sched sim.SchedStats
 	var energy wireless.EnergyStats
 	for _, r := range results {
-		sched.Add(r.Sched)
-		energy.Add(r.Energy)
+		sched.Add(r.App.Sched)
+		energy.Add(r.App.Energy)
 	}
 	fprintSched(o, "fig11", sched)
 	fprintEnergy(o, "fig11", energy)

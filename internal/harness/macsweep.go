@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wisync/internal/config"
-	"wisync/internal/kernels"
 	"wisync/internal/sim"
 	"wisync/internal/stats"
 	"wisync/internal/wireless"
@@ -28,6 +27,35 @@ type MACRow struct {
 // macSweepKernels and macSweepMACs define the comparison grid.
 var macSweepKernels = []string{"tightloop", "cas-fifo"}
 
+// macPoints lists the MAC comparison's points: each kernel on WiSyncNoT at
+// each core count under each protocol.
+func macPoints(o Options) []PointSpec {
+	coreCounts := []int{16, 64, 256}
+	iters := 12
+	duration := uint64(60000)
+	if o.Quick {
+		coreCounts = []int{16, 64}
+		iters = 6
+		duration = 20000
+	}
+	var pts []PointSpec
+	for _, kernel := range macSweepKernels {
+		for _, cores := range coreCounts {
+			for _, mac := range wireless.MACKinds {
+				p := o.point(kernel, config.WiSyncNoT, cores)
+				p.MAC = mac
+				if kernel == "tightloop" {
+					p.Iters = iters
+				} else {
+					p.CS, p.Duration = 128, duration
+				}
+				pts = append(pts, p)
+			}
+		}
+	}
+	return pts
+}
+
 // MACSweep compares the Data channel's arbitration protocols — the
 // paper's carrier-sense backoff, collision-free token passing, and the
 // traffic-adaptive switcher — on the two most channel-intensive kernels.
@@ -37,44 +65,25 @@ var macSweepKernels = []string{"tightloop", "cas-fifo"}
 // (simultaneous arrivals, the random-access worst case), cas-fifo
 // generates sustained RMW pressure with jittered arrivals. Reported
 // counters show *why* a protocol wins: collision losses for backoff,
-// token-rotation waits for token, mode switches for adaptive.
+// token-rotation waits for token, mode switches for adaptive. The
+// template's channel, fault plan, budget and seed apply as in every figure.
 func MACSweep(o Options) []MACRow {
-	coreCounts := []int{16, 64, 256}
-	iters := 12
-	duration := sim.Time(60000)
-	if o.Quick {
-		coreCounts = []int{16, 64}
-		iters = 6
-		duration = 20000
-	}
-	var rows []MACRow
-	for _, kernel := range macSweepKernels {
-		for _, cores := range coreCounts {
-			for _, mac := range wireless.MACKinds {
-				rows = append(rows, MACRow{Kernel: kernel, Cores: cores, MAC: mac})
-			}
+	res := o.simulate(macPoints(o))
+	rows := make([]MACRow, len(res))
+	for i, r := range res {
+		row := MACRow{Kernel: r.Spec.Workload, Cores: r.Spec.Cores, MAC: r.Spec.MAC}
+		if r.Kernel != nil {
+			row.CyclesPerIter = r.Kernel.CyclesPerIteration()
+			row.Util, row.Net, row.MACStats = r.Kernel.DataChannelUtil, r.Kernel.Net, r.Kernel.MAC
+		} else {
+			row.Per1000 = r.CAS.Per1000
+			row.Util, row.Net, row.MACStats = r.CAS.Net.Utilization(sim.Time(r.Spec.Duration)), r.CAS.Net, r.CAS.MAC
 		}
+		rows[i] = row
 	}
-	o.forEach(len(rows), func(i int) {
-		r := &rows[i]
-		cfg := config.New(config.WiSyncNoT, r.Cores).WithMAC(r.MAC)
-		switch r.Kernel {
-		case "tightloop":
-			res := kernels.TightLoop(cfg, iters)
-			r.CyclesPerIter = res.CyclesPerIteration()
-			r.Util = res.DataChannelUtil
-			r.Net = res.Net
-			r.MACStats = res.MAC
-		case "cas-fifo":
-			res := kernels.CASKernel(cfg, kernels.FIFO, 128, duration)
-			r.Per1000 = res.Per1000
-			r.Util = res.Net.Utilization(duration)
-			r.Net = res.Net
-			r.MACStats = res.MAC
-		}
-	})
-	i := 0
-	for _, kernel := range macSweepKernels {
+	// One table per kernel, one line per (cores, protocol).
+	for i := 0; i < len(rows); {
+		kernel := rows[i].Kernel
 		metric := "cyc/iter"
 		if kernel == "cas-fifo" {
 			metric = "cas/1000cyc"
@@ -82,18 +91,15 @@ func MACSweep(o Options) []MACRow {
 		tb := stats.NewTable(
 			fmt.Sprintf("MAC comparison: %s on WiSyncNoT (%s)", kernel, metric),
 			"cores", "mac", metric, "util %", "grants", "collisions", "token waits", "switches")
-		for range coreCounts {
-			for range wireless.MACKinds {
-				r := rows[i]
-				val := f0(r.CyclesPerIter)
-				if kernel == "cas-fifo" {
-					val = f2(r.Per1000)
-				}
-				tb.AddRow(r.Cores, r.MAC.String(), val, f2(100*r.Util),
-					r.MACStats.Grants, r.MACStats.Collisions,
-					r.MACStats.TokenWaitCycles, r.MACStats.ModeSwitches)
-				i++
+		for ; i < len(rows) && rows[i].Kernel == kernel; i++ {
+			r := rows[i]
+			val := f0(r.CyclesPerIter)
+			if kernel == "cas-fifo" {
+				val = f2(r.Per1000)
 			}
+			tb.AddRow(r.Cores, r.MAC.String(), val, f2(100*r.Util),
+				r.MACStats.Grants, r.MACStats.Collisions,
+				r.MACStats.TokenWaitCycles, r.MACStats.ModeSwitches)
 		}
 		fmt.Fprintln(o.out(), tb)
 	}

@@ -47,12 +47,3 @@ func TestMACSweepQuick(t *testing.T) {
 		t.Error("sweep tables missing from output")
 	}
 }
-
-// TestOptionsMACAppliesToFigures: the harness-level MAC override reaches
-// the sweep-point configurations (and changes wireless results).
-func TestOptionsMACAppliesToFigures(t *testing.T) {
-	cfg := Options{MAC: wireless.MACToken}.Config(0, 16)
-	if cfg.Wireless.MAC != wireless.MACToken {
-		t.Fatalf("Options.Config dropped the MAC override: %+v", cfg.Wireless)
-	}
-}

@@ -267,32 +267,43 @@ func (s PointSpec) Digest() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// pointRunHook, when non-nil, runs inside Run's recovery scope just before
-// the simulation; the panic-isolation regression test injects a panicking
-// point through it.
+// pointRunHook, when non-nil, runs inside Simulate's recovery scope just
+// before the simulation; the panic-isolation regression test injects a
+// panicking point through it.
 var pointRunHook func(PointSpec)
 
-// Run validates the spec, executes the point, and renders its metrics row
-// (the golden-matrix line format for kernels). Every failure mode —
-// validation, machine construction, a panic anywhere inside the simulation
-// — comes back as an error; Run never panics, so one bad point in a batch
-// cannot take down the worker pool or the serving process.
-func (s PointSpec) Run() (row string, err error) {
-	return s.RunCtx(context.Background())
+// Result is one point's typed outcome: the normalized spec that ran and
+// the run itself, held by workload family. Kernel holds a tightloop or
+// Livermore run, with Check its row's functional column (cycles per
+// iteration for tightloop, the result vector's sum or the inner product for
+// the Livermore loops) named CheckName; CAS holds a lock-free kernel run and
+// App an application run. The other two are nil.
+type Result struct {
+	Spec      PointSpec
+	Kernel    *kernels.Result
+	Check     float64
+	CheckName string
+	CAS       *kernels.CASResult
+	App       *apps.Result
 }
 
-// RunCtx is Run with cancellation: when ctx is cancellable, the machine's
-// abort hook polls it between event chunks, so a job deadline or a client
-// disconnect converts an in-flight point into a core.ErrAborted error row
-// within one guard interval. Cancellation does not change results — a
-// point that completes before the deadline is bit-identical to Run's.
-func (s PointSpec) RunCtx(ctx context.Context) (row string, err error) {
+// Simulate validates the spec and runs the point, returning its typed
+// result. It holds the repository's one dispatch from workload names to the
+// kernels and applications. Every failure mode — validation, machine
+// construction, a panic anywhere inside the simulation — comes back as an
+// error; Simulate never panics, so one bad point in a batch cannot take
+// down the worker pool or the serving process. When ctx is cancellable,
+// the machine's abort hook polls it between event chunks, so a job deadline
+// or a client disconnect converts an in-flight point into a core.ErrAborted
+// error within one guard interval. Cancellation does not change results: a
+// point that completes is bit-identical to an uncancellable run.
+func (s PointSpec) Simulate(ctx context.Context) (res Result, err error) {
 	n, err := s.Normalize()
 	if err != nil {
-		return "", err
+		return res, err
 	}
 	if err := n.Validate(); err != nil {
-		return "", err
+		return res, err
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -314,60 +325,95 @@ func (s PointSpec) RunCtx(ctx context.Context) (row string, err error) {
 	if ctx != nil && ctx.Done() != nil {
 		cfg.Abort = &config.AbortCheck{F: func() bool { return ctx.Err() != nil }}
 	}
-	id := n.ID()
-	var energy wireless.EnergyStats
-	var faults []core.Fault
+	res.Spec = n
 	switch {
 	case n.Workload == "tightloop":
 		r := kernels.TightLoop(cfg, n.Iters)
-		row, energy, faults = goldenLine(id, r, fmt.Sprintf("cyc/iter=%s", gf(r.CyclesPerIteration()))), r.Energy, r.Faults
+		res.Kernel, res.Check, res.CheckName = &r, r.CyclesPerIteration(), "cyc/iter"
 	case n.Workload == "livermore2":
 		r, x := kernels.Livermore2(cfg, n.N, n.Passes)
-		row, energy, faults = goldenLine(id, r, fmt.Sprintf("xsum=%s", gf(vecSum(x)))), r.Energy, r.Faults
+		res.Kernel, res.Check, res.CheckName = &r, vecSum(x), "xsum"
 	case n.Workload == "livermore3":
 		r, dot := kernels.Livermore3(cfg, n.N, n.Passes)
-		row, energy, faults = goldenLine(id, r, fmt.Sprintf("dot=%s", gf(dot))), r.Energy, r.Faults
+		res.Kernel, res.Check, res.CheckName = &r, dot, "dot"
 	case n.Workload == "livermore6":
 		r, w := kernels.Livermore6(cfg, n.N)
-		row, energy, faults = goldenLine(id, r, fmt.Sprintf("wsum=%s", gf(vecSum(w)))), r.Energy, r.Faults
+		res.Kernel, res.Check, res.CheckName = &r, vecSum(w), "wsum"
 	case strings.HasPrefix(n.Workload, "cas-"):
 		r := kernels.CASKernel(cfg, casKinds[n.Workload], n.CS, sim.Time(n.Duration))
-		row, energy, faults = id+"\t"+strings.Join([]string{
-			fmt.Sprintf("ok=%d", r.Successes),
-			fmt.Sprintf("failed=%d", r.Failures),
-			fmt.Sprintf("per1000=%s", gf(r.Per1000)),
-			fmt.Sprintf("mem=%+v", r.Mem),
-			fmt.Sprintf("net=%+v", r.Net),
-		}, "\t"), r.Energy, r.Faults
+		res.CAS = &r
 	case strings.HasPrefix(n.Workload, "app:"):
 		p, _ := apps.ByName(strings.TrimPrefix(n.Workload, "app:"))
 		if n.Iters > 0 {
 			p.Iterations = n.Iters
 		}
 		r := apps.Run(cfg, p)
-		row, energy, faults = id+"\t"+strings.Join([]string{
-			fmt.Sprintf("cycles=%d", r.Cycles),
-			fmt.Sprintf("datautil=%s", gf(r.DataUtilPct)),
-			fmt.Sprintf("spills=%d", r.Spills),
-			fmt.Sprintf("mem=%+v", r.Mem),
-			fmt.Sprintf("net=%+v", r.Net),
-		}, "\t"), r.Energy, r.Faults
+		res.App = &r
 	default:
-		return "", fmt.Errorf("harness: unknown workload %q", n.Workload)
+		return res, fmt.Errorf("harness: unknown workload %q", n.Workload)
+	}
+	return res, nil
+}
+
+// Row renders the result as a metrics row: the golden-matrix line format
+// for kernels, and the same key=value columns for CAS kernels and
+// applications.
+func (r Result) Row() string {
+	id := r.Spec.ID()
+	var row string
+	var energy wireless.EnergyStats
+	var faults []core.Fault
+	switch {
+	case r.Kernel != nil:
+		row = goldenLine(id, *r.Kernel, r.CheckName+"="+gf(r.Check))
+		energy, faults = r.Kernel.Energy, r.Kernel.Faults
+	case r.CAS != nil:
+		row = id + "\t" + strings.Join([]string{
+			fmt.Sprintf("ok=%d", r.CAS.Successes),
+			fmt.Sprintf("failed=%d", r.CAS.Failures),
+			fmt.Sprintf("per1000=%s", gf(r.CAS.Per1000)),
+			fmt.Sprintf("mem=%+v", r.CAS.Mem),
+			fmt.Sprintf("net=%+v", r.CAS.Net),
+		}, "\t")
+		energy, faults = r.CAS.Energy, r.CAS.Faults
+	case r.App != nil:
+		row = id + "\t" + strings.Join([]string{
+			fmt.Sprintf("cycles=%d", r.App.Cycles),
+			fmt.Sprintf("datautil=%s", gf(r.App.DataUtilPct)),
+			fmt.Sprintf("spills=%d", r.App.Spills),
+			fmt.Sprintf("mem=%+v", r.App.Mem),
+			fmt.Sprintf("net=%+v", r.App.Net),
+		}, "\t")
+		energy, faults = r.App.Energy, r.App.Faults
 	}
 	// Lossy channels append the energy/reliability columns; the ideal
 	// default appends nothing, keeping every row byte-identical to the
 	// golden matrices.
-	if n.Channel != channel.Ideal {
+	if r.Spec.Channel != channel.Ideal {
 		row += "\t" + energyCols(energy)
 	}
 	// Fault plans append the degradation record: how many threads were
 	// retired by a fail-stopped transceiver and where each halted.
 	// Fault-free points append nothing, for the same golden reason.
-	if n.Faults != nil {
+	if r.Spec.Faults != nil {
 		row += "\t" + faultCols(faults)
 	}
-	return row, nil
+	return row
+}
+
+// Run executes the point and renders its metrics row (see Simulate and
+// Result.Row). Run never panics.
+func (s PointSpec) Run() (row string, err error) {
+	return s.RunCtx(context.Background())
+}
+
+// RunCtx is Run with cancellation (see Simulate).
+func (s PointSpec) RunCtx(ctx context.Context) (row string, err error) {
+	r, err := s.Simulate(ctx)
+	if err != nil {
+		return "", err
+	}
+	return r.Row(), nil
 }
 
 // faultCols renders the fault-plan row suffix: the per-core records of

@@ -60,11 +60,6 @@ type CASResult struct {
 	Faults []core.Fault
 }
 
-func (r CASResult) String() string {
-	return fmt.Sprintf("%s/%s/%d cores: %.2f CAS/1000cyc (%d ok, %d failed)",
-		r.Kind, r.Cfg.Kind, r.Cfg.Cores, r.Per1000, r.Successes, r.Failures)
-}
-
 // CASKernel runs one of the lock-free kernels for the given duration:
 // every thread executes csInstr instructions of private work between
 // operations on the shared structure, each operation being a load of the

@@ -12,8 +12,6 @@
 package kernels
 
 import (
-	"fmt"
-
 	"wisync/internal/config"
 	"wisync/internal/core"
 	"wisync/internal/mem"
@@ -76,11 +74,6 @@ func (r Result) CyclesPerIteration() float64 {
 		return 0
 	}
 	return float64(r.Cycles) / float64(r.Iterations)
-}
-
-func (r Result) String() string {
-	return fmt.Sprintf("%s/%d cores: %d cycles, %.0f cycles/iter",
-		r.Cfg.Kind, r.Cfg.Cores, r.Cycles, r.CyclesPerIteration())
 }
 
 // wordsPerLine is how many 64-bit elements share a cache line.
