@@ -2,32 +2,21 @@
 // evaluation (Section 7) and the MAC-protocol comparison, and runs single
 // points.
 //
-// Usage:
-//
 //	wisync-bench [-quick] [-workers n] [-v] [point flags] [table4|fig7|fig8|fig9|fig10|table5|fig11|macs|all]
 //	wisync-bench [-workers n] [point flags] point
 //
-// Each figure subcommand prints the same rows or series the paper reports.
 // Shapes (who wins, by roughly what factor, where crossovers fall)
 // reproduce the paper; absolute cycle counts come from this repository's
-// simulator, not the authors' Multi2Sim testbed. -quick shrinks the sweeps;
-// -workers sets how many points simulate concurrently (every point is an
-// independent seeded simulation, so the output is identical at any worker
-// count); -list enumerates the subcommands, workloads and machine options.
+// simulator, not the authors' Multi2Sim testbed. -quick shrinks the sweeps,
+// and the output is identical at any -workers value.
 //
-// The point flags are harness.PointSpec's fields, named by their JSON keys
-// (-workload, -kind, -cores, -seed, -variant, -mac, -channel, -ber, ...,
-// -budget, -watchdog, -iters, -n, -passes, -cs, -duration). For a figure
-// they set the template every figure point starts from — "-mac token fig7"
-// runs Figure 7 under token passing — and a flag for a field the figure
-// sets itself (its workload and workload parameters, kinds and core
-// counts, Figure 11's variant, the MAC comparison's MAC) is a usage error.
-// "point" reads them as a sweep-service job reads its body: -kind, -cores
-// and -seed take comma lists (defaults WiSync, 64 and 1), crossed in that
-// order, and it prints one row per point, the rows the service streams.
-//
-// -cpuprofile and -memprofile write standard pprof profiles of the run
-// (see README "Profiling").
+// The point flags are harness.PointSpec's fields under their JSON names
+// (-workload, -kind, -cores, -seed, -mac, -channel, -faults, -budget, ...).
+// For a figure they set the template every figure point starts from
+// ("-mac token fig7"); a flag for a field the figure sets itself is a
+// usage error. point reads them as the sweep service reads a job: -kind,
+// -cores and -seed take comma lists, and it prints one row per point, the
+// rows the service streams. -list enumerates the subcommands and names.
 package main
 
 import (

@@ -65,6 +65,8 @@ import (
 	"path/filepath"
 	"syscall"
 	"time"
+
+	"wisync/internal/harness"
 )
 
 // resolveWorkerBin picks the worker argv for proc mode: the explicit flag
@@ -88,7 +90,7 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent sweep-point simulations (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 4096, "max admitted-but-unfinished points before 429")
 	cacheEntries := flag.Int("cache-entries", 65536, "memoization cache capacity (points)")
-	maxJobPoints := flag.Int("max-job-points", 4096, "max points one job may expand to")
+	maxJobPoints := flag.Int("max-job-points", harness.MaxBatchPoints, "max points one job may expand to")
 	grace := flag.Duration("grace", 10*time.Second, "drain period for in-flight jobs on SIGINT/SIGTERM")
 	cacheDir := flag.String("cache-dir", "", "durable result-cache directory (empty: memory only)")
 	wal := flag.String("wal", "", "job journal path; interrupted jobs replay on restart (empty: no journal)")

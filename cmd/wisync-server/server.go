@@ -139,7 +139,8 @@ type serverOptions struct {
 	QueueLimit int
 	// CacheEntries bounds the memoization store (default 65536).
 	CacheEntries int
-	// MaxJobPoints bounds one job's expansion (default 4096).
+	// MaxJobPoints bounds one job's expansion (default
+	// harness.MaxBatchPoints, as for wisync-bench point).
 	MaxJobPoints int
 	// CacheDir, when set, backs the memoization cache with a durable disk
 	// tier: completed rows survive restarts (self-checksummed; corrupt
@@ -177,7 +178,7 @@ func (o serverOptions) withDefaults() serverOptions {
 		o.CacheEntries = 65536
 	}
 	if o.MaxJobPoints <= 0 {
-		o.MaxJobPoints = 4096
+		o.MaxJobPoints = harness.MaxBatchPoints
 	}
 	if o.Isolation == "" {
 		o.Isolation = "inproc"

@@ -347,9 +347,10 @@ func TestJobDecodesEveryPointField(t *testing.T) {
 	}
 }
 
-// TestJournalPayloadsReplay: a job as the journal stored it before the job
-// embedded harness.Batch — the same keys in the old member order — parses
-// to the same specs and keys as the request it came from.
+// TestJournalPayloadsReplay: a journaled job in the member order an
+// earlier server wrote (the lists right after the workload) parses to the
+// same specs and keys as the request it came from, so a journal left on
+// disk replays unchanged.
 func TestJournalPayloadsReplay(t *testing.T) {
 	for body, stored := range map[string]string{
 		`{"workload":"tightloop"}`: `{"workload":"tightloop","kinds":["WiSync"],"cores":[64],"seeds":[1]}`,

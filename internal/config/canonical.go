@@ -21,7 +21,7 @@ import (
 )
 
 // ParseKind resolves a machine-kind name (case-insensitive), e.g. from a
-// -config flag or a sweep-job document.
+// -kind flag or a sweep-job document.
 func ParseKind(s string) (Kind, bool) {
 	for _, k := range Kinds {
 		if strings.EqualFold(k.String(), s) {

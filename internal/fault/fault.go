@@ -61,14 +61,12 @@ func (p *Plan) Empty() bool {
 }
 
 // Normalize sorts the plan into its canonical order so equal schedules
-// serialize — and therefore digest — identically. A plan already in
-// canonical order is only read, so points sharing one plan may normalize
-// it concurrently.
+// serialize — and therefore digest — identically.
 func (p *Plan) Normalize() {
 	if p == nil {
 		return
 	}
-	outage := func(i, j int) bool {
+	sort.Slice(p.Outages, func(i, j int) bool {
 		a, b := p.Outages[i], p.Outages[j]
 		if a.At != b.At {
 			return a.At < b.At
@@ -77,14 +75,8 @@ func (p *Plan) Normalize() {
 			return a.Node < b.Node
 		}
 		return a.For < b.For
-	}
-	if !sort.SliceIsSorted(p.Outages, outage) {
-		sort.Slice(p.Outages, outage)
-	}
-	loss := func(i, j int) bool { return p.TokenLoss[i] < p.TokenLoss[j] }
-	if !sort.SliceIsSorted(p.TokenLoss, loss) {
-		sort.Slice(p.TokenLoss, loss)
-	}
+	})
+	sort.Slice(p.TokenLoss, func(i, j int) bool { return p.TokenLoss[i] < p.TokenLoss[j] })
 }
 
 // Validate reports plan errors for a machine with the given node count.

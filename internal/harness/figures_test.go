@@ -159,7 +159,13 @@ func TestMACSweepHonoursTemplate(t *testing.T) {
 	if render(PointSpec{Channel: channel.Uniform}) == ideal {
 		t.Error("MACSweep under a lossy channel prints the ideal-channel tables")
 	}
-	plan := &fault.Plan{Outages: []fault.Outage{{Node: 3, At: 1000, For: 20000}}}
+	// Short outages listed out of canonical order: every point shares the
+	// plan, so the sweep must order it before its pool starts, or the
+	// points would sort it under one another (caught under -race).
+	plan := &fault.Plan{}
+	for node := 13; node >= 1; node-- {
+		plan.Outages = append(plan.Outages, fault.Outage{Node: node, At: uint64(1000 + 500*node), For: 2000})
+	}
 	if render(PointSpec{Faults: plan}) == ideal {
 		t.Error("MACSweep under a fault plan prints the fault-free tables")
 	}

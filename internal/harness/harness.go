@@ -81,8 +81,9 @@ func (o Options) point(workload string, kind config.Kind, cores int) PointSpec {
 // livelock, an invalid template — panics out of the figure with its error:
 // a figure cannot render around a hole.
 func (o Options) simulate(pts []PointSpec) []Result {
-	// The points share the template's plan: put it in canonical order
-	// once, before the pool, so no point reorders it under another.
+	// The points share the template's plan and each normalizes it: put it
+	// in canonical order once, before the pool, so none reorders it under
+	// another.
 	o.Point.Faults.Normalize()
 	res := make([]Result, len(pts))
 	o.forEach(len(pts), func(i int) {
@@ -448,7 +449,7 @@ var appKinds = [4]config.Kind{config.Baseline, config.BaselinePlus, config.WiSyn
 // appPoints lists an application sweep's points at 64 cores: each profile
 // on the four configurations in appKinds order. Quick runs trim the suite
 // to names, at iters iterations each.
-func appPoints(o Options, v config.Variant, names []string, iters int) []PointSpec {
+func appPoints(o Options, names []string, iters int) []PointSpec {
 	if !o.Quick {
 		names, iters = names[:0:0], 0
 		for _, p := range apps.Profiles() {
@@ -460,7 +461,6 @@ func appPoints(o Options, v config.Variant, names []string, iters int) []PointSp
 		for _, k := range appKinds {
 			p := o.point("app:"+name, k, 64)
 			p.Iters = iters
-			p.Variant = v
 			pts = append(pts, p)
 		}
 	}
@@ -469,7 +469,7 @@ func appPoints(o Options, v config.Variant, names []string, iters int) []PointSp
 
 // fig10Points lists Figure 10's (and Table 5's) points.
 func fig10Points(o Options) []PointSpec {
-	return appPoints(o, o.Point.Variant, []string{"blackscholes", "streamcluster", "dedup",
+	return appPoints(o, []string{"blackscholes", "streamcluster", "dedup",
 		"ocean-c", "radiosity", "raytrace", "water-ns", "fft"}, 4)
 }
 
@@ -578,7 +578,10 @@ type Fig11Row struct {
 func fig11Points(o Options) []PointSpec {
 	var pts []PointSpec
 	for _, v := range config.Variants {
-		pts = append(pts, appPoints(o, v, []string{"streamcluster", "ocean-c", "radiosity", "fft", "blackscholes"}, 3)...)
+		for _, p := range appPoints(o, []string{"streamcluster", "ocean-c", "radiosity", "fft", "blackscholes"}, 3) {
+			p.Variant = v
+			pts = append(pts, p)
+		}
 	}
 	return pts
 }

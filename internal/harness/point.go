@@ -1,13 +1,13 @@
 // Point-level sweep API.
 //
-// The figure sweeps above are fixed matrices; the sweep service
-// (cmd/wisync-server) instead receives arbitrary point sets from the
-// outside world. PointSpec is that vocabulary: one workload on one machine
-// configuration, serializable as JSON, normalized to a canonical form,
-// validated before any machine is built, content-addressed for
-// memoization, and executed with per-point panic isolation — a malformed
-// or crashing point yields an error row, never a dead process, and every
-// other point of the batch is bit-identical to a clean run.
+// PointSpec is the one vocabulary for a simulation: the figures, the golden
+// matrices, the sweep service (cmd/wisync-server) and wisync-bench point
+// all run and configure their points through it. A spec is one workload on
+// one machine configuration, serializable as JSON, normalized to a
+// canonical form, validated before any machine is built, content-addressed
+// for memoization, and executed with per-point panic isolation — a
+// malformed or crashing point yields an error row, never a dead process,
+// and every other point of the batch is bit-identical to a clean run.
 package harness
 
 import (
