@@ -77,6 +77,7 @@ var pointFlags = []struct {
 // keys of those lists.
 var axes = map[string]string{"kind": "kinds", "cores": "cores", "seed": "seeds"}
 
+// names joins the values' names with "|", for flag help.
 func names[T fmt.Stringer](xs []T) string {
 	s := make([]string, len(xs))
 	for i, x := range xs {

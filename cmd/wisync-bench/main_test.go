@@ -51,7 +51,8 @@ func TestPointFlagsMatchPointSpec(t *testing.T) {
 }
 
 // TestSubcommandOwnedFlagIsUsageError: a point flag for a field the
-// subcommand sets itself, and a figure flag given to point, exit 2.
+// subcommand sets itself, a figure flag given to point, and a flag after
+// the subcommand all exit 2.
 func TestSubcommandOwnedFlagIsUsageError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-cs", "64", "fig7"},

@@ -11,8 +11,8 @@ import (
 // counts and seeds: the body of a sweep-service job and the flags of
 // `wisync-bench point`, so both expand the same way. In JSON the lists are
 // "kinds", "cores" and "seeds"; "cores" is the list, and the template's
-// scalar "kind" and "seed" are not fields of a batch at all, so a batch
-// cannot name an axis two ways.
+// scalar "kind" and "seed" are refused, so a batch cannot name an axis two
+// ways.
 type Batch struct {
 	PointSpec
 	Kinds []config.Kind `json:"kinds,omitempty"`
