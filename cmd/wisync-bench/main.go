@@ -51,26 +51,26 @@ var pointFlags = []struct {
 	str   bool
 	usage string
 }{
-	{"workload", true, "workload: " + workloads + " (aliases liv2 liv3 liv6 fifo lifo add), or app:<name>"},
-	{"kind", true, "machine kind: " + names(config.Kinds) + "; point takes a comma list (default WiSync)"},
-	{"cores", false, "core count, 1-256; point takes a comma list (default 64)"},
-	{"seed", false, "simulation seed (default 1); point takes a comma list"},
-	{"variant", true, "Table 6 variant: " + names(config.Variants)},
-	{"mac", true, "wireless MAC protocol: " + names(wireless.MACKinds)},
-	{"channel", true, "wireless channel-error profile: " + names(channel.Profiles) + " (default ideal)"},
-	{"ber", false, "bit-error rate of the worst link under a lossy -channel (0 = 1e-4)"},
-	{"retries", false, "retransmission budget per message under a lossy -channel (0 = default)"},
-	{"ber_good", false, "good-state bit-error rate of -channel burst"},
-	{"pgb", false, "good-to-bad state probability per message of -channel burst (0 = default)"},
-	{"pbg", false, "bad-to-good state probability per message of -channel burst (0 = default)"},
-	{"faults", false, "fault-injection plan, inline JSON or @file; applies to wireless points (see internal/fault)"},
-	{"budget", false, "cycle budget per point: a point still live at it fails (0 = unlimited)"},
-	{"watchdog", false, "cycles without progress before a point fails as a livelock (0 = off)"},
-	{"iters", false, "tightloop iterations, or an application's iteration count (0 = 8, or the profile's)"},
-	{"n", false, "Livermore vector length (0 = 96, or 40 for livermore6)"},
-	{"passes", false, "Livermore 2/3 passes (0 = 1)"},
-	{"cs", false, "CAS kernels: instructions between CASes (0 = 128)"},
-	{"duration", false, "CAS kernels: run length in cycles (0 = 20000)"},
+	{"workload", true, "`workload`: " + workloads + " (aliases liv2 liv3 liv6 fifo lifo add), or app:<name>"},
+	{"kind", true, "machine `kind`: " + names(config.Kinds) + "; point takes a comma list (default WiSync)"},
+	{"cores", false, "core `count`, 1-256; point takes a comma list (default 64)"},
+	{"seed", false, "simulation `seed` (default 1); point takes a comma list"},
+	{"variant", true, "Table 6 `variant`: " + names(config.Variants)},
+	{"mac", true, "wireless `MAC` protocol: " + names(wireless.MACKinds)},
+	{"channel", true, "wireless channel-error `profile`: " + names(channel.Profiles) + " (default ideal)"},
+	{"ber", false, "bit-error `rate` of the worst link under a lossy -channel (0 = 1e-4)"},
+	{"retries", false, "retransmission `budget` per message under a lossy -channel (0 = default)"},
+	{"ber_good", false, "good-state bit-error `rate` of -channel burst"},
+	{"pgb", false, "good-to-bad state `probability` per message of -channel burst (0 = default)"},
+	{"pbg", false, "bad-to-good state `probability` per message of -channel burst (0 = default)"},
+	{"faults", false, "fault-injection `plan`, inline JSON or @file; applies to wireless points (see internal/fault)"},
+	{"budget", false, "budget per point in `cycles`: a point still live at it fails (0 = unlimited)"},
+	{"watchdog", false, "`cycles` without progress before a point fails as a livelock (0 = off)"},
+	{"iters", false, "tightloop `iterations`, or an application's iteration count (0 = 8, or the profile's)"},
+	{"n", false, "Livermore vector `length` (0 = 96, or 40 for livermore6)"},
+	{"passes", false, "Livermore 2/3 `passes` (0 = 1)"},
+	{"cs", false, "CAS kernels: `instructions` between CASes (0 = 128)"},
+	{"duration", false, "CAS kernels: run length in `cycles` (0 = 20000)"},
 }
 
 // axes maps the point flags that "point" reads as comma lists to the job
@@ -96,8 +96,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "shrink the figure sweeps for a fast pass")
 	workers := fs.Int("workers", 0, "concurrent points (0 = GOMAXPROCS, 1 = sequential); results are identical at any value")
 	verbose := fs.Bool("v", false, "append scheduler-internals diagnostics to the application figures (# sched lines)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this `file`")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this `file` at exit")
 	list := fs.Bool("list", false, "list the subcommands, workloads, applications and machine options, then exit")
 	for _, f := range pointFlags {
 		fs.String(f.name, "", f.usage)
