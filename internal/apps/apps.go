@@ -133,6 +133,7 @@ func Run(cfg config.Config, p Profile) Result {
 		r.Energy = m.Net.Energy
 	}
 	r.Faults = m.Faults()
+	m.Release()
 	return r
 }
 

@@ -17,6 +17,7 @@ package bmem
 
 import (
 	"fmt"
+	"sync"
 
 	"wisync/internal/sim"
 	"wisync/internal/wireless"
@@ -144,19 +145,40 @@ type BM struct {
 	probing bool
 	// Stats is exported for harness reporting.
 	Stats Stats
+	// store is the bmStore this BM took its entry table from, refilled
+	// and handed on by Release.
+	store *bmStore
 }
+
+// bmStore is the storage a released BM hands to the next BM built in the
+// process (see Release): the entry table, zeroed again when taken.
+type bmStore struct{ entries []entry }
+
+// bmStores passes bmStores from released BMs to new ones.
+var bmStores sync.Pool
 
 // New creates the Broadcast Memory over the given Data channel.
 func New(eng *sim.Engine, net *wireless.Network, nodes int, p Params) *BM {
 	if p.Entries == 0 {
 		p = DefaultParams()
 	}
+	st, _ := bmStores.Get().(*bmStore)
+	switch {
+	case st == nil:
+		st = &bmStore{entries: make([]entry, p.Entries)}
+	case cap(st.entries) < p.Entries:
+		st.entries = make([]entry, p.Entries)
+	default:
+		st.entries = st.entries[:p.Entries]
+		clear(st.entries)
+	}
 	b := &BM{
 		eng:      eng,
 		net:      net,
 		p:        p,
 		nodes:    nodes,
-		entries:  make([]entry, p.Entries),
+		entries:  st.entries,
+		store:    st,
 		wcb:      make([]bool, nodes),
 		afb:      make([]bool, nodes),
 		pending:  make([]pendingRMW, nodes),
@@ -175,6 +197,16 @@ func New(eng *sim.Engine, net *wireless.Network, nodes int, p Params) *BM {
 		return do
 	})
 	return b
+}
+
+// Release hands the BM's entry table to the BM built next in this
+// process. Call it once nothing reads the BM any more; it must not be used
+// afterwards.
+func (b *BM) Release() {
+	st := b.store
+	b.store = nil
+	st.entries, b.entries = b.entries, nil
+	bmStores.Put(st)
 }
 
 // Params returns the BM configuration.

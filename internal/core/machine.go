@@ -92,6 +92,21 @@ func New(cfg config.Config) (*Machine, error) {
 	return m, nil
 }
 
+// Release hands the machine's reusable storage — the event queue's
+// arrays, the L1 tag array and line pages, the Broadcast Memory's entry
+// table — to the machines built after it in this process. Runners call it
+// once their result is copied out; the machine must not be used
+// afterwards. Only storage crosses, zeroed when it is taken: continuation
+// pools, counters and anything that points into this machine stay behind,
+// so a later point runs exactly as it would on a fresh machine.
+func (m *Machine) Release() {
+	m.Eng.Release()
+	m.Mem.Release()
+	if m.BM != nil {
+		m.BM.Release()
+	}
+}
+
 // AllocLine reserves one fresh cache line of regular memory and returns the
 // address of its first word. Separate calls never share a line, avoiding
 // accidental false sharing between synchronization variables.

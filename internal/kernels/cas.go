@@ -110,6 +110,7 @@ func CASKernel(cfg config.Config, kind CASKind, csInstr int, duration sim.Time) 
 		r.MAC = m.Net.MACCounters()
 		r.Energy = m.Net.Energy
 	}
+	m.Release()
 	return r
 }
 

@@ -171,7 +171,9 @@ func TightLoop(cfg config.Config, iters int) Result {
 	if err := m.Run(); err != nil {
 		panic(err)
 	}
-	return result(m, iters)
+	r := result(m, iters)
+	m.Release()
+	return r
 }
 
 // chunk returns the [lo, hi) slice of an n-element range assigned to

@@ -94,7 +94,9 @@ func Livermore2(cfg config.Config, n int, passes int) (Result, []float64) {
 	if err := m.Run(); err != nil {
 		panic(err)
 	}
-	return result(m, passes), x
+	r := result(m, passes)
+	m.Release()
+	return r, x
 }
 
 // Livermore3 is Livermore loop 3, an inner product: each thread forms a
@@ -145,7 +147,9 @@ func Livermore3(cfg config.Config, n int, passes int) (Result, float64) {
 	for _, p := range partials {
 		sum += p
 	}
-	return result(m, passes), sum
+	r := result(m, passes)
+	m.Release()
+	return r, sum
 }
 
 // Livermore6 is Livermore loop 6, a general linear recurrence: step i needs
@@ -221,7 +225,9 @@ func Livermore6(cfg config.Config, n int) (Result, []float64) {
 	if err := m.Run(); err != nil {
 		panic(err)
 	}
-	return result(m, n-1), w
+	r := result(m, n-1)
+	m.Release()
+	return r, w
 }
 
 // seqVector builds a deterministic pseudo-random vector of small values.

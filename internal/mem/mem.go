@@ -21,6 +21,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"wisync/internal/noc"
 	"wisync/internal/sim"
@@ -232,7 +233,24 @@ type System struct {
 	// debugging tests.
 	TraceLine uint64
 	Trace     func(string)
+	// store is the memStore this system took its tags from, refilled and
+	// handed on by Release.
+	store *memStore
 }
+
+// memStore is the storage a released System hands to the next System of
+// its size built in the process (see Release): the L1 tag array, zeroed
+// again when taken, and the line store's page table, all nil.
+type memStore struct {
+	tags  []l1slot
+	table []*linePage
+}
+
+// memStores passes memStores from released systems to new ones, one pool
+// per size class of the tag array (the bit length of its length), so a
+// point takes the tags of an earlier point of its own size rather than of
+// the largest.
+var memStores [bits.UintSize + 1]sync.Pool
 
 func (s *System) trace(line uint64, format string, args ...any) {
 	if s.Trace != nil && line == s.TraceLine {
@@ -248,14 +266,40 @@ func New(eng *sim.Engine, mesh *noc.Mesh, p Params) *System {
 	if p.Cores > 256 {
 		panic("mem: more than 256 cores not supported")
 	}
-	s := &System{
-		eng:  eng,
-		mesh: mesh,
-		p:    p,
-		l1:   make([]l1cache, p.Cores),
-		tags: make([]l1slot, p.Cores*p.L1Sets*p.L1Ways),
+	n := p.Cores * p.L1Sets * p.L1Ways
+	ms, _ := memStores[bits.Len(uint(n))].Get().(*memStore)
+	switch {
+	case ms == nil:
+		ms = &memStore{tags: make([]l1slot, n)}
+	case cap(ms.tags) < n:
+		ms.tags = make([]l1slot, n)
+	default:
+		ms.tags = ms.tags[:n]
+		clear(ms.tags)
 	}
+	s := &System{
+		eng:   eng,
+		mesh:  mesh,
+		p:     p,
+		l1:    make([]l1cache, p.Cores),
+		tags:  ms.tags,
+		lines: pagedStore{pages: ms.table},
+		store: ms,
+	}
+	ms.table = nil
 	return s
+}
+
+// Release hands the system's L1 tag array, line pages and page table to
+// the systems built after it in this process. Call it once nothing reads
+// the system any more; it must not be used afterwards.
+func (s *System) Release() {
+	ms := s.store
+	s.store = nil
+	s.lines.release()
+	ms.tags, ms.table = s.tags, s.lines.pages
+	s.tags, s.lines = nil, pagedStore{}
+	memStores[bits.Len(uint(len(ms.tags)))].Put(ms)
 }
 
 // Params returns the configuration the system was built with.

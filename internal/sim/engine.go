@@ -94,6 +94,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Time is a simulation timestamp in processor cycles (1 ns at 1 GHz).
@@ -143,15 +144,50 @@ type Engine struct {
 	// StepPoolHit/StepPoolMiss.
 	stepPoolHits   uint64
 	stepPoolMisses uint64
+	// store is the queueStore this engine took its storage from, refilled
+	// and handed on by Release.
+	store *queueStore
 }
 
+// queueStore is the event storage a released engine hands to the next
+// engine built in the process (see Release): FIFO arrays of the timing
+// wheel and the heap's array, all zero and of length zero. It carries
+// capacity only, never an event.
+type queueStore struct {
+	spares, smalls [][]event
+	heap           []event
+}
+
+// queueStores passes queueStores from released engines to new ones.
+var queueStores sync.Pool
+
 // NewEngine returns an engine whose random stream is derived from seed.
+// Its queue starts empty; it reuses the storage of an engine released
+// earlier in the process when there is one.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{
+	e := &Engine{
 		rng:   NewRand(seed),
 		limit: maxTime,
 		tasks: make(map[*Task]struct{}),
 	}
+	if st, _ := queueStores.Get().(*queueStore); st != nil {
+		e.q.adopt(st)
+		e.store = st
+	}
+	return e
+}
+
+// Release hands the engine's queue storage to the next engine built in
+// this process. Events still queued are dropped. Call it once nothing
+// reads the engine any more; it must not be used afterwards.
+func (e *Engine) Release() {
+	st := e.store
+	if st == nil {
+		st = new(queueStore)
+	}
+	e.store = nil
+	e.q.release(st)
+	queueStores.Put(st)
 }
 
 // SchedStats are the engine's scheduling-internals counters: how events were

@@ -98,6 +98,37 @@ func (q *eventQueue) pop() event {
 	return q.h.pop()
 }
 
+// release moves the queue's storage into st for the next engine built in
+// the process: every FIFO array to the spares or smalls by size, and the
+// heap array. Queued events are cleared first, so nothing st holds points
+// back into this engine's model, and q is left empty.
+func (q *eventQueue) release(st *queueStore) {
+	w := &q.w
+	st.spares = append(st.spares, w.spares...)
+	st.smalls = append(st.smalls, w.smalls...)
+	for i := range w.b {
+		for _, f := range [2]*fifo{&w.b[i].normal, &w.b[i].late} {
+			clear(f.ev)
+			switch {
+			case cap(f.ev) > fifoKeep:
+				st.spares = append(st.spares, f.ev[:0])
+			case cap(f.ev) == fifoKeep:
+				st.smalls = append(st.smalls, f.ev[:0])
+			}
+		}
+	}
+	clear(q.h.ev)
+	st.heap = q.h.ev[:0]
+	*q = eventQueue{}
+}
+
+// adopt takes over the storage a released queue left in st, leaving st
+// empty.
+func (q *eventQueue) adopt(st *queueStore) {
+	q.w.spares, q.w.smalls, q.h.ev = st.spares, st.smalls, st.heap
+	st.spares, st.smalls, st.heap = nil, nil, nil
+}
+
 // ---- Timing wheel ----
 
 // wheelSpan is the wheel horizon in cycles: events scheduled less than
@@ -117,6 +148,11 @@ const (
 // sequence order (the engine's sequence counter is monotone), so FIFO order
 // is dispatch order; consumed slots are zeroed so popped closures are
 // collectable, and the backing array is reused once the bucket drains.
+//
+// A FIFO's backing array is either small (fifoKeep events) or a burst
+// array borrowed from the wheel's spares: a full FIFO grows through
+// wheel.grow, and a drained bucket hands burst arrays back (wheel.shed).
+// Every array outside a FIFO's live range [head, len) is all zero.
 type fifo struct {
 	ev   []event
 	head int
@@ -124,6 +160,8 @@ type fifo struct {
 
 func (f *fifo) empty() bool { return f.head == len(f.ev) }
 
+// push appends ev. The caller has made room (see wheel.push), so append
+// never reallocates here.
 func (f *fifo) push(ev event) { f.ev = append(f.ev, ev) }
 
 func (f *fifo) pop() event {
@@ -164,12 +202,27 @@ func (b *bucket) min() *event {
 // while count is 0 and must not be read then. The window invariant (all
 // entries within [now, now+wheelSpan)) makes the circular scan from the
 // drained bucket visit buckets in absolute-time order.
+//
+// spares and smalls hold the backing arrays no FIFO is using: burst arrays
+// (more than fifoKeep events) that drained buckets handed back, and the
+// small arrays of FIFOs that borrowed a burst array. A burst borrows an
+// array and returns it when its bucket drains, so the spares number at
+// most the bursts in flight at once, each sized by the largest burst it
+// carried — not one high-water array per bucket.
 type wheel struct {
 	b      [wheelSpan]bucket
 	occ    [wheelWords]uint64
 	count  int
 	minIdx int
+
+	spares [][]event
+	smalls [][]event
 }
+
+// fifoKeep is the capacity of a FIFO's own array. A bucket that drains
+// with a larger array hands it to the spares; most buckets hold a few
+// events at a time and keep theirs.
+const fifoKeep = 8
 
 func (w *wheel) min() *event { return w.b[w.minIdx].min() }
 
@@ -179,11 +232,14 @@ func (w *wheel) push(ev event) {
 	if b.empty() {
 		w.occ[idx>>6] |= 1 << (uint(idx) & 63)
 	}
+	f := &b.normal
 	if ev.key&prioBit != 0 {
-		b.late.push(ev)
-	} else {
-		b.normal.push(ev)
+		f = &b.late
 	}
+	if len(f.ev) == cap(f.ev) {
+		w.grow(f)
+	}
+	f.push(ev)
 	w.count++
 	if w.count == 1 || before(&ev, w.b[w.minIdx].min()) {
 		w.minIdx = idx
@@ -201,6 +257,12 @@ func (w *wheel) pop() event {
 	w.count--
 	if b.empty() {
 		w.occ[w.minIdx>>6] &^= 1 << (uint(w.minIdx) & 63)
+		if cap(b.normal.ev) > fifoKeep {
+			w.shed(&b.normal)
+		}
+		if cap(b.late.ev) > fifoKeep {
+			w.shed(&b.late)
+		}
 		if w.count > 0 {
 			w.minIdx = w.next(w.minIdx)
 		}
@@ -222,6 +284,71 @@ func (w *wheel) next(from int) int {
 			return ((wi+k)&(wheelWords-1))<<6 + bits.TrailingZeros64(word)
 		}
 		word = w.occ[(wi+k+1)&(wheelWords-1)]
+	}
+}
+
+// grow makes room in the full FIFO f. A FIFO at least half consumed is
+// compacted in place. Otherwise its live events move to a larger array:
+// a small array of its own first, then the largest spare, then a fresh
+// array of twice the size. The array it leaves is cleared and kept.
+func (w *wheel) grow(f *fifo) {
+	live := len(f.ev) - f.head
+	if f.head > 0 && f.head >= live {
+		copy(f.ev, f.ev[f.head:])
+		clear(f.ev[live:])
+		f.ev, f.head = f.ev[:live], 0
+		return
+	}
+	var ev []event
+	switch {
+	case cap(f.ev) < fifoKeep:
+		if k := len(w.smalls); k > 0 {
+			ev = w.smalls[k-1]
+			w.smalls[k-1] = nil
+			w.smalls = w.smalls[:k-1]
+		} else {
+			ev = make([]event, 0, fifoKeep)
+		}
+	default:
+		best := -1
+		for i, a := range w.spares {
+			if cap(a) > live && (best < 0 || cap(a) > cap(w.spares[best])) {
+				best = i
+			}
+		}
+		if best >= 0 {
+			last := len(w.spares) - 1
+			ev = w.spares[best]
+			w.spares[best] = w.spares[last]
+			w.spares[last] = nil
+			w.spares = w.spares[:last]
+		} else {
+			ev = make([]event, 0, 2*live)
+		}
+	}
+	ev = append(ev, f.ev[f.head:]...)
+	old := f.ev
+	f.ev, f.head = ev, 0
+	if cap(old) == 0 {
+		return
+	}
+	clear(old[:cap(old)])
+	if cap(old) > fifoKeep {
+		w.spares = append(w.spares, old[:0])
+	} else if cap(old) == fifoKeep {
+		w.smalls = append(w.smalls, old[:0])
+	}
+}
+
+// shed hands the burst array of drained FIFO f to the spares and gives f
+// a small array back, if one is free.
+func (w *wheel) shed(f *fifo) {
+	w.spares = append(w.spares, f.ev)
+	f.ev = nil
+	if k := len(w.smalls); k > 0 {
+		f.ev = w.smalls[k-1]
+		w.smalls[k-1] = nil
+		w.smalls = w.smalls[:k-1]
 	}
 }
 
