@@ -27,21 +27,58 @@ func (c *Controller) ToneStoreAsync(node int, pid uint16, addr uint32, then func
 	// withdrawn by the activation and our arrival is registered there.
 	pi := &c.pending[node]
 	*pi = pendingInit{active: true, addr: addr}
+	st := c.step(node)
+	st.then = then
 	c.net.SendAsync(wireless.Msg{
 		Src: node, Addr: addr, Kind: wireless.KindToneInit, PID: pid,
-	}, &pi.tok, func(committed bool) {
-		if committed {
-			// Our own commit activated the barrier (onToneInit ran) and
-			// registered us as arrived.
-			pi.active = false
-		} else {
-			// Withdrawn: the activation marked us arrived.
-			c.Stats.InitWithdrawn++
-		}
-		then()
-	})
+	}, &pi.tok, st.initDoneFn)
 	return nil
 }
+
+// nodeStep is a node's recycled tone continuation: the completion of its
+// tone_st init message and the condition of its tone_ld spin. A node's
+// thread waits on at most one of them at a time, and each clears its
+// fields before it hands control back, so one struct per node serves
+// every episode without a closure.
+type nodeStep struct {
+	c    *Controller
+	node int
+	then func()
+	want uint64
+
+	initDoneFn func(bool)
+	toggledFn  func(uint64) bool
+}
+
+// step returns node's continuation, making it on first use.
+func (c *Controller) step(node int) *nodeStep {
+	if st := c.steps[node]; st != nil {
+		c.eng.StepPoolHit()
+		return st
+	}
+	c.eng.StepPoolMiss()
+	st := &nodeStep{c: c, node: node}
+	st.initDoneFn = st.initDone
+	st.toggledFn = st.toggled
+	c.steps[node] = st
+	return st
+}
+
+func (st *nodeStep) initDone(committed bool) {
+	c, then := st.c, st.then
+	st.then = nil
+	if committed {
+		// Our own commit activated the barrier (onToneInit ran) and
+		// registered us as arrived.
+		c.pending[st.node].active = false
+	} else {
+		// Withdrawn: the activation marked us arrived.
+		c.Stats.InitWithdrawn++
+	}
+	then()
+}
+
+func (st *nodeStep) toggled(v uint64) bool { return v == st.want }
 
 // checkParticipant validates a tone_st issuer: addr must be an allocated
 // barrier owned by pid with node armed as a participant (Section 4.4).
@@ -71,12 +108,17 @@ func (c *Controller) onToneInit(m wireless.Msg, at sim.Time) {
 	if len(c.active) == 0 {
 		c.lastAct = at
 	}
-	b := &activeBarrier{
-		addr:         m.Addr,
-		participants: ae.armed,
-		remaining:    ae.nArm,
-		activatedAt:  at,
+	var b *activeBarrier
+	if k := len(c.barFree); k > 0 {
+		b = c.barFree[k-1]
+		c.barFree[k-1] = nil
+		c.barFree = c.barFree[:k-1]
+	} else {
+		b = &activeBarrier{c: c}
+		b.completeFn = b.complete
 	}
+	b.addr, b.participants, b.arrived = m.Addr, ae.armed, bitset{}
+	b.remaining, b.activatedAt = ae.nArm, at
 	c.active = append(c.active, b)
 	c.Stats.Activations++
 	c.arrive(b, m.Src)
@@ -113,23 +155,26 @@ func (c *Controller) arrive(b *activeBarrier, node int) {
 	if rem := next % k; rem != pos {
 		next += (pos - rem + k) % k
 	}
-	detect := next + 1
-	c.eng.ScheduleAt(detect, sim.PrioNormal, func() { c.complete(b, detect) })
+	b.detectAt = next + 1
+	c.eng.ScheduleAt(b.detectAt, sim.PrioNormal, b.completeFn)
 }
 
 // complete removes b from ActiveB on every node (entries below shift up)
 // and toggles the barrier's BM location everywhere, releasing the cores
-// spinning on tone_ld.
-func (c *Controller) complete(b *activeBarrier, detectedAt sim.Time) {
+// spinning on tone_ld. The entry then returns to barFree.
+func (b *activeBarrier) complete() {
+	c := b.c
 	pos := c.activePos(b.addr)
 	if pos < 0 {
 		return
 	}
 	c.active = append(c.active[:pos], c.active[pos+1:]...)
 	c.Stats.Completions++
-	c.Stats.DetectDelaySum += detectedAt - b.activatedAt
-	c.accountActive(detectedAt)
-	c.bm.ToggleLocal(b.addr)
+	c.Stats.DetectDelaySum += b.detectAt - b.activatedAt
+	c.accountActive(b.detectAt)
+	addr := b.addr
+	c.barFree = append(c.barFree, b)
+	c.bm.ToggleLocal(addr)
 }
 
 func (c *Controller) accountActive(now sim.Time) {
@@ -147,5 +192,7 @@ func (c *Controller) accountActive(now sim.Time) {
 // variable belongs to the allocating process; participants share its
 // PID).
 func (c *Controller) WaitToggleAsync(node int, pid uint16, addr uint32, want uint64, then func(uint64)) error {
-	return c.bm.SpinUntilAsync(node, pid, addr, func(v uint64) bool { return v == want }, then)
+	st := c.step(node)
+	st.want = want
+	return c.bm.SpinUntilAsync(node, pid, addr, st.toggledFn, then)
 }

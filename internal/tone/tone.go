@@ -69,11 +69,16 @@ type allocEntry struct {
 }
 
 type activeBarrier struct {
+	c            *Controller
 	addr         uint32
 	participants bitset
 	arrived      bitset
 	remaining    int
 	activatedAt  sim.Time
+	// detectAt is when the controllers detect the silence; completeFn is
+	// the cached method value of complete, scheduled for then.
+	detectAt   sim.Time
+	completeFn func()
 }
 
 type pendingInit struct {
@@ -102,6 +107,11 @@ type Controller struct {
 	alloc   []*allocEntry
 	active  []*activeBarrier
 	pending []pendingInit
+	// steps holds each node's recycled tone_st/tone_ld continuation
+	// (barrier.go), made on the node's first use.
+	steps []*nodeStep
+	// barFree recycles completed ActiveB entries.
+	barFree []*activeBarrier
 	byPID   map[uint16]int
 	lastAct sim.Time
 	// Stats is exported for harness reporting.
@@ -120,6 +130,7 @@ func New(eng *sim.Engine, bm *bmem.BM, net *wireless.Network, p Params) *Control
 		nodes:   bm.Nodes(),
 		p:       p,
 		pending: make([]pendingInit, bm.Nodes()),
+		steps:   make([]*nodeStep, bm.Nodes()),
 		byPID:   make(map[uint16]int),
 	}
 	bm.SetToneInitHandler(c.onToneInit)

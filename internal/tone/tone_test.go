@@ -402,3 +402,81 @@ func TestDetectionDelayGrowsWithActiveBarriers(t *testing.T) {
 		t.Error("DetectDelaySum = 0; detection should take at least a slot")
 	}
 }
+
+// episodeLoop is one node's run of tone barrier episodes, written as
+// recycled continuations so the loop itself allocates nothing.
+type episodeLoop struct {
+	c     *Controller
+	node  int
+	addr  uint32
+	left  int
+	sense uint64
+
+	nextFn     func()
+	arrivedFn  func()
+	releasedFn func(uint64)
+}
+
+func (l *episodeLoop) next() {
+	if l.left == 0 {
+		return
+	}
+	l.left--
+	l.sense ^= 1
+	if err := l.c.ToneStoreAsync(l.node, 1, l.addr, l.arrivedFn); err != nil {
+		panic(err)
+	}
+}
+
+func (l *episodeLoop) arrived() {
+	if err := l.c.WaitToggleAsync(l.node, 1, l.addr, l.sense, l.releasedFn); err != nil {
+		panic(err)
+	}
+}
+
+func (l *episodeLoop) released(uint64) { l.next() }
+
+// TestToneBarrierEpisodeAllocFree pins a steady-state tone barrier
+// episode at zero heap allocations: the init messages (withdrawn ones
+// included), their completions, the activation, the silence detection and
+// the tone_ld spins all run on recycled state. Warm-up runs first fill
+// every pool and grow every list and queue array to its high-water mark.
+func TestToneBarrierEpisodeAllocFree(t *testing.T) {
+	const n, episodes = 16, 200
+	eng, _, c := newCtl(t, n)
+	parts := make([]int, n)
+	for i := range parts {
+		parts[i] = i
+	}
+	addr, err := c.AllocateBare(1, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loops := make([]*episodeLoop, n)
+	for i := range loops {
+		l := &episodeLoop{c: c, node: i, addr: addr}
+		l.nextFn, l.arrivedFn, l.releasedFn = l.next, l.arrived, l.released
+		loops[i] = l
+	}
+	run := func() {
+		for i, l := range loops {
+			l.left = episodes
+			eng.Schedule(sim.Time(3*i), l.nextFn) // skewed first arrivals
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 10 {
+		run()
+	}
+	if c.Stats.Completions != 10*episodes {
+		t.Fatalf("completed %d episodes, want %d", c.Stats.Completions, 10*episodes)
+	}
+	if c.Stats.InitWithdrawn == 0 {
+		t.Fatal("no init message was withdrawn; the episodes do not exercise withdrawal")
+	}
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("steady-state tone barrier allocated %v objects per %d episodes, want 0", allocs, episodes)
+	}
+}

@@ -17,12 +17,24 @@ type backoffMAC struct {
 	n *Network
 	// pending lists the future contention slots whose arbitration event
 	// is scheduled, in no particular order; each carries the requests
-	// contending in it. A pass over a figure sweep holds a few dozen at a
-	// time, so enqueue finds a slot by a linear search.
-	pending []*arbCont
-	// waitq holds busy-deferred senders under DeferFIFO.
-	waitq   []*request
-	backoff []int // per-node persistent exponent (BackoffPersistent)
+	// contending in it and its own index here. A 256-core CAS point holds
+	// about a hundred at a time (up to 137), so enqueue finds a slot by
+	// its cycle in byCycle rather than by a scan: entry slot&cycleMask
+	// holds the pending slot of that cycle. Every pending slot lies at
+	// most a Bulk frame, or CollisionCycles plus the largest backoff
+	// window, ahead of now, and the table is longer than that, so two
+	// pending slots never share an entry. Where a configuration's window
+	// outgrows the table (maxCycleTable), a slot that finds its entry
+	// taken stays out of it and is found by a scan; spilled counts them.
+	pending   []*arbCont
+	byCycle   []*arbCont
+	cycleMask sim.Time
+	spilled   int
+	// waitq holds busy-deferred senders under DeferFIFO, oldest at
+	// waitHead. Its array is reused (deferReq).
+	waitq    []*request
+	waitHead int
+	backoff  []int // per-node persistent exponent (BackoffPersistent)
 	// sharedExp is the chip-wide contention exponent for
 	// BackoffAdaptive: every node observes the same channel, so the
 	// estimate is global (Section 5.3).
@@ -41,11 +53,16 @@ type backoffMAC struct {
 type arbCont struct {
 	m    *backoffMAC
 	slot sim.Time
+	idx  int // position in m.pending
 	reqs []*request
 	fn   func() // cached method value of run
 }
 
 func (c *arbCont) run() { c.m.arbitrate(c) }
+
+// maxCycleTable bounds byCycle; 1024 entries cover 256 nodes' default
+// backoff window (2^9 cycles).
+const maxCycleTable = 1024
 
 func newBackoffMAC(n *Network) *backoffMAC {
 	m := &backoffMAC{
@@ -53,7 +70,62 @@ func newBackoffMAC(n *Network) *backoffMAC {
 		backoff: make([]int, n.nodes),
 	}
 	m.releaseHeadFn = m.releaseHead
+	window := sim.Time(1) << max(0, min(n.p.MaxBackoffExp, 30))
+	if n.p.ConstantBackoffWindow > 0 {
+		window = sim.Time(n.p.ConstantBackoffWindow)
+	}
+	horizon := max(n.p.MsgCycles, n.p.BulkCycles, n.p.CollisionCycles+window)
+	size := 1
+	for sim.Time(size) <= horizon && size < maxCycleTable {
+		size <<= 1
+	}
+	m.byCycle = make([]*arbCont, size)
+	m.cycleMask = sim.Time(size - 1)
 	return m
+}
+
+// slotAt returns the pending contention slot at cycle slot, or nil.
+func (m *backoffMAC) slotAt(slot sim.Time) *arbCont {
+	if c := m.byCycle[slot&m.cycleMask]; c != nil && c.slot == slot {
+		return c
+	}
+	if m.spilled > 0 {
+		for _, c := range m.pending {
+			if c.slot == slot {
+				return c
+			}
+		}
+	}
+	return nil
+}
+
+// unlist removes contention slot c from pending and byCycle.
+func (m *backoffMAC) unlist(c *arbCont) {
+	last := len(m.pending) - 1
+	moved := m.pending[last]
+	m.pending[c.idx] = moved
+	moved.idx = c.idx
+	m.pending[last] = nil
+	m.pending = m.pending[:last]
+	if e := &m.byCycle[c.slot&m.cycleMask]; *e == c {
+		*e = nil
+	} else {
+		m.spilled--
+	}
+}
+
+// deferReq appends req to the busy-deferral queue. A full array that is
+// at least half consumed is compacted rather than grown, so a standing
+// backlog reuses one array.
+func (m *backoffMAC) deferReq(req *request) {
+	q := m.waitq
+	if live := len(q) - m.waitHead; len(q) == cap(q) && m.waitHead > 0 && m.waitHead >= live {
+		copy(q, q[m.waitHead:])
+		clear(q[live:])
+		q, m.waitHead = q[:live], 0
+	}
+	req.queued = true
+	m.waitq = append(q, req)
 }
 
 func (m *backoffMAC) Kind() MACKind { return MACBackoff }
@@ -68,7 +140,7 @@ func (m *backoffMAC) Submit(req *request) {
 		return
 	}
 	if n.p.Defer == DeferFIFO {
-		m.waitq = append(m.waitq, req)
+		m.deferReq(req)
 		return
 	}
 	m.enqueue(req, n.busyUntil)
@@ -77,11 +149,10 @@ func (m *backoffMAC) Submit(req *request) {
 // enqueue adds req to the contention slot at cycle slot, scheduling the
 // slot's arbitration event if the slot is not pending yet.
 func (m *backoffMAC) enqueue(req *request, slot sim.Time) {
-	for _, c := range m.pending {
-		if c.slot == slot {
-			c.reqs = append(c.reqs, req)
-			return
-		}
+	req.queued = true
+	if c := m.slotAt(slot); c != nil {
+		c.reqs = append(c.reqs, req)
+		return
 	}
 	var c *arbCont
 	if k := len(m.arbFree); k > 0 {
@@ -93,7 +164,13 @@ func (m *backoffMAC) enqueue(req *request, slot sim.Time) {
 	}
 	c.slot = slot
 	c.reqs = append(c.reqs, req)
+	c.idx = len(m.pending)
 	m.pending = append(m.pending, c)
+	if e := &m.byCycle[slot&m.cycleMask]; *e == nil {
+		*e = c
+	} else {
+		m.spilled++
+	}
 	m.n.eng.ScheduleAt(slot, sim.PrioLate, c.fn)
 }
 
@@ -105,11 +182,7 @@ func (m *backoffMAC) enqueue(req *request, slot sim.Time) {
 // opens a new slot with an event of its own; c returns to the pool only
 // once its requests have been resolved.
 func (m *backoffMAC) arbitrate(c *arbCont) {
-	i := slices.Index(m.pending, c)
-	last := len(m.pending) - 1
-	m.pending[i] = m.pending[last]
-	m.pending[last] = nil
-	m.pending = m.pending[:last]
+	m.unlist(c)
 	m.resolve(c.slot, c.reqs)
 	clear(c.reqs)
 	c.reqs = c.reqs[:0]
@@ -124,6 +197,7 @@ func (m *backoffMAC) resolve(slot sim.Time, reqs []*request) {
 	n := m.n
 	live := reqs[:0]
 	for _, r := range reqs {
+		n.dequeued(r)
 		if r.state != reqPending {
 			continue
 		}
@@ -144,7 +218,7 @@ func (m *backoffMAC) resolve(slot sim.Time, reqs []*request) {
 		// (an earlier slot had a winner); defer them.
 		for _, r := range live {
 			if n.p.Defer == DeferFIFO {
-				m.waitq = append(m.waitq, r)
+				m.deferReq(r)
 			} else {
 				m.enqueue(r, n.busyUntil)
 			}
@@ -235,9 +309,14 @@ func (m *backoffMAC) releaseHead() {
 	if n.busyUntil > n.eng.Now() {
 		return // a new busy period already started
 	}
-	for len(m.waitq) > 0 {
-		head := m.waitq[0]
-		m.waitq = m.waitq[1:]
+	for m.waitHead < len(m.waitq) {
+		head := m.waitq[m.waitHead]
+		m.waitq[m.waitHead] = nil
+		m.waitHead++
+		if m.waitHead == len(m.waitq) {
+			m.waitq, m.waitHead = m.waitq[:0], 0
+		}
+		n.dequeued(head)
 		if head.state != reqPending {
 			continue // withdrawn while queued
 		}
@@ -259,16 +338,19 @@ func (m *backoffMAC) Counters() MACStats { return m.stats }
 // slot reuses the pending event.
 func (m *backoffMAC) drain() []*request {
 	var out []*request
-	for _, r := range m.waitq {
+	for _, r := range m.waitq[m.waitHead:] {
+		m.n.dequeued(r)
 		if r.state == reqPending {
 			out = append(out, r)
 		}
 	}
-	m.waitq = nil
+	clear(m.waitq)
+	m.waitq, m.waitHead = m.waitq[:0], 0
 	bySlot := slices.Clone(m.pending)
 	slices.SortFunc(bySlot, func(a, b *arbCont) int { return cmp.Compare(a.slot, b.slot) })
 	for _, c := range bySlot {
 		for _, r := range c.reqs {
+			m.n.dequeued(r)
 			if r.state == reqPending {
 				out = append(out, r)
 			}

@@ -3,6 +3,7 @@ package wireless
 import (
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"wisync/internal/sim"
@@ -78,13 +79,15 @@ func TestStaleTokenCancel(t *testing.T) {
 }
 
 // TestCanceledRequestNotPooled withdraws a busy-deferred transfer and
-// asserts its record is NOT recycled: the MAC backlog still references it
-// (the entry is skipped lazily by state), so pooling it would let a stale
-// queue entry transmit a recycled record's new message.
+// asserts its record is not recycled while the MAC backlog still
+// references it (the entry is skipped lazily, by state): pooling it then
+// would let the stale queue entry transmit a recycled record's new
+// message. Once the MAC drops the entry, the record returns to the pool.
 func TestCanceledRequestNotPooled(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, 4, Params{})
 	var tok Token
+	var withdrawn *request
 	canceled := false
 	eng.Schedule(0, func() {
 		// Occupies the channel for MsgCycles; the second send defers.
@@ -94,10 +97,20 @@ func TestCanceledRequestNotPooled(t *testing.T) {
 		n.SendAsync(Msg{Src: 1, Addr: 2, Val: 2}, &tok, func(committed bool) {
 			canceled = !committed
 		})
+		withdrawn = tok.req
 	})
 	eng.Schedule(2, func() {
 		if !tok.Cancel() {
 			t.Error("Cancel of a deferred transfer failed")
+		}
+	})
+	eng.Schedule(3, func() {
+		// Delivered at cycle 2, still queued behind the busy channel.
+		if !canceled {
+			t.Error("withdrawal not delivered by cycle 3")
+		}
+		if slices.Contains(n.reqFree, withdrawn) {
+			t.Error("withdrawn record pooled while the MAC backlog still holds it")
 		}
 	})
 	if err := eng.Run(); err != nil {
@@ -106,12 +119,12 @@ func TestCanceledRequestNotPooled(t *testing.T) {
 	if !canceled {
 		t.Fatal("deferred transfer was not withdrawn")
 	}
-	if n.Stats.Withdrawn != 1 {
-		t.Errorf("Withdrawn = %d, want 1", n.Stats.Withdrawn)
+	if n.Stats.Withdrawn != 1 || n.Stats.Messages != 1 {
+		t.Errorf("Withdrawn, Messages = %d, %d, want 1, 1", n.Stats.Withdrawn, n.Stats.Messages)
 	}
-	// Only the committed message's record may be in the pool.
-	if got := len(n.reqFree); got != 1 {
-		t.Errorf("freelist holds %d records, want 1 (canceled record must not be pooled)", got)
+	// The busy end dropped the stale entry, so both records are pooled.
+	if got := len(n.reqFree); got != 2 || !slices.Contains(n.reqFree, withdrawn) {
+		t.Errorf("freelist holds %d records, want 2 including the withdrawn one", got)
 	}
 }
 
@@ -150,5 +163,77 @@ func TestSendAsyncAllocFree(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if d := after.Mallocs - before.Mallocs; d != 0 {
 		t.Errorf("steady-state SendAsync allocated %d objects over %d messages, want 0", d, msgs)
+	}
+}
+
+// deferBurst drives rounds of busy-channel bursts: node 0 takes the
+// channel, and one cycle later every other node sends while it is busy,
+// so all of them queue behind it and are released one per busy end. The
+// next round starts when every send of the round has completed.
+type deferBurst struct {
+	eng         *sim.Engine
+	n           *Network
+	nodes       int
+	rounds      int
+	outstanding int
+
+	startFn func()
+	burstFn func()
+	doneFn  func(bool)
+}
+
+func newDeferBurst(eng *sim.Engine, n *Network, nodes int) *deferBurst {
+	b := &deferBurst{eng: eng, n: n, nodes: nodes}
+	b.startFn, b.burstFn, b.doneFn = b.start, b.burst, b.done
+	return b
+}
+
+func (b *deferBurst) start() {
+	b.outstanding = b.nodes
+	b.n.SendAsync(Msg{Src: 0, Addr: 1}, nil, b.doneFn)
+	b.eng.Schedule(1, b.burstFn)
+}
+
+func (b *deferBurst) burst() {
+	for src := 1; src < b.nodes; src++ {
+		b.n.SendAsync(Msg{Src: src, Addr: uint32(src)}, nil, b.doneFn)
+	}
+}
+
+func (b *deferBurst) done(bool) {
+	b.outstanding--
+	if b.outstanding == 0 && b.rounds > 0 {
+		b.rounds--
+		b.eng.Schedule(1, b.startFn)
+	}
+}
+
+func (b *deferBurst) run(t *testing.T, rounds int) {
+	t.Helper()
+	b.rounds = rounds - 1
+	b.eng.Schedule(0, b.startFn)
+	if err := b.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeferredSendsAllocFree pins the busy-deferral path at zero heap
+// allocations: a burst of sends that find the channel busy queues in the
+// backoff MAC's FIFO and is released one per busy end, and the queue's
+// array is reused from burst to burst.
+func TestDeferredSendsAllocFree(t *testing.T) {
+	const nodes, rounds = 64, 50
+	eng := sim.NewEngine(1)
+	n := New(eng, nodes, Params{})
+	b := newDeferBurst(eng, n, nodes)
+	run := func() { b.run(t, rounds) }
+	for range 4 {
+		run() // warm up pools, slot lists and queue storage
+	}
+	if n.Stats.Messages != 4*nodes*rounds {
+		t.Fatalf("committed %d messages, want %d", n.Stats.Messages, 4*nodes*rounds)
+	}
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("steady-state deferred bursts allocated %v objects per %d sends, want 0", allocs, nodes*rounds)
 	}
 }

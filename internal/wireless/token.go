@@ -46,6 +46,7 @@ func newTokenMAC(n *Network) *tokenMAC {
 func (m *tokenMAC) Kind() MACKind { return MACToken }
 
 func (m *tokenMAC) Submit(req *request) {
+	req.queued = true
 	m.pending[req.msg.Src] = append(m.pending[req.msg.Src], req)
 	m.npend++
 	m.arm()
@@ -85,6 +86,7 @@ func (m *tokenMAC) scan(epoch uint64) {
 		src := (m.holder + step) % n.nodes
 		q := m.pending[src]
 		for len(q) > 0 && q[0].state != reqPending {
+			n.dequeued(q[0])
 			q = q[1:] // withdrawn while queued
 			m.npend--
 		}
@@ -117,6 +119,7 @@ func (m *tokenMAC) scan(epoch uint64) {
 func (m *tokenMAC) failNode(src, step int) bool {
 	q := m.pending[src]
 	for len(q) > 0 {
+		m.n.dequeued(q[0])
 		if q[0].state == reqPending {
 			m.n.failPending(q[0])
 		}
@@ -186,6 +189,7 @@ func (m *tokenMAC) deliver(src int, epoch uint64) {
 	m.armed = false
 	q := m.pending[src]
 	for len(q) > 0 && q[0].state != reqPending {
+		n.dequeued(q[0])
 		q = q[1:]
 		m.npend--
 	}
@@ -197,6 +201,7 @@ func (m *tokenMAC) deliver(src int, epoch uint64) {
 		return
 	}
 	req := q[0]
+	req.queued = false
 	m.pending[src] = q[1:]
 	m.npend--
 	m.holder = src
@@ -237,6 +242,7 @@ func (m *tokenMAC) drain() []*request {
 	for step := 1; step <= m.n.nodes; step++ {
 		src := (m.holder + step) % m.n.nodes
 		for _, r := range m.pending[src] {
+			m.n.dequeued(r)
 			if r.state == reqPending {
 				out = append(out, r)
 			}

@@ -218,6 +218,11 @@ type request struct {
 	committed bool
 	attempts  int // collisions suffered by this message
 	retx      int // retransmissions after corrupted deliveries
+	// queued is set while a MAC list holds the record. MACs drop
+	// withdrawn entries lazily, when a scan reaches them (dequeued), so
+	// a withdrawn record returns to the pool only once it is both
+	// delivered and out of every list.
+	queued bool
 	// epoch counts the record's trips through the freelist. A Token
 	// snapshots it at issue time, so a Cancel that outlives the message —
 	// the record may already carry a different sender's message — is
@@ -245,7 +250,10 @@ func (c *deliverCont) run() {
 	req.then = nil
 	if req.state == reqCanceled {
 		n.Stats.Withdrawn++
-		then(false) // canceled records stay with the MAC backlog; not pooled
+		if !req.queued {
+			n.freeRequest(req)
+		}
+		then(false)
 		return
 	}
 	committed := req.committed
@@ -463,15 +471,29 @@ func (n *Network) newRequest(msg Msg) *request {
 // freeRequest returns a finished record to the pool. Only completion paths
 // that left no aliases behind may call it: a request that ran to commit (or
 // grant-abandon) was removed from every MAC queue before transmit, so the
-// completing delivery holds the sole reference. Canceled
-// requests are NEVER freed — the MAC structures still hold them (backlog
-// entries are lazily skipped by state), and recycling would let a stale
-// queue entry transmit a different message.
+// completing delivery holds the sole reference. A canceled request may
+// still sit in a MAC list (entries are skipped lazily, by state), where a
+// recycled record would let the stale entry transmit a different message;
+// it is freed by whichever comes last of its delivery and the MAC's drop
+// (dequeued).
 func (n *Network) freeRequest(r *request) {
+	if r.queued {
+		panic("wireless: freeing a request a MAC still holds")
+	}
 	r.epoch++
 	r.then = nil
 	r.msg = Msg{} // drop the payload and the RMW Op closure
 	n.reqFree = append(n.reqFree, r)
+}
+
+// dequeued records that a MAC list dropped its entry for r. A withdrawn
+// record whose completion was already delivered has no holder left, so
+// it returns to the pool.
+func (n *Network) dequeued(r *request) {
+	r.queued = false
+	if r.state == reqCanceled && r.then == nil {
+		n.freeRequest(r)
+	}
 }
 
 // submit hands a (re)transmission attempt to the MAC, which decides when
