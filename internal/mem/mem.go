@@ -240,10 +240,11 @@ type System struct {
 
 // memStore is the storage a released System hands to the next System of
 // its size built in the process (see Release): the L1 tag array, zeroed
-// again when taken, and the line store's page table, all nil.
+// again when taken. Line pages are not carried: a page-heavy point would
+// leave megabytes of them waiting for points that need few (see
+// docs/ARCHITECTURE.md, "Storage across points").
 type memStore struct {
-	tags  []l1slot
-	table []*linePage
+	tags []l1slot
 }
 
 // memStores passes memStores from released systems to new ones, one pool
@@ -277,28 +278,22 @@ func New(eng *sim.Engine, mesh *noc.Mesh, p Params) *System {
 		ms.tags = ms.tags[:n]
 		clear(ms.tags)
 	}
-	s := &System{
+	return &System{
 		eng:   eng,
 		mesh:  mesh,
 		p:     p,
 		l1:    make([]l1cache, p.Cores),
 		tags:  ms.tags,
-		lines: pagedStore{pages: ms.table},
 		store: ms,
 	}
-	ms.table = nil
-	return s
 }
 
-// Release hands the system's L1 tag array, line pages and page table to
-// the systems built after it in this process. Call it once nothing reads
-// the system any more; it must not be used afterwards.
+// Release hands the system's L1 tag array to the systems of its size built
+// after it in this process. Call it once nothing reads the system any
+// more; it must not be used afterwards.
 func (s *System) Release() {
 	ms := s.store
-	s.store = nil
-	s.lines.release()
-	ms.tags, ms.table = s.tags, s.lines.pages
-	s.tags, s.lines = nil, pagedStore{}
+	s.store, s.tags = nil, nil
 	memStores[bits.Len(uint(len(ms.tags)))].Put(ms)
 }
 

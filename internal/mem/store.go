@@ -20,13 +20,6 @@ package mem
 // individually allocated entries, so correctness never depends on the
 // allocator's layout — only speed does. BenchmarkLineStore in
 // store_test.go pins the dense path's advantage over the maps it replaced.
-//
-// A released store (System.Release) hands its pages on in chunks through
-// a sync.Pool, and a new store takes them before it allocates, zeroing
-// each page as it puts it to use. Chunks no store takes are left to the
-// collector, so what crosses points is bounded by what points use.
-
-import "sync"
 
 // pageLines is the number of lines per page.
 const pageLines = 16
@@ -52,61 +45,6 @@ type linePage [pageLines]lineEntry
 type pagedStore struct {
 	pages  []*linePage
 	sparse map[uint64]*lineEntry
-	// spare holds pages of a released store, not yet in use here.
-	spare *pageChunk
-}
-
-// pageChunk is a batch of up to chunkPages pages of a released store.
-type pageChunk struct{ pages []*linePage }
-
-const chunkPages = 64
-
-// pageChunks passes pages from released stores to new ones.
-var pageChunks sync.Pool
-
-// newPage returns a zeroed page, reusing a released store's page when
-// one is left.
-func (st *pagedStore) newPage() *linePage {
-	if st.spare == nil || len(st.spare.pages) == 0 {
-		c, _ := pageChunks.Get().(*pageChunk)
-		if c == nil {
-			return new(linePage)
-		}
-		st.spare = c
-	}
-	k := len(st.spare.pages) - 1
-	pg := st.spare.pages[k]
-	st.spare.pages[k] = nil
-	st.spare.pages = st.spare.pages[:k]
-	*pg = linePage{}
-	return pg
-}
-
-// release hands every page to pageChunks and leaves the store empty,
-// keeping only the page table's array, all nil, for reuse.
-func (st *pagedStore) release() {
-	c := st.spare
-	if c == nil {
-		c = &pageChunk{}
-	}
-	for i, pg := range st.pages {
-		if pg == nil {
-			continue
-		}
-		st.pages[i] = nil
-		if len(c.pages) == chunkPages {
-			pageChunks.Put(c)
-			c = &pageChunk{}
-		}
-		if c.pages == nil {
-			c.pages = make([]*linePage, 0, chunkPages)
-		}
-		c.pages = append(c.pages, pg)
-	}
-	if len(c.pages) > 0 {
-		pageChunks.Put(c)
-	}
-	*st = pagedStore{pages: st.pages[:0]}
 }
 
 // get returns the entry for line, or nil if the line was never touched.
@@ -143,7 +81,7 @@ func (st *pagedStore) fetch(line uint64) *lineEntry {
 		}
 		pg := st.pages[pi]
 		if pg == nil {
-			pg = st.newPage()
+			pg = new(linePage)
 			st.pages[pi] = pg
 		}
 		return &pg[line%pageLines]
