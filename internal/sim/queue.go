@@ -289,8 +289,8 @@ func (w *wheel) next(from int) int {
 
 // grow makes room in the full FIFO f. A FIFO at least half consumed is
 // compacted in place. Otherwise its live events move to a larger array:
-// a small array of its own first, then the largest spare, then a fresh
-// array of twice the size. The array it leaves is cleared and kept.
+// a small one if f has none yet, else the largest spare that fits, else a
+// new array of twice its length. The array it leaves is cleared and kept.
 func (w *wheel) grow(f *fifo) {
 	live := len(f.ev) - f.head
 	if f.head > 0 && f.head >= live {
@@ -302,11 +302,7 @@ func (w *wheel) grow(f *fifo) {
 	var ev []event
 	switch {
 	case cap(f.ev) < fifoKeep:
-		if k := len(w.smalls); k > 0 {
-			ev = w.smalls[k-1]
-			w.smalls[k-1] = nil
-			w.smalls = w.smalls[:k-1]
-		} else {
+		if ev = w.takeSmall(); ev == nil {
 			ev = make([]event, 0, fifoKeep)
 		}
 	default:
@@ -329,13 +325,11 @@ func (w *wheel) grow(f *fifo) {
 	ev = append(ev, f.ev[f.head:]...)
 	old := f.ev
 	f.ev, f.head = ev, 0
-	if cap(old) == 0 {
-		return
-	}
-	clear(old[:cap(old)])
-	if cap(old) > fifoKeep {
+	clear(old)
+	switch {
+	case cap(old) > fifoKeep:
 		w.spares = append(w.spares, old[:0])
-	} else if cap(old) == fifoKeep {
+	case cap(old) == fifoKeep:
 		w.smalls = append(w.smalls, old[:0])
 	}
 }
@@ -344,12 +338,19 @@ func (w *wheel) grow(f *fifo) {
 // a small array back, if one is free.
 func (w *wheel) shed(f *fifo) {
 	w.spares = append(w.spares, f.ev)
-	f.ev = nil
-	if k := len(w.smalls); k > 0 {
-		f.ev = w.smalls[k-1]
-		w.smalls[k-1] = nil
-		w.smalls = w.smalls[:k-1]
+	f.ev = w.takeSmall()
+}
+
+// takeSmall returns a free small array, or nil if there is none.
+func (w *wheel) takeSmall() []event {
+	k := len(w.smalls)
+	if k == 0 {
+		return nil
 	}
+	a := w.smalls[k-1]
+	w.smalls[k-1] = nil
+	w.smalls = w.smalls[:k-1]
+	return a
 }
 
 // ---- Heap fallback ----

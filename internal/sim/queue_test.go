@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -123,5 +124,64 @@ func TestSchedStatsCountRouting(t *testing.T) {
 	st = e.SchedStats()
 	if st.StepPoolHits != 2 || st.StepPoolMisses != 1 {
 		t.Fatalf("SchedStats = %+v, want 2 pool hits and 1 miss", st)
+	}
+}
+
+// TestReleasedStorageHoldsNoEvents: Release hands on capacity only. Events
+// still queued when an engine is released (a CAS kernel stops at its
+// horizon with threads mid-flight) are cleared, so the next engine
+// inherits all-zero arrays that point into nothing of the released model;
+// and an engine running on inherited storage dispatches exactly as a fresh
+// one does.
+func TestReleasedStorageHoldsNoEvents(t *testing.T) {
+	run := func(q eventQueue) ([]int, *Engine) {
+		e := NewEngine(1)
+		e.q = q
+		var order []int
+		rng := NewRand(5)
+		for i := 0; i < 3000; i++ {
+			d := Time(rng.Intn(40)) // about 75 events per bucket: bursts
+			if rng.Intn(8) == 0 {
+				d = wheelSpan + Time(rng.Intn(2000))
+			}
+			prio := PrioNormal
+			if rng.Intn(3) == 0 {
+				prio = PrioLate
+			}
+			e.ScheduleAt(d, prio, func() { order = append(order, i) })
+		}
+		if err := e.RunUntil(30); err != nil {
+			t.Fatal(err)
+		}
+		if e.Pending() == 0 {
+			t.Fatal("nothing left queued at release; the test does not exercise clearing")
+		}
+		return order, e
+	}
+	want, e := run(eventQueue{})
+	var st queueStore
+	e.q.release(&st)
+	if e.Pending() != 0 {
+		t.Errorf("released queue still holds %d events", e.Pending())
+	}
+	if len(st.spares) == 0 || len(st.smalls) == 0 || cap(st.heap) == 0 {
+		t.Fatalf("release carried %d spares, %d small arrays, heap cap %d; want some of each",
+			len(st.spares), len(st.smalls), cap(st.heap))
+	}
+	for _, a := range append(append([][]event{st.heap}, st.spares...), st.smalls...) {
+		if len(a) != 0 {
+			t.Fatalf("carried array has length %d, want 0", len(a))
+		}
+		for _, ev := range a[:cap(a)] {
+			if ev.fn != nil || ev.t != 0 || ev.key != 0 {
+				t.Fatalf("carried array holds an event (t=%d key=%#x)", ev.t, ev.key)
+			}
+		}
+	}
+	var q eventQueue
+	q.adopt(&st)
+	got, _ := run(q)
+	if !slices.Equal(got, want) {
+		t.Errorf("an engine on inherited storage dispatched %d events differently from a fresh one", len(want))
 	}
 }

@@ -17,15 +17,16 @@ type backoffMAC struct {
 	n *Network
 	// pending lists the future contention slots whose arbitration event
 	// is scheduled, in no particular order; each carries the requests
-	// contending in it and its own index here. A 256-core CAS point holds
-	// about a hundred at a time (up to 137), so enqueue finds a slot by
-	// its cycle in byCycle rather than by a scan: entry slot&cycleMask
-	// holds the pending slot of that cycle. Every pending slot lies at
-	// most a Bulk frame, or CollisionCycles plus the largest backoff
-	// window, ahead of now, and the table is longer than that, so two
-	// pending slots never share an entry. Where a configuration's window
-	// outgrows the table (maxCycleTable), a slot that finds its entry
-	// taken stays out of it and is found by a scan; spilled counts them.
+	// contending in it and its own index here. A 256-core CAS point
+	// holds about a hundred at a time (up to about 150), so enqueue finds
+	// a slot by its cycle in byCycle rather than by a scan: entry
+	// slot&cycleMask holds the pending slot of that cycle. Every pending
+	// slot lies at most a Bulk frame, or CollisionCycles plus the largest
+	// backoff window, ahead of now, and the table is longer than that, so
+	// two pending slots never share an entry. Where a configuration's
+	// window outgrows the table (maxCycleTable), a slot that finds its
+	// entry taken stays out of it and is found by a scan; spilled counts
+	// them.
 	pending   []*arbCont
 	byCycle   []*arbCont
 	cycleMask sim.Time

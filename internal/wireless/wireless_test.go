@@ -436,3 +436,58 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestBackoffSlotTableSpills: the backoff MAC's cycle table only finds
+// slots; it decides nothing. A storm run with a four-entry table, where
+// most pending slots share an entry and are found by the scan, commits
+// every message at the same cycle, in the same order, as with the table
+// sized past the slot horizon.
+func TestBackoffSlotTableSpills(t *testing.T) {
+	run := func(table int) ([]string, int) {
+		eng := sim.NewEngine(3)
+		n := New(eng, 64, Params{})
+		m := n.mac.(*backoffMAC)
+		if table > 0 {
+			m.byCycle = make([]*arbCont, table)
+			m.cycleMask = sim.Time(table - 1)
+		}
+		var log []string
+		spilled := 0
+		n.Subscribe(func(msg Msg, at sim.Time) {
+			log = append(log, fmt.Sprintf("%d/%d@%d", msg.Src, msg.Val, at))
+			spilled = max(spilled, m.spilled)
+		})
+		for src := 0; src < 64; src++ {
+			sent := uint64(0)
+			var send func(bool)
+			send = func(bool) {
+				if sent == 20 {
+					return
+				}
+				sent++
+				n.SendAsync(Msg{Src: src, Addr: uint32(src), Val: sent}, nil, send)
+			}
+			eng.Schedule(sim.Time(src%5), func() { send(true) })
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return log, spilled
+	}
+	want, spilled := run(0)
+	if spilled != 0 {
+		t.Errorf("full-size table spilled %d slots", spilled)
+	}
+	got, spilled := run(4)
+	if spilled == 0 {
+		t.Fatal("four-entry table never spilled; the scan path is not exercised")
+	}
+	if len(want) != 64*20 {
+		t.Fatalf("committed %d messages, want %d", len(want), 64*20)
+	}
+	for i := range want {
+		if i >= len(got) || got[i] != want[i] {
+			t.Fatalf("commit %d: got %v, want %s", i, got[min(i, len(got)-1)], want[i])
+		}
+	}
+}
