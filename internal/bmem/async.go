@@ -158,6 +158,9 @@ func (b *BM) RMWAsync(node int, pid uint16, addr uint32, f func(uint64) (uint64,
 	b.wcb[node] = false
 	b.afb[node] = false
 	pr := &b.pending[node]
+	if !pr.active {
+		b.activeRMWs++
+	}
 	*pr = pendingRMW{active: true, addr: addr}
 
 	// Local read: the atomicity window opens here.
@@ -171,7 +174,7 @@ func (b *BM) RMWAsync(node int, pid uint16, addr uint32, f func(uint64) (uint64,
 		}
 		newVal, doWrite := f(old)
 		if !doWrite {
-			pr.active = false
+			b.closeRMW(pr)
 			b.wcb[node] = true
 			then(old, true)
 			return
@@ -184,7 +187,7 @@ func (b *BM) RMWAsync(node int, pid uint16, addr uint32, f func(uint64) (uint64,
 					then(old, false)
 					return
 				}
-				pr.active = false
+				b.closeRMW(pr)
 				then(old, true)
 			})
 	})
@@ -268,127 +271,4 @@ func (b *BM) rmwAtGrantAsync(node int, pid uint16, addr uint32, f func(uint64) (
 	// then contends for the channel.
 	b.eng.SleepThen(b.p.RT, c.submitFn)
 	return nil
-}
-
-// bmSpin is a recycled spin loop: the onVal/respin continuation pair of
-// SpinUntilAsync as struct fields and cached method values. Spins from
-// different nodes overlap, so the structs pool on the BM; a spin returns
-// to the pool the moment its condition is satisfied.
-type bmSpin struct {
-	b    *BM
-	node int
-	pid  uint16
-	addr uint32
-	cond func(uint64) bool
-	then func(uint64)
-
-	onValFn  func(uint64)
-	respinFn func()
-}
-
-func (sp *bmSpin) respin() {
-	if err := sp.b.LoadAsync(sp.node, sp.pid, sp.addr, sp.onValFn); err != nil {
-		// The entry was freed or re-tagged mid-spin: the simulated
-		// program faults.
-		panic(err)
-	}
-}
-
-func (sp *bmSpin) onVal(v uint64) {
-	b := sp.b
-	if sp.cond(v) {
-		then := sp.then
-		sp.cond, sp.then = nil, nil
-		b.spinFree = append(b.spinFree, sp)
-		then(v)
-		return
-	}
-	b.watch(sp.addr, sp)
-}
-
-// SpinUntilAsync polls addr in the local replica until cond holds, waiting
-// between polls for a commit (or tone toggle) to touch addr, the way a core
-// spins on its local BM: no network traffic at all. then receives the
-// satisfying value.
-func (b *BM) SpinUntilAsync(node int, pid uint16, addr uint32, cond func(uint64) bool, then func(uint64)) error {
-	if err := b.check(node, pid, addr); err != nil {
-		return err
-	}
-	var sp *bmSpin
-	if n := len(b.spinFree); n > 0 {
-		sp = b.spinFree[n-1]
-		b.spinFree = b.spinFree[:n-1]
-		b.eng.StepPoolHit()
-	} else {
-		sp = &bmSpin{b: b}
-		sp.onValFn = sp.onVal
-		sp.respinFn = sp.respin
-		b.eng.StepPoolMiss()
-	}
-	sp.node, sp.pid, sp.addr, sp.cond, sp.then = node, pid, addr, cond, then
-	sp.respin()
-	return nil
-}
-
-// spinHerd is one commit's wake of a word's spinners, carried as two
-// engine runs (see the sim package comment) instead of two events per
-// spinner. Run 1, poll, fires RT after the commit: each member issues its
-// local replica load, as respin and LoadAsync would. Run 2, deliver, fires
-// RT later: each member reads the replica and tests its condition, as the
-// load's delivery and onVal would. Members run in FIFO order at the
-// sequence position of the first member's event, so simulated results are
-// those of one event per member. Herds from successive commits to one word
-// can be in flight together, so they pool on the BM.
-type spinHerd struct {
-	b    *BM
-	addr uint32
-	ws   []*bmSpin
-
-	pollFn    func()
-	deliverFn func()
-}
-
-func (b *BM) newHerd(addr uint32) *spinHerd {
-	var h *spinHerd
-	if n := len(b.herdFree); n > 0 {
-		h = b.herdFree[n-1]
-		b.herdFree = b.herdFree[:n-1]
-		b.eng.StepPoolHit()
-	} else {
-		h = &spinHerd{b: b}
-		h.pollFn = h.poll
-		h.deliverFn = h.deliver
-		b.eng.StepPoolMiss()
-	}
-	h.addr = addr
-	return h
-}
-
-// poll is run 1. A member's load schedules nothing of its own — the herd
-// carries every member's delivery in run 2 — so no member can reach a fast
-// path here and RunAhead is not needed.
-func (h *spinHerd) poll() {
-	b := h.b
-	for _, sp := range h.ws {
-		if err := b.check(sp.node, sp.pid, h.addr); err != nil {
-			// The entry was freed or re-tagged mid-spin: the simulated
-			// program faults, as respin would.
-			panic(err)
-		}
-		b.Stats.Loads++
-	}
-	b.eng.SleepThen(b.p.RT, h.deliverFn)
-}
-
-// deliver is run 2. A satisfied member's continuation runs inline; an
-// unsatisfied member goes back on the spin list.
-func (h *spinHerd) deliver() {
-	b, ws := h.b, h.ws
-	for i, sp := range ws {
-		ws[i] = nil
-		b.eng.RunAhead(len(ws) - 1 - i)
-		sp.onVal(b.entries[h.addr].val)
-	}
-	h.ws = ws[:0]
-	b.herdFree = append(b.herdFree, h)
 }

@@ -119,22 +119,25 @@ type BM struct {
 	wcb     []bool
 	afb     []bool
 	pending []pendingRMW
-	// watchers holds each address's spin loops between polls, in FIFO
-	// order. All replicas update together, so one list per address
-	// suffices.
+	// activeRMWs counts the early-read RMWs whose atomicity window is
+	// open (pending entries with active set), so a commit skips the
+	// conflict scan when there are none, as under grant-time RMWs.
+	activeRMWs int
+	// watchers holds each word's parked spinners between polls (spin.go).
 	watchers map[uint32]*spinList
 	// onToneInit is installed by the tone controller to observe Tone-bit
 	// messages.
 	onToneInit func(msg wireless.Msg, at sim.Time)
 	// loadFree, spinFree, herdFree, storeFree and rmwFree recycle the
 	// delivery, spin-loop, spin-herd, commit and grant-time-RMW
-	// continuations (async.go), so the steady-state paths allocate no
-	// closures.
-	loadFree  []*loadCont
-	spinFree  []*bmSpin
-	herdFree  []*spinHerd
-	storeFree []*storeCont
-	rmwFree   []*rmwGrantCont
+	// continuations (async.go, spin.go), so the steady-state paths
+	// allocate no closures; cohortFree recycles the spin lists' cohorts.
+	loadFree   []*loadCont
+	spinFree   []*bmSpin
+	herdFree   []*spinHerd
+	storeFree  []*storeCont
+	rmwFree    []*rmwGrantCont
+	cohortFree []*cohort
 	// probing is set while the prepare hook evaluates an RMW Op against
 	// the current replica value at grant time. The Op wrappers use it to
 	// tell a probe (the write may still be denied by a failed compare —
@@ -290,10 +293,13 @@ func (b *BM) onCommit(m wireless.Msg, at sim.Time) {
 
 // conflict aborts any pending RMW on addr at nodes other than src.
 func (b *BM) conflict(src int, addr uint32) {
+	if b.activeRMWs == 0 {
+		return
+	}
 	for n := range b.pending {
 		pr := &b.pending[n]
 		if n != src && pr.active && pr.addr == addr {
-			pr.active = false
+			b.closeRMW(pr)
 			pr.aborted = true
 			b.afb[n] = true
 			b.Stats.AFBFailures++
@@ -302,30 +308,12 @@ func (b *BM) conflict(src int, addr uint32) {
 	}
 }
 
-// spinList is one address's spin loops in FIFO order.
-type spinList struct{ ws []*bmSpin }
-
-// watch appends sp to addr's spin list.
-func (b *BM) watch(addr uint32, sp *bmSpin) {
-	l := b.watchers[addr]
-	if l == nil {
-		l = &spinList{}
-		b.watchers[addr] = l
+// closeRMW closes pr's atomicity window, if open.
+func (b *BM) closeRMW(pr *pendingRMW) {
+	if pr.active {
+		pr.active = false
+		b.activeRMWs--
 	}
-	l.ws = append(l.ws, sp)
-}
-
-// wakeWatchers wakes addr's spinners: each observes the new value on its
-// next local BM poll, RT from now. They move together into a spin herd
-// (async.go), which costs two events however many there are.
-func (b *BM) wakeWatchers(addr uint32) {
-	l := b.watchers[addr]
-	if l == nil || len(l.ws) == 0 {
-		return
-	}
-	h := b.newHerd(addr)
-	h.ws, l.ws = l.ws, h.ws
-	b.eng.Schedule(b.p.RT, h.pollFn)
 }
 
 // WCB returns node's Write Completion Bit.
@@ -342,7 +330,7 @@ func (b *BM) AbortPendingRMW(node int) bool {
 	if !pr.active {
 		return false
 	}
-	pr.active = false
+	b.closeRMW(pr)
 	pr.aborted = true
 	b.afb[node] = true
 	b.Stats.AFBFailures++

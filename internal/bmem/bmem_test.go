@@ -384,7 +384,7 @@ func TestSpinUntilReleasedByRemoteStore(t *testing.T) {
 	addr, _ := b.AllocBare(1, false)
 	var woke sim.Time
 	goTask(eng, "spinner", func(done func()) {
-		if err := b.SpinUntilAsync(1, 1, addr, func(v uint64) bool { return v == 5 }, func(v uint64) {
+		if err := b.SpinUntilAsync(1, 1, addr, sim.Eq(5), func(v uint64) {
 			if v != 5 {
 				t.Errorf("SpinUntil = %d", v)
 			}
@@ -419,7 +419,7 @@ func spinHerdRun(t *testing.T, k int) (order []int, woke []sim.Time, commit2 sim
 	if err != nil {
 		t.Fatal(err)
 	}
-	cond := func(v uint64) bool { return v >= 2 }
+	cond := sim.Ge(2)
 	scheduled := func() uint64 {
 		s := eng.SchedStats()
 		return s.WheelEvents + s.HeapEvents
@@ -498,6 +498,79 @@ func TestSpinHerdCostsConstantEvents(t *testing.T) {
 	many := check("tasks-64", 64)
 	if grow := many - few; grow > 64-4 {
 		t.Errorf("events grew by %d from 4 to 64 spinners, want at most one per spinner (%d)", grow, 64-4)
+	}
+}
+
+// cohorts returns the sizes of addr's parked cohorts, in list order.
+func cohorts(b *BM, addr uint32) []int {
+	var sizes []int
+	if l := b.watchers[addr]; l != nil {
+		for c := l.head; c != nil; c = c.next {
+			sizes = append(sizes, c.n)
+		}
+	}
+	return sizes
+}
+
+// TestDataBarrierSpinnersFormOneCohort: in a 256-core Data-channel barrier
+// episode every waiter spins on the same word for the same condition
+// (episode bits >= ep), so however the arrivals' fetch&incs and the herds
+// of their commits interleave, the 255 waiters park as one cohort that a
+// commit tests once. The last arrival's release then frees them all, in
+// the order they parked.
+func TestDataBarrierSpinnersFormOneCohort(t *testing.T) {
+	const nodes = 256
+	eng, b := newBM(t, nodes)
+	addr, err := b.AllocBare(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ep = 1
+	var released []int
+	arrive := func(node int) {
+		if err := b.RMWAsync(node, 1, addr, func(v uint64) (uint64, bool) { return v + 1, true },
+			func(old uint64, ok bool) {
+				if !ok {
+					t.Errorf("node %d: RMW failed on the ideal channel", node)
+					return
+				}
+				if (old&0xffffffff)+1 == nodes {
+					if err := b.StoreAsync(node, 1, addr, ep<<32, func() {}); err != nil {
+						t.Error(err)
+					}
+					return
+				}
+				if err := b.SpinUntilAsync(node, 1, addr, sim.Ge(ep).Shifted(32), func(uint64) {
+					released = append(released, node)
+				}); err != nil {
+					t.Error(err)
+				}
+			}); err != nil {
+			t.Error(err)
+		}
+	}
+	for n := 0; n < nodes-1; n++ {
+		eng.Schedule(sim.Time(n%7), func() { arrive(n) })
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cohorts(b, addr); len(got) != 1 || got[0] != nodes-1 {
+		t.Fatalf("after %d arrivals the word's cohorts are %v, want one of %d", nodes-1, got, nodes-1)
+	}
+	var parked []int
+	for sp := b.watchers[addr].head.head; sp != nil; sp = sp.next {
+		parked = append(parked, sp.node)
+	}
+	eng.Schedule(0, func() { arrive(nodes - 1) })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(released) != fmt.Sprint(parked) {
+		t.Errorf("released %v, want the parking order %v", released, parked)
+	}
+	if got := cohorts(b, addr); len(got) != 0 {
+		t.Errorf("cohorts %v left parked after the release", got)
 	}
 }
 

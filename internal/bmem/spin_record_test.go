@@ -20,10 +20,10 @@ const spinRecordPath = "testdata/spin_scenarios.txt"
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite "+spinRecordPath)
 
-type spinCond = func(uint64) bool
+type spinCond = sim.Cond
 
-func ge(k uint64) spinCond { return func(v uint64) bool { return v >= k } }
-func eq(k uint64) spinCond { return func(v uint64) bool { return v == k } }
+func ge(k uint64) spinCond { return sim.Ge(k) }
+func eq(k uint64) spinCond { return sim.Eq(k) }
 
 // spinScenario drives one word of a 65-node BM: spinners on nodes 0..63,
 // writers on the nodes above.

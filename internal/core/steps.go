@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"wisync/internal/sim"
+)
 
 // This file holds the recycled continuation steps behind the hot Task
 // operations. The straightforward continuation form of an operation like
@@ -144,7 +148,7 @@ type hwOp struct {
 	addr   uint32
 	addr64 uint64 // cached-memory spin address
 	val    uint64 // BM store value / tone want
-	cond   func(uint64) bool
+	cond   sim.Cond
 	then0  func()
 	thenU  func(uint64)
 
@@ -192,9 +196,9 @@ func (op *hwOp) issue() {
 		op.then0 = nil
 		t.must(t.M.BM.StoreAsync(t.Core, t.PID, op.addr, op.val, then))
 	case hwBMSpin:
-		cond, then := op.cond, op.thenU
-		op.cond, op.thenU = nil, nil
-		t.must(t.M.BM.SpinUntilAsync(t.Core, t.PID, op.addr, cond, then))
+		then := op.thenU
+		op.thenU = nil
+		t.must(t.M.BM.SpinUntilAsync(t.Core, t.PID, op.addr, op.cond, then))
 	case hwToneStore:
 		then := op.then0
 		op.then0 = nil
@@ -204,9 +208,9 @@ func (op *hwOp) issue() {
 		// in the tone wait, so the struct cannot be reused meanwhile.
 		t.must(t.M.Tone.WaitToggleAsync(t.Core, t.PID, op.addr, op.val, op.onToneFn))
 	case hwMemSpin:
-		cond, then := op.cond, op.thenU
-		op.cond, op.thenU = nil, nil
-		t.M.Mem.SpinUntilAsync(t.Core, op.addr64, cond, then)
+		then := op.thenU
+		op.thenU = nil
+		t.M.Mem.SpinUntilAsync(t.Core, op.addr64, op.cond, then)
 	case hwMemRead:
 		then := op.thenU
 		op.thenU = nil

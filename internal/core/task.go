@@ -173,7 +173,7 @@ func (t *Task) Swap(addr, val uint64, then func(uint64)) {
 // SpinUntil spins on cached memory until cond holds (hardware-faithful:
 // local spinning, re-fetch on invalidation); then receives the satisfying
 // value.
-func (t *Task) SpinUntil(addr uint64, cond func(uint64) bool, then func(uint64)) {
+func (t *Task) SpinUntil(addr uint64, cond sim.Cond, then func(uint64)) {
 	t.st.SetReasonArg("spin", addr)
 	op := t.hwStep()
 	op.kind, op.addr64, op.cond, op.thenU = hwMemSpin, addr, cond, then
@@ -300,7 +300,7 @@ func (t *Task) BMCAS(addr uint32, old, nv uint64, then func(bool)) {
 
 // BMSpinUntil spins on the local BM replica until cond holds; then
 // receives the satisfying value.
-func (t *Task) BMSpinUntil(addr uint32, cond func(uint64) bool, then func(uint64)) {
+func (t *Task) BMSpinUntil(addr uint32, cond sim.Cond, then func(uint64)) {
 	t.st.SetReasonArg("bm spin", uint64(addr))
 	t.bm()
 	op := t.hwStep()

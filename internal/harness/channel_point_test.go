@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -124,5 +125,33 @@ func TestChannelDigest(t *testing.T) {
 	strayed.Retries = 7
 	if digest(strayed) != digest(base) {
 		t.Fatal("BER/retries under the ideal profile split the digest")
+	}
+}
+
+// TestLossyDataBarrierCompletes: the Data-channel barrier finishes on a
+// lossy channel. When the last arriver's release store fails delivery, it
+// is reissued until WCB is set; run on with WCB clear, it left every other
+// participant spinning on an episode that never came, and both points
+// deadlocked. Each carries a budget and a watchdog, so a point that never
+// ends comes back as an error instead of hanging the test.
+func TestLossyDataBarrierCompletes(t *testing.T) {
+	for _, p := range []PointSpec{
+		{Workload: "tightloop", Kind: config.WiSyncNoT, Cores: 64, Seed: 1, Iters: 6,
+			Channel: channel.Uniform, BER: 1e-3, Retries: 64},
+		{Workload: "tightloop", Kind: config.WiSyncNoT, Cores: 256, Seed: 1, Iters: 25,
+			Channel: channel.Uniform},
+	} {
+		p.Budget, p.Watchdog = 50_000_000, 2_000_000
+		row, err := p.Run()
+		if err != nil {
+			t.Errorf("%s: %v", p.ID(), err)
+			continue
+		}
+		if v := col(t, row, "iters"); v != strconv.Itoa(p.Iters) {
+			t.Errorf("%s: %s iterations, want %d: %s", p.ID(), v, p.Iters, row)
+		}
+		if v := col(t, row, "drops"); v == "0" {
+			t.Errorf("%s: no failed deliveries, so no release was reissued: %s", p.ID(), row)
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package mem
 
+import "wisync/internal/sim"
+
 // This file holds the memory system's workload-facing operations. Each
 // takes a completion callback that runs at the cycle the access completes;
 // misses run the txn state machine in txn.go.
@@ -99,7 +101,7 @@ type memSpin struct {
 	core int
 	addr uint64
 	line uint64
-	cond func(uint64) bool
+	cond sim.Cond
 	then func(uint64)
 
 	onValFn  func(uint64)
@@ -110,9 +112,9 @@ func (sp *memSpin) respin() { sp.s.ReadAsync(sp.core, sp.addr, sp.onValFn) }
 
 func (sp *memSpin) onVal(v uint64) {
 	s := sp.s
-	if sp.cond(v) {
+	if sp.cond.Holds(v) {
 		then := sp.then
-		sp.cond, sp.then = nil, nil
+		sp.then = nil
 		s.spinFree = append(s.spinFree, sp)
 		then(v)
 		return
@@ -128,7 +130,7 @@ func (sp *memSpin) onVal(v uint64) {
 // holds, the way hardware does it: read once, then sit on the locally
 // cached copy generating no traffic until the line is invalidated, then
 // re-fetch. then receives the value that satisfied cond.
-func (s *System) SpinUntilAsync(core int, addr uint64, cond func(uint64) bool, then func(uint64)) {
+func (s *System) SpinUntilAsync(core int, addr uint64, cond sim.Cond, then func(uint64)) {
 	var sp *memSpin
 	if n := len(s.spinFree); n > 0 {
 		sp = s.spinFree[n-1]

@@ -245,7 +245,7 @@ func TestSpinUntilWakesOnWrite(t *testing.T) {
 	s.Poke(0x400, 0)
 	var sawAt sim.Time
 	goTask(eng, "spinner", func(done func()) {
-		s.SpinUntilAsync(1, 0x400, func(v uint64) bool { return v == 1 }, func(v uint64) {
+		s.SpinUntilAsync(1, 0x400, sim.Eq(1), func(v uint64) {
 			if v != 1 {
 				t.Errorf("SpinUntil returned %d", v)
 			}
@@ -271,7 +271,7 @@ func TestSpinnerGeneratesNoTrafficWhileCached(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x500, 0)
 	goTask(eng, "spinner", func(done func()) {
-		s.SpinUntilAsync(1, 0x500, func(v uint64) bool { return v == 1 }, func(uint64) { done() })
+		s.SpinUntilAsync(1, 0x500, sim.Eq(1), func(uint64) { done() })
 	})
 	goTask(eng, "observer", func(done func()) {
 		eng.SleepThen(5000, func() {
@@ -298,7 +298,7 @@ func TestReleaseStormSerializesAtDirectory(t *testing.T) {
 	var releases []sim.Time
 	for c := 1; c < 33; c++ {
 		goTask(eng, fmt.Sprintf("s%d", c), func(done func()) {
-			s.SpinUntilAsync(c, 0x600, func(v uint64) bool { return v == 1 }, func(uint64) {
+			s.SpinUntilAsync(c, 0x600, sim.Eq(1), func(uint64) {
 				releases = append(releases, eng.Now())
 				done()
 			})

@@ -1,6 +1,9 @@
 package syncprims
 
-import "wisync/internal/core"
+import (
+	"wisync/internal/core"
+	"wisync/internal/sim"
+)
 
 // Eureka is an OR-barrier (Section 4.3.2): it fires as soon as any
 // participant triggers it — a parallel search hit, an overflow, an
@@ -39,7 +42,7 @@ func (e *Eureka) TriggeredTask(t *core.Task, then func(bool)) {
 // WaitTriggeredTask runs then once the current generation fires.
 func (e *Eureka) WaitTriggeredTask(t *core.Task, then func()) {
 	gen := e.gen[t.Core]
-	e.v.SpinUntilTask(t, func(v uint64) bool { return v > gen }, func(uint64) { then() })
+	e.v.SpinUntilTask(t, sim.Ge(gen+1), func(uint64) { then() })
 }
 
 // Ack consumes the current generation locally, re-arming the eureka for
@@ -83,7 +86,7 @@ func (f *Factory) NewPC(words int) *PC {
 // empty, write the data, set the flag; then runs once the flag is set.
 func (pc *PC) ProduceTask(t *core.Task, vals []uint64, then func()) {
 	setFlag := func() { pc.flag.StoreTask(t, 1, then) }
-	pc.flag.SpinUntilTask(t, func(v uint64) bool { return v == 0 }, func(uint64) {
+	pc.flag.SpinUntilTask(t, sim.Eq(0), func(uint64) {
 		if pc.bulk {
 			var four [4]uint64
 			copy(four[:], vals)
@@ -107,7 +110,7 @@ func storeFrom(t *core.Task, vars []TaskVar, vals []uint64, then func()) {
 // words), and clears the flag; then runs once the flag is clear.
 func (pc *PC) ConsumeTask(t *core.Task, out []uint64, then func()) {
 	clearFlag := func() { pc.flag.StoreTask(t, 0, then) }
-	pc.flag.SpinUntilTask(t, func(v uint64) bool { return v == 1 }, func(uint64) {
+	pc.flag.SpinUntilTask(t, sim.Eq(1), func(uint64) {
 		if pc.bulk {
 			t.BMBulkLoad(pc.bmData, func(four [4]uint64) {
 				copy(out, four[:])
@@ -162,7 +165,7 @@ func (mc *Multicast) ProduceTask(t *core.Task, val uint64, then func()) {
 	mc.data.StoreTask(t, val, func() {
 		mc.count.StoreTask(t, mc.readers, func() {
 			mc.flag.StoreTask(t, s, func() {
-				mc.count.SpinUntilTask(t, func(v uint64) bool { return v == 0 }, func(uint64) { then() })
+				mc.count.SpinUntilTask(t, sim.Eq(0), func(uint64) { then() })
 			})
 		})
 	})
@@ -174,7 +177,7 @@ func (mc *Multicast) ProduceTask(t *core.Task, val uint64, then func()) {
 func (mc *Multicast) ConsumeTask(t *core.Task, then func(uint64)) {
 	s := mc.sense[t.Core] ^ 1
 	mc.sense[t.Core] = s
-	mc.flag.SpinUntilTask(t, func(v uint64) bool { return v == s }, func(uint64) {
+	mc.flag.SpinUntilTask(t, sim.Eq(s), func(uint64) {
 		mc.data.LoadTask(t, func(v uint64) {
 			mc.count.FetchAddTask(t, ^uint64(0), func(uint64) { then(v) }) // -1
 		})

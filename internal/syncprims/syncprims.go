@@ -23,7 +23,10 @@
 // fluidanimate).
 package syncprims
 
-import "wisync/internal/core"
+import (
+	"wisync/internal/core"
+	"wisync/internal/sim"
+)
 
 // TaskBarrier is a barrier: then runs once all participants have arrived.
 type TaskBarrier interface {
@@ -47,7 +50,7 @@ type TaskVar interface {
 	FetchAddTask(t *core.Task, delta uint64, then func(uint64))
 	// SpinUntilTask spins (hardware-faithfully for the backend) until cond
 	// holds; then receives the satisfying value.
-	SpinUntilTask(t *core.Task, cond func(uint64) bool, then func(uint64))
+	SpinUntilTask(t *core.Task, cond sim.Cond, then func(uint64))
 	// InBM reports whether the variable lives in Broadcast Memory.
 	InBM() bool
 }

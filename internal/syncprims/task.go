@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wisync/internal/core"
+	"wisync/internal/sim"
 )
 
 // This file holds the primitives' operations. Each runs on completion
@@ -22,7 +23,7 @@ func (v *cacheVar) CASTask(t *core.Task, old, nv uint64, then func(bool)) {
 func (v *cacheVar) FetchAddTask(t *core.Task, d uint64, then func(uint64)) {
 	t.FetchAdd(v.addr, d, then)
 }
-func (v *cacheVar) SpinUntilTask(t *core.Task, cond func(uint64) bool, then func(uint64)) {
+func (v *cacheVar) SpinUntilTask(t *core.Task, cond sim.Cond, then func(uint64)) {
 	t.SpinUntil(v.addr, cond, then)
 }
 
@@ -36,7 +37,7 @@ func (v *bmVar) CASTask(t *core.Task, old, nv uint64, then func(bool)) {
 func (v *bmVar) FetchAddTask(t *core.Task, d uint64, then func(uint64)) {
 	t.BMFetchAdd(v.addr, d, then)
 }
-func (v *bmVar) SpinUntilTask(t *core.Task, cond func(uint64) bool, then func(uint64)) {
+func (v *bmVar) SpinUntilTask(t *core.Task, cond sim.Cond, then func(uint64)) {
 	t.BMSpinUntil(v.addr, cond, then)
 }
 
@@ -118,11 +119,6 @@ func takeStep[S any, P interface {
 
 // ---- Locks ----
 
-// lockFree and lockTaken are the shared spin predicates (capture-free, so
-// they never allocate).
-func lockFree(x uint64) bool  { return x == 0 }
-func lockTaken(x uint64) bool { return x != 0 }
-
 // spinStep is spinLock's acquire: the test-and-test&set retry loop — spin
 // until free, then attempt an atomic grab — step by step.
 type spinStep struct {
@@ -144,7 +140,7 @@ func (l *spinLock) AcquireTask(t *core.Task, then func()) {
 	s.attempt()
 }
 
-func (s *spinStep) attempt() { s.tv.SpinUntilTask(s.t, lockFree, s.onFreeFn) }
+func (s *spinStep) attempt() { s.tv.SpinUntilTask(s.t, sim.Eq(0), s.onFreeFn) }
 
 func (s *spinStep) onFree(uint64) { s.tv.CASTask(s.t, 0, 1, s.onCASFn) }
 
@@ -216,7 +212,7 @@ func (s *mcsStep) afterLocked() {
 }
 
 func (s *mcsStep) afterLink() {
-	s.t.SpinUntil(s.l.locked(s.t.Core), lockFree, s.onAcqSpinFn)
+	s.t.SpinUntil(s.l.locked(s.t.Core), sim.Eq(0), s.onAcqSpinFn)
 }
 
 func (s *mcsStep) onAcqSpin(uint64) { s.finish() }
@@ -242,7 +238,7 @@ func (s *mcsStep) onTailCAS(ok bool) {
 		return
 	}
 	// A successor is linking itself; wait for the link.
-	s.t.SpinUntil(s.l.next(s.t.Core), lockTaken, s.handoffFn)
+	s.t.SpinUntil(s.l.next(s.t.Core), sim.Ne(0), s.handoffFn)
 }
 
 func (s *mcsStep) handoff(succ uint64) { s.t.Write(s.l.locked(int(succ-1)), 0, s.doneFn) }
@@ -261,7 +257,6 @@ type centralStep struct {
 	onReadFn   func(uint64)
 	onCASFn    func(bool)
 	zeroDoneFn func()
-	condFn     func(uint64) bool
 	onSpinFn   func(uint64)
 }
 
@@ -269,7 +264,6 @@ func (s *centralStep) init() {
 	s.onReadFn = s.onRead
 	s.onCASFn = s.onCAS
 	s.zeroDoneFn = s.zeroDone
-	s.condFn = s.cond
 	s.onSpinFn = s.onSpin
 }
 
@@ -297,12 +291,10 @@ func (s *centralStep) onCAS(ok bool) {
 		s.t.Write(s.b.count, 0, s.zeroDoneFn)
 		return
 	}
-	s.t.SpinUntil(s.b.release, s.condFn, s.onSpinFn)
+	s.t.SpinUntil(s.b.release, sim.Ge(s.ep), s.onSpinFn)
 }
 
 func (s *centralStep) zeroDone() { s.t.Write(s.b.release, s.ep, s.handOff()) }
-
-func (s *centralStep) cond(v uint64) bool { return v >= s.ep }
 
 func (s *centralStep) onSpin(uint64) { s.finish() }
 
@@ -317,7 +309,6 @@ type tournamentStep struct {
 	ep  uint64
 	r   int
 
-	condFn        func(uint64) bool
 	afterWinFn    func(uint64)
 	afterReportFn func()
 	afterWokenFn  func(uint64)
@@ -325,7 +316,6 @@ type tournamentStep struct {
 }
 
 func (s *tournamentStep) init() {
-	s.condFn = s.cond
 	s.afterWinFn = s.afterWin
 	s.afterReportFn = s.afterReport
 	s.afterWokenFn = s.afterWoken
@@ -359,7 +349,7 @@ func (s *tournamentStep) play() {
 			return
 		}
 		if idx+1<<s.r < b.n {
-			s.t.SpinUntil(b.arrive(s.r, idx), s.condFn, s.afterWinFn)
+			s.t.SpinUntil(b.arrive(s.r, idx), sim.Ge(s.ep), s.afterWinFn)
 			return
 		}
 	}
@@ -368,15 +358,13 @@ func (s *tournamentStep) play() {
 	s.wakeBeaten()
 }
 
-func (s *tournamentStep) cond(v uint64) bool { return v >= s.ep }
-
 func (s *tournamentStep) afterWin(uint64) {
 	s.r++
 	s.play()
 }
 
 func (s *tournamentStep) afterReport() {
-	s.t.SpinUntil(s.b.wake(s.idx), s.condFn, s.afterWokenFn)
+	s.t.SpinUntil(s.b.wake(s.idx), sim.Ge(s.ep), s.afterWokenFn)
 }
 
 func (s *tournamentStep) afterWoken(uint64) {
@@ -409,13 +397,13 @@ type dataStep struct {
 	ep uint64
 
 	onArriveFn func(uint64)
-	condFn     func(uint64) bool
+	releasedFn func()
 	onSpinFn   func(uint64)
 }
 
 func (s *dataStep) init() {
 	s.onArriveFn = s.onArrive
-	s.condFn = s.cond
+	s.releasedFn = s.released
 	s.onSpinFn = s.onSpin
 }
 
@@ -428,15 +416,29 @@ func (b *dataBarrier) WaitTask(t *core.Task, then func()) {
 
 func (s *dataStep) onArrive(old uint64) {
 	if (old&0xffffffff)+1 == s.b.n {
-		// Last arriver: zero the count and publish the episode in one
-		// wireless message.
-		s.t.BMStore(s.b.addr, s.ep<<32, s.handOff())
+		s.release()
 		return
 	}
-	s.t.BMSpinUntil(s.b.addr, s.condFn, s.onSpinFn)
+	s.t.BMSpinUntil(s.b.addr, sim.Ge(s.ep).Shifted(32), s.onSpinFn)
 }
 
-func (s *dataStep) cond(v uint64) bool { return v>>32 >= s.ep }
+// release is the last arriver's store: zero the count and publish the
+// episode in one wireless message.
+func (s *dataStep) release() { s.t.BMStore(s.b.addr, s.ep<<32, s.releasedFn) }
+
+// released checks WCB. A release whose broadcast failed (a lossy channel
+// exhausted its retries) reached no replica, and every other participant
+// would spin forever, so it is reissued after the 2-instruction
+// check-and-branch, as the BM retry protocol does on AFB. Each reissue
+// passes BMStore's fail-stop guard.
+func (s *dataStep) released() {
+	if !s.t.WCB() {
+		s.t.Instr(2)
+		s.release()
+		return
+	}
+	s.finish()
+}
 
 func (s *dataStep) onSpin(uint64) { s.finish() }
 

@@ -36,18 +36,15 @@ func (c *Controller) ToneStoreAsync(node int, pid uint16, addr uint32, then func
 }
 
 // nodeStep is a node's recycled tone continuation: the completion of its
-// tone_st init message and the condition of its tone_ld spin. A node's
-// thread waits on at most one of them at a time, and each clears its
-// fields before it hands control back, so one struct per node serves
-// every episode without a closure.
+// tone_st init message. A node's thread has at most one init in flight,
+// and initDone clears then before it hands control back, so one struct
+// per node serves every episode without a closure.
 type nodeStep struct {
 	c    *Controller
 	node int
 	then func()
-	want uint64
 
 	initDoneFn func(bool)
-	toggledFn  func(uint64) bool
 }
 
 // step returns node's continuation, making it on first use.
@@ -59,7 +56,6 @@ func (c *Controller) step(node int) *nodeStep {
 	c.eng.StepPoolMiss()
 	st := &nodeStep{c: c, node: node}
 	st.initDoneFn = st.initDone
-	st.toggledFn = st.toggled
 	c.steps[node] = st
 	return st
 }
@@ -77,8 +73,6 @@ func (st *nodeStep) initDone(committed bool) {
 	}
 	then()
 }
-
-func (st *nodeStep) toggled(v uint64) bool { return v == st.want }
 
 // checkParticipant validates a tone_st issuer: addr must be an allocated
 // barrier owned by pid with node armed as a participant (Section 4.4).
@@ -192,7 +186,5 @@ func (c *Controller) accountActive(now sim.Time) {
 // variable belongs to the allocating process; participants share its
 // PID).
 func (c *Controller) WaitToggleAsync(node int, pid uint16, addr uint32, want uint64, then func(uint64)) error {
-	st := c.step(node)
-	st.want = want
-	return c.bm.SpinUntilAsync(node, pid, addr, st.toggledFn, then)
+	return c.bm.SpinUntilAsync(node, pid, addr, sim.Eq(want), then)
 }
