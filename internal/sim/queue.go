@@ -100,25 +100,26 @@ func (q *eventQueue) pop() event {
 
 // release moves the queue's storage into st for the next engine built in
 // the process: every FIFO array to the spares or smalls by size, and the
-// heap array. Queued events are cleared first, so nothing st holds points
-// back into this engine's model, and q is left empty.
+// heap array. The wheel's own spares and smalls lists, adopted from the
+// engine released before, collect the FIFO arrays, so a steady stream of
+// engines grows no list. Queued events are cleared first, so nothing st
+// holds points back into this engine's model, and q is left empty.
 func (q *eventQueue) release(st *queueStore) {
 	w := &q.w
-	st.spares = append(st.spares, w.spares...)
-	st.smalls = append(st.smalls, w.smalls...)
+	spares, smalls := w.spares, w.smalls
 	for i := range w.b {
 		for _, f := range [2]*fifo{&w.b[i].normal, &w.b[i].late} {
 			clear(f.ev)
 			switch {
 			case cap(f.ev) > fifoKeep:
-				st.spares = append(st.spares, f.ev[:0])
+				spares = append(spares, f.ev[:0])
 			case cap(f.ev) == fifoKeep:
-				st.smalls = append(st.smalls, f.ev[:0])
+				smalls = append(smalls, f.ev[:0])
 			}
 		}
 	}
 	clear(q.h.ev)
-	st.heap = q.h.ev[:0]
+	st.spares, st.smalls, st.heap = spares, smalls, q.h.ev[:0]
 	*q = eventQueue{}
 }
 

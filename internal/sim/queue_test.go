@@ -185,3 +185,35 @@ func TestReleasedStorageHoldsNoEvents(t *testing.T) {
 		t.Errorf("an engine on inherited storage dispatched %d events differently from a fresh one", len(want))
 	}
 }
+
+// TestReleaseAllocFree: a queue built on released storage takes a burst
+// of events and hands the storage on without allocating. Release collects
+// the FIFO arrays into the spares and smalls lists the queue adopted,
+// instead of growing new lists from nothing. (It drives the queue rather
+// than NewEngine and Engine.Release, whose sync.Pool drops stores at
+// random under the race detector.)
+func TestReleaseAllocFree(t *testing.T) {
+	var q eventQueue
+	var st queueStore
+	nop := func() {}
+	cycle := func() {
+		q.adopt(&st)
+		for i := 0; i < 3000; i++ {
+			d := Time(i % 300) // every bucket, and past the wheel into the heap
+			if i%4 == 0 {
+				d = 7 // one burst of 750 events
+			}
+			q.push(event{t: d, key: uint64(i + 1), fn: nop}, 0)
+		}
+		for q.len() > 0 {
+			q.pop()
+		}
+		q.release(&st)
+	}
+	for range 4 {
+		cycle() // warm up the storage passed between queues
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("3000 events and a release on adopted storage allocated %v objects, want 0", allocs)
+	}
+}

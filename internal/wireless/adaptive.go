@@ -32,6 +32,8 @@ type adaptiveMAC struct {
 	winCollBase uint64
 	winMaxQueue int
 	switches    uint64
+	// moved is the backlog a switch migrates, its array reused.
+	moved []*request
 }
 
 func newAdaptiveMAC(n *Network) *adaptiveMAC {
@@ -83,12 +85,12 @@ func (m *adaptiveMAC) evaluate() {
 }
 
 func (m *adaptiveMAC) switchMode() {
-	var moved []*request
+	moved := m.moved[:0]
 	if m.inToken {
-		moved = m.token.drain()
+		moved = m.token.drain(moved)
 		m.active = m.backoff
 	} else {
-		moved = m.backoff.drain()
+		moved = m.backoff.drain(moved)
 		m.active = m.token
 	}
 	m.inToken = !m.inToken
@@ -96,6 +98,8 @@ func (m *adaptiveMAC) switchMode() {
 	for _, r := range moved {
 		m.active.Submit(r)
 	}
+	clear(moved)
+	m.moved = moved[:0]
 }
 
 func (m *adaptiveMAC) Counters() MACStats {

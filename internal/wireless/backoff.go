@@ -31,11 +31,9 @@ type backoffMAC struct {
 	byCycle   []*arbCont
 	cycleMask sim.Time
 	spilled   int
-	// waitq holds busy-deferred senders under DeferFIFO, oldest at
-	// waitHead. Its array is reused (deferReq).
-	waitq    []*request
-	waitHead int
-	backoff  []int // per-node persistent exponent (BackoffPersistent)
+	// waitq holds busy-deferred senders under DeferFIFO.
+	waitq   reqFIFO
+	backoff []int // per-node persistent exponent (BackoffPersistent)
 	// sharedExp is the chip-wide contention exponent for
 	// BackoffAdaptive: every node observes the same channel, so the
 	// estimate is global (Section 5.3).
@@ -115,18 +113,10 @@ func (m *backoffMAC) unlist(c *arbCont) {
 	}
 }
 
-// deferReq appends req to the busy-deferral queue. A full array that is
-// at least half consumed is compacted rather than grown, so a standing
-// backlog reuses one array.
+// deferReq queues req behind the busy channel.
 func (m *backoffMAC) deferReq(req *request) {
-	q := m.waitq
-	if live := len(q) - m.waitHead; len(q) == cap(q) && m.waitHead > 0 && m.waitHead >= live {
-		copy(q, q[m.waitHead:])
-		clear(q[live:])
-		q, m.waitHead = q[:live], 0
-	}
 	req.queued = true
-	m.waitq = append(q, req)
+	m.waitq.push(req)
 }
 
 func (m *backoffMAC) Kind() MACKind { return MACBackoff }
@@ -310,13 +300,8 @@ func (m *backoffMAC) releaseHead() {
 	if n.busyUntil > n.eng.Now() {
 		return // a new busy period already started
 	}
-	for m.waitHead < len(m.waitq) {
-		head := m.waitq[m.waitHead]
-		m.waitq[m.waitHead] = nil
-		m.waitHead++
-		if m.waitHead == len(m.waitq) {
-			m.waitq, m.waitHead = m.waitq[:0], 0
-		}
+	for m.waitq.len() > 0 {
+		head := m.waitq.pop()
 		n.dequeued(head)
 		if head.state != reqPending {
 			continue // withdrawn while queued
@@ -332,24 +317,22 @@ func (m *backoffMAC) releaseHead() {
 
 func (m *backoffMAC) Counters() MACStats { return m.stats }
 
-// drain removes every queued request — busy-deferred and future contention
-// slots alike — in deterministic order (FIFO queue first, then slots by
-// cycle) for an adaptive mode switch. The emptied slots stay pending: their
-// arbitration events fire as no-ops, and a later re-enqueue into such a
-// slot reuses the pending event.
-func (m *backoffMAC) drain() []*request {
-	var out []*request
-	for _, r := range m.waitq[m.waitHead:] {
+// drain appends every queued request to out — busy-deferred and future
+// contention slots alike — in deterministic order (FIFO queue first, then
+// slots by cycle) for an adaptive mode switch. The emptied slots stay
+// pending: their arbitration events fire as no-ops, and a later re-enqueue
+// into such a slot reuses the pending event.
+func (m *backoffMAC) drain(out []*request) []*request {
+	for _, r := range m.waitq.live() {
 		m.n.dequeued(r)
 		if r.state == reqPending {
 			out = append(out, r)
 		}
 	}
-	clear(m.waitq)
-	m.waitq, m.waitHead = m.waitq[:0], 0
-	bySlot := slices.Clone(m.pending)
-	slices.SortFunc(bySlot, func(a, b *arbCont) int { return cmp.Compare(a.slot, b.slot) })
-	for _, c := range bySlot {
+	m.waitq.reset()
+	slices.SortFunc(m.pending, func(a, b *arbCont) int { return cmp.Compare(a.slot, b.slot) })
+	for i, c := range m.pending {
+		c.idx = i
 		for _, r := range c.reqs {
 			m.n.dequeued(r)
 			if r.state == reqPending {

@@ -171,3 +171,44 @@ func newMAC(n *Network, k MACKind) MAC {
 		return newBackoffMAC(n)
 	}
 }
+
+// reqFIFO is a MAC's FIFO of queued requests, popped by a head index. Its
+// array is reused: a drained queue starts again at index 0, and a full
+// array that is at least half consumed is compacted rather than grown, so
+// a standing backlog reuses one array.
+type reqFIFO struct {
+	q    []*request
+	head int
+}
+
+func (f *reqFIFO) len() int { return len(f.q) - f.head }
+
+// live returns the queued requests, oldest first.
+func (f *reqFIFO) live() []*request { return f.q[f.head:] }
+
+func (f *reqFIFO) peek() *request { return f.q[f.head] }
+
+func (f *reqFIFO) push(r *request) {
+	if live := f.len(); len(f.q) == cap(f.q) && f.head > 0 && f.head >= live {
+		copy(f.q, f.q[f.head:])
+		clear(f.q[live:])
+		f.q, f.head = f.q[:live], 0
+	}
+	f.q = append(f.q, r)
+}
+
+func (f *reqFIFO) pop() *request {
+	r := f.q[f.head]
+	f.q[f.head] = nil
+	f.head++
+	if f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return r
+}
+
+// reset empties the queue, keeping its array.
+func (f *reqFIFO) reset() {
+	clear(f.q)
+	f.q, f.head = f.q[:0], 0
+}

@@ -237,3 +237,107 @@ func TestDeferredSendsAllocFree(t *testing.T) {
 		t.Errorf("steady-state deferred bursts allocated %v objects per %d sends, want 0", allocs, nodes*rounds)
 	}
 }
+
+// TestTokenBurstsAllocFree pins the token MAC's steady state at zero heap
+// allocations: its scan, token-arrival and regeneration events recycle,
+// and each node's queue pops by a head index and reuses its array.
+func TestTokenBurstsAllocFree(t *testing.T) {
+	const nodes, rounds = 64, 50
+	eng := sim.NewEngine(1)
+	n := New(eng, nodes, tokenParams())
+	b := newDeferBurst(eng, n, nodes)
+	run := func() { b.run(t, rounds) }
+	for range 4 {
+		run() // warm up pools and queue storage
+	}
+	if n.Stats.Messages != 4*nodes*rounds {
+		t.Fatalf("committed %d messages, want %d", n.Stats.Messages, 4*nodes*rounds)
+	}
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("steady-state token bursts allocated %v objects per %d sends, want 0", allocs, nodes*rounds)
+	}
+}
+
+// switchBurst drives rounds that cross the adaptive MAC both ways: every
+// node sends at once (a collision storm that hands the backlog to the
+// token MAC), then node 0 alone sends a spaced run (a drained ring that
+// hands it back to backoff).
+type switchBurst struct {
+	eng              *sim.Engine
+	n                *Network
+	nodes, rounds    int
+	outstanding, run int
+
+	burstFn, sparseFn func()
+	burstDoneFn       func(bool)
+	sparseDoneFn      func(bool)
+}
+
+func newSwitchBurst(eng *sim.Engine, n *Network, nodes int) *switchBurst {
+	b := &switchBurst{eng: eng, n: n, nodes: nodes}
+	b.burstFn, b.sparseFn = b.burst, b.sparse
+	b.burstDoneFn, b.sparseDoneFn = b.burstDone, b.sparseDone
+	return b
+}
+
+func (b *switchBurst) burst() {
+	b.outstanding = b.nodes
+	for src := 0; src < b.nodes; src++ {
+		b.n.SendAsync(Msg{Src: src, Addr: uint32(src)}, nil, b.burstDoneFn)
+	}
+}
+
+func (b *switchBurst) burstDone(bool) {
+	if b.outstanding--; b.outstanding == 0 {
+		b.run = 40
+		b.eng.Schedule(1, b.sparseFn)
+	}
+}
+
+func (b *switchBurst) sparse() { b.n.SendAsync(Msg{Src: 0, Addr: 1}, nil, b.sparseDoneFn) }
+
+func (b *switchBurst) sparseDone(bool) {
+	if b.run--; b.run > 0 {
+		b.eng.Schedule(20, b.sparseFn)
+		return
+	}
+	if b.rounds > 0 {
+		b.rounds--
+		b.eng.Schedule(1, b.burstFn)
+	}
+}
+
+func (b *switchBurst) runRounds(t *testing.T, rounds int) {
+	t.Helper()
+	b.rounds = rounds - 1
+	b.eng.Schedule(0, b.burstFn)
+	if err := b.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAdaptiveBurstsAllocFree: rounds that switch the adaptive MAC to
+// token mode and back allocate nothing once warm: the drained backlog
+// moves through reused arrays, and stale token events recycle like live
+// ones.
+func TestAdaptiveBurstsAllocFree(t *testing.T) {
+	const nodes, rounds, warm = 64, 10, 40
+	eng := sim.NewEngine(1)
+	n := New(eng, nodes, adaptiveTestParams())
+	b := newSwitchBurst(eng, n, nodes)
+	run := func() { b.runRounds(t, rounds) }
+	for range warm {
+		// Random backoff sets new high-water marks for pending slots and
+		// their request arrays over the first twenty or so runs.
+		run()
+	}
+	if want := uint64(warm * rounds * (nodes + 40)); n.Stats.Messages != want {
+		t.Fatalf("committed %d messages, want %d", n.Stats.Messages, want)
+	}
+	if s := n.MACCounters(); s.ModeSwitches < 2*warm*rounds {
+		t.Fatalf("%d mode switches over %d rounds, want each round to cross both ways", s.ModeSwitches, warm*rounds)
+	}
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("steady-state adaptive rounds allocated %v objects per %d sends, want 0", allocs, rounds*(nodes+40))
+	}
+}

@@ -14,14 +14,16 @@ import "wisync/internal/sim"
 // where carrier-sense backoff wins — see the MAC comparison sweep.
 type tokenMAC struct {
 	n       *Network
-	pending [][]*request // per-node FIFO of submitted requests
-	holder  int          // node the token parks at (last to transmit)
-	npend   int          // queued entries across all nodes (incl. stale)
+	pending []reqFIFO // per-node FIFO of submitted requests
+	holder  int       // node the token parks at (last to transmit)
+	npend   int       // queued entries across all nodes (incl. stale)
 	// armed marks an in-flight scan or token traversal, gating grants to
 	// one at a time. epoch invalidates in-flight events when an adaptive
 	// switch drains the queues.
 	armed bool
 	epoch uint64
+	// evFree recycles the scan, token-arrival and regeneration events.
+	evFree []*tokenEvent
 	// excluded marks fail-stopped nodes the ring has already detected and
 	// reconfigured around: their queued sends were failed, the token
 	// skips them without timing out again, and they never rejoin. Nil
@@ -33,7 +35,7 @@ type tokenMAC struct {
 func newTokenMAC(n *Network) *tokenMAC {
 	m := &tokenMAC{
 		n:       n,
-		pending: make([][]*request, n.nodes),
+		pending: make([]reqFIFO, n.nodes),
 		// Park the initial token so the scan starts at node 0.
 		holder: n.nodes - 1,
 	}
@@ -47,9 +49,65 @@ func (m *tokenMAC) Kind() MACKind { return MACToken }
 
 func (m *tokenMAC) Submit(req *request) {
 	req.queued = true
-	m.pending[req.msg.Src] = append(m.pending[req.msg.Src], req)
+	m.pending[req.msg.Src].push(req)
 	m.npend++
 	m.arm()
+}
+
+// tokenEventKind selects what a tokenEvent does when it fires.
+type tokenEventKind uint8
+
+const (
+	tokenScan tokenEventKind = iota
+	tokenArrive
+	tokenRegen
+)
+
+// tokenEvent is a scheduled ring scan, token arrival at src, or token
+// regeneration, with the epoch it was scheduled in. An adaptive switch
+// bumps the epoch while such an event can still be queued beside a live
+// one, so each event carries its own and dies stale on a mismatch. Events
+// recycle through evFree, so a token burst allocates nothing in the MAC.
+type tokenEvent struct {
+	m     *tokenMAC
+	kind  tokenEventKind
+	epoch uint64
+	src   int
+	fn    func() // cached method value of run
+}
+
+// schedule queues a tokenEvent at cycle at, at PrioLate like slot
+// arbitration: requests submitted earlier in the same cycle (commit
+// deliveries run at PrioNormal) participate.
+func (m *tokenMAC) schedule(at sim.Time, kind tokenEventKind, src int) {
+	var ev *tokenEvent
+	if k := len(m.evFree); k > 0 {
+		ev = m.evFree[k-1]
+		m.evFree = m.evFree[:k-1]
+	} else {
+		ev = &tokenEvent{m: m}
+		ev.fn = ev.run
+	}
+	ev.kind, ev.epoch, ev.src = kind, m.epoch, src
+	m.n.eng.ScheduleAt(at, sim.PrioLate, ev.fn)
+}
+
+func (ev *tokenEvent) run() {
+	m, kind, src := ev.m, ev.kind, ev.src
+	stale := ev.epoch != m.epoch
+	m.evFree = append(m.evFree, ev)
+	if stale {
+		return // queues were drained by an adaptive mode switch
+	}
+	switch kind {
+	case tokenScan:
+		m.scan()
+	case tokenArrive:
+		m.deliver(src)
+	case tokenRegen:
+		m.armed = false
+		m.arm()
+	}
 }
 
 // arm schedules a ring scan at the cycle the channel is next free, unless
@@ -63,18 +121,12 @@ func (m *tokenMAC) arm() {
 	if m.n.busyUntil > at {
 		at = m.n.busyUntil
 	}
-	epoch := m.epoch
-	// PrioLate, like slot arbitration: requests submitted earlier in the
-	// same cycle (commit deliveries run at PrioNormal) participate.
-	m.n.eng.ScheduleAt(at, sim.PrioLate, func() { m.scan(epoch) })
+	m.schedule(at, tokenScan, 0)
 }
 
 // scan walks the ring from the holder's successor and starts the token
 // toward the first node with a live pending request.
-func (m *tokenMAC) scan(epoch uint64) {
-	if epoch != m.epoch {
-		return // queues were drained by an adaptive mode switch
-	}
+func (m *tokenMAC) scan() {
 	m.armed = false
 	n := m.n
 	now := n.eng.Now()
@@ -84,28 +136,22 @@ func (m *tokenMAC) scan(epoch uint64) {
 	}
 	for step := 1; step <= n.nodes; step++ {
 		src := (m.holder + step) % n.nodes
-		q := m.pending[src]
-		for len(q) > 0 && q[0].state != reqPending {
-			n.dequeued(q[0])
-			q = q[1:] // withdrawn while queued
-			m.npend--
-		}
-		m.pending[src] = q
+		q := &m.pending[src]
+		m.dropWithdrawn(q)
 		if n.inj != nil && n.inj.FailStopped(src, uint64(now)) {
 			if m.failNode(src, step) {
 				return // token lost crossing the dead node; regenerating
 			}
 			continue // already excluded: the ring skips it
 		}
-		if len(q) == 0 {
+		if q.len() == 0 {
 			continue
 		}
 		wait := sim.Time(step) * n.p.TokenHopCycles
 		m.stats.TokenPasses += uint64(step)
 		m.stats.TokenWaitCycles += uint64(wait)
 		m.armed = true
-		e := m.epoch
-		n.eng.ScheduleAt(now+wait, sim.PrioLate, func() { m.deliver(src, e) })
+		m.schedule(now+wait, tokenArrive, src)
 		return
 	}
 }
@@ -117,16 +163,15 @@ func (m *tokenMAC) scan(epoch uint64) {
 // started (the caller's scan is over); false once the ring has been
 // reconfigured to skip src.
 func (m *tokenMAC) failNode(src, step int) bool {
-	q := m.pending[src]
-	for len(q) > 0 {
-		m.n.dequeued(q[0])
-		if q[0].state == reqPending {
-			m.n.failPending(q[0])
+	q := &m.pending[src]
+	for q.len() > 0 {
+		r := q.pop()
+		m.n.dequeued(r)
+		if r.state == reqPending {
+			m.n.failPending(r)
 		}
-		q = q[1:]
 		m.npend--
 	}
-	m.pending[src] = q
 	if m.excluded[src] {
 		return false
 	}
@@ -152,21 +197,11 @@ func (m *tokenMAC) failNode(src, step int) bool {
 func (m *tokenMAC) regenerate() {
 	m.stats.TokenRegens++
 	m.armed = true
-	e := m.epoch
-	m.n.eng.ScheduleAt(m.n.eng.Now()+m.n.p.TokenTimeout, sim.PrioLate, func() {
-		if e != m.epoch {
-			return
-		}
-		m.armed = false
-		m.arm()
-	})
+	m.schedule(m.n.eng.Now()+m.n.p.TokenTimeout, tokenRegen, 0)
 }
 
 // deliver runs when the token arrives at src: the head request transmits.
-func (m *tokenMAC) deliver(src int, epoch uint64) {
-	if epoch != m.epoch {
-		return
-	}
+func (m *tokenMAC) deliver(src int) {
 	n := m.n
 	if n.inj != nil {
 		if n.inj.TokenLost(uint64(n.eng.Now())) {
@@ -187,25 +222,28 @@ func (m *tokenMAC) deliver(src int, epoch uint64) {
 		}
 	}
 	m.armed = false
-	q := m.pending[src]
-	for len(q) > 0 && q[0].state != reqPending {
-		n.dequeued(q[0])
-		q = q[1:]
-		m.npend--
-	}
-	if len(q) == 0 {
+	q := &m.pending[src]
+	m.dropWithdrawn(q)
+	if q.len() == 0 {
 		// The chosen sender withdrew during the token flight; the hop
 		// cost is sunk, rescan for the next sender.
-		m.pending[src] = q
 		m.arm()
 		return
 	}
-	req := q[0]
+	req := q.pop()
 	req.queued = false
-	m.pending[src] = q[1:]
 	m.npend--
 	m.holder = src
 	m.n.transmit(req, m.n.eng.Now())
+}
+
+// dropWithdrawn pops the requests at the head of q that were withdrawn
+// while queued.
+func (m *tokenMAC) dropWithdrawn(q *reqFIFO) {
+	for q.len() > 0 && q.peek().state != reqPending {
+		m.n.dequeued(q.pop())
+		m.npend--
+	}
 }
 
 func (m *tokenMAC) Granted(*request) { m.stats.Grants++ }
@@ -222,8 +260,8 @@ func (m *tokenMAC) TxScheduled(sim.Time) { m.arm() }
 // a stale count would delay the adaptive MAC's switch back to backoff.
 func (m *tokenMAC) Backlog() int {
 	live := 0
-	for _, q := range m.pending {
-		for _, r := range q {
+	for i := range m.pending {
+		for _, r := range m.pending[i].live() {
 			if r.state == reqPending {
 				live++
 			}
@@ -234,20 +272,20 @@ func (m *tokenMAC) Backlog() int {
 
 func (m *tokenMAC) Counters() MACStats { return m.stats }
 
-// drain removes every queued request in token service order (round-robin
-// from the holder's successor) for an adaptive mode switch, and bumps the
-// epoch so any in-flight scan or token traversal event dies stale.
-func (m *tokenMAC) drain() []*request {
-	var out []*request
+// drain appends every queued request to out in token service order
+// (round-robin from the holder's successor) for an adaptive mode switch,
+// and bumps the epoch so any in-flight scan or token traversal event dies
+// stale.
+func (m *tokenMAC) drain(out []*request) []*request {
 	for step := 1; step <= m.n.nodes; step++ {
 		src := (m.holder + step) % m.n.nodes
-		for _, r := range m.pending[src] {
+		for _, r := range m.pending[src].live() {
 			m.n.dequeued(r)
 			if r.state == reqPending {
 				out = append(out, r)
 			}
 		}
-		m.pending[src] = nil
+		m.pending[src].reset()
 	}
 	m.npend = 0
 	m.armed = false
