@@ -78,34 +78,21 @@ type cohort struct {
 // update together, so one list per word suffices.
 type spinList struct{ head, tail *cohort }
 
-// list returns addr's spin list, making it on first use.
-func (b *BM) list(addr uint32) *spinList {
-	l := b.watchers[addr]
+// park appends sp to its word's spin list, as a cohort of one that
+// repark merges into the tail cohort when that one is equal.
+func (b *BM) park(sp *bmSpin) {
+	l := b.watchers[sp.addr]
 	if l == nil {
 		l = &spinList{}
-		b.watchers[addr] = l
-	}
-	return l
-}
-
-// park appends sp to its word's spin list: to the tail cohort when that
-// one has sp's condition and PID, else as a cohort of its own.
-func (b *BM) park(sp *bmSpin) {
-	l := b.list(sp.addr)
-	sp.next = nil
-	if c := l.tail; c != nil && c.cond == sp.cond && c.pid == sp.pid {
-		c.tail.next = sp
-		c.tail = sp
-		c.n++
-		return
+		b.watchers[sp.addr] = l
 	}
 	c := b.newCohort()
 	c.cond, c.pid, c.n, c.head, c.tail = sp.cond, sp.pid, 1, sp, sp
-	l.push(c)
+	b.repark(l, c)
 }
 
-// repark splices cohort c back onto l in O(1), merged into the tail
-// cohort when the two are equal.
+// repark splices cohort c onto l in O(1), merged into the tail cohort
+// when the two have the same condition and PID.
 func (b *BM) repark(l *spinList, c *cohort) {
 	if t := l.tail; t != nil && t.cond == c.cond && t.pid == c.pid {
 		t.tail.next = c.head
