@@ -9,12 +9,14 @@ import (
 	"wisync/internal/sim"
 )
 
-// TestFIFOLockGrants pins the lock's grant rule, which every directory
-// transaction's event schedule depends on: a free acquire runs the step
-// inline at the acquire cycle with no event, and each release with waiters
-// grants the oldest one with exactly one event at the release cycle. One
-// waiter is a recycled transaction whose id is lower than the waiter ahead
-// of it, so the queue's id links do not follow creation order.
+// TestFIFOLockGrants pins the lock's grant rules, which every directory
+// transaction's event schedule depends on. A free arrival takes the lock
+// inline, with no event. A request issued while the lock is held joins the
+// waiters at its arrival position and queues no event. A release grants
+// the oldest waiter that has arrived, consuming one sequence number: from
+// the engine's trampoline when the grant would be the next event, as one
+// queued event otherwise. A release whose oldest waiter has not arrived
+// frees the lock and turns that waiter's arrival into one event.
 func TestFIFOLockGrants(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := New(eng, noc.New(4, 2), DefaultParams(4))
@@ -25,80 +27,103 @@ func TestFIFOLockGrants(t *testing.T) {
 	var l fifoLock
 	var trace []string
 
-	// A transaction that holds the lock for hold cycles once granted, then
-	// releases it; each release must schedule exactly one grant event when
-	// someone waits and none otherwise.
-	start := func(name string, hold sim.Time) *txn {
+	// newTx makes a transaction that holds the lock for hold cycles once
+	// granted and releases it from an event whose key it keeps, as serve
+	// does. Its arrival event, if it gets one, takes the lock or joins.
+	type release struct {
+		events, seqs uint64 // what one release queues and consumes
+	}
+	var releases []release
+	newTx := func(name string, hold sim.Time) *txn {
 		tx := s.newTxn()
 		tx.step = func() {
+			if tx.state == stepArrive {
+				tx.state = stepHeld
+				l.acquire(tx)
+				return
+			}
 			trace = append(trace, fmt.Sprintf("grant %s@%d", name, eng.Now()))
-			eng.Schedule(hold, func() {
+			tx.key = eng.Reserve()
+			eng.ScheduleReserved(eng.Now()+hold, tx.key, func() {
 				trace = append(trace, fmt.Sprintf("release %s@%d", name, eng.Now()))
-				want := uint64(0)
-				if l.head != 0 {
-					want = 1
-				}
-				n, before := len(trace), events()
-				l.release(s)
+				n, before, k := len(trace), events(), eng.Reserve()
+				l.release(s, tx.key)
 				if len(trace) != n {
-					t.Errorf("release by %s granted the next waiter inline, want an event", name)
+					t.Errorf("release by %s ran a step inline", name)
 				}
-				if got := events() - before; got != want {
-					t.Errorf("release by %s scheduled %d events, want %d", name, got, want)
-				}
+				releases = append(releases, release{events() - before, eng.Reserve() - k - 1})
 			})
 		}
 		return tx
 	}
+	// issue sends tx to the lock, due d cycles from now, as transactAsync
+	// does: joining the waiters at issue while the lock is held.
+	issue := func(tx *txn, d sim.Time) {
+		tx.at, tx.key = eng.Now()+d, eng.Reserve()
+		if l.held {
+			before := events()
+			tx.state = stepHeld
+			l.insert(tx)
+			if events() != before {
+				t.Errorf("a request to the held lock queued an event")
+			}
+			return
+		}
+		tx.state = stepArrive
+		eng.ScheduleReserved(tx.at, tx.key, tx.step)
+	}
 
-	// early runs one uncontended round, and its txn is recycled as c.
-	early := start("early", 1)
-	a := start("a", 5)
-	b := start("b", 3)
-	d := start("d", 2)
-	var c *txn
-	eng.Schedule(1, func() { l.acquire(early) })
-	eng.Schedule(3, func() { s.freeTxn(early) })
-
+	a, b, c, e := newTx("a", 5), newTx("b", 2), newTx("c", 3), newTx("e", 1)
 	eng.Schedule(10, func() {
 		before := events()
-		l.acquire(a)
-		if len(trace) != 3 {
-			t.Error("a free acquire did not run the step inline")
+		tx := a
+		tx.state = stepArrive
+		tx.at, tx.key = eng.Now(), eng.Reserve()
+		tx.step()
+		if len(trace) != 1 {
+			t.Error("a free arrival did not take the lock inline")
 		}
 		// The only event is the one a's step schedules for its release.
 		if got := events() - before; got != 1 {
-			t.Errorf("free acquire and a's step scheduled %d events, want 1", got)
+			t.Errorf("a free arrival and a's step queued %d events, want 1", got)
 		}
 	})
-	eng.Schedule(11, func() { l.acquire(b) })
-	eng.Schedule(12, func() {
-		c = start("c", 4)
-		if c != early || c.id >= b.id {
-			t.Errorf("c is not early's recycled txn (ids: early=%d b=%d c=%d)", early.id, b.id, c.id)
-		}
-		l.acquire(c)
+	// b and c join during a's hold, c first in arrival order though issued
+	// second; e is still in flight when b releases.
+	eng.Schedule(11, func() { issue(b, 2); issue(c, 1) })
+	eng.Schedule(12, func() { issue(e, 10) })
+	// An event queued at c's release cycle after it, so b's grant there
+	// cannot go through the trampoline.
+	eng.Schedule(16, func() {
+		eng.Schedule(2, func() { trace = append(trace, fmt.Sprintf("other@%d", eng.Now())) })
 	})
-	eng.Schedule(13, func() { l.acquire(d) })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
-		"grant early@1", "release early@2",
 		"grant a@10", "release a@15",
-		"grant b@15", "release b@18",
-		"grant c@18", "release c@22",
-		"grant d@22", "release d@24",
+		"grant c@15", "release c@18", "other@18",
+		"grant b@18", "release b@20",
+		"grant e@22", "release e@23",
 	}
 	if !reflect.DeepEqual(trace, want) {
 		t.Errorf("grant trace = %v, want %v", trace, want)
 	}
+	wantRel := []release{
+		{0, 1}, // a: c has arrived; granted from the trampoline
+		{1, 1}, // c: b has arrived; granted by an event behind "other"
+		{1, 0}, // b: e is in flight; the lock goes free, e's arrival is queued
+		{0, 0}, // e: no waiters
+	}
+	if !reflect.DeepEqual(releases, wantRel) {
+		t.Errorf("releases (events queued, sequence numbers consumed) = %v, want %v", releases, wantRel)
+	}
 	if l != (fifoLock{}) {
 		t.Errorf("lock after the last release = %+v, want free and empty", l)
 	}
-	for _, tx := range []*txn{a, b, c, d} {
-		if tx.waitNext != 0 {
-			t.Errorf("txn %d still links to %d after its grant", tx.id, tx.waitNext)
+	for _, tx := range []*txn{a, b, c, e} {
+		if tx.waitNext != 0 || tx.waitPrev != 0 {
+			t.Errorf("txn %d still links to %d and %d after its grant", tx.id, tx.waitPrev, tx.waitNext)
 		}
 	}
 }
@@ -112,5 +137,5 @@ func TestFIFOLockPanicsOnFreeRelease(t *testing.T) {
 		}
 	}()
 	var l fifoLock
-	l.release(s)
+	l.release(s, 0)
 }

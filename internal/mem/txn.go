@@ -17,13 +17,27 @@ func (s *System) setsMask() uint64 { return uint64(s.p.L1Sets - 1) }
 // txn state machine below): line arbitration, settle waits,
 // memory-controller queueing and hold times all run as callback events, and
 // the requester is resumed once, by the reply event.
+//
+// The request reaches the home after the mesh flight, under the sequence
+// number it reserves now. If the line is held at issue, that arrival
+// would only join the line's waiters, so the request joins them now at
+// its arrival position and needs no event; a release that finds it not
+// yet arrived turns its arrival back into an event (fifoLock.release).
 func (s *System) transactAsync(core int, line uint64, addr uint64, f func(uint64) (uint64, bool), done func(uint64)) {
 	s.Stats.Transactions++
 	t := s.newTxn()
 	t.done, t.core, t.line, t.addr, t.f = done, core, line, addr, f
 	t.home = s.home(line)
+	t.at = s.eng.Now() + sim.Time(s.mesh.Latency(core, t.home))
+	t.key = s.eng.Reserve()
+	if le := s.lines.get(line); le != nil && le.dir.lock.held {
+		t.d = &le.dir
+		t.state = stepHeld
+		t.d.lock.insert(t)
+		return
+	}
 	t.state = stepArrive
-	s.eng.Schedule(sim.Time(s.mesh.Latency(core, t.home)), t.step)
+	s.eng.ScheduleReserved(t.at, t.key, t.step)
 }
 
 // txnStep selects the statement block a transaction continuation executes
@@ -70,9 +84,15 @@ type txn struct {
 	fin   func()  // cached method value of finish, the async reply event
 
 	// id is the transaction's 1-based index in System.txns, kept across
-	// recycling; waitNext is the id of the next waiter in the fifoLock
-	// queue t waits in, or 0.
-	id, waitNext uint32
+	// recycling; waitPrev and waitNext are the ids of t's neighbours in
+	// the fifoLock queue t waits in, or 0.
+	id, waitPrev, waitNext uint32
+	// at and key are the position of t's pending event in the engine's
+	// event order: its arrival at the home while it waits for its line
+	// (or joins a memory-controller port's queue), then its serve while
+	// it holds the line.
+	at  sim.Time
+	key uint64
 
 	rmwNew     uint64
 	noWriteRMW bool
@@ -160,7 +180,8 @@ func (t *txn) run() {
 		t.state = stepFetchRel
 		s.eng.Schedule(s.p.MemCtrlOcc, t.step)
 	case stepFetchRel:
-		s.mc[t.fetchMC].release(s)
+		// Every waiter of a port has arrived.
+		s.mc[t.fetchMC].release(s, ^uint64(0))
 		t.d.inL2 = true
 		t.hold += t.fetchLat + s.p.MemRT
 		t.state = t.next
@@ -292,16 +313,23 @@ func (t *txn) sharedRecord() {
 	default:
 		d.sharers.set(t.core)
 	}
-	t.state = stepServe
-	t.s.eng.Schedule(t.hold, t.step)
+	t.scheduleServe()
 }
 
 // exclRecord takes ownership (after the memory fetch, when one was
 // needed), then waits out the home-side hold.
 func (t *txn) exclRecord() {
 	t.d.setOwner(t.core)
+	t.scheduleServe()
+}
+
+// scheduleServe schedules serve after the home-side hold and keeps its key,
+// against which the line's release tells arrived waiters from the rest.
+func (t *txn) scheduleServe() {
+	eng := t.s.eng
 	t.state = stepServe
-	t.s.eng.Schedule(t.hold, t.step)
+	t.key = eng.Reserve()
+	eng.ScheduleReserved(eng.Now()+t.hold, t.key, t.step)
 }
 
 // serve is the serialization point: sample, and for exclusive grants apply
@@ -347,7 +375,7 @@ func (t *txn) serve() {
 	if grant == Modified || grant == Exclusive {
 		d.settleAt = s.eng.Now() + wait
 	}
-	d.lock.release(s)
+	d.lock.release(s, t.key)
 	t.old, t.grant = old, grant
 	// The reply resumes the requester after the flight (and ack) wait.
 	s.eng.Schedule(wait, t.fin)
@@ -365,6 +393,9 @@ func (t *txn) startFetch(next txnStep) {
 	t.fetchLat = sim.Time(2 * s.mesh.Latency(t.home, cnode))
 	t.next = next
 	t.state = stepFetchOcc
+	// A port's waiters join in the order they call acquire, so each
+	// joins at the current cycle behind all before it.
+	t.at, t.key = s.eng.Now(), ^uint64(0)
 	s.mc[ci].acquire(t)
 }
 

@@ -270,6 +270,53 @@ func (e *Engine) ScheduleAt(t Time, prio Priority, fn func()) {
 	e.q.push(event{t: t, key: key, fn: fn}, e.now)
 }
 
+// ScheduleNow runs fn at the current cycle at normal priority, consuming
+// one sequence number, exactly as Schedule(0, fn) would. When that event
+// would be dispatched next — no PrioNormal event is queued at this cycle,
+// no member of a run remains (RunAhead) and the trampoline slot is free —
+// fn runs from the trampoline slot instead of the queue, right after the
+// current callback returns, as SleepThen's fast path does. Like SleepThen
+// it must be called from event context, and nothing ordered before fn may
+// be queued after it.
+func (e *Engine) ScheduleNow(fn func()) {
+	if e.ahead == 0 && e.cont == nil {
+		if head := e.q.first(); head == nil || head.t > e.now || head.key >= prioBit {
+			e.seq++
+			e.cont = fn
+			return
+		}
+	}
+	e.ScheduleAt(e.now, PrioNormal, fn)
+}
+
+// Reserve consumes one sequence number and returns it as the key of a
+// normal-priority event: the key Schedule would give an event now. A model
+// that defers an event it may never need (a request that may only join a
+// queue) reserves its place in the event order and schedules it later,
+// if at all, with ScheduleReserved.
+func (e *Engine) Reserve() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// ScheduleReserved runs fn at time t under key, a sequence number Reserve
+// returned. The event dispatches where an event scheduled at the
+// reservation would have. A timing-wheel bucket keeps its events in the
+// order they were pushed, which must be key order, so an event under an
+// older key than the newest goes to the heap; the newest key goes where
+// Schedule would put it.
+func (e *Engine) ScheduleReserved(t Time, key uint64, fn func()) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
+	}
+	ev := event{t: t, key: key, fn: fn}
+	if key == e.seq {
+		e.q.push(ev, e.now)
+		return
+	}
+	e.q.pushHeap(ev)
+}
+
 // DeadlockError reports that the event queue drained while tasks were
 // still unfinished, i.e. the simulated system deadlocked.
 type DeadlockError struct {

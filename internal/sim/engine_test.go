@@ -250,3 +250,98 @@ func TestEventIsThreeWords(t *testing.T) {
 		t.Errorf("event is %d bytes, want 24", got)
 	}
 }
+
+// TestScheduleNowGrantsLikeSchedule0: ScheduleNow consumes one sequence
+// number and runs fn where Schedule(0, fn) would: from the trampoline when
+// that event would be next, with no event queued, and as one queued event
+// when a PrioNormal event at this cycle, a run member, or an earlier
+// ScheduleNow stands before it.
+func TestScheduleNowGrantsLikeSchedule0(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	log := func(s string) func() { return func() { got = append(got, fmt.Sprintf("%s@%d", s, e.Now())) } }
+	queued := func() uint64 { st := e.SchedStats(); return st.WheelEvents + st.HeapEvents }
+	// check runs step in an event at cycle at and reports the events it
+	// queued and the sequence numbers it consumed besides them.
+	check := func(at Time, name string, wantEvents, wantSeqs uint64, step func()) {
+		e.ScheduleAt(at, PrioNormal, func() {
+			q, s := queued(), e.seq
+			step()
+			if dq, ds := queued()-q, e.seq-s; dq != wantEvents || ds != wantSeqs {
+				t.Errorf("%s: queued %d events and consumed %d sequence numbers, want %d and %d", name, dq, ds, wantEvents, wantSeqs)
+			}
+		})
+	}
+	// Alone in its cycle, with only a PrioLate event and a later event
+	// queued: from the trampoline, ahead of the late event.
+	e.ScheduleAt(10, PrioLate, log("late"))
+	e.ScheduleAt(11, PrioNormal, log("next"))
+	check(10, "alone", 0, 1, func() { e.ScheduleNow(log("grant")) })
+	// Behind a PrioNormal event queued at the same cycle: queued.
+	check(20, "behind a queued event", 1, 1, func() { e.ScheduleNow(log("grant")) })
+	e.ScheduleAt(20, PrioNormal, log("other"))
+	// Two in one callback: the first from the trampoline, the second
+	// queued behind it.
+	check(30, "twice", 1, 2, func() {
+		e.ScheduleNow(log("first"))
+		e.ScheduleNow(log("second"))
+	})
+	// Inside a run with members still to come: queued.
+	check(40, "in a run", 1, 1, func() {
+		e.RunAhead(1)
+		e.ScheduleNow(log("grant"))
+		e.RunAhead(0)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"grant@10", "late@10", "next@11",
+		"other@20", "grant@20",
+		"first@30", "second@30",
+		"grant@40",
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("order = %v, want %v", got, want)
+	}
+}
+
+// TestScheduleReserved: an event scheduled under a reserved key dispatches
+// where an event scheduled at the reservation would have, ahead of events
+// scheduled for the same cycle after it. An older key than the newest
+// goes to the heap even inside the wheel horizon; the newest key goes to
+// the wheel.
+func TestScheduleReserved(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	log := func(s string) func() { return func() { got = append(got, fmt.Sprintf("%s@%d", s, e.Now())) } }
+	old := e.Reserve()
+	e.Schedule(5, log("later key"))
+	e.ScheduleReserved(5, old, log("reserved"))
+	if st := e.SchedStats(); st.WheelEvents != 1 || st.HeapEvents != 1 {
+		t.Errorf("after an old key: %+v, want 1 wheel event and 1 heap event", st)
+	}
+	newest := e.Reserve()
+	e.ScheduleReserved(7, newest, log("newest"))
+	if st := e.SchedStats(); st.WheelEvents != 2 || st.HeapEvents != 1 {
+		t.Errorf("after the newest key: %+v, want 2 wheel events and 1 heap event", st)
+	}
+	if newest != old+2 {
+		t.Errorf("Reserve returned %d after %d and one Schedule, want %d", newest, old, old+2)
+	}
+	e.Schedule(6, func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ScheduleReserved in the past did not panic")
+			}
+		}()
+		e.ScheduleReserved(5, e.Reserve(), func() {})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"reserved@5", "later key@5", "newest@7"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("order = %v, want %v", got, want)
+	}
+}

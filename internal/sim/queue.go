@@ -83,6 +83,12 @@ func (q *eventQueue) push(ev event, now Time) {
 		q.w.push(ev)
 		return
 	}
+	q.pushHeap(ev)
+}
+
+// pushHeap queues ev in the heap whatever its time: the place for an event
+// under a key older than some event a wheel bucket may already hold.
+func (q *eventQueue) pushHeap(ev event) {
 	q.heapFallbacks++
 	q.h.push(ev)
 }

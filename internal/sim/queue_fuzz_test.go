@@ -145,3 +145,100 @@ func TestEventQueueRandomOracle(t *testing.T) {
 		queueOracle(t, ops)
 	}
 }
+
+// reservedOracle drives an engine's queue through Schedule, Reserve and
+// ScheduleReserved and the reference heap through the same events, and
+// fails on the first divergence. Keys reserved earlier are scheduled
+// later, at times inside the wheel horizon, while newer events are
+// already queued: the way a directory line turns a waiter's reserved
+// arrival back into an event. Each byte of ops is one operation:
+//
+//	op&3 == 3: pop, advancing the clock
+//	op&3 == 2: reserve a key
+//	op&3 == 1: schedule under a reserved key, picked by op>>2, at
+//	           now + op>>4 (0..15 cycles); a plain push when none is held
+//	otherwise: schedule at now + op>>3, PrioLate when op&4 is set
+func reservedOracle(t *testing.T, ops []byte) {
+	t.Helper()
+	e := NewEngine(1)
+	defer e.Release()
+	ref := &refHeap{}
+	var reserved []uint64
+	fn := func() {}
+	for i, op := range ops {
+		switch {
+		case op&3 == 3:
+			if e.q.len() == 0 {
+				continue
+			}
+			got := e.q.pop()
+			want := heap.Pop(ref).(event)
+			if got.t != want.t || got.key != want.key {
+				t.Fatalf("op %d: pop order diverged: got (t=%d key=%#x), reference (t=%d key=%#x)",
+					i, got.t, got.key, want.t, want.key)
+			}
+			e.now = got.t
+			checkZeroedSlots(t, &e.q, i)
+		case op&3 == 2:
+			reserved = append(reserved, e.Reserve())
+		case op&3 == 1 && len(reserved) > 0:
+			k := int(op>>2) % len(reserved)
+			key := reserved[k]
+			reserved = append(reserved[:k], reserved[k+1:]...)
+			at := e.now + Time(op>>4)
+			e.ScheduleReserved(at, key, fn)
+			heap.Push(ref, event{t: at, key: key})
+		default:
+			prio := PrioNormal
+			if op&4 != 0 {
+				prio = PrioLate
+			}
+			at := e.now + Time(op>>3)
+			e.ScheduleAt(at, prio, fn)
+			key := e.seq
+			if prio == PrioLate {
+				key |= prioBit
+			}
+			heap.Push(ref, event{t: at, key: key})
+		}
+	}
+	for e.q.len() > 0 {
+		got := e.q.pop()
+		want := heap.Pop(ref).(event)
+		if got.t != want.t || got.key != want.key {
+			t.Fatalf("drain: pop order diverged: got (t=%d key=%#x), reference (t=%d key=%#x)",
+				got.t, got.key, want.t, want.key)
+		}
+	}
+	if ref.Len() != 0 {
+		t.Fatalf("drain: production queue empty, reference still holds %d events", ref.Len())
+	}
+}
+
+// FuzzReservedKeysMatchReferenceHeap fuzzes events pushed under keys
+// older than the newest, at times inside the wheel horizon, against
+// container/heap. The seeds cover an old key behind newer events in its
+// cycle, the newest key (which may use the wheel), several old keys in
+// one cycle, and old keys interleaved with pops.
+func FuzzReservedKeysMatchReferenceHeap(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 40, 40, 1, 3, 3, 3})         // old key, then newer events in its cycle
+	f.Add([]byte{2, 17, 3})                      // the newest key
+	f.Add([]byte{2, 2, 2, 8, 33, 37, 41, 3, 3})  // several old keys in one cycle
+	f.Add([]byte{2, 0, 3, 2, 4, 49, 3, 21, 3})   // old keys between pops
+	f.Add([]byte{2, 2, 244, 5, 241, 3, 3, 3, 3}) // late events and old keys
+	f.Fuzz(reservedOracle)
+}
+
+// TestReservedKeysRandomOracle runs reservedOracle over seeded random
+// streams on every plain `go test` run.
+func TestReservedKeysRandomOracle(t *testing.T) {
+	rng := NewRand(20261019)
+	for trial := 0; trial < 50; trial++ {
+		ops := make([]byte, 64+rng.Intn(512))
+		for i := range ops {
+			ops[i] = byte(rng.Intn(256))
+		}
+		reservedOracle(t, ops)
+	}
+}
