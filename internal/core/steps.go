@@ -129,6 +129,7 @@ type hwKind uint8
 const (
 	hwBMLoad hwKind = iota
 	hwBMStore
+	hwBMStoreRetry
 	hwBMSpin
 	hwToneStore
 	hwToneWait
@@ -137,7 +138,8 @@ const (
 )
 
 // hwOp is the recycled step behind the flush-wrapped hardware operations
-// (BMLoad, BMStore, BMSpinUntil, ToneStore, ToneWait, SpinUntil): the
+// (BMLoad, BMStore, BMStoreRetry, BMSpinUntil, ToneStore, ToneWait,
+// SpinUntil): the
 // "elapse pending compute, then issue" closure those methods used to build
 // per call. The user continuations are handed straight to the hardware
 // model at issue time (read into locals and cleared first), so the struct
@@ -154,6 +156,7 @@ type hwOp struct {
 
 	issueFn  func()
 	onToneFn func(uint64)
+	storedFn func()
 }
 
 // hwStep returns the task's recycled hardware-operation step, allocating
@@ -164,6 +167,7 @@ func (t *Task) hwStep() *hwOp {
 		op := &hwOp{t: t}
 		op.issueFn = op.issue
 		op.onToneFn = op.onTone
+		op.storedFn = op.stored
 		t.hw = op
 		return op
 	}
@@ -195,6 +199,9 @@ func (op *hwOp) issue() {
 		then := op.then0
 		op.then0 = nil
 		t.must(t.M.BM.StoreAsync(t.Core, t.PID, op.addr, op.val, then))
+	case hwBMStoreRetry:
+		// then0 stays set until a try commits.
+		t.must(t.M.BM.StoreAsync(t.Core, t.PID, op.addr, op.val, op.storedFn))
 	case hwBMSpin:
 		then := op.thenU
 		op.thenU = nil
@@ -216,6 +223,23 @@ func (op *hwOp) issue() {
 		op.thenU = nil
 		t.M.Mem.ReadAsync(t.Core, op.addr64, then)
 	}
+}
+
+// stored ends one try of BMStoreRetry: a committed write (WCB set) runs
+// the continuation; a failed one is checked and issued again.
+func (op *hwOp) stored() {
+	t := op.t
+	if !t.M.BM.WCB(t.Core) {
+		t.Instr(2)
+		if t.txGuard("bm store") {
+			return
+		}
+		op.start()
+		return
+	}
+	then := op.then0
+	op.then0 = nil
+	then()
 }
 
 // onTone adapts WaitToggleAsync's value-carrying completion to ToneWait's

@@ -220,16 +220,29 @@ func (t *Task) BMLoad(addr uint32, then func(uint64)) {
 }
 
 // BMStore broadcasts val to addr in every BM; then runs when the write
-// commits (WCB set). On a fail-stopped transceiver the task halts with a
-// fault record instead of issuing a send that cannot commit.
-func (t *Task) BMStore(addr uint32, val uint64, then func()) {
+// completes. On a lossy channel a write whose retries ran out reached no
+// replica and completes with WCB clear. On a fail-stopped transceiver the
+// task halts with a fault record instead of issuing a send that cannot
+// commit.
+func (t *Task) BMStore(addr uint32, val uint64, then func()) { t.bmStore(hwBMStore, addr, val, then) }
+
+// BMStoreRetry is BMStore reissued until the write commits: software's
+// check of WCB after each try, charged as a 2-instruction check-and-branch
+// before the next one, as the BM retry protocols charge their AFB check.
+// A store that others wait on (a lock release, a barrier's episode) must
+// commit, or they wait forever. Each try passes BMStore's fail-stop guard.
+func (t *Task) BMStoreRetry(addr uint32, val uint64, then func()) {
+	t.bmStore(hwBMStoreRetry, addr, val, then)
+}
+
+func (t *Task) bmStore(kind hwKind, addr uint32, val uint64, then func()) {
 	t.st.SetReasonArg("bm store", uint64(addr))
 	t.bm()
 	if t.txGuard("bm store") {
 		return
 	}
 	op := t.hwStep()
-	op.kind, op.addr, op.val, op.then0 = hwBMStore, addr, val, then
+	op.kind, op.addr, op.val, op.then0 = kind, addr, val, then
 	op.start()
 }
 

@@ -155,3 +155,43 @@ func TestLossyDataBarrierCompletes(t *testing.T) {
 		}
 	}
 }
+
+// TestLossyToneBarrierCompletes: the tone barrier finishes on a lossy
+// channel. At BER 1e-3 a 77-bit init from one of 128 nodes survives every
+// receiver with p ~ 6e-5, so all first arrivers' inits of an episode can
+// fail together; unreissued, the barrier never activated and every task
+// deadlocked in its tone wait (at cycle 11360 for this point).
+func TestLossyToneBarrierCompletes(t *testing.T) {
+	p := PointSpec{Workload: "tightloop", Kind: config.WiSync, Cores: 128, Seed: 1,
+		Channel: channel.Uniform, BER: 1e-3, Budget: 50_000_000, Watchdog: 2_000_000}
+	n, err := p.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := p.Run()
+	if err != nil {
+		t.Fatalf("%s: %v", p.ID(), err)
+	}
+	if v := col(t, row, "iters"); v != strconv.Itoa(n.Iters) {
+		t.Errorf("%s: %s iterations, want %d: %s", p.ID(), v, n.Iters, row)
+	}
+}
+
+// TestLossyBMLockReleaseCompletes: applications whose Broadcast Memory
+// spin locks are released on a lossy channel finish. A release whose
+// broadcast failed reached no replica; unreissued, the lock stayed taken
+// everywhere and its waiters deadlocked in their spin.
+func TestLossyBMLockReleaseCompletes(t *testing.T) {
+	for _, app := range []string{"dedup", "radiosity", "raytrace", "water-ns"} {
+		p := PointSpec{Workload: "app:" + app, Kind: config.WiSync, Cores: 16, Seed: 1, Iters: 2,
+			Channel: channel.Uniform, BER: 1e-3, Budget: 50_000_000, Watchdog: 2_000_000}
+		row, err := p.Run()
+		if err != nil {
+			t.Errorf("%s: %v", p.ID(), err)
+			continue
+		}
+		if v := col(t, row, "drops"); v == "0" {
+			t.Errorf("%s: no failed deliveries, so nothing was reissued: %s", p.ID(), row)
+		}
+	}
+}

@@ -153,6 +153,12 @@ func (s *spinStep) onCAS(ok bool) {
 }
 
 func (l *spinLock) ReleaseTask(t *core.Task, then func()) {
+	if v, ok := l.v.(*bmVar); ok {
+		// A release broadcast that failed delivery reached no replica,
+		// and every waiter would spin on a taken lock forever.
+		t.BMStoreRetry(v.addr, 0, then)
+		return
+	}
 	l.v.StoreTask(t, 0, then)
 }
 
@@ -397,13 +403,11 @@ type dataStep struct {
 	ep uint64
 
 	onArriveFn func(uint64)
-	releasedFn func()
 	onSpinFn   func(uint64)
 }
 
 func (s *dataStep) init() {
 	s.onArriveFn = s.onArrive
-	s.releasedFn = s.released
 	s.onSpinFn = s.onSpin
 }
 
@@ -423,22 +427,10 @@ func (s *dataStep) onArrive(old uint64) {
 }
 
 // release is the last arriver's store: zero the count and publish the
-// episode in one wireless message.
-func (s *dataStep) release() { s.t.BMStore(s.b.addr, s.ep<<32, s.releasedFn) }
-
-// released checks WCB. A release whose broadcast failed (a lossy channel
-// exhausted its retries) reached no replica, and every other participant
-// would spin forever, so it is reissued after the 2-instruction
-// check-and-branch, as the BM retry protocol does on AFB. Each reissue
-// passes BMStore's fail-stop guard.
-func (s *dataStep) released() {
-	if !s.t.WCB() {
-		s.t.Instr(2)
-		s.release()
-		return
-	}
-	s.finish()
-}
+// episode in one wireless message. A release whose broadcast failed (a
+// lossy channel exhausted its retries) reached no replica, and every other
+// participant would spin forever, so it is reissued until it commits.
+func (s *dataStep) release() { s.t.BMStoreRetry(s.b.addr, s.ep<<32, s.handOff()) }
 
 func (s *dataStep) onSpin(uint64) { s.finish() }
 

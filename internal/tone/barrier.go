@@ -25,13 +25,10 @@ func (c *Controller) ToneStoreAsync(node int, pid uint16, addr uint32, then func
 	// Not active: this node is (or ties for) the first arriver. Send the
 	// init message; if another node's init commits first, ours is
 	// withdrawn by the activation and our arrival is registered there.
-	pi := &c.pending[node]
-	*pi = pendingInit{active: true, addr: addr}
+	c.pending[node] = pendingInit{active: true, addr: addr, pid: pid}
 	st := c.step(node)
 	st.then = then
-	c.net.SendAsync(wireless.Msg{
-		Src: node, Addr: addr, Kind: wireless.KindToneInit, PID: pid,
-	}, &pi.tok, st.initDoneFn)
+	st.send()
 	return nil
 }
 
@@ -45,6 +42,7 @@ type nodeStep struct {
 	then func()
 
 	initDoneFn func(bool)
+	sendFn     func()
 }
 
 // step returns node's continuation, making it on first use.
@@ -56,17 +54,44 @@ func (c *Controller) step(node int) *nodeStep {
 	c.eng.StepPoolMiss()
 	st := &nodeStep{c: c, node: node}
 	st.initDoneFn = st.initDone
+	st.sendFn = st.send
 	c.steps[node] = st
 	return st
 }
 
+// send broadcasts the node's pending init message, unless an activation
+// has registered the node's arrival since it was last sent.
+func (st *nodeStep) send() {
+	c := st.c
+	pi := &c.pending[st.node]
+	if !pi.active {
+		st.initDone(false)
+		return
+	}
+	c.net.SendAsync(wireless.Msg{
+		Src: st.node, Addr: pi.addr, Kind: wireless.KindToneInit, PID: pi.pid,
+	}, &pi.tok, st.initDoneFn)
+}
+
 func (st *nodeStep) initDone(committed bool) {
-	c, then := st.c, st.then
+	c := st.c
+	pi := &c.pending[st.node]
+	if !committed && pi.active && !c.net.NodeFailStopped(st.node) {
+		// The init failed delivery: an activation clears active before
+		// it cancels a withdrawn init. No replica saw it, and when every
+		// first arriver's init is lost the barrier never activates, so
+		// it is sent again. The reissue waits a cycle, because an outage
+		// fails a send within its cycle. A fail-stopped transceiver never
+		// reissues; its task halts at the tone wait.
+		c.eng.SleepThen(1, st.sendFn)
+		return
+	}
+	then := st.then
 	st.then = nil
 	if committed {
 		// Our own commit activated the barrier (onToneInit ran) and
 		// registered us as arrived.
-		c.pending[st.node].active = false
+		pi.active = false
 	} else {
 		// Withdrawn: the activation marked us arrived.
 		c.Stats.InitWithdrawn++

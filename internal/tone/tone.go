@@ -81,9 +81,12 @@ type activeBarrier struct {
 	completeFn func()
 }
 
+// pendingInit is a node's tone_st init message in flight: the barrier it
+// announces, the issuing process, and the token that withdraws it.
 type pendingInit struct {
 	active bool
 	addr   uint32
+	pid    uint16
 	tok    wireless.Token
 }
 
