@@ -130,6 +130,7 @@ const (
 	hwBMLoad hwKind = iota
 	hwBMStore
 	hwBMStoreRetry
+	hwBMStoreCheck
 	hwBMSpin
 	hwToneStore
 	hwToneWait
@@ -139,11 +140,12 @@ const (
 
 // hwOp is the recycled step behind the flush-wrapped hardware operations
 // (BMLoad, BMStore, BMStoreRetry, BMSpinUntil, ToneStore, ToneWait,
-// SpinUntil): the
-// "elapse pending compute, then issue" closure those methods used to build
-// per call. The user continuations are handed straight to the hardware
-// model at issue time (read into locals and cleared first), so the struct
-// is free for the next operation the moment the continuation fires.
+// SpinUntil): the "elapse pending compute, then issue" closure those
+// methods used to build per call. The user continuations are handed
+// straight to the hardware model at issue time (read into locals and
+// cleared first), so the struct is free for the next operation the moment
+// the continuation fires; BMStoreRetry and ToneWait keep theirs until
+// they complete.
 type hwOp struct {
 	t      *Task
 	kind   hwKind
@@ -156,7 +158,6 @@ type hwOp struct {
 
 	issueFn  func()
 	onToneFn func(uint64)
-	storedFn func()
 }
 
 // hwStep returns the task's recycled hardware-operation step, allocating
@@ -167,7 +168,6 @@ func (t *Task) hwStep() *hwOp {
 		op := &hwOp{t: t}
 		op.issueFn = op.issue
 		op.onToneFn = op.onTone
-		op.storedFn = op.stored
 		t.hw = op
 		return op
 	}
@@ -200,8 +200,25 @@ func (op *hwOp) issue() {
 		op.then0 = nil
 		t.must(t.M.BM.StoreAsync(t.Core, t.PID, op.addr, op.val, then))
 	case hwBMStoreRetry:
+		// A try of BMStoreRetry completes back here, as hwBMStoreCheck;
 		// then0 stays set until a try commits.
-		t.must(t.M.BM.StoreAsync(t.Core, t.PID, op.addr, op.val, op.storedFn))
+		op.kind = hwBMStoreCheck
+		t.must(t.M.BM.StoreAsync(t.Core, t.PID, op.addr, op.val, op.issueFn))
+	case hwBMStoreCheck:
+		if !t.M.BM.WCB(t.Core) {
+			// The write reached no replica: the 2-instruction
+			// check-and-branch, then the next try.
+			t.Instr(2)
+			if t.txGuard("bm store") {
+				return
+			}
+			op.kind = hwBMStoreRetry
+			op.start()
+			return
+		}
+		then := op.then0
+		op.then0 = nil
+		then()
 	case hwBMSpin:
 		then := op.thenU
 		op.thenU = nil
@@ -223,23 +240,6 @@ func (op *hwOp) issue() {
 		op.thenU = nil
 		t.M.Mem.ReadAsync(t.Core, op.addr64, then)
 	}
-}
-
-// stored ends one try of BMStoreRetry: a committed write (WCB set) runs
-// the continuation; a failed one is checked and issued again.
-func (op *hwOp) stored() {
-	t := op.t
-	if !t.M.BM.WCB(t.Core) {
-		t.Instr(2)
-		if t.txGuard("bm store") {
-			return
-		}
-		op.start()
-		return
-	}
-	then := op.then0
-	op.then0 = nil
-	then()
 }
 
 // onTone adapts WaitToggleAsync's value-carrying completion to ToneWait's

@@ -224,7 +224,9 @@ func (t *Task) BMLoad(addr uint32, then func(uint64)) {
 // replica and completes with WCB clear. On a fail-stopped transceiver the
 // task halts with a fault record instead of issuing a send that cannot
 // commit.
-func (t *Task) BMStore(addr uint32, val uint64, then func()) { t.bmStore(hwBMStore, addr, val, then) }
+func (t *Task) BMStore(addr uint32, val uint64, then func()) {
+	t.bmStore(hwBMStore, addr, val, then)
+}
 
 // BMStoreRetry is BMStore reissued until the write commits: software's
 // check of WCB after each try, charged as a 2-instruction check-and-branch

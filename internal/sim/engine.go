@@ -23,6 +23,16 @@
 // and the channel's wireless.Network.SendAsync. Every suspension consumes
 // exactly one event sequence number, at the point it suspends.
 //
+// Two calls keep that rule while queueing less. ScheduleNow is Schedule(0)
+// with SleepThen's fast path (see Tasks): when its event would be the next
+// one dispatched, it runs from the trampoline slot. Reserve takes the
+// sequence number an event scheduled now would get, and ScheduleReserved
+// queues that event later, in the place it would have had, or never, if
+// the model finds it has no effect. The directory's lock uses both: a
+// request to a held line joins the line's waiters at issue instead of
+// queueing an arrival, and a release hands the line on through the
+// trampoline.
+//
 // A run collapses a burst of same-cycle continuations into one event. When
 // a model would schedule k callbacks back to back with one delay, they get
 // k consecutive sequence numbers at one (time, priority), so nothing else
@@ -70,7 +80,8 @@
 // event is scheduled within the wheel horizon (256 cycles) and costs an
 // O(1) bucket append and a bitmap-scan pop, no comparisons. The rare
 // far-future event (an application's long compute phase, an open-ended run
-// horizon) falls back to the heap, and first/pop merge the two levels by
+// horizon) falls back to the heap, as does an event under a reserved key
+// older than the newest, and first/pop merge the two levels by
 // comparing their minima, so the composite dispatches in exactly the
 // (time, priority, sequence) order a single heap would — the fuzz/oracle
 // suite in queue_fuzz_test.go drives both against container/heap,
@@ -131,13 +142,15 @@ type Engine struct {
 	limit Time
 	rng   *Rand
 	tasks map[*Task]struct{}
-	// cont is the trampoline slot for the SleepThen fast path: a
-	// continuation that must run immediately after the current event, at
-	// constant stack depth. runEvents drains it after every callback event.
+	// cont is the trampoline slot for the SleepThen and ScheduleNow fast
+	// paths: a continuation that must run immediately after the current
+	// event, at constant stack depth. runEvents drains it after every
+	// callback event.
 	cont func()
 	// ahead counts the members of the current run still to come (see
-	// RunAhead). While it is nonzero the SleepThen fast path stays closed,
-	// because those members stand where queued events would.
+	// RunAhead). While it is nonzero the SleepThen and ScheduleNow fast
+	// paths stay closed, because those members stand where queued events
+	// would.
 	ahead   int
 	stopped bool
 	// Recycled-step pool counters, reported by workload layers through
@@ -199,7 +212,8 @@ type SchedStats struct {
 	// WheelEvents counts events stored in the timing wheel (scheduled
 	// within wheelSpan cycles of the clock).
 	WheelEvents uint64
-	// HeapEvents counts far-future events that fell back to the 4-ary heap.
+	// HeapEvents counts the events stored in the 4-ary heap: far-future
+	// events, and events under a reserved key older than the newest.
 	HeapEvents uint64
 	// StepPoolHits counts recycled-step reuses reported by workload layers
 	// via StepPoolHit; StepPoolMisses counts the fresh allocations.

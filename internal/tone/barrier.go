@@ -33,7 +33,8 @@ func (c *Controller) ToneStoreAsync(node int, pid uint16, addr uint32, then func
 }
 
 // nodeStep is a node's recycled tone continuation: the completion of its
-// tone_st init message. A node's thread has at most one init in flight,
+// tone_st init message, and its reissue. A node's thread has at most one
+// init in flight,
 // and initDone clears then before it hands control back, so one struct
 // per node serves every episode without a closure.
 type nodeStep struct {
@@ -42,7 +43,8 @@ type nodeStep struct {
 	then func()
 
 	initDoneFn func(bool)
-	sendFn     func()
+	// sendFn is made on the first reissue: an ideal channel never needs it.
+	sendFn func()
 }
 
 // step returns node's continuation, making it on first use.
@@ -54,7 +56,6 @@ func (c *Controller) step(node int) *nodeStep {
 	c.eng.StepPoolMiss()
 	st := &nodeStep{c: c, node: node}
 	st.initDoneFn = st.initDone
-	st.sendFn = st.send
 	c.steps[node] = st
 	return st
 }
@@ -83,6 +84,9 @@ func (st *nodeStep) initDone(committed bool) {
 		// it is sent again. The reissue waits a cycle, because an outage
 		// fails a send within its cycle. A fail-stopped transceiver never
 		// reissues; its task halts at the tone wait.
+		if st.sendFn == nil {
+			st.sendFn = st.send
+		}
 		c.eng.SleepThen(1, st.sendFn)
 		return
 	}
@@ -93,7 +97,8 @@ func (st *nodeStep) initDone(committed bool) {
 		// registered us as arrived.
 		pi.active = false
 	} else {
-		// Withdrawn: the activation marked us arrived.
+		// Withdrawn: the activation marked us arrived. A fail-stopped
+		// transceiver's lost init counts here too, as it always has.
 		c.Stats.InitWithdrawn++
 	}
 	then()
