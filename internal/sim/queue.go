@@ -38,8 +38,9 @@ func before(a, b *event) bool {
 // backoff windows, barrier episodes), which the wheel dispatches in O(1)
 // with no comparisons, while the rare long sleep — an application's
 // 100k-cycle compute phase, a far-off horizon event — falls back to the
-// heap. wheelHits and heapFallbacks count the routing decisions, exposed
-// through Engine.SchedStats for sweep diagnostics.
+// heap, as does an event under a reserved key older than the newest
+// (pushHeap). wheelHits and heapFallbacks count the routing decisions,
+// exposed through Engine.SchedStats for sweep diagnostics.
 //
 // Both levels dispatch in exact (time, priority, sequence) order and first/
 // pop merge them by comparing their minima, so the composite is
@@ -83,7 +84,8 @@ func (q *eventQueue) push(ev event, now Time) {
 		q.w.push(ev)
 		return
 	}
-	q.pushHeap(ev)
+	q.heapFallbacks++
+	q.h.push(ev)
 }
 
 // pushHeap queues ev in the heap whatever its time: the place for an event
