@@ -229,10 +229,6 @@ type System struct {
 	spinFree []*memSpin
 	// Stats is exported for harness reporting.
 	Stats Stats
-	// TraceLine and Trace enable transaction tracing for one line, for
-	// debugging tests.
-	TraceLine uint64
-	Trace     func(string)
 	// store is the memStore this system took its tags from, refilled and
 	// handed on by Release.
 	store *memStore
@@ -252,12 +248,6 @@ type memStore struct {
 // point takes the tags of an earlier point of its own size rather than of
 // the largest.
 var memStores [bits.UintSize + 1]sync.Pool
-
-func (s *System) trace(line uint64, format string, args ...any) {
-	if s.Trace != nil && line == s.TraceLine {
-		s.Trace(fmt.Sprintf(format, args...))
-	}
-}
 
 // New builds a memory system over mesh with the given parameters.
 func New(eng *sim.Engine, mesh *noc.Mesh, p Params) *System {

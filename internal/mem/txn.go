@@ -145,9 +145,6 @@ func (s *System) reply(t *txn) {
 		s.l1[t.core].unlist(t)
 		if !t.stale {
 			s.fill(t.core, t.line, t.grant)
-			if s.Trace != nil {
-				s.trace(t.line, "t=%d core=%d filled %v", s.eng.Now(), t.core, t.grant)
-			}
 		}
 	}
 	s.freeTxn(t)
@@ -200,9 +197,6 @@ func (t *txn) run() {
 func (t *txn) decide() {
 	s, d := t.s, t.d
 	owner := d.owner()
-	if s.Trace != nil {
-		s.trace(t.line, "t=%d core=%d txn f=%v owner=%d sharers=%d", s.eng.Now(), t.core, t.f != nil, owner, d.sharers.count())
-	}
 
 	t.rmwNew, t.noWriteRMW = 0, false
 	doWrite := false
@@ -354,9 +348,6 @@ func (t *txn) serve() {
 	if t.fwdSrc >= 0 {
 		src = t.fwdSrc
 	}
-	if s.Trace != nil {
-		s.trace(t.line, "t=%d core=%d served old=%d grant=%v", s.eng.Now(), t.core, old, grant)
-	}
 	// The home releases once the reply (and any invalidations) are issued;
 	// the requester pays the reply flight and, for writes, the farthest
 	// invalidation-ack round trip, whichever is longer. Ownership grants
@@ -440,9 +431,6 @@ func (s *System) invalidateL1(core int, line uint64) {
 		if t.line == line {
 			t.stale = true
 		}
-	}
-	if s.Trace != nil {
-		s.trace(line, "t=%d inv core=%d", s.eng.Now(), core)
 	}
 	set := s.set(core, line)
 	for i := range set {

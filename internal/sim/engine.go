@@ -435,9 +435,6 @@ func (e *Engine) Shutdown() {
 	e.stopped = true
 }
 
-// Stopped reports whether Shutdown has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // Live returns the number of tasks that have been started and have not yet
 // finished.
 func (e *Engine) Live() int { return len(e.tasks) }

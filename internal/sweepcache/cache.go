@@ -114,18 +114,6 @@ func NewDisk(capacity int, dir string) (*Cache, error) {
 	return c, nil
 }
 
-// Get returns the cached row for key, if present, marking it recently
-// used. It never waits on an in-flight computation.
-func (c *Cache) Get(key Key) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*entry).row, true
-	}
-	return "", false
-}
-
 // Do returns the row for key, computing it at most once across all
 // concurrent callers: a completed entry is returned immediately (cached
 // true), a second caller for a key someone is already computing waits for
@@ -223,10 +211,10 @@ func runCompute(compute func() (string, error)) (row string, err error) {
 // c.mu.
 func (c *Cache) insert(key Key, row string) {
 	if el, ok := c.items[key]; ok {
-		// A concurrent Do of the same key can complete while this one
-		// computed (both were in-flight only if one joined the other, so
-		// this arises only through Get/Do interleavings); deterministic
-		// points make both rows identical, keep the existing entry.
+		// Do never computes a stored key, but preload can meet two file
+		// names that parse to one key (a seed written "-s01" beside
+		// "-s1"); both load the canonical file, so keep the existing
+		// entry.
 		c.ll.MoveToFront(el)
 		return
 	}

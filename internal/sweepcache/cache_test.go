@@ -50,15 +50,17 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal("A fell out of a non-full cache")
 	}
 	c.Do(key("c", 1), ok("C"))
-	if _, found := c.Get(key("b", 1)); found {
-		t.Fatal("LRU victim B survived eviction")
-	}
-	if _, found := c.Get(key("a", 1)); !found {
-		t.Fatal("recently-used A was evicted")
-	}
 	s := c.Stats()
 	if s.Evictions != 1 || s.Entries != 2 || s.Capacity != 2 {
 		t.Fatalf("stats %+v", s)
+	}
+	if _, cached, err := c.Do(key("a", 1), func() (string, error) {
+		return "", errors.New("recently-used A recomputed")
+	}); err != nil || !cached {
+		t.Fatalf("recently-used A was evicted: cached=%v err=%v", cached, err)
+	}
+	if _, cached, _ := c.Do(key("b", 1), ok("B")); cached {
+		t.Fatal("LRU victim B survived eviction")
 	}
 }
 
@@ -178,7 +180,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 					t.Errorf("Do(%v): row=%q err=%v", k, row, err)
 					return
 				}
-				c.Get(k)
+				c.Stats()
 			}
 		}(g)
 	}

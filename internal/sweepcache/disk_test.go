@@ -193,9 +193,15 @@ func TestDiskHitAfterEviction(t *testing.T) {
 	if s.DiskHits != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
-	// Reinstated in the memory tier: a plain Get now sees it.
-	if row, ok := c.Get(key); !ok || row != "row-a" {
-		t.Fatalf("disk hit not reinstated in memory: %q, %v", row, ok)
+	// Reinstated in the memory tier: the next Do is a memory hit.
+	row, cached, err := c.Do(key, func() (string, error) {
+		return "", fmt.Errorf("reinstated row recomputed")
+	})
+	if err != nil || !cached || row != "row-a" {
+		t.Fatalf("disk hit not reinstated in memory: row=%q cached=%v err=%v", row, cached, err)
+	}
+	if s := c.Stats(); s.Hits != 1 || s.DiskHits != 1 {
+		t.Fatalf("second read was not a memory hit: %+v", s)
 	}
 }
 

@@ -258,11 +258,5 @@ func (c *Controller) activePos(addr uint32) int {
 	return -1
 }
 
-// Armed reports whether node participates in the barrier at addr.
-func (c *Controller) Armed(addr uint32, node int) bool {
-	e := c.findAlloc(addr)
-	return e != nil && e.armed.has(node)
-}
-
 // ActiveBarriers returns how many barriers currently share the Tone channel.
 func (c *Controller) ActiveBarriers() int { return len(c.active) }
