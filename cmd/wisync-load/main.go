@@ -14,7 +14,9 @@
 // service's hot case. It reports throughput, latency percentiles, the
 // cache-served row fraction and 429 retry counts, and exits nonzero if
 // any request ultimately fails, any response contains an error row, or
-// two responses to the same job differ.
+// two responses to the same job differ. A stream that ends with neither a
+// done nor a failed trailer is counted apart, as truncated: the server
+// died mid-job, and the remedy is to resubmit the job once it is back.
 package main
 
 import (
@@ -69,8 +71,9 @@ type outcome struct {
 	// truncated marks a stream that ended without a done or failed
 	// trailer: the signature of the server process dying mid-job (a crash
 	// or kill -9, not a graceful error — graceful failures send a
-	// {"failed"} trailer). Its own class because the remedy differs: the
-	// job is journaled server-side and replays when the server returns.
+	// {"failed"} trailer). Its own class because the remedy differs:
+	// resubmit the job when the server returns; with -cache-dir the points
+	// that finished before the crash come back from its durable cache.
 	truncated bool
 }
 
@@ -328,8 +331,7 @@ func report(outcomes []outcome, elapsed time.Duration, distinct int) {
 	if truncated > 0 {
 		// Distinct failure class and message: a truncated stream means the
 		// server process died mid-job — look for a crash, not a bad job.
-		// The jobs are journaled server-side and replay on its restart.
-		fmt.Printf("FAIL: %d streams truncated (no done/failed trailer) — the server died mid-job\n", truncated)
+		fmt.Printf("FAIL: %d streams truncated (no done/failed trailer) — the server died mid-job; resubmit once it is back\n", truncated)
 		os.Exit(1)
 	}
 	if failed > 0 || mismatched > 0 || errorRows > 0 {

@@ -24,11 +24,10 @@
 //	               {"id", "error"}) and a trailing {"done": true} summary
 //	               (or {"failed": true, "reason": ...} if an internal
 //	               fault cut the stream short)
-//	GET  /stats    cache hit/miss/in-flight metrics, queue depth, totals,
-//	               worker-pool supervision and journal-replay counters
+//	GET  /stats    cache hit/miss/in-flight metrics, queue depth, totals
+//	               and worker-pool supervision counters
 //	GET  /healthz  liveness: 200 whenever the process can answer
-//	GET  /readyz   readiness: 503 while draining or replaying journaled
-//	               jobs after a restart, 200 once warm
+//	GET  /readyz   readiness: 503 while draining, 200 otherwise
 //
 // Malformed jobs — unknown workload, kind, MAC or variant, an exec other
 // than "task", out-of-range cores or parameters, unknown JSON fields,
@@ -45,13 +44,14 @@
 //	-cache-dir DIR   durable result cache: completed rows persist as
 //	                 self-checksummed files and preload on restart;
 //	                 corrupt entries are detected, dropped and recomputed
-//	-wal FILE        job journal: accepted jobs are fsync'd before their
-//	                 first row streams, and jobs interrupted by a crash
-//	                 re-run at the next startup (against the warm cache,
-//	                 so only the unfinished tail recomputes)
 //	-isolation proc  run every point in a supervised wisync-worker
 //	                 subprocess: a crashing or runaway point costs one
 //	                 structured error row, never the server
+//
+// A job whose stream the server's death cut short is recovered by
+// resubmitting it: every point is deterministic, so the points stored
+// under -cache-dir before the crash come back byte-identical and only
+// the rest are computed again.
 package main
 
 import (
@@ -62,28 +62,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"wisync/internal/harness"
 )
-
-// resolveWorkerBin picks the worker argv for proc mode: the explicit flag
-// value, else wisync-worker sitting next to this binary (the layout `go
-// build ./...` and the release tarball produce), else $PATH.
-func resolveWorkerBin(explicit string) []string {
-	if explicit != "" {
-		return []string{explicit}
-	}
-	if exe, err := os.Executable(); err == nil {
-		cand := filepath.Join(filepath.Dir(exe), "wisync-worker")
-		if _, err := os.Stat(cand); err == nil {
-			return []string{cand}
-		}
-	}
-	return []string{"wisync-worker"}
-}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -93,22 +76,24 @@ func main() {
 	maxJobPoints := flag.Int("max-job-points", harness.MaxBatchPoints, "max points one job may expand to")
 	grace := flag.Duration("grace", 10*time.Second, "drain period for in-flight jobs on SIGINT/SIGTERM")
 	cacheDir := flag.String("cache-dir", "", "durable result-cache directory (empty: memory only)")
-	wal := flag.String("wal", "", "job journal path; interrupted jobs replay on restart (empty: no journal)")
 	isolation := flag.String("isolation", "inproc", "point execution: inproc, or proc for supervised worker subprocesses")
 	workerBin := flag.String("worker-bin", "", "wisync-worker binary for -isolation=proc (default: next to this binary, then $PATH)")
 	pointTimeout := flag.Duration("point-timeout", 2*time.Minute, "hard wall-clock kill per point in proc mode")
 	breaker := flag.Int("breaker", 3, "consecutive worker crashes of one point before its circuit breaker opens")
 	flag.Parse()
 
+	var workerCommand []string
+	if *workerBin != "" {
+		workerCommand = []string{*workerBin}
+	}
 	s, err := newServer(serverOptions{
 		Workers:       *workers,
 		QueueLimit:    *queue,
 		CacheEntries:  *cacheEntries,
 		MaxJobPoints:  *maxJobPoints,
 		CacheDir:      *cacheDir,
-		WALPath:       *wal,
 		Isolation:     *isolation,
-		WorkerCommand: resolveWorkerBin(*workerBin),
+		WorkerCommand: workerCommand,
 		PointTimeout:  *pointTimeout,
 		BreakerAfter:  *breaker,
 	})

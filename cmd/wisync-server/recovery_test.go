@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"wisync/internal/harness"
-	"wisync/internal/journal"
 )
 
 // The proc-isolation tests re-exec this test binary as the worker
@@ -71,24 +70,6 @@ func procOptions(t *testing.T, mode string, workers int) serverOptions {
 		WorkerEnv:     []string{serverWorkerHelperEnv + "=" + mode},
 		PointTimeout:  time.Minute,
 	}
-}
-
-// waitReady polls /readyz until it answers 200 (or the deadline expires):
-// the contract an orchestrator relies on after a restart.
-func waitReady(t *testing.T, url string) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(url + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("/readyz never turned 200")
 }
 
 func getStats(t *testing.T, url string) statsResponse {
@@ -173,100 +154,51 @@ func TestServerProcCrashedRow(t *testing.T) {
 	}
 }
 
-// TestServerJournalRecovery pins the WAL contract: a job journaled by a
-// previous process but never completed is replayed at startup, /readyz
-// holds 503 until the replay lands, and a client resubmitting the job is
-// then served entirely from the (durable) cache, byte-identical to golden.
-func TestServerJournalRecovery(t *testing.T) {
+// TestServerWarmRestart pins the one crash-recovery path: a server with a
+// durable cache computes part of a job and goes away; a second server over
+// the same directory preloads those points, is ready at once, and serves
+// the whole job with only the missing points recomputed, byte-identical to
+// golden.
+func TestServerWarmRestart(t *testing.T) {
 	golden := loadGolden(t)
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "jobs.wal")
-	cacheDir := filepath.Join(dir, "cache")
-	body := `{"workload":"tightloop","kinds":["Baseline","WiSync"],"cores":[16,64],"seeds":[1]}`
+	cacheDir := filepath.Join(t.TempDir(), "cache")
 
-	// A "previous process" accepted the job and died before completing it:
-	// journal it by hand, with no completion record.
-	j, _, err := journal.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
+	// The first process finishes two of the job's four points, then stops.
+	s, ts := newTestServer(t, serverOptions{Workers: 2, CacheDir: cacheDir})
+	_, done, status := postJob(t, ts.URL, `{"workload":"tightloop","kinds":["Baseline","WiSync"],"cores":[16],"seeds":[1]}`)
+	if status != http.StatusOK || done.Errors != 0 || done.Points != 2 {
+		t.Fatalf("partial job: status=%d done=%+v", status, done)
 	}
-	if _, err := j.Append(json.RawMessage(body)); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	s, ts := newTestServer(t, serverOptions{Workers: 2, WALPath: walPath, CacheDir: cacheDir})
-	waitReady(t, ts.URL)
-	st := getStats(t, ts.URL)
-	if st.ReplayedJobs != 1 || st.ReplayedPoints != 4 || st.JournalPending != 0 {
-		t.Fatalf("replay stats: %+v", st)
-	}
-	if st.Cache.DiskWrites != 4 {
-		t.Fatalf("replayed rows not durably stored: %+v", st.Cache)
-	}
-
-	// The client's resubmission: all four points are hits, byte-identical.
-	rows, done, status := postJob(t, ts.URL, body)
-	if status != http.StatusOK || done.Errors != 0 || done.Hits != 4 {
-		t.Fatalf("resubmit after replay: status=%d done=%+v", status, done)
-	}
-	for _, m := range rows {
-		if !m.Cached || m.Row != golden[m.ID] {
-			t.Fatalf("replayed row wrong: %+v (want %s)", m, golden[m.ID])
-		}
-	}
+	ts.Close()
 	s.Close()
 
-	// A second restart over the same state: nothing to replay (the job
-	// completed and was compacted away), and the disk tier preloads the
-	// rows so the job is warm-served without a single recompute.
-	s2, ts2 := newTestServer(t, serverOptions{Workers: 2, WALPath: walPath, CacheDir: cacheDir})
-	defer func() { ts2.Close(); s2.Close() }()
-	waitReady(t, ts2.URL)
-	st2 := getStats(t, ts2.URL)
-	if st2.ReplayedJobs != 0 || st2.Cache.Preloaded != 4 {
-		t.Fatalf("second restart: %+v", st2)
-	}
-	rows2, done2, _ := postJob(t, ts2.URL, body)
-	if done2.Hits != 4 || done2.Errors != 0 {
-		t.Fatalf("warm job after restart: done=%+v", done2)
-	}
-	for _, m := range rows2 {
-		if m.Row != golden[m.ID] {
-			t.Fatalf("warm row drifted:\ngot:  %s\nwant: %s", m.Row, golden[m.ID])
-		}
-	}
-	if st := getStats(t, ts2.URL); st.Cache.Misses != 0 {
-		t.Fatalf("warm restart recomputed: %+v", st.Cache)
-	}
-}
-
-// TestServerReplayDropsUndecodable pins the poisoned-journal path: a WAL
-// record this build cannot decode is dropped (counted, completed) rather
-// than wedging readiness forever. The second record asks for the removed
-// thread execution mode, the shape an old server's journal can hold.
-func TestServerReplayDropsUndecodable(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "jobs.wal")
-	j, _, err := journal.Open(walPath)
+	_, ts2 := newTestServer(t, serverOptions{Workers: 2, CacheDir: cacheDir})
+	resp, err := http.Get(ts2.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range []string{
-		`{"workload":"mystery-not-a-workload"}`,
-		`{"workload":"tightloop","cores":[16],"exec":"thread"}`,
-	} {
-		if _, err := j.Append(json.RawMessage(rec)); err != nil {
-			t.Fatal(err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz after restart: status %d, want 200", resp.StatusCode)
+	}
+	if st := getStats(t, ts2.URL); st.Cache.Preloaded != 2 {
+		t.Fatalf("restart preloaded %d entries, want 2: %+v", st.Cache.Preloaded, st.Cache)
+	}
+
+	rows, done, status := postJob(t, ts2.URL, `{"workload":"tightloop","kinds":["Baseline","WiSync"],"cores":[16,64],"seeds":[1]}`)
+	if status != http.StatusOK || done.Errors != 0 || done.Points != 4 || done.Hits != 2 {
+		t.Fatalf("full job after restart: status=%d done=%+v", status, done)
+	}
+	for _, m := range rows {
+		if m.Row != golden[m.ID] {
+			t.Fatalf("row after restart drifted:\ngot:  %s\nwant: %s", m.Row, golden[m.ID])
+		}
+		if m.Cached != strings.Contains(m.ID, "/16c/") {
+			t.Fatalf("row %s cached=%v: only the 16-core points were computed before the restart", m.ID, m.Cached)
 		}
 	}
-	j.Close()
-
-	_, ts := newTestServer(t, serverOptions{Workers: 1, WALPath: walPath})
-	waitReady(t, ts.URL)
-	st := getStats(t, ts.URL)
-	if st.ReplayErrors != 2 || st.JournalPending != 0 {
-		t.Fatalf("undecodable replay: %+v", st)
+	if st := getStats(t, ts2.URL); st.Cache.Misses != 2 {
+		t.Fatalf("restart recomputed %d points, want 2: %+v", st.Cache.Misses, st.Cache)
 	}
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,7 +13,6 @@ import (
 
 	"wisync/internal/core"
 	"wisync/internal/harness"
-	"wisync/internal/journal"
 	"wisync/internal/sweepcache"
 	"wisync/internal/workerpool"
 )
@@ -39,12 +37,11 @@ type job struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// parseJob is the whole job-input surface, shared by /sweep and journal
-// replay. It decodes exactly one JSON object (unknown fields and trailing
-// data are errors), checks the deadline, fills the default lists and
-// expands the batch (harness.Batch.Expand, bounded by maxPoints before a
-// single spec is allocated). Every error it returns is the client's: a
-// 400.
+// parseJob is the whole job-input surface of /sweep. It decodes exactly
+// one JSON object (unknown fields and trailing data are errors), checks the
+// deadline and expands the batch (harness.Batch.Expand, which fills the
+// default lists and is bounded by maxPoints before a single spec is
+// allocated). Every error it returns is the client's: a 400.
 func parseJob(body io.Reader, maxPoints int) (job, []harness.PointSpec, []sweepcache.Key, error) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
@@ -61,8 +58,6 @@ func parseJob(body io.Reader, maxPoints int) (job, []harness.PointSpec, []sweepc
 	if j.Exec != "" && j.Exec != "task" {
 		return j, nil, nil, fmt.Errorf("bad job: exec %q: only \"task\" is accepted; the thread execution mode was removed", j.Exec)
 	}
-	// The journal stores the job with its lists filled in.
-	j.Batch = j.WithDefaults()
 	specs, err := j.Expand(maxPoints)
 	if err != nil {
 		return j, nil, nil, fmt.Errorf("bad job: %w", err)
@@ -89,8 +84,9 @@ func parseJob(body io.Reader, maxPoints int) (job, []harness.PointSpec, []sweepc
 // true, ...} after the full row stream, or {"failed": true, "reason": ...}
 // if the stream was cut short by an internal failure. A response with
 // neither trailer means the server process itself died mid-stream
-// (cmd/wisync-load classifies that as "truncated" — the journaled job is
-// re-run when the server restarts).
+// (cmd/wisync-load classifies that as "truncated"; the remedy is to
+// resubmit the job, and with -cache-dir the points that finished before
+// the crash come back from the durable cache).
 type rowMsg struct {
 	ID      string `json:"id,omitempty"`
 	Row     string `json:"row,omitempty"`
@@ -122,10 +118,6 @@ type task struct {
 	key  sweepcache.Key
 	ctx  context.Context
 	res  chan taskResult
-	// complete, when set, is invoked by the worker after delivering the
-	// result — the job uses it to count down its points and mark its
-	// journal record complete independently of the client connection.
-	complete func()
 }
 
 // serverOptions sizes the service; zero fields take defaults.
@@ -146,18 +138,14 @@ type serverOptions struct {
 	// tier: completed rows survive restarts (self-checksummed; corrupt
 	// entries are recomputed, never served) and preload at startup.
 	CacheDir string
-	// WALPath, when set, journals every accepted job before its first row
-	// streams; jobs incomplete at startup are replayed, and /readyz stays
-	// 503 until the replay finishes.
-	WALPath string
 	// Isolation selects how points execute: "inproc" (default; the
 	// simulation runs on a server goroutine) or "proc" (each point runs in
 	// a supervised wisync-worker subprocess — crash containment, hard
 	// wall-clock kills, per-point circuit breaker).
 	Isolation string
 	// WorkerCommand and WorkerEnv configure the subprocess argv and extra
-	// environment in proc mode (defaults: wisync-worker next to this
-	// binary, then $PATH).
+	// environment in proc mode (default: workerpool.Options.Command's,
+	// wisync-worker next to this binary, then $PATH).
 	WorkerCommand []string
 	WorkerEnv     []string
 	// PointTimeout is the hard wall-clock kill per point in proc mode
@@ -204,18 +192,13 @@ type server struct {
 	// disconnect (error rows whose chain contains core.ErrAborted).
 	deadlines atomic.Uint64
 	// draining is set by StartDrain: new sweeps get 503 + Retry-After and
-	// /readyz reports not-ready while in-flight jobs finish.
+	// /readyz reports not-ready while in-flight jobs finish. /healthz is
+	// pure liveness and never flips.
 	draining atomic.Bool
-	// ready flips true once WAL replay (if any) has finished; /readyz is
-	// 503 until then. /healthz is pure liveness and never flips.
-	ready                        atomic.Bool
-	replayedJobs, replayedPoints atomic.Uint64
-	replayErrors                 atomic.Uint64
-	pool                         *workerpool.Pool // nil in inproc mode
-	wal                          *journal.Journal // nil without -wal
-	closed                       atomic.Bool
-	start                        time.Time
-	mux                          *http.ServeMux
+	pool     *workerpool.Pool // nil in inproc mode
+	closed   atomic.Bool
+	start    time.Time
+	mux      *http.ServeMux
 }
 
 func newServer(o serverOptions) (*server, error) {
@@ -248,47 +231,30 @@ func newServer(o serverOptions) (*server, error) {
 	default:
 		return nil, fmt.Errorf("unknown isolation mode %q (want inproc or proc)", o.Isolation)
 	}
-	var incomplete []journal.Entry
-	if o.WALPath != "" {
-		var err error
-		s.wal, incomplete, err = journal.Open(o.WALPath)
-		if err != nil {
-			return nil, err
-		}
-	}
 	s.mux.HandleFunc("/sweep", s.handleSweep)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		// Liveness only: a draining or replaying server is still alive.
+		// Liveness only: a draining server is still alive.
 		fmt.Fprintln(w, "ok")
 	})
 	s.mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case s.draining.Load():
+		if s.draining.Load() {
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "draining", http.StatusServiceUnavailable)
-		case !s.ready.Load():
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "recovering: replaying journaled jobs", http.StatusServiceUnavailable)
-		default:
-			fmt.Fprintln(w, "ok")
+			return
 		}
+		fmt.Fprintln(w, "ok")
 	})
 	for i := 0; i < o.Workers; i++ {
 		go s.worker()
 	}
-	// Replay journaled jobs in the background; the server serves traffic
-	// meanwhile but reports not-ready until every replayed job finished
-	// (so an orchestrator can wait for the warm, consistent state).
-	go s.replay(incomplete)
 	return s, nil
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the worker pool once the queue drains, kills subprocess
-// workers, and releases the journal (test lifecycle; the serving binary
-// just exits). Idempotent.
+// Close stops the worker pool once the queue drains and kills subprocess
+// workers (test lifecycle; the serving binary just exits). Idempotent.
 func (s *server) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
@@ -296,9 +262,6 @@ func (s *server) Close() {
 	close(s.queue)
 	if s.pool != nil {
 		s.pool.Close()
-	}
-	if s.wal != nil {
-		s.wal.Close()
 	}
 }
 
@@ -311,62 +274,6 @@ func (s *server) runPoint(ctx context.Context, spec harness.PointSpec) (string, 
 		return s.pool.Run(ctx, spec)
 	}
 	return spec.RunCtx(ctx)
-}
-
-// replay re-runs jobs the journal holds from a previous process: accepted,
-// never completed. Points already in the durable cache are hits; only the
-// genuinely unfinished tail recomputes. Replayed jobs count down to the
-// same journal.Complete as live ones, and readiness waits for all of them.
-func (s *server) replay(entries []journal.Entry) {
-	defer s.ready.Store(true)
-	for _, e := range entries {
-		j, specs, keys, err := parseJob(bytes.NewReader(e.Payload), s.opts.MaxJobPoints)
-		if err != nil {
-			// A payload this process can no longer accept (downgrade,
-			// a lower -max-job-points, corruption the line-level JSON
-			// survived): drop it rather than wedge readiness forever.
-			s.replayErrors.Add(1)
-			_ = s.wal.Complete(e.ID)
-			continue
-		}
-		ctx := context.Background()
-		cancel := context.CancelFunc(func() {})
-		if j.DeadlineMS > 0 {
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(j.DeadlineMS)*time.Millisecond)
-		}
-		s.replayedJobs.Add(1)
-		s.replayedPoints.Add(uint64(len(specs)))
-		// Replay bypasses reserve: these points were admitted by a previous
-		// process and must not be bounced by this one's queue pressure.
-		s.pending.Add(int64(len(specs)))
-		id := e.ID
-		complete := s.jobCompleter(id, len(specs))
-		tasks := make([]*task, len(specs))
-		for i := range specs {
-			tasks[i] = &task{spec: specs[i], key: keys[i], ctx: ctx, res: make(chan taskResult, 1), complete: complete}
-			s.queue <- tasks[i]
-		}
-		for _, t := range tasks {
-			<-t.res // rows land in the cache; no client is attached
-		}
-		cancel()
-	}
-}
-
-// jobCompleter returns the per-point countdown that marks job id complete
-// in the journal once all n points have been delivered — driven by the
-// workers, so it fires even when the client has disconnected mid-stream.
-func (s *server) jobCompleter(id uint64, n int) func() {
-	if s.wal == nil {
-		return nil
-	}
-	var left atomic.Int64
-	left.Store(int64(n))
-	return func() {
-		if left.Add(-1) == 0 {
-			_ = s.wal.Complete(id)
-		}
-	}
 }
 
 // StartDrain flips the server into graceful-shutdown mode: /sweep answers
@@ -394,9 +301,6 @@ func (s *server) worker() {
 			}
 		}
 		t.res <- taskResult{row: row, cached: cached, err: err}
-		if t.complete != nil {
-			t.complete()
-		}
 	}
 }
 
@@ -448,25 +352,6 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobs.Add(1)
 
-	// Journal the accepted job — fsync'd — before the first row streams:
-	// from here on, a crash of this process re-runs the job at the next
-	// startup instead of silently losing it.
-	var complete func()
-	if s.wal != nil {
-		payload, err := json.Marshal(j)
-		if err == nil {
-			var id uint64
-			if id, err = s.wal.Append(payload); err == nil {
-				complete = s.jobCompleter(id, len(specs))
-			}
-		}
-		if err != nil {
-			s.pending.Add(int64(-len(specs)))
-			httpError(w, http.StatusInternalServerError, "journaling job: %v", err)
-			return
-		}
-	}
-
 	// The job context carries both the client's disconnect (r.Context) and
 	// the optional wall-clock deadline into every point: when either fires,
 	// queued and in-flight points abort into error rows instead of tying up
@@ -482,7 +367,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// sends never block), then stream rows in point order.
 	tasks := make([]*task, len(specs))
 	for i := range specs {
-		tasks[i] = &task{spec: specs[i], key: keys[i], ctx: ctx, res: make(chan taskResult, 1), complete: complete}
+		tasks[i] = &task{spec: specs[i], key: keys[i], ctx: ctx, res: make(chan taskResult, 1)}
 		s.queue <- tasks[i]
 	}
 
@@ -495,8 +380,8 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// trailer — {"done"} after the full row set, or {"failed"} when an
 	// internal fault (including a handler panic) cuts the stream short
 	// while the client is still connected. Only the death of this process
-	// (or of the client) can leave a stream trailerless; the journal
-	// covers the former, the client's own exit the latter.
+	// (or of the client) can leave a stream trailerless; for the former the
+	// client resubmits, and the durable cache returns what finished.
 	trailerSent := false
 	defer func() {
 		if trailerSent {
@@ -529,7 +414,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if err := enc.Encode(msg); err != nil {
 			// Client gone: no trailer can reach it. Remaining deliveries
 			// land in buffered channels; the workers still complete them
-			// into the cache and the journal countdown.
+			// into the cache.
 			trailerSent = true
 			return
 		}
@@ -557,19 +442,11 @@ type statsResponse struct {
 	Rejected429   uint64           `json:"rejected_429"`
 	Deadlines     uint64           `json:"deadlines"`
 	Draining      bool             `json:"draining"`
-	Ready         bool             `json:"ready"`
 	Isolation     string           `json:"isolation"`
 	Cache         sweepcache.Stats `json:"cache"`
 	// Pool carries the subprocess supervision counters (restarts, kills,
 	// crashes, breaker_open, ...) in proc mode; absent in inproc mode.
 	Pool *workerpool.Stats `json:"pool,omitempty"`
-	// Journal recovery: jobs/points re-run from the WAL at startup, jobs
-	// whose journaled payload could no longer be executed, and the
-	// incomplete jobs currently on record.
-	ReplayedJobs   uint64 `json:"replayed_jobs,omitempty"`
-	ReplayedPoints uint64 `json:"replayed_points,omitempty"`
-	ReplayErrors   uint64 `json:"replay_errors,omitempty"`
-	JournalPending int    `json:"journal_pending,omitempty"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -584,19 +461,12 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Rejected429:   s.rejected.Load(),
 		Deadlines:     s.deadlines.Load(),
 		Draining:      s.draining.Load(),
-		Ready:         s.ready.Load(),
 		Isolation:     s.opts.Isolation,
 		Cache:         s.cache.Stats(),
 	}
 	if s.pool != nil {
 		ps := s.pool.Stats()
 		resp.Pool = &ps
-	}
-	if s.wal != nil {
-		resp.ReplayedJobs = s.replayedJobs.Load()
-		resp.ReplayedPoints = s.replayedPoints.Load()
-		resp.ReplayErrors = s.replayErrors.Load()
-		resp.JournalPending = s.wal.Pending()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)

@@ -6,8 +6,7 @@
 // harness.WireResponse (the golden-format row or a structured error) back
 // — and runs the exact PointSpec.Run path, so rows computed here are
 // byte-identical to in-process execution. The process carries no state
-// between points: everything durable (cache, journal) lives with the
-// supervisor.
+// between points: the durable cache lives with the supervisor.
 //
 // Workers are not meant to be launched by hand; internal/workerpool
 // spawns, feeds, hard-kills and restarts them. Run one interactively for

@@ -32,6 +32,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -60,8 +61,10 @@ var (
 
 // Options sizes and tunes a pool; zero fields take defaults.
 type Options struct {
-	// Command is the argv spawning one worker (default: "wisync-worker"
-	// resolved from the directory of the current executable, then $PATH).
+	// Command is the argv spawning one worker (default: the wisync-worker
+	// in the directory of the current executable, the layout `go build -o
+	// DIR ./cmd/...` produces; without one there, "wisync-worker" from
+	// $PATH).
 	Command []string
 	// Env entries are appended to the inherited environment of every
 	// worker (tests use this to select misbehavior modes in a helper
@@ -88,6 +91,12 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if len(o.Command) == 0 {
 		o.Command = []string{"wisync-worker"}
+		if exe, err := os.Executable(); err == nil {
+			cand := filepath.Join(filepath.Dir(exe), "wisync-worker")
+			if _, err := os.Stat(cand); err == nil {
+				o.Command = []string{cand}
+			}
+		}
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
