@@ -43,6 +43,16 @@ func TestByName(t *testing.T) {
 	if _, ok := ByName("doom"); ok {
 		t.Error("ByName(doom) found a profile")
 	}
+	// An app point looks its profile up twice (PointSpec.Normalize and
+	// Simulate), so the lookup must not rebuild the catalogue.
+	if allocs := testing.AllocsPerRun(100, func() { ByName("dedup") }); allocs != 0 {
+		t.Errorf("ByName allocates %.0f times per call, want 0", allocs)
+	}
+	// Profiles hands out a copy: editing it leaves the catalogue alone.
+	Profiles()[0].Name = "edited"
+	if Profiles()[0].Name == "edited" {
+		t.Error("Profiles returned the catalogue itself")
+	}
 }
 
 func TestRunDeterministic(t *testing.T) {

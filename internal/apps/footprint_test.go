@@ -10,10 +10,12 @@ import (
 // TestDedupBaselinePlusFootprint pins the heap a lock-heavy point
 // allocates, in bytes and in objects. dedup creates 2,400 locks.
 //   - On Baseline+ each MCS lock owns two queue-node lines per core, so
-//     the directory's line store dominates the bytes; its pages must stay
-//     pointer-free and small (see internal/mem/store.go). Pages of 128
-//     pointer-holding entries allocated 55 MB at 64 cores and 207 MB at
-//     256.
+//     the directory's line store dominates the bytes; it must allocate an
+//     entry only for a line the point touches, and hold no pointers (see
+//     internal/mem/store.go). Pages of 128 pointer-holding entries
+//     allocated 55 MB at 64 cores and 207 MB at 256; pointer-free pages
+//     of 16 entries, allocated whole on the first touch of any of their
+//     lines, 10.1 MB and 31.2 MB.
 //   - On every configuration the objects count what the locks cost the
 //     simulator. A lock's queue nodes are computed from its tail address,
 //     and its operations run on the factory's one step per core
@@ -31,8 +33,8 @@ func TestDedupBaselinePlusFootprint(t *testing.T) {
 		maxMB   float64
 		maxObjs uint64
 	}{
-		{config.BaselinePlus, 64, 12, 14000},
-		{config.BaselinePlus, 256, 40, 40000},
+		{config.BaselinePlus, 64, 4, 8000},
+		{config.BaselinePlus, 256, 12, 18000},
 		{config.Baseline, 64, 2, 10000},
 		{config.WiSync, 64, 2, 12000},
 	} {

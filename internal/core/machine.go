@@ -93,12 +93,12 @@ func New(cfg config.Config) (*Machine, error) {
 }
 
 // Release hands the machine's reusable storage — the event queue's
-// arrays, the L1 tag array and line pages, the Broadcast Memory's entry
-// table — to the machines built after it in this process. Runners call it
-// once their result is copied out; the machine must not be used
-// afterwards. Only storage crosses, zeroed when it is taken: continuation
-// pools, counters and anything that points into this machine stay behind,
-// so a later point runs exactly as it would on a fresh machine.
+// arrays, the L1 tag array, the Broadcast Memory's entry table — to the
+// machines built after it in this process. Runners call it once their
+// result is copied out; the machine must not be used afterwards. Only
+// storage crosses, zeroed when it is taken: continuation pools, counters
+// and anything that points into this machine stay behind, so a later
+// point runs exactly as it would on a fresh machine.
 func (m *Machine) Release() {
 	m.Eng.Release()
 	m.Mem.Release()

@@ -24,12 +24,12 @@ type priorPoint struct {
 	spec  PointSpec
 }
 
-// largestPriorPoint allocates the most of the list (about 10 MB, mostly
-// directory line pages), so it leaves the most storage behind.
+// largestPriorPoint allocates the most of the list (about 2.6 MB, mostly
+// directory line entries), so it leaves the most storage behind.
 const largestPriorPoint = "dedup-baseline+-64"
 
 // priorPoints covers every machine kind at 16 and 256 cores, the
-// page-heavy Baseline+ dedup app, both lossy channels, both non-default
+// line-heavy Baseline+ dedup app, both lossy channels, both non-default
 // MACs and a fault plan, at seeds the golden matrices do not use. Every
 // point carries a budget and a watchdog, so a point that never ends comes
 // back as an error row instead of hanging the test.

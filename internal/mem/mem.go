@@ -212,8 +212,8 @@ type System struct {
 	// tags is every L1's tag array in one block, Cores x L1Sets x L1Ways,
 	// each set MRU-first (see set).
 	tags []l1slot
-	// lines is the paged dense store of per-line word values and
-	// directory entries (see store.go).
+	// lines holds the word values and directory entry of every line the
+	// point touched (see store.go).
 	lines pagedStore
 	// mc serializes each memory controller's port.
 	mc [4]fifoLock
@@ -236,7 +236,7 @@ type System struct {
 
 // memStore is the storage a released System hands to the next System of
 // its size built in the process (see Release): the L1 tag array, zeroed
-// again when taken. Line pages are not carried: a page-heavy point would
+// again when taken. Line entries are not carried: a lock-heavy point would
 // leave megabytes of them waiting for points that need few (see
 // docs/ARCHITECTURE.md, "Storage across points").
 type memStore struct {
@@ -296,10 +296,6 @@ func Line(addr uint64) uint64 { return addr >> LineShift }
 // home returns the core whose L2 bank is the home for line.
 func (s *System) home(line uint64) int { return int(line % uint64(s.p.Cores)) }
 
-func (s *System) dirFor(line uint64) *dirLine {
-	return &s.lines.fetch(line).dir
-}
-
 // dirAt returns line's directory entry, or nil if the line was never
 // touched (for invariant checks).
 func (s *System) dirAt(line uint64) *dirLine {
@@ -316,11 +312,6 @@ func (s *System) wordAt(addr uint64) uint64 {
 		return le.words[wordIdx(addr)]
 	}
 	return 0
-}
-
-// setWord writes the committed value of the word at addr.
-func (s *System) setWord(addr, val uint64) {
-	s.lines.fetch(Line(addr)).words[wordIdx(addr)] = val
 }
 
 // set returns core's L1 set for line, MRU-first. Ways that were never

@@ -9,9 +9,9 @@ import (
 	"wisync/internal/sim"
 )
 
-// TestLineEntryIsPlainData pins what lets the store's pages skip the
+// TestLineEntryIsPlainData pins what lets the store's chunks skip the
 // collector: a lineEntry holds no pointers, and its zero value is a fresh
-// line, so a page needs no initialization beyond the runtime's zeroing.
+// line, so a chunk needs no initialization beyond the runtime's zeroing.
 func TestLineEntryIsPlainData(t *testing.T) {
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {
@@ -30,8 +30,8 @@ func TestLineEntryIsPlainData(t *testing.T) {
 	}
 	walk("lineEntry", reflect.TypeOf(lineEntry{}))
 
-	if got := unsafe.Sizeof(linePage{}); got != 2048 {
-		t.Errorf("a page is %d bytes, want 2048 (16 entries of 128 B)", got)
+	if got := unsafe.Sizeof(entryChunk{}); got != 2048 {
+		t.Errorf("a chunk is %d bytes, want 2048 (16 entries of 128 B)", got)
 	}
 
 	var d dirLine
@@ -49,20 +49,42 @@ func TestLineEntryIsPlainData(t *testing.T) {
 	}
 }
 
+// TestPagedStoreDenseAndSparse pins what the store allocates: an entry for
+// each line touched and for no other, an index that starts at the lowest
+// page touched, and a map for lines past the dense window.
 func TestPagedStoreDenseAndSparse(t *testing.T) {
 	var st pagedStore
+	const first = (1 << 20) / LineBytes // the allocator's first line
 
-	if st.get(100) != nil {
+	if st.get(first) != nil {
 		t.Error("get of untouched line is non-nil")
 	}
-	e := st.fetch(100)
+	e := st.fetch(first)
 	e.words[3] = 42
-	if got := st.get(100); got != e {
+	if got := st.get(first); got != e {
 		t.Error("get after fetch returns a different entry (pointer instability)")
 	}
-	// Neighbors on the same page exist but are independent.
-	if n := st.get(101); n == nil || n.words[3] != 0 {
-		t.Errorf("neighbor entry not independent: %+v", n)
+	if st.base != first/pageLines || len(st.pages) != 1 {
+		t.Errorf("index covers pages [%d, %d), want only page %d",
+			st.base, st.base+uint64(len(st.pages)), first/pageLines)
+	}
+	// An untouched neighbour on the same page has no entry, and touching
+	// it gives an independent one.
+	if n := st.get(first + 1); n != nil {
+		t.Errorf("untouched neighbour has an entry: %+v", n)
+	}
+	if n := st.fetch(first + 1); n == e || n.words[3] != 0 {
+		t.Errorf("neighbour entry not independent: %+v", n)
+	}
+
+	// A line below the lowest one touched rebases the index; the entries
+	// already handed out keep their place.
+	low := st.fetch(first - 129)
+	if st.get(first) != e || e.words[3] != 42 || st.get(first-129) != low {
+		t.Error("rebase lost or moved an entry")
+	}
+	if st.base != (first-129)/pageLines || st.get(first-128) != nil {
+		t.Errorf("after the rebase the index starts at page %d, want %d", st.base, (first-129)/pageLines)
 	}
 
 	// A line far beyond the dense window lands in the sparse map.
@@ -78,6 +100,9 @@ func TestPagedStoreDenseAndSparse(t *testing.T) {
 	// The untouched dense/sparse boundary neighbors stay absent.
 	if st.get(huge+1) != nil {
 		t.Error("sparse neighbor materialized spontaneously")
+	}
+	if st.n != 4 {
+		t.Errorf("4 lines touched, %d entries handed out", st.n)
 	}
 }
 
@@ -135,11 +160,14 @@ func TestWordIdxAliasing(t *testing.T) {
 	}
 }
 
-// BenchmarkLineStore pins the dense paged store's advantage over the hash
-// maps it replaced (words and directory entries keyed by address or
-// line). The access pattern models a transaction's hot lookups: a
-// directory fetch plus a word read/write over a kernel-sized working set,
-// with the 90%-reread locality a barrier-driven kernel exhibits.
+// BenchmarkLineStore pins the line store's cost beside the hash maps it
+// replaced (words and directory entries keyed by address or line). The
+// paged and map cases model a transaction's hot lookups: a directory fetch
+// plus a word read/write over a kernel-sized working set, with the
+// 90%-reread locality a barrier-driven kernel exhibits. The sparse case
+// models a lock-heavy Baseline+ point: first touches of lines 129 apart,
+// like MCS queue nodes, in a fresh store every 2048 lines, so its B/op is
+// what the store allocates per line touched.
 func BenchmarkLineStore(b *testing.B) {
 	// Working set: ~2000 lines starting at the allocator base, like a
 	// 256-core TightLoop.
@@ -152,6 +180,21 @@ func BenchmarkLineStore(b *testing.B) {
 		var sink uint64
 		for i := 0; i < b.N; i++ {
 			line := base + uint64(i*37%lines)
+			le := st.fetch(line)
+			le.words[wordIdx(line*LineBytes)] = sink
+			sink += le.words[0] + uint64(le.dir.owner())
+		}
+		_ = sink
+	})
+	b.Run("sparse", func(b *testing.B) {
+		var st pagedStore
+		b.ReportAllocs()
+		var sink uint64
+		for i := 0; i < b.N; i++ {
+			if i%lines == 0 {
+				st = pagedStore{}
+			}
+			line := base + 129*uint64(i*37%lines)
 			le := st.fetch(line)
 			le.words[wordIdx(line*LineBytes)] = sink
 			sink += le.words[0] + uint64(le.dir.owner())

@@ -18,6 +18,11 @@ func (s *System) setsMask() uint64 { return uint64(s.p.L1Sets - 1) }
 // memory-controller queueing and hold times all run as callback events, and
 // the requester is resumed once, by the reply event.
 //
+// The transaction looks its line up once, here, and keeps the entry until
+// its reply. A line touched for the first time gets its entry now rather
+// than at arrival, which changes nothing simulated: a fresh entry is a
+// free line that no core holds.
+//
 // The request reaches the home after the mesh flight, under the sequence
 // number it reserves now. If the line is held at issue, that arrival
 // would only join the line's waiters, so the request joins them now at
@@ -27,13 +32,13 @@ func (s *System) transactAsync(core int, line uint64, addr uint64, f func(uint64
 	s.Stats.Transactions++
 	t := s.newTxn()
 	t.done, t.core, t.line, t.addr, t.f = done, core, line, addr, f
+	t.le = s.lines.fetch(line)
 	t.home = s.home(line)
 	t.at = s.eng.Now() + sim.Time(s.mesh.Latency(core, t.home))
 	t.key = s.eng.Reserve()
-	if le := s.lines.get(line); le != nil && le.dir.lock.held {
-		t.d = &le.dir
+	if t.le.dir.lock.held {
 		t.state = stepHeld
-		t.d.lock.insert(t)
+		t.le.dir.lock.insert(t)
 		return
 	}
 	t.state = stepArrive
@@ -76,7 +81,8 @@ type txn struct {
 	addr uint64
 	f    func(uint64) (uint64, bool)
 
-	d     *dirLine
+	// le is the line's entry, looked up once, by transactAsync.
+	le    *lineEntry
 	home  int
 	state txnStep
 	next  txnStep // continuation after the memory-fetch sub-chain
@@ -125,7 +131,7 @@ func (s *System) newTxn() *txn {
 }
 
 func (s *System) freeTxn(t *txn) {
-	t.done, t.f, t.d = nil, nil, nil
+	t.done, t.f, t.le = nil, nil, nil
 	s.txnFree = append(s.txnFree, t)
 }
 
@@ -156,14 +162,13 @@ func (t *txn) run() {
 	s := t.s
 	switch t.state {
 	case stepArrive:
-		t.d = s.dirFor(t.line)
 		t.state = stepHeld
-		t.d.lock.acquire(t)
+		t.le.dir.lock.acquire(t)
 	case stepHeld:
-		if now := s.eng.Now(); now < t.d.settleAt {
+		if now := s.eng.Now(); now < t.le.dir.settleAt {
 			// A previous ownership grant is still settling at its owner.
 			t.state = stepDecide
-			s.eng.Schedule(t.d.settleAt-now, t.step)
+			s.eng.Schedule(t.le.dir.settleAt-now, t.step)
 			return
 		}
 		t.decide()
@@ -179,7 +184,7 @@ func (t *txn) run() {
 	case stepFetchRel:
 		// Every waiter of a port has arrived.
 		s.mc[t.fetchMC].release(s, ^uint64(0))
-		t.d.inL2 = true
+		t.le.dir.inL2 = true
 		t.hold += t.fetchLat + s.p.MemRT
 		t.state = t.next
 		t.run() // the interrupted decide branch continues inline
@@ -195,13 +200,13 @@ func (t *txn) run() {
 // CAS retry storms neither inflate the sharer set nor pay ownership
 // transfers.
 func (t *txn) decide() {
-	s, d := t.s, t.d
+	s, d := t.s, &t.le.dir
 	owner := d.owner()
 
 	t.rmwNew, t.noWriteRMW = 0, false
 	doWrite := false
 	if t.f != nil {
-		t.rmwNew, doWrite = t.f(s.wordAt(t.addr))
+		t.rmwNew, doWrite = t.f(t.le.words[wordIdx(t.addr)])
 		if !doWrite {
 			t.f = nil
 			t.noWriteRMW = true
@@ -294,7 +299,7 @@ func (t *txn) decide() {
 // sharedRecord runs the shared-grant bookkeeping (after the memory fetch,
 // when one was needed), then waits out the home-side hold.
 func (t *txn) sharedRecord() {
-	d := t.d
+	d := &t.le.dir
 	switch {
 	case t.noWriteRMW:
 		// Value-only reply: no copy installed, nothing recorded.
@@ -313,7 +318,7 @@ func (t *txn) sharedRecord() {
 // exclRecord takes ownership (after the memory fetch, when one was
 // needed), then waits out the home-side hold.
 func (t *txn) exclRecord() {
-	t.d.setOwner(t.core)
+	t.le.dir.setOwner(t.core)
 	t.scheduleServe()
 }
 
@@ -332,12 +337,13 @@ func (t *txn) scheduleServe() {
 // releasing the line, since other transactions may mutate directory state
 // while the reply is in flight.
 func (t *txn) serve() {
-	s, d := t.s, t.d
-	old := s.wordAt(t.addr)
+	s, d := t.s, &t.le.dir
+	word := &t.le.words[wordIdx(t.addr)]
+	old := *word
 	grant := Shared
 	switch {
 	case t.f != nil:
-		s.setWord(t.addr, t.rmwNew)
+		*word = t.rmwNew
 		grant = Modified
 	case t.noWriteRMW:
 		grant = Invalid // value-only reply, nothing installed
@@ -482,7 +488,7 @@ func (s *System) fill(core int, line uint64, st State) {
 // access that triggered them.
 func (s *System) evict(core int, line uint64) {
 	s.Stats.Evictions++
-	d := s.dirFor(line)
+	d := &s.lines.fetch(line).dir
 	if d.owner() == core {
 		d.setOwner(-1)
 		d.inL2 = true
@@ -503,7 +509,7 @@ func (s *System) Poke(addr, val uint64) {
 // PokeCold sets a word without marking the line L2-resident, so the first
 // access pays the off-chip fetch.
 func (s *System) PokeCold(addr, val uint64) {
-	s.setWord(addr, val)
+	s.lines.fetch(Line(addr)).words[wordIdx(addr)] = val
 }
 
 // Peek returns a word's current value without timing effects.

@@ -34,7 +34,8 @@ type Key struct {
 // Stats are the cache's counters, read through Cache.Stats.
 type Stats struct {
 	// Hits counts Do calls served from a completed entry; Misses counts
-	// calls that computed; InflightWaits counts calls that joined another
+	// calls that computed (a memory miss the disk tier served counts as a
+	// DiskHit instead); InflightWaits counts calls that joined another
 	// caller's in-progress computation of the same key.
 	Hits, Misses, InflightWaits uint64
 	// Evictions counts entries dropped by the LRU bound; Errors counts
@@ -148,24 +149,25 @@ func (c *Cache) Do(key Key, compute func() (string, error)) (row string, cached 
 	}
 	cl := &call{done: make(chan struct{})}
 	c.inflight[key] = cl
-	c.stats.Misses++
 	c.mu.Unlock()
 
 	// Disk lookup happens inside the single-flight window: concurrent
 	// callers for the same key join this call, so the file is read (and a
 	// corrupt entry recomputed) at most once across all of them.
-	var fromDisk bool
+	var fromDisk, corrupt bool
 	if c.disk != nil {
-		row, ok, corrupt := c.disk.load(key)
-		if ok {
-			cl.row, fromDisk = row, true
-		} else if corrupt {
-			c.mu.Lock()
-			c.stats.CorruptEntries++
-			c.mu.Unlock()
+		var row string
+		if row, fromDisk, corrupt = c.disk.load(key); fromDisk {
+			cl.row = row
 		}
 	}
 	if !fromDisk {
+		c.mu.Lock()
+		c.stats.Misses++
+		if corrupt {
+			c.stats.CorruptEntries++
+		}
+		c.mu.Unlock()
 		cl.row, cl.err = runCompute(compute)
 		if cl.err == nil && c.disk != nil {
 			// Store before publishing so a crash right after callers saw the

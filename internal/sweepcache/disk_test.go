@@ -98,6 +98,24 @@ func TestDiskPersistAndWarmRestart(t *testing.T) {
 	}
 }
 
+// TestDiskHitIsNotAMiss pins what Misses counts: computations. A row the
+// disk tier serves after a memory miss is a DiskHit, not a Miss.
+func TestDiskHitIsNotAMiss(t *testing.T) {
+	c := diskCache(t, 1, t.TempDir())
+	a, b := Key{Digest: "a", Seed: 1}, Key{Digest: "b", Seed: 1}
+	mustDo(t, c, a, "row-a")
+	mustDo(t, c, b, "row-b") // evicts a from memory; a stays on disk
+	row, _, err := c.Do(a, func() (string, error) {
+		return "", fmt.Errorf("recomputed %v, which is on disk", a)
+	})
+	if err != nil || row != "row-a" {
+		t.Fatalf("read back %v = %q, %v", a, row, err)
+	}
+	if s := c.Stats(); s.Misses != 2 || s.DiskHits != 1 || s.Hits != 0 {
+		t.Fatalf("2 computes and 1 disk hit read as %+v", s)
+	}
+}
+
 // TestDiskCorruptionBitFlip pins the self-checksum: a single flipped
 // payload bit is detected on read, the entry deleted, the row recomputed
 // and re-stored, and the corruption counted. The damaged row is never
