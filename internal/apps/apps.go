@@ -19,10 +19,7 @@ import (
 
 	"wisync/internal/config"
 	"wisync/internal/core"
-	"wisync/internal/mem"
-	"wisync/internal/sim"
 	"wisync/internal/syncprims"
-	"wisync/internal/wireless"
 )
 
 // Profile describes one application's synchronization behavior. Each of
@@ -54,33 +51,16 @@ type Profile struct {
 	SharedLines        int
 }
 
-// Result reports one application execution.
+// Result reports one application execution: the finished machine's
+// Outcome and the application's Broadcast Memory spills.
 type Result struct {
-	Profile Profile
-	Cfg     config.Config
-	Cycles  sim.Time
-	// DataUtilPct is Data-channel utilization in percent (Table 5).
-	DataUtilPct float64
+	core.Outcome
 	// Spills counts BM allocations that fell back to cached memory.
 	Spills int
-	// Mem, Net and MAC expose the machine's protocol counters, so the
-	// reference suite pins every counter, not just the headline cycles.
-	// Net/MAC are zero on wired configurations.
-	Mem mem.Stats
-	Net wireless.Stats
-	MAC wireless.MACStats
-	// Energy is the Data channel's transceiver energy ledger and
-	// channel-error delivery counters (see kernels.Result).
-	Energy wireless.EnergyStats
-	// Sched reports the engine's scheduling internals (timing-wheel hits,
-	// heap fallbacks, recycled-step reuse). Unlike every field above it
-	// describes simulator mechanics, not simulated behavior, and the
-	// reference suite excludes it.
-	Sched sim.SchedStats
-	// Faults lists the workload threads halted by a fail-stopped
-	// transceiver (nil without a fault plan); see kernels.Result.
-	Faults []core.Fault
 }
+
+// DataUtilPct returns the Data-channel utilization in percent (Table 5).
+func (r Result) DataUtilPct() float64 { return 100 * r.DataChannelUtil }
 
 // Run executes the profile on the given configuration: one appTask
 // (task.go) per core interprets the profile.
@@ -118,23 +98,7 @@ func Run(cfg config.Config, p Profile) Result {
 		// abort, deadlock) with errors.Is/As.
 		panic(fmt.Errorf("apps: %s on %s: %w", p.Name, cfg.Kind, err))
 	}
-	r := Result{
-		Profile:     p,
-		Cfg:         cfg,
-		Cycles:      m.Now(),
-		DataUtilPct: 100 * m.DataChannelUtilization(),
-		Spills:      f.Spills,
-		Mem:         m.Mem.Stats,
-		Sched:       m.Eng.SchedStats(),
-	}
-	if m.Net != nil {
-		r.Net = m.Net.Stats
-		r.MAC = m.Net.MACCounters()
-		r.Energy = m.Net.Energy
-	}
-	r.Faults = m.Faults()
-	m.Release()
-	return r
+	return Result{Outcome: m.Finish(), Spills: f.Spills}
 }
 
 // Speedups runs the profile on all four configurations and returns the

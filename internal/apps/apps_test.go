@@ -101,9 +101,9 @@ func TestStreamclusterShape(t *testing.T) {
 	}
 	wnt := Run(withKind(base, config.WiSyncNoT), p)
 	w := Run(withKind(base, config.WiSync), p)
-	if w.DataUtilPct > wnt.DataUtilPct/2 {
+	if w.DataUtilPct() > wnt.DataUtilPct()/2 {
 		t.Errorf("tone barriers did not offload the Data channel: WT %.2f%% vs W %.2f%%",
-			wnt.DataUtilPct, w.DataUtilPct)
+			wnt.DataUtilPct(), w.DataUtilPct())
 	}
 }
 
@@ -115,10 +115,10 @@ func TestLockBoundAppUtilizationEqualAcrossWiSyncVariants(t *testing.T) {
 	base := config.New(config.Baseline, 64)
 	wnt := Run(withKind(base, config.WiSyncNoT), p)
 	w := Run(withKind(base, config.WiSync), p)
-	ratio := w.DataUtilPct / wnt.DataUtilPct
+	ratio := w.DataUtilPct() / wnt.DataUtilPct()
 	if ratio < 0.9 || ratio > 1.1 {
 		t.Errorf("lock-app utilization differs across variants: WT %.2f%% vs W %.2f%%",
-			wnt.DataUtilPct, w.DataUtilPct)
+			wnt.DataUtilPct(), w.DataUtilPct())
 	}
 }
 

@@ -23,12 +23,12 @@ func TestCalibrationReport(t *testing.T) {
 		w := Run(withKind(base, config.WiSync), p)
 		t.Logf("%-14s B+ %.2f  WNT %.2f  W %.2f   util WT %.2f%% W %.2f%%",
 			p.Name, sp[config.BaselinePlus], sp[config.WiSyncNoT], sp[config.WiSync],
-			wnt.DataUtilPct, w.DataUtilPct)
+			wnt.DataUtilPct(), w.DataUtilPct())
 		wSpeed = append(wSpeed, sp[config.WiSync])
 		bpSpeed = append(bpSpeed, sp[config.BaselinePlus])
 		wntSpeed = append(wntSpeed, sp[config.WiSyncNoT])
-		wUtil = append(wUtil, w.DataUtilPct)
-		wntUtil = append(wntUtil, wnt.DataUtilPct)
+		wUtil = append(wUtil, w.DataUtilPct())
+		wntUtil = append(wntUtil, wnt.DataUtilPct())
 	}
 	t.Logf("geomean: B+ %.3f  WNT %.3f  W %.3f  (paper: ~1.10, ~1.22, 1.23)",
 		stats.GeoMean(bpSpeed), stats.GeoMean(wntSpeed), stats.GeoMean(wSpeed))

@@ -32,7 +32,7 @@ const referencePath = "testdata/reference.tsv"
 
 // resultRow renders every simulated field of r through types without
 // String methods, so %+v prints each counter rather than a summary. Sched
-// (simulator mechanics) and the inputs Profile and Cfg are left out.
+// (simulator mechanics) is left out.
 func resultRow(r Result) string {
 	type energyRow wireless.EnergyStats
 	type faultRow core.Fault
@@ -50,7 +50,7 @@ func resultRow(r Result) string {
 	for i, f := range r.Faults {
 		faults[i] = faultRow(f)
 	}
-	return fmt.Sprintf("%+v", row{uint64(r.Cycles), r.DataUtilPct, r.Spills,
+	return fmt.Sprintf("%+v", row{uint64(r.Cycles), r.DataUtilPct(), r.Spills,
 		r.Mem, r.Net, r.MAC, energyRow(r.Energy), faults})
 }
 

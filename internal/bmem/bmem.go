@@ -350,9 +350,6 @@ func (b *BM) Allocated(addr uint32) (bool, uint16) {
 	return e.allocated, e.pid
 }
 
-// IsTone reports whether addr was allocated as a tone-barrier variable.
-func (b *BM) IsTone(addr uint32) bool { return b.entries[addr].tone }
-
 // ToggleLocal flips addr between zero and non-zero in every replica without
 // using the Data channel. The tone controller calls this when the Tone
 // channel falls silent (Section 4.2.2); it also wakes spinners.

@@ -34,10 +34,6 @@ func (m *Machine) recordFault(core int, pid uint16, op string) {
 	})
 }
 
-// Faults returns the per-core fault records accumulated during the run, in
-// the order the threads halted.
-func (m *Machine) Faults() []Fault { return m.faults }
-
 // ErrAborted reports that a guarded run was cancelled through the
 // config.AbortCheck hook (a serving process's job deadline or client
 // disconnect).
@@ -60,7 +56,9 @@ func (e *BudgetError) Error() string {
 // LivelockError reports that no workload-visible progress counter moved
 // for a full watchdog window while threads were still live — the
 // structured form of a hang (for example a retry storm that never
-// drains). Parked holds the last-operation breadcrumbs.
+// drains). Now is the swept-to cycle at which the window closed, not the
+// last event's cycle, which stalls while every thread computes. Parked
+// holds the last-operation breadcrumbs.
 type LivelockError struct {
 	Window sim.Time
 	Now    sim.Time
@@ -105,116 +103,61 @@ func (m *Machine) progressCounter() uint64 {
 	return c
 }
 
-// runGuarded executes the simulation in guardChunk-cycle windows, checking
-// the abort hook, the cycle budget, and the progress watchdog between
-// windows. Chunking uses RunBounded, which never advances the clock past
-// the last executed event, so a run that finishes within its budget is
-// bit-identical to an unguarded Run — same event order, same final cycle.
-// On any guard trip the live threads' breadcrumbs are captured before
-// Shutdown (which clears them) and returned in the error.
-// runGuardedUntil is the guarded form of RunUntil: the horizon-cut
-// kernels expect threads to still be live at cycle t, so reaching t is
-// success, while the abort hook, a budget below t, and the progress
-// watchdog still convert hangs into structured errors along the way.
-func (m *Machine) runGuardedUntil(t sim.Time) error {
-	var (
-		lastCount    = m.progressCounter()
-		horizon      = m.Eng.Now()
-		lastProgress = horizon
-	)
-	budget := m.Cfg.Budget
-	if budget >= t {
-		budget = 0 // the cut at t lands first; the budget cannot trip
-	}
-	for horizon < t {
-		if m.Cfg.Abort != nil && m.Cfg.Abort.F != nil && m.Cfg.Abort.F() {
-			m.Eng.Shutdown()
-			return ErrAborted
-		}
-		horizon += guardChunk
-		if horizon > t {
-			horizon = t
-		}
-		if budget > 0 && horizon > budget {
-			horizon = budget
-		}
-		if err := m.Eng.RunBounded(horizon); err != nil {
-			m.Eng.Shutdown()
-			return err
-		}
-		if m.Eng.Live() == 0 && m.Eng.Pending() == 0 {
-			break // every thread finished before the cut
-		}
-		if budget > 0 && horizon >= budget {
-			e := &BudgetError{Budget: budget, Now: m.Eng.Now(), Parked: m.Eng.Breadcrumbs()}
-			m.Eng.Shutdown()
-			return e
-		}
-		if m.Cfg.Watchdog > 0 {
-			if c := m.progressCounter(); c != lastCount {
-				lastCount = c
-				lastProgress = horizon
-			} else if horizon-lastProgress >= m.Cfg.Watchdog {
-				e := &LivelockError{Window: m.Cfg.Watchdog, Now: m.Eng.Now(), Parked: m.Eng.Breadcrumbs()}
-				m.Eng.Shutdown()
-				return e
-			}
-		}
-	}
-	// Advance the clock to the exact horizon, as the unguarded RunUntil
-	// does (no events remain at or below t).
-	if err := m.Eng.RunUntil(t); err != nil {
-		return err
-	}
-	m.Eng.Shutdown()
-	return nil
-}
-
-func (m *Machine) runGuarded() error {
+// runGuarded sweeps the simulation in guardChunk-cycle windows up to cut,
+// checking the abort hook, the cycle budget and the progress watchdog
+// between windows. Chunking uses RunBounded, which never advances the
+// clock past the last executed event, so a run that no guard stops is
+// bit-identical to an unguarded one: same event order, same final cycle.
+// A guard trip returns its structured error after the live threads'
+// breadcrumbs are captured and the engine is shut down. Otherwise the
+// sweep ends with nil once every thread has finished, once it reaches
+// cut, or, for Run (until false), once the queue drains with threads still
+// parked; the engine's own Run or RunUntil then finishes the run as the
+// unguarded path does, reporting that deadlock or advancing the clock to
+// the cut. For RunUntil the horizon-cut kernels expect threads to be live
+// at cut, so reaching it is success and a budget at or past it cannot
+// trip.
+func (m *Machine) runGuarded(cut sim.Time, until bool) error {
 	var (
 		lastCount = m.progressCounter()
 		// horizon is the swept-to time; the watchdog measures elapsed
 		// simulated time against it (Now() stalls when events are sparse).
 		horizon      = m.Eng.Now()
 		lastProgress = horizon
+		budget       = m.Cfg.Budget
 	)
-	for {
+	if budget >= cut {
+		budget = 0
+	}
+	for horizon < cut {
 		if m.Cfg.Abort != nil && m.Cfg.Abort.F != nil && m.Cfg.Abort.F() {
-			m.Eng.Shutdown()
-			return ErrAborted
+			return m.halt(ErrAborted)
 		}
-		horizon += guardChunk
-		if m.Cfg.Budget > 0 && horizon > m.Cfg.Budget {
-			horizon = m.Cfg.Budget
+		horizon = min(horizon+guardChunk, cut)
+		if budget > 0 {
+			horizon = min(horizon, budget)
 		}
-		if err := m.Eng.RunBounded(horizon); err != nil {
-			m.Eng.Shutdown()
-			return err
-		}
-		if m.Eng.Live() == 0 && m.Eng.Pending() == 0 {
+		m.Eng.RunBounded(horizon)
+		if m.Eng.Pending() == 0 && (m.Eng.Live() == 0 || !until) {
 			return nil
 		}
-		if m.Eng.Pending() == 0 {
-			// The queue drained with threads still parked: a genuine
-			// deadlock, reported exactly as the unguarded Run would.
-			err := m.Eng.CheckDeadlock()
-			m.Eng.Shutdown()
-			return err
-		}
-		if m.Cfg.Budget > 0 && horizon >= m.Cfg.Budget {
-			e := &BudgetError{Budget: m.Cfg.Budget, Now: m.Eng.Now(), Parked: m.Eng.Breadcrumbs()}
-			m.Eng.Shutdown()
-			return e
+		if budget > 0 && horizon >= budget {
+			return m.halt(&BudgetError{Budget: budget, Now: m.Eng.Now(), Parked: m.Eng.Breadcrumbs()})
 		}
 		if m.Cfg.Watchdog > 0 {
 			if c := m.progressCounter(); c != lastCount {
-				lastCount = c
-				lastProgress = horizon
+				lastCount, lastProgress = c, horizon
 			} else if horizon-lastProgress >= m.Cfg.Watchdog {
-				e := &LivelockError{Window: m.Cfg.Watchdog, Now: m.Eng.Now(), Parked: m.Eng.Breadcrumbs()}
-				m.Eng.Shutdown()
-				return e
+				return m.halt(&LivelockError{Window: m.Cfg.Watchdog, Now: horizon, Parked: m.Eng.Breadcrumbs()})
 			}
 		}
 	}
+	return nil
+}
+
+// halt shuts the engine down and returns err, which its caller builds
+// first so that it holds the breadcrumbs Shutdown clears.
+func (m *Machine) halt(err error) error {
+	m.Eng.Shutdown()
+	return err
 }

@@ -92,19 +92,67 @@ func New(cfg config.Config) (*Machine, error) {
 	return m, nil
 }
 
-// Release hands the machine's reusable storage — the event queue's
-// arrays, the L1 tag array, the Broadcast Memory's entry table — to the
-// machines built after it in this process. Runners call it once their
-// result is copied out; the machine must not be used afterwards. Only
-// storage crosses, zeroed when it is taken: continuation pools, counters
-// and anything that points into this machine stay behind, so a later
-// point runs exactly as it would on a fresh machine.
-func (m *Machine) Release() {
+// Outcome is what a finished machine reports: the cycle the run ended at
+// and every counter a row, reference file or figure reads. Runners embed
+// it in their results.
+type Outcome struct {
+	Cycles sim.Time
+	// DataChannelUtil is the wireless Data channel utilization (0 for
+	// wired configurations).
+	DataChannelUtil float64
+	// Mem and Net expose the machine's protocol counters. The golden-
+	// conformance suite pins them exactly, so any change to transaction
+	// ordering — not just to end-to-end cycle counts — is detected.
+	// Net is zero on wired configurations.
+	Mem mem.Stats
+	Net wireless.Stats
+	// MAC holds the Data channel's per-protocol arbitration counters
+	// (grants, collisions, token waits, mode switches). It lives outside
+	// Net so the golden rendering of wireless.Stats is independent of the
+	// MAC catalog.
+	MAC wireless.MACStats
+	// Energy is the Data channel's transceiver energy ledger and
+	// channel-error delivery counters (zero on wired configurations;
+	// reliability counters zero under the default ideal channel).
+	Energy wireless.EnergyStats
+	// Sched reports the engine's scheduling internals (timing-wheel hits,
+	// heap fallbacks, recycled-step reuse). Unlike every field above it
+	// describes simulator mechanics, not simulated behavior, and the
+	// reference suites exclude it.
+	Sched sim.SchedStats
+	// Faults lists the workload threads halted by a fail-stopped
+	// transceiver, in the order they halted (nil without a fault plan):
+	// the run completed in a degraded configuration rather than
+	// livelocking.
+	Faults []Fault
+}
+
+// Finish snapshots the machine's Outcome, then hands its reusable storage
+// — the event queue's arrays, the L1 tag array, the Broadcast Memory's
+// entry table — to the machines built after it in this process. Runners
+// call it once the run is over; the machine must not be used afterwards.
+// Only storage crosses, zeroed when it is taken: continuation pools,
+// counters and anything that points into this machine stay behind, so a
+// later point runs exactly as it would on a fresh machine.
+func (m *Machine) Finish() Outcome {
+	o := Outcome{
+		Cycles:          m.Eng.Now(),
+		DataChannelUtil: m.DataChannelUtilization(),
+		Mem:             m.Mem.Stats,
+		Sched:           m.Eng.SchedStats(),
+		Faults:          m.faults,
+	}
+	if m.Net != nil {
+		o.Net = m.Net.Stats
+		o.MAC = m.Net.MACCounters()
+		o.Energy = m.Net.Energy
+	}
 	m.Eng.Release()
 	m.Mem.Release()
 	if m.BM != nil {
 		m.BM.Release()
 	}
+	return o
 }
 
 // AllocLine reserves one fresh cache line of regular memory and returns the
@@ -132,26 +180,28 @@ func (m *Machine) AllocArray(n int) uint64 {
 
 // Run executes the simulation to completion. When the configuration sets
 // a cycle budget, a progress watchdog, or an abort hook, the guarded loop
-// (fault.go) runs instead: same event order, but hangs become structured
-// BudgetError/LivelockError/ErrAborted results.
+// (fault.go) sweeps the run first: same event order, but hangs become
+// structured BudgetError/LivelockError/ErrAborted results.
 func (m *Machine) Run() error {
 	if m.guarded() {
-		return m.runGuarded()
+		if err := m.runGuarded(^sim.Time(0), false); err != nil {
+			return err
+		}
 	}
 	return m.Eng.Run()
 }
 
 // RunUntil executes the simulation up to cycle t and retires remaining
-// tasks (used by open-ended throughput kernels). Like Run, it switches
-// to the guarded loop when the configuration asks for budget, watchdog,
-// or abort enforcement.
+// tasks (used by open-ended throughput kernels). Like Run, it sweeps
+// through the guarded loop first when the configuration asks for budget,
+// watchdog, or abort enforcement.
 func (m *Machine) RunUntil(t sim.Time) error {
 	if m.guarded() {
-		return m.runGuardedUntil(t)
+		if err := m.runGuarded(t, true); err != nil {
+			return err
+		}
 	}
-	if err := m.Eng.RunUntil(t); err != nil {
-		return err
-	}
+	m.Eng.RunUntil(t)
 	m.Eng.Shutdown()
 	return nil
 }

@@ -69,8 +69,8 @@ func (t *Task) rmwStep() *rmwOp {
 	return t.rmw
 }
 
-// start issues the operation with RMW's pending-compute discipline (see
-// Task.Read for why the flush is inlined): one SleepThen when compute is
+// start issues the operation with Task.Read's pending-compute discipline
+// (see there for why the flush is inlined): one SleepThen when compute is
 // pending, a direct issue otherwise — the same sequence positions as the
 // closure form it replaces.
 func (op *rmwOp) start(addr uint64) {
@@ -298,8 +298,9 @@ func (t *Task) bmStep() *bmRetryOp {
 	return t.bmr
 }
 
-// attempt runs one hardware RMW attempt: BMRMW1's reason/validation/flush
-// discipline with the closures replaced by cached method values.
+// attempt runs one hardware RMW attempt with the reason, validation and
+// flush discipline of every BM operation, its continuations cached method
+// values.
 func (op *bmRetryOp) attempt() {
 	t := op.t
 	t.st.SetReasonArg("bm rmw", uint64(op.addr))

@@ -133,19 +133,6 @@ func (t *Task) Write(addr uint64, val uint64, then func()) {
 	op.start(addr)
 }
 
-// RMW performs an atomic read-modify-write on cached memory; then receives
-// the old value. Like Read, it inlines flush's discipline for speed.
-func (t *Task) RMW(addr uint64, f func(uint64) (uint64, bool), then func(uint64)) {
-	t.st.SetReasonArg("mem rmw", addr)
-	if t.pending > 0 {
-		d := t.pending
-		t.pending = 0
-		t.M.Eng.SleepThen(d, func() { t.M.Mem.RMWAsync(t.Core, addr, f, then) })
-		return
-	}
-	t.M.Mem.RMWAsync(t.Core, addr, f, then)
-}
-
 // CAS is compare-and-swap on cached memory; then reports whether it
 // swapped.
 func (t *Task) CAS(addr, old, nv uint64, then func(bool)) {
@@ -265,14 +252,6 @@ func (t *Task) BMBulkStore(addr uint32, vals [4]uint64, then func()) {
 	}
 	t.bm()
 	t.flush(func() { t.must(t.M.BM.BulkStoreAsync(t.Core, t.PID, addr, vals, then)) })
-}
-
-// BMRMW1 is a single hardware RMW attempt (no retry): then receives the
-// value read and ok=false if atomicity failed (AFB set, nothing written).
-func (t *Task) BMRMW1(addr uint32, f func(uint64) (uint64, bool), then func(old uint64, ok bool)) {
-	t.st.SetReasonArg("bm rmw", uint64(addr))
-	t.bm()
-	t.flush(func() { t.must(t.M.BM.RMWAsync(t.Core, t.PID, addr, f, then)) })
 }
 
 // BMFetchAdd executes fetch&add with the Figure 4(a) retry protocol; then

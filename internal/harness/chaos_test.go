@@ -211,6 +211,48 @@ func TestFailStopBarrierDeadlock(t *testing.T) {
 	}
 }
 
+// TestWatchdogRows pins the watchdog through the harness. fft's compute
+// phase runs about 180,000 cycles with no progress counter moving, so a
+// 20,000-cycle window trips a LivelockError (classifiable via errors.As
+// through the row error chain) that reports the swept-to cycle at which
+// the window closed, not the stalled last-event cycle, and every core's
+// breadcrumb. A window longer than the compute phase gives the unguarded
+// row, and a guarded barrier deadlock gives the unguarded deadlock error.
+func TestWatchdogRows(t *testing.T) {
+	t.Parallel()
+	app := PointSpec{Workload: "app:fft", Kind: config.Baseline, Cores: 16, Seed: 1, Iters: 1}
+	guarded := app
+	guarded.Watchdog = 20000
+	_, err := guarded.Run()
+	var le *core.LivelockError
+	if !errors.As(err, &le) {
+		t.Fatalf("watchdog trip did not surface a LivelockError: %v", err)
+	}
+	if le.Window != 20000 || le.Now < le.Window || len(le.Parked) != app.Cores {
+		t.Fatalf("malformed LivelockError: %+v", le)
+	}
+	want, err := app.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	guarded.Watchdog = 400000
+	if got, err := guarded.Run(); err != nil || got != want {
+		t.Fatalf("guarded run diverged from unguarded (err %v):\ngot:  %s\nwant: %s", err, got, want)
+	}
+
+	barrier := PointSpec{
+		Workload: "tightloop", Kind: config.WiSync, Cores: 16, Seed: 1,
+		Iters: 500, Faults: &fault.Plan{Outages: []fault.Outage{{Node: 5, At: 6000}}},
+	}
+	_, wantErr := barrier.Run()
+	barrier.Watchdog = 50_000_000
+	_, err = barrier.Run()
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) || wantErr == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("guarded deadlock diverged from unguarded:\ngot:  %v\nwant: %v", err, wantErr)
+	}
+}
+
 // TestBudgetAndAbortRows pins the structured guard errors through the
 // harness: a cycle budget below the point's natural length fails with
 // core.BudgetError (classifiable via errors.As through the row error

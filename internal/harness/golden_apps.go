@@ -60,7 +60,7 @@ func AppGoldenRun(pt AppGoldenPoint) string {
 	}
 	return pt.ID() + "\t" + strings.Join([]string{
 		fmt.Sprintf("cycles=%d", r.App.Cycles),
-		fmt.Sprintf("datautil=%s", gf(r.App.DataUtilPct)),
+		fmt.Sprintf("datautil=%s", gf(r.App.DataUtilPct())),
 		fmt.Sprintf("spills=%d", r.App.Spills),
 	}, "\t")
 }

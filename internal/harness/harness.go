@@ -385,7 +385,7 @@ func Fig9(o Options) []Fig9Row {
 	res := o.simulate(fig9Points(o))
 	rows := make([]Fig9Row, len(res))
 	for i, r := range res {
-		rows[i] = Fig9Row{Kernel: r.CAS.Kind, Cores: r.Spec.Cores, CSInstr: r.Spec.CS, Kind: r.Spec.Kind, Per1000: r.CAS.Per1000}
+		rows[i] = Fig9Row{Kernel: casKinds[r.Spec.Workload], Cores: r.Spec.Cores, CSInstr: r.Spec.CS, Kind: r.Spec.Kind, Per1000: r.CAS.Per1000}
 	}
 	// One table per (kernel, cores), one line per critical-section size.
 	for i := 0; i < len(rows); {
@@ -484,7 +484,7 @@ func Fig10(o Options) []AppRow {
 	var bp, wnt, w []float64
 	for pi := 0; pi < len(results); pi += len(appKinds) {
 		baseline := results[pi].App
-		row := AppRow{Name: baseline.Profile.Name, Speedup: map[config.Kind]float64{config.Baseline: 1}}
+		row := AppRow{Name: strings.TrimPrefix(results[pi].Spec.Workload, "app:"), Speedup: map[config.Kind]float64{config.Baseline: 1}}
 		row.Sched.Add(baseline.Sched)
 		row.Energy.Add(baseline.Energy)
 		for ki, k := range appKinds[1:] {
@@ -494,9 +494,9 @@ func Fig10(o Options) []AppRow {
 			row.Energy.Add(r.Energy)
 			switch k {
 			case config.WiSyncNoT:
-				row.UtilWNoT = r.DataUtilPct
+				row.UtilWNoT = r.DataUtilPct()
 			case config.WiSync:
-				row.UtilW = r.DataUtilPct
+				row.UtilW = r.DataUtilPct()
 			}
 		}
 		rows = append(rows, row)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wisync/internal/config"
-	"wisync/internal/sim"
 	"wisync/internal/stats"
 	"wisync/internal/wireless"
 )
@@ -71,13 +70,13 @@ func MACSweep(o Options) []MACRow {
 	res := o.simulate(macPoints(o))
 	rows := make([]MACRow, len(res))
 	for i, r := range res {
-		row := MACRow{Kernel: r.Spec.Workload, Cores: r.Spec.Cores, MAC: r.Spec.MAC}
+		out := r.outcome()
+		row := MACRow{Kernel: r.Spec.Workload, Cores: r.Spec.Cores, MAC: r.Spec.MAC,
+			Util: out.DataChannelUtil, Net: out.Net, MACStats: out.MAC}
 		if r.Kernel != nil {
 			row.CyclesPerIter = r.Kernel.CyclesPerIteration()
-			row.Util, row.Net, row.MACStats = r.Kernel.DataChannelUtil, r.Kernel.Net, r.Kernel.MAC
 		} else {
 			row.Per1000 = r.CAS.Per1000
-			row.Util, row.Net, row.MACStats = r.CAS.Net.Utilization(sim.Time(r.Spec.Duration)), r.CAS.Net, r.CAS.MAC
 		}
 		rows[i] = row
 	}

@@ -361,12 +361,9 @@ func (s PointSpec) Simulate(ctx context.Context) (res Result, err error) {
 func (r Result) Row() string {
 	id := r.Spec.ID()
 	var row string
-	var energy wireless.EnergyStats
-	var faults []core.Fault
 	switch {
 	case r.Kernel != nil:
 		row = goldenLine(id, *r.Kernel, r.CheckName+"="+gf(r.Check))
-		energy, faults = r.Kernel.Energy, r.Kernel.Faults
 	case r.CAS != nil:
 		row = id + "\t" + strings.Join([]string{
 			fmt.Sprintf("ok=%d", r.CAS.Successes),
@@ -375,30 +372,41 @@ func (r Result) Row() string {
 			fmt.Sprintf("mem=%+v", r.CAS.Mem),
 			fmt.Sprintf("net=%+v", r.CAS.Net),
 		}, "\t")
-		energy, faults = r.CAS.Energy, r.CAS.Faults
 	case r.App != nil:
 		row = id + "\t" + strings.Join([]string{
 			fmt.Sprintf("cycles=%d", r.App.Cycles),
-			fmt.Sprintf("datautil=%s", gf(r.App.DataUtilPct)),
+			fmt.Sprintf("datautil=%s", gf(r.App.DataUtilPct())),
 			fmt.Sprintf("spills=%d", r.App.Spills),
 			fmt.Sprintf("mem=%+v", r.App.Mem),
 			fmt.Sprintf("net=%+v", r.App.Net),
 		}, "\t")
-		energy, faults = r.App.Energy, r.App.Faults
 	}
 	// Lossy channels append the energy/reliability columns; the ideal
 	// default appends nothing, keeping every row byte-identical to the
 	// golden matrices.
 	if r.Spec.Channel != channel.Ideal {
-		row += "\t" + energyCols(energy)
+		row += "\t" + energyCols(r.outcome().Energy)
 	}
 	// Fault plans append the degradation record: how many threads were
 	// retired by a fail-stopped transceiver and where each halted.
 	// Fault-free points append nothing, for the same golden reason.
 	if r.Spec.Faults != nil {
-		row += "\t" + faultCols(faults)
+		row += "\t" + faultCols(r.outcome().Faults)
 	}
 	return row
+}
+
+// outcome returns the machine outcome of the run the result holds.
+func (r Result) outcome() core.Outcome {
+	switch {
+	case r.Kernel != nil:
+		return r.Kernel.Outcome
+	case r.CAS != nil:
+		return r.CAS.Outcome
+	case r.App != nil:
+		return r.App.Outcome
+	}
+	return core.Outcome{}
 }
 
 // Run executes the point and renders its metrics row (see Simulate and

@@ -79,7 +79,7 @@ func priorLine(p priorPoint, row string, err error) string {
 // TestRowsIndependentOfPriorPoints: a point's row does not depend on which
 // points ran before it in the same process, or on when the collector ran.
 // Machines hand their storage on to the next machine built in the process
-// (core.Machine.Release), so this runs one point list in several orders —
+// (core.Machine.Finish), so this runs one point list in several orders —
 // forward, reversed, each point right after the largest one, with and
 // without a collection between points, and on two harness workers — and
 // demands the same rows every time, equal to testdata/prior_points.tsv.

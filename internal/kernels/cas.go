@@ -5,10 +5,8 @@ import (
 
 	"wisync/internal/config"
 	"wisync/internal/core"
-	"wisync/internal/mem"
 	"wisync/internal/sim"
 	"wisync/internal/syncprims"
-	"wisync/internal/wireless"
 )
 
 // CASKind selects one of the lock-free CAS kernels of Table 3.
@@ -39,25 +37,14 @@ func (k CASKind) String() string {
 	return fmt.Sprintf("CASKind(%d)", int(k))
 }
 
-// CASResult reports a CAS kernel execution.
+// CASResult reports a CAS kernel execution: the finished machine's
+// Outcome, whose Cycles is the run's duration, and the CAS counts.
 type CASResult struct {
-	Cfg       config.Config
-	Kind      CASKind
-	Duration  sim.Time
+	core.Outcome
 	Successes uint64
 	Failures  uint64
 	// Per1000 is the Figure 9 metric: successful CASes per 1000 cycles.
 	Per1000 float64
-	// Mem, Net, MAC and Energy expose the machine's protocol counters
-	// (see Result).
-	Mem    mem.Stats
-	Net    wireless.Stats
-	MAC    wireless.MACStats
-	Energy wireless.EnergyStats
-	// Faults lists the workload threads halted by a fail-stopped
-	// transceiver (nil without a fault plan): the surviving cores kept
-	// the kernel running in a degraded configuration.
-	Faults []core.Fault
 }
 
 // CASKernel runs one of the lock-free kernels for the given duration:
@@ -95,23 +82,8 @@ func CASKernel(cfg config.Config, kind CASKind, csInstr int, duration sim.Time) 
 	if err := m.RunUntil(duration); err != nil {
 		panic(err)
 	}
-	r := CASResult{
-		Cfg:       cfg,
-		Kind:      kind,
-		Duration:  duration,
-		Successes: successes,
-		Failures:  failures,
-		Per1000:   1000 * float64(successes) / float64(duration),
-		Mem:       m.Mem.Stats,
-		Faults:    m.Faults(),
-	}
-	if m.Net != nil {
-		r.Net = m.Net.Stats
-		r.MAC = m.Net.MACCounters()
-		r.Energy = m.Net.Energy
-	}
-	m.Release()
-	return r
+	return CASResult{Outcome: m.Finish(), Successes: successes, Failures: failures,
+		Per1000: 1000 * float64(successes) / float64(duration)}
 }
 
 // casStep is one task's recycled state machine for the CAS-kernel work

@@ -15,57 +15,14 @@ import (
 	"wisync/internal/config"
 	"wisync/internal/core"
 	"wisync/internal/mem"
-	"wisync/internal/sim"
 	"wisync/internal/syncprims"
-	"wisync/internal/wireless"
 )
 
-// result assembles a Result from a finished machine, capturing the
-// machine-level protocol counters alongside the headline timing.
-func result(m *core.Machine, iters int) Result {
-	r := Result{
-		Cfg:             m.Cfg,
-		Cycles:          m.Now(),
-		Iterations:      iters,
-		DataChannelUtil: m.DataChannelUtilization(),
-		Mem:             m.Mem.Stats,
-	}
-	if m.Net != nil {
-		r.Net = m.Net.Stats
-		r.MAC = m.Net.MACCounters()
-		r.Energy = m.Net.Energy
-	}
-	r.Faults = m.Faults()
-	return r
-}
-
-// Result reports one kernel execution.
+// Result reports one kernel execution: the finished machine's Outcome and
+// the iterations it ran.
 type Result struct {
-	Cfg        config.Config
-	Cycles     sim.Time
+	core.Outcome
 	Iterations int
-	// DataChannelUtil is the wireless Data channel utilization (0 for
-	// wired configurations).
-	DataChannelUtil float64
-	// Mem and Net expose the machine's protocol counters. The golden-
-	// conformance suite pins them exactly, so any change to transaction
-	// ordering — not just to end-to-end cycle counts — is detected.
-	// Net is zero on wired configurations.
-	Mem mem.Stats
-	Net wireless.Stats
-	// MAC holds the Data channel's per-protocol arbitration counters
-	// (grants, collisions, token waits, mode switches). It lives outside
-	// Net so the golden rendering of wireless.Stats is independent of the
-	// MAC catalog.
-	MAC wireless.MACStats
-	// Energy is the Data channel's transceiver energy ledger and
-	// channel-error delivery counters (zero on wired configurations;
-	// reliability counters zero under the default ideal channel).
-	Energy wireless.EnergyStats
-	// Faults lists the workload threads halted by a fail-stopped
-	// transceiver (nil without a fault plan): the kernel completed in a
-	// degraded configuration rather than livelocking.
-	Faults []core.Fault
 }
 
 // CyclesPerIteration returns the average iteration time.
@@ -171,9 +128,7 @@ func TightLoop(cfg config.Config, iters int) Result {
 	if err := m.Run(); err != nil {
 		panic(err)
 	}
-	r := result(m, iters)
-	m.Release()
-	return r
+	return Result{Outcome: m.Finish(), Iterations: iters}
 }
 
 // chunk returns the [lo, hi) slice of an n-element range assigned to

@@ -94,9 +94,7 @@ func Livermore2(cfg config.Config, n int, passes int) (Result, []float64) {
 	if err := m.Run(); err != nil {
 		panic(err)
 	}
-	r := result(m, passes)
-	m.Release()
-	return r, x
+	return Result{Outcome: m.Finish(), Iterations: passes}, x
 }
 
 // Livermore3 is Livermore loop 3, an inner product: each thread forms a
@@ -147,9 +145,7 @@ func Livermore3(cfg config.Config, n int, passes int) (Result, float64) {
 	for _, p := range partials {
 		sum += p
 	}
-	r := result(m, passes)
-	m.Release()
-	return r, sum
+	return Result{Outcome: m.Finish(), Iterations: passes}, sum
 }
 
 // Livermore6 is Livermore loop 6, a general linear recurrence: step i needs
@@ -225,9 +221,7 @@ func Livermore6(cfg config.Config, n int) (Result, []float64) {
 	if err := m.Run(); err != nil {
 		panic(err)
 	}
-	r := result(m, n-1)
-	m.Release()
-	return r, w
+	return Result{Outcome: m.Finish(), Iterations: n - 1}, w
 }
 
 // seqVector builds a deterministic pseudo-random vector of small values.

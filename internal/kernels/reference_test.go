@@ -61,6 +61,8 @@ func resultRow(r Result) string {
 		r.Mem, r.Net, r.MAC, energyRow(r.Energy), faultRows(r.Faults)})
 }
 
+// casRow renders a CAS result. Its Duration column is the outcome's
+// Cycles: RunUntil ends every CAS run at its cut.
 func casRow(r CASResult) string {
 	type row struct {
 		Duration  uint64
@@ -73,7 +75,7 @@ func casRow(r CASResult) string {
 		Energy    energyRow
 		Faults    []faultRow
 	}
-	return fmt.Sprintf("%+v", row{uint64(r.Duration), r.Successes, r.Failures, r.Per1000,
+	return fmt.Sprintf("%+v", row{uint64(r.Cycles), r.Successes, r.Failures, r.Per1000,
 		r.Mem, r.Net, r.MAC, energyRow(r.Energy), faultRows(r.Faults)})
 }
 

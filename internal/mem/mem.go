@@ -112,11 +112,6 @@ func (b *bitset) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 func (b *bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (b *bitset) empty() bool    { return b[0]|b[1]|b[2]|b[3] == 0 }
 
-func (b *bitset) count() int {
-	return bits.OnesCount64(b[0]) + bits.OnesCount64(b[1]) +
-		bits.OnesCount64(b[2]) + bits.OnesCount64(b[3])
-}
-
 // dirLine is the directory entry for one line, held at its home bank. It
 // holds no pointers, and its zero value is a fresh line: no owner, no
 // sharers, not in L2, and a free lock.

@@ -349,7 +349,10 @@ func (d *DeadlockError) Error() string {
 func (e *Engine) Run() error {
 	e.limit = maxTime
 	e.runEvents()
-	return e.checkDeadlock()
+	if len(e.tasks) == 0 {
+		return nil
+	}
+	return &DeadlockError{Parked: e.Breadcrumbs(), Now: e.now}
 }
 
 // RunBounded executes all events with timestamp <= t but, unlike RunUntil,
@@ -358,24 +361,20 @@ func (e *Engine) Run() error {
 // completes mid-chunk finishes at exactly the same cycle an unchunked Run
 // would have — event order and final time are bit-identical by
 // construction.
-func (e *Engine) RunBounded(t Time) error {
+func (e *Engine) RunBounded(t Time) {
 	e.limit = t
 	e.runEvents()
 	e.limit = maxTime
-	return nil
 }
 
 // RunUntil executes all events with timestamp <= t, then advances the clock
 // to t. Tasks still unfinished are left suspended; call Shutdown to retire
 // them.
-func (e *Engine) RunUntil(t Time) error {
-	e.limit = t
-	e.runEvents()
-	e.limit = maxTime
+func (e *Engine) RunUntil(t Time) {
+	e.RunBounded(t)
 	if e.now < t {
 		e.now = t
 	}
-	return nil
 }
 
 // runEvents is the scheduler loop: it pops events up to the run horizon
@@ -399,20 +398,6 @@ func (e *Engine) runEvents() {
 		}
 	}
 }
-
-func (e *Engine) checkDeadlock() error {
-	if len(e.tasks) == 0 {
-		return nil
-	}
-	return &DeadlockError{Parked: e.Breadcrumbs(), Now: e.now}
-}
-
-// CheckDeadlock reports a *DeadlockError if any task is still
-// unfinished, and nil otherwise. Run calls it automatically when the queue
-// drains; watchdog/budget guards call it explicitly after RunUntil to tell
-// a genuine deadlock (queue empty, threads parked) from a livelock or
-// budget overrun (events still flowing).
-func (e *Engine) CheckDeadlock() error { return e.checkDeadlock() }
 
 // Breadcrumbs returns one "name: reason" line per unfinished task, in
 // sorted order — the last-operation trail used in deadlock, livelock, and

@@ -135,9 +135,7 @@ func TestRunUntilAndShutdown(t *testing.T) {
 		}
 		task.Sleep(10, step)
 	})
-	if err := e.RunUntil(55); err != nil {
-		t.Fatal(err)
-	}
+	e.RunUntil(55)
 	if steps != 5 {
 		t.Fatalf("steps = %d, want 5", steps)
 	}

@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // Rand is a small deterministic PRNG (splitmix64). It is not safe for
 // concurrent use, which is fine: the engine is single-threaded.
 type Rand struct {
@@ -42,18 +40,6 @@ func (r *Rand) Jitter(mean float64, spread float64, min float64) float64 {
 		v = min
 	}
 	return v
-}
-
-// NormFloat64 returns a standard normal variate (Box-Muller).
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		v := r.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	}
 }
 
 // Fork returns a new generator seeded from this one, for giving subsystems

@@ -41,9 +41,6 @@ func (e *Engine) GoTask(name string, fn func(*Task)) *Task {
 // Name returns the task name given to GoTask.
 func (t *Task) Name() string { return t.name }
 
-// Engine returns the engine this task belongs to.
-func (t *Task) Engine() *Engine { return t.eng }
-
 // Now returns the current simulation time.
 func (t *Task) Now() Time { return t.eng.now }
 
@@ -56,9 +53,6 @@ func (t *Task) Finish() {
 	t.done = true
 	delete(t.eng.tasks, t)
 }
-
-// Done reports whether Finish has been called.
-func (t *Task) Done() bool { return t.done }
 
 // SetReason records a diagnostic label — typically the operation the task
 // last issued — reported by deadlock diagnostics. Purely informational; a

@@ -26,14 +26,6 @@ type Factory struct {
 // NewFactory returns a factory for PID 1, the single-program case.
 func NewFactory(m *core.Machine) *Factory { return &Factory{m: m, pid: 1} }
 
-// NewFactoryPID returns a factory allocating under the given PID.
-func NewFactoryPID(m *core.Machine, pid uint16) *Factory {
-	return &Factory{m: m, pid: pid}
-}
-
-// Machine returns the machine this factory allocates on.
-func (f *Factory) Machine() *core.Machine { return f.m }
-
 // NewTaskVar allocates a shared synchronization variable with the given
 // initial value. On WiSync machines it lives in Broadcast Memory,
 // transparently spilling to cached memory when the BM is full.

@@ -201,6 +201,3 @@ func (r *Reducer) AddTask(t *core.Task, delta uint64, then func(uint64)) {
 
 // ValueTask reads the current total.
 func (r *Reducer) ValueTask(t *core.Task, then func(uint64)) { r.v.LoadTask(t, then) }
-
-// Var exposes the underlying variable (for draining or resetting).
-func (r *Reducer) Var() TaskVar { return r.v }

@@ -129,9 +129,6 @@ func (c *Controller) onToneInit(m wireless.Msg, at sim.Time) {
 	if ae == nil {
 		return // barrier freed while the init was in flight; drop
 	}
-	if len(c.active) == 0 {
-		c.lastAct = at
-	}
 	var b *activeBarrier
 	if k := len(c.barFree); k > 0 {
 		b = c.barFree[k-1]
@@ -195,19 +192,9 @@ func (b *activeBarrier) complete() {
 	c.active = append(c.active[:pos], c.active[pos+1:]...)
 	c.Stats.Completions++
 	c.Stats.DetectDelaySum += b.detectAt - b.activatedAt
-	c.accountActive(b.detectAt)
 	addr := b.addr
 	c.barFree = append(c.barFree, b)
 	c.bm.ToggleLocal(addr)
-}
-
-func (c *Controller) accountActive(now sim.Time) {
-	if len(c.active) == 0 {
-		c.Stats.ActiveCycles += now - c.lastAct
-	} else {
-		c.Stats.ActiveCycles += now - c.lastAct
-		c.lastAct = now
-	}
 }
 
 // WaitToggleAsync is the tone_ld spin: then receives the barrier variable

@@ -96,7 +96,6 @@ type Stats struct {
 	Completions    uint64
 	InitWithdrawn  uint64
 	DetectDelaySum sim.Time // completion-to-toggle latency total
-	ActiveCycles   sim.Time // cycles with at least one active barrier
 }
 
 // Controller is the chip-wide tone machinery (all per-node controllers plus
@@ -116,7 +115,6 @@ type Controller struct {
 	// barFree recycles completed ActiveB entries.
 	barFree []*activeBarrier
 	byPID   map[uint16]int
-	lastAct sim.Time
 	// Stats is exported for harness reporting.
 	Stats Stats
 }

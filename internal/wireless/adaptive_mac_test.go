@@ -90,6 +90,58 @@ func TestAdaptiveMACSwitchesUnderBurstSchedule(t *testing.T) {
 	}
 }
 
+// TestAdaptiveMACHoldsTokenForThreeSenders pins the token-mode return
+// threshold: a window leaves token mode only when at most one sender
+// queued behind each grant. A storm puts the MAC in token mode; then three
+// closed-loop senders each keep one message in flight, so two queue behind
+// every grant, and the MAC must stay in token mode. A threshold of two
+// would return to backoff, where the three collide, and the MAC would
+// flap between the protocols.
+func TestAdaptiveMACHoldsTokenForThreeSenders(t *testing.T) {
+	eng := sim.NewEngine(11)
+	const nodes, senders, msgs = 32, 3, 200
+	const phase2 = sim.Time(2000)
+	n := New(eng, nodes, adaptiveTestParams())
+	am := n.mac.(*adaptiveMAC)
+	var stormSwitches uint64
+	for c := 0; c < nodes; c++ {
+		goTask(eng, fmt.Sprintf("n%d", c), func(done func()) {
+			// Phase 1: every node transmits at cycle 0.
+			sendThen(n, Msg{Src: c}, func() {
+				if c >= senders {
+					done()
+					return
+				}
+				// Phase 2: three nodes send back to back.
+				sleepUntil(eng, phase2, func() {
+					if c == 0 {
+						if n.Stats.Messages != nodes {
+							t.Errorf("storm not drained by cycle %d: %d of %d messages", phase2, n.Stats.Messages, nodes)
+						}
+						if am.Mode() != MACToken {
+							t.Errorf("mode after the storm = %v, want token", am.Mode())
+						}
+						stormSwitches = am.switches
+					}
+					repeat(msgs, func(_ int, next func()) { sendThen(n, Msg{Src: c}, next) }, done)
+				})
+			})
+		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n.Stats.Messages != nodes+senders*msgs {
+		t.Fatalf("Messages = %d, want %d", n.Stats.Messages, nodes+senders*msgs)
+	}
+	if d := am.switches - stormSwitches; d != 0 {
+		t.Errorf("%d mode switches under three senders, want 0", d)
+	}
+	if am.Mode() != MACToken {
+		t.Errorf("final mode = %v, want token", am.Mode())
+	}
+}
+
 // TestAdaptiveMACStaysInBackoffWhenUncontended: sparse traffic must never
 // trigger a switch — the collision rate stays at zero.
 func TestAdaptiveMACStaysInBackoffWhenUncontended(t *testing.T) {

@@ -133,6 +133,3 @@ func (n *Network) EnergyPerNode() []float64 {
 	copy(out, n.energyPerNode)
 	return out
 }
-
-// Channel returns the channel-error model between the Network and its MAC.
-func (n *Network) Channel() channel.Model { return n.ch }

@@ -417,9 +417,6 @@ func (n *Network) NodeFailStopped(node int) bool {
 	return n.inj != nil && n.inj.FailStopped(node, uint64(n.eng.Now()))
 }
 
-// Params returns the channel configuration.
-func (n *Network) Params() Params { return n.p }
-
 // Subscribe registers fn to be called at the commit cycle of every message,
 // in subscription order. Subscribers run in engine (event) context.
 func (n *Network) Subscribe(fn func(Msg, sim.Time)) {
