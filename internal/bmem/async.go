@@ -22,15 +22,10 @@ type loadCont struct {
 }
 
 func (b *BM) newLoadCont(addr uint32, then func(uint64)) *loadCont {
-	var c *loadCont
-	if n := len(b.loadFree); n > 0 {
-		c = b.loadFree[n-1]
-		b.loadFree = b.loadFree[:n-1]
-		b.eng.StepPoolHit()
-	} else {
+	c := b.loads.Take(b.eng)
+	if c == nil {
 		c = &loadCont{b: b}
 		c.fn = c.run
-		b.eng.StepPoolMiss()
 	}
 	c.addr, c.then = addr, then
 	return c
@@ -39,7 +34,7 @@ func (b *BM) newLoadCont(addr uint32, then func(uint64)) *loadCont {
 func (c *loadCont) run() {
 	b, addr, then := c.b, c.addr, c.then
 	c.then = nil
-	b.loadFree = append(b.loadFree, c)
+	b.loads.Put(c)
 	then(b.entries[addr].val)
 }
 
@@ -66,7 +61,7 @@ type storeCont struct {
 func (c *storeCont) run(committed bool) {
 	b, node, then := c.b, c.node, c.then
 	c.then = nil
-	b.storeFree = append(b.storeFree, c)
+	b.stores.Put(c)
 	b.wcb[node] = committed
 	then()
 }
@@ -84,15 +79,10 @@ func (b *BM) StoreAsync(node int, pid uint16, addr uint32, val uint64, then func
 	}
 	b.Stats.Stores++
 	b.wcb[node] = false
-	var c *storeCont
-	if n := len(b.storeFree); n > 0 {
-		c = b.storeFree[n-1]
-		b.storeFree = b.storeFree[:n-1]
-		b.eng.StepPoolHit()
-	} else {
+	c := b.stores.Take(b.eng)
+	if c == nil {
 		c = &storeCont{b: b}
 		c.fn = c.run
-		b.eng.StepPoolMiss()
 	}
 	c.node, c.then = node, then
 	b.net.SendAsync(wireless.Msg{Src: node, Addr: addr, Val: val, Kind: wireless.KindStore, PID: pid}, nil, c.fn)
@@ -240,7 +230,7 @@ func (c *rmwGrantCont) done(bool) {
 	b, node, old, then := c.b, c.node, c.old, c.then
 	ok := c.ran || c.denied
 	c.f, c.then = nil, nil
-	b.rmwFree = append(b.rmwFree, c)
+	b.rmws.Put(c)
 	b.wcb[node] = ok
 	then(old, ok)
 }
@@ -252,17 +242,12 @@ func (c *rmwGrantCont) done(bool) {
 func (b *BM) rmwAtGrantAsync(node int, pid uint16, addr uint32, f func(uint64) (uint64, bool), then func(old uint64, ok bool)) error {
 	b.wcb[node] = false
 	b.afb[node] = false
-	var c *rmwGrantCont
-	if n := len(b.rmwFree); n > 0 {
-		c = b.rmwFree[n-1]
-		b.rmwFree = b.rmwFree[:n-1]
-		b.eng.StepPoolHit()
-	} else {
+	c := b.rmws.Take(b.eng)
+	if c == nil {
 		c = &rmwGrantCont{b: b}
 		c.submitFn = c.submit
 		c.doneFn = c.done
 		c.msg.Op = c.op
-		b.eng.StepPoolMiss()
 	}
 	c.node, c.f, c.then = node, f, then
 	c.ran, c.denied = false, false

@@ -17,7 +17,6 @@ package bmem
 
 import (
 	"fmt"
-	"sync"
 
 	"wisync/internal/sim"
 	"wisync/internal/wireless"
@@ -128,15 +127,15 @@ type BM struct {
 	// onToneInit is installed by the tone controller to observe Tone-bit
 	// messages.
 	onToneInit func(msg wireless.Msg, at sim.Time)
-	// loadFree, spinFree, herdFree, storeFree and rmwFree recycle the
-	// delivery, spin-loop, spin-herd, commit and grant-time-RMW
-	// continuations (async.go, spin.go), so the steady-state paths
-	// allocate no closures; cohortFree recycles the spin lists' cohorts.
-	loadFree   []*loadCont
-	spinFree   []*bmSpin
-	herdFree   []*spinHerd
-	storeFree  []*storeCont
-	rmwFree    []*rmwGrantCont
+	// loads, spins, herds, stores and rmws recycle the delivery, spin-loop,
+	// spin-herd, commit and grant-time-RMW continuations (async.go,
+	// spin.go), so the steady-state paths allocate no closures; cohortFree
+	// recycles the spin lists' cohorts.
+	loads      sim.StepPool[loadCont]
+	spins      sim.StepPool[bmSpin]
+	herds      sim.StepPool[spinHerd]
+	stores     sim.StepPool[storeCont]
+	rmws       sim.StepPool[rmwGrantCont]
 	cohortFree []*cohort
 	// probing is set while the prepare hook evaluates an RMW Op against
 	// the current replica value at grant time. The Op wrappers use it to
@@ -146,70 +145,72 @@ type BM struct {
 	// failure, fault-injected outage — reports ok == false instead of a
 	// stale success.
 	probing bool
+	// onCommitFn and prepareFn are the cached method values Init hands to
+	// the Data channel.
+	onCommitFn func(wireless.Msg, sim.Time)
+	prepareFn  func(wireless.Msg) bool
 	// Stats is exported for harness reporting.
 	Stats Stats
-	// store is the bmStore this BM took its entry table from, refilled
-	// and handed on by Release.
-	store *bmStore
 }
-
-// bmStore is the storage a released BM hands to the next BM built in the
-// process (see Release): the entry table, zeroed again when taken.
-type bmStore struct{ entries []entry }
-
-// bmStores passes bmStores from released BMs to new ones.
-var bmStores sync.Pool
 
 // New creates the Broadcast Memory over the given Data channel.
 func New(eng *sim.Engine, net *wireless.Network, nodes int, p Params) *BM {
-	if p.Entries == 0 {
-		p = DefaultParams()
-	}
-	st, _ := bmStores.Get().(*bmStore)
-	switch {
-	case st == nil:
-		st = &bmStore{entries: make([]entry, p.Entries)}
-	case cap(st.entries) < p.Entries:
-		st.entries = make([]entry, p.Entries)
-	default:
-		st.entries = st.entries[:p.Entries]
-		clear(st.entries)
-	}
-	b := &BM{
-		eng:      eng,
-		net:      net,
-		p:        p,
-		nodes:    nodes,
-		entries:  st.entries,
-		store:    st,
-		wcb:      make([]bool, nodes),
-		afb:      make([]bool, nodes),
-		pending:  make([]pendingRMW, nodes),
-		watchers: make(map[uint32]*spinList),
-	}
-	net.Subscribe(b.onCommit)
-	// Grant-time RMW staleness check: an RMW whose write would not be
-	// performed (failed compare) is abandoned before transmitting.
-	net.SetPrepare(func(m wireless.Msg) bool {
-		if m.Kind != wireless.KindRMW || m.Op == nil {
-			return true
-		}
-		b.probing = true
-		_, do := m.Op(b.entries[m.Addr].val)
-		b.probing = false
-		return do
-	})
+	b := new(BM)
+	b.Init(eng, net, nodes, p)
 	return b
 }
 
-// Release hands the BM's entry table to the BM built next in this
-// process. Call it once nothing reads the BM any more; it must not be used
-// afterwards.
-func (b *BM) Release() {
-	st := b.store
-	b.store = nil
-	st.entries, b.entries = b.entries, nil
-	bmStores.Put(st)
+// Init makes b the Broadcast Memory New(eng, net, nodes, p) returns. On a
+// BM that ran before, it keeps the storage that run built, emptied: the
+// entry table, the per-node arrays, the spin lists' map, and the free
+// continuations and cohorts. Continuations still in flight when that run
+// stopped are dropped.
+func (b *BM) Init(eng *sim.Engine, net *wireless.Network, nodes int, p Params) {
+	if p.Entries == 0 {
+		p = DefaultParams()
+	}
+	clear(b.watchers)
+	watchers := b.watchers
+	if watchers == nil {
+		watchers = make(map[uint32]*spinList)
+	}
+	*b = BM{
+		eng:        eng,
+		net:        net,
+		p:          p,
+		nodes:      nodes,
+		entries:    sim.Zeroed(b.entries, p.Entries),
+		wcb:        sim.Zeroed(b.wcb, nodes),
+		afb:        sim.Zeroed(b.afb, nodes),
+		pending:    sim.Zeroed(b.pending, nodes),
+		watchers:   watchers,
+		loads:      b.loads.Recycled(),
+		spins:      b.spins.Recycled(),
+		herds:      b.herds.Recycled(),
+		stores:     b.stores.Recycled(),
+		rmws:       b.rmws.Recycled(),
+		cohortFree: b.cohortFree,
+		onCommitFn: b.onCommitFn,
+		prepareFn:  b.prepareFn,
+	}
+	if b.onCommitFn == nil {
+		b.onCommitFn = b.onCommit
+		b.prepareFn = b.prepare
+	}
+	net.Subscribe(b.onCommitFn)
+	net.SetPrepare(b.prepareFn)
+}
+
+// prepare is the grant-time RMW staleness check: an RMW whose write would
+// not be performed (failed compare) is abandoned before transmitting.
+func (b *BM) prepare(m wireless.Msg) bool {
+	if m.Kind != wireless.KindRMW || m.Op == nil {
+		return true
+	}
+	b.probing = true
+	_, do := m.Op(b.entries[m.Addr].val)
+	b.probing = false
+	return do
 }
 
 // Params returns the BM configuration.

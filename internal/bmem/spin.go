@@ -36,7 +36,7 @@ func (sp *bmSpin) onVal(v uint64) {
 func (sp *bmSpin) release(v uint64) {
 	b, then := sp.b, sp.then
 	sp.then, sp.next = nil, nil
-	b.spinFree = append(b.spinFree, sp)
+	b.spins.Put(sp)
 	then(v)
 }
 
@@ -48,15 +48,10 @@ func (b *BM) SpinUntilAsync(node int, pid uint16, addr uint32, cond sim.Cond, th
 	if err := b.check(node, pid, addr); err != nil {
 		return err
 	}
-	var sp *bmSpin
-	if n := len(b.spinFree); n > 0 {
-		sp = b.spinFree[n-1]
-		b.spinFree = b.spinFree[:n-1]
-		b.eng.StepPoolHit()
-	} else {
+	sp := b.spins.Take(b.eng)
+	if sp == nil {
 		sp = &bmSpin{b: b}
 		sp.onValFn = sp.onVal
-		b.eng.StepPoolMiss()
 	}
 	sp.node, sp.pid, sp.addr, sp.cond, sp.then = node, pid, addr, cond, then
 	return b.LoadAsync(node, pid, addr, sp.onValFn)
@@ -162,16 +157,11 @@ type spinHerd struct {
 }
 
 func (b *BM) newHerd(addr uint32) *spinHerd {
-	var h *spinHerd
-	if n := len(b.herdFree); n > 0 {
-		h = b.herdFree[n-1]
-		b.herdFree = b.herdFree[:n-1]
-		b.eng.StepPoolHit()
-	} else {
+	h := b.herds.Take(b.eng)
+	if h == nil {
 		h = &spinHerd{b: b}
 		h.pollFn = h.poll
 		h.deliverFn = h.deliver
-		b.eng.StepPoolMiss()
 	}
 	h.addr = addr
 	return h
@@ -225,5 +215,5 @@ func (h *spinHerd) deliver() {
 	}
 	b.eng.RunAhead(0)
 	h.cohorts = nil
-	b.herdFree = append(b.herdFree, h)
+	b.herds.Put(h)
 }

@@ -40,8 +40,10 @@ func (m *Machine) recordFault(core int, pid uint16, op string) {
 var ErrAborted = errors.New("core: run aborted")
 
 // BudgetError reports that the simulation was still live when it reached
-// the configured cycle budget. Parked holds the last-operation breadcrumb
-// of every live thread at the cutoff.
+// the configured cycle budget. Now is the swept-to cycle at which the
+// budget tripped, which is the budget itself, not the last event's cycle.
+// Parked holds the last-operation breadcrumb of every live thread at the
+// cutoff.
 type BudgetError struct {
 	Budget sim.Time
 	Now    sim.Time
@@ -142,7 +144,7 @@ func (m *Machine) runGuarded(cut sim.Time, until bool) error {
 			return nil
 		}
 		if budget > 0 && horizon >= budget {
-			return m.halt(&BudgetError{Budget: budget, Now: m.Eng.Now(), Parked: m.Eng.Breadcrumbs()})
+			return m.halt(&BudgetError{Budget: budget, Now: horizon, Parked: m.Eng.Breadcrumbs()})
 		}
 		if m.Cfg.Watchdog > 0 {
 			if c := m.progressCounter(); c != lastCount {

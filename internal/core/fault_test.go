@@ -110,7 +110,7 @@ func TestGuardedRun(t *testing.T) {
 				if !errors.As(err, want) {
 					t.Fatalf("err = %v, want a BudgetError", err)
 				}
-				if e := *want; e.Budget != tc.budget || e.Now > tc.budget || len(e.Parked) != 1 {
+				if e := *want; e.Budget != tc.budget || e.Now != tc.budget || len(e.Parked) != 1 {
 					t.Fatalf("malformed BudgetError: %+v", e)
 				}
 			}

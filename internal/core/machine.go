@@ -13,6 +13,8 @@
 package core
 
 import (
+	"sync"
+
 	"wisync/internal/bmem"
 	"wisync/internal/config"
 	"wisync/internal/mem"
@@ -38,7 +40,35 @@ type Machine struct {
 	// faults collects the per-core fault records of threads halted by a
 	// fail-stopped transceiver (fault.go).
 	faults []Fault
+
+	// What follows stays with the machine from one point to the next (see
+	// Finish). tasks holds every Task the machine has spawned, in spawn
+	// order; the first spawned of them are this point's. names caches
+	// SpawnAllTasks' thread names. hw holds the layers the exported
+	// pointers above point at.
+	tasks   []*Task
+	spawned int
+	names   []string
+	hw      *hardware
 }
+
+// hardware is a machine's layers, each rebuilt in place by its Init for
+// every point the machine runs. A wired point leaves the wireless layers
+// unused until a point that has the hardware runs on the machine.
+type hardware struct {
+	mesh *noc.Mesh
+	eng  sim.Engine
+	mem  mem.System
+	net  wireless.Network
+	bm   bmem.BM
+	tone tone.Controller
+}
+
+// machines holds finished machines for New to run points on. One pool
+// serves every core count: a machine's arrays only grow, so a sweep that
+// mixes core counts keeps one machine per worker, sized for its largest
+// point, rather than one per core count it has run.
+var machines sync.Pool
 
 // NewMachine builds a machine for cfg. It panics on invalid configurations
 // (these are programming errors in the harness, not runtime conditions).
@@ -54,14 +84,33 @@ func NewMachine(cfg config.Config) *Machine {
 
 // New builds a machine for cfg, rejecting invalid configurations with an
 // error rather than a panic, so a bad job config cannot crash a serving
-// process.
+// process. It rebuilds a machine an earlier point finished, when the
+// process has one, and allocates one otherwise; either way the machine
+// runs exactly as a new one would.
 func New(cfg config.Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine(cfg.Seed)
-	mesh := noc.New(cfg.Cores, cfg.HopLatency)
-	mp := mem.Params{
+	m, _ := machines.Get().(*Machine)
+	if m == nil {
+		m = new(Machine)
+	}
+	m.init(cfg)
+	return m, nil
+}
+
+// init makes m a machine for cfg, rebuilding its layers in place and
+// keeping its tasks and thread names for SpawnTask to reuse.
+func (m *Machine) init(cfg config.Config) {
+	hw := m.hw
+	if hw == nil {
+		hw = new(hardware)
+	}
+	if hw.mesh == nil || hw.mesh.Nodes() != cfg.Cores || hw.mesh.HopLatency() != cfg.HopLatency {
+		hw.mesh = noc.New(cfg.Cores, cfg.HopLatency)
+	}
+	hw.eng.Init(cfg.Seed)
+	hw.mem.Init(&hw.eng, hw.mesh, mem.Params{
 		Cores:         cfg.Cores,
 		L1RT:          cfg.L1RT,
 		L2RT:          cfg.L2RT,
@@ -70,26 +119,30 @@ func New(cfg config.Config) (*Machine, error) {
 		L1Sets:        cfg.L1Sets,
 		L1Ways:        cfg.L1Ways,
 		TreeBroadcast: cfg.Kind.TreeBroadcast(),
-	}
-	m := &Machine{
+	})
+	*m = Machine{
 		Cfg:  cfg,
-		Eng:  eng,
-		Mesh: mesh,
-		Mem:  mem.New(eng, mesh, mp),
+		Eng:  &hw.eng,
+		Mesh: hw.mesh,
+		Mem:  &hw.mem,
 		// Reserve low addresses; workload variables start at 1 MB.
 		addrCursor: 1 << 20,
+		tasks:      m.tasks,
+		names:      m.names,
+		hw:         hw,
 	}
 	if cfg.Kind.HasBM() {
-		m.Net = wireless.New(eng, cfg.Cores, cfg.Wireless)
+		hw.net.Init(&hw.eng, cfg.Cores, cfg.Wireless)
 		bp := bmem.DefaultParams()
 		bp.RT = cfg.BMRT
 		bp.Entries = cfg.BMEntries
-		m.BM = bmem.New(eng, m.Net, cfg.Cores, bp)
+		hw.bm.Init(&hw.eng, &hw.net, cfg.Cores, bp)
+		m.Net, m.BM = &hw.net, &hw.bm
 	}
 	if cfg.Kind.HasTone() {
-		m.Tone = tone.New(eng, m.BM, m.Net, cfg.Tone)
+		hw.tone.Init(&hw.eng, m.BM, m.Net, cfg.Tone)
+		m.Tone = &hw.tone
 	}
-	return m, nil
 }
 
 // Outcome is what a finished machine reports: the cycle the run ended at
@@ -127,13 +180,11 @@ type Outcome struct {
 	Faults []Fault
 }
 
-// Finish snapshots the machine's Outcome, then hands its reusable storage
-// — the event queue's arrays, the L1 tag array, the Broadcast Memory's
-// entry table — to the machines built after it in this process. Runners
-// call it once the run is over; the machine must not be used afterwards.
-// Only storage crosses, zeroed when it is taken: continuation pools,
-// counters and anything that points into this machine stay behind, so a
-// later point runs exactly as it would on a fresh machine.
+// Finish snapshots the machine's Outcome, whose fault records become the
+// caller's, and hands the machine back for a later point to run on (see
+// New). Runners call it once a run is over, and only then: a machine a
+// guard stopped, or whose run panicked, is left to the collector. The
+// machine must not be used after Finish.
 func (m *Machine) Finish() Outcome {
 	o := Outcome{
 		Cycles:          m.Eng.Now(),
@@ -147,11 +198,8 @@ func (m *Machine) Finish() Outcome {
 		o.MAC = m.Net.MACCounters()
 		o.Energy = m.Net.Energy
 	}
-	m.Eng.Release()
-	m.Mem.Release()
-	if m.BM != nil {
-		m.BM.Release()
-	}
+	m.faults = nil
+	machines.Put(m)
 	return o
 }
 

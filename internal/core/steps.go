@@ -53,19 +53,38 @@ type rmwOp struct {
 	doneFn  func(uint64)
 }
 
-// rmwStep returns the task's recycled cached-memory step, allocating it on
+// Task.used bits: the step families a task has used since it was spawned.
+const (
+	stepRMW uint8 = 1 << iota
+	stepBM
+	stepHW
+)
+
+// firstUse reports whether this is the task's first use of the step family
+// since it was spawned, and counts the use: a miss the first time, as a
+// new task would count the step it makes, and a hit after. A step the task
+// kept from an earlier point needs no reset: every operation sets the
+// fields it reads before it issues.
+func (t *Task) firstUse(family uint8) bool {
+	if t.used&family != 0 {
+		t.M.Eng.StepPoolHit()
+		return false
+	}
+	t.used |= family
+	t.M.Eng.StepPoolMiss()
+	return true
+}
+
+// rmwStep returns the task's recycled cached-memory step, making it on
 // first use.
 func (t *Task) rmwStep() *rmwOp {
-	if t.rmw == nil {
-		t.M.Eng.StepPoolMiss()
+	if t.firstUse(stepRMW) && t.rmw == nil {
 		op := &rmwOp{t: t}
 		op.issueFn = op.issue
 		op.fFn = op.f
 		op.doneFn = op.done
 		t.rmw = op
-		return op
 	}
-	t.M.Eng.StepPoolHit()
 	return t.rmw
 }
 
@@ -160,18 +179,15 @@ type hwOp struct {
 	onToneFn func(uint64)
 }
 
-// hwStep returns the task's recycled hardware-operation step, allocating
-// it on first use.
+// hwStep returns the task's recycled hardware-operation step, making it
+// on first use.
 func (t *Task) hwStep() *hwOp {
-	if t.hw == nil {
-		t.M.Eng.StepPoolMiss()
+	if t.firstUse(stepHW) && t.hw == nil {
 		op := &hwOp{t: t}
 		op.issueFn = op.issue
 		op.onToneFn = op.onTone
 		t.hw = op
-		return op
 	}
-	t.M.Eng.StepPoolHit()
 	return t.hw
 }
 
@@ -282,18 +298,15 @@ type bmRetryOp struct {
 	doneFn  func(uint64, bool)
 }
 
-// bmStep returns the task's recycled BM retry step, allocating it on first
+// bmStep returns the task's recycled BM retry step, making it on first
 // use.
 func (t *Task) bmStep() *bmRetryOp {
-	if t.bmr == nil {
-		t.M.Eng.StepPoolMiss()
+	if t.firstUse(stepBM) && t.bmr == nil {
 		op := &bmRetryOp{t: t}
 		op.issueFn = op.issue
 		op.fFn = op.f
 		op.doneFn = op.done
 		t.bmr = op
-	} else {
-		t.M.Eng.StepPoolHit()
 	}
 	return t.bmr
 }

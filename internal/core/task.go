@@ -34,32 +34,51 @@ type Task struct {
 	Core int
 	PID  uint16
 
-	st      *sim.Task
+	st      sim.Task
 	pending sim.Time
-	// Recycled continuation steps (steps.go), allocated on first use and
-	// reused for every subsequent operation of their family.
-	rmw *rmwOp
-	bmr *bmRetryOp
-	hw  *hwOp
+	body    func(*Task)
+	startFn func() // cached method value of start
+	// Recycled continuation steps (steps.go), made on first use and reused
+	// for every subsequent operation of their family. They stay with the
+	// Task when its machine runs another point; used marks the families
+	// the task has used since it was spawned (stepRMW, stepBM, stepHW).
+	rmw  *rmwOp
+	bmr  *bmRetryOp
+	hw   *hwOp
+	used uint8
 }
 
 // SpawnTask starts body as a thread pinned to the given core with the given
 // PID. Tasks started before Run begin at cycle 0; the spawn consumes one
-// event sequence number.
+// event sequence number. A machine running another point spawns its
+// earlier point's Tasks again, in order, each rebuilt whole but for its
+// steps.
 func (m *Machine) SpawnTask(name string, core int, pid uint16, body func(*Task)) *Task {
 	if core < 0 || core >= m.Cfg.Cores {
 		panic(fmt.Sprintf("core: spawn on core %d of %d", core, m.Cfg.Cores))
 	}
-	t := &Task{M: m, Core: core, PID: pid}
-	t.st = m.Eng.GoTask(name, func(*sim.Task) { body(t) })
+	if m.spawned == len(m.tasks) {
+		t := new(Task)
+		t.startFn = t.start
+		m.tasks = append(m.tasks, t)
+	}
+	t := m.tasks[m.spawned]
+	m.spawned++
+	*t = Task{M: m, Core: core, PID: pid, body: body, startFn: t.startFn, rmw: t.rmw, bmr: t.bmr, hw: t.hw}
+	m.Eng.StartTask(&t.st, name, t.startFn)
 	return t
 }
+
+func (t *Task) start() { t.body(t) }
 
 // SpawnAllTasks starts one task per core (cores 0..n-1, PID 1), the common
 // kernel pattern. body receives the task; task index == core index.
 func (m *Machine) SpawnAllTasks(body func(*Task)) {
 	for c := 0; c < m.Cfg.Cores; c++ {
-		m.SpawnTask(fmt.Sprintf("t%d", c), c, 1, body)
+		if c == len(m.names) {
+			m.names = append(m.names, fmt.Sprintf("t%d", c))
+		}
+		m.SpawnTask(m.names[c], c, 1, body)
 	}
 }
 

@@ -253,6 +253,22 @@ func TestWatchdogRows(t *testing.T) {
 	}
 }
 
+// TestBudgetRowReportsSweptCycle: a budget trip reports the cycle the
+// guarded loop had swept to, the budget, as a watchdog trip does. The fft
+// threads compute through the budget, so no event lands near it.
+func TestBudgetRowReportsSweptCycle(t *testing.T) {
+	t.Parallel()
+	spec := PointSpec{Workload: "app:fft", Kind: config.Baseline, Cores: 16, Seed: 1, Iters: 1, Budget: 20000}
+	_, err := spec.Run()
+	var be *core.BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("budget trip did not surface a BudgetError: %v", err)
+	}
+	if be.Budget != 20000 || be.Now != 20000 || len(be.Parked) != spec.Cores {
+		t.Fatalf("malformed BudgetError: %+v", be)
+	}
+}
+
 // TestBudgetAndAbortRows pins the structured guard errors through the
 // harness: a cycle budget below the point's natural length fails with
 // core.BudgetError (classifiable via errors.As through the row error

@@ -1,14 +1,19 @@
 package harness
 
 import (
+	"context"
+	"fmt"
 	"os"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"wisync/internal/channel"
 	"wisync/internal/config"
 	"wisync/internal/fault"
+	"wisync/internal/sim"
 	"wisync/internal/wireless"
 )
 
@@ -78,8 +83,8 @@ func priorLine(p priorPoint, row string, err error) string {
 
 // TestRowsIndependentOfPriorPoints: a point's row does not depend on which
 // points ran before it in the same process, or on when the collector ran.
-// Machines hand their storage on to the next machine built in the process
-// (core.Machine.Finish), so this runs one point list in several orders —
+// A finished machine runs a later point of its core count (core.New), so
+// this runs one point list in several orders —
 // forward, reversed, each point right after the largest one, with and
 // without a collection between points, and on two harness workers — and
 // demands the same rows every time, equal to testdata/prior_points.tsv.
@@ -169,4 +174,118 @@ func TestRowsIndependentOfPriorPoints(t *testing.T) {
 		par[i] = priorLine(pts[i], o.Row, o.Err)
 	}
 	check("two workers", par)
+}
+
+// recycleChain lists points that each run on the machine the point before
+// it finished, and differ from that point in kind, workload, MAC, channel
+// or fault plan; the last three change the core count, both ways. The CAS
+// points stop at their horizon with directory transactions (Baseline) or
+// Data-channel messages (WiSyncNoT) in flight, and a kernel point follows
+// each. The fft point trips its budget, so its machine is never handed
+// back and the point after it runs on the machine before.
+func recycleChain() []PointSpec {
+	plan := &fault.Plan{Outages: []fault.Outage{{Node: 2, At: 300, For: 500}, {Node: 6, At: 900}}}
+	return []PointSpec{
+		{Workload: "cas-fifo", Kind: config.Baseline, Cores: 16, Seed: 5},
+		{Workload: "tightloop", Kind: config.WiSync, Cores: 16, Seed: 5},
+		{Workload: "cas-lifo", Kind: config.WiSyncNoT, Cores: 16, Seed: 5},
+		{Workload: "livermore3", Kind: config.BaselinePlus, Cores: 16, Seed: 5},
+		{Workload: "tightloop", Kind: config.WiSync, Cores: 16, Seed: 6},
+		{Workload: "app:fft", Kind: config.Baseline, Cores: 16, Seed: 1, Iters: 1, Budget: 20000},
+		{Workload: "app:dedup", Kind: config.BaselinePlus, Cores: 16, Seed: 5, Iters: 1},
+		{Workload: "cas-add", Kind: config.WiSyncNoT, Cores: 16, Seed: 5, MAC: wireless.MACToken},
+		{Workload: "livermore6", Kind: config.WiSync, Cores: 16, Seed: 5, Channel: channel.Uniform},
+		{Workload: "cas-fifo", Kind: config.WiSyncNoT, Cores: 16, Seed: 5, MAC: wireless.MACAdaptive, Faults: plan},
+		{Workload: "tightloop", Kind: config.WiSyncNoT, Cores: 16, Seed: 5, Channel: channel.Burst},
+		{Workload: "app:radiosity", Kind: config.WiSync, Cores: 16, Seed: 5, Iters: 1},
+		{Workload: "cas-add", Kind: config.WiSync, Cores: 64, Seed: 5},
+		{Workload: "livermore2", Kind: config.Baseline, Cores: 16, Seed: 5},
+		{Workload: "tightloop", Kind: config.WiSyncNoT, Cores: 64, Seed: 5,
+			Faults: &fault.Plan{Outages: []fault.Outage{{Node: 9, At: 700, For: 400}}}},
+	}
+}
+
+// chainOutcome is what TestRecycledMachinesRunAsNew compares: a point's
+// row and scheduling counters, or its error.
+type chainOutcome struct {
+	row   string
+	sched sim.SchedStats
+	err   string
+}
+
+func runChainPoint(s PointSpec) chainOutcome {
+	res, err := s.Simulate(context.Background())
+	if err != nil {
+		return chainOutcome{err: err.Error()}
+	}
+	return chainOutcome{row: res.Row(), sched: res.outcome().Sched}
+}
+
+// emptyMachinePools lets the collector drop every finished machine:
+// sync.Pool keeps what it held before one collection in a victim cache
+// until the next.
+func emptyMachinePools() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// TestRecycledMachinesRunAsNew: a point on a machine an earlier point
+// finished gives the row and the scheduling counters, step-pool counts
+// included, of a point on a new machine. It runs each point of
+// recycleChain on a new machine, then the chain on recycled ones: in
+// order, and on one and two harness workers.
+func TestRecycledMachinesRunAsNew(t *testing.T) {
+	chain := recycleChain()
+	fresh := make([]chainOutcome, len(chain))
+	for i, s := range chain {
+		emptyMachinePools()
+		fresh[i] = runChainPoint(s)
+	}
+	for i, o := range fresh {
+		if tripped := strings.Contains(o.err, "budget"); tripped != (chain[i].Budget > 0) || !tripped && o.err != "" {
+			t.Fatalf("%s: %+v", chain[i].ID(), o)
+		}
+	}
+	check := func(arrangement string, got []chainOutcome) {
+		t.Helper()
+		for i := range chain {
+			if got[i] != fresh[i] {
+				t.Errorf("%s: %s on a recycled machine\n got: %+v\nwant: %+v", arrangement, chain[i].ID(), got[i], fresh[i])
+			}
+		}
+	}
+	emptyMachinePools()
+	inOrder := make([]chainOutcome, len(chain))
+	for i, s := range chain {
+		inOrder[i] = runChainPoint(s)
+	}
+	check("in order", inOrder)
+	for _, workers := range []int{1, 2} {
+		got := make([]chainOutcome, len(chain))
+		ForEach(workers, len(chain), func(i int) { got[i] = runChainPoint(chain[i]) })
+		check(fmt.Sprintf("%d worker(s)", workers), got)
+	}
+}
+
+// TestResultOwnsItsFaults: a result keeps its fault records and row after
+// a later point runs on the machine that produced them.
+func TestResultOwnsItsFaults(t *testing.T) {
+	first := PointSpec{Workload: "cas-fifo", Kind: config.WiSyncNoT, Cores: 16, Seed: 3,
+		Faults: &fault.Plan{Outages: []fault.Outage{{Node: 2, At: 500}, {Node: 5, At: 900}}}}
+	res, err := first.Simulate(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, faults := res.Row(), slices.Clone(res.CAS.Faults)
+	if len(faults) == 0 {
+		t.Fatal("the plan halted no thread; the test does not exercise the fault records")
+	}
+	second := PointSpec{Workload: "cas-add", Kind: config.WiSyncNoT, Cores: 16, Seed: 4,
+		Faults: &fault.Plan{Outages: []fault.Outage{{Node: 1, At: 400}, {Node: 7, At: 600}, {Node: 9, At: 700}}}}
+	if _, err := second.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.CAS.Faults, faults) || res.Row() != row {
+		t.Errorf("a later point changed the result it did not produce\n got: %v\nwant: %v", res.CAS.Faults, faults)
+	}
 }

@@ -23,15 +23,10 @@ type hitCont struct {
 }
 
 func (s *System) newHitCont(addr, old uint64, useOld bool, then func(uint64)) *hitCont {
-	var c *hitCont
-	if n := len(s.hitFree); n > 0 {
-		c = s.hitFree[n-1]
-		s.hitFree = s.hitFree[:n-1]
-		s.eng.StepPoolHit()
-	} else {
+	c := s.hits.Take(s.eng)
+	if c == nil {
 		c = &hitCont{s: s}
 		c.fn = c.run
-		s.eng.StepPoolMiss()
 	}
 	c.addr, c.old, c.useOld, c.then = addr, old, useOld, then
 	return c
@@ -44,7 +39,7 @@ func (c *hitCont) run() {
 		v = s.wordAt(c.addr)
 	}
 	c.then = nil
-	s.hitFree = append(s.hitFree, c)
+	s.hits.Put(c)
 	then(v)
 }
 
@@ -115,7 +110,7 @@ func (sp *memSpin) onVal(v uint64) {
 	if sp.cond.Holds(v) {
 		then := sp.then
 		sp.then = nil
-		s.spinFree = append(s.spinFree, sp)
+		s.spins.Put(sp)
 		then(v)
 		return
 	}
@@ -131,16 +126,11 @@ func (sp *memSpin) onVal(v uint64) {
 // cached copy generating no traffic until the line is invalidated, then
 // re-fetch. then receives the value that satisfied cond.
 func (s *System) SpinUntilAsync(core int, addr uint64, cond sim.Cond, then func(uint64)) {
-	var sp *memSpin
-	if n := len(s.spinFree); n > 0 {
-		sp = s.spinFree[n-1]
-		s.spinFree = s.spinFree[:n-1]
-		s.eng.StepPoolHit()
-	} else {
+	sp := s.spins.Take(s.eng)
+	if sp == nil {
 		sp = &memSpin{s: s}
 		sp.onValFn = sp.onVal
 		sp.respinFn = sp.respin
-		s.eng.StepPoolMiss()
 	}
 	sp.core, sp.addr, sp.line, sp.cond, sp.then = core, addr, Line(addr), cond, then
 	sp.respin()

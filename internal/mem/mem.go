@@ -20,8 +20,6 @@ package mem
 
 import (
 	"fmt"
-	"math/bits"
-	"sync"
 
 	"wisync/internal/noc"
 	"wisync/internal/sim"
@@ -217,69 +215,64 @@ type System struct {
 	txns []*txn
 	// txnFree recycles transaction state machines; the engine is single-
 	// threaded, so a plain freelist suffices and steady-state transactions
-	// allocate nothing. hitFree and spinFree do the same for the async
-	// face's L1-hit delivery and spin-loop continuations (async.go).
-	txnFree  []*txn
-	hitFree  []*hitCont
-	spinFree []*memSpin
+	// allocate nothing. hits and spins do the same for the async face's
+	// L1-hit delivery and spin-loop continuations (async.go).
+	txnFree []*txn
+	hits    sim.StepPool[hitCont]
+	spins   sim.StepPool[memSpin]
 	// Stats is exported for harness reporting.
 	Stats Stats
-	// store is the memStore this system took its tags from, refilled and
-	// handed on by Release.
-	store *memStore
 }
-
-// memStore is the storage a released System hands to the next System of
-// its size built in the process (see Release): the L1 tag array, zeroed
-// again when taken. Line entries are not carried: a lock-heavy point would
-// leave megabytes of them waiting for points that need few (see
-// docs/ARCHITECTURE.md, "Storage across points").
-type memStore struct {
-	tags []l1slot
-}
-
-// memStores passes memStores from released systems to new ones, one pool
-// per size class of the tag array (the bit length of its length), so a
-// point takes the tags of an earlier point of its own size rather than of
-// the largest.
-var memStores [bits.UintSize + 1]sync.Pool
 
 // New builds a memory system over mesh with the given parameters.
 func New(eng *sim.Engine, mesh *noc.Mesh, p Params) *System {
+	s := new(System)
+	s.Init(eng, mesh, p)
+	return s
+}
+
+// Init makes s the system New(eng, mesh, p) returns. On a system that ran
+// before, it keeps the storage that run built, emptied: the L1 tag array
+// and controllers' arrays, the line store's chunks and index, and the free
+// transactions and continuations. Transactions and continuations still in
+// flight when that run stopped are dropped.
+func (s *System) Init(eng *sim.Engine, mesh *noc.Mesh, p Params) {
 	if p.Cores != mesh.Nodes() {
 		panic(fmt.Sprintf("mem: %d cores but mesh has %d nodes", p.Cores, mesh.Nodes()))
 	}
 	if p.Cores > 256 {
 		panic("mem: more than 256 cores not supported")
 	}
-	n := p.Cores * p.L1Sets * p.L1Ways
-	ms, _ := memStores[bits.Len(uint(n))].Get().(*memStore)
-	switch {
-	case ms == nil:
-		ms = &memStore{tags: make([]l1slot, n)}
-	case cap(ms.tags) < n:
-		ms.tags = make([]l1slot, n)
-	default:
-		ms.tags = ms.tags[:n]
-		clear(ms.tags)
+	l1 := s.l1
+	if cap(l1) < p.Cores {
+		l1 = make([]l1cache, p.Cores)
 	}
-	return &System{
-		eng:   eng,
-		mesh:  mesh,
-		p:     p,
-		l1:    make([]l1cache, p.Cores),
-		tags:  ms.tags,
-		store: ms,
+	l1 = l1[:p.Cores]
+	for i := range l1 {
+		c := &l1[i]
+		clear(c.mshr)
+		clear(c.spin)
+		l1[i] = l1cache{mshr: c.mshr[:0], spin: c.spin}
 	}
-}
-
-// Release hands the system's L1 tag array to the systems of its size built
-// after it in this process. Call it once nothing reads the system any
-// more; it must not be used afterwards.
-func (s *System) Release() {
-	ms := s.store
-	s.store, s.tags = nil, nil
-	memStores[bits.Len(uint(len(ms.tags)))].Put(ms)
+	// The index holds the free transactions only, renumbered.
+	clear(s.txns)
+	txns := append(s.txns[:0], s.txnFree...)
+	for i, t := range txns {
+		t.id = uint32(i + 1)
+	}
+	s.lines.reset()
+	*s = System{
+		eng:     eng,
+		mesh:    mesh,
+		p:       p,
+		l1:      l1,
+		tags:    sim.Zeroed(s.tags, p.Cores*p.L1Sets*p.L1Ways),
+		lines:   s.lines,
+		txns:    txns,
+		txnFree: s.txnFree,
+		hits:    s.hits.Recycled(),
+		spins:   s.spins.Recycled(),
+	}
 }
 
 // Params returns the configuration the system was built with.

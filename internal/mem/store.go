@@ -116,8 +116,12 @@ func (st *pagedStore) cover(p uint64) {
 	switch n := len(st.pages); {
 	case n == 0:
 		st.base = p
-		st.pages = make([]uint32, 1, 64)
-		st.slots = make([]uint32, pageLines, 64*pageLines) // block 0
+		if cap(st.pages) == 0 {
+			st.pages = make([]uint32, 0, 64)
+			st.slots = make([]uint32, 0, 64*pageLines)
+		}
+		st.pages = st.pages[:1]
+		st.slots = st.slots[:pageLines] // block 0
 	case p >= st.base:
 		st.pages = extend(st.pages, int(p-st.base)+1)
 	default:
@@ -143,13 +147,28 @@ func extend(s []uint32, n int) []uint32 {
 	return s[:n]
 }
 
-// alloc hands out the next entry and returns its id.
+// alloc hands out the next entry and returns its id. A chunk kept by
+// reset is zeroed when its first entry is handed out.
 func (st *pagedStore) alloc() uint32 {
-	if st.n%chunkEntries == 0 {
-		st.chunks = append(st.chunks, new(entryChunk))
+	if c := int(st.n / chunkEntries); st.n%chunkEntries == 0 {
+		if c < len(st.chunks) {
+			*st.chunks[c] = entryChunk{}
+		} else {
+			st.chunks = append(st.chunks, new(entryChunk))
+		}
 	}
 	st.n++
 	return st.n
+}
+
+// reset empties the store for a new run, keeping its arrays: the index is
+// zeroed and the chunks are handed out again by alloc. Everything past an
+// index array's length is zero already (extend relies on it).
+func (st *pagedStore) reset() {
+	clear(st.pages)
+	clear(st.slots)
+	clear(st.sparse)
+	*st = pagedStore{pages: st.pages[:0], slots: st.slots[:0], chunks: st.chunks, sparse: st.sparse}
 }
 
 // entry returns the entry with the given id, or nil for id 0.

@@ -108,6 +108,45 @@ func TestPagedStoreDenseAndSparse(t *testing.T) {
 
 // TestSystemSparseAddressFallback drives the full memory system at an
 // address far outside the linear allocator's range: correctness must not
+// TestLineStoreResetKeepsChunks: a reset store has no entries, hands out
+// zeroed entries from the chunks it kept, and refills without allocating.
+func TestLineStoreResetKeepsChunks(t *testing.T) {
+	const first = (1 << 20) / LineBytes
+	var st pagedStore
+	fill := func() {
+		for i := uint64(0); i < 200; i++ {
+			le := st.fetch(first + 129*i)
+			le.words[3] = i + 1
+			le.dir.inL2 = true
+		}
+		st.fetch(maxDensePages*pageLines + 5).words[0] = 9
+	}
+	fill()
+	kept := map[*entryChunk]bool{}
+	for _, c := range st.chunks {
+		kept[c] = true
+	}
+	st.reset()
+	for i := uint64(0); i < 200; i++ {
+		if st.get(first+129*i) != nil {
+			t.Fatalf("reset store still holds line %d", first+129*i)
+		}
+	}
+	if st.get(maxDensePages*pageLines+5) != nil {
+		t.Fatal("reset store still holds a sparse line")
+	}
+	le := st.fetch(first + 1)
+	if *le != (lineEntry{}) {
+		t.Fatalf("entry from a kept chunk is not zero: %+v", *le)
+	}
+	if !kept[st.chunks[0]] {
+		t.Error("reset store did not hand out a kept chunk")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { st.reset(); fill() }); allocs != 0 {
+		t.Errorf("refilling a reset store allocated %v objects, want 0", allocs)
+	}
+}
+
 // depend on the dense window.
 func TestSystemSparseAddressFallback(t *testing.T) {
 	eng := sim.NewEngine(1)

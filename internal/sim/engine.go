@@ -52,12 +52,12 @@
 //
 // # Tasks
 //
-// Workload threads are Tasks (task.go). A task is spawned with GoTask,
-// which consumes one sequence number for its start event; it advances
-// exclusively through completion callbacks (SleepThen, the async
-// hardware-model operations, WaitQueue.WaitFn), and retires with Finish. A
-// task that has not finished when the queue drains is reported as
-// deadlocked.
+// Workload threads are Tasks (task.go). A task is spawned with GoTask, or
+// with StartTask on a Task its caller keeps; either consumes one sequence
+// number for its start event. It advances exclusively through completion
+// callbacks (SleepThen, the async hardware-model operations,
+// WaitQueue.WaitFn), and retires with Finish. A task that has not finished
+// when the queue drains is reported as deadlocked.
 //
 // SleepThen has a zero-handoff fast path: when the continuation would be
 // the very next event popped (nothing precedes it in the (time, priority,
@@ -105,7 +105,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Time is a simulation timestamp in processor cycles (1 ns at 1 GHz).
@@ -130,7 +129,7 @@ const (
 )
 
 // Engine is a discrete-event simulator. The zero value is not usable; use
-// NewEngine.
+// NewEngine, or Init on a zero or finished engine.
 type Engine struct {
 	now Time
 	q   eventQueue
@@ -157,50 +156,26 @@ type Engine struct {
 	// StepPoolHit/StepPoolMiss.
 	stepPoolHits   uint64
 	stepPoolMisses uint64
-	// store is the queueStore this engine took its storage from, refilled
-	// and handed on by Release.
-	store *queueStore
 }
-
-// queueStore is the event storage a released engine hands to the next
-// engine built in the process (see Release): FIFO arrays of the timing
-// wheel and the heap's array, all zero and of length zero. It carries
-// capacity only, never an event.
-type queueStore struct {
-	spares, smalls [][]event
-	heap           []event
-}
-
-// queueStores passes queueStores from released engines to new ones.
-var queueStores sync.Pool
 
 // NewEngine returns an engine whose random stream is derived from seed.
-// Its queue starts empty; it reuses the storage of an engine released
-// earlier in the process when there is one.
 func NewEngine(seed uint64) *Engine {
-	e := &Engine{
-		rng:   NewRand(seed),
-		limit: maxTime,
-		tasks: make(map[*Task]struct{}),
-	}
-	if st, _ := queueStores.Get().(*queueStore); st != nil {
-		e.q.adopt(st)
-		e.store = st
-	}
+	e := new(Engine)
+	e.Init(seed)
 	return e
 }
 
-// Release hands the engine's queue storage to the next engine built in
-// this process. Events still queued are dropped. Call it once nothing
-// reads the engine any more; it must not be used afterwards.
-func (e *Engine) Release() {
-	st := e.store
-	if st == nil {
-		st = new(queueStore)
+// Init makes e the engine NewEngine(seed) returns. On an engine that ran
+// before, it keeps the queue's arrays and the task set's map, emptied:
+// events and tasks still live when that run stopped are dropped.
+func (e *Engine) Init(seed uint64) {
+	tasks := e.tasks
+	if tasks == nil {
+		tasks = make(map[*Task]struct{})
 	}
-	e.store = nil
-	e.q.release(st)
-	queueStores.Put(st)
+	clear(tasks)
+	e.q.reset()
+	*e = Engine{q: e.q, rng: NewRand(seed), limit: maxTime, tasks: tasks}
 }
 
 // SchedStats are the engine's scheduling-internals counters: how events were
@@ -248,6 +223,58 @@ func (e *Engine) StepPoolHit() { e.stepPoolHits++ }
 
 // StepPoolMiss records one fresh step allocation.
 func (e *Engine) StepPoolMiss() { e.stepPoolMisses++ }
+
+// StepPool is a free list of recycled steps of one kind that reports its
+// takes through StepPoolHit and StepPoolMiss. Its free steps may outlive
+// the engine run they served (see Recycled), yet a take counts as it would
+// on a new, empty list: a miss exactly when it brings the steps in use to
+// a new high for the run, a hit otherwise. The zero value is empty.
+type StepPool[T any] struct {
+	free       []*T
+	live, high int
+}
+
+// Take returns a free step, or nil when the caller must make one; either
+// way it counts the take on e.
+func (p *StepPool[T]) Take(e *Engine) *T {
+	p.live++
+	if p.live > p.high {
+		p.high = p.live
+		e.StepPoolMiss()
+	} else {
+		e.StepPoolHit()
+	}
+	k := len(p.free)
+	if k == 0 {
+		return nil
+	}
+	s := p.free[k-1]
+	p.free[k-1] = nil
+	p.free = p.free[:k-1]
+	return s
+}
+
+// Put returns a step Take handed out, or one its caller made.
+func (p *StepPool[T]) Put(s *T) {
+	p.live--
+	p.free = append(p.free, s)
+}
+
+// Recycled returns the pool for a new run: the same free steps, none in
+// use. Steps the old run still held are forgotten with it.
+func (p *StepPool[T]) Recycled() StepPool[T] { return StepPool[T]{free: p.free} }
+
+// Zeroed returns s with length n and every element zero, in s's array
+// when it is large enough: how a model's init keeps an array from a run
+// before.
+func Zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -416,7 +443,7 @@ func (e *Engine) Breadcrumbs() []string {
 // it after RunUntil when tasks may still be suspended; a stopped engine
 // accepts no new tasks.
 func (e *Engine) Shutdown() {
-	e.tasks = make(map[*Task]struct{})
+	clear(e.tasks)
 	e.stopped = true
 }
 

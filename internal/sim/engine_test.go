@@ -343,3 +343,44 @@ func TestScheduleReserved(t *testing.T) {
 		t.Errorf("order = %v, want %v", got, want)
 	}
 }
+
+// TestStepPoolCountsAsNew: a StepPool carried into a new run counts its
+// takes as a new, empty pool would, although its free steps come from
+// the run before: a miss exactly when the steps in use reach a new high.
+func TestStepPoolCountsAsNew(t *testing.T) {
+	type step struct{ n int }
+	// ops: +1 takes a step, -1 puts the oldest one in use back.
+	ops := []int{+1, +1, -1, +1, +1, +1, -1, -1, +1, -1, +1, +1, -1, -1}
+	run := func(p *StepPool[step]) (SchedStats, int) {
+		e := NewEngine(1)
+		var inUse []*step
+		made := 0
+		for _, op := range ops {
+			if op < 0 {
+				p.Put(inUse[0])
+				inUse = inUse[1:]
+				continue
+			}
+			s := p.Take(e)
+			if s == nil {
+				s = new(step)
+				made++
+			}
+			inUse = append(inUse, s)
+		}
+		return e.SchedStats(), made
+	}
+	var p StepPool[step]
+	want, made := run(&p)
+	if want.StepPoolMisses != 4 || want.StepPoolHits != 4 || made != 4 {
+		t.Fatalf("a new pool counted %+v and made %d steps, want 4 misses, 4 hits, 4 made", want, made)
+	}
+	p = p.Recycled() // the run stops with 2 steps in use: they are dropped
+	got, made := run(&p)
+	if got != want {
+		t.Errorf("a recycled pool counted %+v, a new one %+v", got, want)
+	}
+	if made != 2 {
+		t.Errorf("a recycled pool made %d steps; it keeps the 2 free ones of the run before, so 2", made)
+	}
+}

@@ -106,13 +106,13 @@ func (q *eventQueue) pop() event {
 	return q.h.pop()
 }
 
-// release moves the queue's storage into st for the next engine built in
-// the process: every FIFO array to the spares or smalls by size, and the
-// heap array. The wheel's own spares and smalls lists, adopted from the
-// engine released before, collect the FIFO arrays, so a steady stream of
-// engines grows no list. Queued events are cleared first, so nothing st
-// holds points back into this engine's model, and q is left empty.
-func (q *eventQueue) release(st *queueStore) {
+// reset empties the queue for the engine's next run, keeping its arrays:
+// every FIFO array goes to the wheel's spares or smalls by size, and the
+// heap keeps its array. The spares and smalls lists themselves are kept,
+// so a steady stream of runs grows no list. Queued events are cleared
+// first, so nothing the queue keeps points back into the model of the
+// run that queued them.
+func (q *eventQueue) reset() {
 	w := &q.w
 	spares, smalls := w.spares, w.smalls
 	for i := range w.b {
@@ -127,15 +127,7 @@ func (q *eventQueue) release(st *queueStore) {
 		}
 	}
 	clear(q.h.ev)
-	st.spares, st.smalls, st.heap = spares, smalls, q.h.ev[:0]
-	*q = eventQueue{}
-}
-
-// adopt takes over the storage a released queue left in st, leaving st
-// empty.
-func (q *eventQueue) adopt(st *queueStore) {
-	q.w.spares, q.w.smalls, q.h.ev = st.spares, st.smalls, st.heap
-	st.spares, st.smalls, st.heap = nil, nil, nil
+	*q = eventQueue{w: wheel{spares: spares, smalls: smalls}, h: heapQueue{ev: q.h.ev[:0]}}
 }
 
 // ---- Timing wheel ----

@@ -161,7 +161,6 @@ func TestEventQueueRandomOracle(t *testing.T) {
 func reservedOracle(t *testing.T, ops []byte) {
 	t.Helper()
 	e := NewEngine(1)
-	defer e.Release()
 	ref := &refHeap{}
 	var reserved []uint64
 	fn := func() {}

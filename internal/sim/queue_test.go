@@ -127,16 +127,13 @@ func TestSchedStatsCountRouting(t *testing.T) {
 	}
 }
 
-// TestReleasedStorageHoldsNoEvents: Release hands on capacity only. Events
-// still queued when an engine is released (a CAS kernel stops at its
-// horizon with threads mid-flight) are cleared, so the next engine
-// inherits all-zero arrays that point into nothing of the released model;
-// and an engine running on inherited storage dispatches exactly as a fresh
-// one does.
-func TestReleasedStorageHoldsNoEvents(t *testing.T) {
-	run := func(q eventQueue) ([]int, *Engine) {
-		e := NewEngine(1)
-		e.q = q
+// TestReinitQueueHoldsNoEvents: Engine.Init keeps a queue's arrays, not
+// its events. Events still queued when a run stops (a CAS kernel stops at
+// its horizon with threads mid-flight) are cleared, so the next run's
+// arrays point into nothing of the model that queued them; and an engine
+// run again after Init dispatches exactly as a new one does.
+func TestReinitQueueHoldsNoEvents(t *testing.T) {
+	run := func(e *Engine) []int {
 		var order []int
 		rng := NewRand(5)
 		for i := 0; i < 3000; i++ {
@@ -152,50 +149,43 @@ func TestReleasedStorageHoldsNoEvents(t *testing.T) {
 		}
 		e.RunUntil(30)
 		if e.Pending() == 0 {
-			t.Fatal("nothing left queued at release; the test does not exercise clearing")
+			t.Fatal("nothing left queued at the cut; the test does not exercise clearing")
 		}
-		return order, e
+		return order
 	}
-	want, e := run(eventQueue{})
-	var st queueStore
-	e.q.release(&st)
-	if e.Pending() != 0 {
-		t.Errorf("released queue still holds %d events", e.Pending())
+	e := NewEngine(1)
+	want := run(e)
+	e.Init(1)
+	if e.Pending() != 0 || e.Now() != 0 {
+		t.Errorf("re-initialized engine holds %d events at cycle %d", e.Pending(), e.Now())
 	}
-	if len(st.spares) == 0 || len(st.smalls) == 0 || cap(st.heap) == 0 {
-		t.Fatalf("release carried %d spares, %d small arrays, heap cap %d; want some of each",
-			len(st.spares), len(st.smalls), cap(st.heap))
+	w := &e.q.w
+	if len(w.spares) == 0 || len(w.smalls) == 0 || cap(e.q.h.ev) == 0 {
+		t.Fatalf("Init kept %d spares, %d small arrays, heap cap %d; want some of each",
+			len(w.spares), len(w.smalls), cap(e.q.h.ev))
 	}
-	for _, a := range append(append([][]event{st.heap}, st.spares...), st.smalls...) {
+	for _, a := range append(append([][]event{e.q.h.ev}, w.spares...), w.smalls...) {
 		if len(a) != 0 {
-			t.Fatalf("carried array has length %d, want 0", len(a))
+			t.Fatalf("kept array has length %d, want 0", len(a))
 		}
 		for _, ev := range a[:cap(a)] {
 			if ev.fn != nil || ev.t != 0 || ev.key != 0 {
-				t.Fatalf("carried array holds an event (t=%d key=%#x)", ev.t, ev.key)
+				t.Fatalf("kept array holds an event (t=%d key=%#x)", ev.t, ev.key)
 			}
 		}
 	}
-	var q eventQueue
-	q.adopt(&st)
-	got, _ := run(q)
-	if !slices.Equal(got, want) {
-		t.Errorf("an engine on inherited storage dispatched %d events differently from a fresh one", len(want))
+	if got := run(e); !slices.Equal(got, want) {
+		t.Errorf("a re-initialized engine dispatched %d events differently from a new one", len(want))
 	}
 }
 
-// TestReleaseAllocFree: a queue built on released storage takes a burst
-// of events and hands the storage on without allocating. Release collects
-// the FIFO arrays into the spares and smalls lists the queue adopted,
-// instead of growing new lists from nothing. (It drives the queue rather
-// than NewEngine and Engine.Release, whose sync.Pool drops stores at
-// random under the race detector.)
-func TestReleaseAllocFree(t *testing.T) {
+// TestReinitAllocFree: a queue reset after a burst takes the next burst
+// without allocating. reset collects the FIFO arrays into the spares and
+// smalls lists the queue already has, instead of growing new lists.
+func TestReinitAllocFree(t *testing.T) {
 	var q eventQueue
-	var st queueStore
 	nop := func() {}
 	cycle := func() {
-		q.adopt(&st)
 		for i := 0; i < 3000; i++ {
 			d := Time(i % 300) // every bucket, and past the wheel into the heap
 			if i%4 == 0 {
@@ -206,12 +196,12 @@ func TestReleaseAllocFree(t *testing.T) {
 		for q.len() > 0 {
 			q.pop()
 		}
-		q.release(&st)
+		q.reset()
 	}
 	for range 4 {
-		cycle() // warm up the storage passed between queues
+		cycle() // warm up the storage the queue keeps
 	}
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
-		t.Errorf("3000 events and a release on adopted storage allocated %v objects, want 0", allocs)
+		t.Errorf("3000 events and a reset allocated %v objects, want 0", allocs)
 	}
 }

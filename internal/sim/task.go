@@ -29,13 +29,21 @@ type Task struct {
 // operation(s) and returns. The task must call Finish when its workload is
 // complete, or Run will report it in the deadlock diagnostics.
 func (e *Engine) GoTask(name string, fn func(*Task)) *Task {
+	t := new(Task)
+	e.StartTask(t, name, func() { fn(t) })
+	return t
+}
+
+// StartTask starts t as GoTask starts a new task, with start as its body:
+// t is reset first, so a Task its owner keeps from an earlier run starts
+// afresh.
+func (e *Engine) StartTask(t *Task, name string, start func()) {
 	if e.stopped {
 		panic("sim: GoTask after Shutdown")
 	}
-	t := &Task{eng: e, name: name}
+	*t = Task{eng: e, name: name}
 	e.tasks[t] = struct{}{}
-	e.Schedule(0, func() { fn(t) })
-	return t
+	e.Schedule(0, start)
 }
 
 // Name returns the task name given to GoTask.

@@ -47,17 +47,22 @@ type nodeStep struct {
 	sendFn func()
 }
 
-// step returns node's continuation, making it on first use.
+// step returns node's continuation, making it on the node's first use.
+// The first use in a run counts as a miss even when the step is kept from
+// a run before; ToneStoreAsync sets its continuation before it sends.
 func (c *Controller) step(node int) *nodeStep {
-	if st := c.steps[node]; st != nil {
+	if c.stepUsed.has(node) {
 		c.eng.StepPoolHit()
-		return st
+		return c.steps[node]
 	}
+	c.stepUsed.set(node)
 	c.eng.StepPoolMiss()
-	st := &nodeStep{c: c, node: node}
-	st.initDoneFn = st.initDone
-	c.steps[node] = st
-	return st
+	if c.steps[node] == nil {
+		st := &nodeStep{c: c, node: node}
+		st.initDoneFn = st.initDone
+		c.steps[node] = st
+	}
+	return c.steps[node]
 }
 
 // send broadcasts the node's pending init message, unless an activation

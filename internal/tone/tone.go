@@ -109,33 +109,66 @@ type Controller struct {
 	alloc   []*allocEntry
 	active  []*activeBarrier
 	pending []pendingInit
-	// steps holds each node's recycled tone_st/tone_ld continuation
-	// (barrier.go), made on the node's first use.
-	steps []*nodeStep
+	// steps holds each node's recycled tone_st continuation (barrier.go),
+	// made on the node's first use and kept across runs; stepUsed marks
+	// the nodes that have used theirs in this run.
+	steps    []*nodeStep
+	stepUsed bitset
 	// barFree recycles completed ActiveB entries.
 	barFree []*activeBarrier
 	byPID   map[uint16]int
+	// onToneInitFn is the cached method value Init hands to the BM.
+	onToneInitFn func(wireless.Msg, sim.Time)
 	// Stats is exported for harness reporting.
 	Stats Stats
 }
 
 // New wires a controller to the Broadcast Memory and Data channel.
 func New(eng *sim.Engine, bm *bmem.BM, net *wireless.Network, p Params) *Controller {
+	c := new(Controller)
+	c.Init(eng, bm, net, p)
+	return c
+}
+
+// Init makes c the controller New(eng, bm, net, p) returns. On a
+// controller that ran before, it keeps the storage that run built,
+// emptied: the table and per-node arrays, each node's step, and the free
+// ActiveB entries. Barriers still active when that run stopped are
+// dropped.
+func (c *Controller) Init(eng *sim.Engine, bm *bmem.BM, net *wireless.Network, p Params) {
 	if p.TableSize == 0 {
 		p = DefaultParams()
 	}
-	c := &Controller{
-		eng:     eng,
-		bm:      bm,
-		net:     net,
-		nodes:   bm.Nodes(),
-		p:       p,
-		pending: make([]pendingInit, bm.Nodes()),
-		steps:   make([]*nodeStep, bm.Nodes()),
-		byPID:   make(map[uint16]int),
+	nodes := bm.Nodes()
+	steps := c.steps
+	if cap(steps) < nodes {
+		steps = make([]*nodeStep, nodes)
 	}
-	bm.SetToneInitHandler(c.onToneInit)
-	return c
+	clear(c.alloc)
+	clear(c.active)
+	clear(c.byPID)
+	byPID := c.byPID
+	if byPID == nil {
+		byPID = make(map[uint16]int)
+	}
+	*c = Controller{
+		eng:          eng,
+		bm:           bm,
+		net:          net,
+		nodes:        nodes,
+		p:            p,
+		alloc:        c.alloc[:0],
+		active:       c.active[:0],
+		pending:      sim.Zeroed(c.pending, nodes),
+		steps:        steps[:nodes],
+		barFree:      c.barFree,
+		byPID:        byPID,
+		onToneInitFn: c.onToneInitFn,
+	}
+	if c.onToneInitFn == nil {
+		c.onToneInitFn = c.onToneInit
+	}
+	bm.SetToneInitHandler(c.onToneInitFn)
 }
 
 // Allocate creates a tone barrier variable owned by pid, arming the listed

@@ -36,10 +36,10 @@ type adaptiveMAC struct {
 	moved []*request
 }
 
-func newAdaptiveMAC(n *Network) *adaptiveMAC {
-	m := &adaptiveMAC{n: n, backoff: newBackoffMAC(n), token: newTokenMAC(n)}
-	m.active = m.backoff
-	return m
+// init makes m the adaptive MAC of n over its two protocols, keeping the
+// migration array of m's earlier run.
+func (m *adaptiveMAC) init(n *Network, backoff *backoffMAC, token *tokenMAC) {
+	*m = adaptiveMAC{n: n, backoff: backoff, token: token, active: backoff, moved: m.moved[:0]}
 }
 
 func (m *adaptiveMAC) Kind() MACKind { return MACAdaptive }

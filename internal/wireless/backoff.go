@@ -63,12 +63,10 @@ func (c *arbCont) run() { c.m.arbitrate(c) }
 // backoff window (2^9 cycles).
 const maxCycleTable = 1024
 
-func newBackoffMAC(n *Network) *backoffMAC {
-	m := &backoffMAC{
-		n:       n,
-		backoff: make([]int, n.nodes),
-	}
-	m.releaseHeadFn = m.releaseHead
+// init makes m the backoff MAC of n. It keeps the arrays and free
+// contention slots of m's earlier run; slots still pending when that run
+// stopped are dropped with their requests.
+func (m *backoffMAC) init(n *Network) {
 	window := sim.Time(1) << max(0, min(n.p.MaxBackoffExp, 30))
 	if n.p.ConstantBackoffWindow > 0 {
 		window = sim.Time(n.p.ConstantBackoffWindow)
@@ -78,9 +76,21 @@ func newBackoffMAC(n *Network) *backoffMAC {
 	for sim.Time(size) <= horizon && size < maxCycleTable {
 		size <<= 1
 	}
-	m.byCycle = make([]*arbCont, size)
-	m.cycleMask = sim.Time(size - 1)
-	return m
+	clear(m.pending)
+	m.waitq.reset()
+	*m = backoffMAC{
+		n:             n,
+		pending:       m.pending[:0],
+		byCycle:       sim.Zeroed(m.byCycle, size),
+		cycleMask:     sim.Time(size - 1),
+		waitq:         m.waitq,
+		backoff:       sim.Zeroed(m.backoff, n.nodes),
+		releaseHeadFn: m.releaseHeadFn,
+		arbFree:       m.arbFree,
+	}
+	if m.releaseHeadFn == nil {
+		m.releaseHeadFn = m.releaseHead
+	}
 }
 
 // slotAt returns the pending contention slot at cycle slot, or nil.

@@ -160,15 +160,21 @@ type MAC interface {
 	Counters() MACStats
 }
 
-// newMAC builds the protocol selected by k for n.
-func newMAC(n *Network, k MACKind) MAC {
+// initMAC builds the protocol selected by k for n, in n.macs.
+func (n *Network) initMAC(k MACKind) MAC {
+	s := &n.macs
 	switch k {
 	case MACToken:
-		return newTokenMAC(n)
+		s.token.init(n)
+		return &s.token
 	case MACAdaptive:
-		return newAdaptiveMAC(n)
+		s.backoff.init(n)
+		s.token.init(n)
+		s.adaptive.init(n, &s.backoff, &s.token)
+		return &s.adaptive
 	default:
-		return newBackoffMAC(n)
+		s.backoff.init(n)
+		return &s.backoff
 	}
 }
 

@@ -32,17 +32,30 @@ type tokenMAC struct {
 	stats    MACStats
 }
 
-func newTokenMAC(n *Network) *tokenMAC {
-	m := &tokenMAC{
-		n:       n,
-		pending: make([]reqFIFO, n.nodes),
-		// Park the initial token so the scan starts at node 0.
-		holder: n.nodes - 1,
+// init makes m the token MAC of n. It keeps the queues' arrays and the
+// free events of m's earlier run; requests still queued when that run
+// stopped are dropped.
+func (m *tokenMAC) init(n *Network) {
+	pending := m.pending
+	if cap(pending) < n.nodes {
+		pending = make([]reqFIFO, n.nodes)
 	}
+	pending = pending[:n.nodes]
+	for i := range pending {
+		pending[i].reset()
+	}
+	var excluded []bool
 	if n.inj != nil {
-		m.excluded = make([]bool, n.nodes)
+		excluded = sim.Zeroed(m.excluded, n.nodes)
 	}
-	return m
+	*m = tokenMAC{
+		n:       n,
+		pending: pending,
+		// Park the initial token so the scan starts at node 0.
+		holder:   n.nodes - 1,
+		evFree:   m.evFree,
+		excluded: excluded,
+	}
 }
 
 func (m *tokenMAC) Kind() MACKind { return MACToken }

@@ -334,8 +334,15 @@ type Network struct {
 	rng       *sim.Rand
 	busyUntil sim.Time
 	mac       MAC
-	subs      []func(Msg, sim.Time)
-	prepare   func(Msg) bool
+	// macs holds the protocols mac is one of (or, for MACAdaptive, is
+	// built from), kept with the Network across runs.
+	macs struct {
+		backoff  backoffMAC
+		token    tokenMAC
+		adaptive adaptiveMAC
+	}
+	subs    []func(Msg, sim.Time)
+	prepare func(Msg) bool
 	// deliverFree and commitFree recycle the per-message scheduling
 	// continuations (async completion delivery, transmission commit), and
 	// reqFree recycles the request records themselves (epoch-validated; see
@@ -366,6 +373,18 @@ type Network struct {
 
 // New creates a Data channel for the given node count.
 func New(eng *sim.Engine, nodes int, p Params) *Network {
+	n := new(Network)
+	n.Init(eng, nodes, p)
+	return n
+}
+
+// Init makes n the channel New(eng, nodes, p) returns. On a channel that
+// ran before, it keeps what that run built, emptied: the free requests and
+// delivery and commit continuations, the MACs' arrays and free slots and
+// events, the subscriber and energy arrays, and a channel model New would
+// build again identically (channel.Reuse). Requests still in flight when
+// that run stopped are dropped.
+func (n *Network) Init(eng *sim.Engine, nodes int, p Params) {
 	if p.MsgCycles == 0 {
 		p = DefaultParams()
 	}
@@ -387,26 +406,31 @@ func New(eng *sim.Engine, nodes int, p Params) *Network {
 	if p.TokenTimeout == 0 {
 		p.TokenTimeout = sim.Time(nodes)*p.TokenHopCycles + p.MsgCycles
 	}
-	ch, err := channel.New(nodes, p.Channel)
+	ch, err := channel.Reuse(n.ch, nodes, p.Channel)
 	if err != nil {
 		// Channel params are validated by config.Validate before any
 		// machine is built; reaching here is a programming error.
 		panic(fmt.Sprintf("wireless: %v", err))
 	}
-	n := &Network{
+	clear(n.subs)
+	*n = Network{
 		eng:           eng,
 		p:             p,
 		nodes:         nodes,
 		rng:           eng.Rand().Fork(),
+		subs:          n.subs[:0],
+		deliverFree:   n.deliverFree,
+		commitFree:    n.commitFree,
+		reqFree:       n.reqFree,
 		ch:            ch,
-		energyPerNode: make([]float64, nodes),
+		energyPerNode: sim.Zeroed(n.energyPerNode, nodes),
+		macs:          n.macs,
 	}
 	if !ch.Ideal() {
 		n.chRng = eng.Rand().Fork()
 	}
 	n.inj = fault.NewInjector(p.Faults)
-	n.mac = newMAC(n, p.MAC)
-	return n
+	n.mac = n.initMAC(p.MAC)
 }
 
 // NodeFailStopped reports whether node's transceiver has permanently
