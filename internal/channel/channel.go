@@ -229,20 +229,9 @@ func New(nodes int, p Params) (Model, error) {
 		g.survBad = survival(g.berBad, nodes)
 		return g, nil
 	}
-	m := &matrix{params: p, profile: p.Profile, nodes: nodes, retries: retries}
+	m := &matrix{profile: p.Profile, nodes: nodes, retries: retries}
 	m.build(p.BER)
 	return m, nil
-}
-
-// Reuse returns prev when it is a model New built for the same node count
-// and params that keeps no state between draws, and New(nodes, p)
-// otherwise. A machine built for one point after another reuses its
-// channel model this way.
-func Reuse(prev Model, nodes int, p Params) (Model, error) {
-	if m, ok := prev.(*matrix); ok && m.nodes == nodes && m.params == p {
-		return m, nil
-	}
-	return New(nodes, p)
 }
 
 // survival returns the per-bit broadcast survival probability under one
@@ -263,7 +252,6 @@ func (ideal) MaxRetries() int                   { return 0 }
 // matrix is a per-link BER table with precomputed per-source per-bit
 // broadcast survival, so one uniform draw decides each transmission.
 type matrix struct {
-	params  Params // what New built it from
 	profile Profile
 	nodes   int
 	retries int

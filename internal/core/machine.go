@@ -41,6 +41,10 @@ type Machine struct {
 	// fail-stopped transceiver (fault.go).
 	faults []Fault
 
+	// cut marks a run RunUntil stopped at its horizon, with operations
+	// still in flight.
+	cut bool
+
 	// What follows stays with the machine from one point to the next (see
 	// Finish). tasks holds every Task the machine has spawned, in spawn
 	// order; the first spawned of them are this point's. names caches
@@ -69,6 +73,16 @@ type hardware struct {
 // mixes core counts keeps one machine per worker, sized for its largest
 // point, rather than one per core count it has run.
 var machines sync.Pool
+
+// maxPooledLineBytes bounds the line storage a pooled machine keeps. Core
+// counts bound every other array a machine keeps, but the line store grows
+// with the lines a point touches, which a point's iterations or vector
+// length make without limit: app:dedup on Baseline+ keeps 1.5 MB at 64
+// cores, the most of any point in the paper's sweeps, and 3.8 MB at 256
+// cores, or 6.4 MB at 16 iterations. A machine past the bound is left to
+// the collector, so that one large point does not make every later point
+// on its machine carry the storage.
+const maxPooledLineBytes = 2 << 20
 
 // NewMachine builds a machine for cfg. It panics on invalid configurations
 // (these are programming errors in the harness, not runtime conditions).
@@ -185,6 +199,11 @@ type Outcome struct {
 // New). Runners call it once a run is over, and only then: a machine a
 // guard stopped, or whose run panicked, is left to the collector. The
 // machine must not be used after Finish.
+//
+// A machine held for a later point keeps nothing of the workload it ran:
+// its tasks drop their bodies and continuations, and a run cut at its
+// horizon has its layers rebuilt at once, which drops what was in flight.
+// A machine whose line store outgrew maxPooledLineBytes is not held.
 func (m *Machine) Finish() Outcome {
 	o := Outcome{
 		Cycles:          m.Eng.Now(),
@@ -199,7 +218,15 @@ func (m *Machine) Finish() Outcome {
 		o.Energy = m.Net.Energy
 	}
 	m.faults = nil
-	machines.Put(m)
+	for _, t := range m.tasks[:m.spawned] {
+		t.release()
+	}
+	if m.cut {
+		m.init(m.Cfg)
+	}
+	if m.Mem.KeptLineBytes() <= maxPooledLineBytes {
+		machines.Put(m)
+	}
 	return o
 }
 
@@ -251,6 +278,7 @@ func (m *Machine) RunUntil(t sim.Time) error {
 	}
 	m.Eng.RunUntil(t)
 	m.Eng.Shutdown()
+	m.cut = true
 	return nil
 }
 

@@ -71,6 +71,21 @@ func (m *Machine) SpawnTask(name string, core int, pid uint16, body func(*Task))
 
 func (t *Task) start() { t.body(t) }
 
+// release drops what t holds of the point it ran, keeping its steps: its
+// body, and the continuations a run cut at its horizon leaves in the steps.
+func (t *Task) release() {
+	if op := t.rmw; op != nil {
+		op.then0, op.thenB, op.thenU = nil, nil, nil
+	}
+	if op := t.bmr; op != nil {
+		op.thenU, op.thenB, op.thenF = nil, nil, nil
+	}
+	if op := t.hw; op != nil {
+		op.then0, op.thenU = nil, nil
+	}
+	*t = Task{startFn: t.startFn, rmw: t.rmw, bmr: t.bmr, hw: t.hw}
+}
+
 // SpawnAllTasks starts one task per core (cores 0..n-1, PID 1), the common
 // kernel pattern. body receives the task; task index == core index.
 func (m *Machine) SpawnAllTasks(body func(*Task)) {

@@ -278,6 +278,11 @@ func (s *System) Init(eng *sim.Engine, mesh *noc.Mesh, p Params) {
 // Params returns the configuration the system was built with.
 func (s *System) Params() Params { return s.p }
 
+// KeptLineBytes returns the bytes of line storage Init keeps for the next
+// run: the line store's entry chunks and index arrays, sized by the most
+// lines any run on s touched.
+func (s *System) KeptLineBytes() int { return s.lines.bytes() }
+
 // Line returns the line address containing addr.
 func Line(addr uint64) uint64 { return addr >> LineShift }
 

@@ -1,5 +1,7 @@
 package mem
 
+import "unsafe"
+
 // This file implements the line store that backs the memory system's
 // per-line state: one lineEntry per line a point touches, holding the
 // line's eight words and its directory entry.
@@ -169,6 +171,12 @@ func (st *pagedStore) reset() {
 	clear(st.slots)
 	clear(st.sparse)
 	*st = pagedStore{pages: st.pages[:0], slots: st.slots[:0], chunks: st.chunks, sparse: st.sparse}
+}
+
+// bytes returns the size of the arrays reset keeps: the chunks and the
+// two index arrays.
+func (st *pagedStore) bytes() int {
+	return len(st.chunks)*int(unsafe.Sizeof(entryChunk{})) + 4*(cap(st.pages)+cap(st.slots))
 }
 
 // entry returns the entry with the given id, or nil for id 0.

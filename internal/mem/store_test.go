@@ -106,8 +106,6 @@ func TestPagedStoreDenseAndSparse(t *testing.T) {
 	}
 }
 
-// TestSystemSparseAddressFallback drives the full memory system at an
-// address far outside the linear allocator's range: correctness must not
 // TestLineStoreResetKeepsChunks: a reset store has no entries, hands out
 // zeroed entries from the chunks it kept, and refills without allocating.
 func TestLineStoreResetKeepsChunks(t *testing.T) {
@@ -147,6 +145,8 @@ func TestLineStoreResetKeepsChunks(t *testing.T) {
 	}
 }
 
+// TestSystemSparseAddressFallback drives the full memory system at an
+// address far outside the linear allocator's range: correctness must not
 // depend on the dense window.
 func TestSystemSparseAddressFallback(t *testing.T) {
 	eng := sim.NewEngine(1)

@@ -381,9 +381,8 @@ func New(eng *sim.Engine, nodes int, p Params) *Network {
 // Init makes n the channel New(eng, nodes, p) returns. On a channel that
 // ran before, it keeps what that run built, emptied: the free requests and
 // delivery and commit continuations, the MACs' arrays and free slots and
-// events, the subscriber and energy arrays, and a channel model New would
-// build again identically (channel.Reuse). Requests still in flight when
-// that run stopped are dropped.
+// events, and the subscriber and energy arrays. The channel model is built
+// again. Requests still in flight when that run stopped are dropped.
 func (n *Network) Init(eng *sim.Engine, nodes int, p Params) {
 	if p.MsgCycles == 0 {
 		p = DefaultParams()
@@ -406,7 +405,7 @@ func (n *Network) Init(eng *sim.Engine, nodes int, p Params) {
 	if p.TokenTimeout == 0 {
 		p.TokenTimeout = sim.Time(nodes)*p.TokenHopCycles + p.MsgCycles
 	}
-	ch, err := channel.Reuse(n.ch, nodes, p.Channel)
+	ch, err := channel.New(nodes, p.Channel)
 	if err != nil {
 		// Channel params are validated by config.Validate before any
 		// machine is built; reaching here is a programming error.
