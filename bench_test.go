@@ -14,6 +14,7 @@
 package wisync_test
 
 import (
+	"context"
 	"testing"
 
 	"wisync/internal/apps"
@@ -235,6 +236,37 @@ func BenchmarkFig10App(b *testing.B) {
 		}
 		b.ReportMetric(cyc, "cyc")
 	})
+}
+
+// BenchmarkSteadyStatePoint times one point on a machine that has run it
+// before, as every point after the first runs in a sweep: the machine keeps
+// its layers' storage and its workload layer's steps, primitives and shared
+// state, so B/op and allocs/op are the point's result and data vectors
+// (TestSteadyStatePointsAllocate holds them to a budget).
+func BenchmarkSteadyStatePoint(b *testing.B) {
+	for _, s := range []harness.PointSpec{
+		{Workload: "livermore6", Kind: config.WiSync, Cores: 64, Seed: 1},
+		{Workload: "cas-fifo", Kind: config.WiSyncNoT, Cores: 64, Seed: 1},
+		{Workload: "app:dedup", Kind: config.BaselinePlus, Cores: 64, Seed: 1, Iters: 4},
+	} {
+		b.Run(s.Workload, func(b *testing.B) {
+			// Two runs warm the machine: the second still regrows the
+			// request arrays of contention slots that the first run's
+			// slots, handed out in another order, had grown.
+			for range 2 {
+				if _, err := s.Simulate(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Simulate(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // ---- Ablations (docs/ARCHITECTURE.md, "Substitutions and ablations") ----

@@ -66,39 +66,67 @@ func (r Result) DataUtilPct() float64 { return 100 * r.DataChannelUtil }
 // (task.go) per core interprets the profile.
 func Run(cfg config.Config, p Profile) Result {
 	m := core.NewMachine(cfg)
+	r := core.MachineState[appRun](m)
+	if r.bodyFn == nil {
+		r.bodyFn = r.body
+	}
+	r.cfg, r.p = cfg, p
 	f := syncprims.NewFactory(m)
-	var barrier syncprims.TaskBarrier
 	if p.BarriersPerIter > 0 {
-		barrier = f.NewTaskBarrier(nil)
+		r.barrier = f.NewTaskBarrier(nil)
 	}
-	locks := make([]syncprims.TaskLock, p.NumLocks)
-	for i := range locks {
-		locks[i] = f.NewTaskLock()
+	r.locks = r.locks[:0]
+	for range p.NumLocks {
+		r.locks = append(r.locks, f.NewTaskLock())
 	}
-	var red *syncprims.Reducer
 	if p.ReductionsPerIter > 0 {
-		red = f.NewReducer(0)
+		r.red = f.NewReducer(0)
 	}
-	var shared uint64
+	r.shared = 0
 	if p.SharedLines > 0 {
-		shared = m.AllocArray(p.SharedLines * 8)
+		r.shared = m.AllocArray(p.SharedLines * 8)
 	}
-	lockData := make([]uint64, max(p.NumLocks, 1))
-	for i := range lockData {
-		lockData[i] = m.AllocLine()
+	r.lockData = r.lockData[:0]
+	for range max(p.NumLocks, 1) {
+		r.lockData = append(r.lockData, m.AllocLine())
 	}
 
-	m.SpawnAllTasks(func(t *core.Task) {
-		newAppTask(t, &p, barrier, locks, red, shared, lockData,
-			cfg.Seed*1000003+uint64(t.Core)).start()
-	})
+	m.SpawnAllTasks(r.bodyFn)
 	if err := m.Run(); err != nil {
 		// Wrap rather than format: the harness recover preserves the error
 		// chain so callers can classify the failure (budget, livelock,
 		// abort, deadlock) with errors.Is/As.
 		panic(fmt.Errorf("apps: %s on %s: %w", p.Name, cfg.Kind, err))
 	}
-	return Result{Outcome: m.Finish(), Spills: f.Spills}
+	spills := f.Spills
+	return Result{Outcome: m.Finish(), Spills: spills}
+}
+
+// appRun is what Run shares among a point's appTasks, which the machine
+// keeps across points: the configuration and profile, the primitives, the
+// shared footprint and lock data lines, and the task body as a cached
+// method value.
+type appRun struct {
+	cfg      config.Config
+	p        Profile
+	barrier  syncprims.TaskBarrier // nil when the profile has no barriers
+	locks    []syncprims.TaskLock
+	red      *syncprims.Reducer // nil when the profile has no reductions
+	shared   uint64
+	lockData []uint64
+	bodyFn   func(*core.Task)
+}
+
+func (r *appRun) Release() {
+	r.cfg, r.p = config.Config{}, Profile{}
+	r.barrier, r.red = nil, nil
+	clear(r.locks)
+}
+
+func (r *appRun) body(t *core.Task) {
+	a := core.TaskState[appTask](t)
+	a.init(t, r, r.cfg.Seed*1000003+uint64(t.Core))
+	a.start()
 }
 
 // Speedups runs the profile on all four configurations and returns the

@@ -14,9 +14,9 @@ package apps
 //	    for r in 0..ReductionsPerIter:
 //	        reducer fetch&add 1; compute(20 + rand(40))
 //
-// as a core.Task state machine. Each task owns one appTask — the loop
-// counters are fields, the continuations are method values cached at
-// construction — so interpreting a profile allocates nothing per operation
+// as a core.Task state machine. Each task keeps one appTask across points
+// — the loop counters are fields, the continuations are method values
+// cached once — so interpreting a profile allocates nothing per operation
 // beyond what the primitives themselves need. The per-thread random stream
 // is consumed in exactly this order (pinned by the reference suite in this
 // package and the apps golden table in package harness).
@@ -31,10 +31,11 @@ import (
 // the loop nest above: it (iterations completed), b
 // (barrier phases completed this iteration), r (reads or reductions
 // completed this phase), l (lock operations completed this iteration).
+// The task keeps it from one point to the next.
 type appTask struct {
 	t   *core.Task
 	p   *Profile
-	rng *sim.Rand
+	rng sim.Rand
 
 	barrier  syncprims.TaskBarrier // nil when the profile has no barriers
 	locks    []syncprims.TaskLock
@@ -54,27 +55,33 @@ type appTask struct {
 	onReadFn, onAddFn func(uint64)
 }
 
-func newAppTask(t *core.Task, p *Profile, barrier syncprims.TaskBarrier,
-	locks []syncprims.TaskLock, red *syncprims.Reducer, shared uint64,
-	lockData []uint64, seed uint64) *appTask {
+// init readies a for t's share of run r, with the thread's random stream
+// seeded by seed. It counts a as a fresh step, as a new task makes one.
+func (a *appTask) init(t *core.Task, r *appRun, seed uint64) {
 	t.M.Eng.StepPoolMiss()
-	a := &appTask{
-		t: t, p: p,
-		rng:     sim.NewRand(seed),
-		barrier: barrier, locks: locks, red: red,
-		shared: shared, lockData: lockData,
-		nb:       max(p.BarriersPerIter, 1),
-		numLocks: max(p.NumLocks, 1),
+	if a.onAddFn == nil {
+		a.afterBarrierFn = a.afterBarrier
+		a.afterAcquireFn = a.afterAcquire
+		a.afterWriteFn = a.afterWrite
+		a.afterReleaseFn = a.afterRelease
+		a.onReadFn = a.onRead
+		a.onAddFn = a.onAdd
 	}
+	p := &r.p
+	a.t, a.p = t, p
+	a.rng.Seed(seed)
+	a.barrier, a.locks, a.red = r.barrier, r.locks, r.red
+	a.shared, a.lockData = r.shared, r.lockData
+	a.nb = max(p.BarriersPerIter, 1)
+	a.numLocks = max(p.NumLocks, 1)
 	a.compute = p.ComputeMean / a.nb
 	a.reads = p.SharedReadsPerIter / a.nb
-	a.afterBarrierFn = a.afterBarrier
-	a.afterAcquireFn = a.afterAcquire
-	a.afterWriteFn = a.afterWrite
-	a.afterReleaseFn = a.afterRelease
-	a.onReadFn = a.onRead
-	a.onAddFn = a.onAdd
-	return a
+	a.it, a.b, a.r, a.l, a.li = 0, 0, 0, 0, 0
+}
+
+func (a *appTask) Release() {
+	a.t, a.p = nil, nil
+	a.barrier, a.locks, a.red, a.lockData = nil, nil, nil, nil
 }
 
 // start is the task body entry: the desynchronized start, then the
@@ -91,8 +98,8 @@ func (a *appTask) iter() {
 	}
 	if a.it > 0 {
 		// Pool-hit semantics match the hardware pools: the first
-		// iteration runs on the freshly allocated struct (the miss
-		// recorded in newAppTask); every later one is a reuse.
+		// iteration runs on the fresh struct (the miss recorded in
+		// init); every later one is a reuse.
 		a.t.M.Eng.StepPoolHit()
 	}
 	a.b = 0

@@ -24,12 +24,15 @@ type loadCont struct {
 func (b *BM) newLoadCont(addr uint32, then func(uint64)) *loadCont {
 	c := b.loads.Take(b.eng)
 	if c == nil {
-		c = &loadCont{b: b}
+		c = b.loads.Made(&loadCont{b: b})
 		c.fn = c.run
 	}
 	c.addr, c.then = addr, then
 	return c
 }
+
+// clear drops the continuation of a load a cut run left pending.
+func (c *loadCont) clear() { c.then = nil }
 
 func (c *loadCont) run() {
 	b, addr, then := c.b, c.addr, c.then
@@ -58,6 +61,9 @@ type storeCont struct {
 	fn   func(bool) // cached method value of run
 }
 
+// clear drops the continuation of a store a cut run left pending.
+func (c *storeCont) clear() { c.then = nil }
+
 func (c *storeCont) run(committed bool) {
 	b, node, then := c.b, c.node, c.then
 	c.then = nil
@@ -81,7 +87,7 @@ func (b *BM) StoreAsync(node int, pid uint16, addr uint32, val uint64, then func
 	b.wcb[node] = false
 	c := b.stores.Take(b.eng)
 	if c == nil {
-		c = &storeCont{b: b}
+		c = b.stores.Made(&storeCont{b: b})
 		c.fn = c.run
 	}
 	c.node, c.then = node, then
@@ -220,6 +226,10 @@ func (c *rmwGrantCont) op(cur uint64) (uint64, bool) {
 	return nv, do
 }
 
+// clear drops the operation and continuation of an RMW a cut run left in
+// flight.
+func (c *rmwGrantCont) clear() { c.f, c.then = nil, nil }
+
 func (c *rmwGrantCont) submit() { c.b.net.SendAsync(c.msg, nil, c.doneFn) }
 
 // done completes the RMW. Neither ran nor denied is set when the broadcast
@@ -244,7 +254,7 @@ func (b *BM) rmwAtGrantAsync(node int, pid uint16, addr uint32, f func(uint64) (
 	b.afb[node] = false
 	c := b.rmws.Take(b.eng)
 	if c == nil {
-		c = &rmwGrantCont{b: b}
+		c = b.rmws.Made(&rmwGrantCont{b: b})
 		c.submitFn = c.submit
 		c.doneFn = c.done
 		c.msg.Op = c.op

@@ -137,6 +137,7 @@ type BM struct {
 	stores     sim.StepPool[storeCont]
 	rmws       sim.StepPool[rmwGrantCont]
 	cohortFree []*cohort
+	listFree   []*spinList
 	// probing is set while the prepare hook evaluates an RMW Op against
 	// the current replica value at grant time. The Op wrappers use it to
 	// tell a probe (the write may still be denied by a failed compare —
@@ -162,18 +163,24 @@ func New(eng *sim.Engine, net *wireless.Network, nodes int, p Params) *BM {
 
 // Init makes b the Broadcast Memory New(eng, net, nodes, p) returns. On a
 // BM that ran before, it keeps the storage that run built, emptied: the
-// entry table, the per-node arrays, the spin lists' map, and the free
-// continuations and cohorts. Continuations still in flight when that run
-// stopped are dropped.
+// entry table, the per-node arrays, the spin lists and their map, and
+// every continuation and cohort. Those a run cut at its horizon left in
+// flight are taken back, cleared.
 func (b *BM) Init(eng *sim.Engine, net *wireless.Network, nodes int, p Params) {
 	if p.Entries == 0 {
 		p = DefaultParams()
+	}
+	for _, l := range b.watchers {
+		b.freeCohorts(l.head)
+		*l = spinList{}
+		b.listFree = append(b.listFree, l)
 	}
 	clear(b.watchers)
 	watchers := b.watchers
 	if watchers == nil {
 		watchers = make(map[uint32]*spinList)
 	}
+	herds := b.herds.Recycled((*spinHerd).clear)
 	*b = BM{
 		eng:        eng,
 		net:        net,
@@ -184,12 +191,13 @@ func (b *BM) Init(eng *sim.Engine, net *wireless.Network, nodes int, p Params) {
 		afb:        sim.Zeroed(b.afb, nodes),
 		pending:    sim.Zeroed(b.pending, nodes),
 		watchers:   watchers,
-		loads:      b.loads.Recycled(),
-		spins:      b.spins.Recycled(),
-		herds:      b.herds.Recycled(),
-		stores:     b.stores.Recycled(),
-		rmws:       b.rmws.Recycled(),
+		loads:      b.loads.Recycled((*loadCont).clear),
+		spins:      b.spins.Recycled((*bmSpin).clear),
+		herds:      herds,
+		stores:     b.stores.Recycled((*storeCont).clear),
+		rmws:       b.rmws.Recycled((*rmwGrantCont).clear),
 		cohortFree: b.cohortFree,
+		listFree:   b.listFree,
 		onCommitFn: b.onCommitFn,
 		prepareFn:  b.prepareFn,
 	}

@@ -32,6 +32,9 @@ func (sp *bmSpin) onVal(v uint64) {
 	sp.b.park(sp)
 }
 
+// clear drops the continuation of a spin a cut run left parked.
+func (sp *bmSpin) clear() { sp.then, sp.next = nil, nil }
+
 // release returns the spin to the pool and runs its continuation.
 func (sp *bmSpin) release(v uint64) {
 	b, then := sp.b, sp.then
@@ -50,7 +53,7 @@ func (b *BM) SpinUntilAsync(node int, pid uint16, addr uint32, cond sim.Cond, th
 	}
 	sp := b.spins.Take(b.eng)
 	if sp == nil {
-		sp = &bmSpin{b: b}
+		sp = b.spins.Made(&bmSpin{b: b})
 		sp.onValFn = sp.onVal
 	}
 	sp.node, sp.pid, sp.addr, sp.cond, sp.then = node, pid, addr, cond, then
@@ -78,7 +81,12 @@ type spinList struct{ head, tail *cohort }
 func (b *BM) park(sp *bmSpin) {
 	l := b.watchers[sp.addr]
 	if l == nil {
-		l = &spinList{}
+		if k := len(b.listFree); k > 0 {
+			l = b.listFree[k-1]
+			b.listFree = b.listFree[:k-1]
+		} else {
+			l = new(spinList)
+		}
 		b.watchers[sp.addr] = l
 	}
 	c := b.newCohort()
@@ -123,6 +131,21 @@ func (b *BM) freeCohort(c *cohort) {
 	b.cohortFree = append(b.cohortFree, c)
 }
 
+// freeCohorts frees the cohorts chained from c.
+func (b *BM) freeCohorts(c *cohort) {
+	for c != nil {
+		next := c.next
+		b.freeCohort(c)
+		c = next
+	}
+}
+
+// clear frees the cohorts of a herd a cut run left in flight.
+func (h *spinHerd) clear() {
+	h.b.freeCohorts(h.cohorts)
+	h.cohorts = nil
+}
+
 // wakeWatchers wakes addr's spinners: each observes the new value on its
 // next local BM poll, RT from now. Their cohorts move together into a spin
 // herd, which costs two events however many there are.
@@ -159,7 +182,7 @@ type spinHerd struct {
 func (b *BM) newHerd(addr uint32) *spinHerd {
 	h := b.herds.Take(b.eng)
 	if h == nil {
-		h = &spinHerd{b: b}
+		h = b.herds.Made(&spinHerd{b: b})
 		h.pollFn = h.poll
 		h.deliverFn = h.deliver
 	}

@@ -48,11 +48,13 @@ type Machine struct {
 	// What follows stays with the machine from one point to the next (see
 	// Finish). tasks holds every Task the machine has spawned, in spawn
 	// order; the first spawned of them are this point's. names caches
-	// SpawnAllTasks' thread names. hw holds the layers the exported
-	// pointers above point at.
+	// SpawnAllTasks' thread names. kept is the workload state the machine
+	// keeps (kept.go). hw holds the layers the exported pointers above
+	// point at.
 	tasks   []*Task
 	spawned int
 	names   []string
+	kept    []kept
 	hw      *hardware
 }
 
@@ -143,6 +145,7 @@ func (m *Machine) init(cfg config.Config) {
 		addrCursor: 1 << 20,
 		tasks:      m.tasks,
 		names:      m.names,
+		kept:       m.kept,
 		hw:         hw,
 	}
 	if cfg.Kind.HasBM() {
@@ -201,9 +204,12 @@ type Outcome struct {
 // machine must not be used after Finish.
 //
 // A machine held for a later point keeps nothing of the workload it ran:
-// its tasks drop their bodies and continuations, and a run cut at its
-// horizon has its layers rebuilt at once, which drops what was in flight.
-// A machine whose line store outgrew maxPooledLineBytes is not held.
+// its tasks drop their bodies and continuations, the workload state the
+// point took is released, the configuration (whose abort hook a caller
+// may have bound to its job) is dropped, and a run cut at its horizon has
+// its layers rebuilt at once, which takes back what was in flight,
+// cleared. A machine whose line store outgrew maxPooledLineBytes is not
+// held.
 func (m *Machine) Finish() Outcome {
 	o := Outcome{
 		Cycles:          m.Eng.Now(),
@@ -221,9 +227,11 @@ func (m *Machine) Finish() Outcome {
 	for _, t := range m.tasks[:m.spawned] {
 		t.release()
 	}
+	release(m.kept)
 	if m.cut {
 		m.init(m.Cfg)
 	}
+	m.Cfg = config.Config{}
 	if m.Mem.KeptLineBytes() <= maxPooledLineBytes {
 		machines.Put(m)
 	}

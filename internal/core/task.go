@@ -46,6 +46,8 @@ type Task struct {
 	bmr  *bmRetryOp
 	hw   *hwOp
 	used uint8
+	// kept is the workload state the task keeps across points (kept.go).
+	kept []kept
 }
 
 // SpawnTask starts body as a thread pinned to the given core with the given
@@ -64,7 +66,7 @@ func (m *Machine) SpawnTask(name string, core int, pid uint16, body func(*Task))
 	}
 	t := m.tasks[m.spawned]
 	m.spawned++
-	*t = Task{M: m, Core: core, PID: pid, body: body, startFn: t.startFn, rmw: t.rmw, bmr: t.bmr, hw: t.hw}
+	*t = Task{M: m, Core: core, PID: pid, body: body, startFn: t.startFn, rmw: t.rmw, bmr: t.bmr, hw: t.hw, kept: t.kept}
 	m.Eng.StartTask(&t.st, name, t.startFn)
 	return t
 }
@@ -72,8 +74,10 @@ func (m *Machine) SpawnTask(name string, core int, pid uint16, body func(*Task))
 func (t *Task) start() { t.body(t) }
 
 // release drops what t holds of the point it ran, keeping its steps: its
-// body, and the continuations a run cut at its horizon leaves in the steps.
+// body, the continuations a run cut at its horizon leaves in the steps,
+// and the workload state it took.
 func (t *Task) release() {
+	release(t.kept)
 	if op := t.rmw; op != nil {
 		op.then0, op.thenB, op.thenU = nil, nil, nil
 	}
@@ -83,7 +87,7 @@ func (t *Task) release() {
 	if op := t.hw; op != nil {
 		op.then0, op.thenU = nil, nil
 	}
-	*t = Task{startFn: t.startFn, rmw: t.rmw, bmr: t.bmr, hw: t.hw}
+	*t = Task{startFn: t.startFn, rmw: t.rmw, bmr: t.bmr, hw: t.hw, kept: t.kept}
 }
 
 // SpawnAllTasks starts one task per core (cores 0..n-1, PID 1), the common

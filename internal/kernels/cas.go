@@ -56,71 +56,93 @@ type CASResult struct {
 // redundant — but any configuration can be passed.
 func CASKernel(cfg config.Config, kind CASKind, csInstr int, duration sim.Time) CASResult {
 	m := core.NewMachine(cfg)
+	k := core.MachineState[casKernel](m)
+	if k.bodyFn == nil {
+		k.bodyFn = k.body
+	}
 	f := syncprims.NewFactory(m)
 	// Shared pointers. FIFO has distinct head and tail; LIFO and ADD hit
 	// a single word.
-	vars := []syncprims.TaskVar{f.NewTaskVar(1)}
+	k.vars = append(k.vars[:0], f.NewTaskVar(1))
 	if kind == FIFO {
-		vars = append(vars, f.NewTaskVar(1))
+		k.vars = append(k.vars, f.NewTaskVar(1))
 	}
 	// Per-thread private node lines (pool updates touch own cache).
-	nodeLines := make([]uint64, cfg.Cores)
-	for i := range nodeLines {
-		nodeLines[i] = m.AllocLine()
+	k.nodeLines = k.nodeLines[:0]
+	for range cfg.Cores {
+		k.nodeLines = append(k.nodeLines, m.AllocLine())
 	}
-	var successes, failures uint64
-	threadRand := func(core int) *sim.Rand {
-		return sim.NewRand(uint64(core)*2654435761 + cfg.Seed + uint64(kind)*7919)
-	}
-	m.SpawnAllTasks(func(t *core.Task) {
-		s := newCASStep(t, kind, vars, nodeLines[t.Core], csInstr,
-			threadRand(t.Core), &successes, &failures)
-		// Stagger thread starts across one work period.
-		t.Instr(s.rng.Intn(csInstr + 1))
-		s.period()
-	})
+	k.cfg, k.kind, k.csInstr = cfg, kind, csInstr
+	k.successes, k.failures = 0, 0
+	m.SpawnAllTasks(k.bodyFn)
 	if err := m.RunUntil(duration); err != nil {
 		panic(err)
 	}
+	successes, failures := k.successes, k.failures
 	return CASResult{Outcome: m.Finish(), Successes: successes, Failures: failures,
 		Per1000: 1000 * float64(successes) / float64(duration)}
 }
 
+// casKernel is CASKernel's shared state, which the machine keeps across
+// points: the shared pointers, the threads' node lines and the CAS counts.
+type casKernel struct {
+	cfg                 config.Config
+	kind                CASKind
+	vars                []syncprims.TaskVar
+	nodeLines           []uint64
+	csInstr             int
+	successes, failures uint64
+	bodyFn              func(*core.Task)
+}
+
+func (k *casKernel) Release() {
+	k.cfg = config.Config{}
+	clear(k.vars)
+}
+
+func (k *casKernel) body(t *core.Task) {
+	s := core.TaskState[casStep](t)
+	s.start(t, k)
+	// Stagger thread starts across one work period.
+	t.Instr(s.rng.Intn(k.csInstr + 1))
+	s.period()
+}
+
 // casStep is one task's recycled state machine for the CAS-kernel work
 // period: private work, node preparation, then the lock-free update loop
-// with exponential backoff. The target variable, the backoff state and the
-// loaded value are struct fields and the continuations are method values
-// cached at construction, so the steady state allocates nothing. The
-// period never finishes on its own — RunUntil's horizon cuts the run.
+// with exponential backoff. The target variable, the backoff state, the
+// loaded value and the random stream are struct fields and the
+// continuations are method values cached once, and the task keeps the
+// step from one point to the next, so the steady state allocates nothing.
+// The period never finishes on its own — RunUntil's horizon cuts the run.
 type casStep struct {
-	t       *core.Task
-	kind    CASKind
-	vars    []syncprims.TaskVar
-	node    uint64
-	csInstr int
-	rng     *sim.Rand
+	t   *core.Task
+	k   *casKernel
+	rng sim.Rand
 
 	op      int
 	backoff int
 	v       syncprims.TaskVar
-
-	successes, failures *uint64
 
 	afterWriteFn func()
 	onLoadFn     func(uint64)
 	onCASFn      func(bool)
 }
 
-func newCASStep(t *core.Task, kind CASKind, vars []syncprims.TaskVar, node uint64,
-	csInstr int, rng *sim.Rand, successes, failures *uint64) *casStep {
+// start readies the step for t's point. It counts the step as a fresh
+// one, as a new task makes it.
+func (s *casStep) start(t *core.Task, k *casKernel) {
 	t.M.Eng.StepPoolMiss()
-	s := &casStep{t: t, kind: kind, vars: vars, node: node, csInstr: csInstr,
-		rng: rng, successes: successes, failures: failures}
-	s.afterWriteFn = s.afterWrite
-	s.onLoadFn = s.onLoad
-	s.onCASFn = s.onCAS
-	return s
+	if s.onCASFn == nil {
+		s.afterWriteFn = s.afterWrite
+		s.onLoadFn = s.onLoad
+		s.onCASFn = s.onCAS
+	}
+	s.t, s.k, s.op, s.backoff, s.v = t, k, 0, 0, nil
+	s.rng.Seed(uint64(t.Core)*2654435761 + k.cfg.Seed + uint64(k.kind)*7919)
 }
+
+func (s *casStep) Release() { s.t, s.k, s.v = nil, nil, nil }
 
 // period runs one work period: the private work, jittered by +-12% (with
 // the staggered start CASKernel charges, this keeps threads from arriving
@@ -131,16 +153,17 @@ func newCASStep(t *core.Task, kind CASKind, vars []syncprims.TaskVar, node uint6
 func (s *casStep) period() {
 	if s.op > 0 {
 		// Reuse of the recycled struct; the first period ran on the
-		// fresh allocation counted in newCASStep.
+		// fresh step counted in start.
 		s.t.M.Eng.StepPoolHit()
 	}
-	s.t.Instr(s.csInstr - s.csInstr/8 + s.rng.Intn(s.csInstr/4+1))
-	s.v = s.vars[0]
-	if s.kind == FIFO && s.op%2 == 1 {
-		s.v = s.vars[1]
+	k := s.k
+	s.t.Instr(k.csInstr - k.csInstr/8 + s.rng.Intn(k.csInstr/4+1))
+	s.v = k.vars[0]
+	if k.kind == FIFO && s.op%2 == 1 {
+		s.v = k.vars[1]
 	}
 	s.op++
-	s.t.Write(s.node, s.rng.Uint64(), s.afterWriteFn)
+	s.t.Write(k.nodeLines[s.t.Core], s.rng.Uint64(), s.afterWriteFn)
 }
 
 func (s *casStep) afterWrite() {
@@ -148,7 +171,7 @@ func (s *casStep) afterWrite() {
 	// time; LIFO's pop half and FIFO's dequeue half touch less private
 	// state.
 	switch {
-	case s.kind == ADD:
+	case s.k.kind == ADD:
 		s.t.Instr(8)
 	case s.op%2 == 1:
 		s.t.Instr(2)
@@ -171,11 +194,11 @@ func (s *casStep) onLoad(old uint64) {
 // throughput collapses to one success per queue rotation.
 func (s *casStep) onCAS(ok bool) {
 	if ok {
-		*s.successes++
+		s.k.successes++
 		s.period()
 		return
 	}
-	*s.failures++
+	s.k.failures++
 	s.t.Instr(s.backoff + s.rng.Intn(s.backoff))
 	if s.backoff < 2048 {
 		s.backoff *= 2

@@ -38,12 +38,12 @@ const wordsPerLine = mem.LineBytes / 8
 
 // readRanger charges cache accesses for a sequential sweep over an array
 // range — one read per line, in address order, then the instruction
-// charge, then `then` — as a recycled step struct: each task allocates one
-// ranger and reuses it for every range sweep, so the steady state captures
-// nothing per call (a closure form allocates a step closure, an onRead
-// closure, and their shared capture record per range). A ranger runs one
-// sweep at a time; the completion continuation may start the next sweep on
-// the same ranger.
+// charge, then `then` — as a recycled step struct: each kernel step holds
+// one ranger and reuses it for every range sweep, so the steady state
+// captures nothing per call (a closure form allocates a step closure, an
+// onRead closure, and their shared capture record per range). A ranger
+// runs one sweep at a time; the completion continuation may start the
+// next sweep on the same ranger.
 type readRanger struct {
 	t      *core.Task
 	a      uint64 // next line address
@@ -55,12 +55,18 @@ type readRanger struct {
 	onReadFn func(uint64)
 }
 
-func newReadRanger(t *core.Task) *readRanger {
+// start readies the ranger for t's point. It counts the ranger as a fresh
+// step, as a new task makes one.
+func (r *readRanger) start(t *core.Task) {
 	t.M.Eng.StepPoolMiss()
-	r := &readRanger{t: t}
-	r.onReadFn = r.onRead
-	return r
+	if r.onReadFn == nil {
+		r.onReadFn = r.onRead
+	}
+	r.t, r.used = t, false
 }
+
+// release drops what the ranger holds of its point.
+func (r *readRanger) release() { r.t, r.then = nil, nil }
 
 // run charges cache accesses for a sequential sweep over elements [lo, hi)
 // of the array starting at base, plus instrsPerElem instructions per
@@ -96,40 +102,80 @@ func (r *readRanger) step() {
 	r.t.Read(addr, r.onReadFn)
 }
 
+// tightLoopElems is the length of each TightLoop thread's private array.
+const tightLoopElems = 50
+
+// tightLoop is TightLoop's shared state, which the machine keeps across
+// points: the barrier, the threads' private arrays, and the task body as
+// a cached method value.
+type tightLoop struct {
+	tb     syncprims.TaskBarrier
+	arrays []uint64 // each core's private array
+	iters  int
+	bodyFn func(*core.Task)
+}
+
+func (k *tightLoop) Release() { k.tb = nil }
+
+// tightStep is one thread's TightLoop iteration loop, kept on its task.
+type tightStep struct {
+	k  *tightLoop
+	t  *core.Task
+	rr readRanger
+	it int
+
+	iterFn, afterReadFn func()
+}
+
+func (s *tightStep) Release() {
+	s.k, s.t = nil, nil
+	s.rr.release()
+}
+
 // TightLoop runs the paper's TightLoop kernel (Section 6): every thread
 // sums a 50-element private array into a local variable, then synchronizes
 // at a global barrier, repeated iters times. It reports cycles/iteration —
 // the Figure 7 metric.
 func TightLoop(cfg config.Config, iters int) Result {
-	const elems = 50
 	m := core.NewMachine(cfg)
-	f := syncprims.NewFactory(m)
-	tb := f.NewTaskBarrier(nil)
-	// Per-thread private arrays on distinct lines.
-	arrays := make([]uint64, cfg.Cores)
-	for i := range arrays {
-		arrays[i] = m.AllocArray(elems)
+	k := core.MachineState[tightLoop](m)
+	if k.bodyFn == nil {
+		k.bodyFn = k.body
 	}
-	m.SpawnAllTasks(func(t *core.Task) {
-		rr := newReadRanger(t)
-		it := 0
-		var iter, afterRead func()
-		iter = func() {
-			if it == iters {
-				t.Finish()
-				return
-			}
-			it++
-			rr.run(arrays[t.Core], 0, elems, 2, afterRead)
-		}
-		afterRead = func() { tb.WaitTask(t, iter) }
-		iter()
-	})
+	k.tb = syncprims.NewFactory(m).NewTaskBarrier(nil)
+	k.iters = iters
+	// Per-thread private arrays on distinct lines.
+	k.arrays = k.arrays[:0]
+	for range cfg.Cores {
+		k.arrays = append(k.arrays, m.AllocArray(tightLoopElems))
+	}
+	m.SpawnAllTasks(k.bodyFn)
 	if err := m.Run(); err != nil {
 		panic(err)
 	}
 	return Result{Outcome: m.Finish(), Iterations: iters}
 }
+
+func (k *tightLoop) body(t *core.Task) {
+	s := core.TaskState[tightStep](t)
+	if s.iterFn == nil {
+		s.iterFn, s.afterReadFn = s.iter, s.afterRead
+	}
+	s.rr.start(t)
+	s.k, s.t, s.it = k, t, 0
+	s.iter()
+}
+
+func (s *tightStep) iter() {
+	if s.it == s.k.iters {
+		s.t.Finish()
+		return
+	}
+	s.it++
+	s.rr.run(s.k.arrays[s.t.Core], 0, tightLoopElems, 2, s.afterReadFn)
+}
+
+func (s *tightStep) afterRead() { s.k.tb.WaitTask(s.t, s.iterFn) }
 
 // chunk returns the [lo, hi) slice of an n-element range assigned to
 // worker w of p workers.

@@ -25,12 +25,15 @@ type hitCont struct {
 func (s *System) newHitCont(addr, old uint64, useOld bool, then func(uint64)) *hitCont {
 	c := s.hits.Take(s.eng)
 	if c == nil {
-		c = &hitCont{s: s}
+		c = s.hits.Made(&hitCont{s: s})
 		c.fn = c.run
 	}
 	c.addr, c.old, c.useOld, c.then = addr, old, useOld, then
 	return c
 }
+
+// clear drops the continuation of a delivery a cut run left pending.
+func (c *hitCont) clear() { c.then = nil }
 
 func (c *hitCont) run() {
 	s, then := c.s, c.then
@@ -103,6 +106,9 @@ type memSpin struct {
 	respinFn func()
 }
 
+// clear drops the continuation of a spin a cut run left parked.
+func (sp *memSpin) clear() { sp.then = nil }
+
 func (sp *memSpin) respin() { sp.s.ReadAsync(sp.core, sp.addr, sp.onValFn) }
 
 func (sp *memSpin) onVal(v uint64) {
@@ -118,7 +124,7 @@ func (sp *memSpin) onVal(v uint64) {
 		sp.respin() // already invalidated again; re-read
 		return
 	}
-	s.l1[sp.core].spinQueue(sp.line).WaitFn(s.eng, sp.respinFn)
+	s.spinQueue(sp.core, sp.line).WaitFn(s.eng, sp.respinFn)
 }
 
 // SpinUntilAsync models a core spinning on the word at addr until cond
@@ -128,7 +134,7 @@ func (sp *memSpin) onVal(v uint64) {
 func (s *System) SpinUntilAsync(core int, addr uint64, cond sim.Cond, then func(uint64)) {
 	sp := s.spins.Take(s.eng)
 	if sp == nil {
-		sp = &memSpin{s: s}
+		sp = s.spins.Made(&memSpin{s: s})
 		sp.onValFn = sp.onVal
 		sp.respinFn = sp.respin
 	}

@@ -160,14 +160,21 @@ type l1cache struct {
 	spin map[uint64]*sim.WaitQueue
 }
 
-// spinQueue returns line's spin-waiter queue, creating it on first use.
-func (c *l1cache) spinQueue(line uint64) *sim.WaitQueue {
+// spinQueue returns the queue of core's spinners on line, taking it from
+// the free queues on first use.
+func (s *System) spinQueue(core int, line uint64) *sim.WaitQueue {
+	c := &s.l1[core]
 	q := c.spin[line]
 	if q == nil {
 		if c.spin == nil {
 			c.spin = make(map[uint64]*sim.WaitQueue)
 		}
-		q = &sim.WaitQueue{}
+		if k := len(s.spinFree); k > 0 {
+			q = s.spinFree[k-1]
+			s.spinFree = s.spinFree[:k-1]
+		} else {
+			q = new(sim.WaitQueue)
+		}
 		c.spin[line] = q
 	}
 	return q
@@ -220,6 +227,8 @@ type System struct {
 	txnFree []*txn
 	hits    sim.StepPool[hitCont]
 	spins   sim.StepPool[memSpin]
+	// spinFree holds the spin-waiter queues no line uses, emptied.
+	spinFree []*sim.WaitQueue
 	// Stats is exported for harness reporting.
 	Stats Stats
 }
@@ -233,15 +242,26 @@ func New(eng *sim.Engine, mesh *noc.Mesh, p Params) *System {
 
 // Init makes s the system New(eng, mesh, p) returns. On a system that ran
 // before, it keeps the storage that run built, emptied: the L1 tag array
-// and controllers' arrays, the line store's chunks and index, and the free
-// transactions and continuations. Transactions and continuations still in
-// flight when that run stopped are dropped.
+// and controllers' arrays, the line store's chunks and index, the spin
+// queues, and every transaction and continuation. Those a run cut at its
+// horizon left in flight are taken back, cleared.
 func (s *System) Init(eng *sim.Engine, mesh *noc.Mesh, p Params) {
 	if p.Cores != mesh.Nodes() {
 		panic(fmt.Sprintf("mem: %d cores but mesh has %d nodes", p.Cores, mesh.Nodes()))
 	}
 	if p.Cores > 256 {
 		panic("mem: more than 256 cores not supported")
+	}
+	spinFree := s.spinFree
+	all := s.l1[:cap(s.l1)]
+	for i := range all {
+		c := &all[i]
+		for _, q := range c.spin {
+			q.Clear()
+			spinFree = append(spinFree, q)
+		}
+		clear(c.spin)
+		clear(c.mshr)
 	}
 	l1 := s.l1
 	if cap(l1) < p.Cores {
@@ -250,28 +270,27 @@ func (s *System) Init(eng *sim.Engine, mesh *noc.Mesh, p Params) {
 	l1 = l1[:p.Cores]
 	for i := range l1 {
 		c := &l1[i]
-		clear(c.mshr)
-		clear(c.spin)
 		l1[i] = l1cache{mshr: c.mshr[:0], spin: c.spin}
 	}
-	// The index holds the free transactions only, renumbered.
-	clear(s.txns)
-	txns := append(s.txns[:0], s.txnFree...)
-	for i, t := range txns {
-		t.id = uint32(i + 1)
+	// Every transaction is free, in id order.
+	txnFree := s.txnFree[:0]
+	for _, t := range s.txns {
+		*t = txn{s: t.s, id: t.id, step: t.step, fin: t.fin}
+		txnFree = append(txnFree, t)
 	}
 	s.lines.reset()
 	*s = System{
-		eng:     eng,
-		mesh:    mesh,
-		p:       p,
-		l1:      l1,
-		tags:    sim.Zeroed(s.tags, p.Cores*p.L1Sets*p.L1Ways),
-		lines:   s.lines,
-		txns:    txns,
-		txnFree: s.txnFree,
-		hits:    s.hits.Recycled(),
-		spins:   s.spins.Recycled(),
+		eng:      eng,
+		mesh:     mesh,
+		p:        p,
+		l1:       l1,
+		tags:     sim.Zeroed(s.tags, p.Cores*p.L1Sets*p.L1Ways),
+		lines:    s.lines,
+		txns:     s.txns,
+		txnFree:  txnFree,
+		hits:     s.hits.Recycled((*hitCont).clear),
+		spins:    s.spins.Recycled((*memSpin).clear),
+		spinFree: spinFree,
 	}
 }
 

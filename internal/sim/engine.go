@@ -139,7 +139,7 @@ type Engine struct {
 	// horizon of the innermost Run/RunUntil (matching runEvents' pop
 	// condition).
 	limit Time
-	rng   *Rand
+	rng   Rand
 	tasks map[*Task]struct{}
 	// cont is the trampoline slot for the SleepThen and ScheduleNow fast
 	// paths: a continuation that must run immediately after the current
@@ -175,7 +175,7 @@ func (e *Engine) Init(seed uint64) {
 	}
 	clear(tasks)
 	e.q.reset()
-	*e = Engine{q: e.q, rng: NewRand(seed), limit: maxTime, tasks: tasks}
+	*e = Engine{q: e.q, rng: Rand{s: seed}, limit: maxTime, tasks: tasks}
 }
 
 // SchedStats are the engine's scheduling-internals counters: how events were
@@ -224,18 +224,61 @@ func (e *Engine) StepPoolHit() { e.stepPoolHits++ }
 // StepPoolMiss records one fresh step allocation.
 func (e *Engine) StepPoolMiss() { e.stepPoolMisses++ }
 
-// StepPool is a free list of recycled steps of one kind that reports its
-// takes through StepPoolHit and StepPoolMiss. Its free steps may outlive
-// the engine run they served (see Recycled), yet a take counts as it would
-// on a new, empty list: a miss exactly when it brings the steps in use to
-// a new high for the run, a hit otherwise. The zero value is empty.
+// FreeList is a free list of recycled records of one kind. It keeps every
+// record made for it, so that a run cut at its horizon with records in use
+// loses none of them (see Reclaimed). The zero value is empty.
+type FreeList[T any] struct {
+	free, made []*T
+}
+
+// Get returns a free record, or nil when the caller must make one and hand
+// it to Made.
+func (l *FreeList[T]) Get() *T {
+	k := len(l.free)
+	if k == 0 {
+		return nil
+	}
+	s := l.free[k-1]
+	l.free[k-1] = nil
+	l.free = l.free[:k-1]
+	return s
+}
+
+// Made records s, a record the caller made because Get returned nil, and
+// returns it.
+func (l *FreeList[T]) Made(s *T) *T {
+	l.made = append(l.made, s)
+	return s
+}
+
+// Put returns a record to the list.
+func (l *FreeList[T]) Put(s *T) { l.free = append(l.free, s) }
+
+// Reclaimed returns the list for a new run: every record made for it free
+// again. Records the old run still held, which a run cut at its horizon
+// leaves behind, are passed to clear first, so that none keeps a
+// continuation of that run; clear must leave a free record as it is.
+func (l *FreeList[T]) Reclaimed(clear func(*T)) FreeList[T] {
+	free := l.free[:0]
+	for _, s := range l.made {
+		clear(s)
+		free = append(free, s)
+	}
+	return FreeList[T]{free: free, made: l.made}
+}
+
+// StepPool is a FreeList of recycled steps that reports its takes through
+// StepPoolHit and StepPoolMiss. Its steps outlive the engine run they
+// served (see Recycled), yet a take counts as it would on a new, empty
+// list: a miss exactly when it brings the steps in use to a new high for
+// the run, a hit otherwise. The zero value is empty.
 type StepPool[T any] struct {
-	free       []*T
+	list       FreeList[T]
 	live, high int
 }
 
-// Take returns a free step, or nil when the caller must make one; either
-// way it counts the take on e.
+// Take returns a free step, or nil when the caller must make one and hand
+// it to Made; either way it counts the take on e.
 func (p *StepPool[T]) Take(e *Engine) *T {
 	p.live++
 	if p.live > p.high {
@@ -244,25 +287,24 @@ func (p *StepPool[T]) Take(e *Engine) *T {
 	} else {
 		e.StepPoolHit()
 	}
-	k := len(p.free)
-	if k == 0 {
-		return nil
-	}
-	s := p.free[k-1]
-	p.free[k-1] = nil
-	p.free = p.free[:k-1]
-	return s
+	return p.list.Get()
 }
+
+// Made records s, a step the caller made because Take returned nil, and
+// returns it.
+func (p *StepPool[T]) Made(s *T) *T { return p.list.Made(s) }
 
 // Put returns a step Take handed out, or one its caller made.
 func (p *StepPool[T]) Put(s *T) {
 	p.live--
-	p.free = append(p.free, s)
+	p.list.Put(s)
 }
 
-// Recycled returns the pool for a new run: the same free steps, none in
-// use. Steps the old run still held are forgotten with it.
-func (p *StepPool[T]) Recycled() StepPool[T] { return StepPool[T]{free: p.free} }
+// Recycled returns the pool for a new run: every step made for it free
+// again, none in use, as FreeList.Reclaimed returns it.
+func (p *StepPool[T]) Recycled(clear func(*T)) StepPool[T] {
+	return StepPool[T]{list: p.list.Reclaimed(clear)}
+}
 
 // Zeroed returns s with length n and every element zero, in s's array
 // when it is large enough: how a model's init keeps an array from a run
@@ -280,7 +322,7 @@ func Zeroed[T any](s []T, n int) []T {
 func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's deterministic random source.
-func (e *Engine) Rand() *Rand { return e.rng }
+func (e *Engine) Rand() *Rand { return &e.rng }
 
 // Pending returns the number of scheduled events, for instrumentation.
 func (e *Engine) Pending() int { return e.q.len() }

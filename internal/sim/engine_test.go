@@ -345,8 +345,9 @@ func TestScheduleReserved(t *testing.T) {
 }
 
 // TestStepPoolCountsAsNew: a StepPool carried into a new run counts its
-// takes as a new, empty pool would, although its free steps come from
-// the run before: a miss exactly when the steps in use reach a new high.
+// takes as a new, empty pool would, although its steps come from the run
+// before: a miss exactly when the steps in use reach a new high. The steps
+// the run before still held are taken back, cleared.
 func TestStepPoolCountsAsNew(t *testing.T) {
 	type step struct{ n int }
 	// ops: +1 takes a step, -1 puts the oldest one in use back.
@@ -363,9 +364,10 @@ func TestStepPoolCountsAsNew(t *testing.T) {
 			}
 			s := p.Take(e)
 			if s == nil {
-				s = new(step)
+				s = p.Made(new(step))
 				made++
 			}
+			s.n = 1
 			inUse = append(inUse, s)
 		}
 		return e.SchedStats(), made
@@ -375,12 +377,20 @@ func TestStepPoolCountsAsNew(t *testing.T) {
 	if want.StepPoolMisses != 4 || want.StepPoolHits != 4 || made != 4 {
 		t.Fatalf("a new pool counted %+v and made %d steps, want 4 misses, 4 hits, 4 made", want, made)
 	}
-	p = p.Recycled() // the run stops with 2 steps in use: they are dropped
+	// The run stops with 2 steps in use: they are taken back, cleared.
+	cleared := 0
+	p = p.Recycled(func(s *step) {
+		cleared += s.n
+		s.n = 0
+	})
+	if cleared != 4 {
+		t.Errorf("Recycled cleared %d steps, want the 4 made", cleared)
+	}
 	got, made := run(&p)
 	if got != want {
 		t.Errorf("a recycled pool counted %+v, a new one %+v", got, want)
 	}
-	if made != 2 {
-		t.Errorf("a recycled pool made %d steps; it keeps the 2 free ones of the run before, so 2", made)
+	if made != 0 {
+		t.Errorf("a recycled pool made %d steps; it keeps the 4 of the run before, so 0", made)
 	}
 }

@@ -19,6 +19,15 @@ func (q *WaitQueue) WaitFn(e *Engine, fn func()) {
 	q.fns = append(q.fns, fn)
 }
 
+// Clear drops every waiter without waking it, keeping the queue's array:
+// how a model takes back a queue that a run cut at its horizon left
+// waiters in.
+func (q *WaitQueue) Clear() {
+	clear(q.fns)
+	q.fns = q.fns[:0]
+	q.eng = nil
+}
+
 // Len returns the number of waiters.
 func (q *WaitQueue) Len() int { return len(q.fns) }
 

@@ -1,6 +1,9 @@
 package syncprims
 
-import "wisync/internal/mem"
+import (
+	"wisync/internal/mem"
+	"wisync/internal/sim"
+)
 
 // centralBarrier is the Baseline barrier: a centralized sense-reversing
 // barrier [16] with the arrival count incremented by a CAS retry loop (CAS
@@ -18,13 +21,15 @@ type centralBarrier struct {
 }
 
 func newCentralBarrier(f *Factory, participants int) *centralBarrier {
-	return &centralBarrier{
+	b := f.made.central.get()
+	*b = centralBarrier{
 		count:   f.m.AllocLine(),
 		release: f.m.AllocLine(),
 		n:       uint64(participants),
-		ep:      make([]uint64, f.m.Cfg.Cores),
+		ep:      sim.Zeroed(b.ep, f.m.Cfg.Cores),
 		f:       f,
 	}
+	return b
 }
 
 // tournamentBarrier is the Baseline+ barrier [31]: threads play a
@@ -49,13 +54,15 @@ func newTournamentBarrier(f *Factory, participants int) *tournamentBarrier {
 	for v := 1; v < participants; v <<= 1 {
 		rounds++
 	}
-	return &tournamentBarrier{
+	b := f.made.tournament.get()
+	*b = tournamentBarrier{
 		n:      participants,
 		rounds: rounds,
 		flags:  f.m.AllocLines((rounds + 1) * participants),
-		ep:     make([]uint64, f.m.Cfg.Cores),
+		ep:     sim.Zeroed(b.ep, f.m.Cfg.Cores),
 		f:      f,
 	}
+	return b
 }
 
 // arrive is the flag the round-r loser sets for winner idx.

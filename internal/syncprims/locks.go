@@ -24,7 +24,8 @@ type mcsLock struct {
 // core for the qnode fields, so a qnode field's address is arithmetic on
 // tail (locked and next) and the lock holds no per-core state.
 func newMCSLock(f *Factory) *mcsLock {
-	l := &mcsLock{f: f, tail: f.m.AllocLine()}
+	l := f.made.mcsLocks.get()
+	*l = mcsLock{f: f, tail: f.m.AllocLine()}
 	f.m.AllocLines(2 * f.m.Cfg.Cores)
 	return l
 }

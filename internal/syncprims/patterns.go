@@ -191,7 +191,11 @@ type Reducer struct {
 }
 
 // NewReducer allocates a reduction variable initialized to init.
-func (f *Factory) NewReducer(init uint64) *Reducer { return &Reducer{v: f.NewTaskVar(init)} }
+func (f *Factory) NewReducer(init uint64) *Reducer {
+	r := f.made.reducers.get()
+	r.v = f.NewTaskVar(init)
+	return r
+}
 
 // AddTask contributes delta; then receives the total before the add. Hot
 // callers pass one cached continuation, so an add captures nothing.

@@ -57,6 +57,10 @@ func (v *bmVar) SpinUntilTask(t *core.Task, cond sim.Cond, then func(uint64)) {
 // time. takeStep panics when a second task breaks that while the first
 // one's operation is still pending, instead of letting it overwrite the
 // step.
+//
+// The steps stay with the factory from one point to the next (see
+// Factory). A step counts as a new factory's would: a miss on its core's
+// first operation of its kind in a point, a hit after.
 
 // steps are a factory's recycled steps, one table per primitive kind, each
 // indexed by core and built on first use.
@@ -69,11 +73,34 @@ type steps struct {
 	tone       []*toneStep
 }
 
-// op is the state every step shares: the task it serves and the user
-// continuation it still owes, nil while the step is free.
+// op is the state every step shares: the task it serves, the user
+// continuation it still owes, nil while the step is free, and whether the
+// point has used the step.
 type op struct {
 	t    *core.Task
 	then func()
+	used bool
+}
+
+// release drops what the steps in every table hold of the finished point.
+func (s *steps) release() {
+	releaseSteps(s.spin)
+	releaseSteps(s.mcs)
+	releaseSteps(s.central)
+	releaseSteps(s.tournament)
+	releaseSteps(s.data)
+	releaseSteps(s.tone)
+}
+
+func releaseSteps[S any, P interface {
+	*S
+	state() *op
+}](tab []P) {
+	for _, s := range tab {
+		if s != nil {
+			*s.state() = op{}
+		}
+	}
 }
 
 func (o *op) state() *op { return o }
@@ -96,19 +123,22 @@ func takeStep[S any, P interface {
 	init()
 	state() *op
 }](tab *[]P, t *core.Task, then func()) P {
-	if *tab == nil {
-		*tab = make([]P, t.M.Cfg.Cores)
+	for len(*tab) < t.M.Cfg.Cores {
+		*tab = append(*tab, nil)
 	}
 	s := (*tab)[t.Core]
 	if s == nil {
-		t.M.Eng.StepPoolMiss()
 		s = P(new(S))
 		s.init()
 		(*tab)[t.Core] = s
-	} else {
-		t.M.Eng.StepPoolHit()
 	}
 	o := s.state()
+	if o.used {
+		t.M.Eng.StepPoolHit()
+	} else {
+		t.M.Eng.StepPoolMiss()
+		o.used = true
+	}
 	if o.then != nil {
 		panic(fmt.Sprintf("syncprims: core %d started an operation on its %T while the previous one is still pending; "+
 			"two tasks on one core are driving one factory's locks or barriers at once", t.Core, s))

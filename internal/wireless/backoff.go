@@ -40,10 +40,10 @@ type backoffMAC struct {
 	sharedExp int
 	stats     MACStats
 	// releaseHeadFn is the cached method value scheduleRelease schedules;
-	// arbFree recycles contention slots together with their request
-	// slices, so steady-state contention allocates nothing in the MAC.
+	// slots recycles contention slots together with their request
+	// arrays, so steady-state contention allocates nothing in the MAC.
 	releaseHeadFn func()
-	arbFree       []*arbCont
+	slots         sim.FreeList[arbCont]
 }
 
 // arbCont is one pending contention slot: the cycle it resolves at, the
@@ -59,13 +59,19 @@ type arbCont struct {
 
 func (c *arbCont) run() { c.m.arbitrate(c) }
 
+// clear empties the slot's request array, keeping it.
+func (c *arbCont) clear() {
+	clear(c.reqs)
+	c.reqs = c.reqs[:0]
+}
+
 // maxCycleTable bounds byCycle; 1024 entries cover 256 nodes' default
 // backoff window (2^9 cycles).
 const maxCycleTable = 1024
 
-// init makes m the backoff MAC of n. It keeps the arrays and free
-// contention slots of m's earlier run; slots still pending when that run
-// stopped are dropped with their requests.
+// init makes m the backoff MAC of n. It keeps the arrays and contention
+// slots of m's earlier run; slots still pending when that run stopped are
+// taken back with their request arrays, emptied.
 func (m *backoffMAC) init(n *Network) {
 	window := sim.Time(1) << max(0, min(n.p.MaxBackoffExp, 30))
 	if n.p.ConstantBackoffWindow > 0 {
@@ -86,7 +92,7 @@ func (m *backoffMAC) init(n *Network) {
 		waitq:         m.waitq,
 		backoff:       sim.Zeroed(m.backoff, n.nodes),
 		releaseHeadFn: m.releaseHeadFn,
-		arbFree:       m.arbFree,
+		slots:         m.slots.Reclaimed((*arbCont).clear),
 	}
 	if m.releaseHeadFn == nil {
 		m.releaseHeadFn = m.releaseHead
@@ -155,12 +161,9 @@ func (m *backoffMAC) enqueue(req *request, slot sim.Time) {
 		c.reqs = append(c.reqs, req)
 		return
 	}
-	var c *arbCont
-	if k := len(m.arbFree); k > 0 {
-		c = m.arbFree[k-1]
-		m.arbFree = m.arbFree[:k-1]
-	} else {
-		c = &arbCont{m: m}
+	c := m.slots.Get()
+	if c == nil {
+		c = m.slots.Made(&arbCont{m: m})
 		c.fn = c.run
 	}
 	c.slot = slot
@@ -185,9 +188,8 @@ func (m *backoffMAC) enqueue(req *request, slot sim.Time) {
 func (m *backoffMAC) arbitrate(c *arbCont) {
 	m.unlist(c)
 	m.resolve(c.slot, c.reqs)
-	clear(c.reqs)
-	c.reqs = c.reqs[:0]
-	m.arbFree = append(m.arbFree, c)
+	c.clear()
+	m.slots.Put(c)
 }
 
 // resolve decides the contention slot at cycle slot among reqs: a single
@@ -349,8 +351,7 @@ func (m *backoffMAC) drain(out []*request) []*request {
 				out = append(out, r)
 			}
 		}
-		clear(c.reqs)
-		c.reqs = c.reqs[:0]
+		c.clear()
 	}
 	return out
 }

@@ -36,11 +36,75 @@ func TestRequestPoolRecycle(t *testing.T) {
 	if n.Stats.Messages != msgs {
 		t.Fatalf("committed %d messages, want %d", n.Stats.Messages, msgs)
 	}
-	if got := len(n.reqFree); got != 1 {
-		t.Errorf("freelist holds %d records after sequential chain, want 1", got)
+	free := freeRecords(&n.reqs)
+	if got := len(free); got != 1 {
+		t.Fatalf("freelist holds %d records after sequential chain, want 1", got)
 	}
-	if got := n.reqFree[0].epoch; got != msgs {
+	if got := free[0].epoch; got != msgs {
 		t.Errorf("pooled record epoch %d, want %d (one bump per trip)", got, msgs)
+	}
+}
+
+// freeRecords returns the records free on l, leaving l as it was.
+func freeRecords[T any](l *sim.FreeList[T]) []*T {
+	var out []*T
+	for s := l.Get(); s != nil; s = l.Get() {
+		out = append(out, s)
+	}
+	for i := len(out) - 1; i >= 0; i-- {
+		l.Put(out[i])
+	}
+	return out
+}
+
+// TestCutRunReclaimsInFlight: what a run cut at its horizon leaves in
+// flight — requests in contention slots, the pending slots with their
+// request arrays, commit and delivery continuations — goes back to the
+// free lists at the channel's next Init, cleared. So the same storm cut
+// again on the re-Init'ed channel makes no slot, request or continuation.
+func TestCutRunReclaimsInFlight(t *testing.T) {
+	const nodes, horizon = 64, 2000
+	eng := sim.NewEngine(1)
+	n := New(eng, nodes, Params{})
+	// Every node sends, and sends again as each send completes.
+	resend := make([]func(bool), nodes)
+	for src := range resend {
+		resend[src] = func(bool) { n.SendAsync(Msg{Src: src, Addr: uint32(src)}, nil, resend[src]) }
+	}
+	counts := func() [4]int {
+		return [4]int{len(freeRecords(&n.reqs)), len(freeRecords(&n.macs.backoff.slots)),
+			len(freeRecords(&n.commits)), len(freeRecords(&n.delivers))}
+	}
+	cut := func() {
+		eng.Init(1)
+		n.Init(eng, nodes, Params{})
+		eng.Schedule(0, func() {
+			for _, f := range resend {
+				f(true)
+			}
+		})
+		eng.RunUntil(horizon)
+		eng.Shutdown()
+	}
+	cut()
+	if n.Stats.Messages == 0 || n.Stats.Collisions == 0 {
+		t.Fatalf("the storm committed %d messages with %d collisions", n.Stats.Messages, n.Stats.Collisions)
+	}
+	held := counts()
+	n.Init(eng, nodes, Params{})
+	made := counts()
+	if held[0] >= made[0] || held[1] >= made[1] {
+		t.Fatalf("free requests and slots %v at the cut, %v after Init: the cut left none in flight", held, made)
+	}
+	for _, r := range freeRecords(&n.reqs) {
+		if r.then != nil || r.queued {
+			t.Fatal("a request taken back from the cut run keeps its continuation or its place in a MAC list")
+		}
+	}
+	cut()
+	n.Init(eng, nodes, Params{})
+	if again := counts(); again != made {
+		t.Errorf("requests, slots, commits and deliveries: %v after the first cut run, %v after the second", made, again)
 	}
 }
 
@@ -109,7 +173,7 @@ func TestCanceledRequestNotPooled(t *testing.T) {
 		if !canceled {
 			t.Error("withdrawal not delivered by cycle 3")
 		}
-		if slices.Contains(n.reqFree, withdrawn) {
+		if slices.Contains(freeRecords(&n.reqs), withdrawn) {
 			t.Error("withdrawn record pooled while the MAC backlog still holds it")
 		}
 	})
@@ -123,8 +187,8 @@ func TestCanceledRequestNotPooled(t *testing.T) {
 		t.Errorf("Withdrawn, Messages = %d, %d, want 1, 1", n.Stats.Withdrawn, n.Stats.Messages)
 	}
 	// The busy end dropped the stale entry, so both records are pooled.
-	if got := len(n.reqFree); got != 2 || !slices.Contains(n.reqFree, withdrawn) {
-		t.Errorf("freelist holds %d records, want 2 including the withdrawn one", got)
+	if free := freeRecords(&n.reqs); len(free) != 2 || !slices.Contains(free, withdrawn) {
+		t.Errorf("freelist holds %d records, want 2 including the withdrawn one", len(free))
 	}
 }
 

@@ -22,8 +22,8 @@ type tokenMAC struct {
 	// switch drains the queues.
 	armed bool
 	epoch uint64
-	// evFree recycles the scan, token-arrival and regeneration events.
-	evFree []*tokenEvent
+	// events recycles the scan, token-arrival and regeneration events.
+	events sim.FreeList[tokenEvent]
 	// excluded marks fail-stopped nodes the ring has already detected and
 	// reconfigured around: their queued sends were failed, the token
 	// skips them without timing out again, and they never rejoin. Nil
@@ -33,8 +33,8 @@ type tokenMAC struct {
 }
 
 // init makes m the token MAC of n. It keeps the queues' arrays and the
-// free events of m's earlier run; requests still queued when that run
-// stopped are dropped.
+// events of m's earlier run, those still queued when that run stopped
+// included; the requests still queued are dropped from the queues.
 func (m *tokenMAC) init(n *Network) {
 	pending := m.pending
 	if cap(pending) < n.nodes {
@@ -53,7 +53,7 @@ func (m *tokenMAC) init(n *Network) {
 		pending: pending,
 		// Park the initial token so the scan starts at node 0.
 		holder:   n.nodes - 1,
-		evFree:   m.evFree,
+		events:   m.events.Reclaimed(func(*tokenEvent) {}),
 		excluded: excluded,
 	}
 }
@@ -80,7 +80,7 @@ const (
 // regeneration, with the epoch it was scheduled in. An adaptive switch
 // bumps the epoch while such an event can still be queued beside a live
 // one, so each event carries its own and dies stale on a mismatch. Events
-// recycle through evFree, so a token burst allocates nothing in the MAC.
+// recycle through events, so a token burst allocates nothing in the MAC.
 type tokenEvent struct {
 	m     *tokenMAC
 	kind  tokenEventKind
@@ -93,12 +93,9 @@ type tokenEvent struct {
 // arbitration: requests submitted earlier in the same cycle (commit
 // deliveries run at PrioNormal) participate.
 func (m *tokenMAC) schedule(at sim.Time, kind tokenEventKind, src int) {
-	var ev *tokenEvent
-	if k := len(m.evFree); k > 0 {
-		ev = m.evFree[k-1]
-		m.evFree = m.evFree[:k-1]
-	} else {
-		ev = &tokenEvent{m: m}
+	ev := m.events.Get()
+	if ev == nil {
+		ev = m.events.Made(&tokenEvent{m: m})
 		ev.fn = ev.run
 	}
 	ev.kind, ev.epoch, ev.src = kind, m.epoch, src
@@ -108,7 +105,7 @@ func (m *tokenMAC) schedule(at sim.Time, kind tokenEventKind, src int) {
 func (ev *tokenEvent) run() {
 	m, kind, src := ev.m, ev.kind, ev.src
 	stale := ev.epoch != m.epoch
-	m.evFree = append(m.evFree, ev)
+	m.events.Put(ev)
 	if stale {
 		return // queues were drained by an adaptive mode switch
 	}

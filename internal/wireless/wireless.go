@@ -245,7 +245,7 @@ type deliverCont struct {
 func (c *deliverCont) run() {
 	n, req := c.n, c.req
 	c.req = nil
-	n.deliverFree = append(n.deliverFree, c)
+	n.delivers.Put(c)
 	then := req.then
 	req.then = nil
 	if req.state == reqCanceled {
@@ -261,15 +261,15 @@ func (c *deliverCont) run() {
 	then(committed)
 }
 
+// clear drops the request of a delivery a cut run left pending.
+func (c *deliverCont) clear() { c.req = nil }
+
 // resume schedules the sender's completion callback at the current cycle.
 func (r *request) resume() {
 	n := r.n
-	var c *deliverCont
-	if k := len(n.deliverFree); k > 0 {
-		c = n.deliverFree[k-1]
-		n.deliverFree = n.deliverFree[:k-1]
-	} else {
-		c = &deliverCont{n: n}
+	c := n.delivers.Get()
+	if c == nil {
+		c = n.delivers.Made(&deliverCont{n: n})
 		c.fn = c.run
 	}
 	c.req = r
@@ -331,7 +331,7 @@ type Network struct {
 	eng       *sim.Engine
 	p         Params
 	nodes     int
-	rng       *sim.Rand
+	rng       sim.Rand
 	busyUntil sim.Time
 	mac       MAC
 	// macs holds the protocols mac is one of (or, for MACAdaptive, is
@@ -343,19 +343,19 @@ type Network struct {
 	}
 	subs    []func(Msg, sim.Time)
 	prepare func(Msg) bool
-	// deliverFree and commitFree recycle the per-message scheduling
+	// delivers and commits recycle the per-message scheduling
 	// continuations (async completion delivery, transmission commit), and
-	// reqFree recycles the request records themselves (epoch-validated; see
+	// reqs recycles the request records themselves (epoch-validated; see
 	// request.epoch), so the steady-state SendAsync message path
 	// allocates nothing.
-	deliverFree []*deliverCont
-	commitFree  []*commitCont
-	reqFree     []*request
+	delivers sim.FreeList[deliverCont]
+	commits  sim.FreeList[commitCont]
+	reqs     sim.FreeList[request]
 	// ch decides per-transmission delivery outcomes; chRng feeds its draws
 	// and is forked from the engine only for non-ideal profiles, so the
 	// default channel consumes no entropy and perturbs no golden trace.
 	ch    channel.Model
-	chRng *sim.Rand
+	chRng sim.Rand
 	// energyPerNode mirrors every Energy charge onto the spending node.
 	energyPerNode []float64
 	// inj answers fault-plan queries at the submit and grant commit
@@ -379,10 +379,11 @@ func New(eng *sim.Engine, nodes int, p Params) *Network {
 }
 
 // Init makes n the channel New(eng, nodes, p) returns. On a channel that
-// ran before, it keeps what that run built, emptied: the free requests and
-// delivery and commit continuations, the MACs' arrays and free slots and
-// events, and the subscriber and energy arrays. The channel model is built
-// again. Requests still in flight when that run stopped are dropped.
+// ran before, it keeps what that run built, emptied: the requests and
+// delivery and commit continuations, the MACs' arrays, contention slots and
+// events, and the subscriber and energy arrays. Those a run cut at its
+// horizon left in flight are taken back, cleared. The channel model is
+// built again.
 func (n *Network) Init(eng *sim.Engine, nodes int, p Params) {
 	if p.MsgCycles == 0 {
 		p = DefaultParams()
@@ -416,17 +417,17 @@ func (n *Network) Init(eng *sim.Engine, nodes int, p Params) {
 		eng:           eng,
 		p:             p,
 		nodes:         nodes,
-		rng:           eng.Rand().Fork(),
 		subs:          n.subs[:0],
-		deliverFree:   n.deliverFree,
-		commitFree:    n.commitFree,
-		reqFree:       n.reqFree,
+		delivers:      n.delivers.Reclaimed((*deliverCont).clear),
+		commits:       n.commits.Reclaimed((*commitCont).clear),
+		reqs:          n.reqs.Reclaimed((*request).clear),
 		ch:            ch,
 		energyPerNode: sim.Zeroed(n.energyPerNode, nodes),
 		macs:          n.macs,
 	}
+	n.rng.Seed(eng.Rand().Uint64())
 	if !ch.Ideal() {
-		n.chRng = eng.Rand().Fork()
+		n.chRng.Seed(eng.Rand().Uint64())
 	}
 	n.inj = fault.NewInjector(p.Faults)
 	n.mac = n.initMAC(p.MAC)
@@ -474,9 +475,7 @@ func (n *Network) newRequest(msg Msg) *request {
 	if msg.Src < 0 || msg.Src >= n.nodes {
 		panic(fmt.Sprintf("wireless: bad source node %d", msg.Src))
 	}
-	if k := len(n.reqFree); k > 0 {
-		r := n.reqFree[k-1]
-		n.reqFree = n.reqFree[:k-1]
+	if r := n.reqs.Get(); r != nil {
 		r.msg = msg
 		r.start = n.eng.Now()
 		r.state = reqPending
@@ -485,7 +484,7 @@ func (n *Network) newRequest(msg Msg) *request {
 		r.retx = 0
 		return r
 	}
-	return &request{n: n, msg: msg, start: n.eng.Now()}
+	return n.reqs.Made(&request{n: n, msg: msg, start: n.eng.Now()})
 }
 
 // freeRequest returns a finished record to the pool. Only completion paths
@@ -500,10 +499,18 @@ func (n *Network) freeRequest(r *request) {
 	if r.queued {
 		panic("wireless: freeing a request a MAC still holds")
 	}
+	r.clear()
+	n.reqs.Put(r)
+}
+
+// clear retires r's message: a Token that names it goes stale, and r
+// holds no payload or continuation. A request a cut run left in a MAC
+// list is taken back this way, and no list holds it any more.
+func (r *request) clear() {
 	r.epoch++
 	r.then = nil
 	r.msg = Msg{} // drop the payload and the RMW Op closure
-	n.reqFree = append(n.reqFree, r)
+	r.queued = false
 }
 
 // dequeued records that a MAC list dropped its entry for r. A withdrawn
@@ -589,12 +596,9 @@ func (n *Network) transmit(req *request, slot sim.Time) {
 	n.Stats.BusyCycles += dur
 	n.chargeTx(req)
 	n.mac.Granted(req)
-	var c *commitCont
-	if k := len(n.commitFree); k > 0 {
-		c = n.commitFree[k-1]
-		n.commitFree = n.commitFree[:k-1]
-	} else {
-		c = &commitCont{n: n}
+	c := n.commits.Get()
+	if c == nil {
+		c = n.commits.Made(&commitCont{n: n})
 		c.fn = c.run
 	}
 	c.req = req
@@ -610,10 +614,13 @@ type commitCont struct {
 	fn  func() // cached method value of run
 }
 
+// clear drops the request of a commit a cut run left pending.
+func (c *commitCont) clear() { c.req = nil }
+
 func (c *commitCont) run() {
 	n, req := c.n, c.req
 	c.req = nil
-	n.commitFree = append(n.commitFree, c)
+	n.commits.Put(c)
 	n.commit(req)
 }
 
@@ -623,7 +630,7 @@ func (n *Network) commit(req *request) {
 		if req.msg.Kind == KindBulk {
 			bits = BulkBits
 		}
-		if n.ch.Corrupts(n.chRng, req.msg.Src, bits) {
+		if n.ch.Corrupts(&n.chRng, req.msg.Src, bits) {
 			// At least one receiver CRC-failed the frame and NACKed: no
 			// BM applies it (the channel's total order stays consistent
 			// because it is all-or-nothing per transmission). The frame
