@@ -69,7 +69,7 @@ func (a *appTask) init(t *core.Task, r *appRun, seed uint64) {
 	}
 	p := &r.p
 	a.t, a.p = t, p
-	a.rng.Seed(seed)
+	a.rng = *sim.NewRand(seed)
 	a.barrier, a.locks, a.red = r.barrier, r.locks, r.red
 	a.shared, a.lockData = r.shared, r.lockData
 	a.nb = max(p.BarriersPerIter, 1)

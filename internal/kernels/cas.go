@@ -139,7 +139,7 @@ func (s *casStep) start(t *core.Task, k *casKernel) {
 		s.onCASFn = s.onCAS
 	}
 	s.t, s.k, s.op, s.backoff, s.v = t, k, 0, 0, nil
-	s.rng.Seed(uint64(t.Core)*2654435761 + k.cfg.Seed + uint64(k.kind)*7919)
+	s.rng = *sim.NewRand(uint64(t.Core)*2654435761 + k.cfg.Seed + uint64(k.kind)*7919)
 }
 
 func (s *casStep) Release() { s.t, s.k, s.v = nil, nil, nil }

@@ -59,7 +59,7 @@ type liv2Step struct {
 
 	pass, ii, ipnt, ipntp, lo, hi int
 
-	startPassFn, waveFn, afterXFn, waitStageFn, afterStageFn, waitWaveFn func()
+	waveFn, afterXFn, waitStageFn, afterStageFn, waitWaveFn func()
 }
 
 func (s *liv2Step) Release() {
@@ -70,7 +70,7 @@ func (s *liv2Step) Release() {
 func (k *livermore2) body(t *core.Task) {
 	s := core.TaskState[liv2Step](t)
 	if s.waveFn == nil {
-		s.startPassFn, s.waveFn, s.afterXFn = s.startPass, s.wave, s.afterX
+		s.waveFn, s.afterXFn = s.wave, s.afterX
 		s.waitStageFn, s.afterStageFn, s.waitWaveFn = s.waitStage, s.afterStage, s.waitWave
 	}
 	s.rr.start(t)

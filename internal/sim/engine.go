@@ -175,7 +175,7 @@ func (e *Engine) Init(seed uint64) {
 	}
 	clear(tasks)
 	e.q.reset()
-	*e = Engine{q: e.q, rng: Rand{s: seed}, limit: maxTime, tasks: tasks}
+	*e = Engine{q: e.q, rng: *NewRand(seed), limit: maxTime, tasks: tasks}
 }
 
 // SchedStats are the engine's scheduling-internals counters: how events were

@@ -9,10 +9,6 @@ type Rand struct {
 // NewRand returns a generator seeded with seed.
 func NewRand(seed uint64) *Rand { return &Rand{s: seed} }
 
-// Seed restarts r as the generator NewRand(seed) returns, for a generator
-// held by value.
-func (r *Rand) Seed(seed uint64) { r.s = seed }
-
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
 	r.s += 0x9E3779B97F4A7C15

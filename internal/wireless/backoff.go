@@ -41,7 +41,11 @@ type backoffMAC struct {
 	stats     MACStats
 	// releaseHeadFn is the cached method value scheduleRelease schedules;
 	// slots recycles contention slots together with their request
-	// arrays, so steady-state contention allocates nothing in the MAC.
+	// arrays, the slots a cut run left pending included (init). A free
+	// slot is taken whatever its array's size, so an array regrows when
+	// its slot gets more requests than it has held: a point run again
+	// regrows arrays that other slots grew the time before, and a point
+	// run a third time allocates nothing in the MAC.
 	releaseHeadFn func()
 	slots         sim.FreeList[arbCont]
 }

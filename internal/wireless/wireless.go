@@ -417,6 +417,7 @@ func (n *Network) Init(eng *sim.Engine, nodes int, p Params) {
 		eng:           eng,
 		p:             p,
 		nodes:         nodes,
+		rng:           *eng.Rand().Fork(),
 		subs:          n.subs[:0],
 		delivers:      n.delivers.Reclaimed((*deliverCont).clear),
 		commits:       n.commits.Reclaimed((*commitCont).clear),
@@ -425,9 +426,8 @@ func (n *Network) Init(eng *sim.Engine, nodes int, p Params) {
 		energyPerNode: sim.Zeroed(n.energyPerNode, nodes),
 		macs:          n.macs,
 	}
-	n.rng.Seed(eng.Rand().Uint64())
 	if !ch.Ideal() {
-		n.chRng.Seed(eng.Rand().Uint64())
+		n.chRng = *eng.Rand().Fork()
 	}
 	n.inj = fault.NewInjector(p.Faults)
 	n.mac = n.initMAC(p.MAC)
