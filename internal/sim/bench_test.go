@@ -9,7 +9,7 @@ import "testing"
 // levels of the composite queue and their merge:
 //
 //   - wheel: offsets within the wheel horizon, the simulator's dominant
-//     2–110-cycle sleep regime — O(1) bucket pushes, bitmap-scan pops.
+//     short-sleep regime — O(1) bucket pushes, bitmap-scan pops.
 //   - heap: offsets past the horizon, so every event takes the 4-ary heap
 //     fallback and crosses into the wheel window only as the clock chases
 //     it (pure far-future scheduling).
@@ -37,7 +37,7 @@ func BenchmarkScheduleDrain(b *testing.B) {
 	}
 	b.Run("wheel", run(251, 0))
 	b.Run("heap", run(1021, wheelSpan))
-	b.Run("mixed", run(1021, 0))
+	b.Run("mixed", run(2*wheelSpan-3, 0))
 }
 
 // BenchmarkSleepFastPath measures the zero-handoff SleepThen: a single

@@ -140,7 +140,9 @@ type Engine struct {
 	// condition).
 	limit Time
 	rng   Rand
-	tasks map[*Task]struct{}
+	// tasks lists the live tasks, each at its Task.idx; Finish moves the
+	// last one into the place it leaves.
+	tasks []*Task
 	// cont is the trampoline slot for the SleepThen and ScheduleNow fast
 	// paths: a continuation that must run immediately after the current
 	// event, at constant stack depth. runEvents drains it after every
@@ -166,16 +168,17 @@ func NewEngine(seed uint64) *Engine {
 }
 
 // Init makes e the engine NewEngine(seed) returns. On an engine that ran
-// before, it keeps the queue's arrays and the task set's map, emptied:
-// events and tasks still live when that run stopped are dropped.
+// before, it keeps the queue's arrays and the live-task array, emptied:
+// events and tasks still live when that run stopped are dropped. It sets
+// each field in place, since the queue is too large to copy per point.
 func (e *Engine) Init(seed uint64) {
-	tasks := e.tasks
-	if tasks == nil {
-		tasks = make(map[*Task]struct{})
-	}
-	clear(tasks)
 	e.q.reset()
-	*e = Engine{q: e.q, rng: *NewRand(seed), limit: maxTime, tasks: tasks}
+	clear(e.tasks)
+	e.tasks = e.tasks[:0]
+	e.now, e.seq, e.limit = 0, 0, maxTime
+	e.rng = *NewRand(seed)
+	e.cont, e.ahead, e.stopped = nil, 0, false
+	e.stepPoolHits, e.stepPoolMisses = 0, 0
 }
 
 // SchedStats are the engine's scheduling-internals counters: how events were
@@ -245,9 +248,13 @@ func (l *FreeList[T]) Get() *T {
 }
 
 // Made records s, a record the caller made because Get returned nil, and
-// returns it.
+// returns it. The free array grows with the made one, so that Reclaimed,
+// which frees every record made, needs no longer array.
 func (l *FreeList[T]) Made(s *T) *T {
 	l.made = append(l.made, s)
+	if cap(l.free) < cap(l.made) {
+		l.free = append(make([]*T, 0, cap(l.made)), l.free...)
+	}
 	return s
 }
 
@@ -474,7 +481,7 @@ func (e *Engine) runEvents() {
 // live sets.
 func (e *Engine) Breadcrumbs() []string {
 	var parked []string
-	for t := range e.tasks {
+	for _, t := range e.tasks {
 		parked = append(parked, t.name+": "+t.reasonLine())
 	}
 	sort.Strings(parked)
@@ -486,7 +493,23 @@ func (e *Engine) Breadcrumbs() []string {
 // accepts no new tasks.
 func (e *Engine) Shutdown() {
 	clear(e.tasks)
+	e.tasks = e.tasks[:0]
 	e.stopped = true
+}
+
+// dropTask removes t from the live tasks, moving the last one into its
+// place. A task Shutdown retired is no longer listed.
+func (e *Engine) dropTask(t *Task) {
+	i := t.idx
+	if i >= len(e.tasks) || e.tasks[i] != t {
+		return
+	}
+	last := len(e.tasks) - 1
+	moved := e.tasks[last]
+	e.tasks[i] = moved
+	moved.idx = i
+	e.tasks[last] = nil
+	e.tasks = e.tasks[:last]
 }
 
 // Live returns the number of tasks that have been started and have not yet

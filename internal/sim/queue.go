@@ -33,14 +33,15 @@ func before(a, b *event) bool {
 
 // eventQueue is the engine's event storage: a timing wheel for near-future
 // events backed by a 4-ary min-heap for everything past the wheel horizon.
-// The hierarchy matches the engine's workload: hardware models and workload
-// threads sleep mostly 2–110 cycles (cache round trips, channel slots,
-// backoff windows, barrier episodes), which the wheel dispatches in O(1)
-// with no comparisons, while the rare long sleep — an application's
-// 100k-cycle compute phase, a far-off horizon event — falls back to the
-// heap, as does an event under a reserved key older than the newest
-// (pushHeap). wheelHits and heapFallbacks count the routing decisions,
-// exposed through Engine.SchedStats for sweep diagnostics.
+// The wheel's 2,048 one-cycle buckets take what the simulator schedules
+// ahead: protocol steps, spins and barrier episodes a few cycles out, and
+// the backoff of a saturated channel — the MAC's collision windows (up to
+// 512 cycles at 256 nodes) and the CAS kernels' software backoff (up to
+// 4,095) — which the wheel dispatches in O(1) with no comparisons. The
+// heap keeps the rare long sleep (an application's compute phase, a
+// far-off horizon event) and any event under a reserved key older than
+// the newest (pushHeap). wheelHits and heapFallbacks count the routing
+// decisions, exposed through Engine.SchedStats for sweep diagnostics.
 //
 // Both levels dispatch in exact (time, priority, sequence) order and first/
 // pop merge them by comparing their minima, so the composite is
@@ -106,40 +107,48 @@ func (q *eventQueue) pop() event {
 	return q.h.pop()
 }
 
-// reset empties the queue for the engine's next run, keeping its arrays:
-// every FIFO array goes to the wheel's spares or smalls by size, and the
-// heap keeps its array. The spares and smalls lists themselves are kept,
-// so a steady stream of runs grows no list. Queued events are cleared
-// first, so nothing the queue keeps points back into the model of the
-// run that queued them.
+// reset empties the queue for the engine's next run, keeping its arrays.
+// Only occupied buckets hold events or burst arrays, so it visits those
+// alone, by the occupancy bitmap: their events are cleared, burst arrays
+// go back to the spares and every FIFO returns to its own array. The heap
+// keeps its array, cleared. Nothing the queue keeps points back into the
+// model of the run that queued it.
 func (q *eventQueue) reset() {
 	w := &q.w
-	spares, smalls := w.spares, w.smalls
-	for i := range w.b {
-		for _, f := range [2]*fifo{&w.b[i].normal, &w.b[i].late} {
-			clear(f.ev)
-			switch {
-			case cap(f.ev) > fifoKeep:
-				spares = append(spares, f.ev[:0])
-			case cap(f.ev) == fifoKeep:
-				smalls = append(smalls, f.ev[:0])
+	for i, word := range w.occ {
+		for ; word != 0; word &= word - 1 {
+			idx := i<<6 + bits.TrailingZeros64(word)
+			b := &w.b[idx]
+			for late, f := range [2]*fifo{&b.normal, &b.late} {
+				clear(f.ev)
+				f.head = 0
+				if cap(f.ev) > normalKeep {
+					w.shed(f, w.own(idx, late == 1))
+				} else {
+					f.ev = f.ev[:0]
+				}
 			}
 		}
 	}
+	w.occ = [wheelWords]uint64{}
+	w.count, w.minIdx = 0, 0
 	clear(q.h.ev)
-	*q = eventQueue{w: wheel{spares: spares, smalls: smalls}, h: heapQueue{ev: q.h.ev[:0]}}
+	q.h.ev = q.h.ev[:0]
+	q.wheelHits, q.heapFallbacks = 0, 0
 }
 
 // ---- Timing wheel ----
 
 // wheelSpan is the wheel horizon in cycles: events scheduled less than
 // wheelSpan cycles ahead land in a bucket, the rest fall back to the heap.
-// 256 covers the simulator's observed sleep distribution (2–110 cycles for
-// protocol steps, spins and backoff; see the sizing note on eventQueue)
-// with headroom, while keeping the bucket array small enough that a fresh
-// engine's zero-fill is negligible next to machine construction.
+// 2,048 takes the backoff of a saturated channel. On a sweep-wireless pass
+// of perfbench, 33,252 events are scheduled 256–1,023 cycles ahead,
+// 14,520 at 1,024–4,095, 6,105 at 4,096–65,535 and 1,078 further; a
+// sweep-wired pass schedules 18,277 events 256 or more cycles ahead, and
+// 55,262 under reserved keys. The wheel's storage is made once, so its
+// size costs a point only the occupied buckets reset visits.
 const (
-	wheelBits  = 8
+	wheelBits  = 11
 	wheelSpan  = 1 << wheelBits
 	wheelMask  = wheelSpan - 1
 	wheelWords = wheelSpan / 64
@@ -150,10 +159,11 @@ const (
 // is dispatch order; consumed slots are zeroed so popped closures are
 // collectable, and the backing array is reused once the bucket drains.
 //
-// A FIFO's backing array is either small (fifoKeep events) or a burst
-// array borrowed from the wheel's spares: a full FIFO grows through
-// wheel.grow, and a drained bucket hands burst arrays back (wheel.shed).
-// Every array outside a FIFO's live range [head, len) is all zero.
+// A FIFO's backing array is either its bucket's own (normalKeep or
+// lateKeep events) or a burst array borrowed from the wheel's spares: a
+// full FIFO grows through wheel.grow, and a drained bucket hands burst
+// arrays back (wheel.shed). Every array outside a FIFO's live range
+// [head, len) is all zero.
 type fifo struct {
 	ev   []event
 	head int
@@ -204,26 +214,54 @@ func (b *bucket) min() *event {
 // entries within [now, now+wheelSpan)) makes the circular scan from the
 // drained bucket visit buckets in absolute-time order.
 //
-// spares and smalls hold the backing arrays no FIFO is using: burst arrays
-// (more than fifoKeep events) that drained buckets handed back, and the
-// small arrays of FIFOs that borrowed a burst array. A burst borrows an
-// array and returns it when its bucket drains, so the spares number at
-// most the bursts in flight at once, each sized by the largest burst it
-// carried — not one high-water array per bucket.
+// store holds every bucket's own arrays, made by the wheel's first push
+// and kept for the wheel's life: each bucket's FIFOs use their own arrays
+// whenever they are not bursting, so no run after the first allocates
+// for them. spares holds the burst arrays (longer than normalKeep) no
+// FIFO is using. A burst borrows one and returns it when its bucket
+// drains, so the spares number at most the bursts in flight at once,
+// each sized by the largest burst it carried — not one high-water array
+// per bucket.
 type wheel struct {
 	b      [wheelSpan]bucket
 	occ    [wheelWords]uint64
 	count  int
 	minIdx int
 
+	store  []event
 	spares [][]event
-	smalls [][]event
 }
 
-// fifoKeep is the capacity of a FIFO's own array. A bucket that drains
-// with a larger array hands it to the spares; most buckets hold a few
-// events at a time and keep theirs.
-const fifoKeep = 8
+// normalKeep and lateKeep are the lengths of a bucket's own arrays for
+// its PrioNormal and PrioLate FIFOs. On the shapes of perfbench's sweeps,
+// 86% of the PrioNormal pushes of the wireless kinds and 96% of the wired
+// ones leave at most normalKeep events in their FIFO, and no PrioLate FIFO
+// (channel arbitration) ever holds more than one event. Any array longer
+// than normalKeep is a burst array.
+const (
+	normalKeep = 8
+	lateKeep   = 1
+	bucketKeep = normalKeep + lateKeep
+)
+
+// own returns bucket idx's own array for its PrioNormal or PrioLate FIFO,
+// empty.
+func (w *wheel) own(idx int, late bool) []event {
+	i := idx * bucketKeep
+	if late {
+		return w.store[i+normalKeep : i+normalKeep : i+bucketKeep]
+	}
+	return w.store[i : i : i+normalKeep]
+}
+
+// makeStore makes the store and gives every bucket its own arrays.
+func (w *wheel) makeStore() {
+	w.store = make([]event, wheelSpan*bucketKeep)
+	for idx := range w.b {
+		w.b[idx].normal.ev = w.own(idx, false)
+		w.b[idx].late.ev = w.own(idx, true)
+	}
+}
 
 func (w *wheel) min() *event { return w.b[w.minIdx].min() }
 
@@ -258,11 +296,11 @@ func (w *wheel) pop() event {
 	w.count--
 	if b.empty() {
 		w.occ[w.minIdx>>6] &^= 1 << (uint(w.minIdx) & 63)
-		if cap(b.normal.ev) > fifoKeep {
-			w.shed(&b.normal)
+		if cap(b.normal.ev) > normalKeep {
+			w.shed(&b.normal, w.own(w.minIdx, false))
 		}
-		if cap(b.late.ev) > fifoKeep {
-			w.shed(&b.late)
+		if cap(b.late.ev) > normalKeep {
+			w.shed(&b.late, w.own(w.minIdx, true))
 		}
 		if w.count > 0 {
 			w.minIdx = w.next(w.minIdx)
@@ -288,11 +326,19 @@ func (w *wheel) next(from int) int {
 	}
 }
 
-// grow makes room in the full FIFO f. A FIFO at least half consumed is
-// compacted in place. Otherwise its live events move to a larger array:
-// a small one if f has none yet, else the largest spare that fits, else a
-// new array of twice its length. The array it leaves is cleared and kept.
+// grow makes room in the full FIFO f. A zero wheel makes its store first,
+// which gives f its own array. A FIFO at least half consumed is compacted
+// in place. Otherwise its live events move to a burst array: the smallest
+// spare that fits, else a new one of twice their number and longer than
+// normalKeep. Taking the smallest leaves the long arrays to the long
+// bursts, so a run repeated after Init finds a spare for every burst it
+// grew the first time. The array f leaves is cleared; a burst array goes
+// back to the spares, and a bucket's own array stays in the store.
 func (w *wheel) grow(f *fifo) {
+	if w.store == nil {
+		w.makeStore()
+		return
+	}
 	live := len(f.ev) - f.head
 	if f.head > 0 && f.head >= live {
 		copy(f.ev, f.ev[f.head:])
@@ -301,57 +347,35 @@ func (w *wheel) grow(f *fifo) {
 		return
 	}
 	var ev []event
-	switch {
-	case cap(f.ev) < fifoKeep:
-		if ev = w.takeSmall(); ev == nil {
-			ev = make([]event, 0, fifoKeep)
+	best := -1
+	for i, a := range w.spares {
+		if cap(a) > live && (best < 0 || cap(a) < cap(w.spares[best])) {
+			best = i
 		}
-	default:
-		best := -1
-		for i, a := range w.spares {
-			if cap(a) > live && (best < 0 || cap(a) > cap(w.spares[best])) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			last := len(w.spares) - 1
-			ev = w.spares[best]
-			w.spares[best] = w.spares[last]
-			w.spares[last] = nil
-			w.spares = w.spares[:last]
-		} else {
-			ev = make([]event, 0, 2*live)
-		}
+	}
+	if best >= 0 {
+		last := len(w.spares) - 1
+		ev = w.spares[best]
+		w.spares[best] = w.spares[last]
+		w.spares[last] = nil
+		w.spares = w.spares[:last]
+	} else {
+		ev = make([]event, 0, 2*max(live, normalKeep))
 	}
 	ev = append(ev, f.ev[f.head:]...)
 	old := f.ev
 	f.ev, f.head = ev, 0
 	clear(old)
-	switch {
-	case cap(old) > fifoKeep:
+	if cap(old) > normalKeep {
 		w.spares = append(w.spares, old[:0])
-	case cap(old) == fifoKeep:
-		w.smalls = append(w.smalls, old[:0])
 	}
 }
 
-// shed hands the burst array of drained FIFO f to the spares and gives f
-// a small array back, if one is free.
-func (w *wheel) shed(f *fifo) {
-	w.spares = append(w.spares, f.ev)
-	f.ev = w.takeSmall()
-}
-
-// takeSmall returns a free small array, or nil if there is none.
-func (w *wheel) takeSmall() []event {
-	k := len(w.smalls)
-	if k == 0 {
-		return nil
-	}
-	a := w.smalls[k-1]
-	w.smalls[k-1] = nil
-	w.smalls = w.smalls[:k-1]
-	return a
+// shed hands the burst array of the empty FIFO f to the spares and gives
+// f its own array back.
+func (w *wheel) shed(f *fifo, own []event) {
+	w.spares = append(w.spares, f.ev[:0])
+	f.ev = own
 }
 
 // ---- Heap fallback ----

@@ -56,10 +56,10 @@ func checkZeroedSlots(t *testing.T, q *eventQueue, opIdx int) {
 // pops that empty the queue):
 //
 //	op&3 == 3: pop
-//	op&3 == 2: far-future push at now + 200 + (op>>3)*97 — offsets from
-//	           just inside the wheel horizon to ~12x past it, so events
-//	           land in the heap and cross the horizon as the clock
-//	           advances toward them
+//	op&3 == 2: far-future push at now + (200 + (op>>3)*97)*wheelSpan/256
+//	           — offsets from just inside the wheel horizon to ~12x past
+//	           it, so events land in the heap and cross the horizon as
+//	           the clock advances toward them
 //	otherwise: near push at now + op>>3 (0..31 cycles, the wheel's bread
 //	           and butter), PrioLate when op&4 is set
 func queueOracle(t *testing.T, ops []byte) {
@@ -87,7 +87,7 @@ func queueOracle(t *testing.T, ops []byte) {
 		seq++
 		d := Time(op >> 3)
 		if op&3 == 2 {
-			d = 200 + Time(op>>3)*97
+			d = (200 + Time(op>>3)*97) * wheelSpan / 256
 		}
 		ev := event{t: now + d, key: seq, fn: func() {}}
 		if op&4 != 0 {

@@ -56,11 +56,11 @@ func TestEventQueueOrderProperty(t *testing.T) {
 	var want []ref
 	pushOne := func() {
 		seq++
-		// Mostly near offsets (wheel), occasionally far past the horizon
-		// (heap fallback).
+		// Mostly near offsets (wheel), occasionally from inside the
+		// horizon to far past it (heap fallback).
 		d := Time(rng.Intn(50))
 		if rng.Intn(5) == 0 {
-			d = Time(100 + rng.Intn(900))
+			d = Time(100+rng.Intn(900)) * wheelSpan / 256
 		}
 		key := seq
 		if rng.Intn(3) == 0 {
@@ -160,11 +160,18 @@ func TestReinitQueueHoldsNoEvents(t *testing.T) {
 		t.Errorf("re-initialized engine holds %d events at cycle %d", e.Pending(), e.Now())
 	}
 	w := &e.q.w
-	if len(w.spares) == 0 || len(w.smalls) == 0 || cap(e.q.h.ev) == 0 {
-		t.Fatalf("Init kept %d spares, %d small arrays, heap cap %d; want some of each",
-			len(w.spares), len(w.smalls), cap(e.q.h.ev))
+	if len(w.spares) == 0 || w.store == nil || cap(e.q.h.ev) == 0 {
+		t.Fatalf("Init kept %d spares, a store of %d events, heap cap %d; want some of each",
+			len(w.spares), len(w.store), cap(e.q.h.ev))
 	}
-	for _, a := range append(append([][]event{e.q.h.ev}, w.spares...), w.smalls...) {
+	for i := range w.b {
+		if b := &w.b[i]; len(b.normal.ev) != 0 || len(b.late.ev) != 0 ||
+			cap(b.normal.ev) != normalKeep || cap(b.late.ev) != lateKeep {
+			t.Fatalf("bucket %d left Init with FIFO arrays of length %d and %d, capacity %d and %d; want its own, empty",
+				i, len(b.normal.ev), len(b.late.ev), cap(b.normal.ev), cap(b.late.ev))
+		}
+	}
+	for _, a := range append([][]event{e.q.h.ev, w.store[:0]}, w.spares...) {
 		if len(a) != 0 {
 			t.Fatalf("kept array has length %d, want 0", len(a))
 		}
@@ -180,14 +187,15 @@ func TestReinitQueueHoldsNoEvents(t *testing.T) {
 }
 
 // TestReinitAllocFree: a queue reset after a burst takes the next burst
-// without allocating. reset collects the FIFO arrays into the spares and
-// smalls lists the queue already has, instead of growing new lists.
+// without allocating. reset returns burst arrays to the spares list the
+// queue already has, instead of growing a new list, and every bucket
+// keeps its own arrays.
 func TestReinitAllocFree(t *testing.T) {
 	var q eventQueue
 	nop := func() {}
 	cycle := func() {
 		for i := 0; i < 3000; i++ {
-			d := Time(i % 300) // every bucket, and past the wheel into the heap
+			d := Time(i % (wheelSpan + 44)) // every bucket, and past the wheel into the heap
 			if i%4 == 0 {
 				d = 7 // one burst of 750 events
 			}
@@ -203,5 +211,50 @@ func TestReinitAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Errorf("3000 events and a reset allocated %v objects, want 0", allocs)
+	}
+}
+
+// TestWheelStorageKeptAcrossRuns pins the wheel's once-per-engine storage:
+// a run whose clock walks more than two wheel spans, with a burst in
+// every bucket at both priorities, allocates nothing when it runs again
+// after Init. The first run makes the store and the burst arrays; Init
+// must keep both, each bucket on its own arrays.
+func TestWheelStorageKeptAcrossRuns(t *testing.T) {
+	const walk = 2*wheelSpan + wheelSpan/2
+	e := NewEngine(1)
+	nop := func() {}
+	// step schedules a burst at the far edge of the wheel, so every
+	// bucket fills while earlier ones drain: 9 to 20 PrioNormal events
+	// (past a bucket's own array) and 1 to 3 PrioLate ones.
+	var step func()
+	step = func() {
+		now := e.Now()
+		at := now + wheelSpan - 1
+		for k := 0; k < normalKeep+1+int(now%12); k++ {
+			e.ScheduleAt(at, PrioNormal, nop)
+		}
+		for k := 0; k <= int(now%3); k++ {
+			e.ScheduleAt(at, PrioLate, nop)
+		}
+		if now < walk {
+			e.Schedule(1, step)
+		}
+	}
+	run := func() {
+		e.Init(1)
+		e.Schedule(0, step)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if e.Now() < walk {
+			t.Fatalf("the clock stopped at %d, want past %d", e.Now(), walk)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(1, run); allocs != 0 {
+		t.Errorf("a run walking %d cycles allocated %v objects after Init, want 0", walk, allocs)
+	}
+	if st := e.SchedStats(); st.HeapEvents != 0 {
+		t.Errorf("%d events went to the heap; the bursts must all land in buckets", st.HeapEvents)
 	}
 }

@@ -19,6 +19,8 @@ type Task struct {
 	reasonArg    uint64
 	reasonHasArg bool
 	done         bool
+	// idx is the task's place in its engine's live tasks.
+	idx int
 }
 
 // GoTask starts fn as a new task. The task begins running at the current
@@ -41,8 +43,8 @@ func (e *Engine) StartTask(t *Task, name string, start func()) {
 	if e.stopped {
 		panic("sim: GoTask after Shutdown")
 	}
-	*t = Task{eng: e, name: name}
-	e.tasks[t] = struct{}{}
+	*t = Task{eng: e, name: name, idx: len(e.tasks)}
+	e.tasks = append(e.tasks, t)
 	e.Schedule(0, start)
 }
 
@@ -59,7 +61,7 @@ func (t *Task) Finish() {
 		panic("sim: Finish of already-finished task " + t.name)
 	}
 	t.done = true
-	delete(t.eng.tasks, t)
+	t.eng.dropTask(t)
 }
 
 // SetReason records a diagnostic label — typically the operation the task

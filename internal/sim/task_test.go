@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -187,5 +189,44 @@ func TestRunHoldsFastPath(t *testing.T) {
 	}
 	if got, want := strings.Join(log, " "), "member1@5 f@6"; got != want {
 		t.Errorf("log = %q, want %q", got, want)
+	}
+}
+
+// TestTaskRefillAllocFree: the engine keeps its live tasks in an array
+// that Init empties, so 64 tasks started again after each of 200 Inits,
+// finishing in another order than they started, allocate nothing in any
+// run. A map refilled after clear could regrow its table by chance, since
+// Go draws a new hash seed at each clear.
+func TestTaskRefillAllocFree(t *testing.T) {
+	const tasks, runs = 64, 200
+	e := NewEngine(1)
+	ts := make([]Task, tasks)
+	starts := make([]func(), tasks)
+	for i := range ts {
+		finish := ts[i].Finish
+		starts[i] = func() { e.SleepThen(Time(i*7%13), finish) }
+	}
+	run := func() {
+		e.Init(1)
+		for i := range ts {
+			e.StartTask(&ts[i], "refill", starts[i])
+		}
+		if e.Live() != tasks {
+			t.Fatalf("Live = %d after starting %d tasks", e.Live(), tasks)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.Mallocs - before.Mallocs; d != 0 {
+		t.Errorf("%d tasks refilled %d times after Init allocated %d objects, want 0", tasks, runs, d)
 	}
 }
