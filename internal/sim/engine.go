@@ -73,13 +73,15 @@
 //
 // # Timing wheel
 //
-// Event storage is hierarchical: a small timing wheel of one-cycle buckets
-// in front of a typed 4-ary min-heap (queue.go). The simulator's sleeps
-// are overwhelmingly short — cache round trips, channel slots, backoff
-// windows and barrier episodes land 2–110 cycles ahead — so almost every
-// event is scheduled within the wheel horizon (256 cycles) and costs an
-// O(1) bucket append and a bitmap-scan pop, no comparisons. The rare
-// far-future event (an application's long compute phase, an open-ended run
+// Event storage is hierarchical: a timing wheel of 2,048 one-cycle
+// buckets in front of a typed 4-ary min-heap (queue.go). Most sleeps are
+// short — cache round trips, channel slots and barrier episodes land a
+// few cycles ahead — but a saturated channel backs off for hundreds to
+// thousands of cycles: the backoff MAC's collision window reaches 512
+// cycles at 256 nodes, and the CAS kernels back off in software for up to
+// 4,095. The wheel horizon covers both, so such an event costs an O(1)
+// bucket append and a bitmap-scan pop, no comparisons. A sleep of 2,048
+// cycles or more (an application's long compute phase, an open-ended run
 // horizon) falls back to the heap, as does an event under a reserved key
 // older than the newest, and first/pop merge the two levels by
 // comparing their minima, so the composite dispatches in exactly the
@@ -88,8 +90,9 @@
 // including events that cross the horizon between push and pop and
 // same-tick priority ties. Within a bucket, PrioNormal and PrioLate events
 // live in separate FIFOs (sequence numbers are monotone, so FIFO order is
-// dispatch order). SchedStats reports the wheel-hit / heap-fallback split,
-// surfaced by wisync-bench -v.
+// dispatch order), each on an array of the bucket's own that the engine
+// makes once and keeps across Init. SchedStats reports the wheel-hit /
+// heap-fallback split, surfaced by wisync-bench -v.
 //
 // # Determinism
 //

@@ -268,9 +268,7 @@ func (w *wheel) min() *event { return w.b[w.minIdx].min() }
 func (w *wheel) push(ev event) {
 	idx := int(ev.t) & wheelMask
 	b := &w.b[idx]
-	if b.empty() {
-		w.occ[idx>>6] |= 1 << (uint(idx) & 63)
-	}
+	w.occ[idx>>6] |= 1 << (uint(idx) & 63)
 	f := &b.normal
 	if ev.key&prioBit != 0 {
 		f = &b.late
@@ -328,12 +326,15 @@ func (w *wheel) next(from int) int {
 
 // grow makes room in the full FIFO f. A zero wheel makes its store first,
 // which gives f its own array. A FIFO at least half consumed is compacted
-// in place. Otherwise its live events move to a burst array: the smallest
-// spare that fits, else a new one of twice their number and longer than
-// normalKeep. Taking the smallest leaves the long arrays to the long
-// bursts, so a run repeated after Init finds a spare for every burst it
-// grew the first time. The array f leaves is cleared; a burst array goes
-// back to the spares, and a bucket's own array stays in the store.
+// in place. Otherwise its live events move to a spare that fits, else to
+// a new array of twice their number and longer than normalKeep. A FIFO
+// leaving its own array takes the shortest spare that fits, since most
+// bursts end soon; one that outgrew a burst array is a long burst and
+// takes the longest, so that it moves once more at most. The long spares
+// thus go to the long bursts, and a run repeated after Init finds a
+// spare for every burst it grew the first time. The array f leaves is
+// cleared; a burst array goes back to the spares, and a bucket's own
+// array stays in the store.
 func (w *wheel) grow(f *fifo) {
 	if w.store == nil {
 		w.makeStore()
@@ -347,9 +348,10 @@ func (w *wheel) grow(f *fifo) {
 		return
 	}
 	var ev []event
+	shortest := cap(f.ev) <= normalKeep
 	best := -1
 	for i, a := range w.spares {
-		if cap(a) > live && (best < 0 || cap(a) < cap(w.spares[best])) {
+		if cap(a) > live && (best < 0 || (cap(a) < cap(w.spares[best])) == shortest) {
 			best = i
 		}
 	}

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -219,14 +217,11 @@ func TestTaskRefillAllocFree(t *testing.T) {
 		}
 	}
 	run()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	if d := after.Mallocs - before.Mallocs; d != 0 {
+	if d := mallocs(func() {
+		for range runs {
+			run()
+		}
+	}); d != 0 {
 		t.Errorf("%d tasks refilled %d times after Init allocated %d objects, want 0", tasks, runs, d)
 	}
 }

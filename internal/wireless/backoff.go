@@ -200,13 +200,13 @@ func (m *backoffMAC) enqueue(req *request, slot sim.Time) {
 }
 
 // grow moves the requests of the full contention slot c to a longer
-// array: the shortest spare that is longer, else a new one of twice the
-// length. Taking the shortest leaves the long spares to the crowded
-// slots. c's array goes back as clear hands it.
+// array: the longest spare, if it is longer, else a new one of twice the
+// length, so that a crowded slot seldom moves twice. c's array goes back
+// as clear hands it.
 func (m *backoffMAC) grow(c *arbCont) {
 	best := -1
 	for i, a := range m.spares {
-		if cap(a) > len(c.reqs) && (best < 0 || cap(a) < cap(m.spares[best])) {
+		if cap(a) > len(c.reqs) && (best < 0 || cap(a) > cap(m.spares[best])) {
 			best = i
 		}
 	}

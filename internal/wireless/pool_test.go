@@ -109,42 +109,55 @@ func TestCutRunReclaimsInFlight(t *testing.T) {
 }
 
 // TestStormRerunAllocFree: a storm run a second time on the re-Init'ed
-// channel allocates nothing. The free contention slots come back in
-// another order than the first run took them, so a slot gets more
-// requests than its own array has held; it must take a larger free array
-// instead of growing its own.
+// channel and engine allocates nothing. The free contention slots come
+// back in another order than the first run took them, so a slot gets more
+// requests than its own array holds; it must borrow a longer array, not
+// make one. The second run is measured on up to three new channels:
+// arrays the channel does not keep allocate on every one, a goroutine of
+// the runtime only now and then.
 func TestStormRerunAllocFree(t *testing.T) {
 	const nodes, horizon = 64, 20000
-	eng := sim.NewEngine(1)
-	n := New(eng, nodes, Params{})
-	resend := make([]func(bool), nodes)
-	for src := range resend {
-		resend[src] = func(bool) { n.SendAsync(Msg{Src: src, Addr: uint32(src)}, nil, resend[src]) }
+	secondRun := func() (objects, bytes uint64) {
+		eng := sim.NewEngine(1)
+		n := New(eng, nodes, Params{})
+		resend := make([]func(bool), nodes)
+		for src := range resend {
+			resend[src] = func(bool) { n.SendAsync(Msg{Src: src, Addr: uint32(src)}, nil, resend[src]) }
+		}
+		start := func() {
+			for _, f := range resend {
+				f(true)
+			}
+		}
+		storm := func() {
+			eng.Init(1)
+			n.Init(eng, nodes, Params{})
+			eng.Schedule(0, start)
+			eng.RunUntil(horizon)
+			eng.Shutdown()
+		}
+		storm()
+		if n.Stats.Collisions == 0 {
+			t.Fatal("the storm had no collisions")
+		}
+		// Counted as testing.AllocsPerRun counts, on one P after a
+		// collection.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		storm()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
-	start := func() {
-		for _, f := range resend {
-			f(true)
+	objects, bytes := secondRun()
+	for trial := 1; trial < 3 && objects != 0; trial++ {
+		if o, b := secondRun(); o < objects {
+			objects, bytes = o, b
 		}
 	}
-	storm := func() {
-		eng.Init(1)
-		n.Init(eng, nodes, Params{})
-		eng.Schedule(0, start)
-		eng.RunUntil(horizon)
-		eng.Shutdown()
-	}
-	storm()
-	if n.Stats.Collisions == 0 {
-		t.Fatal("the storm had no collisions")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	storm()
-	runtime.ReadMemStats(&after)
-	if d := after.Mallocs - before.Mallocs; d != 0 {
-		t.Errorf("the storm run again after Init allocated %d objects (%d B), want 0",
-			d, after.TotalAlloc-before.TotalAlloc)
+	if objects != 0 {
+		t.Errorf("the storm run again after Init allocated %d objects (%d B), want 0", objects, bytes)
 	}
 }
 
