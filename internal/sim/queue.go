@@ -141,12 +141,14 @@ func (q *eventQueue) reset() {
 
 // wheelSpan is the wheel horizon in cycles: events scheduled less than
 // wheelSpan cycles ahead land in a bucket, the rest fall back to the heap.
-// 2,048 takes the backoff of a saturated channel. On a sweep-wireless pass
-// of perfbench, 33,252 events are scheduled 256–1,023 cycles ahead,
-// 14,520 at 1,024–4,095, 6,105 at 4,096–65,535 and 1,078 further; a
-// sweep-wired pass schedules 18,277 events 256 or more cycles ahead, and
-// 55,262 under reserved keys. The wheel's storage is made once, so its
-// size costs a point only the occupied buckets reset visits.
+// 2,048 takes the backoff of a saturated channel. Of the 1.66 M events a
+// sweep-wireless pass of perfbench queues, 33,916 are scheduled 256–1,023
+// cycles ahead, 8,338 at 1,024–2,047, 6,126 at 2,048–4,095, 6,114 at
+// 4,096–65,535 and 1,074 further; a sweep-wired pass queues 4.93 M, of
+// which 4,944 are 256–2,047 cycles ahead, 13,313 further and 55,474 under
+// reserved keys (mean of four passes at workload seed 1). The wheel's
+// storage is made once, so its size costs a point only the occupied
+// buckets reset visits.
 const (
 	wheelBits  = 11
 	wheelSpan  = 1 << wheelBits
