@@ -79,14 +79,15 @@
 // few cycles ahead — but a saturated channel backs off for hundreds to
 // thousands of cycles: the backoff MAC's collision window reaches 512
 // cycles at 256 nodes, and the CAS kernels back off in software for up to
-// 4,095. The wheel horizon covers both, so such an event costs an O(1)
-// bucket append and a bitmap-scan pop, no comparisons. A sleep of 2,048
-// cycles or more (an application's long compute phase, an open-ended run
-// horizon) falls back to the heap, as does an event under a reserved key
-// older than the newest, and first/pop merge the two levels by
-// comparing their minima, so the composite dispatches in exactly the
-// (time, priority, sequence) order a single heap would — the fuzz/oracle
-// suite in queue_fuzz_test.go drives both against container/heap,
+// 2,047 cycles until their window reaches 2,048 (then up to 4,095). The
+// wheel horizon covers all but that last window, so such an event costs
+// an O(1) bucket append and a bitmap-scan pop, no comparisons. A sleep of
+// 2,048 cycles or more (an application's long compute phase, an
+// open-ended run horizon) falls back to the heap, as does an event under
+// a reserved key older than the newest, and first/pop merge the two
+// levels by comparing their minima, so the composite dispatches in
+// exactly the (time, priority, sequence) order a single heap would — the
+// fuzz/oracle suite in queue_fuzz_test.go drives both against container/heap,
 // including events that cross the horizon between push and pop and
 // same-tick priority ties. Within a bucket, PrioNormal and PrioLate events
 // live in separate FIFOs (sequence numbers are monotone, so FIFO order is

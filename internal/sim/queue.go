@@ -36,8 +36,9 @@ func before(a, b *event) bool {
 // The wheel's 2,048 one-cycle buckets take what the simulator schedules
 // ahead: protocol steps, spins and barrier episodes a few cycles out, and
 // the backoff of a saturated channel — the MAC's collision windows (up to
-// 512 cycles at 256 nodes) and the CAS kernels' software backoff (up to
-// 4,095) — which the wheel dispatches in O(1) with no comparisons. The
+// 512 cycles at 256 nodes) and all but the widest window of the CAS
+// kernels' software backoff (2,048–4,095 cycles) — which the wheel
+// dispatches in O(1) with no comparisons. The
 // heap keeps the rare long sleep (an application's compute phase, a
 // far-off horizon event) and any event under a reserved key older than
 // the newest (pushHeap). wheelHits and heapFallbacks count the routing
